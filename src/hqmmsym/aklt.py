@@ -30,7 +30,7 @@ from .grouprep import (
     spin_one_rep,
 )
 from .hqmm import CausalStructure, GenerativeTriple, ObservableWord, finite_volume_state
-from .opalg import BipartiteMap, ComplexOperator, operator_norm
+from .opalg import BipartiteMap, ComplexOperator, operator_norms, worst_deviation
 from .sampling import rng_from
 from .symmetry import (
     SymmetryAction,
@@ -170,8 +170,8 @@ def _convention_matrix(convention: str, rho_g: np.ndarray, rho_g_inv: np.ndarray
     if convention == "column@g-inverse":
         return rho_g_inv
     if convention == "row@g":
-        return rho_g.T
-    return rho_g_inv.T
+        return np.swapaxes(rho_g, -1, -2)
+    return np.swapaxes(rho_g_inv, -1, -2)
 
 
 def verify_intertwining(
@@ -194,17 +194,16 @@ def verify_intertwining(
         raise ConfigError(f"unknown intertwining convention {convention!r}")
     rng = rng_from(seed)
     stack = tensors.stacked()
-    residuals = {name: 0.0 for name in CONVENTIONS}
-    for g in haar_rotations(rng, samples):
-        u = pi.evaluate(g).entries
-        rho_g = rho.evaluate(g).entries
-        rho_g_inv = rho.evaluate(g.inverse()).entries
-        target = np.stack([u @ a @ u.conj().T for a in stack])
-        for name in CONVENTIONS:
-            c = _convention_matrix(name, rho_g, rho_g_inv)
-            combo = np.einsum("mk,kab->mab", c, stack)
-            dev = max(operator_norm(combo[m] - target[m]) for m in range(stack.shape[0]))
-            residuals[name] = max(residuals[name], dev)
+    gs = haar_rotations(rng, samples)
+    u = np.stack([pi.evaluate(g).entries for g in gs])[:, None]
+    rho_g = np.stack([rho.evaluate(g).entries for g in gs])
+    rho_g_inv = np.stack([rho.evaluate(g.inverse()).entries for g in gs])
+    target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
+    residuals = {}
+    for name in CONVENTIONS:
+        c = _convention_matrix(name, rho_g, rho_g_inv)
+        combo = np.einsum("smk,kab->smab", c, stack)
+        residuals[name] = worst_deviation(operator_norms(combo - target))
     if convention == "auto":
         chosen = None
         for name in CONVENTIONS:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .hqmm import (
     load_word,
     random_word,
 )
-from .opalg import operator_norm
+from .opalg import operator_norm, worst_deviation
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
@@ -87,6 +88,20 @@ class RunConfig:
     n_max: int = 6
     tolerances: dict[str, float] = field(default_factory=default_tolerances)
 
+    def __post_init__(self):
+        # a run that samples nothing, or compares against a meaningless
+        # tolerance, would pass vacuously
+        for name in ("samples", "global_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_max < 0:
+            raise ConfigError(f"n_max must be nonnegative, got {self.n_max}")
+        for name, value in self.tolerances.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"tolerance for {name!r} must be finite and nonnegative, got {value}"
+                )
+
     def to_json_dict(self) -> dict:
         return {
             "model": self.model,
@@ -121,23 +136,23 @@ class RunConfig:
 
 
 def _check_cpu(config: RunConfig, tol: float, triple: GenerativeTriple) -> list[CheckResult]:
-    worst = 0.0
+    deviations = []
     ok = True
     for cert in triple.certificates(tol).values():
-        worst = max(
-            worst,
+        deviations += [
             cert.choi_defect,
             cert.unitality_deviation,
-            max(0.0, -cert.min_eigenvalue),
-        )
+            np.maximum(0.0, -cert.min_eigenvalue),
+        ]
         ok = ok and cert.cp and cert.unital
+    worst = worst_deviation(deviations)
     return [CheckResult("cpu_certification", 0, config.seed, worst, tol, ok)]
 
 
 def _check_cocycle(config: RunConfig, tol: float, model: aklt.AkltModel) -> list[CheckResult]:
     rng = rng_from(config.seed)
     pi = model.action.pi
-    worst = 0.0
+    deviations = []
     exact = True
     for _ in range(config.samples):
         g, h = haar_rotations(rng, 2)
@@ -146,7 +161,8 @@ def _check_cocycle(config: RunConfig, tol: float, model: aklt.AkltModel) -> list
         u_g = pi.evaluate(g).entries
         u_h = pi.evaluate(h).entries
         u_gh = pi.evaluate(g.compose(h)).entries
-        worst = max(worst, operator_norm(u_g @ u_h - omega * u_gh))
+        deviations.append(operator_norm(u_g @ u_h - omega * u_gh))
+    worst = worst_deviation(deviations)
     passed = exact and worst <= tol
     return [CheckResult("cocycle_identity", config.samples, config.seed, worst, tol, passed)]
 
@@ -156,12 +172,13 @@ def _check_oracle(
 ) -> list[CheckResult]:
     rng = rng_from(config.seed)
     count = min(config.samples, 20)
-    worst = 0.0
+    deviations = []
     for i in range(count):
         word = random_word(rng, triple, 1 + i % 5)
         folded = finite_volume_state(triple, structure, word)
         dense = aklt.dense_word_value(triple, structure, word)
-        worst = max(worst, abs(folded - dense))
+        deviations.append(abs(folded - dense))
+    worst = worst_deviation(deviations)
     return [CheckResult("oracle_agreement", count, config.seed, worst, tol, worst <= tol)]
 
 

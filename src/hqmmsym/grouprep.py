@@ -20,7 +20,7 @@ from .errors import (
     SubgroupStructureError,
     UnsupportedSpinError,
 )
-from .opalg import ComplexOperator, operator_norm
+from .opalg import ComplexOperator, operator_norm, worst_deviation
 from .sampling import rng_from
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -372,7 +372,7 @@ def tensor_rep_cocycle_check(
     || (U1 tensor U2)(g) (U1 tensor U2)(h) - w1(g,h) w2(g,h) (U1 tensor U2)(gh) ||.
     """
     rng = rng_from(seed)
-    worst = 0.0
+    deviations = []
     for _ in range(samples):
         g, h = haar_rotations(rng, 2)
         gh = g.compose(h)
@@ -380,5 +380,5 @@ def tensor_rep_cocycle_check(
         u_h = np.kron(rep1.evaluate(h).entries, rep2.evaluate(h).entries)
         u_gh = np.kron(rep1.evaluate(gh).entries, rep2.evaluate(gh).entries)
         omega = complex(rep1.cocycle.evaluate(g, h)) * complex(rep2.cocycle.evaluate(g, h))
-        worst = max(worst, operator_norm(u_g @ u_h - omega * u_gh))
-    return worst
+        deviations.append(operator_norm(u_g @ u_h - omega * u_gh))
+    return worst_deviation(deviations)

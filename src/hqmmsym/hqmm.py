@@ -6,7 +6,9 @@ hidden tensor hidden and an emission map on hidden tensor observable.  A
 word of site observables (X_k, Y_k) is evaluated in the Heisenberg picture
 by folding sliced one-site maps from the last site down to the first and
 closing with phi0.  The fold never materializes a tensor product over
-sites, so the cost is linear in the word length.
+sites, so the cost is linear in the word length.  finite_volume_states
+folds a batch of equal-length words together, one site at a time, each
+site a single contraction through BipartiteMap.apply_pairs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .opalg import (
     OperatorMap,
     certify_cpu,
     hermitian_eigenvalues,
+    operator_norms,
+    worst_deviation,
 )
-from .sampling import random_operator, rng_from
+from .sampling import rng_from
 
 
 class CausalStructure(enum.Enum):
@@ -145,6 +149,11 @@ class ObservableWord:
     def from_json_list(cls, items, hidden_dim: int, obs_dim: int) -> "ObservableWord":
         sites = []
         for k, item in enumerate(items):
+            if item == "I":
+                sites.append(
+                    (ComplexOperator.identity(hidden_dim), ComplexOperator.identity(obs_dim))
+                )
+                continue
             try:
                 x = item["X"]
                 y = item["Y"]
@@ -170,6 +179,26 @@ def _apply_sliced(
     return triple.emission.apply_array(np.kron(linked, y))
 
 
+def _apply_sliced_batch(
+    triple: GenerativeTriple,
+    structure: CausalStructure,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+) -> np.ndarray:
+    """_apply_sliced on stacks x[B, h, h], y[B, o, o], z[B, h, h]."""
+    if structure is CausalStructure.CONVENTIONAL:
+        emitted = triple.emission.apply_pairs(x, y)
+        return triple.transition.apply_pairs(emitted, z)
+    linked = triple.transition.apply_pairs(x, z)
+    return triple.emission.apply_pairs(linked, y)
+
+
+def _matrix_units(dim: int) -> np.ndarray:
+    """units[i, j] is the matrix unit e_ij."""
+    return np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+
+
 def sliced_map(
     triple: GenerativeTriple,
     structure,
@@ -183,9 +212,31 @@ def sliced_map(
     if y.dim != triple.obs_dim:
         raise DimensionMismatchError("observable", triple.obs_dim, y.dim)
     h = triple.hidden_dim
-    return OperatorMap.from_function(
-        h, h, lambda z: _apply_sliced(triple, structure, x.entries, y.entries, z)
+    coeff = sliced_coefficients(triple, structure, x.entries[None], y.entries[None])[0]
+    return OperatorMap(h, h, coeff.reshape(h, h, h, h))
+
+
+def sliced_coefficients(
+    triple: GenerativeTriple, structure, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Coefficient matrices of the sliced maps of site pairs xs[B, h, h], ys[B, o, o].
+
+    Entry [k, p * h + q, i * h + j] is the (p, q) entry of the k-th sliced
+    map applied to the matrix unit e_ij.  Every (site, unit) pair is one
+    row of a single batch.
+    """
+    structure = CausalStructure.parse(structure)
+    h = triple.hidden_dim
+    count = xs.shape[0]
+    units = np.broadcast_to(_matrix_units(h).reshape(1, h * h, h, h), (count, h * h, h, h))
+    out = _apply_sliced_batch(
+        triple,
+        structure,
+        np.repeat(xs, h * h, axis=0),
+        np.repeat(ys, h * h, axis=0),
+        units.reshape(count * h * h, h, h),
     )
+    return out.reshape(count, h * h, h * h).transpose(0, 2, 1)
 
 
 def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
@@ -198,19 +249,13 @@ def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
     structure = CausalStructure.parse(structure)
     h, o = triple.hidden_dim, triple.obs_dim
     total = h * h * o
-    coeff = np.zeros((h, h, total, total), dtype=complex)
-    units_h = [np.zeros((h, h), dtype=complex) for _ in range(h * h)]
-    for i, j in product(range(h), range(h)):
-        units_h[i * h + j][i, j] = 1.0
-    units_o = [np.zeros((o, o), dtype=complex) for _ in range(o * o)]
-    for i, j in product(range(o), range(o)):
-        units_o[i * o + j][i, j] = 1.0
-    for a, a2, b, b2, c, c2 in product(range(h), range(h), range(h), range(h), range(o), range(o)):
-        row = (a * h + b) * o + c
-        col = (a2 * h + b2) * o + c2
-        coeff[:, :, row, col] = _apply_sliced(
-            triple, structure, units_h[a * h + a2], units_o[c * o + c2], units_h[b * h + b2]
-        )
+    # one batch row per (row, col) = ((a, b, c), (a2, b2, c2)) matrix unit
+    a, b, c, a2, b2, c2 = np.indices((h, h, o, h, h, o)).reshape(6, -1)
+    units_h = _matrix_units(h)
+    out = _apply_sliced_batch(
+        triple, structure, units_h[a, a2], _matrix_units(o)[c, c2], units_h[b, b2]
+    )
+    coeff = out.reshape(total, total, h, h).transpose(2, 3, 0, 1)
     return BipartiteMap(total, h, coeff, h * h, o)
 
 
@@ -230,6 +275,34 @@ def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWor
     return complex(np.trace(triple.phi0.entries @ m))
 
 
+def finite_volume_states(
+    triple: GenerativeTriple, structure, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Values of a batch of equal-length words, folded one site at a time.
+
+    xs has shape (B, n, h, h) and ys (B, n, o, o): word k has the site
+    pairs (xs[k, s], ys[k, s]).  Returns complex values of shape (B,),
+    equal to finite_volume_state on each word up to rounding.
+    """
+    structure = CausalStructure.parse(structure)
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    h, o = triple.hidden_dim, triple.obs_dim
+    if xs.ndim != 4 or xs.shape[2:] != (h, h):
+        raise DimensionMismatchError("hidden sites", ("B", "n", h, h), xs.shape)
+    if ys.ndim != 4 or ys.shape[2:] != (o, o):
+        raise DimensionMismatchError("observable sites", ("B", "n", o, o), ys.shape)
+    if xs.shape[:2] != ys.shape[:2]:
+        raise DimensionMismatchError("word batch", xs.shape[:2], ys.shape[:2])
+    count, n_sites = xs.shape[:2]
+    if n_sites == 0:
+        raise ValueError("empty word; finite-volume states need at least one site")
+    m = np.broadcast_to(np.eye(h, dtype=complex), (count, h, h))
+    for k in range(n_sites - 1, -1, -1):
+        m = _apply_sliced_batch(triple, structure, xs[:, k], ys[:, k], m)
+    return np.einsum("ij,bji->b", triple.phi0.entries, m)
+
+
 def hidden_marginal(triple: GenerativeTriple, structure, xs: Sequence[ComplexOperator]) -> complex:
     """Word value with identity on every physical slot."""
     y = ComplexOperator.identity(triple.obs_dim)
@@ -246,12 +319,34 @@ def observable_marginal(triple: GenerativeTriple, structure, ys: Sequence[Comple
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
     """Word of independent norm-one random site observables."""
-    pairs = []
-    for _ in range(n_sites):
-        x = ComplexOperator(triple.hidden_dim, random_operator(rng, triple.hidden_dim))
-        y = ComplexOperator(triple.obs_dim, random_operator(rng, triple.obs_dim))
-        pairs.append((x, y))
-    return ObservableWord.from_pairs(pairs)
+    xs, ys = random_words(rng, triple, 1, n_sites)
+    return ObservableWord.from_pairs(
+        [
+            (ComplexOperator(triple.hidden_dim, x), ComplexOperator(triple.obs_dim, y))
+            for x, y in zip(xs[0], ys[0])
+        ]
+    )
+
+
+def random_words(
+    rng: np.random.Generator, triple: GenerativeTriple, count: int, n_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count random words as site stacks xs[count, n, h, h], ys[count, n, o, o].
+
+    Each site is a complex Gaussian matrix rescaled to unit operator norm,
+    as sampling.random_operator draws it.  One draw from rng consumes the
+    stream exactly as the per-site random_operator calls (x, then y, site
+    by site, word by word) would, so both give the same words.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    g = rng.standard_normal((count, n_sites, 2 * h * h + 2 * o * o))
+    xs = g[..., : h * h] + 1j * g[..., h * h : 2 * h * h]
+    ys = g[..., 2 * h * h : 2 * h * h + o * o] + 1j * g[..., 2 * h * h + o * o :]
+    xs = xs.reshape(count, n_sites, h, h)
+    ys = ys.reshape(count, n_sites, o, o)
+    xs = xs / operator_norms(xs)[..., None, None]
+    ys = ys / operator_norms(ys)[..., None, None]
+    return xs, ys
 
 
 def kolmogorov_check(
@@ -266,23 +361,33 @@ def kolmogorov_check(
     For unital maps the appended site acts as the identity, so the value is
     unchanged; a non-unital transition shows up as a per-site inflation.
     The all-identity word is always included at every length, alongside
-    seeded random words.
+    seeded random words.  Each length's words and their extensions are
+    folded as two batches.
     """
     structure = CausalStructure.parse(structure)
     rng = rng_from(seed)
+    h, o = triple.hidden_dim, triple.obs_dim
+    eye_x = np.eye(h, dtype=complex)
+    eye_y = np.eye(o, dtype=complex)
     base = float(triple.phi0.trace().real)
-    one_site = finite_volume_state(
-        triple, structure, ObservableWord.all_identity(1, triple.hidden_dim, triple.obs_dim)
+    one_site = finite_volume_states(
+        triple, structure, eye_x[None, None], eye_y[None, None]
     )
-    worst = abs(one_site - base)
+    deviations = [np.abs(one_site - base)]
     for n_sites in range(1, depth):
-        words = [ObservableWord.all_identity(n_sites, triple.hidden_dim, triple.obs_dim)]
-        words += [random_word(rng, triple, n_sites) for _ in range(samples)]
-        for word in words:
-            value = finite_volume_state(triple, structure, word)
-            extended = finite_volume_state(triple, structure, word.append_identity())
-            worst = max(worst, abs(extended - value))
-    return worst
+        xs, ys = random_words(rng, triple, samples, n_sites)
+        xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
+        ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
+        count = samples + 1
+        value = finite_volume_states(triple, structure, xs, ys)
+        extended = finite_volume_states(
+            triple,
+            structure,
+            np.concatenate([xs, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
+            np.concatenate([ys, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
+        )
+        deviations.append(np.abs(extended - value))
+    return worst_deviation(np.concatenate(deviations))
 
 
 def classical_diagonal_triple(

@@ -29,8 +29,46 @@ CHECK_TOL = 1e-10
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(a, ord=2))
+    """Largest singular value; nan when a has a non-finite entry."""
+    return float(operator_norms(np.asarray(a)))
+
+
+def operator_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix in a stack a[..., m, n].
+
+    One stacked SVD for the whole stack.  Matrices with a non-finite entry
+    get nan instead of stopping the SVD for all of them.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
+    out = np.full(finite.shape, np.nan)
+    if finite.any():
+        out[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    return out
+
+
+def worst_deviation(deviations) -> float:
+    """Largest deviation, or nan when any deviation is not finite.
+
+    Every check reduces its per-sample deviations through this helper, so a
+    NaN anywhere is reported (and fails the check) instead of being dropped
+    by max().  An empty set of deviations is refused: a check that saw no
+    samples has shown nothing.
+    """
+    d = np.asarray(deviations, dtype=float)
+    if d.size == 0:
+        raise ValueError("no deviations to reduce; a check needs at least one sample")
+    if not np.all(np.isfinite(d)):
+        return float("nan")
+    return float(d.max())
+
+
+def batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of matching stacks a[B, m, n] and b[B, p, q]."""
+    bsz, m, n = a.shape
+    _, p, q = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(bsz, m * p, n * q)
 
 
 def _as_square_complex(entries, dim: int | None = None) -> np.ndarray:
@@ -234,6 +272,20 @@ class BipartiteMap(OperatorMap):
             raise DimensionMismatchError("second input factor", self.dim_in2, b.dim)
         return self.apply(np.kron(a.entries, b.entries))
 
+    def apply_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Apply to a batch of product inputs a[k] tensor b[k], one matmul for all.
+
+        a has shape (B, dim_in1, dim_in1), b has shape (B, dim_in2, dim_in2),
+        and the result has shape (B, dim_out, dim_out).
+        """
+        if a.shape[1:] != (self.dim_in1, self.dim_in1):
+            raise DimensionMismatchError("first input factors", (self.dim_in1,) * 2, a.shape[1:])
+        if b.shape[1:] != (self.dim_in2, self.dim_in2):
+            raise DimensionMismatchError("second input factors", (self.dim_in2,) * 2, b.shape[1:])
+        products = batched_kron(a, b).reshape(a.shape[0], self.dim_in * self.dim_in)
+        flat = self.coeff.reshape(self.dim_out * self.dim_out, self.dim_in * self.dim_in)
+        return (products @ flat.T).reshape(a.shape[0], self.dim_out, self.dim_out)
+
 
 @dataclass(frozen=True)
 class ChoiMatrix:
@@ -253,6 +305,9 @@ class ChoiMatrix:
         return operator_norm(self.mat - self.mat.conj().T)
 
     def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the Hermitian part; nan for a non-finite matrix."""
+        if not np.isfinite(self.mat).all():
+            return float("nan")
         herm = (self.mat + self.mat.conj().T) / 2
         return float(np.linalg.eigvalsh(herm)[0])
 
@@ -305,6 +360,6 @@ def hermitian_eigenvalues(a: ComplexOperator, tol: float = CHECK_TOL) -> np.ndar
     Hermitian to within tol.
     """
     asym = operator_norm(a.entries - a.entries.conj().T)
-    if asym > tol:
+    if not asym <= tol:
         raise NonHermitianError(asym, tol)
     return np.linalg.eigvalsh(a.entries)

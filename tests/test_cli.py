@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hqmmsym import ConfigError
+from hqmmsym import ComplexOperator, ConfigError
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
 from hqmmsym.sampling import rng_from
 
@@ -315,3 +315,88 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--global-samples", "0"],
+        ["--samples", "-3"],
+        ["--n-max", "-1"],
+        ["--tol-global", "nan"],
+        ["--tol-emission", "inf"],
+        ["--tol-cpu=-1e-10"],
+    ],
+)
+def test_verify_rejects_empty_or_invalid_runs(capsys, flags):
+    code, out, err = _run_cli(capsys, ["verify", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"samples": 0},
+        {"global_samples": 0},
+        {"n_max": -1},
+        {"tolerances": {"oracle": float("nan")}},
+        {"tolerances": {"global": float("inf")}},
+        {"tolerances": {"initial": -1.0}},
+    ],
+)
+def test_run_config_rejects_empty_or_invalid_runs(override):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict(override)
+
+
+def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys):
+    kraus = np.zeros((2, 6))
+    for a in range(2):
+        kraus[a, a * 3 : a * 3 + 3] = 1.0 / np.sqrt(3.0)
+    re = kraus.ravel().tolist()
+    re[0] = float("nan")
+    config = {
+        "hidden_dim": 2,
+        "obs_dim": 3,
+        "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "kraus", "kraus": [{"rows": 2, "cols": 6, "re": re, "im": [0.0] * 12}]},
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = _run_cli(capsys, ["verify", str(path), *FAST])
+    assert code == 1
+    report = json.loads(out)
+    assert [c["condition"] for c in report["checks"]] == [
+        "cpu_certification", "kolmogorov_consistency", "oracle_agreement",
+    ]
+    for check in report["checks"]:
+        assert check["pass"] is False
+        assert np.isnan(check["max_deviation"])
+    code, out, _ = _run_cli(capsys, ["verify", str(path), "--checks", "oracle", "--format", "text"])
+    assert code == 1
+    assert "[FAIL] oracle_agreement" in out
+    assert "max_deviation=nan" in out
+
+
+def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
+    from hqmmsym import build_model, random_word
+
+    triple = build_model("normalized_cartesian").triple
+    word = random_word(rng_from(2), triple, 2)
+    x, y = word.to_json_list()
+    eye = ComplexOperator.identity
+    spelled = [x, {"X": eye(2).to_json_dict(), "Y": eye(3).to_json_dict()}, y]
+    values = []
+    for name, items in (("holes", [x, "I", y]), ("spelled", spelled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(items))
+        code, out, err = _run_cli(capsys, ["eval", "--word", str(path)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["sites"] == 3
+        values.append(complex(payload["value"]["re"], payload["value"]["im"]))
+    assert values[0] == values[1]
+    assert abs(values[0] - 1.0) > 1e-3  # the random sites matter

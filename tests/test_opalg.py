@@ -206,3 +206,13 @@ def test_random_psd_and_density_helpers():
     rho = random_density(rng, 3)
     assert abs(np.trace(rho) - 1.0) < 1e-13
     assert np.linalg.eigvalsh(rho)[0] > -1e-14
+
+
+def test_non_finite_maps_get_nan_certificates():
+    coeff = OperatorMap.from_kraus(2, 2, [np.eye(2)]).coeff.copy()
+    coeff[0, 0, 1, 1] = np.nan
+    cert = certify_cpu(OperatorMap(2, 2, coeff))
+    assert not cert.cp and not cert.unital
+    assert np.isnan(cert.min_eigenvalue) and np.isnan(cert.choi_defect)
+    with pytest.raises(NonHermitianError):
+        hermitian_eigenvalues(ComplexOperator(2, np.diag([np.nan, 1.0])))
