@@ -22,24 +22,18 @@ from hqmmsym import (
     spin_one_rep,
     verify_intertwining,
 )
+from hqmmsym.cli import RunConfig, run
 
 model = build_model("normalized_cartesian")
 
-# which index convention ties the tensors to the rotation actions?
-print("intertwining residuals by convention:")
-for variant, basis in [
-    ("normalized_cartesian", "cartesian"),
-    ("normalized_spherical", "spherical"),
-    ("paper_literal", "spherical"),
-]:
-    report = verify_intertwining(
-        build_tensors(variant), spin_half_rep(), spin_one_rep(basis), samples=60, seed=2
+# do the tensors tie the two rotation actions together?
+print("intertwining residual of sum_k rho(g)_km A_k against pi(g) A_m pi(g)+:")
+for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
+    tensors = build_tensors(variant)
+    residual = verify_intertwining(
+        tensors, spin_half_rep(), spin_one_rep(tensors.basis), samples=60, seed=2
     )
-    table = "  ".join(
-        f"{name} {value:.2e}" for name, value in report.residual_by_convention.items()
-    )
-    print(f"  {variant:22s} {table}")
-print(f"selected convention for the model: {model.metadata['intertwining_convention']}")
+    print(f"  {variant:22s} {residual:.2e}")
 
 # the three local checks behind global invariance
 print()
@@ -63,8 +57,14 @@ for structure in ("conventional", "causal"):
     worst = max(r.max_deviation for r in by_volume.values())
     print(f"global invariance, {structure:12s} worst over n<=4: {worst:.2e}")
 
-# the unnormalized variant breaks the covariance of the emission
+# the unnormalized variant breaks the intertwining and the emission covariance
 print()
-broken = build_model("paper_literal")
-for line in broken.metadata["warnings"]:
-    print(f"warning recorded by the builder: {line}")
+report = run(
+    RunConfig(variant="paper_literal", samples=60, global_samples=10, n_max=3, seed=7)
+)
+for check in report["checks"]:
+    if not check["pass"]:
+        print(
+            f"paper_literal fails {check['condition']:28s} "
+            f"max deviation {check['max_deviation']:.2e}"
+        )

@@ -3,11 +3,11 @@
 The emission map is induced by a triple of 2x2 tensors, one per physical
 label, through a single rectangular Kraus operator.  Three tensor variants
 are provided: a normalized cartesian set proportional to the Pauli
-matrices, its spherical-basis relabeling, and an unnormalized spherical
-set kept as a diagnostic.  The symmetry action pairs the spin-1/2
-projective rep on the bond space with a spin-1 rep on the physical space,
-and the intertwining relation between tensors and reps is verified
-numerically over a small orbit of index conventions.
+matrices, its spherical-basis relabeling, and the paper's unnormalized
+spherical set kept as a diagnostic.  The symmetry action pairs the
+spin-1/2 projective rep pi on the bond space with the spin-1 rep rho on
+the physical space, and the tensors are checked against the one
+intertwining relation sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 """
 
 from __future__ import annotations
@@ -32,16 +32,9 @@ from .grouprep import (
 from .hqmm import CausalStructure, GenerativeTriple, ObservableWord, finite_volume_state
 from .opalg import BipartiteMap, ComplexOperator, operator_norms, worst_deviation
 from .sampling import rng_from
-from .symmetry import (
-    SymmetryAction,
-    check_emission_covariance,
-    check_initial_invariance,
-    check_transition_equivariance,
-)
+from .symmetry import SymmetryAction
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
-
-CONVENTIONS = ("column@g-inverse", "row@g", "column@g", "row@g-inverse")
 
 
 @dataclass(frozen=True)
@@ -55,12 +48,6 @@ class AkltTensors:
 
     def stacked(self) -> np.ndarray:
         return np.stack([t.entries for t in self.tensors])
-
-    def with_signs(self, signs) -> "AkltTensors":
-        scaled = tuple(
-            ComplexOperator(t.dim, s * t.entries) for s, t in zip(signs, self.tensors)
-        )
-        return AkltTensors(self.variant, self.basis, self.labels, scaled)
 
 
 def _normalize_variant(variant: str) -> str:
@@ -148,73 +135,28 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
     return BipartiteMap.build_from_kraus(d, d, d, kraus)
 
 
-@dataclass(frozen=True)
-class IntertwiningReport:
-    """Residuals of the tensor-rep intertwining relation per convention."""
-
-    residual: float
-    convention: str
-    residual_by_convention: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "convention": self.convention,
-            "residual_by_convention": dict(self.residual_by_convention),
-        }
-
-
-def _convention_matrix(convention: str, rho_g: np.ndarray, rho_g_inv: np.ndarray) -> np.ndarray:
-    if convention == "column@g":
-        return rho_g
-    if convention == "column@g-inverse":
-        return rho_g_inv
-    if convention == "row@g":
-        return np.swapaxes(rho_g, -1, -2)
-    return np.swapaxes(rho_g_inv, -1, -2)
-
-
 def verify_intertwining(
     tensors: AkltTensors,
     pi: ProjectiveRep,
     rho: LinearRep,
     samples: int = 200,
     seed: int = 0,
-    convention: str = "auto",
-) -> IntertwiningReport:
-    """Measure sum_k c_mk A_k against pi(g) A_m pi(g)+ over sampled g.
+) -> float:
+    """Worst residual of sum_k rho(g)_km A_k = pi(g) A_m pi(g)+ over sampled g.
 
-    Four index conventions are tried, combining the physical rep evaluated
-    at g or its inverse with row or column summation.  With convention
-    'auto' the first convention meeting 1e-10 is selected, falling back to
-    the smallest residual; naming a convention forces it while still
-    reporting the full residual table.
+    The tensor label k is contracted with the row index of rho(g).  The
+    residual is the largest operator norm of the difference over the
+    Haar-sampled g and all labels m: near machine precision for the
+    normalized variants, of order one for paper_literal.
     """
-    if convention != "auto" and convention not in CONVENTIONS:
-        raise ConfigError(f"unknown intertwining convention {convention!r}")
     rng = rng_from(seed)
     stack = tensors.stacked()
     gs = haar_rotations(rng, samples)
     u = np.stack([pi.evaluate(g).entries for g in gs])[:, None]
     rho_g = np.stack([rho.evaluate(g).entries for g in gs])
-    rho_g_inv = np.stack([rho.evaluate(g.inverse()).entries for g in gs])
     target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
-    residuals = {}
-    for name in CONVENTIONS:
-        c = _convention_matrix(name, rho_g, rho_g_inv)
-        combo = np.einsum("smk,kab->smab", c, stack)
-        residuals[name] = worst_deviation(operator_norms(combo - target))
-    if convention == "auto":
-        chosen = None
-        for name in CONVENTIONS:
-            if residuals[name] < 1e-10:
-                chosen = name
-                break
-        if chosen is None:
-            chosen = min(CONVENTIONS, key=lambda name: residuals[name])
-    else:
-        chosen = convention
-    return IntertwiningReport(residuals[chosen], chosen, residuals)
+    combo = np.einsum("skm,kab->smab", rho_g, stack)
+    return worst_deviation(operator_norms(combo - target))
 
 
 @dataclass(frozen=True)
@@ -231,34 +173,13 @@ class AkltModel:
 def build_model(variant: str = "normalized_cartesian", structure="conventional") -> AkltModel:
     """Assemble the model for a tensor variant and causal structure.
 
-    Spherical variants go through a sign search over per-label flips,
-    keeping the first assignment whose intertwining residual clears 1e-10;
-    the normalized sets pass immediately while the unnormalized diagnostic
-    set fails every assignment and records a warning instead.
+    The tensors are used exactly as build_tensors gives them and nothing
+    is checked here: whether a variant satisfies the intertwining relation
+    and the symmetry conditions is for verify_intertwining and the
+    symmetry checks to report.
     """
     structure = CausalStructure.parse(structure)
     tensors = build_tensors(variant)
-    pi = spin_half_rep()
-    rho = spin_one_rep(tensors.basis)
-    warnings: list[str] = []
-    signs = None
-    if tensors.basis == "spherical":
-        best = None
-        for candidate in product((1.0, -1.0), repeat=len(tensors.tensors)):
-            scaled = tensors.with_signs(candidate)
-            report = verify_intertwining(scaled, pi, rho, samples=40, seed=7)
-            if best is None or report.residual < best[0]:
-                best = (report.residual, candidate, scaled)
-            if report.residual < 1e-10:
-                break
-        _, signs, tensors = best
-        signs = list(signs)
-    report = verify_intertwining(tensors, pi, rho, samples=120, seed=3)
-    if report.residual > 1e-10:
-        warnings.append(
-            f"intertwining residual {report.residual:.3e} exceeds 1e-10 "
-            f"(best convention {report.convention})"
-        )
     h = tensors.tensors[0].dim
     triple = GenerativeTriple(
         hidden_dim=h,
@@ -268,25 +189,11 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         emission=emission_map(tensors),
     )
     triple.validate()
-    action = SymmetryAction(pi, rho)
-    quick = [
-        check_initial_invariance(triple.phi0, action, samples=30, seed=5),
-        check_transition_equivariance(triple.transition, action, samples=30, seed=5),
-        check_emission_covariance(triple.emission, action, samples=30, seed=5),
-    ]
-    for result in quick:
-        if result.max_deviation > 1e-10:
-            warnings.append(
-                f"{result.condition} deviation {result.max_deviation:.3e} exceeds 1e-10"
-            )
+    action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
     metadata = {
         "variant": tensors.variant,
         "basis": tensors.basis,
         "labels": list(tensors.labels),
-        "intertwining_convention": report.convention,
-        "intertwining_residual": report.residual,
-        "spherical_signs": signs,
-        "warnings": warnings,
     }
     return AkltModel(tensors, triple, action, structure, metadata)
 

@@ -43,11 +43,15 @@ CONDON_SHORTLEY = np.array(
 
 ROTATION_TOL = 1e-10
 
+# quaternion components below this are noise and count as exact zeros, so
+# boundary rotations (half angle at pi/2, say) get an exact sign rule
+SNAP_TOL = 1e-12
+
 
 def _canonical_sign(q: np.ndarray) -> float:
-    """Sign that makes the first nonzero component of q strictly positive."""
+    """Sign that makes the first component of q above SNAP_TOL strictly positive."""
     for comp in q:
-        if comp != 0.0:
+        if abs(comp) >= SNAP_TOL:
             return 1.0 if comp > 0.0 else -1.0
     raise ValueError("zero quaternion has no canonical sign")
 
@@ -75,14 +79,11 @@ class RotationElement:
         q = np.asarray(self.quat, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion needs 4 components, got shape {q.shape}")
-        # components below noise level become exact zeros, so boundary
-        # rotations (half angle at pi/2, say) get an exact sign rule
-        q = np.where(np.abs(q) < 1e-12, 0.0, q)
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"quaternion norm {norm} is not 1")
         q = q / norm
-        q = q * _canonical_sign(q)
+        q = np.where(np.abs(q) < SNAP_TOL, 0.0, q) * _canonical_sign(q)
         object.__setattr__(self, "quat", tuple(float(c) for c in q))
 
     @classmethod
@@ -100,8 +101,7 @@ class RotationElement:
         return cls((np.cos(half), *(np.sin(half) * n)))
 
     def compose(self, other: "RotationElement") -> "RotationElement":
-        prod = _quat_mul(np.asarray(self.quat), np.asarray(other.quat))
-        return RotationElement(tuple(prod * _canonical_sign(prod)))
+        return RotationElement(tuple(_quat_mul(np.asarray(self.quat), np.asarray(other.quat))))
 
     def inverse(self) -> "RotationElement":
         w, x, y, z = self.quat
@@ -174,10 +174,11 @@ def cocycle_eval(g: RotationElement, h: RotationElement) -> float:
 
     Returns +1.0 when the raw quaternion product is already canonical and
     -1.0 when it is the negative of the canonical representative, so the
-    value is exactly a sign, never a rounded float.
+    value is exactly a sign, never a rounded float.  The sign is taken
+    exactly as the RotationElement constructor takes it for g.compose(h).
     """
     prod = _quat_mul(np.asarray(g.quat), np.asarray(h.quat))
-    return _canonical_sign(prod)
+    return _canonical_sign(prod / np.linalg.norm(prod))
 
 
 @dataclass(frozen=True)

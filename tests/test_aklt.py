@@ -137,65 +137,22 @@ def test_unnormalized_transition_is_not_unital():
     assert cert.unitality_deviation == pytest.approx(1.0)
 
 
-def test_intertwining_conventions_for_cartesian_tensors():
-    report = verify_intertwining(
-        build_tensors("normalized_cartesian"), spin_half_rep(), spin_one_rep("cartesian"),
-        samples=80, seed=4,
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical"])
+def test_intertwining_residual_of_normalized_tensors(variant):
+    tensors = build_tensors(variant)
+    residual = verify_intertwining(
+        tensors, spin_half_rep(), spin_one_rep(tensors.basis), samples=80, seed=4
     )
-    assert report.convention == "column@g-inverse"
-    assert report.residual < 1e-12
-    table = report.residual_by_convention
-    # a real orthogonal rep makes row@g and column@g-inverse the same relation
-    assert table["row@g"] < 1e-12
-    assert table["column@g"] > 0.5
-    assert table["row@g-inverse"] > 0.5
-    assert abs(table["column@g"] - table["row@g-inverse"]) < 1e-12
-
-
-def test_intertwining_conventions_for_spherical_tensors():
-    report = verify_intertwining(
-        build_tensors("normalized_spherical"), spin_half_rep(), spin_one_rep("spherical"),
-        samples=80, seed=5,
-    )
-    assert report.convention == "row@g"
-    assert report.residual < 1e-12
-    table = report.residual_by_convention
-    for name in ("column@g", "column@g-inverse", "row@g-inverse"):
-        assert table[name] > 0.1
+    assert isinstance(residual, float)
+    assert residual < 1e-12
 
 
 def test_intertwining_fails_for_unnormalized_tensors():
-    report = verify_intertwining(
+    residual = verify_intertwining(
         build_tensors("paper_literal"), spin_half_rep(), spin_one_rep("spherical"),
         samples=80, seed=6,
     )
-    assert all(r > 0.05 for r in report.residual_by_convention.values())
-
-
-def test_intertwining_forced_convention():
-    tensors = build_tensors("normalized_cartesian")
-    report = verify_intertwining(
-        tensors, spin_half_rep(), spin_one_rep("cartesian"),
-        samples=40, seed=7, convention="column@g",
-    )
-    assert report.convention == "column@g"
-    assert report.residual > 0.5
-    with pytest.raises(ConfigError):
-        verify_intertwining(
-            tensors, spin_half_rep(), spin_one_rep("cartesian"), convention="diagonal@g"
-        )
-
-
-def test_intertwining_report_serialization():
-    report = verify_intertwining(
-        build_tensors("normalized_cartesian"), spin_half_rep(), spin_one_rep("cartesian"),
-        samples=20, seed=8,
-    )
-    d = report.to_json_dict()
-    assert set(d) == {"residual", "convention", "residual_by_convention"}
-    assert set(d["residual_by_convention"]) == {
-        "column@g-inverse", "row@g", "column@g", "row@g-inverse"
-    }
+    assert residual > 0.05
 
 
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical"])
@@ -205,27 +162,25 @@ def test_build_model_normalized_variants(variant, structure):
     model.triple.validate()
     assert model.structure is CausalStructure.parse(structure)
     assert operator_norm(model.triple.phi0.entries - np.eye(2) / 2) == 0.0
-    md = model.metadata
-    assert md["variant"] == variant
-    assert md["warnings"] == []
-    assert md["intertwining_residual"] < 1e-12
-    if variant == "normalized_cartesian":
-        assert md["basis"] == "cartesian"
-        assert md["spherical_signs"] is None
-        assert md["intertwining_convention"] == "column@g-inverse"
-    else:
-        assert md["basis"] == "spherical"
-        assert md["spherical_signs"] == [1.0, 1.0, 1.0]
-        assert md["intertwining_convention"] == "row@g"
+    tensors = build_tensors(variant)
+    assert model.metadata == {
+        "variant": variant,
+        "basis": tensors.basis,
+        "labels": list(tensors.labels),
+    }
 
 
-def test_build_model_literal_variant_records_warnings():
+def test_build_model_literal_variant_keeps_the_paper_tensors():
     model = build_model("paper_literal")
     model.triple.validate()  # still a CPU triple, only the symmetry breaks
-    md = model.metadata
-    assert md["intertwining_residual"] > 0.05
-    assert any("intertwining" in w for w in md["warnings"])
-    assert any("emission_covariance" in w for w in md["warnings"])
+    paper = build_tensors("paper_literal")
+    assert np.array_equal(model.tensors.stacked(), paper.stacked())
+    assert np.array_equal(model.triple.emission.coeff, emission_map(paper).coeff)
+    assert model.metadata == {
+        "variant": "paper_literal",
+        "basis": "spherical",
+        "labels": ["+", "0", "-"],
+    }
 
 
 def test_single_site_distribution_values():

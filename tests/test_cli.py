@@ -352,6 +352,34 @@ def test_run_config_rejects_empty_or_invalid_runs(override):
         RunConfig.from_json_dict(override)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": "abc"},
+        {"samples": "abc"},
+        {"global_samples": None},
+        {"n_max": [6]},
+        {"n_max": float("inf")},
+        {"tolerances": {"emission": "tight"}},
+    ],
+)
+def test_run_config_rejects_non_numeric_fields(override):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict(override)
+
+
+def test_cocycle_cli_finds_the_class_in_random_frames(capsys):
+    rng = rng_from(21)
+    for _ in range(20):
+        frame, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        argv = ["cocycle", "--element=1,0,0:0"]
+        for axis in frame.T:
+            argv.append("--element=" + ",".join(repr(float(c)) for c in axis) + f":{np.pi!r}")
+        code, out, _ = _run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["nontrivial"] is True
+
+
 def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys):
     kraus = np.zeros((2, 6))
     for a in range(2):

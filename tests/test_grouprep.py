@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis.strategies import floats
 
 import util
@@ -157,6 +157,32 @@ def test_section_property_of_su2_lift():
         omega = cocycle_eval(g, h)
         lift = g.su2_matrix() @ h.su2_matrix()
         assert operator_norm(lift - omega * g.compose(h).su2_matrix()) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    floats(min_value=-1.0, max_value=1.0),
+    floats(min_value=-1.0, max_value=1.0),
+    floats(min_value=-1.0, max_value=1.0),
+    floats(min_value=0.0, max_value=np.pi),
+)
+def test_section_property_when_the_product_is_a_pi_rotation(ax, ay, az, theta):
+    # g h is a rotation by pi, whose canonical quaternion has a zero scalar
+    # part that the raw product only approximates
+    axis = np.array([ax, ay, az])
+    assume(np.linalg.norm(axis) > 1e-3)
+    g = RotationElement.from_axis_angle(axis, theta)
+    h = RotationElement.from_axis_angle(axis, np.pi - theta)
+    lift = g.su2_matrix() @ h.su2_matrix()
+    assert operator_norm(lift - cocycle_eval(g, h) * g.compose(h).su2_matrix()) < 1e-12
+
+
+def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
+    rng = rng_from(20)
+    for _ in range(300):
+        frame, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        flips = [RotationElement.from_axis_angle(axis, np.pi) for axis in frame.T]
+        assert detect_nontrivial_class([RotationElement.identity(), *flips]).nontrivial
 
 
 def test_cocycle_identity_is_exact():

@@ -27,6 +27,7 @@ from hqmmsym import (
     sliced_map,
     transition_map,
 )
+from hqmmsym.hqmm import triple_from_config
 from hqmmsym.sampling import rng_from
 
 
@@ -278,6 +279,21 @@ def test_model_config_round_trip(tmp_path):
     reference = build_model("normalized_cartesian").triple
     assert operator_norm(triple.emission.coeff.reshape(4, 36) - reference.emission.coeff.reshape(4, 36)) < 1e-14
     assert operator_norm(triple.transition.coeff.reshape(4, 16) - reference.transition.coeff.reshape(4, 16)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"]
+)
+def test_config_emission_is_the_builtin_emission(variant):
+    config = {
+        "hidden_dim": 2,
+        "obs_dim": 3,
+        "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "aklt_emission", "variant": variant},
+    }
+    triple, _ = triple_from_config(config)
+    builtin = build_model(variant).triple
+    assert np.array_equal(triple.emission.coeff, builtin.emission.coeff)
 
 
 def test_model_config_with_explicit_kraus(tmp_path):
