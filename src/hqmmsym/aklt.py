@@ -152,8 +152,8 @@ def verify_intertwining(
     rng = rng_from(seed)
     stack = tensors.stacked()
     gs = haar_rotations(rng, samples)
-    u = np.stack([pi.evaluate(g).entries for g in gs])[:, None]
-    rho_g = np.stack([rho.evaluate(g).entries for g in gs])
+    u = pi.stack(gs)[:, None]
+    rho_g = rho.stack(gs)
     target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
     combo = np.einsum("skm,kab->smab", rho_g, stack)
     return worst_deviation(operator_norms(combo - target))

@@ -15,14 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import aklt
 from .errors import ConfigError, SubgroupStructureError
-from .grouprep import RotationElement, detect_nontrivial_class, haar_rotations
+from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_rotations
 from .hqmm import (
     CausalStructure,
     GenerativeTriple,
@@ -33,7 +36,9 @@ from .hqmm import (
     load_word,
     random_word,
 )
-from .opalg import operator_norm, worst_deviation
+# operator_norm is unused here but stays bound: bench/tests checks that the
+# tracer in bench/tracing.py wraps and restores this module's binding.
+from .opalg import operator_norm  # noqa: F401
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
@@ -41,35 +46,119 @@ from .symmetry import (
     check_global_invariance,
     check_initial_invariance,
     check_sliced_covariance,
+    check_result,
     check_transition_equivariance,
 )
-
-CHECK_NAMES = (
-    "cpu",
-    "cocycle",
-    "initial",
-    "transition",
-    "emission",
-    "sliced",
-    "global",
-    "kolmogorov",
-    "intertwining",
-    "oracle",
-)
-
-# checks that need only a bare triple, available for config-file models
-TRIPLE_CHECKS = ("cpu", "kolmogorov", "oracle")
 
 VARIANT_CHOICES = ("normalized-cartesian", "normalized-spherical", "paper-literal")
 
 
+class Model(NamedTuple):
+    """A model to check; builtin (tensors and symmetry action) is None for config files."""
+
+    triple: GenerativeTriple
+    structure: CausalStructure
+    builtin: aklt.AkltModel | None
+
+
+def load_model(name: str, variant: str, structure: str | None) -> Model:
+    """The built-in model when name is 'aklt', else the model config file at name.
+
+    A structure given here replaces the file's own, or the built-in conventional.
+    """
+    if name == "aklt":
+        model = aklt.build_model(variant, structure or "conventional")
+        return Model(model.triple, model.structure, model)
+    triple, own = load_model_config(name)
+    return Model(triple, CausalStructure.parse(own if structure is None else structure), None)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verify check; needs_action marks those config-file models cannot run."""
+
+    needs_action: bool
+    tolerance: float
+    results: Callable[[Model, RunConfig, float], list[CheckResult]]
+
+
+def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    # a certificate is CP and unital exactly when its three deviations are within tol
+    deviations = [
+        d
+        for cert in m.triple.certificates(tol).values()
+        for d in (cert.choi_defect, cert.unitality_deviation, np.maximum(0.0, -cert.min_eigenvalue))
+    ]
+    return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
+
+
+def _check_cocycle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    # each sample is a pair (g, h) of successive draws
+    gs = haar_rotations(rng_from(c.seed), 2 * c.samples)
+    omega, deviations = cocycle_defects(m.builtin.action.pi, gs[0::2], gs[1::2])
+    result = check_result("cocycle_identity", c.samples, c.seed, deviations, tol)
+    # the section cocycle takes the values +1 and -1 exactly
+    exact = bool(np.all((omega == 1.0) | (omega == -1.0)))
+    return [replace(result, passed=result.passed and exact)]
+
+
+def _check_kolmogorov(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    dev = kolmogorov_check(m.triple, m.structure, c.n_max, c.global_samples, c.seed)
+    return [check_result("kolmogorov_consistency", c.global_samples, c.seed, [dev], tol)]
+
+
+def _check_intertwining(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    action = m.builtin.action
+    residual = aklt.verify_intertwining(m.builtin.tensors, action.pi, action.rho, c.samples, c.seed)
+    return [check_result("tensor_intertwining", c.samples, c.seed, [residual], tol)]
+
+
+def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    rng = rng_from(c.seed)
+    count = min(c.samples, 20)
+    deviations = []
+    for i in range(count):
+        word = random_word(rng, m.triple, 1 + i % 5)
+        folded = finite_volume_state(m.triple, m.structure, word)
+        deviations.append(abs(folded - aklt.dense_word_value(m.triple, m.structure, word)))
+    return [check_result("oracle_agreement", count, c.seed, deviations, tol)]
+
+
+# The verify checks in report order.
+CHECKS = {
+    "cpu": Check(False, 1e-10, _check_cpu),
+    "cocycle": Check(True, 1e-10, _check_cocycle),
+    "initial": Check(True, 1e-10, lambda m, c, tol: [
+        check_initial_invariance(m.triple.phi0, m.builtin.action, c.samples, c.seed, tol)
+    ]),
+    "transition": Check(True, 1e-10, lambda m, c, tol: [
+        check_transition_equivariance(m.triple.transition, m.builtin.action, c.samples, c.seed, tol)
+    ]),
+    "emission": Check(True, 1e-10, lambda m, c, tol: [
+        check_emission_covariance(m.triple.emission, m.builtin.action, c.samples, c.seed, tol)
+    ]),
+    "sliced": Check(True, 1e-10, lambda m, c, tol: [
+        check_sliced_covariance(m.triple, m.structure, m.builtin.action, c.samples, c.seed, tol)
+    ]),
+    "global": Check(True, 1e-9, lambda m, c, tol: list(
+        check_global_invariance(
+            m.triple, m.structure, m.builtin.action, c.n_max, c.global_samples, c.seed, tol
+        ).values()
+    )),
+    "kolmogorov": Check(False, 1e-10, _check_kolmogorov),
+    "intertwining": Check(True, 1e-10, _check_intertwining),
+    "oracle": Check(False, 1e-10, _check_oracle),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def default_tolerances() -> dict[str, float]:
-    return {name: (1e-9 if name == "global" else 1e-10) for name in CHECK_NAMES}
+    return {name: check.tolerance for name, check in CHECKS.items()}
 
 
 def _ordered_checks(names) -> tuple[str, ...]:
     for name in names:
-        if name not in CHECK_NAMES:
+        if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; expected one of {', '.join(CHECK_NAMES)}")
     return tuple(sorted(set(names), key=CHECK_NAMES.index))
 
@@ -89,6 +178,8 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=default_tolerances)
 
     def __post_init__(self):
+        for name in ("seed", "samples", "global_samples", "n_max"):
+            object.__setattr__(self, name, _config_int(name, getattr(self, name)))
         # a run that samples nothing, or compares against a meaningless
         # tolerance, would pass vacuously
         for name in ("samples", "global_samples"):
@@ -104,192 +195,76 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "model": self.model,
-            "variant": self.variant,
-            "structure": self.structure,
+            **asdict(self),
             "checks": list(self.checks),
-            "seed": self.seed,
-            "samples": self.samples,
-            "global_samples": self.global_samples,
-            "n_max": self.n_max,
             "tolerances": {name: self.tolerances[name] for name in CHECK_NAMES},
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunConfig":
         tolerances = default_tolerances()
-        for name, value in dict(obj.get("tolerances", {})).items():
-            if name not in CHECK_NAMES:
+        given = obj.get("tolerances", {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"tolerances must be an object, got {given!r}")
+        for name, value in given.items():
+            if name not in CHECKS:
                 raise ConfigError(f"unknown tolerance key {name!r}")
-            tolerances[name] = _config_number(float, f"tolerance {name!r}", value)
+            tolerances[name] = _config_float(f"tolerance {name!r}", value)
         return cls(
             model=str(obj.get("model", "aklt")),
             variant=str(obj.get("variant", "normalized_cartesian")).replace("-", "_"),
             structure=obj.get("structure"),
             checks=_ordered_checks(obj.get("checks", [])),
-            seed=_config_number(int, "seed", obj.get("seed", 42)),
-            samples=_config_number(int, "samples", obj.get("samples", 200)),
-            global_samples=_config_number(int, "global_samples", obj.get("global_samples", 50)),
-            n_max=_config_number(int, "n_max", obj.get("n_max", 6)),
+            seed=obj.get("seed", 42),
+            samples=obj.get("samples", 200),
+            global_samples=obj.get("global_samples", 50),
+            n_max=obj.get("n_max", 6),
             tolerances=tolerances,
         )
 
 
-def _config_number(kind, name: str, value):
+def _config_float(name: str, value) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def _check_cpu(config: RunConfig, tol: float, triple: GenerativeTriple) -> list[CheckResult]:
-    deviations = []
-    ok = True
-    for cert in triple.certificates(tol).values():
-        deviations += [
-            cert.choi_defect,
-            cert.unitality_deviation,
-            np.maximum(0.0, -cert.min_eigenvalue),
-        ]
-        ok = ok and cert.cp and cert.unital
-    worst = worst_deviation(deviations)
-    return [CheckResult("cpu_certification", 0, config.seed, worst, tol, ok)]
-
-
-def _check_cocycle(config: RunConfig, tol: float, model: aklt.AkltModel) -> list[CheckResult]:
-    rng = rng_from(config.seed)
-    pi = model.action.pi
-    deviations = []
-    exact = True
-    for _ in range(config.samples):
-        g, h = haar_rotations(rng, 2)
-        omega = complex(pi.cocycle.evaluate(g, h))
-        exact = exact and omega in (1.0 + 0.0j, -1.0 + 0.0j)
-        u_g = pi.evaluate(g).entries
-        u_h = pi.evaluate(h).entries
-        u_gh = pi.evaluate(g.compose(h)).entries
-        deviations.append(operator_norm(u_g @ u_h - omega * u_gh))
-    worst = worst_deviation(deviations)
-    passed = exact and worst <= tol
-    return [CheckResult("cocycle_identity", config.samples, config.seed, worst, tol, passed)]
-
-
-def _check_oracle(
-    config: RunConfig, tol: float, triple: GenerativeTriple, structure: CausalStructure
-) -> list[CheckResult]:
-    rng = rng_from(config.seed)
-    count = min(config.samples, 20)
-    deviations = []
-    for i in range(count):
-        word = random_word(rng, triple, 1 + i % 5)
-        folded = finite_volume_state(triple, structure, word)
-        dense = aklt.dense_word_value(triple, structure, word)
-        deviations.append(abs(folded - dense))
-    worst = worst_deviation(deviations)
-    return [CheckResult("oracle_agreement", count, config.seed, worst, tol, worst <= tol)]
+def _config_int(name: str, value) -> int:
+    # int() would truncate a fractional count and read a boolean as 0 or 1
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def run(config: RunConfig) -> dict:
     """Execute the configured checks and return the full report dict."""
-    if config.model == "aklt":
-        structure = CausalStructure.parse(config.structure or "conventional")
-        model = aklt.build_model(config.variant, structure)
-        triple = model.triple
-        allowed = CHECK_NAMES
-        model_info = {"name": "aklt", "structure": structure.value, **model.metadata}
+    m = load_model(config.model, config.variant, config.structure)
+    if m.builtin is not None:
+        model_info = {"name": "aklt", "structure": m.structure.value, **m.builtin.metadata}
     else:
-        triple, structure = load_model_config(config.model)
-        if config.structure is not None:
-            structure = CausalStructure.parse(config.structure)
-        model = None
-        allowed = TRIPLE_CHECKS
         model_info = {
             "name": "config",
             "path": config.model,
-            "structure": structure.value,
-            "hidden_dim": triple.hidden_dim,
-            "obs_dim": triple.obs_dim,
+            "structure": m.structure.value,
+            "hidden_dim": m.triple.hidden_dim,
+            "obs_dim": m.triple.obs_dim,
         }
+    allowed = tuple(
+        name for name, check in CHECKS.items() if m.builtin is not None or not check.needs_action
+    )
     checks = _ordered_checks(config.checks) if config.checks else allowed
     for name in checks:
         if name not in allowed:
             raise ConfigError(
                 f"check {name!r} needs the builtin model; config-file models support "
-                + ", ".join(TRIPLE_CHECKS)
+                + ", ".join(allowed)
             )
-    tol = config.tolerances
-    results: list[CheckResult] = []
-    for name in checks:
-        if name == "cpu":
-            results.extend(_check_cpu(config, tol[name], triple))
-        elif name == "cocycle":
-            results.extend(_check_cocycle(config, tol[name], model))
-        elif name == "initial":
-            results.append(
-                check_initial_invariance(
-                    triple.phi0, model.action, config.samples, config.seed, tol[name]
-                )
-            )
-        elif name == "transition":
-            results.append(
-                check_transition_equivariance(
-                    triple.transition, model.action, config.samples, config.seed, tol[name]
-                )
-            )
-        elif name == "emission":
-            results.append(
-                check_emission_covariance(
-                    triple.emission, model.action, config.samples, config.seed, tol[name]
-                )
-            )
-        elif name == "sliced":
-            results.append(
-                check_sliced_covariance(
-                    triple, structure, model.action, config.samples, config.seed, tol[name]
-                )
-            )
-        elif name == "global":
-            by_volume = check_global_invariance(
-                triple,
-                structure,
-                model.action,
-                config.n_max,
-                config.global_samples,
-                config.seed,
-                tol[name],
-            )
-            results.extend(by_volume[n] for n in sorted(by_volume))
-        elif name == "kolmogorov":
-            dev = kolmogorov_check(
-                triple, structure, depth=config.n_max, samples=config.global_samples,
-                seed=config.seed,
-            )
-            results.append(
-                CheckResult(
-                    "kolmogorov_consistency",
-                    config.global_samples,
-                    config.seed,
-                    dev,
-                    tol[name],
-                    dev <= tol[name],
-                )
-            )
-        elif name == "intertwining":
-            residual = aklt.verify_intertwining(
-                model.tensors, model.action.pi, model.action.rho, config.samples, config.seed
-            )
-            results.append(
-                CheckResult(
-                    "tensor_intertwining",
-                    config.samples,
-                    config.seed,
-                    residual,
-                    tol[name],
-                    residual <= tol[name],
-                )
-            )
-        elif name == "oracle":
-            results.extend(_check_oracle(config, tol[name], triple, structure))
+    results = [
+        r for name in checks for r in CHECKS[name].results(m, config, config.tolerances[name])
+    ]
     return {
         "config": config.to_json_dict(),
         "model": model_info,
@@ -325,25 +300,19 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    tolerances = default_tolerances()
-    for name in CHECK_NAMES:
-        value = getattr(args, f"tol_{name}")
-        if value is not None:
-            tolerances[name] = value
-    checks: tuple[str, ...] = ()
-    if args.checks:
-        parts = [s.strip() for s in args.checks.split(",") if s.strip()]
-        checks = _ordered_checks(parts)
-    return RunConfig(
-        model=args.model,
-        variant=args.variant.replace("-", "_"),
-        structure=args.structure,
-        checks=checks,
-        seed=args.seed,
-        samples=args.samples,
-        global_samples=args.global_samples,
-        n_max=args.n_max,
-        tolerances=tolerances,
+    tolerances = {name: getattr(args, f"tol_{name}") for name in CHECK_NAMES}
+    return RunConfig.from_json_dict(
+        {
+            "model": args.model,
+            "variant": args.variant,
+            "structure": args.structure,
+            "checks": [s.strip() for s in (args.checks or "").split(",") if s.strip()],
+            "seed": args.seed,
+            "samples": args.samples,
+            "global_samples": args.global_samples,
+            "n_max": args.n_max,
+            "tolerances": {name: tol for name, tol in tolerances.items() if tol is not None},
+        }
     )
 
 
@@ -371,17 +340,7 @@ def _parse_word_spec(spec: str, triple: GenerativeTriple, model) -> ObservableWo
 
 
 def _cmd_eval(args) -> int:
-    if args.model == "aklt":
-        model = aklt.build_model(
-            args.variant.replace("-", "_"), args.structure or "conventional"
-        )
-        triple = model.triple
-        structure = model.structure
-    else:
-        triple, structure = load_model_config(args.model)
-        if args.structure is not None:
-            structure = CausalStructure.parse(args.structure)
-        model = None
+    triple, structure, model = load_model(args.model, args.variant, args.structure)
     word = _parse_word_spec(args.word, triple, model)
     value = finite_volume_state(triple, structure, word)
     payload = {
@@ -456,6 +415,30 @@ def _cmd_cocycle(args) -> int:
     return 0
 
 
+def _check_report_shape(report, path: str) -> None:
+    """Refuse a stored report that render_report_text or the exit code would misread."""
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not (
+        isinstance(checks, list)
+        and isinstance(report.get("model"), dict)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("condition"), str)
+            and type(c.get("max_deviation")) in (int, float)
+            and type(c.get("tolerance")) in (int, float)
+            and isinstance(c.get("pass"), bool)
+            for c in checks
+        )
+        and report.get("pass") is all(c["pass"] for c in checks)
+    ):
+        raise ConfigError(
+            f"report {path} is not a verification report: it needs a 'model' object, a "
+            "'checks' list whose entries have a string 'condition', numbers 'max_deviation' "
+            "and 'tolerance' and a boolean 'pass', and an overall 'pass' that is true exactly "
+            "when every check passed"
+        )
+
+
 def _cmd_report(args) -> int:
     try:
         with open(args.path) as fh:
@@ -464,8 +447,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"cannot read report {args.path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"report {args.path} is not valid JSON: {err}") from None
-    if not isinstance(report, dict) or "checks" not in report or "pass" not in report:
-        raise ConfigError(f"report {args.path} does not look like a verification report")
+    _check_report_shape(report, args.path)
     _emit(report, args.format, render_report_text(report))
     return 0 if report["pass"] else 1
 
@@ -548,9 +530,23 @@ _COMMANDS = {
 }
 
 
+def _join_element_values(argv: list[str]) -> list[str]:
+    """Write '--element SPEC' as '--element=SPEC' when SPEC starts with a minus.
+
+    argparse would read such a SPEC, say -0.6,0,0.8:3.14, as an option.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--element" and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_element_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, SubgroupStructureError) as err:

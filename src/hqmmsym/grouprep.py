@@ -20,7 +20,7 @@ from .errors import (
     SubgroupStructureError,
     UnsupportedSpinError,
 )
-from .opalg import ComplexOperator, operator_norm, worst_deviation
+from .opalg import ComplexOperator, operator_norms, worst_deviation
 from .sampling import rng_from
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -329,7 +329,10 @@ class ProjectiveRep:
     dim: int
     evaluate: Callable[[RotationElement], ComplexOperator]
     cocycle: TwoCocycle
-    section_tag: str = "canonical"
+
+    def stack(self, gs: Sequence[RotationElement]) -> np.ndarray:
+        """The unitaries of the elements gs, stacked as an array (len(gs), dim, dim)."""
+        return np.stack([self.evaluate(g).entries for g in gs])
 
 
 @dataclass(frozen=True)
@@ -344,24 +347,29 @@ def spin_half_rep() -> ProjectiveRep:
         dim=2,
         evaluate=lambda g: ComplexOperator(2, g.su2_matrix()),
         cocycle=section_cocycle(),
-        section_tag="first-nonzero-positive",
     )
 
 
 def spin_one_rep(basis: str = "cartesian") -> LinearRep:
-    return LinearRep(
-        dim=3,
-        evaluate=lambda g: ComplexOperator(3, spin_rep(1, g, basis)),
-        section_tag=f"spin-1-{basis}",
-    )
+    return LinearRep(dim=3, evaluate=lambda g: ComplexOperator(3, spin_rep(1, g, basis)))
 
 
 def trivial_rep(dim: int = 1) -> LinearRep:
-    return LinearRep(
-        dim=dim,
-        evaluate=lambda g: ComplexOperator.identity(dim),
-        section_tag="trivial",
-    )
+    return LinearRep(dim=dim, evaluate=lambda g: ComplexOperator.identity(dim))
+
+
+def cocycle_defects(
+    rep: ProjectiveRep, gs: Sequence[RotationElement], hs: Sequence[RotationElement]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cocycle values and defects of a rep on the pairs (gs[k], hs[k]).
+
+    Returns omega[k] = omega(g, h) and the operator norms
+    || U(g) U(h) - omega(g, h) U(gh) ||, taken as one stacked SVD.
+    """
+    omega = np.array([complex(rep.cocycle.evaluate(g, h)) for g, h in zip(gs, hs)])
+    products = rep.stack(gs) @ rep.stack(hs)
+    composed = rep.stack([g.compose(h) for g, h in zip(gs, hs)])
+    return omega, operator_norms(products - omega[:, None, None] * composed)
 
 
 def tensor_rep_cocycle_check(
@@ -372,14 +380,12 @@ def tensor_rep_cocycle_check(
     Samples pairs (g, h) and measures
     || (U1 tensor U2)(g) (U1 tensor U2)(h) - w1(g,h) w2(g,h) (U1 tensor U2)(gh) ||.
     """
-    rng = rng_from(seed)
-    deviations = []
-    for _ in range(samples):
-        g, h = haar_rotations(rng, 2)
-        gh = g.compose(h)
-        u_g = np.kron(rep1.evaluate(g).entries, rep2.evaluate(g).entries)
-        u_h = np.kron(rep1.evaluate(h).entries, rep2.evaluate(h).entries)
-        u_gh = np.kron(rep1.evaluate(gh).entries, rep2.evaluate(gh).entries)
-        omega = complex(rep1.cocycle.evaluate(g, h)) * complex(rep2.cocycle.evaluate(g, h))
-        deviations.append(operator_norm(u_g @ u_h - omega * u_gh))
+    dim = rep1.dim * rep2.dim
+    product = ProjectiveRep(
+        dim,
+        lambda g: ComplexOperator(dim, np.kron(rep1.evaluate(g).entries, rep2.evaluate(g).entries)),
+        TwoCocycle(lambda g, h: rep1.cocycle.evaluate(g, h) * rep2.cocycle.evaluate(g, h)),
+    )
+    gs = haar_rotations(rng_from(seed), 2 * samples)
+    _, deviations = cocycle_defects(product, gs[0::2], gs[1::2])
     return worst_deviation(deviations)

@@ -150,19 +150,31 @@ class ObservableWord:
         sites = []
         for k, item in enumerate(items):
             if item == "I":
-                sites.append(
-                    (ComplexOperator.identity(hidden_dim), ComplexOperator.identity(obs_dim))
-                )
-                continue
+                item = {"X": "I", "Y": "I"}
             try:
                 x = item["X"]
                 y = item["Y"]
             except (TypeError, KeyError):
                 raise ConfigError(f"word entry {k} needs keys 'X' and 'Y'") from None
-            x_op = ComplexOperator.identity(hidden_dim) if x == "I" else ComplexOperator.from_json_dict(x)
-            y_op = ComplexOperator.identity(obs_dim) if y == "I" else ComplexOperator.from_json_dict(y)
+            x_op = ComplexOperator.identity(hidden_dim) if x == "I" else _operator_from_json(
+                x, hidden_dim, f"word entry {k} X"
+            )
+            y_op = ComplexOperator.identity(obs_dim) if y == "I" else _operator_from_json(
+                y, obs_dim, f"word entry {k} Y"
+            )
             sites.append((x_op, y_op))
         return cls(tuple(sites))
+
+
+def _operator_from_json(obj, dim: int, what: str) -> ComplexOperator:
+    """A dim x dim operator read from a file's matrix object, or ConfigError."""
+    try:
+        op = ComplexOperator.from_json_dict(obj)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{what} is not a complex matrix object: {err!r}") from None
+    if op.dim != dim:
+        raise ConfigError(f"{what} has dimension {op.dim}, expected {dim}")
+    return op
 
 
 def _apply_sliced(
@@ -472,13 +484,13 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
     if phi0_obj == "maximally_mixed":
         phi0 = ComplexOperator(h, np.eye(h, dtype=complex) / h)
     else:
-        phi0 = ComplexOperator.from_json_dict(phi0_obj)
+        phi0 = _operator_from_json(phi0_obj, h, "phi0")
     if "E_H" not in obj or "E_HO" not in obj:
         raise ConfigError("model config needs 'E_H' and 'E_HO' map entries")
-    transition = _bipartite_from_config(obj["E_H"], h, h, h, "E_H")
-    emission = _bipartite_from_config(obj["E_HO"], h, o, h, "E_HO")
     structure = CausalStructure.parse(obj.get("structure", "conventional"))
     try:
+        transition = _bipartite_from_config(obj["E_H"], h, h, h, "E_H")
+        emission = _bipartite_from_config(obj["E_HO"], h, o, h, "E_HO")
         triple = GenerativeTriple(h, o, phi0, transition, emission)
     except DimensionMismatchError as err:
         raise ConfigError(f"model config dimensions are inconsistent: {err}") from None
@@ -504,6 +516,6 @@ def load_word(path: str, hidden_dim: int, obs_dim: int) -> ObservableWord:
         raise ConfigError(f"cannot read word file {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"word file {path} is not valid JSON: {err}") from None
-    if not isinstance(items, list):
-        raise ConfigError("word file must hold a JSON list of sites")
+    if not isinstance(items, list) or not items:
+        raise ConfigError("word file must hold a nonempty JSON list of sites")
     return ObservableWord.from_json_list(items, hidden_dim, obs_dim)

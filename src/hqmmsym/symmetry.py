@@ -12,12 +12,12 @@ closed-form coefficient contractions and one stacked SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import RankEstimationError
-from .grouprep import LinearRep, ProjectiveRep, RotationElement, haar_rotations
+from .grouprep import LinearRep, ProjectiveRep, haar_rotations
 # finite_volume_state is unused here but stays bound: bench/tests checks that
 # the tracer in bench/tracing.py wraps and restores this module's binding.
 from .hqmm import (  # noqa: F401
@@ -47,12 +47,6 @@ class SymmetryAction:
     pi: ProjectiveRep
     rho: LinearRep
 
-    def hidden_unitary(self, g: RotationElement) -> np.ndarray:
-        return self.pi.evaluate(g).entries
-
-    def observable_unitary(self, g: RotationElement) -> np.ndarray:
-        return self.rho.evaluate(g).entries
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -66,18 +60,15 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
-def _stack(rep_evaluate, gs: list[RotationElement]) -> np.ndarray:
-    return np.stack([rep_evaluate(g) for g in gs])
+def check_result(condition: str, samples: int, seed: int, deviations, tolerance) -> CheckResult:
+    """The result of a check: its worst per-sample deviation against the tolerance."""
+    worst = worst_deviation(deviations)
+    return CheckResult(condition, samples, seed, worst, tolerance, worst <= tolerance)
 
 
 def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -110,11 +101,6 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     return _choi_norms(left - right.transpose(0, 3, 4, 1, 2))
 
 
-def _result(condition: str, samples: int, seed: int, deviations, tolerance: float) -> CheckResult:
-    worst = worst_deviation(deviations)
-    return CheckResult(condition, samples, seed, worst, tolerance, worst <= tolerance)
-
-
 def check_initial_invariance(
     phi0: ComplexOperator,
     action: SymmetryAction,
@@ -124,9 +110,9 @@ def check_initial_invariance(
 ) -> CheckResult:
     """Invariance of the initial state under the hidden-space action."""
     rng = rng_from(seed)
-    u = _stack(action.hidden_unitary, haar_rotations(rng, samples))
+    u = action.pi.stack(haar_rotations(rng, samples))
     deviations = operator_norms(_conjugate(u, phi0.entries) - phi0.entries)
-    return _result("initial_invariance", samples, seed, deviations, tolerance)
+    return check_result("initial_invariance", samples, seed, deviations, tolerance)
 
 
 def check_transition_equivariance(
@@ -138,9 +124,9 @@ def check_transition_equivariance(
 ) -> CheckResult:
     """E_H intertwines pi tensor pi on the input with pi on the output."""
     rng = rng_from(seed)
-    u = _stack(action.hidden_unitary, haar_rotations(rng, samples))
+    u = action.pi.stack(haar_rotations(rng, samples))
     deviations = _conjugation_defects(transition, batched_kron(u, u), u)
-    return _result("transition_equivariance", samples, seed, deviations, tolerance)
+    return check_result("transition_equivariance", samples, seed, deviations, tolerance)
 
 
 def check_emission_covariance(
@@ -153,10 +139,10 @@ def check_emission_covariance(
     """E_HO intertwines pi tensor rho on the input with pi on the output."""
     rng = rng_from(seed)
     gs = haar_rotations(rng, samples)
-    u = _stack(action.hidden_unitary, gs)
-    v = _stack(action.observable_unitary, gs)
+    u = action.pi.stack(gs)
+    v = action.rho.stack(gs)
     deviations = _conjugation_defects(emission, batched_kron(u, v), u)
-    return _result("emission_covariance", samples, seed, deviations, tolerance)
+    return check_result("emission_covariance", samples, seed, deviations, tolerance)
 
 
 def check_sliced_covariance(
@@ -172,8 +158,8 @@ def check_sliced_covariance(
     rng = rng_from(seed)
     h = triple.hidden_dim
     gs = haar_rotations(rng, samples)
-    u = _stack(action.hidden_unitary, gs)
-    v = _stack(action.observable_unitary, gs)
+    u = action.pi.stack(gs)
+    v = action.rho.stack(gs)
     # one random (x, y) site per sample, drawn after all group elements
     xs, ys = random_words(rng, triple, samples, 1)
     xs, ys = xs[:, 0], ys[:, 0]
@@ -182,7 +168,7 @@ def check_sliced_covariance(
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
     conjugated = _conjugate(batched_kron(u, u.conj()), plain)
     deviations = _choi_norms((rotated - conjugated).reshape(samples, h, h, h, h))
-    return _result("sliced_covariance", samples, seed, deviations, tolerance)
+    return check_result("sliced_covariance", samples, seed, deviations, tolerance)
 
 
 def check_global_invariance(
@@ -205,8 +191,8 @@ def check_global_invariance(
     results = {}
     for n in range(n_max + 1):
         gs = haar_rotations(rng, samples)
-        u = _stack(action.hidden_unitary, gs)
-        v = _stack(action.observable_unitary, gs)
+        u = action.pi.stack(gs)
+        v = action.rho.stack(gs)
         xs, ys = random_words(rng, triple, samples, n + 1)
         values = finite_volume_states(
             triple,
@@ -215,7 +201,7 @@ def check_global_invariance(
             np.concatenate([ys, _conjugate(v[:, None], ys)]),
         )
         deviations = np.abs(values[samples:] - values[:samples])
-        results[n] = _result(f"global_invariance[n={n}]", samples, seed, deviations, tolerance)
+        results[n] = check_result(f"global_invariance[n={n}]", samples, seed, deviations, tolerance)
     return results
 
 
@@ -237,8 +223,7 @@ def invariant_states(
     rng = rng_from(seed)
     eye = np.eye(d)
     blocks = []
-    for g in haar_rotations(rng, group_samples):
-        u = rep.evaluate(g).entries
+    for u in rep.stack(haar_rotations(rng, group_samples)):
         # row-major vec: vec(UX - XU) = (U kron I - I kron U^T) vec(X)
         blocks.append(np.kron(u, eye) - np.kron(eye, u.T))
     stacked = np.vstack(blocks)
@@ -292,7 +277,7 @@ def twirl_invariant_state(
     averaging pass over the same samples.
     """
     rng = rng_from(seed)
-    unitaries = [rep.evaluate(g).entries for g in haar_rotations(rng, group_samples)]
+    unitaries = rep.stack(haar_rotations(rng, group_samples))
     current = rho0.entries.astype(complex)
     for _ in range(max_iter):
         stacked = sum(u @ current @ u.conj().T for u in unitaries) / len(unitaries)

@@ -361,6 +361,7 @@ def test_run_config_rejects_empty_or_invalid_runs(override):
         {"n_max": [6]},
         {"n_max": float("inf")},
         {"tolerances": {"emission": "tight"}},
+        {"tolerances": [1e-9]},
     ],
 )
 def test_run_config_rejects_non_numeric_fields(override):
@@ -428,3 +429,123 @@ def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
         values.append(complex(payload["value"]["re"], payload["value"]["im"]))
     assert values[0] == values[1]
     assert abs(values[0] - 1.0) > 1e-3  # the random sites matter
+
+
+def _site(x_dim=2, y_dim=3):
+    eye = ComplexOperator.identity
+    return {"X": eye(x_dim).to_json_dict(), "Y": eye(y_dim).to_json_dict()}
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [{"X": {"dim": 2}, "Y": _site()["Y"]}],  # no re/im
+        [{"X": {"dim": 2, "re": ["one", 0, 0, 1], "im": [0, 0, 0, 0]}, "Y": _site()["Y"]}],
+        [_site(x_dim=3)],  # hidden slot of the wrong dimension
+        [],
+    ],
+    ids=["missing-re-im", "non-numeric", "wrong-dimension", "empty"],
+)
+def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(items))
+    code, out, err = _run_cli(capsys, ["eval", "--word", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"phi0": {"dim": 2}},
+        # E_H's Kraus operators must be 2 x 4
+        {"E_H": {"kind": "kraus", "kraus": [{"rows": 2, "cols": 2, "re": [1] * 4, "im": [0] * 4}]}},
+    ],
+    ids=["phi0-without-re-im", "kraus-wrong-shape"],
+)
+def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
+    config = {
+        "hidden_dim": 2,
+        "obs_dim": 3,
+        "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "aklt_emission"},
+        **override,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    for argv in (["verify", str(path)], ["eval", "--model", str(path), "--word", "allidentity:2"]):
+        code, out, err = _run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda r: r.pop("model"),
+        lambda r: r["checks"][0].pop("condition"),
+        lambda r: r["checks"][0].update({"max_deviation": "small"}),
+        lambda r: r.update({"pass": "no"}),
+        lambda r: r.update({"checks": {}}),
+        lambda r: r["checks"][0].update({"pass": False}),  # overall pass stays true
+    ],
+    ids=[
+        "no-model",
+        "check-without-condition",
+        "text-deviation",
+        "text-pass",
+        "checks-not-a-list",
+        "overall-pass-disagrees",
+    ],
+)
+def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):
+    code, out, _ = _run_cli(capsys, ["verify", *FAST, "--checks", "cpu"])
+    assert code == 0
+    report = json.loads(out)
+    spoil(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = _run_cli(capsys, ["report", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_cocycle_element_accepts_a_leading_minus(capsys):
+    # the z2 x z2 flip group about a frame whose first axis starts with a minus
+    specs = [
+        "1,0,0:0",
+        "-0.6,0,0.8:3.141592653589793",
+        "0,1,0:3.141592653589793",
+        "0.8,0,0.6:3.141592653589793",
+    ]
+    outputs = []
+    for joined in (False, True):
+        argv = ["cocycle"]
+        for spec in specs:
+            argv += [f"--element={spec}"] if joined else ["--element", spec]
+        code, out, err = _run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["nontrivial"] is True
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"samples": 3.7},
+        {"seed": 1.5},
+        {"global_samples": True},
+        {"n_max": False},
+        {"samples": "12"},
+    ],
+)
+def test_run_config_rejects_non_integer_counts(override):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict(override)
+    with pytest.raises(ConfigError):
+        RunConfig(**override)
+
+
+def test_run_config_accepts_integral_float_counts():
+    assert RunConfig.from_json_dict({"samples": 12.0, "n_max": 3}) == RunConfig(samples=12, n_max=3)
