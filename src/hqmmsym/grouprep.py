@@ -44,8 +44,12 @@ CONDON_SHORTLEY = np.array(
 ROTATION_TOL = 1e-10
 
 # quaternion components below this are noise and count as exact zeros, so
-# boundary rotations (half angle at pi/2, say) get an exact sign rule
-SNAP_TOL = 1e-12
+# boundary rotations (half angle at pi/2, say) get an exact sign rule.  It is
+# far above rounding noise (about 1e-16) and small enough that zeroing up to
+# three components moves a rotation by under 2e-13, inside the 1e-12 bound on
+# the lift defect ||U(g)U(h) - omega(g,h)U(gh)||; at 1e-12 that move reached
+# 1.06e-12 for g, h about an axis with a 1e-12 component.
+SNAP_TOL = 1e-13
 
 
 def _canonical_sign(q: np.ndarray) -> float:
