@@ -15,26 +15,30 @@ import numpy as np
 
 from hqmmsym import (
     RotationElement,
+    cocycle_defects,
     cocycle_eval,
     detect_nontrivial_class,
-    haar_sample,
+    haar_rotations,
+    spin_half_rep,
 )
+from hqmmsym.sampling import rng_from
 
-# sample the cocycle on Haar random pairs
-elements = haar_sample(seed=1, count=400)
-values = [cocycle_eval(g, h) for g, h in zip(elements[::2], elements[1::2])]
-plus = sum(1 for v in values if v == 1.0)
-minus = sum(1 for v in values if v == -1.0)
+# sample the cocycle on Haar random pairs: rotations are quaternion rows,
+# and every function below takes a whole stack of them
+quats = haar_rotations(rng_from(1), 400)
+gs, hs = quats[::2], quats[1::2]
+values = cocycle_eval(gs, hs)
+plus = int(np.sum(values == 1.0))
+minus = int(np.sum(values == -1.0))
 print(f"cocycle values on 200 random pairs: {plus} times +1, {minus} times -1")
 assert plus + minus == len(values)
 
 # the section property ties the sign to the SU(2) lift
-g, h = elements[0], elements[1]
-w = cocycle_eval(g, h)
-defect = np.linalg.norm(g.su2_matrix() @ h.su2_matrix() - w * g.compose(h).su2_matrix())
-print(f"lift(g) lift(h) = omega(g,h) lift(gh) up to {defect:.2e}")
+_, defects = cocycle_defects(spin_half_rep(), gs, hs)
+print(f"lift(g) lift(h) = omega(g,h) lift(gh) up to {defects.max():.2e} on all 200 pairs")
 
 # associativity holds exactly, not just to rounding
+elements = [RotationElement(tuple(q)) for q in quats]
 violations = 0
 for i in range(0, len(elements) - 2, 3):
     a, b, c = elements[i : i + 3]

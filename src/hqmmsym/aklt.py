@@ -23,7 +23,6 @@ from .grouprep import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    LinearRep,
     ProjectiveRep,
     haar_rotations,
     spin_half_rep,
@@ -138,7 +137,7 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
 def verify_intertwining(
     tensors: AkltTensors,
     pi: ProjectiveRep,
-    rho: LinearRep,
+    rho: ProjectiveRep,
     samples: int = 200,
     seed: int = 0,
 ) -> float:

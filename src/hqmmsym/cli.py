@@ -187,11 +187,20 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.n_max < 0:
             raise ConfigError(f"n_max must be nonnegative, got {self.n_max}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
+        # a check without a given tolerance keeps its default
+        tolerances = default_tolerances()
         for name, value in self.tolerances.items():
+            if name not in CHECKS:
+                raise ConfigError(f"unknown tolerance key {name!r}")
+            value = _config_float(f"tolerance {name!r}", value)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(
                     f"tolerance for {name!r} must be finite and nonnegative, got {value}"
                 )
+            tolerances[name] = value
+        object.__setattr__(self, "tolerances", tolerances)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,14 +211,6 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunConfig":
-        tolerances = default_tolerances()
-        given = obj.get("tolerances", {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"tolerances must be an object, got {given!r}")
-        for name, value in given.items():
-            if name not in CHECKS:
-                raise ConfigError(f"unknown tolerance key {name!r}")
-            tolerances[name] = _config_float(f"tolerance {name!r}", value)
         return cls(
             model=str(obj.get("model", "aklt")),
             variant=str(obj.get("variant", "normalized_cartesian")).replace("-", "_"),
@@ -219,7 +220,7 @@ class RunConfig:
             samples=obj.get("samples", 200),
             global_samples=obj.get("global_samples", 50),
             n_max=obj.get("n_max", 6),
-            tolerances=tolerances,
+            tolerances=obj.get("tolerances", {}),
         )
 
 

@@ -5,11 +5,15 @@ the first nonzero component is strictly positive.  The canonical
 representative is a concrete section of the double cover, and the scalar
 relating a quaternion product to the canonical representative of the
 composed rotation is a two-cocycle with values in {+1, -1}.
+
+Rotations travel as quaternion stacks q[..., 4], and every function here
+acts on a whole stack at once.  np.asarray turns a RotationElement, or a
+list of them, into such a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +24,7 @@ from .errors import (
     SubgroupStructureError,
     UnsupportedSpinError,
 )
-from .opalg import ComplexOperator, operator_norms, worst_deviation
+from .opalg import batched_kron, operator_norms, worst_deviation
 from .sampling import rng_from
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,25 +56,69 @@ ROTATION_TOL = 1e-10
 SNAP_TOL = 1e-13
 
 
-def _canonical_sign(q: np.ndarray) -> float:
-    """Sign that makes the first component of q above SNAP_TOL strictly positive."""
-    for comp in q:
-        if abs(comp) >= SNAP_TOL:
-            return 1.0 if comp > 0.0 else -1.0
-    raise ValueError("zero quaternion has no canonical sign")
+def _norms(q: np.ndarray) -> np.ndarray:
+    # a stacked dot product rounds exactly like np.linalg.norm of one quaternion
+    return np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-        ]
-    )
+def _unit(q: np.ndarray) -> np.ndarray:
+    return q / _norms(q)[..., None]
+
+
+def canonical_quaternions(q) -> np.ndarray:
+    """Canonical representatives of a quaternion stack q[..., 4].
+
+    Each row is normalized, its components below SNAP_TOL become exact
+    zeros, and it is signed so that its first nonzero component is
+    positive.  This is the one sign rule of the package.  A row with no
+    component at or above SNAP_TOL (a zero or non-finite row) has no
+    canonical sign and raises ValueError.
+    """
+    with np.errstate(invalid="ignore"):
+        q = _unit(np.asarray(q, dtype=float))
+    kept = np.abs(q) >= SNAP_TOL
+    if not kept.any(axis=-1).all():
+        raise ValueError("a zero or non-finite quaternion has no canonical sign")
+    lead = np.take_along_axis(q, kept.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(kept, q, 0.0) * np.where(lead > 0.0, 1.0, -1.0)
+
+
+def _hamilton(a, b) -> np.ndarray:
+    """Quaternion products a b over stacked (broadcast) leading axes."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = w1 * y2 + y1 * w2 + z1 * x2 - x1 * z2
+    z = w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2
+    return np.stack([w, x, y, z], axis=-1)
+
+
+def _compose(a, b) -> np.ndarray:
+    """Canonical quaternions of the rotations a b."""
+    return canonical_quaternions(_hamilton(a, b))
+
+
+def _distances(a, b) -> np.ndarray:
+    """Distances as rotations, insensitive to the double-cover sign."""
+    return np.minimum(_norms(a - b), _norms(a + b))
+
+
+def su2_matrices(q) -> np.ndarray:
+    """The canonical lifts w*I - i(x sx + y sy + z sz) in SU(2) of a stack q[..., 4]."""
+    w, x, y, z = (np.asarray(q, dtype=float)[..., k, None, None] for k in range(4))
+    return w * np.eye(2, dtype=complex) - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+def rotation_matrices(q) -> np.ndarray:
+    """The 3x3 orthogonal matrices acting on Cartesian vectors of a stack q[..., 4]."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -86,9 +134,10 @@ class RotationElement:
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"quaternion norm {norm} is not 1")
-        q = q / norm
-        q = np.where(np.abs(q) < SNAP_TOL, 0.0, q) * _canonical_sign(q)
-        object.__setattr__(self, "quat", tuple(float(c) for c in q))
+        object.__setattr__(self, "quat", tuple(canonical_quaternions(q).tolist()))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.quat, dtype=dtype)
 
     @classmethod
     def identity(cls) -> "RotationElement":
@@ -105,7 +154,7 @@ class RotationElement:
         return cls((np.cos(half), *(np.sin(half) * n)))
 
     def compose(self, other: "RotationElement") -> "RotationElement":
-        return RotationElement(tuple(_quat_mul(np.asarray(self.quat), np.asarray(other.quat))))
+        return RotationElement(tuple(_hamilton(self.quat, other.quat)))
 
     def inverse(self) -> "RotationElement":
         w, x, y, z = self.quat
@@ -113,9 +162,7 @@ class RotationElement:
 
     def distance(self, other: "RotationElement") -> float:
         """Distance as rotations, insensitive to the double-cover sign."""
-        a = np.asarray(self.quat)
-        b = np.asarray(other.quat)
-        return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+        return float(_distances(np.asarray(self.quat), np.asarray(other.quat)))
 
     def angle_axis(self) -> tuple[float, np.ndarray]:
         w, x, y, z = self.quat
@@ -126,20 +173,12 @@ class RotationElement:
         return theta, axis
 
     def su2_matrix(self) -> np.ndarray:
-        """The canonical lift w*I - i(x sx + y sy + z sz) in SU(2)."""
-        w, x, y, z = self.quat
-        return w * np.eye(2, dtype=complex) - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+        """The canonical lift in SU(2)."""
+        return su2_matrices(self.quat)
 
     def rotation_matrix(self) -> np.ndarray:
         """The 3x3 orthogonal matrix acting on Cartesian vectors."""
-        w, x, y, z = self.quat
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return rotation_matrices(self.quat)
 
     def to_json_dict(self) -> dict:
         return {"quat": [float(c) for c in self.quat]}
@@ -149,80 +188,53 @@ class RotationElement:
         return cls(tuple(float(c) for c in obj["quat"]))
 
 
-def haar_rotations(rng: np.random.Generator, count: int) -> list[RotationElement]:
-    """Haar-uniform rotations drawn from an existing generator."""
-    out = []
-    while len(out) < count:
-        q = rng.standard_normal(4)
-        norm = np.linalg.norm(q)
-        if norm < 1e-12:
-            continue
-        out.append(RotationElement(tuple(q / norm)))
-    return out
+def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Haar-uniform rotations as canonical quaternions of shape (count, 4).
 
-
-def haar_sample(seed: int, count: int) -> list[RotationElement]:
-    """Deterministic Haar sample: normalized 4d Gaussians, canonical sign."""
-    return haar_rotations(rng_from(seed), count)
-
-
-def raw_quaternion_sample(seed: int, count: int) -> np.ndarray:
-    """Unit quaternions before sign canonicalization, for distribution tests."""
-    rng = rng_from(seed)
-    q = rng.standard_normal((count, 4))
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
-
-
-def cocycle_eval(g: RotationElement, h: RotationElement) -> float:
-    """Sign relating the lifted product to the canonical lift of g h.
-
-    Returns +1.0 when the raw quaternion product is already canonical and
-    -1.0 when it is the negative of the canonical representative, so the
-    value is exactly a sign, never a rounded float.  The sign is taken
-    exactly as the RotationElement constructor takes it for g.compose(h).
+    One draw of count normalized 4d Gaussians, the same stream as count
+    draws of four.  Normalizing before canonical_quaternions normalizes
+    again makes each row equal RotationElement(draw / |draw|) bit for bit.
     """
-    prod = _quat_mul(np.asarray(g.quat), np.asarray(h.quat))
-    return _canonical_sign(prod / np.linalg.norm(prod))
+    return canonical_quaternions(_unit(rng.standard_normal((count, 4))))
 
 
-@dataclass(frozen=True)
-class TwoCocycle:
-    """Phase-valued function of two rotations."""
+def cocycle_eval(qg, qh) -> np.ndarray:
+    """The section cocycle omega(g, h) on quaternion stacks qg, qh.
 
-    evaluate: Callable[[RotationElement, RotationElement], complex]
-    tag: str = "section"
-
-
-def section_cocycle() -> TwoCocycle:
-    return TwoCocycle(lambda g, h: complex(cocycle_eval(g, h)), tag="canonical-section")
-
-
-def trivial_cocycle() -> TwoCocycle:
-    return TwoCocycle(lambda g, h: 1.0 + 0.0j, tag="trivial")
+    omega is +1 where the quaternion product g h is already the canonical
+    representative of the composed rotation and -1 where it is its
+    negative, so U(g) U(h) = omega(g, h) U(gh) for the canonical lift U.
+    The values are exact signs: each is the sign canonical_quaternions
+    gives g h, as in compose.
+    """
+    prod = _hamilton(qg, qh)
+    return np.sign(np.sum(prod * canonical_quaternions(prod), axis=-1))
 
 
-def gauge_transform(
-    cocycle: TwoCocycle, lam: Callable[[RotationElement], complex], tol: float = 1e-12
-) -> TwoCocycle:
+def trivial_cocycle(qg, qh) -> np.ndarray:
+    """The cocycle of a linear rep: 1 on every pair."""
+    return np.ones(np.broadcast_shapes(np.shape(qg), np.shape(qh))[:-1])
+
+
+def gauge_transform(cocycle: Callable, lam: Callable, tol: float = 1e-12) -> Callable:
     """Multiply a cocycle by the coboundary of a unimodular function lam.
 
-    omega'(g, h) = lam(g) lam(h) conj(lam(gh)) omega(g, h).  Every lam value
-    is checked for unit modulus.
+    omega'(g, h) = lam(g) lam(h) conj(lam(gh)) omega(g, h), where lam maps a
+    quaternion stack q[..., 4] to its values over the leading axes.  Every
+    lam value is checked for unit modulus.
     """
 
-    def checked(g: RotationElement) -> complex:
-        value = complex(lam(g))
-        dev = abs(abs(value) - 1.0)
-        if dev > tol:
+    def checked(q: np.ndarray) -> np.ndarray:
+        values = np.asarray(lam(q), dtype=complex)
+        dev = float(np.max(np.abs(np.abs(values) - 1.0)))
+        if not dev <= tol:
             raise NonUnimodularError(dev)
-        return value
+        return values
 
-    def evaluate(g: RotationElement, h: RotationElement) -> complex:
-        return checked(g) * checked(h) * np.conj(checked(g.compose(h))) * complex(
-            cocycle.evaluate(g, h)
-        )
+    def gauged(qg, qh) -> np.ndarray:
+        return checked(qg) * checked(qh) * np.conj(checked(_compose(qg, qh))) * cocycle(qg, qh)
 
-    return TwoCocycle(evaluate, tag=f"gauge({cocycle.tag})")
+    return gauged
 
 
 def commutator_pairing(
@@ -254,28 +266,25 @@ def detect_nontrivial_class(
     The input must be closed under composition and abelian, both checked.
     The class of the section cocycle is nontrivial exactly when some
     commutator pairing differs from 1, and that pairing is gauge invariant,
-    so no gauge search is needed.
+    so no gauge search is needed.  Every pair is evaluated at once, as
+    (n, n) stacks with entry [i, j] for the pair (elements[i], elements[j]).
     """
     elements = list(elements)
-    n = len(elements)
-    for a in elements:
-        for b in elements:
-            prod = a.compose(b)
-            nearest = min(prod.distance(c) for c in elements)
-            if nearest > tol:
-                raise SubgroupStructureError("product leaves the element list", nearest)
-    for a in elements:
-        for b in elements:
-            dev = a.compose(b).distance(b.compose(a))
-            if dev > tol:
-                raise SubgroupStructureError("elements do not commute", dev)
-    table = np.ones((n, n), dtype=complex)
-    witness = None
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = commutator_pairing(a, b, tol)
-            if witness is None and abs(table[i, j] - 1.0) > 0.5:
-                witness = (a, b)
+    q = np.asarray(elements, dtype=float).reshape(len(elements), 4)
+    g, h = q[:, None], q[None, :]
+    gh = _compose(g, h)
+    checks = (
+        ("product leaves the element list", _distances(gh[:, :, None], q).min(axis=-1)),
+        ("elements do not commute", _distances(gh, _compose(h, g))),
+    )
+    for reason, deviations in checks:
+        bad = np.flatnonzero(deviations > tol)
+        if bad.size:
+            raise SubgroupStructureError(reason, float(deviations.flat[bad[0]]))
+    omega = cocycle_eval(g, h).astype(complex)
+    table = omega / omega.T
+    paired = np.argwhere(np.abs(table - 1.0) > 0.5)
+    witness = tuple(elements[k] for k in paired[0]) if len(paired) else None
     return NontrivialClassReport(witness is not None, witness, table)
 
 
@@ -299,14 +308,50 @@ def _expi_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
+@dataclass(frozen=True)
+class ProjectiveRep:
+    """Unitary-valued map of rotations multiplicative up to a cocycle.
+
+    stack maps a quaternion stack q[N, 4] to the unitaries U(q), shape
+    (N, dim, dim); cocycle maps stacks qg, qh to omega[N] with
+    U(g) U(h) = omega(g, h) U(gh).  A linear rep keeps the trivial cocycle.
+    """
+
+    dim: int
+    stack: Callable[[np.ndarray], np.ndarray]
+    cocycle: Callable[[np.ndarray, np.ndarray], np.ndarray] = trivial_cocycle
+
+
+def spin_half_rep() -> ProjectiveRep:
+    return ProjectiveRep(2, su2_matrices, cocycle_eval)
+
+
+def spin_one_rep(basis: str = "cartesian") -> ProjectiveRep:
+    """The spin-1 rep in one of two bases.
+
+    "cartesian" gives the real orthogonal matrices on (x, y, z), and
+    "spherical" their conjugates by the Condon-Shortley basis change.
+    """
+    if basis == "cartesian":
+        return ProjectiveRep(3, lambda q: rotation_matrices(q).astype(complex))
+    if basis == "spherical":
+        u = CONDON_SHORTLEY
+        return ProjectiveRep(3, lambda q: u @ rotation_matrices(q) @ u.conj().T)
+    raise ValueError(f"unknown spin-1 basis {basis!r}")
+
+
+def trivial_rep(dim: int = 1) -> ProjectiveRep:
+    eye = np.eye(dim, dtype=complex)
+    return ProjectiveRep(dim, lambda q: np.broadcast_to(eye, (*np.shape(q)[:-1], dim, dim)))
+
+
 def spin_rep(j: float, g: RotationElement, basis: str = "cartesian") -> np.ndarray:
     """Spin-j matrix of a rotation, consistent with the canonical section.
 
-    j = 1/2 returns the canonical SU(2) lift.  j = 1 supports two bases:
-    "cartesian" gives the real orthogonal matrix on (x, y, z), "spherical"
-    its conjugate by the Condon-Shortley basis change.  Any other positive
-    half integer is handled in the |j, m> basis by exponentiating the
-    angle-axis decomposition of the canonical quaternion.
+    j = 1/2 returns the canonical SU(2) lift and j = 1 the matrix of
+    spin_one_rep(basis).  Any other positive half integer is handled in
+    the |j, m> basis by exponentiating the angle-axis decomposition of the
+    canonical quaternion.
     """
     twice = 2 * float(j)
     if twice <= 0 or abs(twice - round(twice)) > 1e-12:
@@ -314,66 +359,21 @@ def spin_rep(j: float, g: RotationElement, basis: str = "cartesian") -> np.ndarr
     if float(j) == 0.5:
         return g.su2_matrix()
     if float(j) == 1.0:
-        r = g.rotation_matrix().astype(complex)
-        if basis == "cartesian":
-            return r
-        if basis == "spherical":
-            u = CONDON_SHORTLEY
-            return u @ r @ u.conj().T
-        raise ValueError(f"unknown spin-1 basis {basis!r}")
+        return spin_one_rep(basis).stack(g.quat)
     theta, axis = g.angle_axis()
     jx, jy, jz = _spin_matrices(float(j))
     return _expi_hermitian(axis[0] * jx + axis[1] * jy + axis[2] * jz, theta)
 
 
-@dataclass(frozen=True)
-class ProjectiveRep:
-    """Unitary-valued map of rotations multiplicative up to a cocycle."""
-
-    dim: int
-    evaluate: Callable[[RotationElement], ComplexOperator]
-    cocycle: TwoCocycle
-
-    def stack(self, gs: Sequence[RotationElement]) -> np.ndarray:
-        """The unitaries of the elements gs, stacked as an array (len(gs), dim, dim)."""
-        return np.stack([self.evaluate(g).entries for g in gs])
-
-
-@dataclass(frozen=True)
-class LinearRep(ProjectiveRep):
-    """Genuine representation: the cocycle is identically 1."""
-
-    cocycle: TwoCocycle = field(default_factory=trivial_cocycle)
-
-
-def spin_half_rep() -> ProjectiveRep:
-    return ProjectiveRep(
-        dim=2,
-        evaluate=lambda g: ComplexOperator(2, g.su2_matrix()),
-        cocycle=section_cocycle(),
-    )
-
-
-def spin_one_rep(basis: str = "cartesian") -> LinearRep:
-    return LinearRep(dim=3, evaluate=lambda g: ComplexOperator(3, spin_rep(1, g, basis)))
-
-
-def trivial_rep(dim: int = 1) -> LinearRep:
-    return LinearRep(dim=dim, evaluate=lambda g: ComplexOperator.identity(dim))
-
-
-def cocycle_defects(
-    rep: ProjectiveRep, gs: Sequence[RotationElement], hs: Sequence[RotationElement]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cocycle values and defects of a rep on the pairs (gs[k], hs[k]).
+def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]:
+    """Cocycle values and defects of a rep on the pairs (qg[k], qh[k]).
 
     Returns omega[k] = omega(g, h) and the operator norms
     || U(g) U(h) - omega(g, h) U(gh) ||, taken as one stacked SVD.
     """
-    omega = np.array([complex(rep.cocycle.evaluate(g, h)) for g, h in zip(gs, hs)])
-    products = rep.stack(gs) @ rep.stack(hs)
-    composed = rep.stack([g.compose(h) for g, h in zip(gs, hs)])
-    return omega, operator_norms(products - omega[:, None, None] * composed)
+    omega = rep.cocycle(qg, qh)
+    defects = rep.stack(qg) @ rep.stack(qh) - omega[..., None, None] * rep.stack(_compose(qg, qh))
+    return omega, operator_norms(defects)
 
 
 def tensor_rep_cocycle_check(
@@ -384,12 +384,11 @@ def tensor_rep_cocycle_check(
     Samples pairs (g, h) and measures
     || (U1 tensor U2)(g) (U1 tensor U2)(h) - w1(g,h) w2(g,h) (U1 tensor U2)(gh) ||.
     """
-    dim = rep1.dim * rep2.dim
     product = ProjectiveRep(
-        dim,
-        lambda g: ComplexOperator(dim, np.kron(rep1.evaluate(g).entries, rep2.evaluate(g).entries)),
-        TwoCocycle(lambda g, h: rep1.cocycle.evaluate(g, h) * rep2.cocycle.evaluate(g, h)),
+        rep1.dim * rep2.dim,
+        lambda q: batched_kron(rep1.stack(q), rep2.stack(q)),
+        lambda qg, qh: rep1.cocycle(qg, qh) * rep2.cocycle(qg, qh),
     )
-    gs = haar_rotations(rng_from(seed), 2 * samples)
-    _, deviations = cocycle_defects(product, gs[0::2], gs[1::2])
+    q = haar_rotations(rng_from(seed), 2 * samples)
+    _, deviations = cocycle_defects(product, q[0::2], q[1::2])
     return worst_deviation(deviations)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RankEstimationError
-from .grouprep import LinearRep, ProjectiveRep, haar_rotations
+from .grouprep import ProjectiveRep, haar_rotations
 # finite_volume_state is unused here but stays bound: bench/tests checks that
 # the tracer in bench/tracing.py wraps and restores this module's binding.
 from .hqmm import (  # noqa: F401
@@ -42,10 +42,10 @@ from .sampling import rng_from
 
 @dataclass(frozen=True)
 class SymmetryAction:
-    """Hidden-space projective rep paired with an observable-space rep."""
+    """Hidden-space projective rep paired with an observable-space linear rep."""
 
     pi: ProjectiveRep
-    rho: LinearRep
+    rho: ProjectiveRep
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,11 @@ def invariant_states(
     d = rep.dim
     rng = rng_from(seed)
     eye = np.eye(d)
-    blocks = []
-    for u in rep.stack(haar_rotations(rng, group_samples)):
-        # row-major vec: vec(UX - XU) = (U kron I - I kron U^T) vec(X)
-        blocks.append(np.kron(u, eye) - np.kron(eye, u.T))
-    stacked = np.vstack(blocks)
+    u = rep.stack(haar_rotations(rng, group_samples))
+    eyes = np.broadcast_to(eye, u.shape)
+    # row-major vec: vec(UX - XU) = (U kron I - I kron U^T) vec(X)
+    blocks = batched_kron(u, eyes) - batched_kron(eyes, np.swapaxes(u, -1, -2))
+    stacked = blocks.reshape(-1, d * d)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     threshold = rel_threshold * s[0]
     if np.any((s > threshold) & (s <= 10.0 * threshold)):
@@ -280,11 +280,9 @@ def twirl_invariant_state(
     unitaries = rep.stack(haar_rotations(rng, group_samples))
     current = rho0.entries.astype(complex)
     for _ in range(max_iter):
-        stacked = sum(u @ current @ u.conj().T for u in unitaries) / len(unitaries)
-        if operator_norm(stacked - current) <= tol:
-            current = stacked
+        previous, current = current, _conjugate(unitaries, current).mean(axis=0)
+        if operator_norm(current - previous) <= tol:
             break
-        current = stacked
     else:
         raise ValueError(f"twirl did not converge within {max_iter} iterations")
     current = (current + current.conj().T) / 2.0

@@ -549,3 +549,21 @@ def test_run_config_rejects_non_integer_counts(override):
 
 def test_run_config_accepts_integral_float_counts():
     assert RunConfig.from_json_dict({"samples": 12.0, "n_max": 3}) == RunConfig(samples=12, n_max=3)
+
+
+def test_run_config_fills_in_missing_tolerances():
+    config = RunConfig(tolerances={"cpu": 1e-9}, checks=("cpu",))
+    assert config.tolerances == {**default_tolerances(), "cpu": 1e-9}
+    report = run(config)
+    assert report["config"]["tolerances"] == {**default_tolerances(), "cpu": 1e-9}
+    assert [c["tolerance"] for c in report["checks"]] == [1e-9]
+
+
+def test_run_config_rejects_a_non_numeric_tolerance():
+    with pytest.raises(ConfigError, match="emission"):
+        RunConfig(tolerances={"emission": "tight"})
+
+
+def test_run_config_rejects_an_unknown_tolerance():
+    with pytest.raises(ConfigError, match="bogus"):
+        RunConfig(tolerances={"bogus": 1e-3})

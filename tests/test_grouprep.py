@@ -10,16 +10,17 @@ from hqmmsym import (
     RotationElement,
     SubgroupStructureError,
     UnsupportedSpinError,
+    canonical_quaternions,
+    cocycle_defects,
     cocycle_eval,
     commutator_pairing,
     detect_nontrivial_class,
     gauge_transform,
-    haar_sample,
     operator_norm,
-    section_cocycle,
     spin_half_rep,
     spin_one_rep,
     spin_rep,
+    trivial_cocycle,
     trivial_rep,
 )
 from hqmmsym.grouprep import (
@@ -27,7 +28,6 @@ from hqmmsym.grouprep import (
     PAULI,
     _spin_matrices,
     haar_rotations,
-    raw_quaternion_sample,
     tensor_rep_cocycle_check,
 )
 from hqmmsym.sampling import rng_from
@@ -48,6 +48,30 @@ def test_pi_rotations_have_exact_components():
         assert g.quat == tuple(expected)
 
 
+def test_haar_rows_are_the_elements_of_the_normalized_draws():
+    draws = rng_from(3).standard_normal((50, 4))
+    rows = haar_rotations(rng_from(3), 50)
+    assert rows.shape == (50, 4)
+    assert [tuple(r) for r in rows.tolist()] == [
+        RotationElement(tuple(d / np.linalg.norm(d))).quat for d in draws
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.0, 0.0, 0.0, 0.0], [np.nan] * 4, [0.5, np.nan, 0.5, 0.5]],
+    ids=["zero", "nan", "one-nan"],
+)
+def test_canonical_quaternions_refuse_a_row_without_a_sign(bad):
+    # a bare argmax over the kept components would pick component 0 here
+    stack = haar_rotations(rng_from(4), 5)
+    stack[2] = bad
+    with pytest.raises(ValueError, match="canonical sign"):
+        canonical_quaternions(stack)
+    with pytest.raises(ValueError, match="canonical sign"):
+        canonical_quaternions(stack[2])
+
+
 def test_quaternion_validation():
     with pytest.raises(ValueError):
         RotationElement((1.0, 1.0, 0.0, 0.0))
@@ -57,7 +81,7 @@ def test_quaternion_validation():
 
 def test_group_laws():
     rng = rng_from(0)
-    for g, h, k in zip(*(haar_rotations(rng, 20) for _ in range(3))):
+    for g, h, k in zip(*(util.haar_elements(rng, 20) for _ in range(3))):
         assert g.compose(g.inverse()).distance(RotationElement.identity()) < 1e-12
         assert g.compose(RotationElement.identity()).distance(g) < 1e-12
         lhs = g.compose(h).compose(k)
@@ -66,7 +90,7 @@ def test_group_laws():
 
 
 def test_rotation_matrix_is_special_orthogonal():
-    for g in haar_sample(1, 25):
+    for g in util.haar_elements(1, 25):
         r = g.rotation_matrix()
         assert operator_norm(r @ r.T - np.eye(3)) < 1e-12
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +99,7 @@ def test_rotation_matrix_is_special_orthogonal():
 
 def test_rotation_matrix_multiplicative():
     rng = rng_from(2)
-    for g, h in zip(haar_rotations(rng, 15), haar_rotations(rng, 15)):
+    for g, h in zip(util.haar_elements(rng, 15), util.haar_elements(rng, 15)):
         assert operator_norm(
             g.compose(h).rotation_matrix() - g.rotation_matrix() @ h.rotation_matrix()
         ) < 1e-12
@@ -121,23 +145,23 @@ def test_angle_axis_round_trip():
 
 
 def test_haar_sampling_is_deterministic():
-    a = haar_sample(42, 10)
-    b = haar_sample(42, 10)
+    a = util.haar_elements(42, 10)
+    b = util.haar_elements(42, 10)
     assert [g.quat for g in a] == [g.quat for g in b]
-    assert haar_sample(43, 10)[0].quat != a[0].quat
+    assert util.haar_elements(43, 10)[0].quat != a[0].quat
 
 
 def test_canonicalization_versus_raw_sample():
-    raw = raw_quaternion_sample(5, 400)
+    raw = rng_from(5).standard_normal((400, 4))
     # raw quaternions hit both sheets of the double cover
     assert (raw[:, 0] < 0).sum() > 100
-    for g in haar_sample(5, 50):
+    for g in util.haar_elements(5, 50):
         first_nonzero = next(c for c in g.quat if c != 0.0)
         assert first_nonzero > 0
 
 
 def test_json_round_trip():
-    g = haar_sample(6, 1)[0]
+    g = util.haar_elements(6, 1)[0]
     assert RotationElement.from_json_dict(g.to_json_dict()).quat == g.quat
 
 
@@ -153,7 +177,7 @@ def test_cocycle_values_are_exact_signs():
 
 def test_section_property_of_su2_lift():
     rng = rng_from(8)
-    for g, h in zip(haar_rotations(rng, 100), haar_rotations(rng, 100)):
+    for g, h in zip(util.haar_elements(rng, 100), util.haar_elements(rng, 100)):
         omega = cocycle_eval(g, h)
         lift = g.su2_matrix() @ h.su2_matrix()
         assert operator_norm(lift - omega * g.compose(h).su2_matrix()) < 1e-12
@@ -177,6 +201,9 @@ def test_section_property_when_the_product_is_a_pi_rotation(ax, ay, az, theta):
     h = RotationElement.from_axis_angle(axis, np.pi - theta)
     lift = g.su2_matrix() @ h.su2_matrix()
     assert operator_norm(lift - cocycle_eval(g, h) * g.compose(h).su2_matrix()) < 1e-12
+    # the same pair through the batched path
+    _, defects = cocycle_defects(spin_half_rep(), [g], [h])
+    assert defects[0] < 1e-12
 
 
 def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
@@ -189,26 +216,24 @@ def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
 
 def test_cocycle_identity_is_exact():
     rng = rng_from(9)
-    for g, h, k in zip(*(haar_rotations(rng, 200) for _ in range(3))):
+    for g, h, k in zip(*(util.haar_elements(rng, 200) for _ in range(3))):
         lhs = cocycle_eval(g, h) * cocycle_eval(g.compose(h), k)
         rhs = cocycle_eval(h, k) * cocycle_eval(g, h.compose(k))
         assert lhs == rhs
 
 
 def test_gauge_transform_by_trivial_lambda():
-    omega = section_cocycle()
-    gauged = gauge_transform(omega, lambda g: 1.0)
+    gauged = gauge_transform(cocycle_eval, lambda q: 1.0)
     rng = rng_from(10)
-    for g, h in zip(haar_rotations(rng, 30), haar_rotations(rng, 30)):
-        assert gauged.evaluate(g, h) == omega.evaluate(g, h)
-    assert gauged.tag == "gauge(canonical-section)"
+    qg, qh = haar_rotations(rng, 30), haar_rotations(rng, 30)
+    assert np.array_equal(gauged(qg, qh), cocycle_eval(qg, qh))
 
 
 def test_gauge_transform_rejects_non_unimodular_lambda():
-    gauged = gauge_transform(section_cocycle(), lambda g: 2.0)
-    g, h = haar_sample(11, 2)
+    gauged = gauge_transform(cocycle_eval, lambda q: 2.0)
+    g, h = haar_rotations(rng_from(11), 2)
     with pytest.raises(NonUnimodularError) as info:
-        gauged.evaluate(g, h)
+        gauged(g, h)
     assert info.value.modulus_deviation == pytest.approx(1.0)
 
 
@@ -220,14 +245,17 @@ def test_commutator_pairing_gauge_invariant():
     rng = rng_from(12)
     phases = {}
 
-    def lam(g):
-        key = tuple(round(c, 12) for c in g.quat)
-        if key not in phases:
-            phases[key] = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        return phases[key]
+    def lam(q):
+        values = []
+        for row in np.reshape(q, (-1, 4)):
+            key = tuple(round(c, 12) for c in row)
+            if key not in phases:
+                phases[key] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            values.append(phases[key])
+        return np.reshape(values, np.shape(q)[:-1])
 
-    gauged = gauge_transform(section_cocycle(), lam)
-    ratio = gauged.evaluate(x, y) / gauged.evaluate(y, x)
+    gauged = gauge_transform(cocycle_eval, lam)
+    ratio = gauged(x, y) / gauged(y, x)
     assert ratio == pytest.approx(-1.0)
 
 
@@ -303,17 +331,17 @@ def test_spin_rep_rejects_bad_labels(j):
 
 
 def test_spin_half_is_the_canonical_lift():
-    for g in haar_sample(13, 10):
+    for g in util.haar_elements(13, 10):
         assert operator_norm(spin_rep(0.5, g) - g.su2_matrix()) == 0.0
 
 
 def test_spin_one_cartesian_is_the_rotation_matrix():
-    for g in haar_sample(14, 10):
+    for g in util.haar_elements(14, 10):
         assert operator_norm(spin_rep(1, g, "cartesian") - g.rotation_matrix()) < 1e-14
 
 
 def test_spin_one_spherical_is_conjugated():
-    for g in haar_sample(15, 10):
+    for g in util.haar_elements(15, 10):
         u = CONDON_SHORTLEY
         expected = u @ g.rotation_matrix() @ u.conj().T
         assert operator_norm(spin_rep(1, g, "spherical") - expected) < 1e-13
@@ -336,7 +364,7 @@ def test_spin_one_spherical_matches_wigner_entries():
 @pytest.mark.parametrize("j", [1.5, 2.0, 2.5])
 def test_higher_spins_match_series_exponential(j):
     jx, jy, jz = _spin_matrices(j)
-    for g in haar_sample(16, 6):
+    for g in util.haar_elements(16, 6):
         theta, axis = g.angle_axis()
         generator = -1j * theta * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
         assert operator_norm(spin_rep(j, g) - util.expm_series(generator)) < 1e-12
@@ -344,14 +372,14 @@ def test_higher_spins_match_series_exponential(j):
 
 def test_integer_spin_is_multiplicative():
     rng = rng_from(17)
-    for g, h in zip(haar_rotations(rng, 20), haar_rotations(rng, 20)):
+    for g, h in zip(util.haar_elements(rng, 20), util.haar_elements(rng, 20)):
         prod = spin_rep(2, g) @ spin_rep(2, h)
         assert operator_norm(prod - spin_rep(2, g.compose(h))) < 1e-12
 
 
 def test_half_integer_spin_is_projective_with_the_section_cocycle():
     rng = rng_from(18)
-    for g, h in zip(haar_rotations(rng, 20), haar_rotations(rng, 20)):
+    for g, h in zip(util.haar_elements(rng, 20), util.haar_elements(rng, 20)):
         omega = cocycle_eval(g, h)
         prod = spin_rep(1.5, g) @ spin_rep(1.5, h)
         assert operator_norm(prod - omega * spin_rep(1.5, g.compose(h))) < 1e-12
@@ -362,11 +390,11 @@ def test_rep_wrappers():
     one = spin_one_rep("spherical")
     triv = trivial_rep(2)
     assert (half.dim, one.dim, triv.dim) == (2, 3, 2)
-    assert half.cocycle.tag == "canonical-section"
-    assert one.cocycle.tag == "trivial"
-    g = haar_sample(19, 1)[0]
-    assert half.evaluate(g).dim == 2
-    assert operator_norm(triv.evaluate(g).entries - np.eye(2)) == 0.0
+    assert half.cocycle is cocycle_eval
+    assert one.cocycle is trivial_cocycle
+    q = haar_rotations(rng_from(19), 1)
+    assert half.stack(q).shape == (1, 2, 2)
+    assert operator_norm(triv.stack(q)[0] - np.eye(2)) == 0.0
 
 
 def test_tensor_of_two_projective_reps_is_linear():

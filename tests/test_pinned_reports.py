@@ -5,7 +5,9 @@ max_deviation and verdict, plus the model metadata, for full default runs
 at seed 11 of all six variant x structure configurations of the built-in
 model and for the config-file model of the README.  Refactors of the
 evaluation paths must reproduce everything exactly except the deviations,
-which must agree to 1e-13.
+which must agree to 1e-13.  The cocycle subcommand's JSON output is pinned
+byte for byte, signed zeros included, for the flip subgroup, a cyclic
+element list and a flip group in a coordinate frame with negative axes.
 """
 
 import json
@@ -13,9 +15,25 @@ from pathlib import Path
 
 import pytest
 
-from hqmmsym.cli import RunConfig, run
+from hqmmsym.cli import RunConfig, main, run
 
-PINNED = json.loads((Path(__file__).parent / "data" / "pinned_reports_seed11.json").read_text())
+DATA = Path(__file__).parent / "data"
+PINNED = json.loads((DATA / "pinned_reports_seed11.json").read_text())
+COCYCLE_ARGS = {
+    "z2z2": ["--subgroup", "z2z2"],
+    "cyclic": [
+        "--element=0,0,1:0",
+        "--element=0,0,1:1.5707963267948966",
+        "--element=0,0,1:3.141592653589793",
+        "--element=0,0,1:4.71238898038469",
+    ],
+    "frame": [
+        "--element=1,0,0:0",
+        "--element=-1,0,0:3.141592653589793",
+        "--element=0,-1,0:3.141592653589793",
+        "--element=0,0,-1:3.141592653589793",
+    ],
+}
 
 # the model config shown in the README's file-format section
 CONFIG_MODEL = {
@@ -73,3 +91,9 @@ def test_fixture_covers_every_configuration():
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_report_matches_pinned_values(key, tmp_path):
     _assert_same(pinned_summary(key, tmp_path), PINNED[key])
+
+
+@pytest.mark.parametrize("name", sorted(COCYCLE_ARGS))
+def test_cocycle_output_matches_pinned_bytes(name, capsys):
+    assert main(["cocycle", *COCYCLE_ARGS[name], "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / f"cocycle_{name}.json").read_text()

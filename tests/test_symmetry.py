@@ -141,19 +141,19 @@ def test_invariant_states_of_trivial_rep_span_all_densities():
 def test_invariant_states_of_doubled_rep():
     half = spin_half_rep()
 
-    def doubled(g: RotationElement) -> ComplexOperator:
-        u = half.evaluate(g).entries
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = u
-        out[2:, 2:] = u
-        return ComplexOperator(4, out)
+    def doubled(q: np.ndarray) -> np.ndarray:
+        u = half.stack(q)
+        out = np.zeros((*u.shape[:-2], 4, 4), dtype=complex)
+        out[..., :2, :2] = u
+        out[..., 2:, 2:] = u
+        return out
 
-    rep = ProjectiveRep(dim=4, evaluate=doubled, cocycle=half.cocycle)
+    rep = ProjectiveRep(dim=4, stack=doubled, cocycle=half.cocycle)
     states = invariant_states(rep, group_samples=80, seed=12)
     assert len(states) == 4
     # every returned state commutes with the whole sampled image
     for g in [RotationElement.from_axis_angle((0, 1, 0), 0.9)]:
-        u = doubled(g).entries
+        u = doubled(g.quat)
         for s in states:
             assert operator_norm(u @ s.entries - s.entries @ u) < 1e-9
 
@@ -161,13 +161,14 @@ def test_invariant_states_of_doubled_rep():
 def test_invariant_states_of_half_plus_trivial_block_rep():
     half = spin_half_rep()
 
-    def blocks(g: RotationElement) -> ComplexOperator:
-        out = np.zeros((3, 3), dtype=complex)
-        out[:2, :2] = half.evaluate(g).entries
-        out[2, 2] = 1.0
-        return ComplexOperator(3, out)
+    def blocks(q: np.ndarray) -> np.ndarray:
+        u = half.stack(q)
+        out = np.zeros((*u.shape[:-2], 3, 3), dtype=complex)
+        out[..., :2, :2] = u
+        out[..., 2, 2] = 1.0
+        return out
 
-    rep = ProjectiveRep(dim=3, evaluate=blocks, cocycle=half.cocycle)
+    rep = ProjectiveRep(dim=3, stack=blocks, cocycle=half.cocycle)
     states = invariant_states(rep, group_samples=80, seed=13)
     assert len(states) == 2
 
@@ -175,12 +176,13 @@ def test_invariant_states_of_half_plus_trivial_block_rep():
 def test_invariant_states_raises_on_ambiguous_rank():
     eps = 5e-8
 
-    def nearly_degenerate(g: RotationElement) -> ComplexOperator:
-        theta, _ = g.angle_axis()
+    def nearly_degenerate(q: np.ndarray) -> np.ndarray:
+        theta = 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), q[..., 0])
         u = np.exp(1j * theta)
-        return ComplexOperator(3, np.diag([1.0, u, u * (1.0 + eps)]))
+        diagonal = np.stack([np.ones_like(u), u, u * (1.0 + eps)], axis=-1)
+        return diagonal[..., :, None] * np.eye(3)
 
-    rep = ProjectiveRep(dim=3, evaluate=nearly_degenerate, cocycle=trivial_cocycle())
+    rep = ProjectiveRep(dim=3, stack=nearly_degenerate, cocycle=trivial_cocycle)
     with pytest.raises(RankEstimationError) as info:
         invariant_states(rep, group_samples=50, seed=14)
     assert info.value.threshold > 0
