@@ -231,16 +231,22 @@ def projector_word(model: AkltModel, labels: str) -> ObservableWord:
 
 def _site_tensor(
     structure: CausalStructure,
-    c_h: np.ndarray,
-    c_ho: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+    c_h: list,
+    c_ho: list,
+    x: list,
+    y: list,
     h: int,
     o: int,
-) -> np.ndarray:
-    s = np.zeros((h, h, h, h), dtype=complex)
+) -> list[list[complex]]:
+    """Sliced site tensor as nested lists, s[p * h + q][i * h + j].
+
+    The coefficients and site observables arrive as nested Python lists
+    (ndarray.tolist()), so every product in the loops is a Python complex
+    product rather than a numpy scalar operation.
+    """
+    s = [[0j] * (h * h) for _ in range(h * h)]
     if structure is CausalStructure.CONVENTIONAL:
-        emitted = np.zeros((h, h), dtype=complex)
+        emitted = [[0j] * h for _ in range(h)]
         for u in range(h):
             for v in range(h):
                 acc = 0.0 + 0.0j
@@ -248,8 +254,8 @@ def _site_tensor(
                     for a2 in range(h):
                         for c in range(o):
                             for c2 in range(o):
-                                acc += c_ho[u, v, a * o + c, a2 * o + c2] * x[a, a2] * y[c, c2]
-                emitted[u, v] = acc
+                                acc += c_ho[u][v][a * o + c][a2 * o + c2] * x[a][a2] * y[c][c2]
+                emitted[u][v] = acc
         for p in range(h):
             for q in range(h):
                 for i in range(h):
@@ -257,10 +263,10 @@ def _site_tensor(
                         acc = 0.0 + 0.0j
                         for u in range(h):
                             for v in range(h):
-                                acc += c_h[p, q, u * h + i, v * h + j] * emitted[u, v]
-                        s[p, q, i, j] = acc
+                                acc += c_h[p][q][u * h + i][v * h + j] * emitted[u][v]
+                        s[p * h + q][i * h + j] = acc
         return s
-    linked = np.zeros((h, h, h, h), dtype=complex)
+    linked = [[[[0j] * h for _ in range(h)] for _ in range(h)] for _ in range(h)]
     for u in range(h):
         for v in range(h):
             for i in range(h):
@@ -268,8 +274,8 @@ def _site_tensor(
                     acc = 0.0 + 0.0j
                     for a in range(h):
                         for a2 in range(h):
-                            acc += c_h[u, v, a * h + i, a2 * h + j] * x[a, a2]
-                    linked[u, v, i, j] = acc
+                            acc += c_h[u][v][a * h + i][a2 * h + j] * x[a][a2]
+                    linked[u][v][i][j] = acc
     for p in range(h):
         for q in range(h):
             for i in range(h):
@@ -280,22 +286,23 @@ def _site_tensor(
                             for c in range(o):
                                 for c2 in range(o):
                                     acc += (
-                                        c_ho[p, q, u * o + c, v * o + c2]
-                                        * linked[u, v, i, j]
-                                        * y[c, c2]
+                                        c_ho[p][q][u * o + c][v * o + c2]
+                                        * linked[u][v][i][j]
+                                        * y[c][c2]
                                     )
-                    s[p, q, i, j] = acc
+                    s[p * h + q][i * h + j] = acc
     return s
 
 
 def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:
     """Word value by brute-force summation over all index chains.
 
-    Builds every sliced site tensor by explicit loops over the map
-    coefficients, then sums the product of chain entries against the
-    initial state, with no reuse of the folded evaluation path.  The cost
-    grows as (hidden_dim^2)^(sites+1), so words beyond 8 sites are
-    refused.
+    The referee stays independent of the folded evaluation path: it builds
+    its own sliced site tensors by explicit scalar loops over the map
+    coefficients, held as nested Python lists, and sums the product of
+    chain entries against the initial state over every index chain, with
+    no einsum, matmul or fold.  The cost grows as (hidden_dim^2)^(sites+1),
+    so words beyond 8 sites are refused.
     """
     structure = CausalStructure.parse(structure)
     n = len(word)
@@ -306,19 +313,23 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     word.check_dims(triple)
     h = triple.hidden_dim
     o = triple.obs_dim
-    c_h = triple.transition.coeff
-    c_ho = triple.emission.coeff
-    sites = [_site_tensor(structure, c_h, c_ho, x.entries, y.entries, h, o) for x, y in word]
-    rho0 = triple.phi0.entries
-    pair_list = [(p, q) for p in range(h) for q in range(h)]
+    c_h = triple.transition.coeff.tolist()
+    c_ho = triple.emission.coeff.tolist()
+    sites = [
+        _site_tensor(structure, c_h, c_ho, x.entries.tolist(), y.entries.tolist(), h, o)
+        for x, y in word
+    ]
+    rho0 = triple.phi0.entries.tolist()
+    # chain entry r is the index pair (p, q) = divmod(r, h)
+    first = [rho0[q][p] for p in range(h) for q in range(h)]
+    diagonal = {p * h + p for p in range(h)}
     total = 0.0 + 0.0j
-    for chain in product(pair_list, repeat=n + 1):
-        last_p, last_q = chain[n]
-        if last_p != last_q:
+    for chain in product(range(h * h), repeat=n + 1):
+        if chain[n] not in diagonal:
             continue
-        term = rho0[chain[0][1], chain[0][0]]
+        term = first[chain[0]]
         for k in range(n):
-            term = term * sites[k][chain[k][0], chain[k][1], chain[k + 1][0], chain[k + 1][1]]
+            term = term * sites[k][chain[k]][chain[k + 1]]
         total += term
     return complex(total)
 

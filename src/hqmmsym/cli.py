@@ -31,14 +31,13 @@ from .hqmm import (
     GenerativeTriple,
     ObservableWord,
     finite_volume_state,
+    finite_volume_states,
     kolmogorov_check,
     load_model_config,
     load_word,
-    random_word,
+    random_words,
 )
-# operator_norm is unused here but stays bound: bench/tests checks that the
-# tracer in bench/tracing.py wraps and restores this module's binding.
-from .opalg import operator_norm  # noqa: F401
+from .opalg import ComplexOperator, operator_norm
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
@@ -82,13 +81,24 @@ class Check:
     results: Callable[[Model, RunConfig, float], list[CheckResult]]
 
 
+def _state_defects(rho: np.ndarray) -> list[float]:
+    """Hermiticity defect, negativity and trace deviation of phi0; all 0 for a state."""
+    if not np.isfinite(rho).all():
+        return [float("nan")]
+    adjoint = rho.conj().T
+    negativity = max(0.0, -float(np.linalg.eigvalsh((rho + adjoint) / 2)[0]))
+    return [operator_norm(rho - adjoint), negativity, abs(np.trace(rho) - 1.0)]
+
+
 def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    # a certificate is CP and unital exactly when its three deviations are within tol
+    # a certificate is CP and unital exactly when its three deviations are
+    # within tol, and phi0 is a state exactly when its three are
     deviations = [
         d
         for cert in m.triple.certificates(tol).values()
         for d in (cert.choi_defect, cert.unitality_deviation, np.maximum(0.0, -cert.min_eigenvalue))
     ]
+    deviations += _state_defects(m.triple.phi0.entries)
     return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
 
 
@@ -114,13 +124,26 @@ def _check_intertwining(m: Model, c: RunConfig, tol: float) -> list[CheckResult]
 
 
 def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    rng = rng_from(c.seed)
+    # word i has 1 + i % 5 sites; one draw of all their sites consumes the
+    # stream exactly as drawing the words one after another would
     count = min(c.samples, 20)
+    lengths = [1 + i % 5 for i in range(count)]
+    xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
+    ends = np.cumsum(lengths)
+    words = [(xs[0, end - n : end], ys[0, end - n : end]) for n, end in zip(lengths, ends)]
+    h, o = m.triple.hidden_dim, m.triple.obs_dim
     deviations = []
-    for i in range(count):
-        word = random_word(rng, m.triple, 1 + i % 5)
-        folded = finite_volume_state(m.triple, m.structure, word)
-        deviations.append(abs(folded - aklt.dense_word_value(m.triple, m.structure, word)))
+    # the fold takes each length's words as one batch; the referee takes them one by one
+    for n in sorted(set(lengths)):
+        batch = [word for word, length in zip(words, lengths) if length == n]
+        folded = finite_volume_states(
+            m.triple, m.structure, np.stack([x for x, _ in batch]), np.stack([y for _, y in batch])
+        )
+        for value, (x, y) in zip(folded, batch):
+            word = ObservableWord.from_pairs(
+                [(ComplexOperator(h, xk), ComplexOperator(o, yk)) for xk, yk in zip(x, y)]
+            )
+            deviations.append(abs(value - aklt.dense_word_value(m.triple, m.structure, word)))
     return [check_result("oracle_agreement", count, c.seed, deviations, tol)]
 
 
@@ -211,11 +234,15 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunConfig":
+        checks = obj.get("checks", [])
+        # a string would be read letter by letter
+        if not isinstance(checks, list):
+            raise ConfigError(f"checks must be a list of check names, got {checks!r}")
         return cls(
             model=str(obj.get("model", "aklt")),
             variant=str(obj.get("variant", "normalized_cartesian")).replace("-", "_"),
             structure=obj.get("structure"),
-            checks=_ordered_checks(obj.get("checks", [])),
+            checks=_ordered_checks(checks),
             seed=obj.get("seed", 42),
             samples=obj.get("samples", 200),
             global_samples=obj.get("global_samples", 50),
@@ -285,9 +312,12 @@ def render_report_text(report: dict) -> str:
     lines = [head]
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
+        # a non-finite deviation is stored as null
+        deviation = check["max_deviation"]
+        deviation = "nan" if deviation is None else f"{deviation:.3e}"
         lines.append(
             f"[{status}] {check['condition']:<32} "
-            f"max_deviation={check['max_deviation']:.3e} tolerance={check['tolerance']:.1e}"
+            f"max_deviation={deviation} tolerance={check['tolerance']:.1e}"
         )
     lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
     return "\n".join(lines)
@@ -425,7 +455,11 @@ def _check_report_shape(report, path: str) -> None:
         and all(
             isinstance(c, dict)
             and isinstance(c.get("condition"), str)
-            and type(c.get("max_deviation")) in (int, float)
+            and (
+                type(c.get("max_deviation")) in (int, float)
+                # null stands for a non-finite deviation, which fails its check
+                or ("max_deviation" in c and c["max_deviation"] is None and c["pass"] is False)
+            )
             and type(c.get("tolerance")) in (int, float)
             and isinstance(c.get("pass"), bool)
             for c in checks
@@ -435,8 +469,8 @@ def _check_report_shape(report, path: str) -> None:
         raise ConfigError(
             f"report {path} is not a verification report: it needs a 'model' object, a "
             "'checks' list whose entries have a string 'condition', numbers 'max_deviation' "
-            "and 'tolerance' and a boolean 'pass', and an overall 'pass' that is true exactly "
-            "when every check passed"
+            "(or null on a failed check) and 'tolerance' and a boolean 'pass', and an overall "
+            "'pass' that is true exactly when every check passed"
         )
 
 

@@ -60,8 +60,11 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
+        """JSON fields; a non-finite max_deviation is written as null, as JSON has no NaN."""
         out = asdict(self)
         out["pass"] = out.pop("passed")
+        if not np.isfinite(out["max_deviation"]):
+            out["max_deviation"] = None
         return out
 
 
@@ -92,13 +95,15 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     """Choi distances between E(V . V+) and U E(.) U+ for stacks V[k], U[k].
 
     In closed form, E(V e_ij V+)[p, q] = (V^T C_pq conj V)[i, j] with
-    C_pq[i, j] = coeff[p, q, i, j], and (U E(e_ij) U+) = U C_ij U+ with
-    C_ij[p, q] = coeff[p, q, i, j].  Neither side forms V kron conj V.
+    C_pq[i, j] = coeff[p, q, i, j], and (U E(e_ij) U+)[p, q] is entry
+    [(p, q), (i, j)] of (U kron conj U) @ coeff.reshape(d_out^2, d_in^2),
+    one matmul for all (i, j).  The input side does not form V kron conj V.
     """
     c = m.coeff
+    d_out, _, d_in, _ = c.shape
     left = np.swapaxes(v_in, -1, -2)[:, None, None] @ c @ v_in.conj()[:, None, None]
-    right = _conjugate(u_out[:, None, None], c.transpose(2, 3, 0, 1))
-    return _choi_norms(left - right.transpose(0, 3, 4, 1, 2))
+    right = batched_kron(u_out, u_out.conj()) @ c.reshape(d_out * d_out, d_in * d_in)
+    return _choi_norms(left - right.reshape(-1, d_out, d_out, d_in, d_in))
 
 
 def check_initial_invariance(

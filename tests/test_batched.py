@@ -148,9 +148,10 @@ def test_sliced_and_composite_maps_match_single_site_reference(structure):
     assert np.abs(via_composite - _apply_sliced(triple, parsed, x, y, z)).max() < 1e-14
 
 
-def test_closed_form_conjugation_defect_matches_from_function_reference():
+# d_out != d1 exercises the coefficient reshape on the output side
+@pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
+def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, d_out):
     rng = rng_from(7)
-    d1, d2, d_out = 2, 3, 2
     m = BipartiteMap.build_from_kraus(
         d1, d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3)
     )

@@ -20,6 +20,15 @@ def _run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 does."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_check_names_are_stable():
     assert CHECK_NAMES == (
         "cpu", "cocycle", "initial", "transition", "emission",
@@ -41,6 +50,12 @@ def test_run_config_round_trip():
     )
     assert RunConfig.from_json_dict(config.to_json_dict()) == config
     assert RunConfig.from_json_dict({}) == RunConfig()
+
+
+def test_run_config_refuses_checks_that_are_not_a_list():
+    for checks in ("oracle", {"oracle": True}, 3):
+        with pytest.raises(ConfigError, match="list"):
+            RunConfig.from_json_dict({"checks": checks})
 
 
 def test_run_config_rejects_unknown_keys():
@@ -397,17 +412,73 @@ def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys):
     path.write_text(json.dumps(config))
     code, out, _ = _run_cli(capsys, ["verify", str(path), *FAST])
     assert code == 1
-    report = json.loads(out)
+    report = _strict_json(out)
     assert [c["condition"] for c in report["checks"]] == [
         "cpu_certification", "kolmogorov_consistency", "oracle_agreement",
     ]
     for check in report["checks"]:
         assert check["pass"] is False
-        assert np.isnan(check["max_deviation"])
+        # JSON has no NaN: a non-finite deviation is written as null
+        assert check["max_deviation"] is None
     code, out, _ = _run_cli(capsys, ["verify", str(path), "--checks", "oracle", "--format", "text"])
     assert code == 1
     assert "[FAIL] oracle_agreement" in out
     assert "max_deviation=nan" in out
+
+
+def _phi0_model(tmp_path, re, im=(0.0, 0.0, 0.0, 0.0)) -> str:
+    config = {
+        "hidden_dim": 2,
+        "obs_dim": 3,
+        "phi0": {"dim": 2, "re": list(re), "im": list(im)},
+        "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "aklt_emission"},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "re, deviation",
+    [
+        ((1.3, 0.0, 0.0, -0.3), 0.3),  # trace 1, a negative eigenvalue
+        ((1.5, 0.0, 0.0, 0.5), 1.0),  # positive, trace 2
+        ((0.5, 0.2, 0.0, 0.5), 0.2),  # trace 1, not Hermitian
+    ],
+    ids=["negative", "trace-two", "not-hermitian"],
+)
+def test_phi0_that_is_not_a_state_fails_cpu(tmp_path, capsys, re, deviation):
+    code, out, _ = _run_cli(capsys, ["verify", _phi0_model(tmp_path, re), *FAST])
+    assert code == 1
+    cpu = _strict_json(out)["checks"][0]
+    assert cpu["condition"] == "cpu_certification"
+    assert cpu["pass"] is False
+    assert cpu["max_deviation"] == pytest.approx(deviation, rel=0, abs=1e-12)
+
+
+def test_nan_phi0_fails_cpu_with_nan(tmp_path, capsys):
+    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+    code, out, _ = _run_cli(capsys, ["verify", path, "--checks", "cpu", "--format", "text"])
+    assert code == 1
+    assert "[FAIL] cpu_certification" in out
+    assert "max_deviation=nan" in out
+
+
+def test_nan_report_round_trips_through_report(tmp_path, capsys):
+    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+    code, out, _ = _run_cli(capsys, ["verify", path, "--checks", "cpu,kolmogorov"])
+    assert code == 1
+    stored = _strict_json(out)
+    assert [c["max_deviation"] for c in stored["checks"]][0] is None
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, text, err = _run_cli(capsys, ["report", str(report_path)])
+    assert (code, err) == (1, "")
+    assert "[FAIL] cpu_certification" in text and "max_deviation=nan" in text
+    code, again, _ = _run_cli(capsys, ["report", str(report_path), "--format", "json"])
+    assert code == 1
+    assert _strict_json(again) == stored
 
 
 def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
@@ -488,6 +559,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         lambda r: r.update({"pass": "no"}),
         lambda r: r.update({"checks": {}}),
         lambda r: r["checks"][0].update({"pass": False}),  # overall pass stays true
+        lambda r: r["checks"][0].update({"max_deviation": None}),  # null only on a FAIL
     ],
     ids=[
         "no-model",
@@ -496,6 +568,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "text-pass",
         "checks-not-a-list",
         "overall-pass-disagrees",
+        "null-deviation-on-a-pass",
     ],
 )
 def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):
