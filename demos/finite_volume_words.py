@@ -17,7 +17,7 @@ import numpy as np
 from hqmmsym import (
     build_model,
     classical_diagonal_triple,
-    dense_contraction_oracle,
+    dense_word_value,
     finite_volume_state,
     projector_word,
     random_word,
@@ -48,7 +48,7 @@ for variant in ("normalized_cartesian", "paper_literal"):
 print()
 word = projector_word(model, "xyz")
 fold = finite_volume_state(triple, model.structure, word)
-dense = dense_contraction_oracle(model, word)
+dense = dense_word_value(triple, model.structure, word)
 print(f"P(x, y, z) by the transfer fold:   {fold.real:.12f}")
 print(f"P(x, y, z) by dense contraction:   {dense.real:.12f}")
 print(f"exact value 1/27 =                 {1.0 / 27.0:.12f}")

@@ -332,8 +332,3 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
             term = term * sites[k][chain[k]][chain[k + 1]]
         total += term
     return complex(total)
-
-
-def dense_contraction_oracle(model: AkltModel, word: ObservableWord) -> complex:
-    """Brute-force word value for the model's own causal structure."""
-    return dense_word_value(model.triple, model.structure, word)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -24,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import aklt
-from .errors import ConfigError, SubgroupStructureError
+from .errors import ConfigError, SubgroupStructureError, config_int
 from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_rotations
 from .hqmm import (
     CausalStructure,
@@ -37,7 +36,9 @@ from .hqmm import (
     load_word,
     random_words,
 )
-from .opalg import ComplexOperator, operator_norm
+# operator_norm is unused here but stays bound: bench/tests checks that the
+# tracer in bench/tracing.py wraps and restores this module's binding.
+from .opalg import ComplexOperator, operator_norm  # noqa: F401
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
@@ -81,24 +82,9 @@ class Check:
     results: Callable[[Model, RunConfig, float], list[CheckResult]]
 
 
-def _state_defects(rho: np.ndarray) -> list[float]:
-    """Hermiticity defect, negativity and trace deviation of phi0; all 0 for a state."""
-    if not np.isfinite(rho).all():
-        return [float("nan")]
-    adjoint = rho.conj().T
-    negativity = max(0.0, -float(np.linalg.eigvalsh((rho + adjoint) / 2)[0]))
-    return [operator_norm(rho - adjoint), negativity, abs(np.trace(rho) - 1.0)]
-
-
 def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    # a certificate is CP and unital exactly when its three deviations are
-    # within tol, and phi0 is a state exactly when its three are
-    deviations = [
-        d
-        for cert in m.triple.certificates(tol).values()
-        for d in (cert.choi_defect, cert.unitality_deviation, np.maximum(0.0, -cert.min_eigenvalue))
-    ]
-    deviations += _state_defects(m.triple.phi0.entries)
+    # the same defects GenerativeTriple.validate holds to its thresholds
+    deviations = list(m.triple.defects().values())
     return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
 
 
@@ -202,7 +188,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("seed", "samples", "global_samples", "n_max"):
-            object.__setattr__(self, name, _config_int(name, getattr(self, name)))
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
         # a run that samples nothing, or compares against a meaningless
         # tolerance, would pass vacuously
         for name in ("samples", "global_samples"):
@@ -256,15 +242,6 @@ def _config_float(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _config_int(name: str, value) -> int:
-    # int() would truncate a fractional count and read a boolean as 0 or 1
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def run(config: RunConfig) -> dict:
@@ -325,7 +302,8 @@ def render_report_text(report: dict) -> str:
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        # JSON has no NaN or Infinity; a non-finite number here is a bug
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(text)
 
@@ -374,20 +352,23 @@ def _cmd_eval(args) -> int:
     triple, structure, model = load_model(args.model, args.variant, args.structure)
     word = _parse_word_spec(args.word, triple, model)
     value = finite_volume_state(triple, structure, word)
+    parts = {"re": value.real, "im": value.imag}
     payload = {
         "model": args.model,
         "structure": structure.value,
         "word": args.word,
         "sites": len(word),
-        "value": {"re": value.real, "im": value.imag},
+        # as in verify reports, a non-finite number is written as null
+        "value": {k: v if math.isfinite(v) else None for k, v in parts.items()},
     }
-    sign = "+" if value.imag >= 0 else "-"
+    sign = "-" if value.imag < 0 else "+"
     text = (
         f"value = {value.real:.12g} {sign} {abs(value.imag):.12g}i "
         f"({len(word)} sites, {structure.value})"
     )
     _emit(payload, args.format, text)
-    return 0
+    # a non-finite value fails, as a nan deviation does in verify
+    return 1 if None in payload["value"].values() else 0
 
 
 def _parse_element(spec: str) -> RotationElement:
@@ -472,6 +453,12 @@ def _check_report_shape(report, path: str) -> None:
             "(or null on a failed check) and 'tolerance' and a boolean 'pass', and an overall "
             "'pass' that is true exactly when every check passed"
         )
+    # verify never writes NaN or Infinity, so a report holding one, say a nan
+    # max_deviation beside "pass": true, has been edited
+    try:
+        json.dumps(report, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"report {path} holds a non-finite number") from None
 
 
 def _cmd_report(args) -> int:

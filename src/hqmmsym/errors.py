@@ -1,10 +1,12 @@
-"""Structured exceptions shared across the package.
+"""Structured exceptions shared across the package, and the count rule for input files.
 
 Each exception carries the measured quantity that triggered it, so callers
 and tests can inspect how badly a precondition failed.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class DimensionMismatchError(ValueError):
@@ -16,17 +18,6 @@ class DimensionMismatchError(ValueError):
         self.got = got
         super().__init__(
             f"dimension mismatch on axis '{axis}': expected {expected}, got {got}"
-        )
-
-
-class NonHermitianError(ValueError):
-    """Input failed a Hermiticity precondition."""
-
-    def __init__(self, asymmetry: float, tol: float):
-        self.asymmetry = asymmetry
-        self.tol = tol
-        super().__init__(
-            f"matrix is not Hermitian: ||A - A^dagger|| = {asymmetry:.3e} > {tol:.1e}"
         )
 
 
@@ -82,3 +73,16 @@ class UnsupportedSpinError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration, model file or word file is malformed."""
+
+
+def config_int(name: str, value) -> int:
+    """A count read from a run config, model config or matrix object, or ConfigError.
+
+    int() would truncate a fractional count and read a boolean as 0 or 1;
+    an integral float such as 2.0 is accepted.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -21,18 +21,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, config_int
 from .opalg import (
     BipartiteMap,
     ComplexOperator,
     CpuCertificate,
     OperatorMap,
     certify_cpu,
-    hermitian_eigenvalues,
+    operator_norm,
     operator_norms,
     worst_deviation,
 )
 from .sampling import rng_from
+
+# validate() holds phi0's negativity and trace deviation to STATE_TOL and
+# every other defect of a triple to DEFECT_TOL.
+STATE_TOL = 1e-12
+DEFECT_TOL = 1e-10
 
 
 class CausalStructure(enum.Enum):
@@ -86,23 +91,40 @@ class GenerativeTriple:
             "emission": certify_cpu(self.emission, tol),
         }
 
-    def validate(self, tol_state: float = 1e-12, tol_map: float = 1e-10) -> None:
-        """Raise when phi0 is not a state or either map is not CPU."""
-        problems = []
-        eigs = hermitian_eigenvalues(self.phi0, tol=1e-10)
-        if eigs[0] < -tol_state:
-            problems.append(f"phi0 has negative eigenvalue {eigs[0]:.3e}")
-        if abs(self.phi0.trace() - 1.0) > tol_state:
-            problems.append(f"phi0 trace {self.phi0.trace():} is not 1")
-        for name, cert in self.certificates(tol_map).items():
-            if not cert.cp:
-                problems.append(f"{name} map is not CP (min eigenvalue {cert.min_eigenvalue:.3e})")
-            if not cert.unital:
-                problems.append(
-                    f"{name} map is not unital (deviation {cert.unitality_deviation:.3e})"
-                )
-        if problems:
-            raise ValueError("invalid generative triple: " + "; ".join(problems))
+    def defects(self) -> dict[str, float]:
+        """How far phi0 is from a state and each map from CPU; all 0 for a valid triple.
+
+        phi0 has a hermiticity defect, a negativity (minus the smallest
+        eigenvalue of its Hermitian part, if that is negative) and a trace
+        deviation; each map has the same first two terms for its Choi matrix
+        and a unitality deviation.  A non-finite phi0 or map gives nan.
+        """
+        rho = self.phi0.entries
+        if np.isfinite(rho).all():
+            adjoint = rho.conj().T
+            out = {
+                "phi0_hermiticity": operator_norm(rho - adjoint),
+                "phi0_negativity": max(0.0, -float(np.linalg.eigvalsh((rho + adjoint) / 2)[0])),
+                "phi0_trace": float(abs(np.trace(rho) - 1.0)),
+            }
+        else:
+            out = dict.fromkeys(("phi0_hermiticity", "phi0_negativity", "phi0_trace"), np.nan)
+        for name, cert in self.certificates().items():
+            out[f"{name}_choi_hermiticity"] = cert.choi_defect
+            # np.maximum keeps a nan minimum eigenvalue, where max() would drop it
+            out[f"{name}_choi_negativity"] = float(np.maximum(0.0, -cert.min_eigenvalue))
+            out[f"{name}_unitality"] = cert.unitality_deviation
+        return out
+
+    def validate(self) -> None:
+        """Raise ValueError naming every defect over its threshold (nan is over)."""
+        over = []
+        for name, value in self.defects().items():
+            limit = STATE_TOL if name in ("phi0_negativity", "phi0_trace") else DEFECT_TOL
+            if not value <= limit:
+                over.append(f"{name} {value:.3e} > {limit:.0e}")
+        if over:
+            raise ValueError("invalid generative triple: " + "; ".join(over))
 
 
 @dataclass(frozen=True)
@@ -126,14 +148,6 @@ class ObservableWord:
         x = ComplexOperator.identity(hidden_dim)
         y = ComplexOperator.identity(obs_dim)
         return cls(tuple((x, y) for _ in range(n_sites)))
-
-    def append_identity(self) -> "ObservableWord":
-        if not self.sites:
-            raise ValueError("cannot extend an empty word")
-        x0, y0 = self.sites[0]
-        return ObservableWord(
-            self.sites + ((ComplexOperator.identity(x0.dim), ComplexOperator.identity(y0.dim)),)
-        )
 
     def check_dims(self, triple: GenerativeTriple) -> None:
         for k, (x, y) in enumerate(self.sites):
@@ -315,20 +329,6 @@ def finite_volume_states(
     return np.einsum("ij,bji->b", triple.phi0.entries, m)
 
 
-def hidden_marginal(triple: GenerativeTriple, structure, xs: Sequence[ComplexOperator]) -> complex:
-    """Word value with identity on every physical slot."""
-    y = ComplexOperator.identity(triple.obs_dim)
-    word = ObservableWord.from_pairs([(x, y) for x in xs])
-    return finite_volume_state(triple, structure, word)
-
-
-def observable_marginal(triple: GenerativeTriple, structure, ys: Sequence[ComplexOperator]) -> complex:
-    """Word value with identity on every hidden slot."""
-    x = ComplexOperator.identity(triple.hidden_dim)
-    word = ObservableWord.from_pairs([(x, y) for y in ys])
-    return finite_volume_state(triple, structure, word)
-
-
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
     """Word of independent norm-one random site observables."""
     xs, ys = random_words(rng, triple, 1, n_sites)
@@ -445,11 +445,13 @@ def classical_diagonal_triple(
 
 def _kraus_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = config_int("rows", obj["rows"]), config_int("cols", obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (TypeError, KeyError, ValueError):
-        raise ConfigError("kraus entries need keys 'rows', 'cols', 're', 'im'") from None
+        raise ConfigError(
+            "kraus entries need integer 'rows' and 'cols' and numeric 're' and 'im'"
+        ) from None
     if re.size != rows * cols or im.size != rows * cols:
         raise ConfigError(f"kraus entry arrays must have {rows * cols} values")
     return (re + 1j * im).reshape(rows, cols)
@@ -476,10 +478,12 @@ def _bipartite_from_config(obj: dict, d1: int, d2: int, d_out: int, name: str) -
 def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
     """Build a triple from the model-config JSON schema."""
     try:
-        h = int(obj["hidden_dim"])
-        o = int(obj["obs_dim"])
+        h = config_int("hidden_dim", obj["hidden_dim"])
+        o = config_int("obs_dim", obj["obs_dim"])
     except (TypeError, KeyError, ValueError):
         raise ConfigError("model config needs integer 'hidden_dim' and 'obs_dim'") from None
+    if h < 1 or o < 1:
+        raise ConfigError(f"model config dimensions must be at least 1, got {h} and {o}")
     phi0_obj = obj.get("phi0", "maximally_mixed")
     if phi0_obj == "maximally_mixed":
         phi0 = ComplexOperator(h, np.eye(h, dtype=complex) / h)

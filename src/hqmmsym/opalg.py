@@ -1,4 +1,4 @@
-"""Dense operator algebra: operators, maps between matrix algebras, Choi matrices.
+"""Dense operator algebra: operators, maps between matrix algebras, CPU certificates.
 
 Conventions used throughout the package:
 
@@ -20,10 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, config_int
 
-# Tolerance for identities that should hold to rounding error.
-ALGEBRA_TOL = 1e-12
 # Default pass/fail tolerance for certificates.
 CHECK_TOL = 1e-10
 
@@ -94,53 +92,11 @@ class ComplexOperator:
         object.__setattr__(self, "entries", a)
 
     @classmethod
-    def from_array(cls, entries) -> "ComplexOperator":
-        a = _as_square_complex(entries)
-        return cls(a.shape[0], a)
-
-    @classmethod
     def identity(cls, dim: int) -> "ComplexOperator":
         return cls(dim, np.eye(dim, dtype=complex))
 
-    @classmethod
-    def zero(cls, dim: int) -> "ComplexOperator":
-        return cls(dim, np.zeros((dim, dim), dtype=complex))
-
-    def adjoint(self) -> "ComplexOperator":
-        return ComplexOperator(self.dim, self.entries.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def norm(self) -> float:
-        return operator_norm(self.entries)
-
-    def is_hermitian(self, tol: float = CHECK_TOL) -> bool:
-        return operator_norm(self.entries - self.entries.conj().T) <= tol
-
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_dim(other)
-        return ComplexOperator(self.dim, self.entries + other.entries)
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_dim(other)
-        return ComplexOperator(self.dim, self.entries - other.entries)
-
-    def __neg__(self) -> "ComplexOperator":
-        return ComplexOperator(self.dim, -self.entries)
-
-    def __mul__(self, scalar) -> "ComplexOperator":
-        return ComplexOperator(self.dim, self.entries * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_dim(other)
-        return ComplexOperator(self.dim, self.entries @ other.entries)
-
-    def _check_same_dim(self, other: "ComplexOperator"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator", self.dim, other.dim)
 
     def to_json_dict(self) -> dict:
         re = [float(x) for x in self.entries.real.ravel()]
@@ -149,7 +105,7 @@ class ComplexOperator:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ComplexOperator":
-        dim = int(obj["dim"])
+        dim = config_int("dim", obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
         if re.size != dim * dim:
@@ -157,14 +113,6 @@ class ComplexOperator:
         if im.size != dim * dim:
             raise DimensionMismatchError("im", dim * dim, im.size)
         return cls(dim, (re + 1j * im).reshape(dim, dim))
-
-
-def tensor(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product with lexicographic index order.
-
-    result[(i * dim_b + k), (j * dim_b + l)] = a[i, j] * b[k, l].
-    """
-    return ComplexOperator(a.dim * b.dim, np.kron(a.entries, b.entries))
 
 
 def _matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
@@ -215,21 +163,15 @@ class OperatorMap:
             coeff += np.einsum("pi,qj->pqij", k, k.conj())
         return cls(dim_in, dim_out, coeff)
 
-    def apply(self, w) -> ComplexOperator:
-        m = w.entries if isinstance(w, ComplexOperator) else np.asarray(w, dtype=complex)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise DimensionMismatchError("input", (self.dim_in, self.dim_in), m.shape)
-        return ComplexOperator(self.dim_out, np.einsum("pqij,ij->pq", self.coeff, m))
-
     def apply_array(self, m: np.ndarray) -> np.ndarray:
-        """apply() without the wrapper, for inner loops."""
+        """The map applied to a dim_in x dim_in array."""
         return np.einsum("pqij,ij->pq", self.coeff, m)
 
-    def choi(self) -> "ChoiMatrix":
-        mat = np.transpose(self.coeff, (2, 0, 3, 1)).reshape(
+    def choi(self) -> np.ndarray:
+        """Choi matrix sum_ij e_ij tensor E(e_ij), entry [(i, p), (j, q)]."""
+        return np.transpose(self.coeff, (2, 0, 3, 1)).reshape(
             self.dim_in * self.dim_out, self.dim_in * self.dim_out
         )
-        return ChoiMatrix(self.dim_in, self.dim_out, mat)
 
 
 @dataclass(frozen=True)
@@ -264,14 +206,6 @@ class BipartiteMap(OperatorMap):
         base = OperatorMap.from_kraus(dim_in1 * dim_in2, dim_out, kraus)
         return cls(base.dim_in, base.dim_out, base.coeff, dim_in1, dim_in2)
 
-    def apply_pair(self, a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-        """Apply to a product input a tensor b, checking each factor."""
-        if a.dim != self.dim_in1:
-            raise DimensionMismatchError("first input factor", self.dim_in1, a.dim)
-        if b.dim != self.dim_in2:
-            raise DimensionMismatchError("second input factor", self.dim_in2, b.dim)
-        return self.apply(np.kron(a.entries, b.entries))
-
     def apply_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Apply to a batch of product inputs a[k] tensor b[k], one matmul for all.
 
@@ -288,31 +222,6 @@ class BipartiteMap(OperatorMap):
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix sum_ij e_ij tensor E(e_ij) of a map between matrix algebras."""
-
-    dim_in: int
-    dim_out: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square_complex(self.mat, self.dim_in * self.dim_out)
-        m = np.array(m, copy=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def hermiticity_defect(self) -> float:
-        return operator_norm(self.mat - self.mat.conj().T)
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part; nan for a non-finite matrix."""
-        if not np.isfinite(self.mat).all():
-            return float("nan")
-        herm = (self.mat + self.mat.conj().T) / 2
-        return float(np.linalg.eigvalsh(herm)[0])
-
-
-@dataclass(frozen=True)
 class CpuCertificate:
     """Result of a complete-positivity and unitality check."""
 
@@ -321,15 +230,6 @@ class CpuCertificate:
     min_eigenvalue: float
     unitality_deviation: float
     choi_defect: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cp": self.cp,
-            "unital": self.unital,
-            "min_eigenvalue": self.min_eigenvalue,
-            "unitality_deviation": self.unitality_deviation,
-            "choi_defect": self.choi_defect,
-        }
 
 
 def certify_cpu(m: OperatorMap, tol: float = CHECK_TOL) -> CpuCertificate:
@@ -340,8 +240,12 @@ def certify_cpu(m: OperatorMap, tol: float = CHECK_TOL) -> CpuCertificate:
     identity to within tol in operator norm.
     """
     choi = m.choi()
-    defect = choi.hermiticity_defect()
-    min_eig = choi.min_eigenvalue()
+    defect = operator_norm(choi - choi.conj().T)
+    # smallest eigenvalue of the Hermitian part; nan for a non-finite map
+    if np.isfinite(choi).all():
+        min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    else:
+        min_eig = float("nan")
     image_of_identity = m.apply_array(np.eye(m.dim_in, dtype=complex))
     unit_dev = operator_norm(image_of_identity - np.eye(m.dim_out, dtype=complex))
     return CpuCertificate(
@@ -351,15 +255,3 @@ def certify_cpu(m: OperatorMap, tol: float = CHECK_TOL) -> CpuCertificate:
         unitality_deviation=unit_dev,
         choi_defect=defect,
     )
-
-
-def hermitian_eigenvalues(a: ComplexOperator, tol: float = CHECK_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator.
-
-    Raises NonHermitianError with the measured asymmetry when the input is not
-    Hermitian to within tol.
-    """
-    asym = operator_norm(a.entries - a.entries.conj().T)
-    if not asym <= tol:
-        raise NonHermitianError(asym, tol)
-    return np.linalg.eigvalsh(a.entries)

@@ -21,12 +21,6 @@ def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, ord=2)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = random_operator(rng, dim)
-    h = (g + g.conj().T) / 2
-    return h / np.linalg.norm(h, ord=2)
-
-
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     p = g @ g.conj().T

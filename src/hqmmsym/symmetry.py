@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import RankEstimationError
 from .grouprep import ProjectiveRep, haar_rotations
-# finite_volume_state is unused here but stays bound: bench/tests checks that
-# the tracer in bench/tracing.py wraps and restores this module's binding.
+# finite_volume_state and operator_norm are unused here but stay bound:
+# bench/tests checks that the tracer in bench/tracing.py wraps and restores
+# this module's bindings of both.
 from .hqmm import (  # noqa: F401
     CausalStructure,
     GenerativeTriple,
@@ -28,7 +29,7 @@ from .hqmm import (  # noqa: F401
     random_words,
     sliced_coefficients,
 )
-from .opalg import (
+from .opalg import (  # noqa: F401
     BipartiteMap,
     ComplexOperator,
     OperatorMap,
@@ -264,32 +265,3 @@ def invariant_states(
         shifted = h + (abs(evals[0]) + 1.0) * eye
         states.append(ComplexOperator(d, shifted / np.trace(shifted).real))
     return states
-
-
-def twirl_invariant_state(
-    rep: ProjectiveRep,
-    rho0: ComplexOperator,
-    group_samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-) -> ComplexOperator:
-    """Project a density onto the invariant states by iterated averaging.
-
-    The sampled unitaries define a mixed-unitary channel whose fixed points
-    are exactly the common commutant; iterating the channel converges
-    geometrically, which reaches far tighter agreement than a single
-    averaging pass over the same samples.
-    """
-    rng = rng_from(seed)
-    unitaries = rep.stack(haar_rotations(rng, group_samples))
-    current = rho0.entries.astype(complex)
-    for _ in range(max_iter):
-        previous, current = current, _conjugate(unitaries, current).mean(axis=0)
-        if operator_norm(current - previous) <= tol:
-            break
-    else:
-        raise ValueError(f"twirl did not converge within {max_iter} iterations")
-    current = (current + current.conj().T) / 2.0
-    current = current / np.trace(current).real
-    return ComplexOperator(rho0.dim, current)

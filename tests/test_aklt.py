@@ -4,14 +4,12 @@ import pytest
 import util
 from hqmmsym import (
     CausalStructure,
-    ComplexOperator,
     ConfigError,
     ObservableWord,
     build_model,
     build_tensors,
     certify_cpu,
     classical_diagonal_triple,
-    dense_contraction_oracle,
     dense_word_value,
     emission_map,
     finite_volume_state,
@@ -223,7 +221,7 @@ def test_oracle_matches_folded_evaluation(variant, structure):
     for n in (1, 2, 3, 5):
         word = random_word(rng, model.triple, n)
         folded = finite_volume_state(model.triple, structure, word)
-        dense = dense_contraction_oracle(model, word)
+        dense = dense_word_value(model.triple, model.structure, word)
         assert abs(folded - dense) < 1e-12
 
 
@@ -243,14 +241,14 @@ def test_oracle_on_classical_triple():
 def test_oracle_refuses_long_and_empty_words():
     model = build_model("normalized_cartesian")
     with pytest.raises(ValueError, match="8 sites"):
-        dense_contraction_oracle(
-            model, ObservableWord.all_identity(9, 2, 3)
+        dense_word_value(
+            model.triple, model.structure, ObservableWord.all_identity(9, 2, 3)
         )
     with pytest.raises(ValueError, match="empty"):
-        dense_contraction_oracle(model, ObservableWord(()))
+        dense_word_value(model.triple, model.structure, ObservableWord(()))
 
 
 def test_oracle_handles_eight_sites():
     model = build_model("normalized_cartesian")
     word = ObservableWord.all_identity(8, 2, 3)
-    assert abs(dense_contraction_oracle(model, word) - 1.0) < 1e-12
+    assert abs(dense_word_value(model.triple, model.structure, word) - 1.0) < 1e-12

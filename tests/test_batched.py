@@ -126,7 +126,7 @@ def test_apply_pairs_matches_apply_pair():
     out = m.apply_pairs(a, b)
     assert out.shape == (5, 4, 4)
     for k in range(5):
-        ref = m.apply_pair(ComplexOperator(3, a[k]), ComplexOperator(2, b[k])).entries
+        ref = m.apply_array(np.kron(a[k], b[k]))
         assert np.abs(out[k] - ref).max() < 1e-14
     with pytest.raises(ValueError, match="dimension mismatch"):
         m.apply_pairs(b, b)
@@ -166,6 +166,6 @@ def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, 
         right = OperatorMap.from_function(
             m.dim_in, d_out, lambda w: u[k] @ m.apply_array(w) @ u[k].conj().T
         )
-        ref = operator_norm(left.choi().mat - right.choi().mat)
+        ref = operator_norm(left.choi() - right.choi())
         assert ref > 1e-3  # a random map is not covariant
         assert abs(got[k] - ref) < 1e-13

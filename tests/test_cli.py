@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hqmmsym import ComplexOperator, ConfigError
+from hqmmsym import ComplexOperator, ConfigError, build_model, load_model_config
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
 from hqmmsym.sampling import rng_from
 
@@ -514,8 +515,9 @@ def _site(x_dim=2, y_dim=3):
         [{"X": {"dim": 2, "re": ["one", 0, 0, 1], "im": [0, 0, 0, 0]}, "Y": _site()["Y"]}],
         [_site(x_dim=3)],  # hidden slot of the wrong dimension
         [],
+        [{"X": {**_site()["X"], "dim": 2.9}, "Y": _site()["Y"]}],  # int() would read 2
     ],
-    ids=["missing-re-im", "non-numeric", "wrong-dimension", "empty"],
+    ids=["missing-re-im", "non-numeric", "wrong-dimension", "empty", "fractional-dim"],
 )
 def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
     path = tmp_path / "word.json"
@@ -531,8 +533,16 @@ def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
         {"phi0": {"dim": 2}},
         # E_H's Kraus operators must be 2 x 4
         {"E_H": {"kind": "kraus", "kraus": [{"rows": 2, "cols": 2, "re": [1] * 4, "im": [0] * 4}]}},
+        # int() would truncate these counts, or read a boolean as 1
+        {"hidden_dim": 2.7},
+        {"obs_dim": True, "E_HO": {"kind": "normalized_partial_trace"}},
+        {"hidden_dim": "2"},
+        {"hidden_dim": 0, "E_HO": {"kind": "normalized_partial_trace"}},
+        {"phi0": {"dim": 2.5, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}},
+        {"E_H": {"kind": "kraus", "kraus": [{"rows": 2.5, "cols": 4, "re": [0.5] * 8, "im": [0] * 8}]}},
     ],
-    ids=["phi0-without-re-im", "kraus-wrong-shape"],
+    ids=["phi0-without-re-im", "kraus-wrong-shape", "fractional-hidden-dim", "boolean-obs-dim",
+         "string-hidden-dim", "zero-hidden-dim", "fractional-phi0-dim", "fractional-kraus-rows"],
 )
 def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
     config = {
@@ -560,6 +570,9 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         lambda r: r.update({"checks": {}}),
         lambda r: r["checks"][0].update({"pass": False}),  # overall pass stays true
         lambda r: r["checks"][0].update({"max_deviation": None}),  # null only on a FAIL
+        lambda r: r["checks"][0].update({"max_deviation": float("nan")}),  # beside a PASS
+        lambda r: r["checks"][0].update({"tolerance": float("inf")}),
+        lambda r: r["config"]["tolerances"].update({"cpu": float("nan")}),
     ],
     ids=[
         "no-model",
@@ -569,6 +582,9 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "checks-not-a-list",
         "overall-pass-disagrees",
         "null-deviation-on-a-pass",
+        "nan-deviation-on-a-pass",
+        "infinite-tolerance",
+        "nan-in-config",
     ],
 )
 def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):
@@ -578,9 +594,10 @@ def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):
     spoil(report)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
-    code, out, err = _run_cli(capsys, ["report", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    for fmt in ("text", "json"):
+        code, out, err = _run_cli(capsys, ["report", str(path), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 def test_cocycle_element_accepts_a_leading_minus(capsys):
@@ -640,3 +657,110 @@ def test_run_config_rejects_a_non_numeric_tolerance():
 def test_run_config_rejects_an_unknown_tolerance():
     with pytest.raises(ConfigError, match="bogus"):
         RunConfig(tolerances={"bogus": 1e-3})
+
+
+def test_eval_writes_a_nan_value_as_null_and_exits_1(tmp_path, capsys):
+    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+    code, out, err = _run_cli(capsys, ["eval", "--model", path, "--word", "allidentity:2"])
+    assert (code, err) == (1, "")
+    assert _strict_json(out)["value"] == {"re": None, "im": None}
+    argv = ["eval", "--model", path, "--word", "allidentity:2", "--format", "text"]
+    code, out, _ = _run_cli(capsys, argv)
+    assert code == 1
+    assert out.startswith("value = nan")
+
+
+def _partial_trace_model(tmp_path, **override) -> str:
+    config = {
+        "hidden_dim": 2,
+        "obs_dim": 3,
+        "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "normalized_partial_trace"},
+        **override,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _kraus_entry(k, **override) -> dict:
+    k = np.asarray(k, dtype=complex)
+    rows, cols = k.shape
+    return {"rows": rows, "cols": cols, "re": k.real.ravel().tolist(),
+            "im": k.imag.ravel().tolist(), **override}
+
+
+def test_integral_float_counts_read_as_integers(tmp_path, capsys):
+    # the Kraus operators of the normalized partial trace
+    kraus = [_kraus_entry(np.kron(np.eye(2), unit[None]) / np.sqrt(2)) for unit in np.eye(2)]
+    plain = _partial_trace_model(tmp_path, E_H={"kind": "kraus", "kraus": kraus})
+    code, expected, _ = _run_cli(capsys, ["verify", plain, *FAST])
+    assert code == 0
+    floats = _partial_trace_model(
+        tmp_path,
+        hidden_dim=2.0,
+        obs_dim=3.0,
+        phi0={"dim": 2.0, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4},
+        E_H={"kind": "kraus", "kraus": [dict(e, rows=2.0, cols=4.0) for e in kraus]},
+    )
+    code, out, _ = _run_cli(capsys, ["verify", floats, *FAST])
+    assert (code, out) == (0, expected)
+    site = _site()
+    site["X"]["dim"] = 2.0
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps([site]))
+    code, out, _ = _run_cli(capsys, ["eval", "--word", str(word)])
+    assert code == 0
+    assert json.loads(out)["value"]["re"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _nan_kraus_model(tmp_path) -> str:
+    k = np.kron(np.eye(2), np.ones((1, 3)) / np.sqrt(3.0))
+    k[0, 0] = np.nan
+    return _partial_trace_model(tmp_path, E_HO={"kind": "kraus", "kraus": [_kraus_entry(k)]})
+
+
+def _unnormalized_transition_model(tmp_path) -> str:
+    kraus = [_kraus_entry(k) for k in (np.kron(np.eye(2), unit[None]) for unit in np.eye(2))]
+    return _partial_trace_model(tmp_path, E_H={"kind": "kraus", "kraus": kraus})
+
+
+@pytest.mark.parametrize(
+    "make, failing",
+    [
+        (lambda tmp_path: "normalized-cartesian", set()),
+        (lambda tmp_path: "normalized-spherical", set()),
+        (lambda tmp_path: _phi0_model(tmp_path, (1.3, 0.0, 0.0, -0.3)), {"phi0_negativity"}),
+        (lambda tmp_path: _phi0_model(tmp_path, (1.5, 0.0, 0.0, 0.5)), {"phi0_trace"}),
+        (lambda tmp_path: _phi0_model(tmp_path, (0.5, 0.2, 0.0, 0.5)), {"phi0_hermiticity"}),
+        (
+            lambda tmp_path: _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5)),
+            {"phi0_hermiticity", "phi0_negativity", "phi0_trace"},
+        ),
+        (
+            _nan_kraus_model,
+            {"emission_choi_hermiticity", "emission_choi_negativity", "emission_unitality"},
+        ),
+        (_unnormalized_transition_model, {"transition_unitality"}),
+    ],
+    ids=["cartesian", "spherical", "negative-phi0", "trace-two-phi0", "non-hermitian-phi0",
+         "nan-phi0", "nan-kraus", "unnormalized-transition"],
+)
+def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
+    model = make(tmp_path)
+    if model.startswith("normalized"):
+        triple = build_model(model.replace("-", "_")).triple
+        argv = ["verify", "--variant", model, "--checks", "cpu"]
+    else:
+        triple, _ = load_model_config(model)
+        argv = ["verify", model, "--checks", "cpu"]
+    code, _, _ = _run_cli(capsys, argv)
+    try:
+        triple.validate()
+        named = set()
+    except ValueError as err:
+        named = set(re.findall(r"(\w+) \S+ > ", str(err)))
+    assert code == (1 if named else 0)
+    assert named == failing
+    # every term is far from the thresholds, so both tolerances read the same
+    assert {name for name, d in triple.defects().items() if not d <= 1e-10} == failing

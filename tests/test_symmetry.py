@@ -22,9 +22,7 @@ from hqmmsym import (
     spin_one_rep,
     trivial_cocycle,
     trivial_rep,
-    twirl_invariant_state,
 )
-from hqmmsym.sampling import random_density, rng_from
 
 
 @pytest.fixture(scope="module")
@@ -187,27 +185,3 @@ def test_invariant_states_raises_on_ambiguous_rank():
         invariant_states(rep, group_samples=50, seed=14)
     assert info.value.threshold > 0
     assert len(info.value.singular_values) == 9
-
-
-def test_twirl_converges_to_the_maximally_mixed_state():
-    rng = rng_from(15)
-    rho0 = ComplexOperator(2, random_density(rng, 2))
-    fixed = twirl_invariant_state(spin_half_rep(), rho0, group_samples=120, seed=16)
-    assert operator_norm(fixed.entries - np.eye(2) / 2) < 1e-8
-    assert abs(fixed.trace() - 1.0) < 1e-12
-    assert operator_norm(fixed.entries - fixed.entries.conj().T) < 1e-12
-
-
-def test_twirl_agrees_with_commutant_solver():
-    states = invariant_states(spin_half_rep(), group_samples=120, seed=17)
-    rng = rng_from(18)
-    rho0 = ComplexOperator(2, random_density(rng, 2))
-    fixed = twirl_invariant_state(spin_half_rep(), rho0, group_samples=120, seed=17)
-    assert operator_norm(fixed.entries - states[0].entries) < 1e-8
-
-
-def test_twirl_reports_non_convergence():
-    rng = rng_from(19)
-    rho0 = ComplexOperator(2, random_density(rng, 2))
-    with pytest.raises(ValueError, match="converge"):
-        twirl_invariant_state(spin_half_rep(), rho0, group_samples=40, seed=20, tol=0.0, max_iter=3)
