@@ -3,11 +3,12 @@ Finite-volume states, word by word
 ==================================
 
 A finite-volume state assigns a number to a word of site observables,
-one hidden-by-observed pair per site.  This script evaluates a few
-instructive words on the built-in model: all-identity words recover the
-normalization, label projectors recover the single-site distribution,
-and longer projector strings match a dense contraction oracle that sums
-over every internal index.  The conventional and causal orderings agree
+one hidden-by-observed pair per site, held as two stacked arrays:
+ObservableWord(xs, ys) with xs[n, h, h] and ys[n, o, o].  This script
+evaluates a few instructive words on the built-in model: all-identity
+words recover the normalization, label projectors recover the
+single-site distribution, and longer projector strings match a dense
+contraction oracle that sums over every internal index.  The conventional and causal orderings agree
 on this model, and a classical diagonal model reproduces the forward
 algorithm of its hidden Markov chain.
 """
@@ -24,7 +25,6 @@ from hqmmsym import (
     single_site_distribution,
 )
 from hqmmsym.hqmm import ObservableWord
-from hqmmsym.opalg import ComplexOperator
 from hqmmsym.sampling import rng_from
 
 model = build_model("normalized_cartesian")
@@ -71,11 +71,10 @@ b = np.array([[0.7, 0.3], [0.1, 0.9]])
 initial = np.array([0.5, 0.5])
 classical = classical_diagonal_triple(initial, t, b)
 symbols = [0, 1, 1, 0]
-pairs = []
-for y in symbols:
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[y, y] = 1.0
-    pairs.append((ComplexOperator.identity(2), ComplexOperator(2, proj)))
-likelihood = finite_volume_state(classical, "conventional", ObservableWord.from_pairs(pairs))
+n = len(symbols)
+xs = np.broadcast_to(np.eye(2), (n, 2, 2))  # identity on every hidden slot
+ys = np.zeros((n, 2, 2))
+ys[np.arange(n), symbols, symbols] = 1.0  # site s projects onto symbols[s]
+likelihood = finite_volume_state(classical, "conventional", ObservableWord(xs, ys))
 print()
 print(f"classical likelihood of observations {symbols}: {likelihood.real:.6f}")

@@ -29,7 +29,7 @@ from .grouprep import (
     spin_one_rep,
 )
 from .hqmm import CausalStructure, GenerativeTriple, ObservableWord, finite_volume_state
-from .opalg import BipartiteMap, ComplexOperator, operator_norms, worst_deviation
+from .opalg import BipartiteMap, frozen_square_stack, operator_norms, worst_deviation
 from .sampling import rng_from
 from .symmetry import SymmetryAction
 
@@ -38,15 +38,15 @@ VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
 
 @dataclass(frozen=True)
 class AkltTensors:
-    """Labeled tensor triple defining an emission map."""
+    """Labeled tensor triple defining an emission map; tensors[k] is A_k, read-only."""
 
     variant: str
     basis: str
     labels: tuple[str, ...]
-    tensors: tuple[ComplexOperator, ...]
+    tensors: np.ndarray  # (o, h, h)
 
-    def stacked(self) -> np.ndarray:
-        return np.stack([t.entries for t in self.tensors])
+    def __post_init__(self):
+        object.__setattr__(self, "tensors", frozen_square_stack(self.tensors, 3, "tensors"))
 
 
 def _normalize_variant(variant: str) -> str:
@@ -60,30 +60,24 @@ def build_tensors(variant: str = "normalized_cartesian") -> AkltTensors:
     variant = _normalize_variant(variant)
     if variant == "normalized_cartesian":
         mats = [SIGMA_X / np.sqrt(3.0), SIGMA_Y / np.sqrt(3.0), SIGMA_Z / np.sqrt(3.0)]
-        return AkltTensors(
-            variant, "cartesian", ("x", "y", "z"), tuple(ComplexOperator(2, m) for m in mats)
-        )
+        return AkltTensors(variant, "cartesian", ("x", "y", "z"), np.stack(mats))
     if variant == "normalized_spherical":
         cartesian = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]) / np.sqrt(3.0)
         # spherical components pick up the conjugate basis change so the
         # emission covariance holds with the spherical physical rep
         mats = np.einsum("ma,aij->mij", CONDON_SHORTLEY.conj(), cartesian)
-        return AkltTensors(
-            variant, "spherical", ("+", "0", "-"), tuple(ComplexOperator(2, m) for m in mats)
-        )
+        return AkltTensors(variant, "spherical", ("+", "0", "-"), mats)
     mats = [
         np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex) / np.sqrt(2.0),
         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex) / np.sqrt(2.0),
         np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0),
     ]
-    return AkltTensors(
-        variant, "spherical", ("+", "0", "-"), tuple(ComplexOperator(2, m) for m in mats)
-    )
+    return AkltTensors(variant, "spherical", ("+", "0", "-"), np.stack(mats))
 
 
 def gram_matrix(tensors: AkltTensors) -> np.ndarray:
     """Gram matrix G[k, l] = trace(A_k+ A_l) of the tensor triple."""
-    stack = tensors.stacked()
+    stack = tensors.tensors
     return np.einsum("kba,lba->kl", stack.conj(), stack)
 
 
@@ -96,9 +90,8 @@ def emission_map(tensors: AkltTensors, order: str = "cp") -> BipartiteMap:
     resulting map is kept only as a diagnostic and is not completely
     positive.
     """
-    stack = tensors.stacked()
-    h = stack.shape[1]
-    o = stack.shape[0]
+    stack = tensors.tensors
+    o, h, _ = stack.shape
     if order == "cp":
         kraus = np.zeros((h, h * o), dtype=complex)
         for k in range(o):
@@ -149,7 +142,7 @@ def verify_intertwining(
     normalized variants, of order one for paper_literal.
     """
     rng = rng_from(seed)
-    stack = tensors.stacked()
+    stack = tensors.tensors
     gs = haar_rotations(rng, samples)
     u = pi.stack(gs)[:, None]
     rho_g = rho.stack(gs)
@@ -179,11 +172,11 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
     """
     structure = CausalStructure.parse(structure)
     tensors = build_tensors(variant)
-    h = tensors.tensors[0].dim
+    o, h, _ = tensors.tensors.shape
     triple = GenerativeTriple(
         hidden_dim=h,
-        obs_dim=len(tensors.tensors),
-        phi0=ComplexOperator(h, np.eye(h, dtype=complex) / h),
+        obs_dim=o,
+        phi0=np.eye(h, dtype=complex) / h,
         transition=transition_map(h, normalized=True),
         emission=emission_map(tensors),
     )
@@ -199,34 +192,27 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
 
 def single_site_distribution(model: AkltModel) -> dict[str, float]:
     """Probabilities of the one-site label projectors under the model state."""
-    triple = model.triple
-    eye = ComplexOperator.identity(triple.hidden_dim)
-    out = {}
-    for k, label in enumerate(model.tensors.labels):
-        proj = np.zeros((triple.obs_dim, triple.obs_dim), dtype=complex)
-        proj[k, k] = 1.0
-        word = ObservableWord.from_pairs([(eye, ComplexOperator(triple.obs_dim, proj))])
-        out[label] = float(finite_volume_state(triple, model.structure, word).real)
-    return out
+    values = {
+        label: finite_volume_state(model.triple, model.structure, projector_word(model, label))
+        for label in model.tensors.labels
+    }
+    return {label: float(value.real) for label, value in values.items()}
 
 
 def projector_word(model: AkltModel, labels: str) -> ObservableWord:
     """Word of per-site label projectors with identity on the hidden slots."""
     if not labels:
         raise ConfigError("projector word needs at least one label")
-    triple = model.triple
-    eye = ComplexOperator.identity(triple.hidden_dim)
-    pairs = []
+    h, o = model.triple.hidden_dim, model.triple.obs_dim
     for ch in labels:
         if ch not in model.tensors.labels:
             raise ConfigError(
                 f"label {ch!r} is not one of {''.join(model.tensors.labels)!r}"
             )
-        k = model.tensors.labels.index(ch)
-        proj = np.zeros((triple.obs_dim, triple.obs_dim), dtype=complex)
-        proj[k, k] = 1.0
-        pairs.append((eye, ComplexOperator(triple.obs_dim, proj)))
-    return ObservableWord.from_pairs(pairs)
+    ks = [model.tensors.labels.index(ch) for ch in labels]
+    ys = np.zeros((len(ks), o, o))
+    ys[np.arange(len(ks)), ks, ks] = 1.0
+    return ObservableWord(np.broadcast_to(np.eye(h), (len(ks), h, h)), ys)
 
 
 def _site_tensor(
@@ -316,10 +302,10 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     c_h = triple.transition.coeff.tolist()
     c_ho = triple.emission.coeff.tolist()
     sites = [
-        _site_tensor(structure, c_h, c_ho, x.entries.tolist(), y.entries.tolist(), h, o)
-        for x, y in word
+        _site_tensor(structure, c_h, c_ho, x, y, h, o)
+        for x, y in zip(word.xs.tolist(), word.ys.tolist())
     ]
-    rho0 = triple.phi0.entries.tolist()
+    rho0 = triple.phi0.tolist()
     # chain entry r is the index pair (p, q) = divmod(r, h)
     first = [rho0[q][p] for p in range(h) for q in range(h)]
     diagonal = {p * h + p for p in range(h)}

@@ -38,7 +38,7 @@ from .hqmm import (
 )
 # operator_norm is unused here but stays bound: bench/tests checks that the
 # tracer in bench/tracing.py wraps and restores this module's binding.
-from .opalg import ComplexOperator, operator_norm  # noqa: F401
+from .opalg import operator_norm  # noqa: F401
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
@@ -117,7 +117,6 @@ def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
     ends = np.cumsum(lengths)
     words = [(xs[0, end - n : end], ys[0, end - n : end]) for n, end in zip(lengths, ends)]
-    h, o = m.triple.hidden_dim, m.triple.obs_dim
     deviations = []
     # the fold takes each length's words as one batch; the referee takes them one by one
     for n in sorted(set(lengths)):
@@ -126,9 +125,7 @@ def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
             m.triple, m.structure, np.stack([x for x, _ in batch]), np.stack([y for _, y in batch])
         )
         for value, (x, y) in zip(folded, batch):
-            word = ObservableWord.from_pairs(
-                [(ComplexOperator(h, xk), ComplexOperator(o, yk)) for xk, yk in zip(x, y)]
-            )
+            word = ObservableWord(x, y)
             deviations.append(abs(value - aklt.dense_word_value(m.triple, m.structure, word)))
     return [check_result("oracle_agreement", count, c.seed, deviations, tol)]
 
@@ -430,8 +427,10 @@ def _cmd_cocycle(args) -> int:
 def _check_report_shape(report, path: str) -> None:
     """Refuse a stored report that render_report_text or the exit code would misread."""
     checks = report.get("checks") if isinstance(report, dict) else None
+    # verify never writes an empty check list, and one would pass vacuously
     if not (
         isinstance(checks, list)
+        and checks
         and isinstance(report.get("model"), dict)
         and all(
             isinstance(c, dict)
@@ -449,9 +448,9 @@ def _check_report_shape(report, path: str) -> None:
     ):
         raise ConfigError(
             f"report {path} is not a verification report: it needs a 'model' object, a "
-            "'checks' list whose entries have a string 'condition', numbers 'max_deviation' "
-            "(or null on a failed check) and 'tolerance' and a boolean 'pass', and an overall "
-            "'pass' that is true exactly when every check passed"
+            "nonempty 'checks' list whose entries have a string 'condition', numbers "
+            "'max_deviation' (or null on a failed check) and 'tolerance' and a boolean 'pass', "
+            "and an overall 'pass' that is true exactly when every check passed"
         )
     # verify never writes NaN or Infinity, so a report holding one, say a nan
     # max_deviation beside "pass": true, has been edited

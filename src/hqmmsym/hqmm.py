@@ -28,6 +28,7 @@ from .opalg import (
     CpuCertificate,
     OperatorMap,
     certify_cpu,
+    frozen_square_stack,
     operator_norm,
     operator_norms,
     worst_deviation,
@@ -64,14 +65,16 @@ class GenerativeTriple:
 
     hidden_dim: int
     obs_dim: int
-    phi0: ComplexOperator
+    phi0: np.ndarray  # (h, h) initial state, read-only
     transition: BipartiteMap  # hidden tensor hidden -> hidden
     emission: BipartiteMap  # hidden tensor observable -> hidden
 
     def __post_init__(self):
         h, o = self.hidden_dim, self.obs_dim
-        if self.phi0.dim != h:
-            raise DimensionMismatchError("phi0", h, self.phi0.dim)
+        phi0 = frozen_square_stack(self.phi0, 2, "phi0")
+        if phi0.shape != (h, h):
+            raise DimensionMismatchError("phi0", (h, h), phi0.shape)
+        object.__setattr__(self, "phi0", phi0)
         if (self.transition.dim_in1, self.transition.dim_in2, self.transition.dim_out) != (h, h, h):
             raise DimensionMismatchError(
                 "transition",
@@ -85,11 +88,8 @@ class GenerativeTriple:
                 (self.emission.dim_in1, self.emission.dim_in2, self.emission.dim_out),
             )
 
-    def certificates(self, tol: float = 1e-10) -> dict[str, CpuCertificate]:
-        return {
-            "transition": certify_cpu(self.transition, tol),
-            "emission": certify_cpu(self.emission, tol),
-        }
+    def certificates(self) -> dict[str, CpuCertificate]:
+        return {"transition": certify_cpu(self.transition), "emission": certify_cpu(self.emission)}
 
     def defects(self) -> dict[str, float]:
         """How far phi0 is from a state and each map from CPU; all 0 for a valid triple.
@@ -99,7 +99,7 @@ class GenerativeTriple:
         deviation; each map has the same first two terms for its Choi matrix
         and a unitality deviation.  A non-finite phi0 or map gives nan.
         """
-        rho = self.phi0.entries
+        rho = self.phi0
         if np.isfinite(rho).all():
             adjoint = rho.conj().T
             out = {
@@ -129,39 +129,53 @@ class GenerativeTriple:
 
 @dataclass(frozen=True)
 class ObservableWord:
-    """Finite word of per-site pairs (hidden observable, physical observable)."""
+    """Finite word of site pairs: site k is (xs[k], ys[k]), hidden and physical.
 
-    sites: tuple[tuple[ComplexOperator, ComplexOperator], ...]
+    xs has shape (n, h, h) and ys (n, o, o); both are read-only complex copies.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        xs = frozen_square_stack(self.xs, 3, "hidden sites")
+        ys = frozen_square_stack(self.ys, 3, "observable sites")
+        if len(xs) != len(ys):
+            raise DimensionMismatchError("word sites", len(xs), len(ys))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
+        return len(self.xs)
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[ComplexOperator, ComplexOperator]]) -> "ObservableWord":
-        return cls(tuple((x, y) for x, y in pairs))
+    def from_pairs(cls, pairs: Sequence[tuple]) -> "ObservableWord":
+        """Word from (x, y) site pairs of arrays or anything np.asarray reads as one."""
+        return cls(np.asarray([x for x, _ in pairs]), np.asarray([y for _, y in pairs]))
 
     @classmethod
     def all_identity(cls, n_sites: int, hidden_dim: int, obs_dim: int) -> "ObservableWord":
-        x = ComplexOperator.identity(hidden_dim)
-        y = ComplexOperator.identity(obs_dim)
-        return cls(tuple((x, y) for _ in range(n_sites)))
+        return cls(
+            np.broadcast_to(np.eye(hidden_dim), (n_sites, hidden_dim, hidden_dim)),
+            np.broadcast_to(np.eye(obs_dim), (n_sites, obs_dim, obs_dim)),
+        )
 
     def check_dims(self, triple: GenerativeTriple) -> None:
-        for k, (x, y) in enumerate(self.sites):
-            if x.dim != triple.hidden_dim:
-                raise DimensionMismatchError(f"site {k} hidden", triple.hidden_dim, x.dim)
-            if y.dim != triple.obs_dim:
-                raise DimensionMismatchError(f"site {k} observable", triple.obs_dim, y.dim)
+        h, o = triple.hidden_dim, triple.obs_dim
+        sites = (self.xs.shape[1:], self.ys.shape[1:])
+        if sites != ((h, h), (o, o)):
+            raise DimensionMismatchError("word sites", ((h, h), (o, o)), sites)
 
     def to_json_list(self) -> list:
-        return [{"X": x.to_json_dict(), "Y": y.to_json_dict()} for x, y in self.sites]
+        h, o = self.xs.shape[1], self.ys.shape[1]
+        return [
+            {"X": ComplexOperator(h, x).to_json_dict(), "Y": ComplexOperator(o, y).to_json_dict()}
+            for x, y in zip(self.xs, self.ys)
+        ]
 
     @classmethod
     def from_json_list(cls, items, hidden_dim: int, obs_dim: int) -> "ObservableWord":
-        sites = []
+        xs, ys = [], []
         for k, item in enumerate(items):
             if item == "I":
                 item = {"X": "I", "Y": "I"}
@@ -170,17 +184,16 @@ class ObservableWord:
                 y = item["Y"]
             except (TypeError, KeyError):
                 raise ConfigError(f"word entry {k} needs keys 'X' and 'Y'") from None
-            x_op = ComplexOperator.identity(hidden_dim) if x == "I" else _operator_from_json(
+            xs.append(np.eye(hidden_dim) if x == "I" else _operator_from_json(
                 x, hidden_dim, f"word entry {k} X"
-            )
-            y_op = ComplexOperator.identity(obs_dim) if y == "I" else _operator_from_json(
+            ))
+            ys.append(np.eye(obs_dim) if y == "I" else _operator_from_json(
                 y, obs_dim, f"word entry {k} Y"
-            )
-            sites.append((x_op, y_op))
-        return cls(tuple(sites))
+            ))
+        return cls(np.asarray(xs), np.asarray(ys))
 
 
-def _operator_from_json(obj, dim: int, what: str) -> ComplexOperator:
+def _operator_from_json(obj, dim: int, what: str) -> np.ndarray:
     """A dim x dim operator read from a file's matrix object, or ConfigError."""
     try:
         op = ComplexOperator.from_json_dict(obj)
@@ -188,7 +201,7 @@ def _operator_from_json(obj, dim: int, what: str) -> ComplexOperator:
         raise ConfigError(f"{what} is not a complex matrix object: {err!r}") from None
     if op.dim != dim:
         raise ConfigError(f"{what} has dimension {op.dim}, expected {dim}")
-    return op
+    return op.entries
 
 
 def _apply_sliced(
@@ -225,20 +238,12 @@ def _matrix_units(dim: int) -> np.ndarray:
     return np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
 
 
-def sliced_map(
-    triple: GenerativeTriple,
-    structure,
-    x: ComplexOperator,
-    y: ComplexOperator,
-) -> OperatorMap:
+def sliced_map(triple: GenerativeTriple, structure, x: np.ndarray, y: np.ndarray) -> OperatorMap:
     """One-site map Z -> T(X tensor Z tensor Y) on the hidden algebra."""
-    structure = CausalStructure.parse(structure)
-    if x.dim != triple.hidden_dim:
-        raise DimensionMismatchError("hidden", triple.hidden_dim, x.dim)
-    if y.dim != triple.obs_dim:
-        raise DimensionMismatchError("observable", triple.obs_dim, y.dim)
+    word = ObservableWord(np.asarray(x)[None], np.asarray(y)[None])
+    word.check_dims(triple)
     h = triple.hidden_dim
-    coeff = sliced_coefficients(triple, structure, x.entries[None], y.entries[None])[0]
+    coeff = sliced_coefficients(triple, structure, word.xs, word.ys)[0]
     return OperatorMap(h, h, coeff.reshape(h, h, h, h))
 
 
@@ -296,9 +301,9 @@ def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWor
         raise ValueError("empty word; finite-volume states need at least one site")
     word.check_dims(triple)
     m = np.eye(triple.hidden_dim, dtype=complex)
-    for x, y in reversed(word.sites):
-        m = _apply_sliced(triple, structure, x.entries, y.entries, m)
-    return complex(np.trace(triple.phi0.entries @ m))
+    for k in range(len(word) - 1, -1, -1):
+        m = _apply_sliced(triple, structure, word.xs[k], word.ys[k], m)
+    return complex(np.trace(triple.phi0 @ m))
 
 
 def finite_volume_states(
@@ -326,18 +331,13 @@ def finite_volume_states(
     m = np.broadcast_to(np.eye(h, dtype=complex), (count, h, h))
     for k in range(n_sites - 1, -1, -1):
         m = _apply_sliced_batch(triple, structure, xs[:, k], ys[:, k], m)
-    return np.einsum("ij,bji->b", triple.phi0.entries, m)
+    return np.einsum("ij,bji->b", triple.phi0, m)
 
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
     """Word of independent norm-one random site observables."""
     xs, ys = random_words(rng, triple, 1, n_sites)
-    return ObservableWord.from_pairs(
-        [
-            (ComplexOperator(triple.hidden_dim, x), ComplexOperator(triple.obs_dim, y))
-            for x, y in zip(xs[0], ys[0])
-        ]
-    )
+    return ObservableWord(xs[0], ys[0])
 
 
 def random_words(
@@ -381,7 +381,7 @@ def kolmogorov_check(
     h, o = triple.hidden_dim, triple.obs_dim
     eye_x = np.eye(h, dtype=complex)
     eye_y = np.eye(o, dtype=complex)
-    base = float(triple.phi0.trace().real)
+    base = float(np.trace(triple.phi0).real)
     one_site = finite_volume_states(
         triple, structure, eye_x[None, None], eye_y[None, None]
     )
@@ -437,7 +437,7 @@ def classical_diagonal_triple(
     return GenerativeTriple(
         hidden_dim=d,
         obs_dim=o,
-        phi0=ComplexOperator(d, np.diag(p).astype(complex)),
+        phi0=np.diag(p),
         transition=BipartiteMap.build_from_kraus(d, d, d, kraus_t),
         emission=BipartiteMap.build_from_kraus(d, o, d, kraus_e),
     )
@@ -457,7 +457,9 @@ def _kraus_from_json(obj: dict) -> np.ndarray:
     return (re + 1j * im).reshape(rows, cols)
 
 
-def _bipartite_from_config(obj: dict, d1: int, d2: int, d_out: int, name: str) -> BipartiteMap:
+def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> BipartiteMap:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
     if kind == "normalized_partial_trace":
         kraus = [np.kron(np.eye(d1), unit.reshape(1, d2)) / np.sqrt(d2) for unit in np.eye(d2)]
@@ -468,9 +470,10 @@ def _bipartite_from_config(obj: dict, d1: int, d2: int, d_out: int, name: str) -
         tensors = aklt.build_tensors(obj.get("variant", "normalized_cartesian"))
         return aklt.emission_map(tensors)
     if kind == "kraus":
-        kraus = [_kraus_from_json(entry) for entry in obj.get("kraus", [])]
-        if not kraus:
+        entries = obj.get("kraus")
+        if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{name}: kind 'kraus' needs a nonempty 'kraus' list")
+        kraus = [_kraus_from_json(entry) for entry in entries]
         return BipartiteMap.build_from_kraus(d1, d2, d_out, kraus)
     raise ConfigError(f"{name}: unknown map kind {kind!r}")
 
@@ -486,7 +489,7 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
         raise ConfigError(f"model config dimensions must be at least 1, got {h} and {o}")
     phi0_obj = obj.get("phi0", "maximally_mixed")
     if phi0_obj == "maximally_mixed":
-        phi0 = ComplexOperator(h, np.eye(h, dtype=complex) / h)
+        phi0 = np.eye(h, dtype=complex) / h
     else:
         phi0 = _operator_from_json(phi0_obj, h, "phi0")
     if "E_H" not in obj or "E_HO" not in obj:

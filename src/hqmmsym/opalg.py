@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-- Operators are dense complex square matrices.  The tensor product is the
+- Operators are complex arrays of shape (d, d), and n of them stack as
+  (n, d, d).  The tensor product is the
   Kronecker product, so basis vectors of A tensor B are ordered
   lexicographically: index (i, k) of the product maps to i * dim_B + k.
 - A linear map E between matrix algebras is stored by its coefficients over
@@ -21,10 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, config_int
-
-# Default pass/fail tolerance for certificates.
-CHECK_TOL = 1e-10
-
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value; nan when a has a non-finite entry."""
@@ -69,34 +66,35 @@ def batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(bsz, m * p, n * q)
 
 
-def _as_square_complex(entries, dim: int | None = None) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("operator", "square matrix", a.shape)
-    if dim is not None and a.shape[0] != dim:
-        raise DimensionMismatchError("operator", dim, a.shape[0])
+def frozen_square_stack(a, ndim: int, what: str) -> np.ndarray:
+    """A read-only complex copy of a, which must have ndim axes and square last two."""
+    a = np.array(a, dtype=complex)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(what, f"{ndim}-axis stack of square matrices", a.shape)
+    a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class ComplexOperator:
-    """Immutable dense complex operator with a declared dimension."""
+    """Validated square complex matrix with a declared dimension.
+
+    The library holds operators as plain arrays.  This class is the
+    boundary: it checks a matrix against its declared dimension and reads
+    and writes the files' matrix objects; np.asarray turns it into an array.
+    """
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries, self.dim)
-        a = np.array(a, copy=True)
-        a.setflags(write=False)
+        a = frozen_square_stack(self.entries, 2, "operator")
+        if a.shape[0] != self.dim:
+            raise DimensionMismatchError("operator", self.dim, a.shape[0])
         object.__setattr__(self, "entries", a)
 
-    @classmethod
-    def identity(cls, dim: int) -> "ComplexOperator":
-        return cls(dim, np.eye(dim, dtype=complex))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.entries, dtype=dtype)
 
     def to_json_dict(self) -> dict:
         re = [float(x) for x in self.entries.real.ravel()]
@@ -225,19 +223,18 @@ class BipartiteMap(OperatorMap):
 class CpuCertificate:
     """Result of a complete-positivity and unitality check."""
 
-    cp: bool
-    unital: bool
     min_eigenvalue: float
     unitality_deviation: float
     choi_defect: float
 
 
-def certify_cpu(m: OperatorMap, tol: float = CHECK_TOL) -> CpuCertificate:
-    """Certify that a map is completely positive and unital.
+def certify_cpu(m: OperatorMap) -> CpuCertificate:
+    """How far a map is from completely positive and unital.
 
-    cp holds when the Choi matrix is Hermitian to within tol and its smallest
-    eigenvalue is >= -tol.  unital holds when the image of the identity is the
-    identity to within tol in operator norm.
+    The map is CP when its Choi matrix is Hermitian (choi_defect 0) with no
+    negative eigenvalue, and unital when the image of the identity is the
+    identity (unitality_deviation 0, in operator norm).  The thresholds are
+    applied by GenerativeTriple.validate and the cpu check, not here.
     """
     choi = m.choi()
     defect = operator_norm(choi - choi.conj().T)
@@ -249,8 +246,6 @@ def certify_cpu(m: OperatorMap, tol: float = CHECK_TOL) -> CpuCertificate:
     image_of_identity = m.apply_array(np.eye(m.dim_in, dtype=complex))
     unit_dev = operator_norm(image_of_identity - np.eye(m.dim_out, dtype=complex))
     return CpuCertificate(
-        cp=bool(min_eig >= -tol and defect <= tol),
-        unital=bool(unit_dev <= tol),
         min_eigenvalue=min_eig,
         unitality_deviation=unit_dev,
         choi_defect=defect,

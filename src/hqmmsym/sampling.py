@@ -19,14 +19,3 @@ def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Complex Gaussian matrix rescaled to unit operator norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g / np.linalg.norm(g, ord=2)
-
-
-def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    p = g @ g.conj().T
-    return p / np.linalg.norm(p, ord=2)
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    p = random_psd(rng, dim)
-    return p / np.trace(p).real

@@ -31,7 +31,6 @@ from .hqmm import (  # noqa: F401
 )
 from .opalg import (  # noqa: F401
     BipartiteMap,
-    ComplexOperator,
     OperatorMap,
     batched_kron,
     operator_norm,
@@ -108,7 +107,7 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
 
 
 def check_initial_invariance(
-    phi0: ComplexOperator,
+    phi0: np.ndarray,
     action: SymmetryAction,
     samples: int = 200,
     seed: int = 0,
@@ -117,7 +116,7 @@ def check_initial_invariance(
     """Invariance of the initial state under the hidden-space action."""
     rng = rng_from(seed)
     u = action.pi.stack(haar_rotations(rng, samples))
-    deviations = operator_norms(_conjugate(u, phi0.entries) - phi0.entries)
+    deviations = operator_norms(_conjugate(u, phi0) - phi0)
     return check_result("initial_invariance", samples, seed, deviations, tolerance)
 
 
@@ -216,8 +215,8 @@ def invariant_states(
     group_samples: int = 200,
     seed: int = 0,
     rel_threshold: float = 1e-8,
-) -> list[ComplexOperator]:
-    """Basis of invariant density operators of a projective rep.
+) -> list[np.ndarray]:
+    """Basis of invariant density matrices of a projective rep.
 
     Solves the common commutant of sampled rep unitaries as the nullspace
     of stacked commutator matrices, read off from the singular spectrum.
@@ -263,5 +262,5 @@ def invariant_states(
         h = (h + h.conj().T) / 2.0
         evals = np.linalg.eigvalsh(h)
         shifted = h + (abs(evals[0]) + 1.0) * eye
-        states.append(ComplexOperator(d, shifted / np.trace(shifted).real))
+        states.append(shifted / np.trace(shifted).real)
     return states

@@ -91,8 +91,8 @@ def test_batched_draws_reproduce_the_single_draw_streams(name):
                 assert np.array_equal(ys[k, s], random_operator(ref, o))
     words = [random_word(rng_from(9), triple, 3)]
     xs, ys = random_words(rng_from(9), triple, 1, 3)
-    assert np.array_equal(xs[0], np.stack([x.entries for x, _ in words[0]]))
-    assert np.array_equal(ys[0], np.stack([y.entries for _, y in words[0]]))
+    assert np.array_equal(xs[0], words[0].xs)
+    assert np.array_equal(ys[0], words[0].ys)
 
 
 def test_stacked_norms_equal_single_norms():
@@ -140,7 +140,7 @@ def test_sliced_and_composite_maps_match_single_site_reference(structure):
     y = random_operator(rng, 3)
     parsed = CausalStructure.parse(structure)
     ref = OperatorMap.from_function(4, 4, lambda z: _apply_sliced(triple, parsed, x, y, z))
-    got = sliced_map(triple, structure, ComplexOperator(4, x), ComplexOperator(3, y))
+    got = sliced_map(triple, structure, x, y)
     assert np.abs(got.coeff - ref.coeff).max() < 1e-14
     z = random_operator(rng, 4)
     comp = composite_map(triple, structure)

@@ -488,8 +488,7 @@ def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
     triple = build_model("normalized_cartesian").triple
     word = random_word(rng_from(2), triple, 2)
     x, y = word.to_json_list()
-    eye = ComplexOperator.identity
-    spelled = [x, {"X": eye(2).to_json_dict(), "Y": eye(3).to_json_dict()}, y]
+    spelled = [x, _site(), y]
     values = []
     for name, items in (("holes", [x, "I", y]), ("spelled", spelled)):
         path = tmp_path / f"{name}.json"
@@ -504,8 +503,11 @@ def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
 
 
 def _site(x_dim=2, y_dim=3):
-    eye = ComplexOperator.identity
-    return {"X": eye(x_dim).to_json_dict(), "Y": eye(y_dim).to_json_dict()}
+    """A word-file site spelling the identity on both slots."""
+    return {
+        "X": ComplexOperator(x_dim, np.eye(x_dim)).to_json_dict(),
+        "Y": ComplexOperator(y_dim, np.eye(y_dim)).to_json_dict(),
+    }
 
 
 @pytest.mark.parametrize(
@@ -540,9 +542,12 @@ def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
         {"hidden_dim": 0, "E_HO": {"kind": "normalized_partial_trace"}},
         {"phi0": {"dim": 2.5, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}},
         {"E_H": {"kind": "kraus", "kraus": [{"rows": 2.5, "cols": 4, "re": [0.5] * 8, "im": [0] * 8}]}},
+        {"E_H": "x"},
+        {"E_HO": {"kind": "kraus", "kraus": 5}},
     ],
     ids=["phi0-without-re-im", "kraus-wrong-shape", "fractional-hidden-dim", "boolean-obs-dim",
-         "string-hidden-dim", "zero-hidden-dim", "fractional-phi0-dim", "fractional-kraus-rows"],
+         "string-hidden-dim", "zero-hidden-dim", "fractional-phi0-dim", "fractional-kraus-rows",
+         "map-not-an-object", "kraus-not-a-list"],
 )
 def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
     config = {
@@ -573,6 +578,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         lambda r: r["checks"][0].update({"max_deviation": float("nan")}),  # beside a PASS
         lambda r: r["checks"][0].update({"tolerance": float("inf")}),
         lambda r: r["config"]["tolerances"].update({"cpu": float("nan")}),
+        lambda r: r.update({"checks": []}),  # overall pass stays true
     ],
     ids=[
         "no-model",
@@ -585,6 +591,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "nan-deviation-on-a-pass",
         "infinite-tolerance",
         "nan-in-config",
+        "empty-checks",
     ],
 )
 def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):

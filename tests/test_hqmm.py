@@ -15,12 +15,14 @@ from hqmmsym import (
     build_model,
     classical_diagonal_triple,
     composite_map,
+    dense_word_value,
     finite_volume_state,
     kolmogorov_check,
     load_model_config,
     load_word,
     operator_norm,
     random_word,
+    random_words,
     sliced_map,
     transition_map,
 )
@@ -38,7 +40,7 @@ def _toy_asymmetric_triple(emission):
     d = 2
     kraus = [np.kron(unit.reshape(1, d), np.eye(d)) / np.sqrt(d) for unit in np.eye(d)]
     swapped = BipartiteMap.build_from_kraus(d, d, d, kraus)
-    phi0 = ComplexOperator(2, np.eye(2, dtype=complex) / 2)
+    phi0 = np.eye(2, dtype=complex) / 2
     return GenerativeTriple(2, 3, phi0, swapped, emission)
 
 
@@ -56,12 +58,12 @@ def test_triple_shape_validation(aklt_triple):
         )
     with pytest.raises(DimensionMismatchError):
         GenerativeTriple(
-            2, 3, ComplexOperator.identity(3), aklt_triple.transition, aklt_triple.emission
+            2, 3, np.eye(3), aklt_triple.transition, aklt_triple.emission
         )
 
 
 def test_triple_validate_catches_bad_state(aklt_triple):
-    bad_state = ComplexOperator(2, np.eye(2, dtype=complex))  # trace 2
+    bad_state = np.eye(2, dtype=complex)  # trace 2
     triple = GenerativeTriple(2, 3, bad_state, aklt_triple.transition, aklt_triple.emission)
     with pytest.raises(ValueError, match="trace"):
         triple.validate()
@@ -80,11 +82,11 @@ def test_word_construction_and_json(aklt_triple):
     assert len(word) == 3
     items = word.to_json_list()
     back = ObservableWord.from_json_list(items, 2, 3)
-    for (x1, y1), (x2, y2) in zip(word, back):
-        assert operator_norm(x1.entries - x2.entries) == 0.0
-        assert operator_norm(y1.entries - y2.entries) == 0.0
+    for x1, y1, x2, y2 in zip(word.xs, word.ys, back.xs, back.ys):
+        assert operator_norm(x1 - x2) == 0.0
+        assert operator_norm(y1 - y2) == 0.0
     shorthand = ObservableWord.from_json_list([{"X": "I", "Y": "I"}], 2, 3)
-    assert operator_norm(shorthand.sites[0][0].entries - np.eye(2)) == 0.0
+    assert operator_norm(shorthand.xs[0] - np.eye(2)) == 0.0
     with pytest.raises(ConfigError):
         ObservableWord.from_json_list([{"X": "I"}], 2, 3)
 
@@ -92,13 +94,28 @@ def test_word_construction_and_json(aklt_triple):
 
 def test_empty_word_rejected(aklt_triple):
     with pytest.raises(ValueError, match="empty"):
-        finite_volume_state(aklt_triple, "conventional", ObservableWord(()))
+        finite_volume_state(aklt_triple, "conventional", ObservableWord.all_identity(0, 2, 3))
 
 
 def test_word_dimension_check(aklt_triple):
-    bad = ObservableWord.from_pairs([(ComplexOperator.identity(3), ComplexOperator.identity(3))])
+    bad = ObservableWord.from_pairs([(np.eye(3), np.eye(3))])
     with pytest.raises(DimensionMismatchError):
         finite_volume_state(aklt_triple, "conventional", bad)
+
+
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+def test_operator_pair_words_equal_array_words(aklt_triple, structure):
+    """Words built as the benchmark builds them evaluate exactly as array words."""
+    xs, ys = random_words(rng_from(10), aklt_triple, 1, 4)
+    pairs = [(ComplexOperator(2, x), ComplexOperator(3, y)) for x, y in zip(xs[0], ys[0])]
+    eyes = (np.broadcast_to(np.eye(2), (4, 2, 2)), np.broadcast_to(np.eye(3), (4, 3, 3)))
+    for bench_word, array_word in (
+        (ObservableWord.from_pairs(pairs), ObservableWord(xs[0], ys[0])),
+        (ObservableWord.all_identity(4, 2, 3), ObservableWord(*eyes)),
+    ):
+        for evaluate in (finite_volume_state, dense_word_value):
+            got = evaluate(aklt_triple, structure, bench_word)
+            assert got == evaluate(aklt_triple, structure, array_word)
 
 
 def test_all_identity_words_evaluate_to_one(aklt_triple):
@@ -112,18 +129,16 @@ def test_all_identity_words_evaluate_to_one(aklt_triple):
 def test_value_is_linear_in_each_site(aklt_triple):
     rng = rng_from(0)
     base = random_word(rng, aklt_triple, 3)
-    x1 = ComplexOperator(2, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    x2 = ComplexOperator(2, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    x1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    x2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a, b = 0.8 - 0.3j, 1.1j
 
     def with_site1(x):
-        sites = list(base.sites)
-        sites[1] = (x, sites[1][1])
-        return ObservableWord.from_pairs(sites)
+        xs = base.xs.copy()
+        xs[1] = x
+        return ObservableWord(xs, base.ys)
 
-    combined = finite_volume_state(
-        aklt_triple, "conventional", with_site1(ComplexOperator(2, a * x1.entries + b * x2.entries))
-    )
+    combined = finite_volume_state(aklt_triple, "conventional", with_site1(a * x1 + b * x2))
     split = a * finite_volume_state(aklt_triple, "conventional", with_site1(x1)) + (
         b * finite_volume_state(aklt_triple, "conventional", with_site1(x2))
     )
@@ -140,17 +155,15 @@ def test_composite_and_sliced_maps_agree(aklt_triple, structure):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         via_composite = comp.apply_array(np.kron(np.kron(x, z), y))
-        via_sliced = sliced_map(
-            aklt_triple, structure, ComplexOperator(2, x), ComplexOperator(3, y)
-        ).apply_array(z)
+        via_sliced = sliced_map(aklt_triple, structure, x, y).apply_array(z)
         assert operator_norm(via_composite - via_sliced) < 1e-12
 
 
 def test_sliced_map_validates_site_dimensions(aklt_triple):
     with pytest.raises(DimensionMismatchError):
-        sliced_map(aklt_triple, "conventional", ComplexOperator.identity(3), ComplexOperator.identity(3))
+        sliced_map(aklt_triple, "conventional", np.eye(3), np.eye(3))
     with pytest.raises(DimensionMismatchError):
-        sliced_map(aklt_triple, "conventional", ComplexOperator.identity(2), ComplexOperator.identity(2))
+        sliced_map(aklt_triple, "conventional", np.eye(2), np.eye(2))
 
 
 def test_both_structures_coincide_for_partial_trace_transition(aklt_triple):
@@ -218,7 +231,7 @@ def test_classical_triple_is_cpu():
     triple = classical_diagonal_triple(p, t, b)
     triple.validate()
     for cert in triple.certificates().values():
-        assert cert.cp and cert.unital
+        util.assert_cpu(cert)
 
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
@@ -228,14 +241,14 @@ def test_classical_words_reproduce_forward_likelihood(structure):
     t = util.random_stochastic(rng, 3, 3)
     b = util.random_stochastic(rng, 3, 4)
     triple = classical_diagonal_triple(p, t, b)
-    eye = ComplexOperator.identity(3)
+    eye = np.eye(3)
     for _ in range(10):
         symbols = list(rng.integers(0, 4, size=rng.integers(1, 6)))
         pairs = []
         for y in symbols:
             proj = np.zeros((4, 4), dtype=complex)
             proj[y, y] = 1.0
-            pairs.append((eye, ComplexOperator(4, proj)))
+            pairs.append((eye, proj))
         value = finite_volume_state(triple, structure, ObservableWord.from_pairs(pairs))
         expected = util.forward_likelihood(p, t, b, symbols)
         assert abs(value - expected) < 1e-12
@@ -295,7 +308,7 @@ def test_model_config_with_explicit_kraus(tmp_path):
     assert structure is CausalStructure.CONVENTIONAL
     triple.validate()
     for cert in triple.certificates().values():
-        assert cert.cp and cert.unital
+        util.assert_cpu(cert)
 
 
 @pytest.mark.parametrize(

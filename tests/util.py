@@ -111,3 +111,10 @@ def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 def haar_elements(seed, count: int) -> list[RotationElement]:
     """The rows of haar_rotations, for a seed or a generator, as RotationElements."""
     return [RotationElement(tuple(q)) for q in haar_rotations(rng_from(seed), count)]
+
+
+def assert_cpu(cert, tol: float = 1e-10) -> None:
+    """Each deviation of a certify_cpu certificate is within tol."""
+    assert cert.choi_defect <= tol
+    assert cert.min_eigenvalue >= -tol
+    assert cert.unitality_deviation <= tol
