@@ -28,7 +28,13 @@ from .grouprep import (
     spin_half_rep,
     spin_one_rep,
 )
-from .hqmm import CausalStructure, GenerativeTriple, ObservableWord, finite_volume_state
+from .hqmm import (
+    CausalStructure,
+    GenerativeTriple,
+    ObservableWord,
+    finite_volume_state,
+    partial_trace_map,
+)
 from .opalg import BipartiteMap, frozen_square_stack, operator_norms, worst_deviation
 from .sampling import rng_from
 from .symmetry import SymmetryAction
@@ -100,12 +106,9 @@ def emission_map(tensors: AkltTensors, order: str = "cp") -> BipartiteMap:
                     kraus[p, a * o + k] = stack[k, p, a]
         return BipartiteMap.build_from_kraus(h, o, h, [kraus])
     if order == "literal":
-
-        def apply(w: np.ndarray) -> np.ndarray:
-            w4 = w.reshape(h, o, h, o)
-            return np.einsum("jpa,aibj,iqb->pq", stack, w4, stack.conj())
-
-        return BipartiteMap.build(h, o, h, apply)
+        # coeff[p, q, a * o + i, b * o + j] = A_j[p, a] conj(A_i[q, b])
+        coeff = np.einsum("jpa,iqb->pqaibj", stack, stack.conj()).reshape(h, h, h * o, h * o)
+        return BipartiteMap(h * o, h, coeff, h, o)
     raise ConfigError(f"unknown emission order {order!r}; expected 'cp' or 'literal'")
 
 
@@ -116,15 +119,7 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
     which is completely positive but not unital; it is kept as a
     diagnostic for the consistency check.
     """
-    d = hidden_dim
-    scale = 1.0 / np.sqrt(d) if normalized else 1.0
-    kraus = []
-    for j in range(d):
-        k = np.zeros((d, d * d), dtype=complex)
-        for i in range(d):
-            k[i, i * d + j] = scale
-        kraus.append(k)
-    return BipartiteMap.build_from_kraus(d, d, d, kraus)
+    return partial_trace_map(hidden_dim, hidden_dim, normalized)
 
 
 def verify_intertwining(

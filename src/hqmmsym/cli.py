@@ -442,6 +442,9 @@ def _check_report_shape(report, path: str) -> None:
             )
             and type(c.get("tolerance")) in (int, float)
             and isinstance(c.get("pass"), bool)
+            # check_result passes exactly at max_deviation <= tolerance, and
+            # cocycle can only turn a pass into a fail
+            and (c["pass"] is False or c["max_deviation"] <= c["tolerance"])
             for c in checks
         )
         and report.get("pass") is all(c["pass"] for c in checks)
@@ -449,8 +452,9 @@ def _check_report_shape(report, path: str) -> None:
         raise ConfigError(
             f"report {path} is not a verification report: it needs a 'model' object, a "
             "nonempty 'checks' list whose entries have a string 'condition', numbers "
-            "'max_deviation' (or null on a failed check) and 'tolerance' and a boolean 'pass', "
-            "and an overall 'pass' that is true exactly when every check passed"
+            "'max_deviation' (or null on a failed check) and 'tolerance' and a boolean 'pass' "
+            "that is false when max_deviation exceeds tolerance, and an overall 'pass' that "
+            "is true exactly when every check passed"
         )
     # verify never writes NaN or Infinity, so a report holding one, say a nan
     # max_deviation beside "pass": true, has been edited

@@ -45,7 +45,10 @@ CONDON_SHORTLEY = np.array(
     dtype=complex,
 )
 
+# commuting and closure checks allow this rotation distance; gauge values
+# may leave the unit circle by UNIMODULAR_TOL
 ROTATION_TOL = 1e-10
+UNIMODULAR_TOL = 1e-12
 
 # quaternion components below this are noise and count as exact zeros, so
 # boundary rotations (half angle at pi/2, say) get an exact sign rule.  It is
@@ -123,7 +126,12 @@ def rotation_matrices(q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotationElement:
-    """Rotation held as a unit quaternion with canonical sign."""
+    """One rotation, validated and held as a unit quaternion with canonical sign.
+
+    The library works on quaternion stacks; this class is the boundary for
+    a single element read from the command line or written to JSON, and
+    np.asarray turns it (or a list of them) into a stack.
+    """
 
     quat: tuple[float, float, float, float]
 
@@ -153,39 +161,8 @@ class RotationElement:
         half = 0.5 * float(angle)
         return cls((np.cos(half), *(np.sin(half) * n)))
 
-    def compose(self, other: "RotationElement") -> "RotationElement":
-        return RotationElement(tuple(_hamilton(self.quat, other.quat)))
-
-    def inverse(self) -> "RotationElement":
-        w, x, y, z = self.quat
-        return RotationElement((w, -x, -y, -z))
-
-    def distance(self, other: "RotationElement") -> float:
-        """Distance as rotations, insensitive to the double-cover sign."""
-        return float(_distances(np.asarray(self.quat), np.asarray(other.quat)))
-
-    def angle_axis(self) -> tuple[float, np.ndarray]:
-        w, x, y, z = self.quat
-        v = np.array([x, y, z])
-        s = float(np.linalg.norm(v))
-        theta = 2.0 * float(np.arctan2(s, w))
-        axis = v / s if s > 0 else np.array([0.0, 0.0, 1.0])
-        return theta, axis
-
-    def su2_matrix(self) -> np.ndarray:
-        """The canonical lift in SU(2)."""
-        return su2_matrices(self.quat)
-
-    def rotation_matrix(self) -> np.ndarray:
-        """The 3x3 orthogonal matrix acting on Cartesian vectors."""
-        return rotation_matrices(self.quat)
-
     def to_json_dict(self) -> dict:
         return {"quat": [float(c) for c in self.quat]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RotationElement":
-        return cls(tuple(float(c) for c in obj["quat"]))
 
 
 def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -216,7 +193,7 @@ def trivial_cocycle(qg, qh) -> np.ndarray:
     return np.ones(np.broadcast_shapes(np.shape(qg), np.shape(qh))[:-1])
 
 
-def gauge_transform(cocycle: Callable, lam: Callable, tol: float = 1e-12) -> Callable:
+def gauge_transform(cocycle: Callable, lam: Callable) -> Callable:
     """Multiply a cocycle by the coboundary of a unimodular function lam.
 
     omega'(g, h) = lam(g) lam(h) conj(lam(gh)) omega(g, h), where lam maps a
@@ -227,7 +204,7 @@ def gauge_transform(cocycle: Callable, lam: Callable, tol: float = 1e-12) -> Cal
     def checked(q: np.ndarray) -> np.ndarray:
         values = np.asarray(lam(q), dtype=complex)
         dev = float(np.max(np.abs(np.abs(values) - 1.0)))
-        if not dev <= tol:
+        if not dev <= UNIMODULAR_TOL:
             raise NonUnimodularError(dev)
         return values
 
@@ -237,18 +214,18 @@ def gauge_transform(cocycle: Callable, lam: Callable, tol: float = 1e-12) -> Cal
     return gauged
 
 
-def commutator_pairing(
-    g: RotationElement, h: RotationElement, tol: float = ROTATION_TOL
-) -> complex:
-    """omega(g, h) / omega(h, g) for a commuting pair.
+def commutator_pairing(qg, qh) -> np.ndarray:
+    """omega(g, h) / omega(h, g) for commuting pairs of quaternion stacks qg, qh.
 
     The ratio is gauge invariant on commuting pairs and equals the group
-    commutator of the lifts as a scalar.
+    commutator of the lifts as a scalar.  A pair further than ROTATION_TOL
+    from commuting raises NonCommutingError.
     """
-    dev = g.compose(h).distance(h.compose(g))
-    if dev > tol:
-        raise NonCommutingError(dev, tol)
-    return complex(cocycle_eval(g, h)) / complex(cocycle_eval(h, g))
+    dev = _distances(_compose(qg, qh), _compose(qh, qg))
+    bad = np.flatnonzero(dev > ROTATION_TOL)
+    if bad.size:
+        raise NonCommutingError(float(dev.flat[bad[0]]), ROTATION_TOL)
+    return cocycle_eval(qg, qh).astype(complex) / cocycle_eval(qh, qg)
 
 
 @dataclass(frozen=True)
@@ -258,9 +235,7 @@ class NontrivialClassReport:
     pairing_table: np.ndarray
 
 
-def detect_nontrivial_class(
-    elements: Sequence[RotationElement], tol: float = ROTATION_TOL
-) -> NontrivialClassReport:
+def detect_nontrivial_class(elements: Sequence[RotationElement]) -> NontrivialClassReport:
     """Decide whether a finite abelian subgroup carries a nontrivial class.
 
     The input must be closed under composition and abelian, both checked.
@@ -278,7 +253,7 @@ def detect_nontrivial_class(
         ("elements do not commute", _distances(gh, _compose(h, g))),
     )
     for reason, deviations in checks:
-        bad = np.flatnonzero(deviations > tol)
+        bad = np.flatnonzero(deviations > ROTATION_TOL)
         if bad.size:
             raise SubgroupStructureError(reason, float(deviations.flat[bad[0]]))
     omega = cocycle_eval(g, h).astype(complex)
@@ -300,12 +275,6 @@ def _spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / (2j)
     return jx, jy, jz
-
-
-def _expi_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
-    """exp(-i * angle * h) for Hermitian h via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -345,24 +314,29 @@ def trivial_rep(dim: int = 1) -> ProjectiveRep:
     return ProjectiveRep(dim, lambda q: np.broadcast_to(eye, (*np.shape(q)[:-1], dim, dim)))
 
 
-def spin_rep(j: float, g: RotationElement, basis: str = "cartesian") -> np.ndarray:
-    """Spin-j matrix of a rotation, consistent with the canonical section.
+def spin_rep(j: float, q, basis: str = "cartesian") -> np.ndarray:
+    """Spin-j matrices of a quaternion stack q[..., 4], consistent with the canonical section.
 
-    j = 1/2 returns the canonical SU(2) lift and j = 1 the matrix of
+    j = 1/2 returns the canonical SU(2) lifts and j = 1 the matrices of
     spin_one_rep(basis).  Any other positive half integer is handled in
-    the |j, m> basis by exponentiating the angle-axis decomposition of the
-    canonical quaternion.
+    the |j, m> basis as exp(-i theta n.J) for the angle theta and axis n
+    of each canonical quaternion.
     """
     twice = 2 * float(j)
     if twice <= 0 or abs(twice - round(twice)) > 1e-12:
         raise UnsupportedSpinError(j)
     if float(j) == 0.5:
-        return g.su2_matrix()
+        return su2_matrices(q)
     if float(j) == 1.0:
-        return spin_one_rep(basis).stack(g.quat)
-    theta, axis = g.angle_axis()
+        return spin_one_rep(basis).stack(q)
+    q = np.asarray(q, dtype=float)
+    sine = _norms(q[..., 1:])
+    # theta / |sin(theta/2)| scales the vector part to theta n; 0 at the identity
+    scale = 2.0 * np.arctan2(sine, q[..., 0]) / np.where(sine > 0, sine, 1.0)
     jx, jy, jz = _spin_matrices(float(j))
-    return _expi_hermitian(axis[0] * jx + axis[1] * jy + axis[2] * jz, theta)
+    x, y, z = (scale[..., None, None] * q[..., k, None, None] for k in (1, 2, 3))
+    w, v = np.linalg.eigh(x * jx + y * jy + z * jz)
+    return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]:

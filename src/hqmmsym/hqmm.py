@@ -151,7 +151,14 @@ class ObservableWord:
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "ObservableWord":
         """Word from (x, y) site pairs of arrays or anything np.asarray reads as one."""
-        return cls(np.asarray([x for x, _ in pairs]), np.asarray([y for _, y in pairs]))
+        if not pairs:
+            raise ValueError("empty word; from_pairs needs at least one site pair")
+        sites = [(np.asarray(x), np.asarray(y)) for x, y in pairs]
+        first = (sites[0][0].shape, sites[0][1].shape)
+        for k, (x, y) in enumerate(sites):
+            if (x.shape, y.shape) != first:
+                raise DimensionMismatchError(f"word site {k}", first, (x.shape, y.shape))
+        return cls(np.asarray([x for x, _ in sites]), np.asarray([y for _, y in sites]))
 
     @classmethod
     def all_identity(cls, n_sites: int, hidden_dim: int, obs_dim: int) -> "ObservableWord":
@@ -443,6 +450,22 @@ def classical_diagonal_triple(
     )
 
 
+def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> BipartiteMap:
+    """Z1 tensor Z2 -> Z1 trace(Z2), divided by d2 when normalized to make it unital.
+
+    The Kraus operators are 1 tensor <j| for each basis vector j of the
+    second factor, scaled by 1/sqrt(d2) when normalized.
+    """
+    scale = 1.0 / np.sqrt(d2) if normalized else 1.0
+    kraus = []
+    for j in range(d2):
+        k = np.zeros((d1, d1 * d2), dtype=complex)
+        for i in range(d1):
+            k[i, i * d2 + j] = scale
+        kraus.append(k)
+    return BipartiteMap.build_from_kraus(d1, d2, d1, kraus)
+
+
 def _kraus_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = config_int("rows", obj["rows"]), config_int("cols", obj["cols"])
@@ -462,8 +485,7 @@ def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> Bipa
         raise ConfigError(f"{name} must be an object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
     if kind == "normalized_partial_trace":
-        kraus = [np.kron(np.eye(d1), unit.reshape(1, d2)) / np.sqrt(d2) for unit in np.eye(d2)]
-        return BipartiteMap.build_from_kraus(d1, d2, d_out, kraus)
+        return partial_trace_map(d1, d2)
     if kind == "aklt_emission":
         from . import aklt
 

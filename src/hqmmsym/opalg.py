@@ -136,6 +136,7 @@ class OperatorMap:
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
+    # no library caller; kept as the tests' reference, and bench/tests reads it
     @classmethod
     def from_function(
         cls, dim_in: int, dim_out: int, fn: Callable[[np.ndarray], np.ndarray]
@@ -185,17 +186,6 @@ class BipartiteMap(OperatorMap):
                 "input factors", self.dim_in, (self.dim_in1, self.dim_in2)
             )
         super().__post_init__()
-
-    @classmethod
-    def build(
-        cls,
-        dim_in1: int,
-        dim_in2: int,
-        dim_out: int,
-        fn: Callable[[np.ndarray], np.ndarray],
-    ) -> "BipartiteMap":
-        base = OperatorMap.from_function(dim_in1 * dim_in2, dim_out, fn)
-        return cls(base.dim_in, base.dim_out, base.coeff, dim_in1, dim_in2)
 
     @classmethod
     def build_from_kraus(

@@ -28,16 +28,19 @@ from hqmmsym import (
     emission_map,
     finite_volume_state,
     gauge_transform,
+    haar_rotations,
     invariant_states,
     kolmogorov_check,
     random_word,
     single_site_distribution,
     spin_half_rep,
     spin_one_rep,
+    su2_matrices,
     transition_map,
     verify_intertwining,
 )
 from hqmmsym.cli import _z2z2_elements
+from hqmmsym.grouprep import _compose
 from hqmmsym.hqmm import ObservableWord
 from hqmmsym.sampling import rng_from
 
@@ -51,20 +54,19 @@ def _verdict(name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_cocycle_signs_identity_and_section():
-    elements = util.haar_elements(2026, 3000)
-    worst_section = 0.0
-    exact = True
-    for i in range(0, 3000, 3):
-        g, h, k = elements[i : i + 3]
-        w = cocycle_eval(g, h)
-        exact = exact and w in (1.0, -1.0)
-        lhs = cocycle_eval(g, h) * cocycle_eval(g.compose(h), k)
-        rhs = cocycle_eval(h, k) * cocycle_eval(g, h.compose(k))
-        exact = exact and lhs == rhs
-        gap = np.linalg.norm(
-            g.su2_matrix() @ h.su2_matrix() - w * g.compose(h).su2_matrix(), 2
-        )
-        worst_section = max(worst_section, gap)
+    q = haar_rotations(rng_from(2026), 3000)
+    g, h, k = q[0::3], q[1::3], q[2::3]
+    w = cocycle_eval(g, h)
+    exact = bool(np.isin(w, (1.0, -1.0)).all())
+    lhs = cocycle_eval(g, h) * cocycle_eval(_compose(g, h), k)
+    rhs = cocycle_eval(h, k) * cocycle_eval(g, _compose(h, k))
+    exact = exact and np.array_equal(lhs, rhs)
+    gaps = np.linalg.norm(
+        su2_matrices(g) @ su2_matrices(h) - w[:, None, None] * su2_matrices(_compose(g, h)),
+        2,
+        axis=(1, 2),
+    )
+    worst_section = float(gaps.max())
     _verdict(
         "cocycle signs, identity and section property over 1000 triples",
         exact and worst_section < 1e-10,

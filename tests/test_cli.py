@@ -579,6 +579,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         lambda r: r["checks"][0].update({"tolerance": float("inf")}),
         lambda r: r["config"]["tolerances"].update({"cpu": float("nan")}),
         lambda r: r.update({"checks": []}),  # overall pass stays true
+        lambda r: r["checks"][0].update({"max_deviation": 5.0}),  # pass stays true
     ],
     ids=[
         "no-model",
@@ -592,6 +593,7 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "infinite-tolerance",
         "nan-in-config",
         "empty-checks",
+        "pass-over-tolerance",
     ],
 )
 def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):

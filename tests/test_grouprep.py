@@ -17,15 +17,20 @@ from hqmmsym import (
     detect_nontrivial_class,
     gauge_transform,
     operator_norm,
+    operator_norms,
+    rotation_matrices,
     spin_half_rep,
     spin_one_rep,
     spin_rep,
+    su2_matrices,
     trivial_cocycle,
     trivial_rep,
 )
 from hqmmsym.grouprep import (
     CONDON_SHORTLEY,
     PAULI,
+    _compose,
+    _distances,
     _spin_matrices,
     haar_rotations,
     tensor_rep_cocycle_check,
@@ -81,28 +86,26 @@ def test_quaternion_validation():
 
 def test_group_laws():
     rng = rng_from(0)
-    for g, h, k in zip(*(util.haar_elements(rng, 20) for _ in range(3))):
-        assert g.compose(g.inverse()).distance(RotationElement.identity()) < 1e-12
-        assert g.compose(RotationElement.identity()).distance(g) < 1e-12
-        lhs = g.compose(h).compose(k)
-        rhs = g.compose(h.compose(k))
-        assert lhs.distance(rhs) < 1e-12
+    g, h, k = (haar_rotations(rng, 20) for _ in range(3))
+    identity = np.asarray(RotationElement.identity())
+    assert _distances(_compose(g, identity), g).max() < 1e-12
+    lhs = _compose(_compose(g, h), k)
+    rhs = _compose(g, _compose(h, k))
+    assert _distances(lhs, rhs).max() < 1e-12
 
 
 def test_rotation_matrix_is_special_orthogonal():
-    for g in util.haar_elements(1, 25):
-        r = g.rotation_matrix()
-        assert operator_norm(r @ r.T - np.eye(3)) < 1e-12
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-        assert operator_norm(g.inverse().rotation_matrix() - r.T) < 1e-12
+    q = haar_rotations(rng_from(1), 25)
+    r = rotation_matrices(q)
+    assert operator_norms(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() < 1e-12
+    assert np.linalg.det(r) == pytest.approx(np.ones(25), abs=1e-12)
 
 
 def test_rotation_matrix_multiplicative():
     rng = rng_from(2)
-    for g, h in zip(util.haar_elements(rng, 15), util.haar_elements(rng, 15)):
-        assert operator_norm(
-            g.compose(h).rotation_matrix() - g.rotation_matrix() @ h.rotation_matrix()
-        ) < 1e-12
+    g, h = haar_rotations(rng, 15), haar_rotations(rng, 15)
+    product = rotation_matrices(g) @ rotation_matrices(h)
+    assert operator_norms(rotation_matrices(_compose(g, h)) - product).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,8 +119,8 @@ def test_su2_adjoint_reproduces_rotation(ax, ay, angle):
     if np.linalg.norm(axis) < 1e-3:
         return
     g = RotationElement.from_axis_angle(axis, angle)
-    u = g.su2_matrix()
-    r = g.rotation_matrix()
+    u = su2_matrices(g)
+    r = rotation_matrices(g)
     for a in range(3):
         rotated = u @ PAULI[a] @ u.conj().T
         recombined = sum(r[b, a] * PAULI[b] for b in range(3))
@@ -131,38 +134,30 @@ def test_same_axis_angles_add(alpha, beta):
     g = RotationElement.from_axis_angle(axis, alpha)
     h = RotationElement.from_axis_angle(axis, beta)
     combined = RotationElement.from_axis_angle(axis, alpha + beta)
-    assert g.compose(h).distance(combined) < 1e-12
+    assert _distances(_compose(g, h), np.asarray(combined)) < 1e-12
 
 
-def test_angle_axis_round_trip():
+def test_higher_spin_reads_angle_and_axis():
+    _, jy, _ = _spin_matrices(1.5)
     g = RotationElement.from_axis_angle((0.0, 1.0, 0.0), 1.2)
-    theta, axis = g.angle_axis()
-    assert theta == pytest.approx(1.2, abs=1e-12)
-    assert np.allclose(axis, [0.0, 1.0, 0.0])
-    theta0, axis0 = RotationElement.identity().angle_axis()
-    assert theta0 == 0.0
-    assert np.allclose(axis0, [0.0, 0.0, 1.0])
+    assert operator_norm(spin_rep(1.5, g) - util.expm_series(-1.2j * jy)) < 1e-12
+    # the identity has no axis; its angle is 0
+    assert operator_norm(spin_rep(1.5, RotationElement.identity()) - np.eye(4)) < 1e-12
 
 
 def test_haar_sampling_is_deterministic():
-    a = util.haar_elements(42, 10)
-    b = util.haar_elements(42, 10)
-    assert [g.quat for g in a] == [g.quat for g in b]
-    assert util.haar_elements(43, 10)[0].quat != a[0].quat
+    a = haar_rotations(rng_from(42), 10)
+    assert np.array_equal(a, haar_rotations(rng_from(42), 10))
+    assert not np.array_equal(haar_rotations(rng_from(43), 10)[0], a[0])
 
 
 def test_canonicalization_versus_raw_sample():
     raw = rng_from(5).standard_normal((400, 4))
     # raw quaternions hit both sheets of the double cover
     assert (raw[:, 0] < 0).sum() > 100
-    for g in util.haar_elements(5, 50):
-        first_nonzero = next(c for c in g.quat if c != 0.0)
+    for g in haar_rotations(rng_from(5), 50):
+        first_nonzero = next(c for c in g if c != 0.0)
         assert first_nonzero > 0
-
-
-def test_json_round_trip():
-    g = util.haar_elements(6, 1)[0]
-    assert RotationElement.from_json_dict(g.to_json_dict()).quat == g.quat
 
 
 def test_cocycle_values_are_exact_signs():
@@ -177,10 +172,10 @@ def test_cocycle_values_are_exact_signs():
 
 def test_section_property_of_su2_lift():
     rng = rng_from(8)
-    for g, h in zip(util.haar_elements(rng, 100), util.haar_elements(rng, 100)):
-        omega = cocycle_eval(g, h)
-        lift = g.su2_matrix() @ h.su2_matrix()
-        assert operator_norm(lift - omega * g.compose(h).su2_matrix()) < 1e-12
+    g, h = haar_rotations(rng, 100), haar_rotations(rng, 100)
+    omega = cocycle_eval(g, h)[:, None, None]
+    lift = su2_matrices(g) @ su2_matrices(h)
+    assert operator_norms(lift - omega * su2_matrices(_compose(g, h))).max() < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,8 +194,8 @@ def test_section_property_when_the_product_is_a_pi_rotation(ax, ay, az, theta):
     assume(np.linalg.norm(axis) > 1e-3)
     g = RotationElement.from_axis_angle(axis, theta)
     h = RotationElement.from_axis_angle(axis, np.pi - theta)
-    lift = g.su2_matrix() @ h.su2_matrix()
-    assert operator_norm(lift - cocycle_eval(g, h) * g.compose(h).su2_matrix()) < 1e-12
+    lift = su2_matrices(g) @ su2_matrices(h)
+    assert operator_norm(lift - cocycle_eval(g, h) * su2_matrices(_compose(g, h))) < 1e-12
     # the same pair through the batched path
     _, defects = cocycle_defects(spin_half_rep(), [g], [h])
     assert defects[0] < 1e-12
@@ -216,10 +211,10 @@ def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
 
 def test_cocycle_identity_is_exact():
     rng = rng_from(9)
-    for g, h, k in zip(*(util.haar_elements(rng, 200) for _ in range(3))):
-        lhs = cocycle_eval(g, h) * cocycle_eval(g.compose(h), k)
-        rhs = cocycle_eval(h, k) * cocycle_eval(g, h.compose(k))
-        assert lhs == rhs
+    g, h, k = (haar_rotations(rng, 200) for _ in range(3))
+    lhs = cocycle_eval(g, h) * cocycle_eval(_compose(g, h), k)
+    rhs = cocycle_eval(h, k) * cocycle_eval(g, _compose(h, k))
+    assert np.array_equal(lhs, rhs)
 
 
 def test_gauge_transform_by_trivial_lambda():
@@ -331,19 +326,19 @@ def test_spin_rep_rejects_bad_labels(j):
 
 
 def test_spin_half_is_the_canonical_lift():
-    for g in util.haar_elements(13, 10):
-        assert operator_norm(spin_rep(0.5, g) - g.su2_matrix()) == 0.0
+    for g in haar_rotations(rng_from(13), 10):
+        assert operator_norm(spin_rep(0.5, g) - su2_matrices(g)) == 0.0
 
 
 def test_spin_one_cartesian_is_the_rotation_matrix():
-    for g in util.haar_elements(14, 10):
-        assert operator_norm(spin_rep(1, g, "cartesian") - g.rotation_matrix()) < 1e-14
+    for g in haar_rotations(rng_from(14), 10):
+        assert operator_norm(spin_rep(1, g, "cartesian") - rotation_matrices(g)) < 1e-14
 
 
 def test_spin_one_spherical_is_conjugated():
-    for g in util.haar_elements(15, 10):
+    for g in haar_rotations(rng_from(15), 10):
         u = CONDON_SHORTLEY
-        expected = u @ g.rotation_matrix() @ u.conj().T
+        expected = u @ rotation_matrices(g) @ u.conj().T
         assert operator_norm(spin_rep(1, g, "spherical") - expected) < 1e-13
     with pytest.raises(ValueError):
         spin_rep(1, RotationElement.identity(), "cylindrical")
@@ -364,25 +359,39 @@ def test_spin_one_spherical_matches_wigner_entries():
 @pytest.mark.parametrize("j", [1.5, 2.0, 2.5])
 def test_higher_spins_match_series_exponential(j):
     jx, jy, jz = _spin_matrices(j)
-    for g in util.haar_elements(16, 6):
-        theta, axis = g.angle_axis()
+    for g in haar_rotations(rng_from(16), 6):
+        sine = np.linalg.norm(g[1:])
+        theta, axis = 2.0 * np.arctan2(sine, g[0]), g[1:] / sine
         generator = -1j * theta * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
         assert operator_norm(spin_rep(j, g) - util.expm_series(generator)) < 1e-12
 
 
 def test_integer_spin_is_multiplicative():
     rng = rng_from(17)
-    for g, h in zip(util.haar_elements(rng, 20), util.haar_elements(rng, 20)):
-        prod = spin_rep(2, g) @ spin_rep(2, h)
-        assert operator_norm(prod - spin_rep(2, g.compose(h))) < 1e-12
+    g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
+    prod = spin_rep(2, g) @ spin_rep(2, h)
+    assert operator_norms(prod - spin_rep(2, _compose(g, h))).max() < 1e-12
 
 
 def test_half_integer_spin_is_projective_with_the_section_cocycle():
     rng = rng_from(18)
-    for g, h in zip(util.haar_elements(rng, 20), util.haar_elements(rng, 20)):
-        omega = cocycle_eval(g, h)
-        prod = spin_rep(1.5, g) @ spin_rep(1.5, h)
-        assert operator_norm(prod - omega * spin_rep(1.5, g.compose(h))) < 1e-12
+    g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
+    omega = cocycle_eval(g, h)[:, None, None]
+    prod = spin_rep(1.5, g) @ spin_rep(1.5, h)
+    assert operator_norms(prod - omega * spin_rep(1.5, _compose(g, h))).max() < 1e-12
+
+
+@pytest.mark.parametrize("j, bound", [(0.5, 0.0), (1, 0.0), (1.5, 1e-12), (2, 1e-12)])
+def test_spin_rep_of_a_stack_is_the_rows(j, bound):
+    q = haar_rotations(rng_from(22), 50)
+    rows = np.stack([spin_rep(j, g) for g in q])
+    assert np.abs(spin_rep(j, q) - rows).max() <= bound
+
+
+def test_commutator_pairing_of_a_stack_is_the_pairing_table():
+    q = np.asarray(_z2z2())
+    table = commutator_pairing(q[:, None], q[None, :])
+    assert np.array_equal(table, detect_nontrivial_class(_z2z2()).pairing_table)
 
 
 def test_rep_wrappers():

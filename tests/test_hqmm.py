@@ -103,6 +103,24 @@ def test_word_dimension_check(aklt_triple):
         finite_volume_state(aklt_triple, "conventional", bad)
 
 
+@pytest.mark.parametrize(
+    "pairs, error, match",
+    [
+        ([(np.eye(2), np.eye(3)), (np.eye(3), np.eye(3))], DimensionMismatchError, "word site 1"),
+        (
+            [(np.eye(2), np.eye(3)), (np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))],
+            DimensionMismatchError,
+            "word site 2",
+        ),
+        ([], ValueError, "empty word"),
+    ],
+    ids=["hidden-dims-differ", "observed-dims-differ", "empty"],
+)
+def test_from_pairs_refuses_ragged_and_empty_words(pairs, error, match):
+    with pytest.raises(error, match=match):
+        ObservableWord.from_pairs(pairs)
+
+
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_operator_pair_words_equal_array_words(aklt_triple, structure):
     """Words built as the benchmark builds them evaluate exactly as array words."""

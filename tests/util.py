@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hqmmsym import BipartiteMap, OperatorMap, RotationElement, haar_rotations
-from hqmmsym.sampling import rng_from
+from hqmmsym import BipartiteMap, OperatorMap
 
 
 def brute_force_cp(m: OperatorMap, rng: np.random.Generator, trials: int = 200) -> float:
@@ -106,11 +105,6 @@ def partial_trace_second(w: np.ndarray, d1: int, d2: int) -> np.ndarray:
 def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     m = rng.uniform(0.1, 1.0, size=(rows, cols))
     return m / m.sum(axis=1, keepdims=True)
-
-
-def haar_elements(seed, count: int) -> list[RotationElement]:
-    """The rows of haar_rotations, for a seed or a generator, as RotationElements."""
-    return [RotationElement(tuple(q)) for q in haar_rotations(rng_from(seed), count)]
 
 
 def assert_cpu(cert, tol: float = 1e-10) -> None:
