@@ -23,8 +23,6 @@ from .grouprep import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    ProjectiveRep,
-    haar_rotations,
     spin_half_rep,
     spin_one_rep,
 )
@@ -35,8 +33,7 @@ from .hqmm import (
     finite_volume_state,
     partial_trace_map,
 )
-from .opalg import BipartiteMap, frozen_square_stack, operator_norms, worst_deviation
-from .sampling import rng_from
+from .opalg import BipartiteMap, frozen_square_stack, operator_norms
 from .symmetry import SymmetryAction
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
@@ -99,11 +96,8 @@ def emission_map(tensors: AkltTensors, order: str = "cp") -> BipartiteMap:
     stack = tensors.tensors
     o, h, _ = stack.shape
     if order == "cp":
-        kraus = np.zeros((h, h * o), dtype=complex)
-        for k in range(o):
-            for p in range(h):
-                for a in range(h):
-                    kraus[p, a * o + k] = stack[k, p, a]
+        # kraus[p, a * o + k] = A_k[p, a]
+        kraus = np.transpose(stack, (1, 2, 0)).reshape(h, h * o)
         return BipartiteMap.build_from_kraus(h, o, h, [kraus])
     if order == "literal":
         # coeff[p, q, a * o + i, b * o + j] = A_j[p, a] conj(A_i[q, b])
@@ -122,28 +116,19 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
     return partial_trace_map(hidden_dim, hidden_dim, normalized)
 
 
-def verify_intertwining(
-    tensors: AkltTensors,
-    pi: ProjectiveRep,
-    rho: ProjectiveRep,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Worst residual of sum_k rho(g)_km A_k = pi(g) A_m pi(g)+ over sampled g.
+def verify_intertwining(tensors: AkltTensors, action: SymmetryAction, q: np.ndarray) -> np.ndarray:
+    """Per-rotation residual of sum_k rho(g)_km A_k = pi(g) A_m pi(g)+ for g = q[k].
 
     The tensor label k is contracted with the row index of rho(g).  The
-    residual is the largest operator norm of the difference over the
-    Haar-sampled g and all labels m: near machine precision for the
-    normalized variants, of order one for paper_literal.
+    residual of a rotation is the largest operator norm of the difference
+    over the labels m: near machine precision for the normalized variants,
+    of order one for paper_literal.
     """
-    rng = rng_from(seed)
     stack = tensors.tensors
-    gs = haar_rotations(rng, samples)
-    u = pi.stack(gs)[:, None]
-    rho_g = rho.stack(gs)
+    u = action.pi.stack(q)[:, None]
     target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
-    combo = np.einsum("skm,kab->smab", rho_g, stack)
-    return worst_deviation(operator_norms(combo - target))
+    combo = np.einsum("skm,kab->smab", action.rho.stack(q), stack)
+    return operator_norms(combo - target).max(axis=1)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import aklt
-from .errors import ConfigError, SubgroupStructureError, config_int
+from .errors import ConfigError, SubgroupStructureError, config_int, load_json
 from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_rotations
 from .hqmm import (
     CausalStructure,
@@ -98,15 +98,40 @@ def _check_cocycle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     return [replace(result, passed=result.passed and exact)]
 
 
+def _sampled(condition: str, deviations: Callable) -> Callable:
+    """A row over c.samples Haar rotations drawn from the seed.
+
+    deviations(m, q, rng) returns one deviation per rotation q[k]; it may
+    draw further inputs from rng, after the rotations.
+    """
+
+    def results(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+        rng = rng_from(c.seed)
+        q = haar_rotations(rng, c.samples)
+        return [check_result(condition, c.samples, c.seed, deviations(m, q, rng), tol)]
+
+    return results
+
+
+def _sliced_deviations(m: Model, q: np.ndarray, rng) -> np.ndarray:
+    # one random (x, y) site per rotation
+    xs, ys = random_words(rng, m.triple, len(q), 1)
+    return check_sliced_covariance(m.triple, m.structure, m.builtin.action, q, xs[:, 0], ys[:, 0])
+
+
+def _check_global(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+    by_volume = check_global_invariance(
+        m.triple, m.structure, m.builtin.action, c.n_max, c.global_samples, c.seed
+    )
+    return [
+        check_result(f"global_invariance[n={n}]", c.global_samples, c.seed, deviations, tol)
+        for n, deviations in enumerate(by_volume)
+    ]
+
+
 def _check_kolmogorov(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    dev = kolmogorov_check(m.triple, m.structure, c.n_max, c.global_samples, c.seed)
-    return [check_result("kolmogorov_consistency", c.global_samples, c.seed, [dev], tol)]
-
-
-def _check_intertwining(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    action = m.builtin.action
-    residual = aklt.verify_intertwining(m.builtin.tensors, action.pi, action.rho, c.samples, c.seed)
-    return [check_result("tensor_intertwining", c.samples, c.seed, [residual], tol)]
+    deviations = kolmogorov_check(m.triple, m.structure, c.n_max, c.global_samples, c.seed)
+    return [check_result("kolmogorov_consistency", c.global_samples, c.seed, deviations, tol)]
 
 
 def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
@@ -130,29 +155,26 @@ def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     return [check_result("oracle_agreement", count, c.seed, deviations, tol)]
 
 
-# The verify checks in report order.
+# The verify checks in report order.  Each row is the one place its check's
+# deviations meet a tolerance; rows share no state.
 CHECKS = {
     "cpu": Check(False, 1e-10, _check_cpu),
     "cocycle": Check(True, 1e-10, _check_cocycle),
-    "initial": Check(True, 1e-10, lambda m, c, tol: [
-        check_initial_invariance(m.triple.phi0, m.builtin.action, c.samples, c.seed, tol)
-    ]),
-    "transition": Check(True, 1e-10, lambda m, c, tol: [
-        check_transition_equivariance(m.triple.transition, m.builtin.action, c.samples, c.seed, tol)
-    ]),
-    "emission": Check(True, 1e-10, lambda m, c, tol: [
-        check_emission_covariance(m.triple.emission, m.builtin.action, c.samples, c.seed, tol)
-    ]),
-    "sliced": Check(True, 1e-10, lambda m, c, tol: [
-        check_sliced_covariance(m.triple, m.structure, m.builtin.action, c.samples, c.seed, tol)
-    ]),
-    "global": Check(True, 1e-9, lambda m, c, tol: list(
-        check_global_invariance(
-            m.triple, m.structure, m.builtin.action, c.n_max, c.global_samples, c.seed, tol
-        ).values()
-    )),
+    "initial": Check(True, 1e-10, _sampled("initial_invariance", lambda m, q, rng: (
+        check_initial_invariance(m.triple.phi0, m.builtin.action, q)
+    ))),
+    "transition": Check(True, 1e-10, _sampled("transition_equivariance", lambda m, q, rng: (
+        check_transition_equivariance(m.triple.transition, m.builtin.action, q)
+    ))),
+    "emission": Check(True, 1e-10, _sampled("emission_covariance", lambda m, q, rng: (
+        check_emission_covariance(m.triple.emission, m.builtin.action, q)
+    ))),
+    "sliced": Check(True, 1e-10, _sampled("sliced_covariance", _sliced_deviations)),
+    "global": Check(True, 1e-9, _check_global),
     "kolmogorov": Check(False, 1e-10, _check_kolmogorov),
-    "intertwining": Check(True, 1e-10, _check_intertwining),
+    "intertwining": Check(True, 1e-10, _sampled("tensor_intertwining", lambda m, q, rng: (
+        aklt.verify_intertwining(m.builtin.tensors, m.builtin.action, q)
+    ))),
     "oracle": Check(False, 1e-10, _check_oracle),
 }
 CHECK_NAMES = tuple(CHECKS)
@@ -191,8 +213,10 @@ class RunConfig:
         for name in ("samples", "global_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.n_max < 0:
-            raise ConfigError(f"n_max must be nonnegative, got {self.n_max}")
+        # numpy takes no negative seed, and a negative depth checks nothing
+        for name in ("seed", "n_max"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         # a check without a given tolerance keeps its default
@@ -390,6 +414,8 @@ def _z2z2_elements() -> list[RotationElement]:
 
 
 def _cmd_cocycle(args) -> int:
+    if args.subgroup is not None and args.element:
+        raise ConfigError("give --subgroup or --element entries, not both")
     if args.subgroup is not None:
         elements = _z2z2_elements()
     elif args.element:
@@ -465,13 +491,7 @@ def _check_report_shape(report, path: str) -> None:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.path) as fh:
-            report = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read report {args.path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"report {args.path} is not valid JSON: {err}") from None
+    report = load_json(args.path, "report")
     _check_report_shape(report, args.path)
     _emit(report, args.format, render_report_text(report))
     return 0 if report["pass"] else 1

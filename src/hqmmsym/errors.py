@@ -1,4 +1,4 @@
-"""Structured exceptions shared across the package, and the count rule for input files.
+"""Structured exceptions shared across the package, and the rules for input files.
 
 Each exception carries the measured quantity that triggered it, so callers
 and tests can inspect how badly a precondition failed.
@@ -6,6 +6,7 @@ and tests can inspect how badly a precondition failed.
 
 from __future__ import annotations
 
+import json
 import numbers
 
 
@@ -86,3 +87,14 @@ def config_int(name: str, value) -> int:
     ):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def load_json(path: str, what: str):
+    """The JSON document in the file at path, or ConfigError naming it as what."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from None

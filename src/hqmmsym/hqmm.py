@@ -14,14 +14,13 @@ site a single contraction through BipartiteMap.apply_pairs.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, config_int
+from .errors import ConfigError, DimensionMismatchError, config_int, load_json
 from .opalg import (
     BipartiteMap,
     ComplexOperator,
@@ -31,7 +30,6 @@ from .opalg import (
     frozen_square_stack,
     operator_norm,
     operator_norms,
-    worst_deviation,
 )
 from .sampling import rng_from
 
@@ -369,19 +367,16 @@ def random_words(
 
 
 def kolmogorov_check(
-    triple: GenerativeTriple,
-    structure,
-    depth: int = 6,
-    samples: int = 25,
-    seed: int = 0,
-) -> float:
-    """Largest change of a word value under appending an identity site.
+    triple: GenerativeTriple, structure, depth: int, samples: int, seed: int
+) -> np.ndarray:
+    """Per-word change of a word value under appending an identity site.
 
     For unital maps the appended site acts as the identity, so the value is
     unchanged; a non-unital transition shows up as a per-site inflation.
-    The all-identity word is always included at every length, alongside
-    seeded random words.  Each length's words and their extensions are
-    folded as two batches.
+    The rows are the one-site identity word, then for each length
+    1..depth-1 the all-identity word followed by samples seeded random
+    words.  Each length's words and their extensions are folded as two
+    batches.
     """
     structure = CausalStructure.parse(structure)
     rng = rng_from(seed)
@@ -406,7 +401,7 @@ def kolmogorov_check(
             np.concatenate([ys, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
         )
         deviations.append(np.abs(extended - value))
-    return worst_deviation(np.concatenate(deviations))
+    return np.concatenate(deviations)
 
 
 def classical_diagonal_triple(
@@ -527,24 +522,11 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
 
 
 def load_model_config(path: str) -> tuple[GenerativeTriple, CausalStructure]:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read model config {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"model config {path} is not valid JSON: {err}") from None
-    return triple_from_config(obj)
+    return triple_from_config(load_json(path, "model config"))
 
 
 def load_word(path: str, hidden_dim: int, obs_dim: int) -> ObservableWord:
-    try:
-        with open(path) as fh:
-            items = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read word file {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"word file {path} is not valid JSON: {err}") from None
+    items = load_json(path, "word file")
     if not isinstance(items, list) or not items:
         raise ConfigError("word file must hold a nonempty JSON list of sites")
     return ObservableWord.from_json_list(items, hidden_dim, obs_dim)

@@ -46,10 +46,10 @@ def operator_norms(a: np.ndarray) -> np.ndarray:
 def worst_deviation(deviations) -> float:
     """Largest deviation, or nan when any deviation is not finite.
 
-    Every check reduces its per-sample deviations through this helper, so a
-    NaN anywhere is reported (and fails the check) instead of being dropped
-    by max().  An empty set of deviations is refused: a check that saw no
-    samples has shown nothing.
+    check_result reduces every verify check's per-sample deviations through
+    this helper, so a NaN anywhere is reported (and fails the check) instead
+    of being dropped by max().  An empty set of deviations is refused: a
+    check that saw no samples has shown nothing.
     """
     d = np.asarray(deviations, dtype=float)
     if d.size == 0:

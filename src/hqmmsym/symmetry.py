@@ -1,11 +1,14 @@
 """Symmetry checks for generative triples under a rotation action.
 
 A symmetry action carries a projective unitary rep pi on the hidden space
-and a linear rep rho on the observable space.  Each check samples group
-elements (and test operators where needed), measures the worst deviation
-of the defining identity and reports it against a tolerance.  Map-level
-identities are compared through the operator norm of the difference of
-Choi matrices, so a passing check bounds the deviation on every input.
+and a linear rep rho on the observable space.  Each local check takes a
+stack of rotations q[N, 4] (and test operators where needed) and returns
+the N per-sample deviations of its defining identity; the global check
+draws its rotations and words per volume from a seed.  The verdict
+against a tolerance is made by check_result, in the cli.CHECKS table.
+Map-level identities are compared through the operator norm of the
+difference of Choi matrices, so a small deviation bounds the defect on
+every input.
 Each check evaluates all of its samples as one batch: stacked unitaries,
 closed-form coefficient contractions and one stacked SVD.
 """
@@ -50,7 +53,7 @@ class SymmetryAction:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one sampled symmetry check."""
+    """Verdict on one checked condition, as check_result makes it."""
 
     condition: str
     samples: int
@@ -69,7 +72,11 @@ class CheckResult:
 
 
 def check_result(condition: str, samples: int, seed: int, deviations, tolerance) -> CheckResult:
-    """The result of a check: its worst per-sample deviation against the tolerance."""
+    """The verdict on a condition: its worst per-sample deviation against the tolerance.
+
+    The rows of cli.CHECKS are the only callers; the check functions here
+    return deviations and make no verdict.
+    """
     worst = worst_deviation(deviations)
     return CheckResult(condition, samples, seed, worst, tolerance, worst <= tolerance)
 
@@ -106,98 +113,73 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     return _choi_norms(left - right.reshape(-1, d_out, d_out, d_in, d_in))
 
 
-def check_initial_invariance(
-    phi0: np.ndarray,
-    action: SymmetryAction,
-    samples: int = 200,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-) -> CheckResult:
-    """Invariance of the initial state under the hidden-space action."""
-    rng = rng_from(seed)
-    u = action.pi.stack(haar_rotations(rng, samples))
-    deviations = operator_norms(_conjugate(u, phi0) - phi0)
-    return check_result("initial_invariance", samples, seed, deviations, tolerance)
+def check_initial_invariance(phi0: np.ndarray, action: SymmetryAction, q: np.ndarray) -> np.ndarray:
+    """Per-rotation norm of pi(g) phi0 pi(g)+ - phi0, for the rotations q[k]."""
+    u = action.pi.stack(q)
+    return operator_norms(_conjugate(u, phi0) - phi0)
 
 
 def check_transition_equivariance(
-    transition: BipartiteMap,
-    action: SymmetryAction,
-    samples: int = 200,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-) -> CheckResult:
-    """E_H intertwines pi tensor pi on the input with pi on the output."""
-    rng = rng_from(seed)
-    u = action.pi.stack(haar_rotations(rng, samples))
-    deviations = _conjugation_defects(transition, batched_kron(u, u), u)
-    return check_result("transition_equivariance", samples, seed, deviations, tolerance)
+    transition: BipartiteMap, action: SymmetryAction, q: np.ndarray
+) -> np.ndarray:
+    """Per-rotation Choi defect of E_H intertwining pi tensor pi with pi."""
+    u = action.pi.stack(q)
+    return _conjugation_defects(transition, batched_kron(u, u), u)
 
 
 def check_emission_covariance(
-    emission: BipartiteMap,
-    action: SymmetryAction,
-    samples: int = 200,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-) -> CheckResult:
-    """E_HO intertwines pi tensor rho on the input with pi on the output."""
-    rng = rng_from(seed)
-    gs = haar_rotations(rng, samples)
-    u = action.pi.stack(gs)
-    v = action.rho.stack(gs)
-    deviations = _conjugation_defects(emission, batched_kron(u, v), u)
-    return check_result("emission_covariance", samples, seed, deviations, tolerance)
+    emission: BipartiteMap, action: SymmetryAction, q: np.ndarray
+) -> np.ndarray:
+    """Per-rotation Choi defect of E_HO intertwining pi tensor rho with pi."""
+    u = action.pi.stack(q)
+    return _conjugation_defects(emission, batched_kron(u, action.rho.stack(q)), u)
 
 
 def check_sliced_covariance(
     triple: GenerativeTriple,
     structure,
     action: SymmetryAction,
-    samples: int = 200,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-) -> CheckResult:
-    """Rotating the site observables conjugates the sliced one-site map."""
+    q: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> np.ndarray:
+    """Per-sample Choi defect of the sliced one-site map under rotated site observables.
+
+    Sample k rotates the site (xs[k], ys[k]) by q[k]; the map must be
+    conjugated by pi(q[k]).
+    """
     structure = CausalStructure.parse(structure)
-    rng = rng_from(seed)
     h = triple.hidden_dim
-    gs = haar_rotations(rng, samples)
-    u = action.pi.stack(gs)
-    v = action.rho.stack(gs)
-    # one random (x, y) site per sample, drawn after all group elements
-    xs, ys = random_words(rng, triple, samples, 1)
-    xs, ys = xs[:, 0], ys[:, 0]
+    u = action.pi.stack(q)
+    v = action.rho.stack(q)
     rotated = sliced_coefficients(triple, structure, _conjugate(u, xs), _conjugate(v, ys))
     plain = sliced_coefficients(triple, structure, xs, ys)
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
     conjugated = _conjugate(batched_kron(u, u.conj()), plain)
-    deviations = _choi_norms((rotated - conjugated).reshape(samples, h, h, h, h))
-    return check_result("sliced_covariance", samples, seed, deviations, tolerance)
+    return _choi_norms((rotated - conjugated).reshape(-1, h, h, h, h))
 
 
 def check_global_invariance(
     triple: GenerativeTriple,
     structure,
     action: SymmetryAction,
-    n_max: int = 6,
-    samples: int = 50,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> dict[int, CheckResult]:
-    """Invariance of every finite-volume value under sitewise rotation.
+    n_max: int,
+    samples: int,
+    seed: int,
+) -> list[np.ndarray]:
+    """Per-sample deviation of every finite-volume value under sitewise rotation.
 
-    Volume n holds sites 0..n, so the words have n+1 sites.  Each sample
-    draws a fresh group element and a fresh random word.  Each volume
-    folds its words and their rotations as one batch.
+    Entry n holds volume n: sites 0..n, so words of n+1 sites.  Each sample
+    draws a fresh group element and a fresh random word from the seed.
+    Each volume folds its words and their rotations as one batch.
     """
     structure = CausalStructure.parse(structure)
     rng = rng_from(seed)
-    results = {}
+    by_volume = []
     for n in range(n_max + 1):
-        gs = haar_rotations(rng, samples)
-        u = action.pi.stack(gs)
-        v = action.rho.stack(gs)
+        q = haar_rotations(rng, samples)
+        u = action.pi.stack(q)
+        v = action.rho.stack(q)
         xs, ys = random_words(rng, triple, samples, n + 1)
         values = finite_volume_states(
             triple,
@@ -205,9 +187,8 @@ def check_global_invariance(
             np.concatenate([xs, _conjugate(u[:, None], xs)]),
             np.concatenate([ys, _conjugate(v[:, None], ys)]),
         )
-        deviations = np.abs(values[samples:] - values[:samples])
-        results[n] = check_result(f"global_invariance[n={n}]", samples, seed, deviations, tolerance)
-    return results
+        by_volume.append(np.abs(values[samples:] - values[:samples]))
+    return by_volume
 
 
 def invariant_states(

@@ -13,6 +13,7 @@ import numpy as np
 import util
 from hqmmsym import (
     GenerativeTriple,
+    SymmetryAction,
     build_model,
     build_tensors,
     classical_diagonal_triple,
@@ -32,6 +33,7 @@ from hqmmsym import (
     invariant_states,
     kolmogorov_check,
     random_word,
+    random_words,
     single_site_distribution,
     spin_half_rep,
     spin_one_rep,
@@ -126,9 +128,10 @@ def test_criterion_04_intertwining_residuals():
     residuals = {}
     for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
         tensors = build_tensors(variant)
+        action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
         residuals[variant] = verify_intertwining(
-            tensors, spin_half_rep(), spin_one_rep(tensors.basis), samples=120, seed=3
-        )
+            tensors, action, haar_rotations(rng_from(3), 120)
+        ).max()
     worst = max(residuals["normalized_cartesian"], residuals["normalized_spherical"])
     literal = residuals["paper_literal"]
     _verdict(
@@ -142,24 +145,27 @@ def test_criterion_04_intertwining_residuals():
 def test_criterion_05_local_symmetry_checks():
     model = build_model("normalized_cartesian")
     results = [
-        check_initial_invariance(model.triple.phi0, model.action, samples=200, seed=21),
+        check_initial_invariance(
+            model.triple.phi0, model.action, haar_rotations(rng_from(21), 200)
+        ),
         check_transition_equivariance(
-            model.triple.transition, model.action, samples=200, seed=22
+            model.triple.transition, model.action, haar_rotations(rng_from(22), 200)
         ),
         check_emission_covariance(
-            model.triple.emission, model.action, samples=200, seed=23
+            model.triple.emission, model.action, haar_rotations(rng_from(23), 200)
         ),
     ]
     for structure in STRUCTURES:
+        rng = rng_from(24)
+        q = haar_rotations(rng, 200)
+        xs, ys = random_words(rng, model.triple, 200, 1)
         results.append(
-            check_sliced_covariance(
-                model.triple, structure, model.action, samples=200, seed=24
-            )
+            check_sliced_covariance(model.triple, structure, model.action, q, xs[:, 0], ys[:, 0])
         )
-    worst = max(r.max_deviation for r in results)
+    worst = max(r.max() for r in results)
     _verdict(
         "initial, transition, emission and sliced symmetry checks",
-        all(r.passed for r in results) and worst < 1e-10,
+        all(r.max() <= 1e-10 for r in results) and worst < 1e-10,
         f"worst deviation {worst:.3e} over {len(results)} checks (bound 1e-10)",
     )
 
@@ -172,9 +178,9 @@ def test_criterion_06_global_invariance_by_volume():
         by_volume = check_global_invariance(
             model.triple, structure, model.action, n_max=6, samples=50, seed=31
         )
-        for result in by_volume.values():
-            ok = ok and result.passed
-            worst = max(worst, result.max_deviation)
+        for deviations in by_volume:
+            ok = ok and deviations.max() <= 1e-9
+            worst = max(worst, deviations.max())
     _verdict(
         "global rotation invariance up to 7 sites, both structures",
         ok and worst < 1e-9,
@@ -185,7 +191,7 @@ def test_criterion_06_global_invariance_by_volume():
 def test_criterion_07_kolmogorov_consistency():
     model = build_model("normalized_cartesian")
     worst = max(
-        kolmogorov_check(model.triple, structure, depth=6, samples=25, seed=0)
+        kolmogorov_check(model.triple, structure, depth=6, samples=25, seed=0).max()
         for structure in STRUCTURES
     )
     broken = GenerativeTriple(
@@ -195,7 +201,7 @@ def test_criterion_07_kolmogorov_consistency():
         transition_map(normalized=False),
         model.triple.emission,
     )
-    drift = kolmogorov_check(broken, "conventional", depth=4, samples=10, seed=0)
+    drift = kolmogorov_check(broken, "conventional", depth=4, samples=10, seed=0).max()
     _verdict(
         "extension consistency holds, unnormalized transition breaks it",
         worst < 1e-12 and drift >= 0.5,

@@ -3,9 +3,11 @@ import pytest
 
 import util
 from hqmmsym import (
+    BipartiteMap,
     CausalStructure,
     ConfigError,
     ObservableWord,
+    SymmetryAction,
     build_model,
     build_tensors,
     certify_cpu,
@@ -14,6 +16,7 @@ from hqmmsym import (
     emission_map,
     finite_volume_state,
     gram_matrix,
+    haar_rotations,
     operator_norm,
     projector_word,
     random_word,
@@ -92,6 +95,21 @@ def test_emission_map_matches_tensor_sandwich():
         assert operator_norm(emission.apply_array(np.kron(x, y)) - expected) < 1e-13
 
 
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
+def test_emission_map_kraus_operator_matches_the_loop_build(variant):
+    # reference: the Kraus operator sum_k A_k tensor <k| written entry by entry
+    stack = build_tensors(variant).tensors
+    o, h, _ = stack.shape
+    kraus = np.zeros((h, h * o), dtype=complex)
+    for k in range(o):
+        for p in range(h):
+            for a in range(h):
+                kraus[p, a * o + k] = stack[k, p, a]
+    expected = BipartiteMap.build_from_kraus(h, o, h, [kraus])
+    got = emission_map(build_tensors(variant))
+    assert got.coeff.tobytes() == expected.coeff.tobytes()
+
+
 def test_literal_emission_order_transposes_the_physical_slot():
     tensors = build_tensors("normalized_spherical")
     cp_map = emission_map(tensors, order="cp")
@@ -135,19 +153,18 @@ def test_unnormalized_transition_is_not_unital():
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical"])
 def test_intertwining_residual_of_normalized_tensors(variant):
     tensors = build_tensors(variant)
-    residual = verify_intertwining(
-        tensors, spin_half_rep(), spin_one_rep(tensors.basis), samples=80, seed=4
-    )
-    assert isinstance(residual, float)
-    assert residual < 1e-12
+    action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
+    residuals = verify_intertwining(tensors, action, haar_rotations(rng_from(4), 80))
+    assert residuals.shape == (80,)
+    assert residuals.max() < 1e-12
 
 
 def test_intertwining_fails_for_unnormalized_tensors():
-    residual = verify_intertwining(
-        build_tensors("paper_literal"), spin_half_rep(), spin_one_rep("spherical"),
-        samples=80, seed=6,
+    action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
+    residuals = verify_intertwining(
+        build_tensors("paper_literal"), action, haar_rotations(rng_from(6), 80)
     )
-    assert residual > 0.05
+    assert residuals.max() > 0.05
 
 
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical"])

@@ -290,6 +290,14 @@ def test_cocycle_rejects_bad_input(capsys):
     assert code == 2
 
 
+def test_cocycle_refuses_a_subgroup_with_elements(capsys):
+    # the elements would be ignored for the flip group's table
+    argv = ["cocycle", "--subgroup", "z2z2", "--element", "0,0,1:0.7"]
+    code, out, err = _run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--element" in err
+
+
 def test_report_round_trip(tmp_path, capsys):
     code, out, _ = _run_cli(capsys, ["verify", *FAST, "--checks", "cpu,initial"])
     assert code == 0
@@ -343,6 +351,7 @@ def test_argparse_usage_errors_exit_2():
         ["--tol-global", "nan"],
         ["--tol-emission", "inf"],
         ["--tol-cpu=-1e-10"],
+        ["--seed", "-1"],
     ],
 )
 def test_verify_rejects_empty_or_invalid_runs(capsys, flags):
@@ -361,6 +370,7 @@ def test_verify_rejects_empty_or_invalid_runs(capsys, flags):
         {"tolerances": {"oracle": float("nan")}},
         {"tolerances": {"global": float("inf")}},
         {"tolerances": {"initial": -1.0}},
+        {"seed": -1},
     ],
 )
 def test_run_config_rejects_empty_or_invalid_runs(override):

@@ -15,13 +15,18 @@ from hqmmsym import (
     check_transition_equivariance,
     emission_map,
     build_tensors,
+    haar_rotations,
     invariant_states,
     operator_norm,
+    random_words,
     spin_half_rep,
     spin_one_rep,
     trivial_cocycle,
     trivial_rep,
+    verify_intertwining,
 )
+from hqmmsym.cli import CHECKS, Model, RunConfig
+from hqmmsym.sampling import rng_from
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +39,13 @@ def action(model):
     return model.action
 
 
-def test_check_result_serialization(model, action):
-    result = check_initial_invariance(model.triple.phi0, action, samples=10, seed=0)
+def _haar(seed, count):
+    return haar_rotations(rng_from(seed), count)
+
+
+def test_check_result_serialization(model):
+    config = RunConfig(seed=0, samples=10)
+    [result] = CHECKS["initial"].results(Model(model.triple, model.structure, model), config, 1e-10)
     d = result.to_json_dict()
     assert set(d) == {"condition", "samples", "seed", "max_deviation", "tolerance", "pass"}
     assert d["pass"] is True
@@ -44,67 +54,68 @@ def test_check_result_serialization(model, action):
 
 
 def test_initial_invariance_of_maximally_mixed_state(model, action):
-    result = check_initial_invariance(model.triple.phi0, action, samples=60, seed=1)
-    assert result.passed
-    assert result.max_deviation < 1e-12
+    deviations = check_initial_invariance(model.triple.phi0, action, _haar(1, 60))
+    assert deviations.max() <= 1e-10
+    assert deviations.max() < 1e-12
 
 
 def test_initial_invariance_fails_for_polarized_state(action):
     polarized = np.diag([0.8, 0.2]).astype(complex)
-    result = check_initial_invariance(polarized, action, samples=60, seed=2)
-    assert not result.passed
-    assert result.max_deviation > 0.1
+    deviations = check_initial_invariance(polarized, action, _haar(2, 60))
+    assert deviations.max() > 1e-10
+    assert deviations.max() > 0.1
 
 
 def test_transition_equivariance(model, action):
-    result = check_transition_equivariance(model.triple.transition, action, samples=60, seed=3)
-    assert result.passed
-    assert result.max_deviation < 1e-12
+    deviations = check_transition_equivariance(model.triple.transition, action, _haar(3, 60))
+    assert deviations.max() <= 1e-10
+    assert deviations.max() < 1e-12
 
 
 def test_emission_covariance(model, action):
-    result = check_emission_covariance(model.triple.emission, action, samples=60, seed=4)
-    assert result.passed
-    assert result.max_deviation < 1e-12
+    deviations = check_emission_covariance(model.triple.emission, action, _haar(4, 60))
+    assert deviations.max() <= 1e-10
+    assert deviations.max() < 1e-12
 
 
 def test_emission_covariance_of_transposed_order_depends_on_basis(action):
     # with a real physical rep the transposed coefficient is just as
     # covariant, so only the complex spherical basis separates the orders
     literal_cart = emission_map(build_tensors("normalized_cartesian"), order="literal")
-    result = check_emission_covariance(literal_cart, action, samples=60, seed=5)
-    assert result.passed
+    assert check_emission_covariance(literal_cart, action, _haar(5, 60)).max() <= 1e-10
     spherical_action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
     literal_sph = emission_map(build_tensors("normalized_spherical"), order="literal")
-    result = check_emission_covariance(literal_sph, spherical_action, samples=60, seed=5)
-    assert not result.passed
-    assert result.max_deviation > 0.1
+    deviations = check_emission_covariance(literal_sph, spherical_action, _haar(5, 60))
+    assert deviations.max() > 1e-10
+    assert deviations.max() > 0.1
 
 
 def test_emission_covariance_fails_with_mismatched_basis(model):
     # cartesian tensors against the spherical physical rep cannot intertwine
     wrong = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    result = check_emission_covariance(model.triple.emission, wrong, samples=60, seed=6)
-    assert not result.passed
+    assert check_emission_covariance(model.triple.emission, wrong, _haar(6, 60)).max() > 1e-10
 
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_sliced_covariance(model, action, structure):
-    result = check_sliced_covariance(model.triple, structure, action, samples=60, seed=7)
-    assert result.passed
-    assert result.max_deviation < 1e-12
+    rng = rng_from(7)
+    q = haar_rotations(rng, 60)
+    xs, ys = random_words(rng, model.triple, 60, 1)
+    deviations = check_sliced_covariance(model.triple, structure, action, q, xs[:, 0], ys[:, 0])
+    assert deviations.max() <= 1e-10
+    assert deviations.max() < 1e-12
 
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_global_invariance_by_volume(model, action, structure):
-    results = check_global_invariance(
+    by_volume = check_global_invariance(
         model.triple, structure, action, n_max=3, samples=15, seed=8
     )
-    assert sorted(results) == [0, 1, 2, 3]
-    for n, result in results.items():
-        assert result.condition == f"global_invariance[n={n}]"
-        assert result.passed
-        assert result.max_deviation < 1e-11
+    assert len(by_volume) == 4
+    for deviations in by_volume:
+        assert deviations.shape == (15,)
+        assert deviations.max() <= 1e-9
+        assert deviations.max() < 1e-11
 
 
 def test_global_invariance_detects_broken_emission(model):
@@ -112,11 +123,38 @@ def test_global_invariance_detects_broken_emission(model):
     mismatched = emission_map(build_tensors("paper_literal"))
     broken = GenerativeTriple(2, 3, model.triple.phi0, model.triple.transition, mismatched)
     spherical_action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    results = check_global_invariance(
+    by_volume = check_global_invariance(
         broken, "conventional", spherical_action, n_max=1, samples=15, seed=9
     )
-    assert not results[0].passed
-    assert results[0].max_deviation > 1e-3
+    assert by_volume[0].max() > 1e-9
+    assert by_volume[0].max() > 1e-3
+
+
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "paper_literal"])
+def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
+    # a witness row k, rerun alone on q[k:k+1] and its site, gives the same bits
+    m = build_model(variant, structure)
+    rng = rng_from(11)
+    q = haar_rotations(rng, 30)
+    xs, ys = random_words(rng, m.triple, 30, 1)
+    checks = {
+        "initial": lambda q, x, y: check_initial_invariance(m.triple.phi0, m.action, q),
+        "transition": lambda q, x, y: check_transition_equivariance(
+            m.triple.transition, m.action, q
+        ),
+        "emission": lambda q, x, y: check_emission_covariance(m.triple.emission, m.action, q),
+        "sliced": lambda q, x, y: check_sliced_covariance(
+            m.triple, m.structure, m.action, q, x, y
+        ),
+        "intertwining": lambda q, x, y: verify_intertwining(m.tensors, m.action, q),
+    }
+    for name, check in checks.items():
+        batch = check(q, xs[:, 0], ys[:, 0])
+        assert batch.shape == (30,), name
+        for k in range(30):
+            row = check(q[k : k + 1], xs[k : k + 1, 0], ys[k : k + 1, 0])
+            assert np.array_equal(row, batch[k : k + 1]), (name, k)
 
 
 def test_invariant_states_of_irreducible_rep():
