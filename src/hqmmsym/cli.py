@@ -13,6 +13,7 @@ configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -136,7 +137,8 @@ def _check_kolmogorov(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
 
 def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     # word i has 1 + i % 5 sites; one draw of all their sites consumes the
-    # stream exactly as drawing the words one after another would
+    # stream exactly as drawing the words one after another would.  The
+    # deviations come out by length, then by word index, not in word order.
     count = min(c.samples, 20)
     lengths = [1 + i % 5 for i in range(count)]
     xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
@@ -497,6 +499,9 @@ def _cmd_report(args) -> int:
     return 0 if report["pass"] else 1
 
 
+# Built on the first call and reused for the rest of the process: parsing
+# mutates only the namespace it returns, never the parser or its defaults.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqmmsym",

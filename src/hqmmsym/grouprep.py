@@ -24,8 +24,7 @@ from .errors import (
     SubgroupStructureError,
     UnsupportedSpinError,
 )
-from .opalg import batched_kron, operator_norms, worst_deviation
-from .sampling import rng_from
+from .opalg import operator_norms
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -348,21 +347,3 @@ def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]
     omega = rep.cocycle(qg, qh)
     defects = rep.stack(qg) @ rep.stack(qh) - omega[..., None, None] * rep.stack(_compose(qg, qh))
     return omega, operator_norms(defects)
-
-
-def tensor_rep_cocycle_check(
-    rep1: ProjectiveRep, rep2: ProjectiveRep, samples: int = 200, seed: int = 0
-) -> float:
-    """Deviation of the product rep from multiplying up to the product cocycle.
-
-    Samples pairs (g, h) and measures
-    || (U1 tensor U2)(g) (U1 tensor U2)(h) - w1(g,h) w2(g,h) (U1 tensor U2)(gh) ||.
-    """
-    product = ProjectiveRep(
-        rep1.dim * rep2.dim,
-        lambda q: batched_kron(rep1.stack(q), rep2.stack(q)),
-        lambda qg, qh: rep1.cocycle(qg, qh) * rep2.cocycle(qg, qh),
-    )
-    q = haar_rotations(rng_from(seed), 2 * samples)
-    _, deviations = cocycle_defects(product, q[0::2], q[1::2])
-    return worst_deviation(deviations)

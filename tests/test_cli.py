@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hqmmsym import ComplexOperator, ConfigError, build_model, load_model_config
+from hqmmsym import ComplexOperator, ConfigError, build_model, cli, load_model_config
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
 from hqmmsym.sampling import rng_from
 
@@ -339,6 +339,54 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one call, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "calls, codes",
+    [
+        (
+            [
+                ["cocycle", "--element", "0,0,1:0.0", "--element", "0,0,1:3.141592653589793"],
+                ["cocycle", "--subgroup", "z2z2"],
+            ],
+            [0, 0],
+        ),
+        (
+            [
+                ["verify", *FAST, "--checks", "oracle", "--tol-oracle", "1e-3"],
+                ["verify", *FAST, "--checks", "oracle"],
+            ],
+            [0, 0],
+        ),
+        (
+            [
+                ["verify", "--variant", "heisenberg"],
+                ["eval", "--word", "allidentity:3"],
+            ],
+            [2, 0],
+        ),
+    ],
+)
+def test_one_parser_per_process_answers_as_a_fresh_parser(capsys, calls, codes):
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == codes
 
 
 @pytest.mark.parametrize(

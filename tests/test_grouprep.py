@@ -7,6 +7,7 @@ import util
 from hqmmsym import (
     NonCommutingError,
     NonUnimodularError,
+    ProjectiveRep,
     RotationElement,
     SubgroupStructureError,
     UnsupportedSpinError,
@@ -33,8 +34,8 @@ from hqmmsym.grouprep import (
     _distances,
     _spin_matrices,
     haar_rotations,
-    tensor_rep_cocycle_check,
 )
+from hqmmsym.opalg import batched_kron
 from hqmmsym.sampling import rng_from
 
 
@@ -409,7 +410,13 @@ def test_rep_wrappers():
 def test_tensor_of_two_projective_reps_is_linear():
     # the sign cocycle squares to one, so half tensor half multiplies exactly
     half = spin_half_rep()
-    dev = tensor_rep_cocycle_check(half, half, samples=50, seed=20)
-    assert dev < 1e-12
-    dev_mixed = tensor_rep_cocycle_check(half, spin_one_rep(), samples=50, seed=21)
-    assert dev_mixed < 1e-12
+    for other, seed in ((half, 20), (spin_one_rep(), 21)):
+        product = ProjectiveRep(
+            half.dim * other.dim,
+            lambda q, other=other: batched_kron(half.stack(q), other.stack(q)),
+            lambda qg, qh, other=other: half.cocycle(qg, qh) * other.cocycle(qg, qh),
+        )
+        q = haar_rotations(rng_from(seed), 2 * 50)
+        _, deviations = cocycle_defects(product, q[0::2], q[1::2])
+        assert deviations.shape == (50,)
+        assert deviations.max() < 1e-12

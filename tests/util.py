@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 complete positivity is probed by pushing random states through the
-extended map, likelihoods come from the textbook forward recursion, and
-matrix exponentials from a plain power series.
+extended map, likelihoods come from the textbook forward recursion,
+matrix exponentials from a plain power series, and dense word values
+from one product per index chain.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from hqmmsym import BipartiteMap, OperatorMap
+from hqmmsym import BipartiteMap, CausalStructure, OperatorMap
+from hqmmsym.aklt import _site_tensor
 
 
 def brute_force_cp(m: OperatorMap, rng: np.random.Generator, trials: int = 200) -> float:
@@ -112,3 +116,34 @@ def assert_cpu(cert, tol: float = 1e-10) -> None:
     assert cert.choi_defect <= tol
     assert cert.min_eigenvalue >= -tol
     assert cert.unitality_deviation <= tol
+
+
+def dense_chain_value(triple, structure, word) -> complex:
+    """aklt.dense_word_value with one full product per index chain.
+
+    The site tensors are the referee's own; every chain is walked from its
+    first entry, off-diagonal endings are skipped, and the terms are added
+    in lexicographic order of the chains.  Sharing chain prefixes must give
+    the same bits.
+    """
+    structure = CausalStructure.parse(structure)
+    n = len(word)
+    h, o = triple.hidden_dim, triple.obs_dim
+    c_h = triple.transition.coeff.tolist()
+    c_ho = triple.emission.coeff.tolist()
+    sites = [
+        _site_tensor(structure, c_h, c_ho, x, y, h, o)
+        for x, y in zip(word.xs.tolist(), word.ys.tolist())
+    ]
+    rho0 = triple.phi0.tolist()
+    first = [rho0[q][p] for p in range(h) for q in range(h)]
+    diagonal = {p * h + p for p in range(h)}
+    total = 0.0 + 0.0j
+    for chain in product(range(h * h), repeat=n + 1):
+        if chain[n] not in diagonal:
+            continue
+        term = first[chain[0]]
+        for k in range(n):
+            term = term * sites[k][chain[k]][chain[k + 1]]
+        total += term
+    return complex(total)
