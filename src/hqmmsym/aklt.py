@@ -13,7 +13,6 @@ intertwining relation sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -267,11 +266,12 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     its own sliced site tensors by explicit scalar loops over the map
     coefficients, held as nested Python lists, and sums the product of
     chain entries against the initial state over every index chain, with
-    no einsum, matmul or fold.  Chains that share a prefix share its
-    product, grown one site at a time, but each chain that ends on the
-    diagonal is still one term, and the terms are added one by one in
-    lexicographic order of the chains.  Time and memory grow as
-    (hidden_dim^2)^sites, so words beyond 8 sites are refused.
+    no einsum, matmul or fold.  The chains are walked depth first, so
+    chains that share a prefix share its product, but each chain that
+    ends on the diagonal is still one term, and the terms are added one
+    by one in lexicographic order of the chains.  Time grows as
+    (hidden_dim^2)^sites, so words beyond 8 sites are refused; memory
+    holds one running product per site.
     """
     structure = CausalStructure.parse(structure)
     n = len(word)
@@ -292,15 +292,22 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     # chain entry r is the index pair (p, q) = divmod(r, h)
     first = [rho0[q][p] for p in range(h) for q in range(h)]
     diagonal = [p * h + p for p in range(h)]
-    # after k sites, prefixes[i] is the product along the i-th chain of
-    # k + 1 entries in lexicographic order; that chain ends on entry
-    # i % h^2, and cycle(site) pairs it with that entry's row of the next
-    # site tensor
-    prefixes = first
-    for site in sites[:-1]:
-        prefixes = [t * s for t, row in zip(prefixes, cycle(site)) for s in row]
+    last = n - 1
+
+    def walk(k, t, row, total):
+        # t is the product along a chain of k + 1 entries, row the row of
+        # site k at the entry it ends on; the chains through it are walked
+        # depth first, so in lexicographic order
+        if k == last:
+            for d in diagonal:
+                total += t * row[d]
+            return total
+        after = sites[k + 1]
+        for r, s in enumerate(row):
+            total = walk(k + 1, t * s, after[r], total)
+        return total
+
     total = 0.0 + 0.0j
-    for t, row in zip(prefixes, cycle(sites[-1])):
-        for d in diagonal:
-            total += t * row[d]
+    for t, row in zip(first, sites[0]):
+        total = walk(0, t, row, total)
     return complex(total)

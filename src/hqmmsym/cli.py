@@ -501,6 +501,8 @@ def _cmd_report(args) -> int:
 
 # Built on the first call and reused for the rest of the process: parsing
 # mutates only the namespace it returns, never the parser or its defaults.
+# Only callers that run main several times in one process save anything;
+# the console script calls it once per process and builds one parser.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
