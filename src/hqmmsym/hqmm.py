@@ -6,9 +6,12 @@ hidden tensor hidden and an emission map on hidden tensor observable.  A
 word of site observables (X_k, Y_k) is evaluated in the Heisenberg picture
 by folding sliced one-site maps from the last site down to the first and
 closing with phi0.  The fold never materializes a tensor product over
-sites, so the cost is linear in the word length.  finite_volume_states
-folds a batch of equal-length words together, one site at a time, each
-site a single contraction through BipartiteMap.apply_pairs.
+sites, so the cost is linear in the word length.
+
+composite_map is the one contraction of the transition with the emission;
+finite_volume_states folds batches of words through it.  finite_volume_state
+folds one word with two map applications per site, apart from composite_map:
+it is the tests' per-word reference and the path the word-eval benchmark times.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .opalg import (
     BipartiteMap,
     ComplexOperator,
     CpuCertificate,
-    OperatorMap,
+    batched_kron,
     certify_cpu,
     frozen_square_stack,
     operator_norm,
@@ -223,33 +226,32 @@ def _apply_sliced(
     return triple.emission.apply_array(np.kron(linked, y))
 
 
-def _apply_sliced_batch(
-    triple: GenerativeTriple,
-    structure: CausalStructure,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-) -> np.ndarray:
-    """_apply_sliced on stacks x[B, h, h], y[B, o, o], z[B, h, h]."""
+def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
+    """Full one-site map on hidden tensor hidden tensor observable.
+
+    Slot order is (X, X', Y): current hidden, next hidden, physical.  The
+    conventional structure feeds the emitted operator into the transition,
+    the causal structure feeds the transition output into the emission.
+    Either order is one matmul over the hidden pair (u, v) that the inner
+    map writes and the outer map reads.  This is the one place where the
+    transition and emission coefficients meet.
+    """
+    structure = CausalStructure.parse(structure)
+    h, o = triple.hidden_dim, triple.obs_dim
+    t = triple.transition.coeff.reshape(h, h, h, h, h, h)  # (p, q, a, b, a', b')
+    e = triple.emission.coeff.reshape(h, h, h, o, h, o)  # (p, q, a, c, a', c')
     if structure is CausalStructure.CONVENTIONAL:
-        emitted = triple.emission.apply_pairs(x, y)
-        return triple.transition.apply_pairs(emitted, z)
-    linked = triple.transition.apply_pairs(x, z)
-    return triple.emission.apply_pairs(linked, y)
-
-
-def _matrix_units(dim: int) -> np.ndarray:
-    """units[i, j] is the matrix unit e_ij."""
-    return np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
-
-
-def sliced_map(triple: GenerativeTriple, structure, x: np.ndarray, y: np.ndarray) -> OperatorMap:
-    """One-site map Z -> T(X tensor Z tensor Y) on the hidden algebra."""
-    word = ObservableWord(np.asarray(x)[None], np.asarray(y)[None])
-    word.check_dims(triple)
-    h = triple.hidden_dim
-    coeff = sliced_coefficients(triple, structure, word.xs, word.ys)[0]
-    return OperatorMap(h, h, coeff.reshape(h, h, h, h))
+        # T(E(x tensor y) tensor z): rows (p, q, b, b'), columns (a, c, a', c')
+        outer = t.transpose(0, 1, 3, 5, 2, 4).reshape(h**4, h * h)
+        coeff = (outer @ e.reshape(h * h, (h * o) ** 2)).reshape(h, h, h, h, h, o, h, o)
+        coeff = coeff.transpose(0, 1, 4, 2, 5, 6, 3, 7)
+    else:
+        # E(T(x tensor z) tensor y): rows (p, q, c, c'), columns (a, b, a', b')
+        outer = e.transpose(0, 1, 3, 5, 2, 4).reshape((h * o) ** 2, h * h)
+        coeff = (outer @ t.reshape(h * h, h**4)).reshape(h, h, o, o, h, h, h, h)
+        coeff = coeff.transpose(0, 1, 4, 5, 2, 6, 7, 3)
+    total = h * h * o
+    return BipartiteMap(total, h, coeff.reshape(h, h, total, total), h * h, o)
 
 
 def sliced_coefficients(
@@ -258,41 +260,16 @@ def sliced_coefficients(
     """Coefficient matrices of the sliced maps of site pairs xs[B, h, h], ys[B, o, o].
 
     Entry [k, p * h + q, i * h + j] is the (p, q) entry of the k-th sliced
-    map applied to the matrix unit e_ij.  Every (site, unit) pair is one
-    row of a single batch.
+    map applied to the matrix unit e_ij.  Row k is M vec(xs[k] tensor ys[k]),
+    where M holds the composite_map coefficients with rows (p, q, i, j) and
+    columns (a, c, a', c').  The stacked matmul computes each row on its
+    own, so a row does not depend on the rest of the batch.
     """
-    structure = CausalStructure.parse(structure)
-    h = triple.hidden_dim
-    count = xs.shape[0]
-    units = np.broadcast_to(_matrix_units(h).reshape(1, h * h, h, h), (count, h * h, h, h))
-    out = _apply_sliced_batch(
-        triple,
-        structure,
-        np.repeat(xs, h * h, axis=0),
-        np.repeat(ys, h * h, axis=0),
-        units.reshape(count * h * h, h, h),
-    )
-    return out.reshape(count, h * h, h * h).transpose(0, 2, 1)
-
-
-def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
-    """Full one-site map on hidden tensor hidden tensor observable.
-
-    Slot order is (X, X', Y): current hidden, next hidden, physical.  The
-    conventional structure feeds the emitted operator into the transition,
-    the causal structure feeds the transition output into the emission.
-    """
-    structure = CausalStructure.parse(structure)
     h, o = triple.hidden_dim, triple.obs_dim
-    total = h * h * o
-    # one batch row per (row, col) = ((a, b, c), (a2, b2, c2)) matrix unit
-    a, b, c, a2, b2, c2 = np.indices((h, h, o, h, h, o)).reshape(6, -1)
-    units_h = _matrix_units(h)
-    out = _apply_sliced_batch(
-        triple, structure, units_h[a, a2], _matrix_units(o)[c, c2], units_h[b, b2]
-    )
-    coeff = out.reshape(total, total, h, h).transpose(2, 3, 0, 1)
-    return BipartiteMap(total, h, coeff, h * h, o)
+    coeff = composite_map(triple, structure).coeff.reshape(h, h, h, h, o, h, h, o)
+    m = coeff.transpose(0, 1, 3, 6, 2, 4, 5, 7).reshape(h**4, (h * o) ** 2)
+    pairs = batched_kron(xs, ys).reshape(-1, (h * o) ** 2, 1)
+    return (m @ pairs).reshape(-1, h * h, h * h)
 
 
 def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:
@@ -317,10 +294,13 @@ def finite_volume_states(
     """Values of a batch of equal-length words, folded one site at a time.
 
     xs has shape (B, n, h, h) and ys (B, n, o, o): word k has the site
-    pairs (xs[k, s], ys[k, s]).  Returns complex values of shape (B,),
-    equal to finite_volume_state on each word up to rounding.
+    pairs (xs[k, s], ys[k, s]).  One sliced_coefficients call gives all
+    B * n site transfers; the fold multiplies vec(1) by them, last site
+    first, as stacked (B, h^2, h^2) @ (B, h^2, 1) products and closes with
+    vec(rho0^T).  Every step is a per-word product, so word k's value is
+    bit for bit the value of word k folded alone.  Returns complex values
+    of shape (B,), equal to finite_volume_state on each word up to rounding.
     """
-    structure = CausalStructure.parse(structure)
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     h, o = triple.hidden_dim, triple.obs_dim
@@ -333,10 +313,14 @@ def finite_volume_states(
     count, n_sites = xs.shape[:2]
     if n_sites == 0:
         raise ValueError("empty word; finite-volume states need at least one site")
-    m = np.broadcast_to(np.eye(h, dtype=complex), (count, h, h))
+    transfers = sliced_coefficients(
+        triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o)
+    ).reshape(count, n_sites, h * h, h * h)
+    m = np.broadcast_to(np.eye(h, dtype=complex).reshape(h * h, 1), (count, h * h, 1))
     for k in range(n_sites - 1, -1, -1):
-        m = _apply_sliced_batch(triple, structure, xs[:, k], ys[:, k], m)
-    return np.einsum("ij,bji->b", triple.phi0, m)
+        m = transfers[:, k] @ m
+    # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
+    return (triple.phi0.T.reshape(1, h * h) @ m).reshape(count)
 
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
@@ -378,7 +362,6 @@ def kolmogorov_check(
     words.  Each length's words and their extensions are folded as two
     batches.
     """
-    structure = CausalStructure.parse(structure)
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
     eye_x = np.eye(h, dtype=complex)

@@ -194,20 +194,6 @@ class BipartiteMap(OperatorMap):
         base = OperatorMap.from_kraus(dim_in1 * dim_in2, dim_out, kraus)
         return cls(base.dim_in, base.dim_out, base.coeff, dim_in1, dim_in2)
 
-    def apply_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Apply to a batch of product inputs a[k] tensor b[k], one matmul for all.
-
-        a has shape (B, dim_in1, dim_in1), b has shape (B, dim_in2, dim_in2),
-        and the result has shape (B, dim_out, dim_out).
-        """
-        if a.shape[1:] != (self.dim_in1, self.dim_in1):
-            raise DimensionMismatchError("first input factors", (self.dim_in1,) * 2, a.shape[1:])
-        if b.shape[1:] != (self.dim_in2, self.dim_in2):
-            raise DimensionMismatchError("second input factors", (self.dim_in2,) * 2, b.shape[1:])
-        products = batched_kron(a, b).reshape(a.shape[0], self.dim_in * self.dim_in)
-        flat = self.coeff.reshape(self.dim_out * self.dim_out, self.dim_in * self.dim_in)
-        return (products @ flat.T).reshape(a.shape[0], self.dim_out, self.dim_out)
-
 
 @dataclass(frozen=True)
 class CpuCertificate:

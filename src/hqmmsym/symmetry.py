@@ -25,7 +25,6 @@ from .grouprep import ProjectiveRep, haar_rotations
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
 # this module's bindings of both.
 from .hqmm import (  # noqa: F401
-    CausalStructure,
     GenerativeTriple,
     finite_volume_state,
     finite_volume_states,
@@ -148,7 +147,6 @@ def check_sliced_covariance(
     Sample k rotates the site (xs[k], ys[k]) by q[k]; the map must be
     conjugated by pi(q[k]).
     """
-    structure = CausalStructure.parse(structure)
     h = triple.hidden_dim
     u = action.pi.stack(q)
     v = action.rho.stack(q)
@@ -173,7 +171,6 @@ def check_global_invariance(
     draws a fresh group element and a fresh random word from the seed.
     Each volume folds its words and their rotations as one batch.
     """
-    structure = CausalStructure.parse(structure)
     rng = rng_from(seed)
     by_volume = []
     for n in range(n_max + 1):

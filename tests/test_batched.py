@@ -12,6 +12,7 @@ import util
 from hqmmsym import (
     BipartiteMap,
     ComplexOperator,
+    GenerativeTriple,
     ObservableWord,
     OperatorMap,
     build_model,
@@ -23,10 +24,9 @@ from hqmmsym import (
     operator_norms,
     random_word,
     random_words,
-    sliced_map,
     worst_deviation,
 )
-from hqmmsym.hqmm import CausalStructure, _apply_sliced
+from hqmmsym.hqmm import CausalStructure, _apply_sliced, sliced_coefficients
 from hqmmsym.sampling import random_operator, rng_from
 from hqmmsym.symmetry import _conjugation_defects
 
@@ -36,6 +36,19 @@ def _classical():
     initial = util.random_stochastic(rng, 1, 4)[0]
     return classical_diagonal_triple(
         initial, util.random_stochastic(rng, 4, 4), util.random_stochastic(rng, 4, 3)
+    )
+
+
+def _random_unital():
+    # h = 3 and o = 2, with a transition that keeps both hidden factors, so
+    # the two structures give different composite maps
+    rng = rng_from(12)
+    return GenerativeTriple(
+        3,
+        2,
+        np.eye(3) / 3,
+        BipartiteMap.build_from_kraus(3, 3, 3, util.random_unital_kraus(rng, 9, 3, 3)),
+        BipartiteMap.build_from_kraus(3, 2, 3, util.random_unital_kraus(rng, 6, 3, 3)),
     )
 
 
@@ -62,6 +75,20 @@ def test_batched_fold_matches_single_word_fold(name, structure, count):
         for k in range(count):
             single = finite_volume_state(triple, structure, _as_word(xs[k], ys[k]))
             assert abs(batched[k] - single) < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLES))
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
+    # global and kolmogorov witnesses are (volume, row) pairs; a row must
+    # replay bit for bit without the rest of its batch
+    triple = TRIPLES[name]
+    for n_sites in (1, 3, 7):
+        xs, ys = random_words(rng_from(20 + n_sites), triple, 32, n_sites)
+        batch = finite_volume_states(triple, structure, xs, ys)
+        for k in range(32):
+            alone = finite_volume_states(triple, structure, xs[k : k + 1], ys[k : k + 1])
+            assert np.array_equal(alone, batch[k : k + 1]), (n_sites, k)
 
 
 def test_batched_fold_validates_shapes():
@@ -118,34 +145,37 @@ def test_worst_deviation_propagates_nan_and_refuses_empty():
         worst_deviation([])
 
 
-def test_apply_pairs_matches_apply_pair():
-    rng = rng_from(6)
-    m = util.random_unital_bipartite(rng, 3, 2, 4)
-    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    b = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    out = m.apply_pairs(a, b)
-    assert out.shape == (5, 4, 4)
-    for k in range(5):
-        ref = m.apply_array(np.kron(a[k], b[k]))
-        assert np.abs(out[k] - ref).max() < 1e-14
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        m.apply_pairs(b, b)
+SLICED_INPUTS = {
+    "classical4": TRIPLES["classical4"],
+    "paper_literal": build_model("paper_literal").triple,
+    "random_unital": _random_unital(),
+}
 
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_sliced_and_composite_maps_match_single_site_reference(structure):
-    triple = TRIPLES["classical4"]
-    rng = rng_from(2)
-    x = random_operator(rng, 4)
-    y = random_operator(rng, 3)
     parsed = CausalStructure.parse(structure)
-    ref = OperatorMap.from_function(4, 4, lambda z: _apply_sliced(triple, parsed, x, y, z))
-    got = sliced_map(triple, structure, x, y)
-    assert np.abs(got.coeff - ref.coeff).max() < 1e-14
-    z = random_operator(rng, 4)
-    comp = composite_map(triple, structure)
-    via_composite = comp.apply_array(np.kron(np.kron(x, z), y))
-    assert np.abs(via_composite - _apply_sliced(triple, parsed, x, y, z)).max() < 1e-14
+    for name, triple in SLICED_INPUTS.items():
+        h, o = triple.hidden_dim, triple.obs_dim
+        rng = rng_from(2)
+        x = random_operator(rng, h)
+        y = random_operator(rng, o)
+        ref = OperatorMap.from_function(h, h, lambda z: _apply_sliced(triple, parsed, x, y, z))
+        got = sliced_coefficients(triple, structure, x[None], y[None])[0]
+        assert np.abs(got - ref.coeff.reshape(h * h, h * h)).max() < 1e-14, name
+        z = random_operator(rng, h)
+        comp = composite_map(triple, structure)
+        via_composite = comp.apply_array(np.kron(np.kron(x, z), y))
+        assert np.abs(via_composite - _apply_sliced(triple, parsed, x, y, z)).max() < 1e-14, name
+
+
+def test_random_unital_input_tells_the_structures_apart():
+    # otherwise a slot swapped in one structure's closed form could pass
+    # the reference test above by symmetry
+    triple = SLICED_INPUTS["random_unital"]
+    conventional = composite_map(triple, "conventional").coeff
+    causal = composite_map(triple, "causal").coeff
+    assert np.abs(conventional - causal).max() > 1e-2
 
 
 # d_out != d1 exercises the coefficient reshape on the output side

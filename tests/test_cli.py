@@ -4,7 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from hqmmsym import ComplexOperator, ConfigError, build_model, cli, load_model_config
+from hqmmsym import (
+    ComplexOperator,
+    ConfigError,
+    ObservableWord,
+    build_model,
+    cli,
+    dense_word_value,
+    finite_volume_states,
+    load_model_config,
+    random_words,
+)
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
 from hqmmsym.sampling import rng_from
 
@@ -117,6 +127,41 @@ def test_verify_text_format(capsys):
     assert code == 0
     assert "[PASS] cpu_certification" in out
     assert out.strip().endswith("overall: PASS")
+
+
+@pytest.mark.parametrize("variant, structure", [
+    ("normalized_cartesian", "conventional"),
+    ("paper_literal", "causal"),
+])
+def test_oracle_deviation_i_belongs_to_word_i(variant, structure):
+    config = RunConfig(checks=("oracle",), samples=20, seed=7)
+    m = cli.load_model("aklt", variant, structure)
+    deviations = cli._oracle_deviations(m, config)
+    lengths = [1 + i % 5 for i in range(20)]
+    xs, ys = random_words(rng_from(7), m.triple, 1, sum(lengths))
+    start = 0
+    for i, n in enumerate(lengths):
+        x, y = xs[:, start : start + n], ys[:, start : start + n]
+        start += n
+        alone = finite_volume_states(m.triple, m.structure, x, y)[0]
+        referee = dense_word_value(m.triple, m.structure, ObservableWord(x[0], y[0]))
+        assert deviations[i] == abs(alone - referee), i
+
+
+@pytest.mark.parametrize("n_max, words", [(0, 1), (2, 10), (6, 46)])
+def test_kolmogorov_samples_count_the_words_checked(n_max, words):
+    config = RunConfig(checks=("kolmogorov",), global_samples=8, n_max=n_max)
+    [check] = run(config)["checks"]
+    assert check["samples"] == words
+
+
+def test_kolmogorov_at_depth_one_reports_one_word(capsys):
+    code, out, _ = _run_cli(capsys, [
+        "verify", "--checks", "kolmogorov", "--n-max", "1", "--format", "json",
+    ])
+    assert code == 0
+    [check] = _strict_json(out)["checks"]
+    assert check["samples"] == 1
 
 
 def test_verify_fails_on_literal_variant(capsys):

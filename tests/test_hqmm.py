@@ -23,10 +23,9 @@ from hqmmsym import (
     operator_norm,
     random_word,
     random_words,
-    sliced_map,
     transition_map,
 )
-from hqmmsym.hqmm import triple_from_config
+from hqmmsym.hqmm import sliced_coefficients, triple_from_config
 from hqmmsym.sampling import rng_from
 
 
@@ -173,15 +172,9 @@ def test_composite_and_sliced_maps_agree(aklt_triple, structure):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         via_composite = comp.apply_array(np.kron(np.kron(x, z), y))
-        via_sliced = sliced_map(aklt_triple, structure, x, y).apply_array(z)
+        sliced = sliced_coefficients(aklt_triple, structure, x[None], y[None])[0]
+        via_sliced = (sliced @ z.reshape(4)).reshape(2, 2)
         assert operator_norm(via_composite - via_sliced) < 1e-12
-
-
-def test_sliced_map_validates_site_dimensions(aklt_triple):
-    with pytest.raises(DimensionMismatchError):
-        sliced_map(aklt_triple, "conventional", np.eye(3), np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        sliced_map(aklt_triple, "conventional", np.eye(2), np.eye(2))
 
 
 def test_both_structures_coincide_for_partial_trace_transition(aklt_triple):

@@ -122,22 +122,17 @@ def test_certify_cpu_flags_non_unital():
 
 def test_bipartite_build_and_apply_pair():
     rng = rng_from(10)
-    m = util.random_unital_bipartite(rng, 2, 3, 2, count=3)
+    kraus = util.random_unital_kraus(rng, 6, 2, 3)
+    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
     assert (m.dim_in1, m.dim_in2, m.dim_out) == (2, 3, 2)
     a = random_operator(rng, 2)
     b = random_operator(rng, 3)
-    via_pair = m.apply_pairs(a[None], b[None])[0]
-    via_kron = m.apply_array(np.kron(a, b))
-    assert operator_norm(via_pair - via_kron) < 1e-13
+    pair = np.kron(a, b)
+    via_kraus = sum(k @ pair @ k.conj().T for k in kraus)
+    assert operator_norm(m.apply_array(pair) - via_kraus) < 1e-13
 
 
 def test_bipartite_factor_validation():
-    rng = rng_from(11)
-    m = util.random_unital_bipartite(rng, 2, 3, 2)
-    with pytest.raises(DimensionMismatchError):
-        m.apply_pairs(np.eye(3)[None], np.eye(3)[None])
-    with pytest.raises(DimensionMismatchError):
-        m.apply_pairs(np.eye(2)[None], np.eye(2)[None])
     with pytest.raises(DimensionMismatchError):
         BipartiteMap(5, 2, np.zeros((2, 2, 5, 5)), 2, 3)
 
