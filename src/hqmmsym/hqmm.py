@@ -233,8 +233,8 @@ def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
     conventional structure feeds the emitted operator into the transition,
     the causal structure feeds the transition output into the emission.
     Either order is one matmul over the hidden pair (u, v) that the inner
-    map writes and the outer map reads.  This is the one place where the
-    transition and emission coefficients meet.
+    map writes and the outer map reads.  The batched fold and the sliced
+    check see the two maps only through it.
     """
     structure = CausalStructure.parse(structure)
     h, o = triple.hidden_dim, triple.obs_dim
