@@ -18,13 +18,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import aklt
-from .errors import ConfigError, SubgroupStructureError, config_int, load_json
+from .errors import ConfigError, SubgroupStructureError, config_float, config_int, load_json
 from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_rotations
 from .hqmm import (
     CausalStructure,
@@ -155,10 +155,8 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
         folded[n - 1 :: 5] = finite_volume_states(
             m.triple, m.structure, np.stack([w.xs for w in batch]), np.stack([w.ys for w in batch])
         )
-    return np.array([
-        abs(value - aklt.dense_word_value(m.triple, m.structure, word))
-        for value, word in zip(folded, words)
-    ])
+    referee = np.array([aklt.dense_word_value(m.triple, m.structure, word) for word in words])
+    return np.abs(folded - referee)
 
 
 def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
@@ -235,7 +233,7 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise ConfigError(f"unknown tolerance key {name!r}")
-            value = _config_float(f"tolerance {name!r}", value)
+            value = config_float(f"tolerance {name!r}", value)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(
                     f"tolerance for {name!r} must be finite and nonnegative, got {value}"
@@ -252,28 +250,18 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunConfig":
-        checks = obj.get("checks", [])
-        # a string would be read letter by letter
-        if not isinstance(checks, list):
-            raise ConfigError(f"checks must be a list of check names, got {checks!r}")
-        return cls(
-            model=str(obj.get("model", "aklt")),
-            variant=str(obj.get("variant", "normalized_cartesian")).replace("-", "_"),
-            structure=obj.get("structure"),
-            checks=_ordered_checks(checks),
-            seed=obj.get("seed", 42),
-            samples=obj.get("samples", 200),
-            global_samples=obj.get("global_samples", 50),
-            n_max=obj.get("n_max", 6),
-            tolerances=obj.get("tolerances", {}),
-        )
-
-
-def _config_float(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        """The config from a JSON object; a field it does not name keeps its default."""
+        given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        if "checks" in given:
+            # a string would be read letter by letter
+            if not isinstance(given["checks"], list):
+                raise ConfigError(f"checks must be a list of check names, got {given['checks']!r}")
+            given["checks"] = _ordered_checks(given["checks"])
+        if "model" in given:
+            given["model"] = str(given["model"])
+        if "variant" in given:
+            given["variant"] = str(given["variant"]).replace("-", "_")
+        return cls(**given)
 
 
 def run(config: RunConfig) -> dict:
@@ -342,16 +330,15 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
 
 def _config_from_args(args) -> RunConfig:
     tolerances = {name: getattr(args, f"tol_{name}") for name in CHECK_NAMES}
+    # a count not given on the command line keeps the RunConfig default
+    counts = {name: getattr(args, name) for name in ("seed", "samples", "global_samples", "n_max")}
     return RunConfig.from_json_dict(
         {
             "model": args.model,
             "variant": args.variant,
             "structure": args.structure,
             "checks": [s.strip() for s in (args.checks or "").split(",") if s.strip()],
-            "seed": args.seed,
-            "samples": args.samples,
-            "global_samples": args.global_samples,
-            "n_max": args.n_max,
+            **{name: value for name, value in counts.items() if value is not None},
             "tolerances": {name: tol for name, tol in tolerances.items() if tol is not None},
         }
     )
@@ -543,10 +530,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'aklt' for the builtin model or a path to a model config JSON",
     )
     add_model_options(verify)
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--samples", type=int, default=200)
-    verify.add_argument("--global-samples", type=int, default=50, dest="global_samples")
-    verify.add_argument("--n-max", type=int, default=6, dest="n_max")
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--samples", type=int)
+    verify.add_argument("--global-samples", type=int, dest="global_samples")
+    verify.add_argument("--n-max", type=int, dest="n_max")
     verify.add_argument(
         "--checks",
         default=None,

@@ -89,6 +89,14 @@ def config_int(name: str, value) -> int:
     return int(value)
 
 
+def config_float(name: str, value) -> float:
+    """A number read from a run config, or ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_json(path: str, what: str):
     """The JSON document in the file at path, or ConfigError naming it as what."""
     try:

@@ -2,9 +2,11 @@
 
 A rotation is held as a unit quaternion (w, x, y, z) in a canonical sign:
 the first nonzero component is strictly positive.  The canonical
-representative is a concrete section of the double cover, and the scalar
-relating a quaternion product to the canonical representative of the
-composed rotation is a two-cocycle with values in {+1, -1}.
+representative is a concrete section of the double cover.  The sign that
+canonicalization applies to a quaternion product g h is the section
+cocycle omega(g, h), a two-cocycle with values in {+1, -1}: _section
+returns it beside the canonical product, so the cocycle is read off the
+sign rule itself rather than recovered from the product afterwards.
 
 Rotations travel as quaternion stacks q[..., 4], and every function here
 acts on a whole stack at once.  np.asarray turns a RotationElement, or a
@@ -67,22 +69,29 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / _norms(q)[..., None]
 
 
-def canonical_quaternions(q) -> np.ndarray:
-    """Canonical representatives of a quaternion stack q[..., 4].
+def _section(q) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical representatives of a quaternion stack q[..., 4], and the signs applied.
 
     Each row is normalized, its components below SNAP_TOL become exact
-    zeros, and it is signed so that its first nonzero component is
-    positive.  This is the one sign rule of the package.  A row with no
-    component at or above SNAP_TOL (a zero or non-finite row) has no
-    canonical sign and raises ValueError.
+    zeros, and it is multiplied by the sign (+1.0 or -1.0) that makes its
+    first nonzero component positive.  This is the one sign rule of the
+    package.  A row with no component at or above SNAP_TOL (a zero or
+    non-finite row) has no canonical sign and raises ValueError.
     """
     with np.errstate(invalid="ignore"):
         q = _unit(np.asarray(q, dtype=float))
     kept = np.abs(q) >= SNAP_TOL
     if not kept.any(axis=-1).all():
         raise ValueError("a zero or non-finite quaternion has no canonical sign")
-    lead = np.take_along_axis(q, kept.argmax(axis=-1)[..., None], axis=-1)
-    return np.where(kept, q, 0.0) * np.where(lead > 0.0, 1.0, -1.0)
+    lead = np.take_along_axis(q, kept.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    # |lead| >= SNAP_TOL, so its sign is +1.0 or -1.0, never 0
+    sign = np.sign(lead)
+    return np.where(kept, q, 0.0) * sign[..., None], sign
+
+
+def canonical_quaternions(q) -> np.ndarray:
+    """Canonical representatives of a quaternion stack q[..., 4], by the rule of _section."""
+    return _section(q)[0]
 
 
 def _hamilton(a, b) -> np.ndarray:
@@ -97,7 +106,7 @@ def _hamilton(a, b) -> np.ndarray:
 
 
 def _compose(a, b) -> np.ndarray:
-    """Canonical quaternions of the rotations a b."""
+    """Canonical quaternions of the rotations a b; cocycle_eval gives the sign applied."""
     return canonical_quaternions(_hamilton(a, b))
 
 
@@ -177,14 +186,13 @@ def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
 def cocycle_eval(qg, qh) -> np.ndarray:
     """The section cocycle omega(g, h) on quaternion stacks qg, qh.
 
-    omega is +1 where the quaternion product g h is already the canonical
-    representative of the composed rotation and -1 where it is its
-    negative, so U(g) U(h) = omega(g, h) U(gh) for the canonical lift U.
-    The values are exact signs: each is the sign canonical_quaternions
-    gives g h, as in compose.
+    omega is the sign that canonicalization applies to the quaternion
+    product g h: +1 where g h is already the canonical representative of
+    the composed rotation and -1 where it is its negative, so
+    U(g) U(h) = omega(g, h) U(gh) for the canonical lift U.  The values
+    are exact signs, from the same rule that gives compose its result.
     """
-    prod = _hamilton(qg, qh)
-    return np.sign(np.sum(prod * canonical_quaternions(prod), axis=-1))
+    return _section(_hamilton(qg, qh))[1]
 
 
 def trivial_cocycle(qg, qh) -> np.ndarray:
@@ -220,11 +228,13 @@ def commutator_pairing(qg, qh) -> np.ndarray:
     commutator of the lifts as a scalar.  A pair further than ROTATION_TOL
     from commuting raises NonCommutingError.
     """
-    dev = _distances(_compose(qg, qh), _compose(qh, qg))
+    gh, omega_gh = _section(_hamilton(qg, qh))
+    hg, omega_hg = _section(_hamilton(qh, qg))
+    dev = _distances(gh, hg)
     bad = np.flatnonzero(dev > ROTATION_TOL)
     if bad.size:
         raise NonCommutingError(float(dev.flat[bad[0]]), ROTATION_TOL)
-    return cocycle_eval(qg, qh).astype(complex) / cocycle_eval(qh, qg)
+    return omega_gh.astype(complex) / omega_hg
 
 
 @dataclass(frozen=True)
@@ -242,20 +252,21 @@ def detect_nontrivial_class(elements: Sequence[RotationElement]) -> NontrivialCl
     commutator pairing differs from 1, and that pairing is gauge invariant,
     so no gauge search is needed.  Every pair is evaluated at once, as
     (n, n) stacks with entry [i, j] for the pair (elements[i], elements[j]).
+    One product table gh gives the compositions and the section signs;
+    the reversed products hg are gh with its two axes swapped.
     """
     elements = list(elements)
     q = np.asarray(elements, dtype=float).reshape(len(elements), 4)
-    g, h = q[:, None], q[None, :]
-    gh = _compose(g, h)
+    gh, omega = _section(_hamilton(q[:, None], q[None, :]))
     checks = (
         ("product leaves the element list", _distances(gh[:, :, None], q).min(axis=-1)),
-        ("elements do not commute", _distances(gh, _compose(h, g))),
+        ("elements do not commute", _distances(gh, gh.swapaxes(0, 1))),
     )
     for reason, deviations in checks:
         bad = np.flatnonzero(deviations > ROTATION_TOL)
         if bad.size:
             raise SubgroupStructureError(reason, float(deviations.flat[bad[0]]))
-    omega = cocycle_eval(g, h).astype(complex)
+    omega = omega.astype(complex)
     table = omega / omega.T
     paired = np.argwhere(np.abs(table - 1.0) > 0.5)
     witness = tuple(elements[k] for k in paired[0]) if len(paired) else None

@@ -27,12 +27,11 @@ from .errors import ConfigError, DimensionMismatchError, config_int, load_json
 from .opalg import (
     BipartiteMap,
     ComplexOperator,
-    CpuCertificate,
     batched_kron,
     certify_cpu,
     frozen_square_stack,
-    operator_norm,
     operator_norms,
+    positivity_defects,
 )
 from .sampling import rng_from
 
@@ -89,32 +88,22 @@ class GenerativeTriple:
                 (self.emission.dim_in1, self.emission.dim_in2, self.emission.dim_out),
             )
 
-    def certificates(self) -> dict[str, CpuCertificate]:
-        return {"transition": certify_cpu(self.transition), "emission": certify_cpu(self.emission)}
-
     def defects(self) -> dict[str, float]:
         """How far phi0 is from a state and each map from CPU; all 0 for a valid triple.
 
-        phi0 has a hermiticity defect, a negativity (minus the smallest
-        eigenvalue of its Hermitian part, if that is negative) and a trace
-        deviation; each map has the same first two terms for its Choi matrix
-        and a unitality deviation.  A non-finite phi0 or map gives nan.
+        phi0 has its positivity_defects (hermiticity and negativity) and a
+        trace deviation; each map has the three certify_cpu terms, prefixed
+        with its name.  A non-finite phi0 or map gives nan for its
+        positivity terms.
         """
-        rho = self.phi0
-        if np.isfinite(rho).all():
-            adjoint = rho.conj().T
-            out = {
-                "phi0_hermiticity": operator_norm(rho - adjoint),
-                "phi0_negativity": max(0.0, -float(np.linalg.eigvalsh((rho + adjoint) / 2)[0])),
-                "phi0_trace": float(abs(np.trace(rho) - 1.0)),
-            }
-        else:
-            out = dict.fromkeys(("phi0_hermiticity", "phi0_negativity", "phi0_trace"), np.nan)
-        for name, cert in self.certificates().items():
-            out[f"{name}_choi_hermiticity"] = cert.choi_defect
-            # np.maximum keeps a nan minimum eigenvalue, where max() would drop it
-            out[f"{name}_choi_negativity"] = float(np.maximum(0.0, -cert.min_eigenvalue))
-            out[f"{name}_unitality"] = cert.unitality_deviation
+        hermiticity, negativity = positivity_defects(self.phi0)
+        out = {
+            "phi0_hermiticity": hermiticity,
+            "phi0_negativity": negativity,
+            "phi0_trace": float(abs(np.trace(self.phi0) - 1.0)),
+        }
+        for name, m in (("transition", self.transition), ("emission", self.emission)):
+            out.update({f"{name}_{term}": value for term, value in certify_cpu(m).items()})
         return out
 
     def validate(self) -> None:

@@ -1,4 +1,4 @@
-"""Dense operator algebra: operators, maps between matrix algebras, CPU certificates.
+"""Dense operator algebra: operators, maps between matrix algebras, CPU defects.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,9 @@ Conventions used throughout the package:
   matrix units, coeff[p, q, i, j] = E(e_ij)[p, q].  Applying the map is a
   single contraction over (i, j).
 - The Choi matrix of E is C = sum_ij e_ij tensor E(e_ij), a square matrix on
-  the input space tensor the output space.  E is completely positive exactly
-  when C is positive semidefinite.
+  the input space tensor the output space, with entry [(i, p), (j, q)].
+  choi_matrices is the one place that writes this layout.  E is completely
+  positive exactly when C is positive semidefinite.
 """
 
 from __future__ import annotations
@@ -57,6 +58,29 @@ def worst_deviation(deviations) -> float:
     if not np.all(np.isfinite(d)):
         return float("nan")
     return float(d.max())
+
+
+def positivity_defects(a: np.ndarray) -> tuple[float, float]:
+    """Hermiticity defect ||A - A+|| and negativity max(0, -lambda_min((A + A+) / 2)).
+
+    Both are 0 exactly when A is positive semidefinite; a non-finite A gets
+    nan for both.  The norm is the operator norm.
+    """
+    if not np.isfinite(a).all():
+        return float("nan"), float("nan")
+    adjoint = a.conj().T
+    negativity = max(0.0, -float(np.linalg.eigvalsh((a + adjoint) / 2)[0]))
+    return operator_norm(a - adjoint), negativity
+
+
+def choi_matrices(coeff: np.ndarray) -> np.ndarray:
+    """Choi matrices of stacked coefficient tensors coeff[..., p, q, i, j].
+
+    Entry [..., (i, p), (j, q)] is coeff[..., p, q, i, j]: the Choi matrix
+    sum_ij e_ij tensor E(e_ij) of each map in the stack.
+    """
+    *lead, d_out, _, d_in, _ = coeff.shape
+    return np.einsum("...pqij->...ipjq", coeff).reshape(*lead, d_in * d_out, d_in * d_out)
 
 
 def batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,9 +192,7 @@ class OperatorMap:
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij e_ij tensor E(e_ij), entry [(i, p), (j, q)]."""
-        return np.transpose(self.coeff, (2, 0, 3, 1)).reshape(
-            self.dim_in * self.dim_out, self.dim_in * self.dim_out
-        )
+        return choi_matrices(self.coeff)
 
 
 @dataclass(frozen=True)
@@ -195,34 +217,19 @@ class BipartiteMap(OperatorMap):
         return cls(base.dim_in, base.dim_out, base.coeff, dim_in1, dim_in2)
 
 
-@dataclass(frozen=True)
-class CpuCertificate:
-    """Result of a complete-positivity and unitality check."""
-
-    min_eigenvalue: float
-    unitality_deviation: float
-    choi_defect: float
-
-
-def certify_cpu(m: OperatorMap) -> CpuCertificate:
+def certify_cpu(m: OperatorMap) -> dict[str, float]:
     """How far a map is from completely positive and unital.
 
-    The map is CP when its Choi matrix is Hermitian (choi_defect 0) with no
-    negative eigenvalue, and unital when the image of the identity is the
-    identity (unitality_deviation 0, in operator norm).  The thresholds are
-    applied by GenerativeTriple.validate and the cpu check, not here.
+    Returns choi_hermiticity and choi_negativity, the positivity_defects of
+    the Choi matrix (0 for a CP map), and unitality, the operator-norm
+    distance of the image of the identity from the identity.  The
+    thresholds are applied by GenerativeTriple.validate and the cpu check,
+    not here.
     """
-    choi = m.choi()
-    defect = operator_norm(choi - choi.conj().T)
-    # smallest eigenvalue of the Hermitian part; nan for a non-finite map
-    if np.isfinite(choi).all():
-        min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
-    else:
-        min_eig = float("nan")
+    hermiticity, negativity = positivity_defects(m.choi())
     image_of_identity = m.apply_array(np.eye(m.dim_in, dtype=complex))
-    unit_dev = operator_norm(image_of_identity - np.eye(m.dim_out, dtype=complex))
-    return CpuCertificate(
-        min_eigenvalue=min_eig,
-        unitality_deviation=unit_dev,
-        choi_defect=defect,
-    )
+    return {
+        "choi_hermiticity": hermiticity,
+        "choi_negativity": negativity,
+        "unitality": operator_norm(image_of_identity - np.eye(m.dim_out, dtype=complex)),
+    }

@@ -35,6 +35,7 @@ from .opalg import (  # noqa: F401
     BipartiteMap,
     OperatorMap,
     batched_kron,
+    choi_matrices,
     operator_norm,
     operator_norms,
     worst_deviation,
@@ -85,18 +86,6 @@ def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return u @ a @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def _choi_norms(diff: np.ndarray) -> np.ndarray:
-    """Operator norms of the Choi matrices of stacked coefficient tensors.
-
-    diff[k, p, q, i, j] is the (p, q) entry of the k-th map applied to the
-    matrix unit e_ij; its Choi matrix has entry [(i, p), (j, q)].  One
-    stacked SVD for all k.
-    """
-    count, d_out, _, d_in, _ = diff.shape
-    choi = diff.transpose(0, 3, 1, 4, 2)
-    return operator_norms(choi.reshape(count, d_in * d_out, d_in * d_out))
-
-
 def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:
     """Choi distances between E(V . V+) and U E(.) U+ for stacks V[k], U[k].
 
@@ -109,7 +98,7 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     d_out, _, d_in, _ = c.shape
     left = np.swapaxes(v_in, -1, -2)[:, None, None] @ c @ v_in.conj()[:, None, None]
     right = batched_kron(u_out, u_out.conj()) @ c.reshape(d_out * d_out, d_in * d_in)
-    return _choi_norms(left - right.reshape(-1, d_out, d_out, d_in, d_in))
+    return operator_norms(choi_matrices(left - right.reshape(-1, d_out, d_out, d_in, d_in)))
 
 
 def check_initial_invariance(phi0: np.ndarray, action: SymmetryAction, q: np.ndarray) -> np.ndarray:
@@ -154,7 +143,7 @@ def check_sliced_covariance(
     plain = sliced_coefficients(triple, structure, xs, ys)
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
     conjugated = _conjugate(batched_kron(u, u.conj()), plain)
-    return _choi_norms((rotated - conjugated).reshape(-1, h, h, h, h))
+    return operator_norms(choi_matrices((rotated - conjugated).reshape(-1, h, h, h, h)))
 
 
 def check_global_invariance(

@@ -78,7 +78,7 @@ def test_tensor_completeness_relation(variant):
 def test_emission_map_cp_order_is_cpu(variant):
     cert = certify_cpu(emission_map(build_tensors(variant)))
     util.assert_cpu(cert)
-    assert cert.min_eigenvalue > -1e-12
+    assert cert["choi_negativity"] < 1e-12
 
 
 def test_emission_map_matches_tensor_sandwich():
@@ -127,8 +127,8 @@ def test_literal_emission_order_transposes_the_physical_slot():
 
 def test_literal_emission_order_is_not_cp():
     cert = certify_cpu(emission_map(build_tensors("normalized_cartesian"), order="literal"))
-    assert cert.min_eigenvalue < -0.1
-    assert cert.unitality_deviation <= 1e-10
+    assert cert["choi_negativity"] > 0.1
+    assert cert["unitality"] <= 1e-10
     rng = rng_from(2)
     literal = emission_map(build_tensors("normalized_cartesian"), order="literal")
     assert util.brute_force_cp(literal, rng, trials=150) < -0.1
@@ -146,8 +146,8 @@ def test_transition_map_is_normalized_partial_trace():
 
 def test_unnormalized_transition_is_not_unital():
     cert = certify_cpu(transition_map(2, normalized=False))
-    assert cert.choi_defect <= 1e-10 and cert.min_eigenvalue >= -1e-10
-    assert cert.unitality_deviation == pytest.approx(1.0)
+    assert cert["choi_hermiticity"] <= 1e-10 and cert["choi_negativity"] <= 1e-10
+    assert cert["unitality"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical"])

@@ -13,6 +13,7 @@ from hqmmsym import (
     dense_word_value,
     finite_volume_states,
     load_model_config,
+    operator_norm,
     random_words,
 )
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
@@ -139,13 +140,16 @@ def test_oracle_deviation_i_belongs_to_word_i(variant, structure):
     deviations = cli._oracle_deviations(m, config)
     lengths = [1 + i % 5 for i in range(20)]
     xs, ys = random_words(rng_from(7), m.triple, 1, sum(lengths))
+    alone = np.empty(20, dtype=complex)
+    referee = np.empty(20, dtype=complex)
     start = 0
     for i, n in enumerate(lengths):
         x, y = xs[:, start : start + n], ys[:, start : start + n]
         start += n
-        alone = finite_volume_states(m.triple, m.structure, x, y)[0]
-        referee = dense_word_value(m.triple, m.structure, ObservableWord(x[0], y[0]))
-        assert deviations[i] == abs(alone - referee), i
+        alone[i] = finite_volume_states(m.triple, m.structure, x, y)[0]
+        referee[i] = dense_word_value(m.triple, m.structure, ObservableWord(x[0], y[0]))
+    # |value - reference| as an array np.abs, as the global and kolmogorov rows take it
+    np.testing.assert_array_equal(deviations, np.abs(alone - referee))
 
 
 @pytest.mark.parametrize("n_max, words", [(0, 1), (2, 10), (6, 46)])
@@ -837,11 +841,47 @@ def _unnormalized_transition_model(tmp_path) -> str:
     return _partial_trace_model(tmp_path, E_H={"kind": "kraus", "kraus": kraus})
 
 
+def _defects_by_hand(triple) -> dict:
+    """GenerativeTriple.defects() term by term, from phi0 and each map's choi()."""
+
+    def positivity(a):
+        if not np.isfinite(a).all():
+            return float("nan"), float("nan")
+        adjoint = a.conj().T
+        smallest = float(np.linalg.eigvalsh((a + adjoint) / 2)[0])
+        return operator_norm(a - adjoint), max(0.0, -smallest)
+
+    out = dict(zip(("phi0_hermiticity", "phi0_negativity"), positivity(triple.phi0)))
+    out["phi0_trace"] = float(abs(np.trace(triple.phi0) - 1.0))
+    for name, m in (("transition", triple.transition), ("emission", triple.emission)):
+        terms = (f"{name}_choi_hermiticity", f"{name}_choi_negativity")
+        out.update(zip(terms, positivity(m.choi())))
+        image = m.apply_array(np.eye(m.dim_in, dtype=complex))
+        out[f"{name}_unitality"] = operator_norm(image - np.eye(m.dim_out, dtype=complex))
+    return out
+
+
+def _bits(defects: dict) -> dict:
+    """Each term's bit pattern, signed zeros told apart; every nan reads the same."""
+    return {name: "nan" if np.isnan(v) else np.float64(v).tobytes() for name, v in defects.items()}
+
+
 @pytest.mark.parametrize(
     "make, failing",
     [
         (lambda tmp_path: "normalized-cartesian", set()),
         (lambda tmp_path: "normalized-spherical", set()),
+        (lambda tmp_path: "paper-literal", set()),
+        # the model config of the README's file-format section
+        (
+            lambda tmp_path: _partial_trace_model(
+                tmp_path,
+                phi0="maximally_mixed",
+                E_HO={"kind": "aklt_emission", "variant": "normalized_spherical"},
+                structure="causal",
+            ),
+            set(),
+        ),
         (lambda tmp_path: _phi0_model(tmp_path, (1.3, 0.0, 0.0, -0.3)), {"phi0_negativity"}),
         (lambda tmp_path: _phi0_model(tmp_path, (1.5, 0.0, 0.0, 0.5)), {"phi0_trace"}),
         (lambda tmp_path: _phi0_model(tmp_path, (0.5, 0.2, 0.0, 0.5)), {"phi0_hermiticity"}),
@@ -853,19 +893,35 @@ def _unnormalized_transition_model(tmp_path) -> str:
             _nan_kraus_model,
             {"emission_choi_hermiticity", "emission_choi_negativity", "emission_unitality"},
         ),
+        (
+            lambda tmp_path: _phi0_model(tmp_path, (float("inf"), 0.0, 0.0, 0.5)),
+            {"phi0_hermiticity", "phi0_negativity", "phi0_trace"},
+        ),
+        # trace 1: only the positivity terms see the non-finite entries
+        (
+            lambda tmp_path: _phi0_model(tmp_path, (0.5, float("inf"), float("-inf"), 0.5)),
+            {"phi0_hermiticity", "phi0_negativity"},
+        ),
         (_unnormalized_transition_model, {"transition_unitality"}),
     ],
-    ids=["cartesian", "spherical", "negative-phi0", "trace-two-phi0", "non-hermitian-phi0",
-         "nan-phi0", "nan-kraus", "unnormalized-transition"],
+    ids=["cartesian", "spherical", "literal", "readme-config", "negative-phi0",
+         "trace-two-phi0", "non-hermitian-phi0", "nan-phi0", "nan-kraus", "inf-diagonal-phi0",
+         "inf-off-diagonal-phi0", "unnormalized-transition"],
 )
 def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
     model = make(tmp_path)
-    if model.startswith("normalized"):
-        triple = build_model(model.replace("-", "_")).triple
+    if model in cli.VARIANT_CHOICES:
+        variant = model.replace("-", "_")
+        triples = [build_model(variant, s).triple for s in ("conventional", "causal")]
         argv = ["verify", "--variant", model, "--checks", "cpu"]
     else:
-        triple, _ = load_model_config(model)
+        triples = [load_model_config(model)[0]]
         argv = ["verify", model, "--checks", "cpu"]
+    for one in triples:
+        got, want = one.defects(), _defects_by_hand(one)
+        assert list(got) == list(want)
+        assert _bits(got) == _bits(want)
+    triple = triples[0]
     code, _, _ = _run_cli(capsys, argv)
     try:
         triple.validate()

@@ -32,6 +32,7 @@ from hqmmsym.grouprep import (
     PAULI,
     _compose,
     _distances,
+    _hamilton,
     _spin_matrices,
     haar_rotations,
 )
@@ -161,14 +162,22 @@ def test_canonicalization_versus_raw_sample():
         assert first_nonzero > 0
 
 
+def _cocycle_by_dot(g, h):
+    """The section sign recovered from the canonical product by a dot product."""
+    prod = _hamilton(g, h)
+    return np.sign(np.sum(prod * canonical_quaternions(prod), axis=-1))
+
+
 def test_cocycle_values_are_exact_signs():
     rng = rng_from(7)
+    gs, hs = haar_rotations(rng, 300), haar_rotations(rng, 300)
     seen = set()
-    for g, h in zip(haar_rotations(rng, 300), haar_rotations(rng, 300)):
+    for g, h in zip(gs, hs):
         omega = cocycle_eval(g, h)
         assert omega == 1.0 or omega == -1.0
         seen.add(omega)
     assert seen == {1.0, -1.0}
+    assert cocycle_eval(gs, hs).tobytes() == _cocycle_by_dot(gs, hs).tobytes()
 
 
 def test_section_property_of_su2_lift():
@@ -197,6 +206,7 @@ def test_section_property_when_the_product_is_a_pi_rotation(ax, ay, az, theta):
     h = RotationElement.from_axis_angle(axis, np.pi - theta)
     lift = su2_matrices(g) @ su2_matrices(h)
     assert operator_norm(lift - cocycle_eval(g, h) * su2_matrices(_compose(g, h))) < 1e-12
+    assert cocycle_eval(g, h) == _cocycle_by_dot(g, h)
     # the same pair through the batched path
     _, defects = cocycle_defects(spin_half_rep(), [g], [h])
     assert defects[0] < 1e-12
@@ -390,9 +400,16 @@ def test_spin_rep_of_a_stack_is_the_rows(j, bound):
 
 
 def test_commutator_pairing_of_a_stack_is_the_pairing_table():
-    q = np.asarray(_z2z2())
-    table = commutator_pairing(q[:, None], q[None, :])
-    assert np.array_equal(table, detect_nontrivial_class(_z2z2()).pairing_table)
+    frame, _ = np.linalg.qr(rng_from(23).standard_normal((3, 3)))
+    groups = [
+        _z2z2(),
+        [RotationElement.identity(), *(RotationElement.from_axis_angle(a, np.pi) for a in frame.T)],
+        [RotationElement.from_axis_angle((0, 0, 1), 2 * np.pi * k / 4) for k in range(4)],
+    ]
+    for elements in groups:
+        q = np.asarray(elements)
+        table = commutator_pairing(q[:, None], q[None, :])
+        assert table.tobytes() == detect_nontrivial_class(elements).pairing_table.tobytes()
 
 
 def test_rep_wrappers():

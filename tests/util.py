@@ -111,11 +111,9 @@ def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return m / m.sum(axis=1, keepdims=True)
 
 
-def assert_cpu(cert, tol: float = 1e-10) -> None:
-    """Each deviation of a certify_cpu certificate is within tol."""
-    assert cert.choi_defect <= tol
-    assert cert.min_eigenvalue >= -tol
-    assert cert.unitality_deviation <= tol
+def assert_cpu(defects: dict, tol: float = 1e-10) -> None:
+    """Each term of a certify_cpu dict is within tol (nan is not)."""
+    assert all(value <= tol for value in defects.values()), defects
 
 
 def dense_chain_value(triple, structure, word) -> complex:
