@@ -353,7 +353,9 @@ def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]
     """Cocycle values and defects of a rep on the pairs (qg[k], qh[k]).
 
     Returns omega[k] = omega(g, h) and the operator norms
-    || U(g) U(h) - omega(g, h) U(gh) ||, taken as one stacked SVD.
+    || U(g) U(h) - omega(g, h) U(gh) ||, taken by one stacked
+    opalg.operator_norms: a scaled Gram eigenvalue, nan for a non-finite
+    matrix, exactly 0 for a zero matrix.
     """
     omega = rep.cocycle(qg, qh)
     defects = rep.stack(qg) @ rep.stack(qh) - omega[..., None, None] * rep.stack(_compose(qg, qh))

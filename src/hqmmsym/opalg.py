@@ -25,23 +25,36 @@ import numpy as np
 from .errors import DimensionMismatchError, config_int
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value; nan when a has a non-finite entry."""
+    """Largest singular value of one matrix, as operator_norms computes it."""
     return float(operator_norms(np.asarray(a)))
 
 
 def operator_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value of every matrix in a stack a[..., m, n].
 
-    One stacked SVD for the whole stack.  Matrices with a non-finite entry
-    get nan instead of stopping the SVD for all of them.
+    Each norm is a scaled Gram eigenvalue, nan for a non-finite matrix,
+    exactly 0 for a zero matrix.  With s the largest |a_ij| and b = a / s,
+    the norm is s * sqrt(lambda_max(b+ b)), the Gram matrix taken on the
+    smaller side and the eigenvalues of the whole stack found by one
+    eigvalsh.  The scale keeps the Gram entries at most max(m, n), so
+    finite entries from 1e-300 to 1e300 neither underflow nor overflow.
+    Non-finite and zero matrices never reach LAPACK.
     """
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.svd(a, compute_uv=False)[..., 0]
-    out = np.full(finite.shape, np.nan)
-    if finite.any():
-        out[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    scale = np.abs(a).max(axis=(-2, -1))
+    ok = np.isfinite(scale) & (scale > 0)
+    if ok.all():
+        return scale * _unit_scale_norms(a / scale[..., None, None])
+    out = np.where(scale == 0, 0.0, np.nan)
+    if ok.any():
+        out[ok] = scale[ok] * _unit_scale_norms(a[ok] / scale[ok][:, None, None])
     return out
+
+
+def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
+    """Largest singular values of a stack b[..., m, n] whose entries are at most 1."""
+    bh = np.swapaxes(b, -1, -2).conj()
+    gram = bh @ b if b.shape[-1] <= b.shape[-2] else b @ bh
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def worst_deviation(deviations) -> float:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .opalg import operator_norm
+
 
 def rng_from(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -16,6 +18,12 @@ def rng_from(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Complex Gaussian matrix rescaled to unit operator norm."""
+    """Complex Gaussian matrix rescaled to unit operator norm.
+
+    The norm is opalg.operator_norm (a scaled Gram eigenvalue, nan for a
+    non-finite matrix, exactly 0 for a zero matrix), the one that
+    hqmm.random_words divides its stacked draws by, so both give the same
+    matrices bit for bit.
+    """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g / np.linalg.norm(g, ord=2)
+    return g / operator_norm(g)

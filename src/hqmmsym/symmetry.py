@@ -10,7 +10,9 @@ Map-level identities are compared through the operator norm of the
 difference of Choi matrices, so a small deviation bounds the defect on
 every input.
 Each check evaluates all of its samples as one batch: stacked unitaries,
-closed-form coefficient contractions and one stacked SVD.
+closed-form coefficient contractions and one stacked opalg.operator_norms,
+a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
+for a zero matrix).
 """
 
 from __future__ import annotations

@@ -129,6 +129,26 @@ def test_stacked_norms_equal_single_norms():
         assert np.array_equal(operator_norms(a), [operator_norm(m) for m in a])
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-16, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (12, 12), (4, 16), (16, 4)])
+def test_norms_match_the_svd_at_every_scale(m, n, scale):
+    # an unscaled Gram matrix overflows or underflows from 1e+-160 on
+    rng = rng_from(m * 100 + n)
+    gaussian = rng.standard_normal((20, m, n)) + 1j * rng.standard_normal((20, m, n))
+    # an isometry of the longer side: every singular value is 1
+    equal, _ = np.linalg.qr(random_operator(rng, max(m, n))[:, : min(m, n)])
+    if m < n:
+        equal = equal.T
+    rank_one = np.einsum("ki,kj->kij", gaussian[:, :, 0], gaussian[:, 0, :].conj())
+    a = scale * np.concatenate([gaussian, equal[None], rank_one])
+    want = np.linalg.svd(a, compute_uv=False)[..., 0]
+    norms = operator_norms(np.concatenate([a, np.zeros((1, m, n))]))
+    assert norms[-1] == 0.0
+    assert np.all(np.abs(norms[:-1] - want) <= 8 * max(m, n) * np.finfo(float).eps * want)
+    assert np.array_equal(norms[:-1], operator_norms(a))
+    assert operator_norm(np.zeros((m, n))) == 0.0
+
+
 def test_stacked_norms_report_non_finite_matrices_as_nan():
     a = np.stack([np.eye(3), np.eye(3), 2 * np.eye(3)]).astype(complex)
     a[1, 0, 2] = np.nan

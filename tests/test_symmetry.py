@@ -96,6 +96,31 @@ def test_emission_covariance_fails_with_mismatched_basis(model):
     assert check_emission_covariance(model.triple.emission, wrong, _haar(6, 60)).max() > 1e-10
 
 
+@pytest.mark.parametrize(
+    "variant, bound",
+    [("normalized_cartesian", 0.0), ("normalized_spherical", 1e-15), ("paper_literal", 1e-15)],
+)
+def test_deviations_on_the_flip_group(variant, bound):
+    # the identity and the pi rotations about x, y and z, a measure-zero set
+    # that Haar sampling never draws.  paper_literal passes here although it
+    # fails emission and intertwining at Haar rotations: the flip group alone
+    # cannot see its defect, which is why the checks keep sampling Haar.
+    flips = np.stack(
+        [np.asarray(RotationElement.identity())]
+        + [np.asarray(RotationElement.from_axis_angle(axis, np.pi)) for axis in np.eye(3)]
+    )
+    m = build_model(variant)
+    deviations = {
+        "initial": check_initial_invariance(m.triple.phi0, m.action, flips),
+        "transition": check_transition_equivariance(m.triple.transition, m.action, flips),
+        "emission": check_emission_covariance(m.triple.emission, m.action, flips),
+        "intertwining": verify_intertwining(m.tensors, m.action, flips),
+    }
+    for name, d in deviations.items():
+        assert d.shape == (4,), name
+        assert np.all(d <= bound), (name, d)
+
+
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_sliced_covariance(model, action, structure):
     rng = rng_from(7)
