@@ -145,9 +145,10 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
     """Assemble the model for a tensor variant and causal structure.
 
     The tensors are used exactly as build_tensors gives them and nothing
-    is checked here: whether a variant satisfies the intertwining relation
-    and the symmetry conditions is for verify_intertwining and the
-    symmetry checks to report.
+    is checked here: whether the triple is CPU is for the cpu check to
+    report from GenerativeTriple.defects, and whether a variant satisfies
+    the intertwining relation and the symmetry conditions is for
+    verify_intertwining and the symmetry checks.
     """
     structure = CausalStructure.parse(structure)
     tensors = build_tensors(variant)
@@ -159,7 +160,6 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         transition=transition_map(h, normalized=True),
         emission=emission_map(tensors),
     )
-    triple.validate()
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
     metadata = {
         "variant": tensors.variant,

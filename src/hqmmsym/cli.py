@@ -51,7 +51,7 @@ from .symmetry import (
     check_transition_equivariance,
 )
 
-VARIANT_CHOICES = ("normalized-cartesian", "normalized-spherical", "paper-literal")
+VARIANT_CHOICES = tuple(v.replace("_", "-") for v in aklt.VARIANTS)
 
 
 class Model(NamedTuple):
@@ -84,7 +84,7 @@ class Check:
 
 
 def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-    # the same defects GenerativeTriple.validate holds to its thresholds
+    # the one verdict on a triple: every defect within this row's tolerance
     deviations = list(m.triple.defects().values())
     return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
 
@@ -437,13 +437,8 @@ def _cmd_cocycle(args) -> int:
     }
     lines = [f"elements: {len(elements)}", f"nontrivial class: {report.nontrivial}"]
     for row in np.asarray(report.pairing_table):
-        rendered = []
-        for v in row:
-            if abs(v.imag) < 1e-12:
-                rendered.append(f"{v.real:+.0f}")
-            else:
-                rendered.append(f"{v:.3f}")
-        lines.append("  ".join(rendered))
+        # omega is the section's sign, so every entry is +1 or -1 exactly
+        lines.append("  ".join(f"{v.real:+.0f}" for v in row))
     _emit(payload, args.format, "\n".join(lines))
     return 0
 

@@ -35,11 +35,6 @@ from .opalg import (
 )
 from .sampling import rng_from
 
-# validate() holds phi0's negativity and trace deviation to STATE_TOL and
-# every other defect of a triple to DEFECT_TOL.
-STATE_TOL = 1e-12
-DEFECT_TOL = 1e-10
-
 
 class CausalStructure(enum.Enum):
     """Order in which transition and emission act inside a one-site map."""
@@ -105,16 +100,6 @@ class GenerativeTriple:
         for name, m in (("transition", self.transition), ("emission", self.emission)):
             out.update({f"{name}_{term}": value for term, value in certify_cpu(m).items()})
         return out
-
-    def validate(self) -> None:
-        """Raise ValueError naming every defect over its threshold (nan is over)."""
-        over = []
-        for name, value in self.defects().items():
-            limit = STATE_TOL if name in ("phi0_negativity", "phi0_trace") else DEFECT_TOL
-            if not value <= limit:
-                over.append(f"{name} {value:.3e} > {limit:.0e}")
-        if over:
-            raise ValueError("invalid generative triple: " + "; ".join(over))
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,9 @@ def certify_cpu(m: OperatorMap) -> dict[str, float]:
 
     Returns choi_hermiticity and choi_negativity, the positivity_defects of
     the Choi matrix (0 for a CP map), and unitality, the operator-norm
-    distance of the image of the identity from the identity.  The
-    thresholds are applied by GenerativeTriple.validate and the cpu check,
-    not here.
+    distance of the image of the identity from the identity.  No
+    threshold is applied here: the cpu check holds every term to its
+    tolerance.
     """
     hermiticity, negativity = positivity_defects(m.choi())
     image_of_identity = m.apply_array(np.eye(m.dim_in, dtype=complex))

@@ -171,7 +171,7 @@ def test_intertwining_fails_for_unnormalized_tensors():
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_build_model_normalized_variants(variant, structure):
     model = build_model(variant, structure)
-    model.triple.validate()
+    util.assert_cpu(model.triple.defects())
     assert model.structure is CausalStructure.parse(structure)
     assert operator_norm(model.triple.phi0 - np.eye(2) / 2) == 0.0
     tensors = build_tensors(variant)
@@ -184,7 +184,7 @@ def test_build_model_normalized_variants(variant, structure):
 
 def test_build_model_literal_variant_keeps_the_paper_tensors():
     model = build_model("paper_literal")
-    model.triple.validate()  # still a CPU triple, only the symmetry breaks
+    util.assert_cpu(model.triple.defects())  # still a CPU triple, only the symmetry breaks
     paper = build_tensors("paper_literal")
     assert np.array_equal(model.tensors.tensors, paper.tensors)
     assert np.array_equal(model.triple.emission.coeff, emission_map(paper).coeff)

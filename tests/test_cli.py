@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -903,10 +902,14 @@ def _bits(defects: dict) -> dict:
             {"phi0_hermiticity", "phi0_negativity"},
         ),
         (_unnormalized_transition_model, {"transition_unitality"}),
+        # trace off by 5e-11 and by 2e-10: either side of the cpu tolerance
+        (lambda tmp_path: _phi0_model(tmp_path, (0.5 + 5e-11, 0.0, 0.0, 0.5)), set()),
+        (lambda tmp_path: _phi0_model(tmp_path, (0.5 + 2e-10, 0.0, 0.0, 0.5)), {"phi0_trace"}),
     ],
     ids=["cartesian", "spherical", "literal", "readme-config", "negative-phi0",
          "trace-two-phi0", "non-hermitian-phi0", "nan-phi0", "nan-kraus", "inf-diagonal-phi0",
-         "inf-off-diagonal-phi0", "unnormalized-transition"],
+         "inf-off-diagonal-phi0", "unnormalized-transition", "trace-within-tol-phi0",
+         "trace-over-tol-phi0"],
 )
 def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
     model = make(tmp_path)
@@ -921,14 +924,8 @@ def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
         got, want = one.defects(), _defects_by_hand(one)
         assert list(got) == list(want)
         assert _bits(got) == _bits(want)
-    triple = triples[0]
     code, _, _ = _run_cli(capsys, argv)
-    try:
-        triple.validate()
-        named = set()
-    except ValueError as err:
-        named = set(re.findall(r"(\w+) \S+ > ", str(err)))
-    assert code == (1 if named else 0)
-    assert named == failing
-    # every term is far from the thresholds, so both tolerances read the same
-    assert {name for name, d in triple.defects().items() if not d <= 1e-10} == failing
+    assert code == (1 if failing else 0)
+    # the cpu row's tolerance is the one threshold a triple meets
+    assert cli.CHECKS["cpu"].tolerance == 1e-10
+    assert {name for name, d in triples[0].defects().items() if not d <= 1e-10} == failing

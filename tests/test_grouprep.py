@@ -303,6 +303,17 @@ def test_detect_nontrivial_class_on_flip_group():
     assert np.allclose(off[~np.eye(3, dtype=bool)], -1.0)
 
 
+def test_cocycle_defects_on_the_flip_group():
+    # all 16 ordered pairs of a measure-zero set that Haar sampling never
+    # draws; g indexes the rows and h the columns
+    q = np.asarray(_z2z2(), dtype=float).reshape(4, 4)
+    g, h = np.repeat(q, 4, axis=0), np.tile(q, (4, 1))
+    omega, defects = cocycle_defects(spin_half_rep(), g, h)
+    assert np.array_equal(defects, np.zeros(16))
+    want = [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]
+    assert np.array_equal(omega.reshape(4, 4), want)
+
+
 def test_detect_nontrivial_class_on_cyclic_group_is_trivial():
     elements = [
         RotationElement.from_axis_angle((0, 0, 1), 2 * np.pi * k / 4) for k in range(4)

@@ -61,21 +61,6 @@ def test_triple_shape_validation(aklt_triple):
         )
 
 
-def test_triple_validate_catches_bad_state(aklt_triple):
-    bad_state = np.eye(2, dtype=complex)  # trace 2
-    triple = GenerativeTriple(2, 3, bad_state, aklt_triple.transition, aklt_triple.emission)
-    with pytest.raises(ValueError, match="trace"):
-        triple.validate()
-
-
-def test_triple_validate_catches_non_unital(aklt_triple):
-    triple = GenerativeTriple(
-        2, 3, aklt_triple.phi0, transition_map(2, normalized=False), aklt_triple.emission
-    )
-    with pytest.raises(ValueError, match="unital"):
-        triple.validate()
-
-
 def test_word_construction_and_json(aklt_triple):
     word = ObservableWord.all_identity(3, 2, 3)
     assert len(word) == 3
@@ -192,7 +177,7 @@ def test_both_structures_coincide_for_partial_trace_transition(aklt_triple):
 
 def test_structures_differ_for_asymmetric_transition(aklt_triple):
     toy = _toy_asymmetric_triple(aklt_triple.emission)
-    toy.validate()
+    util.assert_cpu(toy.defects())
     c1 = composite_map(toy, "conventional").choi()
     c2 = composite_map(toy, "causal").choi()
     assert operator_norm(c1 - c2) > 0.5
@@ -241,7 +226,6 @@ def test_classical_triple_is_cpu():
     t = util.random_stochastic(rng, 2, 2)
     b = util.random_stochastic(rng, 2, 3)
     triple = classical_diagonal_triple(p, t, b)
-    triple.validate()
     util.assert_cpu(triple.defects())
 
 
@@ -279,7 +263,7 @@ def test_model_config_round_trip(tmp_path):
     path.write_text(json.dumps(config))
     triple, structure = load_model_config(str(path))
     assert structure is CausalStructure.CAUSAL
-    triple.validate()
+    util.assert_cpu(triple.defects())
     reference = build_model("normalized_cartesian").triple
     assert operator_norm(triple.emission.coeff.reshape(4, 36) - reference.emission.coeff.reshape(4, 36)) < 1e-14
     assert operator_norm(triple.transition.coeff.reshape(4, 16) - reference.transition.coeff.reshape(4, 16)) < 1e-14
@@ -317,7 +301,6 @@ def test_model_config_with_explicit_kraus(tmp_path):
     path.write_text(json.dumps(config))
     triple, structure = load_model_config(str(path))
     assert structure is CausalStructure.CONVENTIONAL
-    triple.validate()
     util.assert_cpu(triple.defects())
 
 

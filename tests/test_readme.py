@@ -5,6 +5,7 @@ import re
 import textwrap
 from pathlib import Path
 
+import util
 from hqmmsym.hqmm import CausalStructure, triple_from_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -32,4 +33,4 @@ def test_model_config_block_loads():
     triple, structure = triple_from_config(json.loads(config))
     assert (triple.hidden_dim, triple.obs_dim) == (2, 3)
     assert structure is CausalStructure.CAUSAL
-    triple.validate()
+    util.assert_cpu(triple.defects())

@@ -119,6 +119,13 @@ def test_deviations_on_the_flip_group(variant, bound):
     for name, d in deviations.items():
         assert d.shape == (4,), name
         assert np.all(d <= bound), (name, d)
+    # one random site per flip; sliced is not exactly 0 even for normalized
+    # Cartesian, so it gets 1e-15 for every variant
+    xs, ys = random_words(rng_from(0), m.triple, 4, 1)
+    for structure in ("conventional", "causal"):
+        d = check_sliced_covariance(m.triple, structure, m.action, flips, xs[:, 0], ys[:, 0])
+        assert d.shape == (4,), structure
+        assert np.all(d <= 1e-15), (structure, d)
 
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
