@@ -14,7 +14,7 @@ failures: the emission with its physical slot transposed stops being
 CP, and the transition without its normalization stops being unital.
 """
 
-from hqmmsym import build_model, certify_cpu, emission_map, transition_map
+from hqmmsym import BipartiteMap, build_model, certify_cpu, transition_map
 
 
 def show(title: str, terms: dict) -> None:
@@ -32,9 +32,13 @@ show("emission", certify_cpu(model.triple.emission))
 # transposing the physical slot of the emission ruins positivity.
 # The map is still linear and still unital, but its Choi matrix picks
 # up a negative eigenvalue, which certify_cpu reports as its negativity.
+# Swapping the two physical indices of the coefficient tensor turns
+# E(X tensor Y) into E(X tensor Y^T).
+h, o = model.triple.hidden_dim, model.triple.obs_dim
+coeff = model.triple.emission.coeff.reshape(h, h, h, o, h, o).swapaxes(3, 5)
+transposed = BipartiteMap(h * o, h, coeff.reshape(h, h, h * o, h * o), h, o)
 print()
-show("emission with transposed physical slot",
-     certify_cpu(emission_map(model.tensors, order="literal")))
+show("emission with transposed physical slot", certify_cpu(transposed))
 
 # dropping the 1/d normalization of the partial trace keeps the map CP
 # but breaks unitality, which later surfaces as a failure of extension

@@ -22,7 +22,6 @@ from hqmmsym import (
     finite_volume_state,
     projector_word,
     random_word,
-    single_site_distribution,
 )
 from hqmmsym.hqmm import ObservableWord
 from hqmmsym.sampling import rng_from
@@ -40,7 +39,10 @@ for n in (1, 3, 6):
 print()
 for variant in ("normalized_cartesian", "paper_literal"):
     m = build_model(variant)
-    dist = single_site_distribution(m)
+    dist = {
+        label: finite_volume_state(m.triple, m.structure, projector_word(m, label)).real
+        for label in m.tensors.labels
+    }
     cells = "  ".join(f"P({label})={p:.4f}" for label, p in dist.items())
     print(f"{variant:22s} {cells}")
 

@@ -12,20 +12,14 @@ from .aklt import (
     build_tensors,
     dense_word_value,
     emission_map,
-    gram_matrix,
     projector_word,
-    single_site_distribution,
     transition_map,
     verify_intertwining,
 )
 from .errors import (
     ConfigError,
     DimensionMismatchError,
-    NonCommutingError,
-    NonUnimodularError,
-    RankEstimationError,
     SubgroupStructureError,
-    UnsupportedSpinError,
 )
 from .grouprep import (
     NontrivialClassReport,
@@ -34,17 +28,12 @@ from .grouprep import (
     canonical_quaternions,
     cocycle_defects,
     cocycle_eval,
-    commutator_pairing,
     detect_nontrivial_class,
-    gauge_transform,
     haar_rotations,
     rotation_matrices,
     spin_half_rep,
     spin_one_rep,
-    spin_rep,
     su2_matrices,
-    trivial_cocycle,
-    trivial_rep,
 )
 from .hqmm import (
     CausalStructure,
@@ -77,7 +66,6 @@ from .symmetry import (
     check_initial_invariance,
     check_sliced_covariance,
     check_transition_equivariance,
-    invariant_states,
 )
 
 __version__ = "0.1.0"
@@ -92,17 +80,13 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "GenerativeTriple",
-    "NonCommutingError",
-    "NonUnimodularError",
     "NontrivialClassReport",
     "ObservableWord",
     "OperatorMap",
     "ProjectiveRep",
-    "RankEstimationError",
     "RotationElement",
     "SubgroupStructureError",
     "SymmetryAction",
-    "UnsupportedSpinError",
     "build_model",
     "build_tensors",
     "canonical_quaternions",
@@ -115,17 +99,13 @@ __all__ = [
     "classical_diagonal_triple",
     "cocycle_defects",
     "cocycle_eval",
-    "commutator_pairing",
     "composite_map",
     "dense_word_value",
     "detect_nontrivial_class",
     "emission_map",
     "finite_volume_state",
     "finite_volume_states",
-    "gauge_transform",
-    "gram_matrix",
     "haar_rotations",
-    "invariant_states",
     "kolmogorov_check",
     "load_model_config",
     "load_word",
@@ -135,14 +115,10 @@ __all__ = [
     "random_word",
     "random_words",
     "rotation_matrices",
-    "single_site_distribution",
     "spin_half_rep",
     "spin_one_rep",
-    "spin_rep",
     "su2_matrices",
     "transition_map",
-    "trivial_cocycle",
-    "trivial_rep",
     "verify_intertwining",
     "worst_deviation",
 ]

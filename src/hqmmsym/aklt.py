@@ -1,13 +1,14 @@
 """Concrete spin-1 chain model built from a two-dimensional bond algebra.
 
 The emission map is induced by a triple of 2x2 tensors, one per physical
-label, through a single rectangular Kraus operator.  Three tensor variants
-are provided: a normalized cartesian set proportional to the Pauli
-matrices, its spherical-basis relabeling, and the paper's unnormalized
-spherical set kept as a diagnostic.  The symmetry action pairs the
-spin-1/2 projective rep pi on the bond space with the spin-1 rep rho on
-the physical space, and the tensors are checked against the one
-intertwining relation sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
+label, through a single rectangular Kraus operator, so it is completely
+positive by construction.  Three tensor variants are provided: a
+normalized cartesian set proportional to the Pauli matrices, its
+spherical-basis relabeling, and the paper's unnormalized spherical set
+kept as a diagnostic.  The symmetry action pairs the spin-1/2 projective
+rep pi on the bond space with the spin-1 rep rho on the physical space,
+and the tensors are checked against the one intertwining relation
+sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .hqmm import (
     CausalStructure,
     GenerativeTriple,
     ObservableWord,
-    finite_volume_state,
     partial_trace_map,
 )
 from .opalg import BipartiteMap, frozen_square_stack, operator_norms
@@ -77,32 +77,18 @@ def build_tensors(variant: str = "normalized_cartesian") -> AkltTensors:
     return AkltTensors(variant, "spherical", ("+", "0", "-"), np.stack(mats))
 
 
-def gram_matrix(tensors: AkltTensors) -> np.ndarray:
-    """Gram matrix G[k, l] = trace(A_k+ A_l) of the tensor triple."""
-    stack = tensors.tensors
-    return np.einsum("kba,lba->kl", stack.conj(), stack)
-
-
-def emission_map(tensors: AkltTensors, order: str = "cp") -> BipartiteMap:
+def emission_map(tensors: AkltTensors) -> BipartiteMap:
     """Emission map on bond tensor physical, E(X tensor Y) built from the tensors.
 
-    Order 'cp' uses the coefficient <k|Y|k'> on A_k X A_k'+, which is the
-    action of the single rectangular Kraus operator sum_k A_k tensor <k|.
-    Order 'literal' transposes the physical coefficient to <k'|Y|k>; the
-    resulting map is kept only as a diagnostic and is not completely
-    positive.
+    The coefficient <k|Y|k'> multiplies A_k X A_k'+, which is the action of
+    the single rectangular Kraus operator sum_k A_k tensor <k|, so the map
+    is completely positive.
     """
     stack = tensors.tensors
     o, h, _ = stack.shape
-    if order == "cp":
-        # kraus[p, a * o + k] = A_k[p, a]
-        kraus = np.transpose(stack, (1, 2, 0)).reshape(h, h * o)
-        return BipartiteMap.build_from_kraus(h, o, h, [kraus])
-    if order == "literal":
-        # coeff[p, q, a * o + i, b * o + j] = A_j[p, a] conj(A_i[q, b])
-        coeff = np.einsum("jpa,iqb->pqaibj", stack, stack.conj()).reshape(h, h, h * o, h * o)
-        return BipartiteMap(h * o, h, coeff, h, o)
-    raise ConfigError(f"unknown emission order {order!r}; expected 'cp' or 'literal'")
+    # kraus[p, a * o + k] = A_k[p, a]
+    kraus = np.transpose(stack, (1, 2, 0)).reshape(h, h * o)
+    return BipartiteMap.build_from_kraus(h, o, h, [kraus])
 
 
 def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap:
@@ -167,15 +153,6 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         "labels": list(tensors.labels),
     }
     return AkltModel(tensors, triple, action, structure, metadata)
-
-
-def single_site_distribution(model: AkltModel) -> dict[str, float]:
-    """Probabilities of the one-site label projectors under the model state."""
-    values = {
-        label: finite_volume_state(model.triple, model.structure, projector_word(model, label))
-        for label in model.tensors.labels
-    }
-    return {label: float(value.real) for label, value in values.items()}
 
 
 def projector_word(model: AkltModel, labels: str) -> ObservableWord:

@@ -22,27 +22,6 @@ class DimensionMismatchError(ValueError):
         )
 
 
-class NonUnimodularError(ValueError):
-    """A gauge function returned a value off the unit circle."""
-
-    def __init__(self, modulus_deviation: float):
-        self.modulus_deviation = modulus_deviation
-        super().__init__(
-            f"gauge value is not unimodular: | |lambda| - 1 | = {modulus_deviation:.3e}"
-        )
-
-
-class NonCommutingError(ValueError):
-    """A pair of rotations required to commute does not."""
-
-    def __init__(self, deviation: float, tol: float):
-        self.deviation = deviation
-        self.tol = tol
-        super().__init__(
-            f"rotations do not commute: composition mismatch {deviation:.3e} > {tol:.1e}"
-        )
-
-
 class SubgroupStructureError(ValueError):
     """An element list is not a closed abelian subgroup."""
 
@@ -50,26 +29,6 @@ class SubgroupStructureError(ValueError):
         self.reason = reason
         self.deviation = deviation
         super().__init__(f"not a closed abelian subgroup ({reason}, deviation {deviation:.3e})")
-
-
-class RankEstimationError(ValueError):
-    """Singular values straddle the nullspace threshold, so the rank is ambiguous."""
-
-    def __init__(self, singular_values, threshold: float):
-        self.singular_values = singular_values
-        self.threshold = threshold
-        super().__init__(
-            "commutant rank is ill conditioned near threshold "
-            f"{threshold:.3e}; singular values {singular_values}"
-        )
-
-
-class UnsupportedSpinError(ValueError):
-    """Requested spin label is not a nonnegative half integer."""
-
-    def __init__(self, j):
-        self.j = j
-        super().__init__(f"unsupported spin label j={j!r}; need a positive multiple of 1/2")
 
 
 class ConfigError(ValueError):

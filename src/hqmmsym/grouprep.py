@@ -1,4 +1,4 @@
-"""Rotations, their double cover, spin representations and cocycles.
+"""Rotations, their double cover, the spin-1/2 and spin-1 reps, and the section cocycle.
 
 A rotation is held as a unit quaternion (w, x, y, z) in a canonical sign:
 the first nonzero component is strictly positive.  The canonical
@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NonCommutingError,
-    NonUnimodularError,
-    SubgroupStructureError,
-    UnsupportedSpinError,
-)
+from .errors import SubgroupStructureError
 from .opalg import operator_norms
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,10 +41,8 @@ CONDON_SHORTLEY = np.array(
     dtype=complex,
 )
 
-# commuting and closure checks allow this rotation distance; gauge values
-# may leave the unit circle by UNIMODULAR_TOL
+# commuting and closure checks allow this rotation distance
 ROTATION_TOL = 1e-10
-UNIMODULAR_TOL = 1e-12
 
 # quaternion components below this are noise and count as exact zeros, so
 # boundary rotations (half angle at pi/2, say) get an exact sign rule.  It is
@@ -200,43 +193,6 @@ def trivial_cocycle(qg, qh) -> np.ndarray:
     return np.ones(np.broadcast_shapes(np.shape(qg), np.shape(qh))[:-1])
 
 
-def gauge_transform(cocycle: Callable, lam: Callable) -> Callable:
-    """Multiply a cocycle by the coboundary of a unimodular function lam.
-
-    omega'(g, h) = lam(g) lam(h) conj(lam(gh)) omega(g, h), where lam maps a
-    quaternion stack q[..., 4] to its values over the leading axes.  Every
-    lam value is checked for unit modulus.
-    """
-
-    def checked(q: np.ndarray) -> np.ndarray:
-        values = np.asarray(lam(q), dtype=complex)
-        dev = float(np.max(np.abs(np.abs(values) - 1.0)))
-        if not dev <= UNIMODULAR_TOL:
-            raise NonUnimodularError(dev)
-        return values
-
-    def gauged(qg, qh) -> np.ndarray:
-        return checked(qg) * checked(qh) * np.conj(checked(_compose(qg, qh))) * cocycle(qg, qh)
-
-    return gauged
-
-
-def commutator_pairing(qg, qh) -> np.ndarray:
-    """omega(g, h) / omega(h, g) for commuting pairs of quaternion stacks qg, qh.
-
-    The ratio is gauge invariant on commuting pairs and equals the group
-    commutator of the lifts as a scalar.  A pair further than ROTATION_TOL
-    from commuting raises NonCommutingError.
-    """
-    gh, omega_gh = _section(_hamilton(qg, qh))
-    hg, omega_hg = _section(_hamilton(qh, qg))
-    dev = _distances(gh, hg)
-    bad = np.flatnonzero(dev > ROTATION_TOL)
-    if bad.size:
-        raise NonCommutingError(float(dev.flat[bad[0]]), ROTATION_TOL)
-    return omega_gh.astype(complex) / omega_hg
-
-
 @dataclass(frozen=True)
 class NontrivialClassReport:
     nontrivial: bool
@@ -273,20 +229,6 @@ def detect_nontrivial_class(elements: Sequence[RotationElement]) -> NontrivialCl
     return NontrivialClassReport(witness is not None, witness, table)
 
 
-def _spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angular momentum matrices in the |j, m> basis, m = j .. -j."""
-    dim = int(round(2 * j)) + 1
-    m = j - np.arange(dim)
-    jz = np.diag(m).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        jplus[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / (2j)
-    return jx, jy, jz
-
-
 @dataclass(frozen=True)
 class ProjectiveRep:
     """Unitary-valued map of rotations multiplicative up to a cocycle.
@@ -317,36 +259,6 @@ def spin_one_rep(basis: str = "cartesian") -> ProjectiveRep:
         u = CONDON_SHORTLEY
         return ProjectiveRep(3, lambda q: u @ rotation_matrices(q) @ u.conj().T)
     raise ValueError(f"unknown spin-1 basis {basis!r}")
-
-
-def trivial_rep(dim: int = 1) -> ProjectiveRep:
-    eye = np.eye(dim, dtype=complex)
-    return ProjectiveRep(dim, lambda q: np.broadcast_to(eye, (*np.shape(q)[:-1], dim, dim)))
-
-
-def spin_rep(j: float, q, basis: str = "cartesian") -> np.ndarray:
-    """Spin-j matrices of a quaternion stack q[..., 4], consistent with the canonical section.
-
-    j = 1/2 returns the canonical SU(2) lifts and j = 1 the matrices of
-    spin_one_rep(basis).  Any other positive half integer is handled in
-    the |j, m> basis as exp(-i theta n.J) for the angle theta and axis n
-    of each canonical quaternion.
-    """
-    twice = 2 * float(j)
-    if twice <= 0 or abs(twice - round(twice)) > 1e-12:
-        raise UnsupportedSpinError(j)
-    if float(j) == 0.5:
-        return su2_matrices(q)
-    if float(j) == 1.0:
-        return spin_one_rep(basis).stack(q)
-    q = np.asarray(q, dtype=float)
-    sine = _norms(q[..., 1:])
-    # theta / |sin(theta/2)| scales the vector part to theta n; 0 at the identity
-    scale = 2.0 * np.arctan2(sine, q[..., 0]) / np.where(sine > 0, sine, 1.0)
-    jx, jy, jz = _spin_matrices(float(j))
-    x, y, z = (scale[..., None, None] * q[..., k, None, None] for k in (1, 2, 3))
-    w, v = np.linalg.eigh(x * jx + y * jy + z * jz)
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import RankEstimationError
 from .grouprep import ProjectiveRep, haar_rotations
 # finite_volume_state and operator_norm are unused here but stay bound:
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
@@ -178,58 +177,3 @@ def check_global_invariance(
         by_volume.append(np.abs(values[samples:] - values[:samples]))
     return by_volume
 
-
-def invariant_states(
-    rep: ProjectiveRep,
-    group_samples: int = 200,
-    seed: int = 0,
-    rel_threshold: float = 1e-8,
-) -> list[np.ndarray]:
-    """Basis of invariant density matrices of a projective rep.
-
-    Solves the common commutant of sampled rep unitaries as the nullspace
-    of stacked commutator matrices, read off from the singular spectrum.
-    Singular values falling between the cutoff and ten times the cutoff
-    leave the rank ambiguous and raise RankEstimationError rather than
-    silently picking a side.
-    """
-    d = rep.dim
-    rng = rng_from(seed)
-    eye = np.eye(d)
-    u = rep.stack(haar_rotations(rng, group_samples))
-    eyes = np.broadcast_to(eye, u.shape)
-    # row-major vec: vec(UX - XU) = (U kron I - I kron U^T) vec(X)
-    blocks = batched_kron(u, eyes) - batched_kron(eyes, np.swapaxes(u, -1, -2))
-    stacked = blocks.reshape(-1, d * d)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    threshold = rel_threshold * s[0]
-    if np.any((s > threshold) & (s <= 10.0 * threshold)):
-        raise RankEstimationError(s, threshold)
-    nullity = int(np.sum(s <= threshold))
-    if nullity == 0:
-        return []
-    basis = [vh[k].reshape(d, d) for k in range(d * d - nullity, d * d)]
-    # the commutant is closed under adjoints, so Hermitian parts span it
-    candidates = []
-    for m in basis:
-        candidates.append((m + m.conj().T) / 2.0)
-        candidates.append((m - m.conj().T) / 2.0j)
-    picked = []
-    vecs: list[np.ndarray] = []
-    for h in candidates:
-        v = h.reshape(-1).copy()
-        for w in vecs:
-            v -= np.vdot(w, v) * w
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            vecs.append(v / nrm)
-            picked.append((v / nrm).reshape(d, d))
-        if len(picked) == nullity:
-            break
-    states = []
-    for h in picked:
-        h = (h + h.conj().T) / 2.0
-        evals = np.linalg.eigvalsh(h)
-        shifted = h + (abs(evals[0]) + 1.0) * eye
-        states.append(shifted / np.trace(shifted).real)
-    return states

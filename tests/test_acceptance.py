@@ -28,13 +28,11 @@ from hqmmsym import (
     detect_nontrivial_class,
     emission_map,
     finite_volume_state,
-    gauge_transform,
     haar_rotations,
-    invariant_states,
     kolmogorov_check,
+    projector_word,
     random_word,
     random_words,
-    single_site_distribution,
     spin_half_rep,
     spin_one_rep,
     su2_matrices,
@@ -42,7 +40,7 @@ from hqmmsym import (
     verify_intertwining,
 )
 from hqmmsym.cli import _z2z2_elements
-from hqmmsym.grouprep import _compose
+from hqmmsym.grouprep import PAULI, _compose
 from hqmmsym.hqmm import ObservableWord
 from hqmmsym.sampling import rng_from
 
@@ -91,7 +89,7 @@ def test_criterion_02_flip_group_class_is_gauge_invariant():
     worst = 0.0
     for signs in product((1.0, -1.0), repeat=4):
         lam_map = dict(zip(keys, signs))
-        gauged = gauge_transform(
+        gauged = util.gauge_transform(
             cocycle_eval, lambda q: np.array([lam_map[tuple(np.round(r, 12))] for r in q])
         )
         ratio = gauged(quats[i], quats[j]) / gauged(quats[j], quats[i])
@@ -111,7 +109,7 @@ def test_criterion_03_cpu_certificates_and_transposed_diagnostic():
         for name, value in model.triple.defects().items()
         if name.startswith(("transition_", "emission_"))
     )
-    literal = certify_cpu(emission_map(model.tensors, order="literal"))
+    literal = certify_cpu(util.transpose_physical_slot(emission_map(model.tensors)))
     diagnostic = literal["choi_negativity"] > 0.1 and literal["unitality"] <= 1e-10
     _verdict(
         "transition and emission are CPU, transposed order is not CP",
@@ -208,16 +206,21 @@ def test_criterion_07_kolmogorov_consistency():
 
 
 def test_criterion_08_invariant_state_is_maximally_mixed():
-    states = invariant_states(spin_half_rep(), group_samples=200, seed=0)
-    gap = (
-        float(np.linalg.norm(states[0] - np.eye(2) / 2.0, 2))
-        if len(states) == 1
-        else np.inf
-    )
+    # SO(3) is connected, so the commutant of the spin-1/2 action is the
+    # commutant of its generators sigma_a / 2 (Hall, Lie Groups, Lie Algebras,
+    # and Representations, 2015): the null space of the stacked rows
+    # sigma_a kron 1 - 1 kron sigma_a^T, since row-major vec(sigma X - X sigma)
+    # is that matrix times vec(X).  No rotation is sampled.
+    eye = np.eye(2)
+    stacked = np.concatenate([np.kron(s, eye) - np.kron(eye, s.T) for s in PAULI])
+    _, singular, vh = np.linalg.svd(stacked)
+    nullity = int(np.sum(singular <= 1e-10 * singular[0]))
+    null = vh[-1].reshape(2, 2)
+    gap = float(np.linalg.norm(null / np.trace(null) - eye / 2.0, 2))
     _verdict(
         "unique invariant state under the half-spin action",
-        len(states) == 1 and gap < 1e-10,
-        f"commutant gap {gap:.3e} (bound 1e-10)",
+        nullity == 1 and gap < 1e-10,
+        f"commutant dimension {nullity}, gap {gap:.3e} (bound 1e-10)",
     )
 
 
@@ -264,8 +267,12 @@ def test_criterion_10_single_site_distributions():
     worst = 0.0
     for variant, target in targets.items():
         model = build_model(variant)
-        dist = single_site_distribution(model)
-        values = np.array([dist[label] for label in model.tensors.labels])
+        values = np.array(
+            [
+                finite_volume_state(model.triple, model.structure, projector_word(model, label)).real
+                for label in model.tensors.labels
+            ]
+        )
         worst = max(worst, float(np.max(np.abs(values - target))))
     _verdict(
         "single-site label distributions",

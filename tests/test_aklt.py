@@ -15,12 +15,10 @@ from hqmmsym import (
     dense_word_value,
     emission_map,
     finite_volume_state,
-    gram_matrix,
     haar_rotations,
     operator_norm,
     projector_word,
     random_word,
-    single_site_distribution,
     spin_half_rep,
     spin_one_rep,
     transition_map,
@@ -60,11 +58,14 @@ def test_spherical_tensors_are_ladder_operators():
 
 
 def test_gram_matrices():
-    assert np.allclose(gram_matrix(build_tensors("normalized_cartesian")), np.eye(3) * 2 / 3)
-    assert np.allclose(gram_matrix(build_tensors("normalized_spherical")), np.eye(3) * 2 / 3)
-    assert np.allclose(
-        gram_matrix(build_tensors("paper_literal")), np.diag([0.5, 1.0, 0.5])
-    )
+    def gram(variant):
+        # G[k, l] = trace(A_k+ A_l)
+        stack = build_tensors(variant).tensors
+        return np.einsum("kba,lba->kl", stack.conj(), stack)
+
+    assert np.allclose(gram("normalized_cartesian"), np.eye(3) * 2 / 3)
+    assert np.allclose(gram("normalized_spherical"), np.eye(3) * 2 / 3)
+    assert np.allclose(gram("paper_literal"), np.diag([0.5, 1.0, 0.5]))
 
 
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
@@ -112,8 +113,8 @@ def test_emission_map_kraus_operator_matches_the_loop_build(variant):
 
 def test_literal_emission_order_transposes_the_physical_slot():
     tensors = build_tensors("normalized_spherical")
-    cp_map = emission_map(tensors, order="cp")
-    literal = emission_map(tensors, order="literal")
+    cp_map = emission_map(tensors)
+    literal = util.transpose_physical_slot(cp_map)
     rng = rng_from(1)
     for _ in range(5):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -121,16 +122,14 @@ def test_literal_emission_order_transposes_the_physical_slot():
         lhs = literal.apply_array(np.kron(x, y))
         rhs = cp_map.apply_array(np.kron(x, y.T))
         assert operator_norm(lhs - rhs) < 1e-13
-    with pytest.raises(ConfigError):
-        emission_map(tensors, order="reversed")
 
 
 def test_literal_emission_order_is_not_cp():
-    cert = certify_cpu(emission_map(build_tensors("normalized_cartesian"), order="literal"))
+    literal = util.transpose_physical_slot(emission_map(build_tensors("normalized_cartesian")))
+    cert = certify_cpu(literal)
     assert cert["choi_negativity"] > 0.1
     assert cert["unitality"] <= 1e-10
     rng = rng_from(2)
-    literal = emission_map(build_tensors("normalized_cartesian"), order="literal")
     assert util.brute_force_cp(literal, rng, trials=150) < -0.1
 
 
@@ -195,15 +194,22 @@ def test_build_model_literal_variant_keeps_the_paper_tensors():
     }
 
 
+def _single_site_distribution(model):
+    return {
+        label: finite_volume_state(model.triple, model.structure, projector_word(model, label)).real
+        for label in model.tensors.labels
+    }
+
+
 def test_single_site_distribution_values():
-    dist = single_site_distribution(build_model("normalized_cartesian"))
+    dist = _single_site_distribution(build_model("normalized_cartesian"))
     assert set(dist) == {"x", "y", "z"}
     for p in dist.values():
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
-    dist_sph = single_site_distribution(build_model("normalized_spherical"))
+    dist_sph = _single_site_distribution(build_model("normalized_spherical"))
     for p in dist_sph.values():
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
-    dist_lit = single_site_distribution(build_model("paper_literal"))
+    dist_lit = _single_site_distribution(build_model("paper_literal"))
     assert dist_lit["+"] == pytest.approx(0.25, abs=1e-12)
     assert dist_lit["0"] == pytest.approx(0.50, abs=1e-12)
     assert dist_lit["-"] == pytest.approx(0.25, abs=1e-12)

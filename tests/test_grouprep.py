@@ -5,27 +5,19 @@ from hypothesis.strategies import floats
 
 import util
 from hqmmsym import (
-    NonCommutingError,
-    NonUnimodularError,
     ProjectiveRep,
     RotationElement,
     SubgroupStructureError,
-    UnsupportedSpinError,
     canonical_quaternions,
     cocycle_defects,
     cocycle_eval,
-    commutator_pairing,
     detect_nontrivial_class,
-    gauge_transform,
     operator_norm,
     operator_norms,
     rotation_matrices,
     spin_half_rep,
     spin_one_rep,
-    spin_rep,
     su2_matrices,
-    trivial_cocycle,
-    trivial_rep,
 )
 from hqmmsym.grouprep import (
     CONDON_SHORTLEY,
@@ -33,8 +25,8 @@ from hqmmsym.grouprep import (
     _compose,
     _distances,
     _hamilton,
-    _spin_matrices,
     haar_rotations,
+    trivial_cocycle,
 )
 from hqmmsym.opalg import batched_kron
 from hqmmsym.sampling import rng_from
@@ -139,14 +131,6 @@ def test_same_axis_angles_add(alpha, beta):
     assert _distances(_compose(g, h), np.asarray(combined)) < 1e-12
 
 
-def test_higher_spin_reads_angle_and_axis():
-    _, jy, _ = _spin_matrices(1.5)
-    g = RotationElement.from_axis_angle((0.0, 1.0, 0.0), 1.2)
-    assert operator_norm(spin_rep(1.5, g) - util.expm_series(-1.2j * jy)) < 1e-12
-    # the identity has no axis; its angle is 0
-    assert operator_norm(spin_rep(1.5, RotationElement.identity()) - np.eye(4)) < 1e-12
-
-
 def test_haar_sampling_is_deterministic():
     a = haar_rotations(rng_from(42), 10)
     assert np.array_equal(a, haar_rotations(rng_from(42), 10))
@@ -229,24 +213,16 @@ def test_cocycle_identity_is_exact():
 
 
 def test_gauge_transform_by_trivial_lambda():
-    gauged = gauge_transform(cocycle_eval, lambda q: 1.0)
+    gauged = util.gauge_transform(cocycle_eval, lambda q: 1.0)
     rng = rng_from(10)
     qg, qh = haar_rotations(rng, 30), haar_rotations(rng, 30)
     assert np.array_equal(gauged(qg, qh), cocycle_eval(qg, qh))
 
 
-def test_gauge_transform_rejects_non_unimodular_lambda():
-    gauged = gauge_transform(cocycle_eval, lambda q: 2.0)
-    g, h = haar_rotations(rng_from(11), 2)
-    with pytest.raises(NonUnimodularError) as info:
-        gauged(g, h)
-    assert info.value.modulus_deviation == pytest.approx(1.0)
-
-
 def test_commutator_pairing_gauge_invariant():
     x = RotationElement.from_axis_angle((1, 0, 0), np.pi)
     y = RotationElement.from_axis_angle((0, 1, 0), np.pi)
-    assert commutator_pairing(x, y) == pytest.approx(-1.0)
+    assert util.commutator_pairing(x, y) == pytest.approx(-1.0)
     # a generic unimodular gauge leaves the pairing untouched
     rng = rng_from(12)
     phases = {}
@@ -260,7 +236,7 @@ def test_commutator_pairing_gauge_invariant():
             values.append(phases[key])
         return np.reshape(values, np.shape(q)[:-1])
 
-    gauged = gauge_transform(cocycle_eval, lam)
+    gauged = util.gauge_transform(cocycle_eval, lam)
     ratio = gauged(x, y) / gauged(y, x)
     assert ratio == pytest.approx(-1.0)
 
@@ -268,15 +244,7 @@ def test_commutator_pairing_gauge_invariant():
 def test_commutator_pairing_same_axis_is_trivial():
     g = RotationElement.from_axis_angle((0, 0, 1), 0.7)
     h = RotationElement.from_axis_angle((0, 0, 1), 2.1)
-    assert commutator_pairing(g, h) == pytest.approx(1.0)
-
-
-def test_commutator_pairing_requires_commuting_pair():
-    g = RotationElement.from_axis_angle((0, 0, 1), 0.7)
-    h = RotationElement.from_axis_angle((1, 0, 0), 0.9)
-    with pytest.raises(NonCommutingError) as info:
-        commutator_pairing(g, h)
-    assert info.value.deviation > 0.1
+    assert util.commutator_pairing(g, h) == pytest.approx(1.0)
 
 
 def _z2z2():
@@ -341,73 +309,85 @@ def test_detect_nontrivial_class_rejects_non_abelian_set():
         detect_nontrivial_class(elements)
 
 
-@pytest.mark.parametrize("j", [0.7, -0.5, 0.0, 1.3])
-def test_spin_rep_rejects_bad_labels(j):
-    with pytest.raises(UnsupportedSpinError):
-        spin_rep(j, RotationElement.identity())
-
-
 def test_spin_half_is_the_canonical_lift():
     for g in haar_rotations(rng_from(13), 10):
-        assert operator_norm(spin_rep(0.5, g) - su2_matrices(g)) == 0.0
+        assert operator_norm(spin_half_rep().stack(g) - su2_matrices(g)) == 0.0
 
 
 def test_spin_one_cartesian_is_the_rotation_matrix():
     for g in haar_rotations(rng_from(14), 10):
-        assert operator_norm(spin_rep(1, g, "cartesian") - rotation_matrices(g)) < 1e-14
+        assert operator_norm(spin_one_rep("cartesian").stack(g) - rotation_matrices(g)) < 1e-14
 
 
 def test_spin_one_spherical_is_conjugated():
     for g in haar_rotations(rng_from(15), 10):
         u = CONDON_SHORTLEY
         expected = u @ rotation_matrices(g) @ u.conj().T
-        assert operator_norm(spin_rep(1, g, "spherical") - expected) < 1e-13
+        assert operator_norm(spin_one_rep("spherical").stack(g) - expected) < 1e-13
     with pytest.raises(ValueError):
-        spin_rep(1, RotationElement.identity(), "cylindrical")
+        spin_one_rep("cylindrical")
 
 
 def test_spin_one_spherical_matches_wigner_entries():
     theta = 0.83
     gz = RotationElement.from_axis_angle((0, 0, 1), theta)
-    uz = spin_rep(1, gz, "spherical")
+    uz = spin_one_rep("spherical").stack(gz)
     assert uz[0, 0] == pytest.approx(np.exp(-1j * theta), abs=1e-13)
     assert uz[1, 1] == pytest.approx(1.0, abs=1e-13)
     assert uz[2, 2] == pytest.approx(np.exp(1j * theta), abs=1e-13)
     beta = 1.37
     gy = RotationElement.from_axis_angle((0, 1, 0), beta)
-    assert operator_norm(spin_rep(1, gy, "spherical") - util.wigner_d1(beta)) < 1e-12
+    assert operator_norm(spin_one_rep("spherical").stack(gy) - util.wigner_d1(beta)) < 1e-12
 
 
-@pytest.mark.parametrize("j", [1.5, 2.0, 2.5])
-def test_higher_spins_match_series_exponential(j):
-    jx, jy, jz = _spin_matrices(j)
-    for g in haar_rotations(rng_from(16), 6):
-        sine = np.linalg.norm(g[1:])
-        theta, axis = 2.0 * np.arctan2(sine, g[0]), g[1:] / sine
-        generator = -1j * theta * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
-        assert operator_norm(spin_rep(j, g) - util.expm_series(generator)) < 1e-12
+# the pi rotations about x, y, z, (1, 1, 0) and (0, -1, 1): measure-zero
+# points that Haar sampling never draws
+PI_ROTATIONS = np.stack(
+    [
+        np.asarray(RotationElement.from_axis_angle(axis, np.pi))
+        for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, -1, 1))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "stack, generators",
+    [
+        (su2_matrices, util.spin_matrices(0.5)),
+        (spin_one_rep("spherical").stack, util.spin_matrices(1)),
+        (spin_one_rep("cartesian").stack, util.cartesian_spin_one_generators()),
+    ],
+    ids=["su2", "spin-one-spherical", "spin-one-cartesian"],
+)
+def test_reps_are_the_exponentials_of_their_generators(stack, generators):
+    # U(g) = exp(-i theta n.J) for g the rotation by theta about n
+    for q in (haar_rotations(rng_from(16), 50), PI_ROTATIONS):
+        assert operator_norms(stack(q) - util.rotation_exponentials(q, generators)).max() <= 1e-14
 
 
 def test_integer_spin_is_multiplicative():
     rng = rng_from(17)
     g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
-    prod = spin_rep(2, g) @ spin_rep(2, h)
-    assert operator_norms(prod - spin_rep(2, _compose(g, h))).max() < 1e-12
+    omega, defects = cocycle_defects(spin_one_rep("spherical"), g, h)
+    assert np.array_equal(omega, np.ones(20))
+    assert defects.max() < 1e-12
 
 
 def test_half_integer_spin_is_projective_with_the_section_cocycle():
     rng = rng_from(18)
     g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
-    omega = cocycle_eval(g, h)[:, None, None]
-    prod = spin_rep(1.5, g) @ spin_rep(1.5, h)
-    assert operator_norms(prod - omega * spin_rep(1.5, _compose(g, h))).max() < 1e-12
+    omega, defects = cocycle_defects(spin_half_rep(), g, h)
+    assert np.array_equal(omega, cocycle_eval(g, h))
+    assert defects.max() < 1e-12
 
 
-@pytest.mark.parametrize("j, bound", [(0.5, 0.0), (1, 0.0), (1.5, 1e-12), (2, 1e-12)])
+@pytest.mark.parametrize("j, bound", [(0.5, 0.0), (1, 0.0)])
 def test_spin_rep_of_a_stack_is_the_rows(j, bound):
+    stacks = {0.5: [su2_matrices], 1: [spin_one_rep(b).stack for b in ("cartesian", "spherical")]}
     q = haar_rotations(rng_from(22), 50)
-    rows = np.stack([spin_rep(j, g) for g in q])
-    assert np.abs(spin_rep(j, q) - rows).max() <= bound
+    for stack in stacks[j]:
+        rows = np.stack([stack(g) for g in q])
+        assert np.abs(stack(q) - rows).max() <= bound
 
 
 def test_commutator_pairing_of_a_stack_is_the_pairing_table():
@@ -419,14 +399,14 @@ def test_commutator_pairing_of_a_stack_is_the_pairing_table():
     ]
     for elements in groups:
         q = np.asarray(elements)
-        table = commutator_pairing(q[:, None], q[None, :])
+        table = util.commutator_pairing(q[:, None], q[None, :])
         assert table.tobytes() == detect_nontrivial_class(elements).pairing_table.tobytes()
 
 
 def test_rep_wrappers():
     half = spin_half_rep()
     one = spin_one_rep("spherical")
-    triv = trivial_rep(2)
+    triv = util.trivial_rep(2)
     assert (half.dim, one.dim, triv.dim) == (2, 3, 2)
     assert half.cocycle is cocycle_eval
     assert one.cocycle is trivial_cocycle

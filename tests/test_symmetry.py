@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+import util
 from hqmmsym import (
     GenerativeTriple,
-    ProjectiveRep,
-    RankEstimationError,
     RotationElement,
     SymmetryAction,
     build_model,
@@ -16,13 +15,9 @@ from hqmmsym import (
     emission_map,
     build_tensors,
     haar_rotations,
-    invariant_states,
-    operator_norm,
     random_words,
     spin_half_rep,
     spin_one_rep,
-    trivial_cocycle,
-    trivial_rep,
     verify_intertwining,
 )
 from hqmmsym.cli import CHECKS, Model, RunConfig
@@ -81,10 +76,10 @@ def test_emission_covariance(model, action):
 def test_emission_covariance_of_transposed_order_depends_on_basis(action):
     # with a real physical rep the transposed coefficient is just as
     # covariant, so only the complex spherical basis separates the orders
-    literal_cart = emission_map(build_tensors("normalized_cartesian"), order="literal")
+    literal_cart = util.transpose_physical_slot(emission_map(build_tensors("normalized_cartesian")))
     assert check_emission_covariance(literal_cart, action, _haar(5, 60)).max() <= 1e-10
     spherical_action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    literal_sph = emission_map(build_tensors("normalized_spherical"), order="literal")
+    literal_sph = util.transpose_physical_slot(emission_map(build_tensors("normalized_spherical")))
     deviations = check_emission_covariance(literal_sph, spherical_action, _haar(5, 60))
     assert deviations.max() > 1e-10
     assert deviations.max() > 0.1
@@ -188,69 +183,3 @@ def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
             row = check(q[k : k + 1], xs[k : k + 1, 0], ys[k : k + 1, 0])
             assert np.array_equal(row, batch[k : k + 1]), (name, k)
 
-
-def test_invariant_states_of_irreducible_rep():
-    states = invariant_states(spin_half_rep(), group_samples=80, seed=10)
-    assert len(states) == 1
-    assert operator_norm(states[0] - np.eye(2) / 2) < 1e-10
-
-
-def test_invariant_states_of_trivial_rep_span_all_densities():
-    states = invariant_states(trivial_rep(2), group_samples=40, seed=11)
-    assert len(states) == 4
-    vecs = np.stack([s.reshape(-1) for s in states])
-    assert np.linalg.matrix_rank(vecs, tol=1e-8) == 4
-    for s in states:
-        assert abs(np.trace(s) - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(s)[0] > -1e-12
-
-
-def test_invariant_states_of_doubled_rep():
-    half = spin_half_rep()
-
-    def doubled(q: np.ndarray) -> np.ndarray:
-        u = half.stack(q)
-        out = np.zeros((*u.shape[:-2], 4, 4), dtype=complex)
-        out[..., :2, :2] = u
-        out[..., 2:, 2:] = u
-        return out
-
-    rep = ProjectiveRep(dim=4, stack=doubled, cocycle=half.cocycle)
-    states = invariant_states(rep, group_samples=80, seed=12)
-    assert len(states) == 4
-    # every returned state commutes with the whole sampled image
-    for g in [RotationElement.from_axis_angle((0, 1, 0), 0.9)]:
-        u = doubled(g.quat)
-        for s in states:
-            assert operator_norm(u @ s - s @ u) < 1e-9
-
-
-def test_invariant_states_of_half_plus_trivial_block_rep():
-    half = spin_half_rep()
-
-    def blocks(q: np.ndarray) -> np.ndarray:
-        u = half.stack(q)
-        out = np.zeros((*u.shape[:-2], 3, 3), dtype=complex)
-        out[..., :2, :2] = u
-        out[..., 2, 2] = 1.0
-        return out
-
-    rep = ProjectiveRep(dim=3, stack=blocks, cocycle=half.cocycle)
-    states = invariant_states(rep, group_samples=80, seed=13)
-    assert len(states) == 2
-
-
-def test_invariant_states_raises_on_ambiguous_rank():
-    eps = 5e-8
-
-    def nearly_degenerate(q: np.ndarray) -> np.ndarray:
-        theta = 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), q[..., 0])
-        u = np.exp(1j * theta)
-        diagonal = np.stack([np.ones_like(u), u, u * (1.0 + eps)], axis=-1)
-        return diagonal[..., :, None] * np.eye(3)
-
-    rep = ProjectiveRep(dim=3, stack=nearly_degenerate, cocycle=trivial_cocycle)
-    with pytest.raises(RankEstimationError) as info:
-        invariant_states(rep, group_samples=50, seed=14)
-    assert info.value.threshold > 0
-    assert len(info.value.singular_values) == 9

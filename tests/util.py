@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own evaluation paths:
 complete positivity is probed by pushing random states through the
 extended map, likelihoods come from the textbook forward recursion,
 matrix exponentials from a plain power series, and dense word values
-from one product per index chain.
+from one product per index chain.  Spin generators come from the ladder
+operators and the Levi-Civita symbol, and the gauge transform, commutator
+pairing, trivial rep and transposed emission are their textbook formulas.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from hqmmsym import BipartiteMap, CausalStructure, OperatorMap
+from hqmmsym import BipartiteMap, CausalStructure, OperatorMap, ProjectiveRep, cocycle_eval
 from hqmmsym.aklt import _site_tensor
+from hqmmsym.grouprep import _compose
 
 
 def brute_force_cp(m: OperatorMap, rng: np.random.Generator, trials: int = 200) -> float:
@@ -61,6 +64,68 @@ def forward_likelihood(
     for y in symbols[1:]:
         alpha = (alpha @ transition) * emission[:, y]
     return float(alpha.sum())
+
+
+def spin_matrices(j: float) -> np.ndarray:
+    """(J_x, J_y, J_z) in the |j, m> basis, m = j .. -j, from the ladder operators."""
+    dim = int(round(2 * j)) + 1
+    m = j - np.arange(dim)
+    jplus = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, dim):
+        jplus[k - 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    jminus = jplus.conj().T
+    return np.stack([(jplus + jminus) / 2, (jplus - jminus) / (2j), np.diag(m).astype(complex)])
+
+
+def cartesian_spin_one_generators() -> np.ndarray:
+    """(J_x, J_y, J_z) on Cartesian vectors: (J_a)_bc = -i epsilon_abc."""
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[a, c, b] = 1.0, -1.0
+    return -1j * eps
+
+
+def rotation_exponentials(q: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """exp(-i theta n.J) by power series for each canonical quaternion q[k] of a stack.
+
+    theta and n are read off the quaternion (cos(theta/2), sin(theta/2) n);
+    the identity has no axis, so every row must be a proper rotation.
+    """
+    sine = np.linalg.norm(q[:, 1:], axis=-1)
+    theta = 2.0 * np.arctan2(sine, q[:, 0])
+    angle_axis = theta[:, None] * q[:, 1:] / sine[:, None]
+    return np.stack([expm_series(-1j * np.einsum("a,abc->bc", v, generators)) for v in angle_axis])
+
+
+def gauge_transform(cocycle, lam):
+    """The cocycle omega'(g, h) = lam(g) lam(h) conj(lam(gh)) omega(g, h).
+
+    lam maps a quaternion stack q[..., 4] to unimodular values over its
+    leading axes; omega' is omega times the coboundary of lam.
+    """
+    return lambda qg, qh: lam(qg) * lam(qh) * np.conj(lam(_compose(qg, qh))) * cocycle(qg, qh)
+
+
+def commutator_pairing(qg, qh) -> np.ndarray:
+    """omega(g, h) / omega(h, g) of the section cocycle, for commuting stacks qg, qh."""
+    return cocycle_eval(qg, qh).astype(complex) / cocycle_eval(qh, qg)
+
+
+def trivial_rep(dim: int) -> ProjectiveRep:
+    """Every rotation acts as the dim x dim identity."""
+    eye = np.eye(dim, dtype=complex)
+    return ProjectiveRep(dim, lambda q: np.broadcast_to(eye, (*np.shape(q)[:-1], dim, dim)))
+
+
+def transpose_physical_slot(m: BipartiteMap) -> BipartiteMap:
+    """The map X tensor Y -> m(X tensor Y^T): m with its second input slot transposed.
+
+    For the emission map this reads the physical coefficient as <k'|Y|k>
+    instead of <k|Y|k'>, and the result is not completely positive.
+    """
+    d, h, o = m.dim_out, m.dim_in1, m.dim_in2
+    coeff = m.coeff.reshape(d, d, h, o, h, o).swapaxes(3, 5)
+    return BipartiteMap(m.dim_in, d, coeff.reshape(d, d, m.dim_in, m.dim_in), h, o)
 
 
 def wigner_d1(beta: float) -> np.ndarray:
