@@ -13,6 +13,7 @@ sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,68 +172,126 @@ def projector_word(model: AkltModel, labels: str) -> ObservableWord:
     return ObservableWord(np.broadcast_to(np.eye(h), (len(ks), h, h)), ys)
 
 
-def _site_tensor(
-    structure: CausalStructure,
-    c_h: list,
-    c_ho: list,
-    x: list,
-    y: list,
-    h: int,
-    o: int,
-) -> list[list[complex]]:
+def _site_terms(structure: CausalStructure, c_h: list, c_ho: list, h: int, o: int) -> tuple:
+    """The nonzero coefficient terms of _site_tensor's two sums, in its loops' order.
+
+    The coefficients arrive as nested Python lists (ndarray.tolist()).  A
+    term whose coefficient is exactly 0 adds +-0 to a sum of finite terms,
+    which leaves the sum's bits as they are, so it is left out.  The inner
+    sum is the emitted operator (conventional) or the linked operator
+    (causal); the outer sum gives the site tensor entry from it.
+    """
+    hs, os = range(h), range(o)
+    if structure is CausalStructure.CONVENTIONAL:
+        # emitted[u * h + v]: (coefficient, a, a2, c, c2)
+        inner = [
+            [
+                (coef, a, a2, c, c2)
+                for a in hs
+                for a2 in hs
+                for c in os
+                for c2 in os
+                if (coef := c_ho[u][v][a * o + c][a2 * o + c2])
+            ]
+            for u in hs
+            for v in hs
+        ]
+        # s[p * h + q][i * h + j]: (coefficient, u * h + v)
+        outer = [
+            [
+                [
+                    (coef, u * h + v)
+                    for u in hs
+                    for v in hs
+                    if (coef := c_h[p][q][u * h + i][v * h + j])
+                ]
+                for i in hs
+                for j in hs
+            ]
+            for p in hs
+            for q in hs
+        ]
+        return inner, outer
+    # linked[u * h + v][i * h + j]: (coefficient, a, a2)
+    inner = [
+        [
+            [(coef, a, a2) for a in hs for a2 in hs if (coef := c_h[u][v][a * h + i][a2 * h + j])]
+            for i in hs
+            for j in hs
+        ]
+        for u in hs
+        for v in hs
+    ]
+    # s[p * h + q][i * h + j], for every (i, j): the pairs (u * h + v, group)
+    # whose group of (coefficient, c, c2) terms is not empty
+    outer = []
+    for p in hs:
+        for q in hs:
+            groups = []
+            for u in hs:
+                for v in hs:
+                    group = [
+                        (coef, c, c2)
+                        for c in os
+                        for c2 in os
+                        if (coef := c_ho[p][q][u * o + c][v * o + c2])
+                    ]
+                    if group:
+                        groups.append((u * h + v, group))
+            outer.append(groups)
+    return inner, outer
+
+
+def _site_tensor(structure: CausalStructure, terms: tuple, x: list, y: list) -> list[list[complex]]:
     """Sliced site tensor as nested lists, s[p * h + q][i * h + j].
 
-    The coefficients and site observables arrive as nested Python lists
-    (ndarray.tolist()), so every product in the loops is a Python complex
-    product rather than a numpy scalar operation.
+    terms is _site_terms of the coefficients, and the site observables x, y
+    are nested Python lists, so every product is a Python complex product
+    rather than a numpy scalar operation.  Each sum adds its terms one by
+    one in lexicographic order, starting from +0, and skips a term whose
+    inner factor is exactly 0: with finite factors that term is +-0.
     """
-    s = [[0j] * (h * h) for _ in range(h * h)]
+    inner, outer = terms
     if structure is CausalStructure.CONVENTIONAL:
-        emitted = [[0j] * h for _ in range(h)]
-        for u in range(h):
-            for v in range(h):
-                acc = 0.0 + 0.0j
-                for a in range(h):
-                    for a2 in range(h):
-                        for c in range(o):
-                            for c2 in range(o):
-                                acc += c_ho[u][v][a * o + c][a2 * o + c2] * x[a][a2] * y[c][c2]
-                emitted[u][v] = acc
-        for p in range(h):
-            for q in range(h):
-                for i in range(h):
-                    for j in range(h):
-                        acc = 0.0 + 0.0j
-                        for u in range(h):
-                            for v in range(h):
-                                acc += c_h[p][q][u * h + i][v * h + j] * emitted[u][v]
-                        s[p * h + q][i * h + j] = acc
+        emitted = []
+        for row in inner:
+            acc = 0j
+            for coef, a, a2, c, c2 in row:
+                acc += coef * x[a][a2] * y[c][c2]
+            emitted.append(acc)
+        s = []
+        for row in outer:
+            out = []
+            for entry in row:
+                acc = 0j
+                for coef, uv in entry:
+                    e = emitted[uv]
+                    if e:
+                        acc += coef * e
+                out.append(acc)
+            s.append(out)
         return s
-    linked = [[[[0j] * h for _ in range(h)] for _ in range(h)] for _ in range(h)]
-    for u in range(h):
-        for v in range(h):
-            for i in range(h):
-                for j in range(h):
-                    acc = 0.0 + 0.0j
-                    for a in range(h):
-                        for a2 in range(h):
-                            acc += c_h[u][v][a * h + i][a2 * h + j] * x[a][a2]
-                    linked[u][v][i][j] = acc
-    for p in range(h):
-        for q in range(h):
-            for i in range(h):
-                for j in range(h):
-                    acc = 0.0 + 0.0j
-                    for u in range(h):
-                        for v in range(h):
-                            for c in range(o):
-                                for c2 in range(o):
-                                    acc += (
-                                        c_ho[p][q][u * o + c][v * o + c2]
-                                        * linked[u][v][i][j]
-                                        * y[c][c2]
-                                    )
-                    s[p * h + q][i * h + j] = acc
+    linked = []
+    for row in inner:
+        out = []
+        for entry in row:
+            acc = 0j
+            for coef, a, a2 in entry:
+                acc += coef * x[a][a2]
+            out.append(acc)
+        linked.append(out)
+    s = []
+    for groups in outer:
+        out = []
+        for ij in range(len(linked[0])):
+            acc = 0j
+            for uv, group in groups:
+                l = linked[uv][ij]
+                if l:
+                    for coef, c, c2 in group:
+                        acc += coef * l * y[c][c2]
+            out.append(acc)
+        s.append(out)
     return s
 
 
@@ -243,10 +302,18 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     its own sliced site tensors by explicit scalar loops over the map
     coefficients, held as nested Python lists, and sums the product of
     chain entries against the initial state over every index chain, with
-    no einsum, matmul or fold.  The chains are walked depth first, so
-    chains that share a prefix share its product, but each chain that
-    ends on the diagonal is still one term, and the terms are added one
-    by one in lexicographic order of the chains.  Time grows as
+    no einsum, matmul or fold.  Work whose result is known is skipped:
+    each site-tensor sum runs over its nonzero coefficients only
+    (_site_terms) and past inner factors that are exactly 0, and the
+    chains are walked depth first, sharing the products of common
+    prefixes, without descending through a chain entry or phi0 entry that
+    is exactly 0.  A skipped term is a finite value times 0, so it is +-0,
+    and adding +-0 to a sum that starts at +0 never changes it: the value
+    is bit for bit the full sum's, term by term in lexicographic order of
+    the chains.  That holds while every product is finite, so the referee
+    returns complex(nan, nan) when an entry of phi0, of either coefficient
+    tensor or of the word is not finite, and when their sizes could carry
+    a product past 1e300, near the top of the float range.  Time grows as
     (hidden_dim^2)^sites, so words beyond 8 sites are refused; memory
     holds one running product per site.
     """
@@ -259,32 +326,45 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
     word.check_dims(triple)
     h = triple.hidden_dim
     o = triple.obs_dim
-    c_h = triple.transition.coeff.tolist()
-    c_ho = triple.emission.coeff.tolist()
+    # every partial sum and product is at most (1 + |phi0|) growth^n, with
+    # the largest entries of phi0 and the word and the coefficient sums;
+    # a non-finite entry makes the bound nan or inf
+    top_phi0, top_x, top_y = (float(np.abs(a).max()) for a in (triple.phi0, word.xs, word.ys))
+    sum_t, sum_e = (float(np.abs(m.coeff).sum()) for m in (triple.transition, triple.emission))
+    growth = (1.0 + sum_t) * (1.0 + sum_e) * (1.0 + top_x) * (1.0 + top_y)
+    if not math.prod([1.0 + top_phi0] + [growth] * n) < 1e300:
+        return complex(math.nan, math.nan)
+    terms = _site_terms(
+        structure, triple.transition.coeff.tolist(), triple.emission.coeff.tolist(), h, o
+    )
     sites = [
-        _site_tensor(structure, c_h, c_ho, x, y, h, o)
-        for x, y in zip(word.xs.tolist(), word.ys.tolist())
+        _site_tensor(structure, terms, x, y) for x, y in zip(word.xs.tolist(), word.ys.tolist())
     ]
     rho0 = triple.phi0.tolist()
     # chain entry r is the index pair (p, q) = divmod(r, h)
     first = [rho0[q][p] for p in range(h) for q in range(h)]
-    diagonal = [p * h + p for p in range(h)]
+    # each row of a site as its (column, entry) pairs that are not exactly
+    # 0; a chain ends on the diagonal, so the last site keeps only the
+    # nonzero diagonal entries of each row
+    rows = [[[(r, s) for r, s in enumerate(row) if s] for row in site] for site in sites[:-1]]
+    rows.append([[row[d] for d in range(0, h * h, h + 1) if row[d]] for row in sites[-1]])
     last = n - 1
 
-    def walk(k, t, row, total):
-        # t is the product along a chain of k + 1 entries, row the row of
-        # site k at the entry it ends on; the chains through it are walked
-        # depth first, so in lexicographic order
+    def walk(k, t, entries, total):
+        # t is the product along a chain of k + 1 entries, entries the row
+        # of site k at the entry it ends on; the chains through it are
+        # walked depth first, so in lexicographic order
         if k == last:
-            for d in diagonal:
-                total += t * row[d]
+            for s in entries:
+                total += t * s
             return total
-        after = sites[k + 1]
-        for r, s in enumerate(row):
+        after = rows[k + 1]
+        for r, s in entries:
             total = walk(k + 1, t * s, after[r], total)
         return total
 
-    total = 0.0 + 0.0j
-    for t, row in zip(first, sites[0]):
-        total = walk(0, t, row, total)
+    total = 0j
+    for t, entries in zip(first, rows[0]):
+        if t:
+            total = walk(0, t, entries, total)
     return complex(total)

@@ -9,9 +9,14 @@ closing with phi0.  The fold never materializes a tensor product over
 sites, so the cost is linear in the word length.
 
 composite_map is the one contraction of the transition with the emission;
-finite_volume_states folds batches of words through it.  finite_volume_state
-folds one word with two map applications per site, apart from composite_map:
-it is the tests' per-word reference and the path the word-eval benchmark times.
+sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
+and _fold is the one loop that folds a batch of words' transfers.
+finite_volume_states folds words from vec(1); kolmogorov_check folds each
+batch's transfers twice, from vec(1) and from S(1, 1) vec(1), so a word and
+its extension by an identity site share one sliced_coefficients call.
+finite_volume_state folds one word with two map applications per site, apart
+from composite_map: it is the tests' per-word reference and the path the
+word-eval benchmark times.
 """
 
 from __future__ import annotations
@@ -290,11 +295,26 @@ def finite_volume_states(
     transfers = sliced_coefficients(
         triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o)
     ).reshape(count, n_sites, h * h, h * h)
-    m = np.broadcast_to(np.eye(h, dtype=complex).reshape(h * h, 1), (count, h * h, 1))
-    for k in range(n_sites - 1, -1, -1):
+    return _fold(triple, transfers, np.broadcast_to(_unit_vector(h), (count, h * h, 1)))
+
+
+def _unit_vector(h: int) -> np.ndarray:
+    """vec(1) of the hidden identity, shape (1, h^2, 1)."""
+    return np.eye(h, dtype=complex).reshape(1, h * h, 1)
+
+
+def _fold(triple: GenerativeTriple, transfers: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """phi0 of transfers[k, 0] ... transfers[k, n - 1] m[k] for each word k.
+
+    transfers has shape (B, n, h^2, h^2) and m (B, h^2, 1).  The products
+    run last site first as stacked (B, h^2, h^2) @ (B, h^2, 1) matmuls, so
+    every step is a per-word product, and close with vec(rho0^T).
+    """
+    for k in range(transfers.shape[1] - 1, -1, -1):
         m = transfers[:, k] @ m
     # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
-    return (triple.phi0.T.reshape(1, h * h) @ m).reshape(count)
+    h = triple.hidden_dim
+    return (triple.phi0.T.reshape(1, h * h) @ m).reshape(len(m))
 
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
@@ -333,30 +353,33 @@ def kolmogorov_check(
     unchanged; a non-unital transition shows up as a per-site inflation.
     The rows are the one-site identity word, then for each length
     1..depth-1 the all-identity word followed by samples seeded random
-    words.  Each length's words and their extensions are folded as two
-    batches.
+    words.  A word's extension has the word's transfers followed by the
+    identity site's transfer S(1, 1), and a sliced_coefficients row does
+    not depend on its batch: so each length's words get their transfers
+    from one call, and the fold runs them twice, from vec(1) for the
+    words and from S(1, 1) vec(1) for their extensions, bit for bit as if
+    the extensions were folded whole.  S(1, 1) is computed once and also
+    gives the one-site row.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
     eye_x = np.eye(h, dtype=complex)
     eye_y = np.eye(o, dtype=complex)
     base = float(np.trace(triple.phi0).real)
-    one_site = finite_volume_states(
-        triple, structure, eye_x[None, None], eye_y[None, None]
-    )
-    deviations = [np.abs(one_site - base)]
+    identity_site = sliced_coefficients(triple, structure, eye_x[None], eye_y[None])
+    start = _unit_vector(h)
+    appended = identity_site @ start
+    deviations = [np.abs(_fold(triple, identity_site[:, None], start) - base)]
     for n_sites in range(1, depth):
         xs, ys = random_words(rng, triple, samples, n_sites)
         xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
         ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
         count = samples + 1
-        value = finite_volume_states(triple, structure, xs, ys)
-        extended = finite_volume_states(
-            triple,
-            structure,
-            np.concatenate([xs, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
-            np.concatenate([ys, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
-        )
+        transfers = sliced_coefficients(
+            triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o)
+        ).reshape(count, n_sites, h * h, h * h)
+        value = _fold(triple, transfers, np.broadcast_to(start, (count, h * h, 1)))
+        extended = _fold(triple, transfers, np.broadcast_to(appended, (count, h * h, 1)))
         deviations.append(np.abs(extended - value))
     return np.concatenate(deviations)
 

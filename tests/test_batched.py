@@ -1,9 +1,13 @@
 """The batched contraction core against the per-word and per-sample references.
 
 The batched fold, the batched draws and the closed-form conjugation
-defect replace loops in the symmetry checks; each is compared here with
-the path it replaces.
+defect replace loops in the symmetry checks, and kolmogorov_check shares
+each word's transfers with its extension; each is compared here with the
+path it replaces.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +24,15 @@ from hqmmsym import (
     composite_map,
     finite_volume_state,
     finite_volume_states,
+    kolmogorov_check,
     operator_norm,
     operator_norms,
     random_word,
     random_words,
     worst_deviation,
 )
-from hqmmsym.hqmm import CausalStructure, _apply_sliced, sliced_coefficients
+from hqmmsym.aklt import transition_map
+from hqmmsym.hqmm import CausalStructure, _apply_sliced, sliced_coefficients, triple_from_config
 from hqmmsym.sampling import random_operator, rng_from
 from hqmmsym.symmetry import _conjugation_defects
 
@@ -219,3 +225,38 @@ def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, 
         ref = operator_norm(left.choi() - right.choi())
         assert ref > 1e-3  # a random map is not covariant
         assert abs(got[k] - ref) < 1e-13
+
+
+def _kolmogorov_cases() -> dict:
+    """Name -> (triple, structure) for the kolmogorov_check comparison."""
+    cases = {
+        f"{v}/{s}": (build_model(v, s).triple, s)
+        for v in ("normalized_cartesian", "normalized_spherical", "paper_literal")
+        for s in ("conventional", "causal")
+    }
+    chain = cases["normalized_cartesian/conventional"][0]
+    unnormalized = GenerativeTriple(
+        2, 3, chain.phi0, transition_map(2, normalized=False), chain.emission
+    )
+    for s in ("conventional", "causal"):
+        cases[f"unnormalized/{s}"] = (unnormalized, s)
+    fixture = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
+    cases["kraus-config"] = triple_from_config(fixture["kraus_config"])
+    return cases
+
+
+KOLMOGOROV_CASES = _kolmogorov_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KOLMOGOROV_CASES))
+@pytest.mark.parametrize("seed", [11, 42])
+def test_shared_transfers_give_the_two_batch_kolmogorov_bits(name, seed):
+    triple, structure = KOLMOGOROV_CASES[name]
+    for depth in (0, 1, 2, 6):
+        got = kolmogorov_check(triple, structure, depth, 20, seed)
+        want = util.two_batch_kolmogorov_check(triple, structure, depth, 20, seed)
+        assert got.shape == want.shape == (1 + max(depth - 1, 0) * 21,)
+        assert got.tobytes() == want.tobytes()
+    if name.startswith("unnormalized"):
+        # each site doubles the value: 2^6 - 2^5 at five sites
+        assert want.max() == pytest.approx(32.0, abs=1e-12)

@@ -11,6 +11,10 @@ entries are raw Gaussian draws, which involve no linear algebra either.
 
 Regenerate with ``PYTHONPATH=src python tests/test_oracle_values.py`` only
 when the referee is meant to compute a different value.
+
+The referee skips exact zeros; the tests here also hold its site tensors
+and values, by float.hex, to util.full_loop_site_tensor and a full chain
+sum, which skip nothing.
 """
 
 import json
@@ -20,7 +24,14 @@ import numpy as np
 import pytest
 
 import util
-from hqmmsym import ComplexOperator, ObservableWord, build_model, classical_diagonal_triple
+from hqmmsym import (
+    BipartiteMap,
+    ComplexOperator,
+    GenerativeTriple,
+    ObservableWord,
+    build_model,
+    classical_diagonal_triple,
+)
 from hqmmsym.aklt import dense_word_value
 from hqmmsym.hqmm import triple_from_config
 from hqmmsym.sampling import rng_from
@@ -123,6 +134,97 @@ def test_shared_prefixes_match_one_product_per_chain_at_the_site_limit(key):
             reference.real.hex(),
             reference.imag.hex(),
         )
+
+
+def _hex(value: complex) -> tuple:
+    return value.real.hex(), value.imag.hex()
+
+
+def _assert_zero_skips_keep_the_bits(triple, structure, words):
+    for word in words:
+        skipped = util.site_tensors(triple, structure, word)
+        full = util.site_tensors(triple, structure, word, full_loops=True)
+        assert [[[_hex(v) for v in row] for row in site] for site in skipped] == [
+            [[_hex(v) for v in row] for row in site] for site in full
+        ]
+        value = dense_word_value(triple, structure, word)
+        assert _hex(value) == _hex(util.dense_chain_value(triple, structure, word, full_loops=True))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED["values"]))
+def test_zero_skips_match_the_full_loops_bit_for_bit(key):
+    triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
+    _assert_zero_skips_keep_the_bits(triple, structure, _words(triple, site_counts))
+
+
+def _planted(rng, a: np.ndarray) -> np.ndarray:
+    """a with half its entries set to 0 of every sign pattern, +-0.0 +- 0.0j."""
+    out = np.array(a, dtype=complex)
+    flat = out.reshape(-1)
+    picks = rng.permutation(flat.size)[: flat.size // 2]
+    for k, (re, im) in enumerate([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]):
+        flat[picks[k::4]] = complex(re, im)
+    return out
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_zero_skips_match_the_full_loops_on_planted_signed_zeros(structure):
+    # h = 3 and o = 2, a transition that keeps both hidden factors, and
+    # signed zeros planted in phi0, both coefficient tensors and the words
+    rng = rng_from(31)
+    maps = [
+        BipartiteMap.build_from_kraus(3, 3, 3, util.random_unital_kraus(rng, 9, 3, 3)),
+        BipartiteMap.build_from_kraus(3, 2, 3, util.random_unital_kraus(rng, 6, 3, 3)),
+    ]
+    t, e = (
+        BipartiteMap(m.dim_in, m.dim_out, _planted(rng, m.coeff), m.dim_in1, m.dim_in2)
+        for m in maps
+    )
+    triple = GenerativeTriple(3, 2, _planted(rng, rng.standard_normal((3, 3))), t, e)
+    words = [
+        ObservableWord(
+            _planted(rng, rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))),
+            _planted(rng, rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))),
+        )
+        for n in (1, 2, 3, 4)
+    ]
+    _assert_zero_skips_keep_the_bits(triple, structure, words)
+
+
+def _classical4_word(n: int, x01) -> ObservableWord:
+    """A seeded classical4 word whose first hidden site has x01 at entry (0, 1)."""
+    rng = rng_from(WORD_SEED)
+    xs = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    ys = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    xs[0, 0, 1] = x01
+    return ObservableWord(xs, ys)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_non_finite_input_gives_nan_where_a_skip_could_hide_it(structure):
+    triple = _classical_triple()
+    # every map dephases, so only zero coefficients read an off-diagonal
+    # hidden entry: the full loops meet inf * 0, a bare skip would not
+    word = _classical4_word(2, np.inf)
+    assert np.isnan(util.dense_chain_value(triple, structure, word, full_loops=True))
+    value = dense_word_value(triple, structure, word)
+    assert np.isnan(value.real) and np.isnan(value.imag)
+    nan_phi0 = GenerativeTriple(
+        4, 3, np.diag([np.nan, 0.25, 0.25, 0.25]), triple.transition, triple.emission
+    )
+    value = dense_word_value(nan_phi0, structure, _classical4_word(2, 0.5))
+    assert np.isnan(value.real) and np.isnan(value.imag)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_sizes_that_could_overflow_give_nan(structure):
+    # 1e200 at an entry only zero coefficients read: one site stays within
+    # the 1e300 bound on products and keeps the full loops' bits, two
+    # sites could pass it and give nan
+    triple = _classical_triple()
+    _assert_zero_skips_keep_the_bits(triple, structure, [_classical4_word(1, 1e200)])
+    value = dense_word_value(triple, structure, _classical4_word(2, 1e200))
+    assert np.isnan(value.real) and np.isnan(value.imag)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@ Everything here deliberately avoids the library's own evaluation paths:
 complete positivity is probed by pushing random states through the
 extended map, likelihoods come from the textbook forward recursion,
 matrix exponentials from a plain power series, and dense word values
-from one product per index chain.  Spin generators come from the ladder
+from one product per index chain, over site tensors from loops that
+visit every coefficient.  Spin generators come from the ladder
 operators and the Levi-Civita symbol, and the gauge transform, commutator
 pairing, trivial rep and transposed emission are their textbook formulas.
+The extension-consistency reference folds each word's extension whole,
+through finite_volume_states, rather than sharing the word's transfers.
 """
 
 from __future__ import annotations
@@ -15,9 +18,18 @@ from itertools import product
 
 import numpy as np
 
-from hqmmsym import BipartiteMap, CausalStructure, OperatorMap, ProjectiveRep, cocycle_eval
-from hqmmsym.aklt import _site_tensor
+from hqmmsym import (
+    BipartiteMap,
+    CausalStructure,
+    OperatorMap,
+    ProjectiveRep,
+    cocycle_eval,
+    finite_volume_states,
+    random_words,
+)
+from hqmmsym.aklt import _site_tensor, _site_terms
 from hqmmsym.grouprep import _compose
+from hqmmsym.sampling import rng_from
 
 
 def brute_force_cp(m: OperatorMap, rng: np.random.Generator, trials: int = 200) -> float:
@@ -181,23 +193,96 @@ def assert_cpu(defects: dict, tol: float = 1e-10) -> None:
     assert all(value <= tol for value in defects.values()), defects
 
 
-def dense_chain_value(triple, structure, word) -> complex:
-    """aklt.dense_word_value with one full product per index chain.
+def full_loop_site_tensor(
+    structure: CausalStructure,
+    c_h: list,
+    c_ho: list,
+    x: list,
+    y: list,
+    h: int,
+    o: int,
+) -> list[list[complex]]:
+    """aklt._site_tensor with every coefficient visited, zeros included.
 
-    The site tensors are the referee's own; every chain is walked from its
-    first entry, off-diagonal endings are skipped, and the terms are added
-    in lexicographic order of the chains.  Sharing chain prefixes must give
-    the same bits.
+    The same sums as the referee's, over the same nested lists and in the
+    same lexicographic order, but no term is skipped: a coefficient or an
+    emitted or linked factor that is exactly 0 still adds its product.
     """
+    s = [[0j] * (h * h) for _ in range(h * h)]
+    if structure is CausalStructure.CONVENTIONAL:
+        emitted = [[0j] * h for _ in range(h)]
+        for u in range(h):
+            for v in range(h):
+                acc = 0.0 + 0.0j
+                for a in range(h):
+                    for a2 in range(h):
+                        for c in range(o):
+                            for c2 in range(o):
+                                acc += c_ho[u][v][a * o + c][a2 * o + c2] * x[a][a2] * y[c][c2]
+                emitted[u][v] = acc
+        for p in range(h):
+            for q in range(h):
+                for i in range(h):
+                    for j in range(h):
+                        acc = 0.0 + 0.0j
+                        for u in range(h):
+                            for v in range(h):
+                                acc += c_h[p][q][u * h + i][v * h + j] * emitted[u][v]
+                        s[p * h + q][i * h + j] = acc
+        return s
+    linked = [[[[0j] * h for _ in range(h)] for _ in range(h)] for _ in range(h)]
+    for u in range(h):
+        for v in range(h):
+            for i in range(h):
+                for j in range(h):
+                    acc = 0.0 + 0.0j
+                    for a in range(h):
+                        for a2 in range(h):
+                            acc += c_h[u][v][a * h + i][a2 * h + j] * x[a][a2]
+                    linked[u][v][i][j] = acc
+    for p in range(h):
+        for q in range(h):
+            for i in range(h):
+                for j in range(h):
+                    acc = 0.0 + 0.0j
+                    for u in range(h):
+                        for v in range(h):
+                            for c in range(o):
+                                for c2 in range(o):
+                                    acc += (
+                                        c_ho[p][q][u * o + c][v * o + c2]
+                                        * linked[u][v][i][j]
+                                        * y[c][c2]
+                                    )
+                    s[p * h + q][i * h + j] = acc
+    return s
+
+
+def site_tensors(triple, structure, word, full_loops: bool = False) -> list:
+    """Each site's tensor, from the referee's _site_tensor or from full_loop_site_tensor."""
     structure = CausalStructure.parse(structure)
-    n = len(word)
     h, o = triple.hidden_dim, triple.obs_dim
     c_h = triple.transition.coeff.tolist()
     c_ho = triple.emission.coeff.tolist()
-    sites = [
-        _site_tensor(structure, c_h, c_ho, x, y, h, o)
-        for x, y in zip(word.xs.tolist(), word.ys.tolist())
-    ]
+    sites = zip(word.xs.tolist(), word.ys.tolist())
+    if full_loops:
+        return [full_loop_site_tensor(structure, c_h, c_ho, x, y, h, o) for x, y in sites]
+    terms = _site_terms(structure, c_h, c_ho, h, o)
+    return [_site_tensor(structure, terms, x, y) for x, y in sites]
+
+
+def dense_chain_value(triple, structure, word, full_loops: bool = False) -> complex:
+    """aklt.dense_word_value with one full product per index chain.
+
+    The site tensors are the referee's own, or with full_loops those of
+    full_loop_site_tensor.  Every chain is walked from its first entry,
+    zero entries included, off-diagonal endings are skipped, and the
+    terms are added in lexicographic order of the chains.  Sharing chain
+    prefixes and skipping exact zeros must give the same bits.
+    """
+    n = len(word)
+    h = triple.hidden_dim
+    sites = site_tensors(triple, structure, word, full_loops)
     rho0 = triple.phi0.tolist()
     first = [rho0[q][p] for p in range(h) for q in range(h)]
     diagonal = {p * h + p for p in range(h)}
@@ -210,3 +295,35 @@ def dense_chain_value(triple, structure, word) -> complex:
             term = term * sites[k][chain[k]][chain[k + 1]]
         total += term
     return complex(total)
+
+
+def two_batch_kolmogorov_check(
+    triple, structure, depth: int, samples: int, seed: int
+) -> np.ndarray:
+    """hqmm.kolmogorov_check with each length's extensions folded whole.
+
+    The words and their extensions, which end with one more identity site,
+    go through finite_volume_states as two separate batches, so the
+    extensions' transfers are computed again rather than shared.
+    """
+    rng = rng_from(seed)
+    h, o = triple.hidden_dim, triple.obs_dim
+    eye_x = np.eye(h, dtype=complex)
+    eye_y = np.eye(o, dtype=complex)
+    base = float(np.trace(triple.phi0).real)
+    one_site = finite_volume_states(triple, structure, eye_x[None, None], eye_y[None, None])
+    deviations = [np.abs(one_site - base)]
+    for n_sites in range(1, depth):
+        xs, ys = random_words(rng, triple, samples, n_sites)
+        xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
+        ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
+        count = samples + 1
+        value = finite_volume_states(triple, structure, xs, ys)
+        extended = finite_volume_states(
+            triple,
+            structure,
+            np.concatenate([xs, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
+            np.concatenate([ys, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
+        )
+        deviations.append(np.abs(extended - value))
+    return np.concatenate(deviations)
