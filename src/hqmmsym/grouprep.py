@@ -267,7 +267,9 @@ def cocycle_defects(rep: ProjectiveRep, qg, qh) -> tuple[np.ndarray, np.ndarray]
     Returns omega[k] = omega(g, h) and the operator norms
     || U(g) U(h) - omega(g, h) U(gh) ||, taken by one stacked
     opalg.operator_norms: a scaled Gram eigenvalue, nan for a non-finite
-    matrix, exactly 0 for a zero matrix.
+    matrix, exactly 0 for a zero matrix.  For the 2 x 2 and 3 x 3 reps
+    that eigenvalue has a closed form; a 3 x 3 defect whose top two
+    eigenvalues nearly coincide, and any larger rep, goes to eigvalsh.
     """
     omega = rep.cocycle(qg, qh)
     defects = rep.stack(qg) @ rep.stack(qh) - omega[..., None, None] * rep.stack(_compose(qg, qh))

@@ -13,6 +13,10 @@ Conventions used throughout the package:
   the input space tensor the output space, with entry [(i, p), (j, q)].
   choi_matrices is the one place that writes this layout.  E is completely
   positive exactly when C is positive semidefinite.
+- Every operator norm is operator_norms: the largest singular value as a
+  scaled Gram eigenvalue, in closed form when the smaller side is 2 or 3
+  (a rare nearly degenerate 3 x 3 row falls back to eigvalsh) and from
+  one stacked eigvalsh for any other size.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ def operator_norms(a: np.ndarray) -> np.ndarray:
     Each norm is a scaled Gram eigenvalue, nan for a non-finite matrix,
     exactly 0 for a zero matrix.  With s the largest |a_ij| and b = a / s,
     the norm is s * sqrt(lambda_max(b+ b)), the Gram matrix taken on the
-    smaller side and the eigenvalues of the whole stack found by one
-    eigvalsh.  The scale keeps the Gram entries at most max(m, n), so
-    finite entries from 1e-300 to 1e300 neither underflow nor overflow.
-    Non-finite and zero matrices never reach LAPACK.
+    smaller side k.  _unit_scale_norms finds lambda_max in closed form for
+    k = 2 and 3, falling back to eigvalsh for 3 x 3 rows whose top two
+    eigenvalues nearly coincide, and by one stacked eigvalsh for any other
+    k.  The scale keeps the Gram entries at most max(m, n), so finite
+    entries from 1e-300 to 1e300 neither underflow nor overflow.
+    Non-finite and zero matrices never reach the kernel.
     """
     scale = np.abs(a).max(axis=(-2, -1))
     ok = np.isfinite(scale) & (scale > 0)
@@ -51,10 +57,97 @@ def operator_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
-    """Largest singular values of a stack b[..., m, n] whose entries are at most 1."""
-    bh = np.swapaxes(b, -1, -2).conj()
-    gram = bh @ b if b.shape[-1] <= b.shape[-2] else b @ bh
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    """Largest singular values of a stack b[..., m, n] whose entries are at most 1.
+
+    Each is sqrt(lambda_max) of the k x k Gram matrix G on the smaller
+    side, k = min(m, n).  For k = 2 and 3, G is formed entry by entry over
+    the whole stack and lambda_max has a closed form:
+
+    - k = 2: lambda_max = (a + d) / 2 + hypot((a - d) / 2, |g01|), with a
+      and d the diagonal of G.
+    - k = 3: lambda_max = q + 2 p cos(arccos(r) / 3) (Smith 1961), with
+      q = tr G / 3, p = sqrt(tr (G - q)^2 / 6) and r = det(B) / 2 for
+      B = (G - q) / p.  B is formed before its determinant, so p^3 never
+      underflows.  The form loses digits when the top two eigenvalues
+      nearly coincide (Kopp 2008), which is r near -1: rows with r < 0
+      and 1 - r^2 < 1/4, or r not finite, take lambda_max from one
+      eigvalsh of just those rows instead.
+
+    Any other k takes lambda_max from one eigvalsh of the stacked Gram
+    matrices.  The closed forms use elementwise real arithmetic only, so
+    no row's bits depend on the rest of the stack.
+    """
+    *lead, m, n = b.shape
+    k = min(m, n)
+    if k in (2, 3):
+        # t[r, i, N] runs r along the longer side of matrix N; for a wide b
+        # its Gram matrix is the conjugate of b b+, with the same eigenvalues
+        b = b.reshape(-1, m, n)
+        t = b.transpose(1, 2, 0) if n == k else b.transpose(2, 1, 0)
+        g, h = _gram_parts(t)
+        if k == 2:
+            a, d = g[0, 0], g[1, 1]
+            top = (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(g[0, 1], h[0, 1]))
+        else:
+            top = _top_eigenvalues_3(g, h)
+        top = top.reshape(lead)
+    else:
+        bh = np.swapaxes(b, -1, -2).conj()
+        top = np.linalg.eigvalsh(bh @ b if n <= m else b @ bh)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _gram_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts g[i, j, N] and h[i, j, N] of Gram matrices.
+
+    t[r, i, N] is entry (r, i) of matrix N, and the Gram entry (i, j) sums
+    conj(t[r, i]) t[r, j] over r in order, in real arithmetic: one
+    rounding per product and per sum, whatever the size of the stack.
+    """
+    x, y = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
+    re = x[:, :, None] * x[:, None] + y[:, :, None] * y[:, None]
+    im = x[:, :, None] * y[:, None] - y[:, :, None] * x[:, None]
+    g, h = re[0], im[0]
+    for r in range(1, len(t)):
+        g, h = g + re[r], h + im[r]
+    return g, h
+
+
+_EYE3 = np.eye(3)[:, :, None]
+
+
+def _top_eigenvalues_3(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalues of the 3 x 3 Hermitian matrices g[:, :, N] + i h[:, :, N].
+
+    The trigonometric form of _unit_scale_norms, with one eigvalsh for
+    the rows near a degenerate top pair.
+    """
+    q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
+    shifted = g - q * _EYE3
+    sq = shifted * shifted + h * h
+    p = np.sqrt((sq[0, 0] + sq[1, 1] + sq[2, 2] + 2 * (sq[0, 1] + sq[0, 2] + sq[1, 2])) / 6)
+    # B = (G - q) / p entry by entry, so that no p^3 can underflow; p = 0
+    # leaves B at G - q, whose entries are then 0 or too small to square
+    s = np.where(p > 0, p, 1.0)
+    br, bi = shifted / s, h / s
+    sq = br * br + bi * bi
+    # det B = b00 b11 b22 + 2 Re(b01 b12 b20) - b00 |b12|^2 - b11 |b02|^2 - b22 |b01|^2
+    xz_re = br[0, 1] * br[1, 2] - bi[0, 1] * bi[1, 2]
+    xz_im = br[0, 1] * bi[1, 2] + bi[0, 1] * br[1, 2]
+    det = (
+        br[0, 0] * br[1, 1] * br[2, 2]
+        + 2 * (xz_re * br[0, 2] + xz_im * bi[0, 2])
+        - br[0, 0] * sq[1, 2]
+        - br[1, 1] * sq[0, 2]
+        - br[2, 2] * sq[0, 1]
+    )
+    r = det / 2
+    top = q + 2 * p * np.cos(np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3)
+    near = ~np.isfinite(r) | ((r < 0) & (1 - r * r < 0.25))
+    if near.any():
+        gram = np.moveaxis(g[..., near] + 1j * h[..., near], -1, 0)
+        top[near] = np.linalg.eigvalsh(gram)[:, -1]
+    return top
 
 
 def worst_deviation(deviations) -> float:

@@ -21,9 +21,11 @@ def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Complex Gaussian matrix rescaled to unit operator norm.
 
     The norm is opalg.operator_norm (a scaled Gram eigenvalue, nan for a
-    non-finite matrix, exactly 0 for a zero matrix), the one that
-    hqmm.random_words divides its stacked draws by, so both give the same
-    matrices bit for bit.
+    non-finite matrix, exactly 0 for a zero matrix; in closed form for
+    dim 2 and 3, with eigvalsh near a degenerate top pair of a 3 x 3, and
+    from eigvalsh for larger dim), the one that hqmm.random_words divides
+    its stacked draws by.  No norm depends on the rest of its stack, so
+    both give the same matrices bit for bit.
     """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g / operator_norm(g)

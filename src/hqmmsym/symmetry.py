@@ -12,7 +12,9 @@ every input.
 Each check evaluates all of its samples as one batch: stacked unitaries,
 closed-form coefficient contractions and one stacked opalg.operator_norms,
 a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
-for a zero matrix).
+for a zero matrix): in closed form for the 2 x 2 and 3 x 3 defects, with
+eigvalsh for a 3 x 3 whose top two eigenvalues nearly coincide, and by
+one stacked eigvalsh for the larger Choi matrices.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from hqmmsym import (
     worst_deviation,
 )
 from hqmmsym.aklt import transition_map
+from hqmmsym.opalg import _unit_scale_norms
 from hqmmsym.hqmm import CausalStructure, _apply_sliced, sliced_coefficients, triple_from_config
 from hqmmsym.sampling import random_operator, rng_from
 from hqmmsym.symmetry import _conjugation_defects
@@ -161,6 +162,111 @@ def test_stacked_norms_report_non_finite_matrices_as_nan():
     norms = operator_norms(a)
     assert norms[0] == 1.0 and np.isnan(norms[1]) and norms[2] == 2.0
     assert np.isnan(operator_norm(a[1]))
+
+
+def _haar_unitaries(rng, count: int, dim: int) -> np.ndarray:
+    """Haar unitaries: the Q of a complex Gaussian's QR, times the phases of R's diagonal."""
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def _norm_stacks() -> dict:
+    """Stacks for each branch of the norm kernel: both closed forms and the fallback."""
+    rng = rng_from(18)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    shapes = [(2, 2), (3, 3), (5, 2), (2, 5), (4, 3), (3, 4)]
+    stacks = {f"gaussian_{m}x{n}": gaussian(2000, m, n) for m, n in shapes}
+    # u diag(s) v with a degenerate or nearly degenerate top pair: r is near -1
+    for name, singular in [("pair_half", [1.0, 1.0, 0.5]), ("pair_split", [1.0, 1.0 - 1e-6, 0.3])]:
+        stacks[name] = (_haar_unitaries(rng, 500, 3) * singular) @ _haar_unitaries(rng, 500, 3)
+    for dim in (2, 3):
+        stacks[f"unitary_{dim}"] = _haar_unitaries(rng, 500, dim)
+        stacks[f"rank_one_{dim}"] = np.einsum("ki,kj->kij", gaussian(500, dim), gaussian(500, dim))
+        stacks[f"diagonal_{dim}"] = gaussian(500, dim)[:, :, None] * np.eye(dim)
+    return stacks
+
+
+NORM_STACKS = _norm_stacks()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NORM_STACKS))
+def test_closed_form_and_eigvalsh_kernels_match_the_svd(name):
+    a = NORM_STACKS[name]
+    b = a / np.abs(a).max(axis=(-2, -1))[:, None, None]
+    want = np.linalg.svd(b, compute_uv=False)[:, 0]
+    for kernel in (_unit_scale_norms, util.gram_eigvalsh_norms):
+        got = kernel(b)
+        assert np.all(np.abs(got - want) <= 1e-14 * want), (kernel, np.max(np.abs(got - want) / want))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+@pytest.mark.parametrize("name", sorted(NORM_STACKS))
+def test_small_norms_match_the_svd_at_extreme_scales(name, scale):
+    a = scale * NORM_STACKS[name]
+    want = np.linalg.svd(a, compute_uv=False)[:, 0]
+    got = operator_norms(a)
+    assert np.all(np.abs(got - want) <= 1e-14 * want), np.max(np.abs(got - want) / want)
+
+
+def test_only_rows_near_a_degenerate_top_pair_reach_eigvalsh(monkeypatch):
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for name in ("pair_half", "pair_split"):
+        rows.clear()
+        operator_norms(NORM_STACKS[name])
+        assert rows == [500], name
+    for name, most in [("gaussian_2x2", 0), ("gaussian_3x3", 40), ("gaussian_3x4", 40)]:
+        rows.clear()
+        operator_norms(NORM_STACKS[name])
+        assert len(rows) <= 1 and sum(rows) <= most, (name, rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_3x3_form_neither_underflows_nor_divides_by_zero(monkeypatch):
+    # I + 1e-120 e_01 has p of about 6e-121, so p^3 underflows to 0 and
+    # det(G - q) / (2 p^3) would be 0 / 0; the identity has p = 0 exactly
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form should take this matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    tiny = np.eye(3, dtype=complex)
+    tiny[0, 1] = 1e-120
+    for a in (tiny, np.eye(3), np.eye(3)[[2, 0, 1]]):
+        assert _unit_scale_norms(a) == 1.0
+        assert operator_norm(a) == 1.0
+    norms = operator_norms(np.stack([tiny, 1e-300 * tiny, 1e300 * tiny]))
+    assert np.all(np.abs(norms - [1.0, 1e-300, 1e300]) <= 1e-15 * norms)
+
+
+def test_one_matrix_near_a_degenerate_top_pair_takes_eigvalsh():
+    # a permuted diag(1, 1, 1/2): its Gram matrix diag(1, 1/4, 1) is exact, and r = -1
+    a = np.array([[1, 0, 0], [0, 0, 1], [0, 0.5, 0]], dtype=complex)
+    assert operator_norm(a) == float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1])) == 1.0
+    for m in NORM_STACKS["pair_split"][:20]:
+        want = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        assert abs(operator_norm(m) - want) <= 2 * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 2), (2, 5), (4, 3), (3, 4)])
+def test_stacked_norms_equal_single_norms_on_every_path(shape):
+    stack = np.concatenate([a[:60] for a in NORM_STACKS.values() if a.shape[1:] == shape])
+    stack = stack[rng_from(6).permutation(len(stack))]
+    single = [operator_norm(m) for m in stack]
+    assert np.array_equal(operator_norms(stack), single)
+    assert np.array_equal(operator_norms(stack.reshape(-1, 3, *shape)).ravel(), single)
 
 
 def test_worst_deviation_propagates_nan_and_refuses_empty():

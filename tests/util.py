@@ -10,6 +10,8 @@ operators and the Levi-Civita symbol, and the gauge transform, commutator
 pairing, trivial rep and transposed emission are their textbook formulas.
 The extension-consistency reference folds each word's extension whole,
 through finite_volume_states, rather than sharing the word's transfers.
+The norm reference takes every Gram eigenvalue from LAPACK, with no
+closed form for small matrices.
 """
 
 from __future__ import annotations
@@ -186,6 +188,18 @@ def partial_trace_second(w: np.ndarray, d1: int, d2: int) -> np.ndarray:
 def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     m = rng.uniform(0.1, 1.0, size=(rows, cols))
     return m / m.sum(axis=1, keepdims=True)
+
+
+def gram_eigvalsh_norms(b: np.ndarray) -> np.ndarray:
+    """opalg._unit_scale_norms with one eigvalsh for every size.
+
+    The Gram matrix on the smaller side comes from a stacked matmul and
+    its largest eigenvalue from one eigvalsh of the stack, as the kernel
+    computed every norm before it had closed forms for 2 x 2 and 3 x 3.
+    """
+    bh = np.swapaxes(b, -1, -2).conj()
+    gram = bh @ b if b.shape[-1] <= b.shape[-2] else b @ bh
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def assert_cpu(defects: dict, tol: float = 1e-10) -> None:
