@@ -298,57 +298,78 @@ def _site_tensor(structure: CausalStructure, terms: tuple, x: list, y: list) -> 
 def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:
     """Word value by brute-force summation over all index chains.
 
+    The one-word case of dense_word_values, which says how the referee
+    computes it.
+    """
+    return dense_word_values(triple, structure, [word])[0]
+
+
+def dense_word_values(triple: GenerativeTriple, structure, words) -> list[complex]:
+    """Each word's value by brute-force summation over all index chains.
+
     The referee stays independent of the folded evaluation path: it builds
     its own sliced site tensors by explicit scalar loops over the map
     coefficients, held as nested Python lists, and sums the product of
     chain entries against the initial state over every index chain, with
     no einsum, matmul or fold.  Work whose result is known is skipped:
     each site-tensor sum runs over its nonzero coefficients only
-    (_site_terms) and past inner factors that are exactly 0, and the
-    chains are walked depth first, sharing the products of common
-    prefixes, without descending through a chain entry or phi0 entry that
-    is exactly 0.  A skipped term is a finite value times 0, so it is +-0,
-    and adding +-0 to a sum that starts at +0 never changes it: the value
-    is bit for bit the full sum's, term by term in lexicographic order of
-    the chains.  That holds while every product is finite, so the referee
-    returns complex(nan, nan) when an entry of phi0, of either coefficient
-    tensor or of the word is not finite, and when their sizes could carry
-    a product past 1e300, near the top of the float range.  Time grows as
-    (hidden_dim^2)^sites, so words beyond 8 sites are refused; memory
-    holds one running product per site.
+    (_site_terms, listed once for all the words) and past inner factors
+    that are exactly 0, and the chains are walked depth first, sharing the
+    products of common prefixes, without descending through a chain entry
+    or phi0 entry that is exactly 0.  A skipped term is a finite value
+    times 0, so it is +-0, and adding +-0 to a sum that starts at +0 never
+    changes it: the value is bit for bit the full sum's, term by term in
+    lexicographic order of the chains.  That holds while every product is
+    finite, so a word's value is complex(nan, nan) when an entry of phi0,
+    of either coefficient tensor or of the word is not finite, and when
+    their sizes could carry a product past 1e300, near the top of the
+    float range.  Time grows as (hidden_dim^2)^sites, so words beyond 8
+    sites are refused, as is an empty word; memory holds one running
+    product per site.
     """
     structure = CausalStructure.parse(structure)
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word; the oracle needs at least one site")
-    if n > 8:
-        raise ValueError(f"dense contraction is limited to 8 sites, got {n}")
-    word.check_dims(triple)
+    words = list(words)
+    for word in words:
+        if len(word) == 0:
+            raise ValueError("empty word; the oracle needs at least one site")
+        if len(word) > 8:
+            raise ValueError(f"dense contraction is limited to 8 sites, got {len(word)}")
+        word.check_dims(triple)
     h = triple.hidden_dim
     o = triple.obs_dim
     # every partial sum and product is at most (1 + |phi0|) growth^n, with
     # the largest entries of phi0 and the word and the coefficient sums;
     # a non-finite entry makes the bound nan or inf
-    top_phi0, top_x, top_y = (float(np.abs(a).max()) for a in (triple.phi0, word.xs, word.ys))
+    top_phi0 = float(np.abs(triple.phi0).max())
     sum_t, sum_e = (float(np.abs(m.coeff).sum()) for m in (triple.transition, triple.emission))
-    growth = (1.0 + sum_t) * (1.0 + sum_e) * (1.0 + top_x) * (1.0 + top_y)
-    if not math.prod([1.0 + top_phi0] + [growth] * n) < 1e300:
-        return complex(math.nan, math.nan)
     terms = _site_terms(
         structure, triple.transition.coeff.tolist(), triple.emission.coeff.tolist(), h, o
     )
-    sites = [
-        _site_tensor(structure, terms, x, y) for x, y in zip(word.xs.tolist(), word.ys.tolist())
-    ]
     rho0 = triple.phi0.tolist()
     # chain entry r is the index pair (p, q) = divmod(r, h)
     first = [rho0[q][p] for p in range(h) for q in range(h)]
+    values = []
+    for word in words:
+        top_x, top_y = (float(np.abs(a).max()) for a in (word.xs, word.ys))
+        growth = (1.0 + sum_t) * (1.0 + sum_e) * (1.0 + top_x) * (1.0 + top_y)
+        if math.prod([1.0 + top_phi0] + [growth] * len(word)) < 1e300:
+            values.append(_chain_sum(structure, terms, first, word, h))
+        else:
+            values.append(complex(math.nan, math.nan))
+    return values
+
+
+def _chain_sum(structure: CausalStructure, terms: tuple, first: list, word, h: int) -> complex:
+    """The sum over the word's index chains, from its site tensors and phi0's entries first."""
+    sites = [
+        _site_tensor(structure, terms, x, y) for x, y in zip(word.xs.tolist(), word.ys.tolist())
+    ]
     # each row of a site as its (column, entry) pairs that are not exactly
     # 0; a chain ends on the diagonal, so the last site keeps only the
     # nonzero diagonal entries of each row
     rows = [[[(r, s) for r, s in enumerate(row) if s] for row in site] for site in sites[:-1]]
     rows.append([[row[d] for d in range(0, h * h, h + 1) if row[d]] for row in sites[-1]])
-    last = n - 1
+    last = len(sites) - 1
 
     def walk(k, t, entries, total):
         # t is the product along a chain of k + 1 entries, entries the row

@@ -31,11 +31,12 @@ from .hqmm import (
     GenerativeTriple,
     ObservableWord,
     finite_volume_state,
-    finite_volume_states,
+    fold_words,
     kolmogorov_check,
     load_model_config,
     load_word,
     random_words,
+    sliced_coefficients,
 )
 # operator_norm is unused here but stays bound: bench/tests checks that the
 # tracer in bench/tracing.py wraps and restores this module's binding.
@@ -140,22 +141,24 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     """Deviation i is word i's folded value against the dense referee's.
 
     Word i has 1 + i % 5 sites; one draw of all their sites consumes the
-    stream exactly as drawing the words one after another would.  The fold
+    stream exactly as drawing the words one after another would.  One
+    sliced_coefficients call gives every site's transfer, and the fold
     takes each length's words, every fifth, as one batch, whose rows equal
-    the words folded alone; the referee takes the words one by one.
+    the words folded alone.  The referee lists its coefficient terms once
+    and takes the words one by one.
     """
     count = min(c.samples, 20)
     lengths = [1 + i % 5 for i in range(count)]
     xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
+    transfers = sliced_coefficients(m.triple, m.structure, xs[0], ys[0])
     ends = np.cumsum(lengths)
-    words = [ObservableWord(xs[0, e - n : e], ys[0, e - n : e]) for n, e in zip(lengths, ends)]
     folded = np.empty(count, dtype=complex)
     for n in range(1, min(count, 5) + 1):
-        batch = words[n - 1 :: 5]
-        folded[n - 1 :: 5] = finite_volume_states(
-            m.triple, m.structure, np.stack([w.xs for w in batch]), np.stack([w.ys for w in batch])
-        )
-    referee = np.array([aklt.dense_word_value(m.triple, m.structure, word) for word in words])
+        # the transfers of words n - 1, n + 4, ...: one row of site indices per word
+        sites = ends[n - 1 :: 5, None] - n + np.arange(n)
+        folded[n - 1 :: 5] = fold_words(m.triple, transfers[sites])
+    words = [ObservableWord(xs[0, e - n : e], ys[0, e - n : e]) for n, e in zip(lengths, ends)]
+    referee = np.array(aklt.dense_word_values(m.triple, m.structure, words))
     return np.abs(folded - referee)
 
 

@@ -140,7 +140,10 @@ class RotationElement:
         q = np.asarray(self.quat, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion needs 4 components, got shape {q.shape}")
-        norm = float(np.linalg.norm(q))
+        if not np.isfinite(q).all():
+            raise ValueError(f"quaternion components must be finite, got {q.tolist()}")
+        # hypot neither overflows nor underflows, and only this test reads it
+        norm = float(np.hypot.reduce(q))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"quaternion norm {norm} is not 1")
         object.__setattr__(self, "quat", tuple(canonical_quaternions(q).tolist()))
@@ -155,11 +158,17 @@ class RotationElement:
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "RotationElement":
         n = np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
+        angle = float(angle)
+        if not (np.isfinite(n).all() and np.isfinite(angle)):
+            raise ValueError(f"rotation axis and angle must be finite, got {n.tolist()}, {angle}")
+        top = float(np.abs(n).max())
+        if top == 0.0:
             raise ValueError("rotation axis must be nonzero")
-        n = n / norm
-        half = 0.5 * float(angle)
+        # scaling by the power of two nearest the largest component keeps the
+        # norm from overflowing or underflowing and, being exact, moves no bit
+        n = np.ldexp(n, -np.frexp(top)[1])
+        n = n / np.linalg.norm(n)
+        half = 0.5 * angle
         return cls((np.cos(half), *(np.sin(half) * n)))
 
     def to_json_dict(self) -> dict:
@@ -169,11 +178,21 @@ class RotationElement:
 def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     """Haar-uniform rotations as canonical quaternions of shape (count, 4).
 
-    One draw of count normalized 4d Gaussians, the same stream as count
-    draws of four.  Normalizing before canonical_quaternions normalizes
-    again makes each row equal RotationElement(draw / |draw|) bit for bit.
+    One draw of count 4d Gaussians, the same stream as count draws of
+    four, mapped by rotations_from_gaussians.
     """
-    return canonical_quaternions(_unit(rng.standard_normal((count, 4))))
+    return rotations_from_gaussians(rng.standard_normal((count, 4)))
+
+
+def rotations_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Canonical quaternions of the normalized 4d Gaussian rows g[N, 4].
+
+    Normalizing before canonical_quaternions normalizes again makes each
+    row equal RotationElement(g[k] / |g[k]|) bit for bit.  Every step is
+    per row, so mapping several draws at once gives each row its bits
+    from its draw alone.
+    """
+    return canonical_quaternions(_unit(g))
 
 
 def cocycle_eval(qg, qh) -> np.ndarray:

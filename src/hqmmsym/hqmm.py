@@ -11,12 +11,20 @@ sites, so the cost is linear in the word length.
 composite_map is the one contraction of the transition with the emission;
 sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
 and _fold is the one loop that folds a batch of words' transfers.
-finite_volume_states folds words from vec(1); kolmogorov_check folds each
-batch's transfers twice, from vec(1) and from S(1, 1) vec(1), so a word and
-its extension by an identity site share one sliced_coefficients call.
+finite_volume_states and fold_words fold words from vec(1); kolmogorov_check
+folds each length's transfers twice, from vec(1) and from S(1, 1) vec(1), so
+a word and its extension by an identity site share their transfers.
 finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
+
+Random sites come from the stream through one map: site_gaussians draws a
+row of Gaussians per site and unit_sites turns rows into unit-norm site
+pairs.  Both work row by row, so a check that needs words of several
+lengths (kolmogorov_check here, the global symmetry check) draws them in
+stream order, maps all of their rows at once, takes every transfer from one
+sliced_coefficients call and folds each length from its word_blocks slice,
+with each value bit for bit that of a batch per length.
 """
 
 from __future__ import annotations
@@ -292,10 +300,27 @@ def finite_volume_states(
     count, n_sites = xs.shape[:2]
     if n_sites == 0:
         raise ValueError("empty word; finite-volume states need at least one site")
-    transfers = sliced_coefficients(
-        triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o)
-    ).reshape(count, n_sites, h * h, h * h)
-    return _fold(triple, transfers, np.broadcast_to(_unit_vector(h), (count, h * h, 1)))
+    transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
+    return fold_words(triple, transfers.reshape(count, n_sites, h * h, h * h))
+
+
+def fold_words(triple: GenerativeTriple, transfers: np.ndarray) -> np.ndarray:
+    """phi0 of each word's transfers folded from vec(1); transfers[B, n, h^2, h^2]."""
+    h = triple.hidden_dim
+    return _fold(triple, transfers, np.broadcast_to(_unit_vector(h), (len(transfers), h * h, 1)))
+
+
+def word_blocks(transfers: np.ndarray, count: int, lengths) -> list[np.ndarray]:
+    """A flat transfer stack cut into one (count, n, h^2, h^2) block per length n.
+
+    The stack holds count words of each length in turn, every word's
+    sites in order; each block is a view.
+    """
+    ends = count * np.cumsum(lengths, dtype=int)
+    return [
+        transfers[end - count * n : end].reshape(count, n, *transfers.shape[1:])
+        for n, end in zip(lengths, ends)
+    ]
 
 
 def _unit_vector(h: int) -> np.ndarray:
@@ -334,14 +359,33 @@ def random_words(
     by site, word by word) would, so both give the same words.
     """
     h, o = triple.hidden_dim, triple.obs_dim
-    g = rng.standard_normal((count, n_sites, 2 * h * h + 2 * o * o))
-    xs = g[..., : h * h] + 1j * g[..., h * h : 2 * h * h]
-    ys = g[..., 2 * h * h : 2 * h * h + o * o] + 1j * g[..., 2 * h * h + o * o :]
-    xs = xs.reshape(count, n_sites, h, h)
-    ys = ys.reshape(count, n_sites, o, o)
-    xs = xs / operator_norms(xs)[..., None, None]
-    ys = ys / operator_norms(ys)[..., None, None]
-    return xs, ys
+    xs, ys = unit_sites(triple, site_gaussians(rng, triple, count * n_sites))
+    return xs.reshape(count, n_sites, h, h), ys.reshape(count, n_sites, o, o)
+
+
+def site_gaussians(rng: np.random.Generator, triple: GenerativeTriple, count: int) -> np.ndarray:
+    """The Gaussians of count random sites, one row of 2 h^2 + 2 o^2 per site.
+
+    Draws of several counts, one after another, equal one draw of their
+    sum cut into pieces: the stream fills the rows in order.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    return rng.standard_normal((count, 2 * h * h + 2 * o * o))
+
+
+def unit_sites(triple: GenerativeTriple, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Site pairs xs[N, h, h], ys[N, o, o] from the Gaussian rows g[N] of site_gaussians.
+
+    A row holds the real then imaginary parts of x, then those of y; each
+    matrix is divided by its operator norm.  Every step is per row, so a
+    row's site does not depend on the rest of g: mapping the rows of
+    several draws at once gives each site the bits of mapping its draw alone.
+    This is the one map from the stream to random sites.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    xs = (g[:, : h * h] + 1j * g[:, h * h : 2 * h * h]).reshape(-1, h, h)
+    ys = (g[:, 2 * h * h : 2 * h * h + o * o] + 1j * g[:, 2 * h * h + o * o :]).reshape(-1, o, o)
+    return xs / operator_norms(xs)[:, None, None], ys / operator_norms(ys)[:, None, None]
 
 
 def kolmogorov_check(
@@ -355,11 +399,16 @@ def kolmogorov_check(
     1..depth-1 the all-identity word followed by samples seeded random
     words.  A word's extension has the word's transfers followed by the
     identity site's transfer S(1, 1), and a sliced_coefficients row does
-    not depend on its batch: so each length's words get their transfers
-    from one call, and the fold runs them twice, from vec(1) for the
-    words and from S(1, 1) vec(1) for their extensions, bit for bit as if
-    the extensions were folded whole.  S(1, 1) is computed once and also
-    gives the one-site row.
+    not depend on its batch: so the fold runs each length's transfers
+    twice, from vec(1) for the words and from S(1, 1) vec(1) for their
+    extensions, bit for bit as if the extensions were folded whole.
+    S(1, 1) is computed once and also gives the one-site row.
+
+    Every length's words come from one batch: one site_gaussians draw of
+    all their sites, which is the stream of one random_words call per
+    length in turn, one unit_sites map and one sliced_coefficients call.
+    Each step is per row, so the deviations are bit for bit those of a
+    batch per length.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
@@ -370,16 +419,16 @@ def kolmogorov_check(
     start = _unit_vector(h)
     appended = identity_site @ start
     deviations = [np.abs(_fold(triple, identity_site[:, None], start) - base)]
-    for n_sites in range(1, depth):
-        xs, ys = random_words(rng, triple, samples, n_sites)
-        xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
-        ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
-        count = samples + 1
-        transfers = sliced_coefficients(
-            triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o)
-        ).reshape(count, n_sites, h * h, h * h)
-        value = _fold(triple, transfers, np.broadcast_to(start, (count, h * h, 1)))
-        extended = _fold(triple, transfers, np.broadcast_to(appended, (count, h * h, 1)))
+    lengths = range(1, depth)
+    xs, ys = unit_sites(triple, site_gaussians(rng, triple, samples * sum(lengths)))
+    transfers = sliced_coefficients(triple, structure, xs, ys)
+    count = samples + 1
+    for n_sites, words in zip(lengths, word_blocks(transfers, samples, lengths)):
+        # the all-identity word, then the samples random words
+        identity_word = np.broadcast_to(identity_site, (1, n_sites, h * h, h * h))
+        block = np.concatenate([identity_word, words])
+        value = _fold(triple, block, np.broadcast_to(start, (count, h * h, 1)))
+        extended = _fold(triple, block, np.broadcast_to(appended, (count, h * h, 1)))
         deviations.append(np.abs(extended - value))
     return np.concatenate(deviations)
 

@@ -4,8 +4,10 @@ A symmetry action carries a projective unitary rep pi on the hidden space
 and a linear rep rho on the observable space.  Each local check takes a
 stack of rotations q[N, 4] (and test operators where needed) and returns
 the N per-sample deviations of its defining identity; the global check
-draws its rotations and words per volume from a seed.  The verdict
-against a tolerance is made by check_result, in the cli.CHECKS table.
+draws its rotations and words from a seed, volume by volume, and then
+evaluates all volumes as one batch, with the bits of a batch per volume.
+The verdict against a tolerance is made by check_result, in the cli.CHECKS
+table.
 Map-level identities are compared through the operator norm of the
 difference of Choi matrices, so a small deviation bounds the defect on
 every input.
@@ -23,16 +25,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grouprep import ProjectiveRep, haar_rotations
+from .grouprep import ProjectiveRep, rotations_from_gaussians
 # finite_volume_state and operator_norm are unused here but stay bound:
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
 # this module's bindings of both.
 from .hqmm import (  # noqa: F401
     GenerativeTriple,
     finite_volume_state,
-    finite_volume_states,
-    random_words,
+    fold_words,
+    site_gaussians,
     sliced_coefficients,
+    unit_sites,
+    word_blocks,
 )
 from .opalg import (  # noqa: F401
     BipartiteMap,
@@ -160,22 +164,34 @@ def check_global_invariance(
     """Per-sample deviation of every finite-volume value under sitewise rotation.
 
     Entry n holds volume n: sites 0..n, so words of n+1 sites.  Each sample
-    draws a fresh group element and a fresh random word from the seed.
-    Each volume folds its words and their rotations as one batch.
+    draws a fresh group element and a fresh random word from the seed,
+    volume by volume: the Haar Gaussians of a volume's samples, then its
+    words' site Gaussians.  All volumes are then one batch: one
+    rotations_from_gaussians, one stack per rep, one unit_sites map, one
+    conjugation of every site by its sample's rotation and one
+    sliced_coefficients call for the plain and rotated sites.  Each volume
+    folds its words and their rotations from its own slice of the
+    transfers.  Every step is per row, so each deviation has the bits of
+    a batch per volume.
     """
     rng = rng_from(seed)
+    lengths = range(1, n_max + 2)
+    haar_draws, site_draws = [], []
+    for n_sites in lengths:
+        haar_draws.append(rng.standard_normal((samples, 4)))
+        site_draws.append(site_gaussians(rng, triple, samples * n_sites))
+    q = rotations_from_gaussians(np.concatenate(haar_draws))
+    xs, ys = unit_sites(triple, np.concatenate(site_draws))
+    # the sample, over all volumes, whose word holds each site
+    owner = np.repeat(np.arange(len(q)), np.repeat(lengths, samples))
+    rotated_xs = _conjugate(action.pi.stack(q)[owner], xs)
+    rotated_ys = _conjugate(action.rho.stack(q)[owner], ys)
+    transfers = sliced_coefficients(
+        triple, structure, np.concatenate([xs, rotated_xs]), np.concatenate([ys, rotated_ys])
+    )
+    plain, rotated = (word_blocks(half, samples, lengths) for half in np.split(transfers, 2))
     by_volume = []
-    for n in range(n_max + 1):
-        q = haar_rotations(rng, samples)
-        u = action.pi.stack(q)
-        v = action.rho.stack(q)
-        xs, ys = random_words(rng, triple, samples, n + 1)
-        values = finite_volume_states(
-            triple,
-            structure,
-            np.concatenate([xs, _conjugate(u[:, None], xs)]),
-            np.concatenate([ys, _conjugate(v[:, None], ys)]),
-        )
+    for words, turned in zip(plain, rotated):
+        values = fold_words(triple, np.concatenate([words, turned]))
         by_volume.append(np.abs(values[samples:] - values[:samples]))
     return by_volume
-

@@ -1,9 +1,10 @@
 """The batched contraction core against the per-word and per-sample references.
 
 The batched fold, the batched draws and the closed-form conjugation
-defect replace loops in the symmetry checks, and kolmogorov_check shares
-each word's transfers with its extension; each is compared here with the
-path it replaces.
+defect replace loops in the symmetry checks, kolmogorov_check shares
+each word's transfers with its extension, and check_global_invariance
+takes all its volumes as one batch; each is compared here with the path
+it replaces.
 """
 
 import json
@@ -19,9 +20,13 @@ from hqmmsym import (
     GenerativeTriple,
     ObservableWord,
     OperatorMap,
+    SymmetryAction,
     build_model,
+    build_tensors,
+    check_global_invariance,
     classical_diagonal_triple,
     composite_map,
+    emission_map,
     finite_volume_state,
     finite_volume_states,
     kolmogorov_check,
@@ -29,6 +34,8 @@ from hqmmsym import (
     operator_norms,
     random_word,
     random_words,
+    spin_half_rep,
+    spin_one_rep,
     worst_deviation,
 )
 from hqmmsym.aklt import transition_map
@@ -366,3 +373,42 @@ def test_shared_transfers_give_the_two_batch_kolmogorov_bits(name, seed):
     if name.startswith("unnormalized"):
         # each site doubles the value: 2^6 - 2^5 at five sites
         assert want.max() == pytest.approx(32.0, abs=1e-12)
+
+
+def _global_cases() -> dict:
+    """Name -> (triple, structure, action) for the check_global_invariance comparison."""
+    cases = {}
+    for v in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
+        for s in ("conventional", "causal"):
+            m = build_model(v, s)
+            cases[f"{v}/{s}"] = (m.triple, s, m.action)
+    # test_symmetry's broken-emission diagnostic: paper-literal tensors
+    # under the spherical action, in the Cartesian chain
+    chain = build_model("normalized_cartesian").triple
+    broken = GenerativeTriple(
+        2, 3, chain.phi0, chain.transition, emission_map(build_tensors("paper_literal"))
+    )
+    spherical = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
+    cases["broken-emission/conventional"] = (broken, "conventional", spherical)
+    return cases
+
+
+GLOBAL_CASES = _global_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GLOBAL_CASES))
+@pytest.mark.parametrize("seed", [11, 42])
+def test_one_batch_of_volumes_gives_the_per_volume_global_bits(name, seed):
+    triple, structure, action = GLOBAL_CASES[name]
+    for n_max in (0, 1, 6):
+        for samples in (1, 7, 50):
+            got = check_global_invariance(triple, structure, action, n_max, samples, seed)
+            want = util.per_volume_global_invariance(
+                triple, structure, action, n_max, samples, seed
+            )
+            assert len(got) == len(want) == n_max + 1
+            for n, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape == (samples,), (n_max, samples, n)
+                assert g.tobytes() == w.tobytes(), (n_max, samples, n)
+    if name.startswith("broken") or name.startswith("paper_literal"):
+        assert worst_deviation(want[0]) > 1e-3

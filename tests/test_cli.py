@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,27 @@ def test_cocycle_rejects_bad_input(capsys):
     assert "subgroup" in err
     code, _, err = _run_cli(capsys, ["cocycle"])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["1,0,0:inf", "inf,0,0:1", "1,0,nan:1", "1,0,0:nan"])
+def test_cocycle_refuses_a_non_finite_element(capsys, spec):
+    # a usage error (exit 2), with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = _run_cli(capsys, ["cocycle", "--element", spec, "--element", "1,0,0:0"])
+    assert code == 2
+    assert err.startswith("error: bad element spec")
+
+
+def test_cocycle_takes_an_axis_whose_norm_would_overflow(capsys):
+    # the pi rotation about (1, 1, 0) and the identity form a Z2
+    argv = ["cocycle", "--element", "1e308,1e308,0:3.141592653589793", "--element", "1,0,0:0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = _run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    half = 0.7071067811865476
+    assert json.loads(out)["elements"][0]["quat"] == [0.0, half, half, 0.0]
 
 
 def test_cocycle_refuses_a_subgroup_with_elements(capsys):

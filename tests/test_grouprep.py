@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -76,6 +78,44 @@ def test_quaternion_validation():
         RotationElement((1.0, 1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         RotationElement((0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "quat",
+    [(np.inf, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (1.0, 0.0, -np.inf, 0.0), (1e200, 0, 0, 0)],
+    ids=["inf", "nan", "one-inf", "overflowing"],
+)
+def test_quaternion_validation_refuses_non_finite_and_huge_components(quat):
+    # refused before any arithmetic could warn: a RuntimeWarning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            RotationElement(quat)
+
+
+@pytest.mark.parametrize(
+    "axis, angle",
+    [((1.0, 0.0, 0.0), np.inf), ((1.0, 0.0, 0.0), np.nan), ((np.inf, 0.0, 0.0), 1.0),
+     ((1.0, np.nan, 0.0), 1.0), ((0.0, 0.0, 0.0), 1.0)],
+    ids=["inf-angle", "nan-angle", "inf-axis", "nan-axis", "zero-axis"],
+)
+def test_axis_angle_refuses_non_finite_input_without_a_warning(axis, angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            RotationElement.from_axis_angle(axis, angle)
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e200, 1.0, 3.0, 1e-200, 3e-320])
+def test_axis_angle_takes_any_finite_direction(scale):
+    # the axis norm would overflow or underflow at the ends of the range;
+    # scaling by a power of two first gives the unit axis's bits at every scale
+    want = RotationElement.from_axis_angle((1.0, 1.0, 0.0), np.pi).quat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = RotationElement.from_axis_angle((scale, scale, 0.0), np.pi).quat
+    assert got == want
+    assert got == (0.0, 0.7071067811865476, 0.7071067811865476, 0.0)
 
 
 def test_group_laws():

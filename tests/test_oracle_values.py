@@ -32,7 +32,8 @@ from hqmmsym import (
     build_model,
     classical_diagonal_triple,
 )
-from hqmmsym.aklt import dense_word_value
+from hqmmsym import aklt
+from hqmmsym.aklt import dense_word_value, dense_word_values
 from hqmmsym.hqmm import triple_from_config
 from hqmmsym.sampling import rng_from
 
@@ -140,6 +141,25 @@ def _hex(value: complex) -> tuple:
     return value.real.hex(), value.imag.hex()
 
 
+@pytest.mark.parametrize("key", sorted(PINNED["values"]))
+def test_many_words_at_once_give_each_word_its_own_bits(key, monkeypatch):
+    # the coefficient terms are listed once for the whole list
+    triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
+    words = list(_words(triple, site_counts))
+    listed = []
+    site_terms = aklt._site_terms
+
+    def counted(*args):
+        listed.append(args)
+        return site_terms(*args)
+
+    monkeypatch.setattr(aklt, "_site_terms", counted)
+    got = dense_word_values(triple, structure, words)
+    monkeypatch.undo()
+    assert len(listed) == 1
+    assert [_hex(v) for v in got] == [_hex(dense_word_value(triple, structure, w)) for w in words]
+
+
 def _assert_zero_skips_keep_the_bits(triple, structure, words):
     for word in words:
         skipped = util.site_tensors(triple, structure, word)
@@ -225,6 +245,26 @@ def test_sizes_that_could_overflow_give_nan(structure):
     _assert_zero_skips_keep_the_bits(triple, structure, [_classical4_word(1, 1e200)])
     value = dense_word_value(triple, structure, _classical4_word(2, 1e200))
     assert np.isnan(value.real) and np.isnan(value.imag)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_nan_word_in_a_list_leaves_the_finite_words_finite(structure):
+    # an inf entry gives nan, 1e200 at two sites trips the overflow bound,
+    # and the words around them keep their own finite values
+    triple = _classical_triple()
+    words = [
+        _classical4_word(2, 0.5),
+        _classical4_word(2, np.inf),
+        _classical4_word(1, 1e200),
+        _classical4_word(2, 1e200),
+        _classical4_word(3, -0.25),
+    ]
+    got = dense_word_values(triple, structure, words)
+    assert [_hex(v) for v in got] == [_hex(dense_word_value(triple, structure, w)) for w in words]
+    assert [bool(np.isnan(v.real) and np.isnan(v.imag)) for v in got] == [
+        False, True, False, True, False
+    ]
+    assert all(np.isfinite(got[k]) for k in (0, 2, 4))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ visit every coefficient.  Spin generators come from the ladder
 operators and the Levi-Civita symbol, and the gauge transform, commutator
 pairing, trivial rep and transposed emission are their textbook formulas.
 The extension-consistency reference folds each word's extension whole,
-through finite_volume_states, rather than sharing the word's transfers.
+through finite_volume_states, rather than sharing the word's transfers,
+and the global-invariance reference draws, rotates and folds one volume
+at a time.
 The norm reference takes every Gram eigenvalue from LAPACK, with no
 closed form for small matrices.
 """
@@ -27,6 +29,7 @@ from hqmmsym import (
     ProjectiveRep,
     cocycle_eval,
     finite_volume_states,
+    haar_rotations,
     random_words,
 )
 from hqmmsym.aklt import _site_tensor, _site_terms
@@ -341,3 +344,29 @@ def two_batch_kolmogorov_check(
         )
         deviations.append(np.abs(extended - value))
     return np.concatenate(deviations)
+
+
+def per_volume_global_invariance(
+    triple, structure, action, n_max: int, samples: int, seed: int
+) -> list[np.ndarray]:
+    """symmetry.check_global_invariance with each volume drawn and folded as its own batch.
+
+    Volume by volume: the Haar rotations, the random words, their
+    rotations site by site, and one finite_volume_states call on the words
+    followed by their rotations.
+    """
+    rng = rng_from(seed)
+    by_volume = []
+    for n in range(n_max + 1):
+        q = haar_rotations(rng, samples)
+        u = action.pi.stack(q)[:, None]
+        v = action.rho.stack(q)[:, None]
+        xs, ys = random_words(rng, triple, samples, n + 1)
+        values = finite_volume_states(
+            triple,
+            structure,
+            np.concatenate([xs, u @ xs @ np.conj(np.swapaxes(u, -1, -2))]),
+            np.concatenate([ys, v @ ys @ np.conj(np.swapaxes(v, -1, -2))]),
+        )
+        by_volume.append(np.abs(values[samples:] - values[:samples]))
+    return by_volume
