@@ -60,6 +60,7 @@ from .opalg import (
 )
 from .symmetry import (
     CheckResult,
+    RotationBatch,
     SymmetryAction,
     check_emission_covariance,
     check_global_invariance,
@@ -89,6 +90,7 @@ __all__ = [
     "ObservableWord",
     "OperatorMap",
     "ProjectiveRep",
+    "RotationBatch",
     "RotationElement",
     "SubgroupStructureError",
     "SymmetryAction",

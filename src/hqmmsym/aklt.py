@@ -34,7 +34,7 @@ from .hqmm import (
     partial_trace_map,
 )
 from .opalg import BipartiteMap, frozen_square_stack, operator_norms
-from .symmetry import SymmetryAction
+from .symmetry import RotationBatch, SymmetryAction, rotation_batch
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
 
@@ -102,18 +102,22 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
     return partial_trace_map(hidden_dim, hidden_dim, normalized)
 
 
-def verify_intertwining(tensors: AkltTensors, action: SymmetryAction, q: np.ndarray) -> np.ndarray:
+def verify_intertwining(
+    tensors: AkltTensors, action: SymmetryAction, q: np.ndarray | RotationBatch
+) -> np.ndarray:
     """Per-rotation residual of sum_k rho(g)_km A_k = pi(g) A_m pi(g)+ for g = q[k].
 
     The tensor label k is contracted with the row index of rho(g).  The
     residual of a rotation is the largest operator norm of the difference
     over the labels m: near machine precision for the normalized variants,
-    of order one for paper_literal.
+    of order one for paper_literal.  Given a RotationBatch for action, it
+    reuses the batch's stacks.
     """
     stack = tensors.tensors
-    u = action.pi.stack(q)[:, None]
+    batch = rotation_batch(action, q)
+    u = batch.pi[:, None]
     target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
-    combo = np.einsum("skm,kab->smab", action.rho.stack(q), stack)
+    combo = np.einsum("skm,kab->smab", batch.rho, stack)
     return operator_norms(combo - target).max(axis=1)
 
 

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,6 +45,7 @@ from .opalg import operator_norm  # noqa: F401
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
+    RotationBatch,
     check_emission_covariance,
     check_global_invariance,
     check_initial_invariance,
@@ -77,11 +79,46 @@ def load_model(name: str, variant: str, structure: str | None) -> Model:
 
 @dataclass(frozen=True)
 class Check:
-    """One verify check; needs_action marks those config-file models cannot run."""
+    """One verify check; needs_action marks those config-file models cannot run.
+
+    results(m, c, tol) makes the row's verdicts.  A sampled row's results
+    also takes the run's HaarBatch, and draws the same batch itself
+    without one.
+    """
 
     needs_action: bool
     tolerance: float
-    results: Callable[[Model, RunConfig, float], list[CheckResult]]
+    results: Callable[..., list[CheckResult]]
+    sampled: bool = False
+
+
+class HaarBatch:
+    """A run's c.samples Haar rotations from its seed, drawn on first use.
+
+    rotations holds the draw and its pi and rho stacks, built once for
+    every sampled row; stream() is a new generator at the state right
+    after the draw, for a row that draws further inputs.  A row run alone
+    draws the same batch, so each row's inputs are a function of
+    (seed, samples) only.  run makes one per call and keeps none.
+    """
+
+    def __init__(self, m: Model, c: RunConfig):
+        self._model, self._config = m, c
+
+    @cached_property
+    def _draw(self) -> tuple[RotationBatch, dict]:
+        rng = rng_from(self._config.seed)
+        q = haar_rotations(rng, self._config.samples)
+        return RotationBatch(self._model.builtin.action, q), rng.bit_generator.state
+
+    @property
+    def rotations(self) -> RotationBatch:
+        return self._draw[0]
+
+    def stream(self) -> np.random.Generator:
+        rng = rng_from(self._config.seed)
+        rng.bit_generator.state = self._draw[1]
+        return rng
 
 
 def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
@@ -100,25 +137,28 @@ def _check_cocycle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     return [replace(result, passed=result.passed and exact)]
 
 
-def _sampled(condition: str, deviations: Callable) -> Callable:
-    """A row over c.samples Haar rotations drawn from the seed.
+def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check:
+    """A row over the run's c.samples Haar rotations.
 
-    deviations(m, q, rng) returns one deviation per rotation q[k]; it may
-    draw further inputs from rng, after the rotations.
+    deviations_of(m, haar) returns one deviation per rotation of the
+    HaarBatch; it may draw further inputs from haar.stream().
     """
 
-    def results(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
-        rng = rng_from(c.seed)
-        q = haar_rotations(rng, c.samples)
-        return [check_result(condition, c.samples, c.seed, deviations(m, q, rng), tol)]
+    def results(m: Model, c: RunConfig, tol: float, haar: HaarBatch | None = None):
+        if haar is None:
+            haar = HaarBatch(m, c)
+        return [check_result(condition, c.samples, c.seed, deviations_of(m, haar), tol)]
 
-    return results
+    return Check(True, tolerance, results, sampled=True)
 
 
-def _sliced_deviations(m: Model, q: np.ndarray, rng) -> np.ndarray:
-    # one random (x, y) site per rotation
-    xs, ys = random_words(rng, m.triple, len(q), 1)
-    return check_sliced_covariance(m.triple, m.structure, m.builtin.action, q, xs[:, 0], ys[:, 0])
+def _sliced_deviations(m: Model, haar: HaarBatch) -> np.ndarray:
+    # one random (x, y) site per rotation, drawn right after the rotations
+    batch = haar.rotations
+    xs, ys = random_words(haar.stream(), m.triple, len(batch.q), 1)
+    return check_sliced_covariance(
+        m.triple, m.structure, m.builtin.action, batch, xs[:, 0], ys[:, 0]
+    )
 
 
 def _check_global(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
@@ -168,25 +208,26 @@ def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
 
 
 # The verify checks in report order.  Each row is the one place its check's
-# deviations meet a tolerance; rows share no state.
+# deviations meet a tolerance; rows share only the run's Haar batch, a
+# function of (seed, samples).
 CHECKS = {
     "cpu": Check(False, 1e-10, _check_cpu),
     "cocycle": Check(True, 1e-10, _check_cocycle),
-    "initial": Check(True, 1e-10, _sampled("initial_invariance", lambda m, q, rng: (
-        check_initial_invariance(m.triple.phi0, m.builtin.action, q)
-    ))),
-    "transition": Check(True, 1e-10, _sampled("transition_equivariance", lambda m, q, rng: (
-        check_transition_equivariance(m.triple.transition, m.builtin.action, q)
-    ))),
-    "emission": Check(True, 1e-10, _sampled("emission_covariance", lambda m, q, rng: (
-        check_emission_covariance(m.triple.emission, m.builtin.action, q)
-    ))),
-    "sliced": Check(True, 1e-10, _sampled("sliced_covariance", _sliced_deviations)),
+    "initial": _sampled(1e-10, "initial_invariance", lambda m, haar: (
+        check_initial_invariance(m.triple.phi0, m.builtin.action, haar.rotations)
+    )),
+    "transition": _sampled(1e-10, "transition_equivariance", lambda m, haar: (
+        check_transition_equivariance(m.triple.transition, m.builtin.action, haar.rotations)
+    )),
+    "emission": _sampled(1e-10, "emission_covariance", lambda m, haar: (
+        check_emission_covariance(m.triple.emission, m.builtin.action, haar.rotations)
+    )),
+    "sliced": _sampled(1e-10, "sliced_covariance", _sliced_deviations),
     "global": Check(True, 1e-9, _check_global),
     "kolmogorov": Check(False, 1e-10, _check_kolmogorov),
-    "intertwining": Check(True, 1e-10, _sampled("tensor_intertwining", lambda m, q, rng: (
-        aklt.verify_intertwining(m.builtin.tensors, m.builtin.action, q)
-    ))),
+    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, haar: (
+        aklt.verify_intertwining(m.builtin.tensors, m.builtin.action, haar.rotations)
+    )),
     "oracle": Check(False, 1e-10, _check_oracle),
 }
 CHECK_NAMES = tuple(CHECKS)
@@ -290,9 +331,13 @@ def run(config: RunConfig) -> dict:
                 f"check {name!r} needs the builtin model; config-file models support "
                 + ", ".join(allowed)
             )
-    results = [
-        r for name in checks for r in CHECKS[name].results(m, config, config.tolerances[name])
-    ]
+    # drawn by the first sampled row, if any, and shared by the rest
+    haar = HaarBatch(m, config)
+    results = []
+    for name in checks:
+        check = CHECKS[name]
+        shared = (haar,) if check.sampled else ()
+        results += check.results(m, config, config.tolerances[name], *shared)
     return {
         "config": config.to_json_dict(),
         "model": model_info,
@@ -373,7 +418,10 @@ def _parse_word_spec(spec: str, triple: GenerativeTriple, model) -> ObservableWo
 def _cmd_eval(args) -> int:
     triple, structure, model = load_model(args.model, args.variant, args.structure)
     word = _parse_word_spec(args.word, triple, model)
-    value = finite_volume_state(triple, structure, word)
+    # a word whose products overflow folds to inf or nan, reported below as
+    # null with exit 1; numpy's warnings on the way would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = finite_volume_state(triple, structure, word)
     parts = {"re": value.real, "im": value.imag}
     payload = {
         "model": args.model,

@@ -8,9 +8,15 @@ draws its rotations and words from a seed, volume by volume, and then
 evaluates all volumes as one batch, with the bits of a batch per volume.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
+A local check also takes its rotations as a RotationBatch, which builds
+the stacks pi(q) and rho(q) once for every check it is passed to: a
+verify run draws one batch and hands it to each of its map-level rows.
 Map-level identities are compared through the operator norm of the
 difference of Choi matrices, so a small deviation bounds the defect on
-every input.
+every input.  A map E is covariant when E(V . V+) = U E(.) U+; the Choi
+matrix C of E is formed once, and sample k's defect is
+||W C W+ - C|| with W = V^T kron U+, the Choi defect conjugated by the
+unitary 1 kron U+, which leaves the norm as it is.
 Each check evaluates all of its samples as one batch: stacked unitaries,
 closed-form coefficient contractions and one stacked opalg.operator_norms,
 a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
@@ -22,6 +28,7 @@ one stacked eigvalsh for the larger Choi matrices.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,47 +101,76 @@ def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:
-    """Choi distances between E(V . V+) and U E(.) U+ for stacks V[k], U[k].
+    """Choi distances between E(V . V+) and U E(.) U+ for stacks V[k] and unitary U[k].
 
-    In closed form, E(V e_ij V+)[p, q] = (V^T C_pq conj V)[i, j] with
-    C_pq[i, j] = coeff[p, q, i, j], and (U E(e_ij) U+)[p, q] is entry
-    [(p, q), (i, j)] of (U kron conj U) @ coeff.reshape(d_out^2, d_in^2),
-    one matmul for all (i, j).  The input side does not form V kron conj V.
+    With C the Choi matrix of E, the Choi matrix of E(V . V+) is
+    (V^T kron 1) C (conj V kron 1) and that of U E(.) U+ is
+    (1 kron U) C (1 kron U+).  Conjugating their difference by the
+    unitary 1 kron U+ keeps its norm, so the defect is ||W C W+ - C||
+    with W = V^T kron U+: one C for every sample and one conjugation per
+    sample.
     """
-    c = m.coeff
-    d_out, _, d_in, _ = c.shape
-    left = np.swapaxes(v_in, -1, -2)[:, None, None] @ c @ v_in.conj()[:, None, None]
-    right = batched_kron(u_out, u_out.conj()) @ c.reshape(d_out * d_out, d_in * d_in)
-    return operator_norms(choi_matrices(left - right.reshape(-1, d_out, d_out, d_in, d_in)))
+    c = choi_matrices(m.coeff)
+    w = batched_kron(np.swapaxes(v_in, -1, -2), np.conj(np.swapaxes(u_out, -1, -2)))
+    return operator_norms(_conjugate(w, c) - c)
 
 
-def check_initial_invariance(phi0: np.ndarray, action: SymmetryAction, q: np.ndarray) -> np.ndarray:
+class RotationBatch:
+    """Rotations q[N, 4] with their stacks pi(q) and rho(q) under one action.
+
+    Each stack is built on first use and kept, so every check handed the
+    batch shares one stack per rep; the batch holds nothing else.
+    """
+
+    def __init__(self, action: SymmetryAction, q: np.ndarray):
+        self.action = action
+        self.q = q
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        return self.action.pi.stack(self.q)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.action.rho.stack(self.q)
+
+
+def rotation_batch(action: SymmetryAction, q: np.ndarray | RotationBatch) -> RotationBatch:
+    """q as a RotationBatch under action: q itself when it is one for action."""
+    if isinstance(q, RotationBatch):
+        return q if q.action is action else RotationBatch(action, q.q)
+    return RotationBatch(action, q)
+
+
+def check_initial_invariance(
+    phi0: np.ndarray, action: SymmetryAction, q: np.ndarray | RotationBatch
+) -> np.ndarray:
     """Per-rotation norm of pi(g) phi0 pi(g)+ - phi0, for the rotations q[k]."""
-    u = action.pi.stack(q)
+    u = rotation_batch(action, q).pi
     return operator_norms(_conjugate(u, phi0) - phi0)
 
 
 def check_transition_equivariance(
-    transition: BipartiteMap, action: SymmetryAction, q: np.ndarray
+    transition: BipartiteMap, action: SymmetryAction, q: np.ndarray | RotationBatch
 ) -> np.ndarray:
     """Per-rotation Choi defect of E_H intertwining pi tensor pi with pi."""
-    u = action.pi.stack(q)
+    u = rotation_batch(action, q).pi
     return _conjugation_defects(transition, batched_kron(u, u), u)
 
 
 def check_emission_covariance(
-    emission: BipartiteMap, action: SymmetryAction, q: np.ndarray
+    emission: BipartiteMap, action: SymmetryAction, q: np.ndarray | RotationBatch
 ) -> np.ndarray:
     """Per-rotation Choi defect of E_HO intertwining pi tensor rho with pi."""
-    u = action.pi.stack(q)
-    return _conjugation_defects(emission, batched_kron(u, action.rho.stack(q)), u)
+    batch = rotation_batch(action, q)
+    return _conjugation_defects(emission, batched_kron(batch.pi, batch.rho), batch.pi)
 
 
 def check_sliced_covariance(
     triple: GenerativeTriple,
     structure,
     action: SymmetryAction,
-    q: np.ndarray,
+    q: np.ndarray | RotationBatch,
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> np.ndarray:
@@ -144,9 +180,9 @@ def check_sliced_covariance(
     conjugated by pi(q[k]).
     """
     h = triple.hidden_dim
-    u = action.pi.stack(q)
-    v = action.rho.stack(q)
-    rotated = sliced_coefficients(triple, structure, _conjugate(u, xs), _conjugate(v, ys))
+    batch = rotation_batch(action, q)
+    u = batch.pi
+    rotated = sliced_coefficients(triple, structure, _conjugate(u, xs), _conjugate(batch.rho, ys))
     plain = sliced_coefficients(triple, structure, xs, ys)
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
     conjugated = _conjugate(batched_kron(u, u.conj()), plain)

@@ -38,6 +38,7 @@ from hqmmsym import (
     spin_one_rep,
     worst_deviation,
 )
+from hqmmsym import opalg
 from hqmmsym.aklt import transition_map
 from hqmmsym.opalg import _unit_scale_norms
 from hqmmsym.hqmm import CausalStructure, _apply_sliced, sliced_coefficients, triple_from_config
@@ -276,6 +277,36 @@ def test_stacked_norms_equal_single_norms_on_every_path(shape):
     assert np.array_equal(operator_norms(stack.reshape(-1, 3, *shape)).ravel(), single)
 
 
+@pytest.mark.parametrize("name", sorted(NORM_STACKS))
+def test_upper_triangle_kernel_keeps_the_full_gram_bits(name):
+    # the closed forms read only the upper triangle of each Gram matrix;
+    # the kernel that formed the whole matrix is the reference, bit for bit
+    a = NORM_STACKS[name]
+    b = a / np.abs(a).max(axis=(-2, -1))[:, None, None]
+    assert _unit_scale_norms(b).tobytes() == util.full_gram_closed_form_norms(b).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [2, 3, 4, 12])
+@pytest.mark.parametrize("c", [1e-300, 3.0, 1e300])
+def test_norm_of_a_scaled_identity_is_the_scale_exactly(c, k, dtype):
+    a = c * np.eye(k, dtype=dtype)
+    assert operator_norm(a) == c
+    assert np.all(operator_norms(np.stack([a, a])) == c)
+
+
+@pytest.mark.parametrize("name", sorted(NORM_STACKS))
+def test_scaling_divides_every_real_and_imaginary_part_on_its_own(name):
+    a = 1e-300 * NORM_STACKS[name]
+    scale = np.abs(a).max(axis=(-2, -1))
+    b = opalg._scaled(a, scale)
+    assert np.array_equal(b.real, a.real / scale[:, None, None])
+    assert np.array_equal(b.imag, a.imag / scale[:, None, None])
+    # a transposed view takes the same path
+    t = np.swapaxes(a, -1, -2)
+    assert np.array_equal(opalg._scaled(t, scale), np.swapaxes(b, -1, -2))
+
+
 def test_worst_deviation_propagates_nan_and_refuses_empty():
     assert worst_deviation([0.0, 3.0, 1e-17]) == 3.0
     assert np.isnan(worst_deviation([0.0, np.nan, 3.0]))
@@ -338,6 +369,46 @@ def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, 
         ref = operator_norm(left.choi() - right.choi())
         assert ref > 1e-3  # a random map is not covariant
         assert abs(got[k] - ref) < 1e-13
+
+
+def _random_coefficient_map(rng, d1: int, d2: int, d_out: int) -> BipartiteMap:
+    """A linear map with Gaussian coefficients: not CP, and not Hermiticity preserving."""
+    shape = (d_out, d_out, d1 * d2, d1 * d2)
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return BipartiteMap(d1 * d2, d_out, coeff, d1, d2)
+
+
+@pytest.mark.parametrize("kind", ["unital_kraus", "random_coefficients"])
+@pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
+def test_choi_conjugation_matches_from_function_reference(kind, d1, d2, d_out):
+    # ||W C W+ - C|| with W = V^T kron U+ is the Choi distance for any
+    # linear map; V need not be unitary, U must be
+    rng = rng_from(23)
+    if kind == "unital_kraus":
+        m = util.random_unital_bipartite(rng, d1, d2, d_out, 3)
+    else:
+        m = _random_coefficient_map(rng, d1, d2, d_out)
+    # the image of a Hermitian input is Hermitian only for the Kraus map
+    image = m.apply_array(np.diag(np.arange(1.0, m.dim_in + 1)))
+    assert (np.abs(image - image.conj().T).max() > 1e-3) == (kind == "random_coefficients")
+    count = 5
+    v = np.stack(
+        [np.linalg.qr(random_operator(rng, d1 * d2))[0] for _ in range(count)]
+        + [random_operator(rng, d1 * d2) for _ in range(count)]
+    )
+    u = _haar_unitaries(rng, 2 * count, d_out)
+    got = _conjugation_defects(m, v, u)
+    assert got.shape == (2 * count,)
+    for k in range(2 * count):
+        left = OperatorMap.from_function(
+            m.dim_in, d_out, lambda w: m.apply_array(v[k] @ w @ v[k].conj().T)
+        )
+        right = OperatorMap.from_function(
+            m.dim_in, d_out, lambda w: u[k] @ m.apply_array(w) @ u[k].conj().T
+        )
+        ref = operator_norm(left.choi() - right.choi())
+        assert ref > 1e-3
+        assert abs(got[k] - ref) < 1e-13, (k, got[k], ref)
 
 
 def _kolmogorov_cases() -> dict:

@@ -951,3 +951,61 @@ def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
     # the cpu row's tolerance is the one threshold a triple meets
     assert cli.CHECKS["cpu"].tolerance == 1e-10
     assert {name for name, d in triples[0].defects().items() if not d <= 1e-10} == failing
+
+
+SAMPLED_ROWS = ("initial", "transition", "emission", "sliced", "intertwining")
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
+def test_each_sampled_row_alone_gives_its_row_of_the_full_run(capsys, variant, structure, seed):
+    # the rows share one Haar batch, a function of (seed, samples) only, so
+    # --checks X alone replays X's row of the full run byte for byte
+    argv = ["verify", "--variant", variant.replace("_", "-"), "--structure", structure,
+            "--seed", str(seed), "--format", "json"]
+    _, out, _ = _run_cli(capsys, argv)
+    by_condition = {row["condition"]: row for row in json.loads(out)["checks"]}
+    for name in SAMPLED_ROWS:
+        _, out, _ = _run_cli(capsys, [*argv, "--checks", name])
+        [row] = json.loads(out)["checks"]
+        assert json.dumps(row) == json.dumps(by_condition[row["condition"]]), name
+
+
+def test_one_haar_draw_serves_every_sampled_row(monkeypatch, tmp_path):
+    counts = []
+    draw = cli.haar_rotations
+
+    def spy(rng, count):
+        counts.append(count)
+        return draw(rng, count)
+
+    monkeypatch.setattr(cli, "haar_rotations", spy)
+    run(RunConfig(checks=SAMPLED_ROWS, samples=30))
+    assert counts == [30]
+    # cocycle draws its own pairs; the sampled rows still draw once
+    counts.clear()
+    run(RunConfig(samples=30, global_samples=4, n_max=1))
+    assert sorted(counts) == [30, 60]
+    # a run with no sampled row draws nothing for them
+    counts.clear()
+    run(RunConfig(checks=("cpu", "kolmogorov", "oracle"), samples=30))
+    assert counts == []
+
+
+def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys):
+    # entries of 1e308 overflow the fold's products: the value is not
+    # finite, written as null with exit 1, and numpy says nothing on the way
+    huge = {
+        "X": ComplexOperator(2, 1e308 * np.eye(2)).to_json_dict(),
+        "Y": ComplexOperator(3, 1e308 * np.eye(3)).to_json_dict(),
+    }
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([huge] * 3))
+    for structure in ("conventional", "causal"):
+        argv = ["eval", "--word", str(path), "--structure", structure]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = _run_cli(capsys, argv)
+        assert (code, err) == (1, "")
+        assert _strict_json(out)["value"] == {"re": None, "im": None}

@@ -4,6 +4,7 @@ import pytest
 import util
 from hqmmsym import (
     GenerativeTriple,
+    RotationBatch,
     RotationElement,
     SymmetryAction,
     build_model,
@@ -183,3 +184,29 @@ def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
             row = check(q[k : k + 1], xs[k : k + 1, 0], ys[k : k + 1, 0])
             assert np.array_equal(row, batch[k : k + 1]), (name, k)
 
+
+
+def test_a_rotation_batch_gives_the_bits_of_its_rotations(model, action):
+    # a verify run hands every map-level check one RotationBatch; each check
+    # must give the bits it gives on the bare rotations, under its own action
+    rng = rng_from(13)
+    q = haar_rotations(rng, 40)
+    xs, ys = random_words(rng, model.triple, 40, 1)
+    other = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
+    checks = {
+        "initial": lambda a, q: check_initial_invariance(model.triple.phi0, a, q),
+        "transition": lambda a, q: check_transition_equivariance(model.triple.transition, a, q),
+        "emission": lambda a, q: check_emission_covariance(model.triple.emission, a, q),
+        "sliced": lambda a, q: check_sliced_covariance(
+            model.triple, model.structure, a, q, xs[:, 0], ys[:, 0]
+        ),
+        "intertwining": lambda a, q: verify_intertwining(model.tensors, a, q),
+    }
+    shared = RotationBatch(action, q)
+    foreign = RotationBatch(other, q)
+    for name, check in checks.items():
+        bare = check(action, q)
+        assert np.array_equal(check(action, shared), bare), name
+        # a batch built for another action is not reused: its stacks differ
+        assert np.array_equal(check(action, foreign), bare), name
+    assert np.abs(foreign.rho - shared.rho).max() > 0.1
