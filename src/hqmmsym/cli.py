@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,57 +76,57 @@ def load_model(name: str, variant: str, structure: str | None) -> Model:
     return Model(triple, CausalStructure.parse(own if structure is None else structure), None)
 
 
+class HaarDraw(NamedTuple):
+    """A run's c.samples Haar rotations from its seed, drawn once for every sampled row.
+
+    rotations holds the draw and its pi and rho stacks; state is the
+    generator's state right after the draw, from which sliced draws its
+    sites.  A row run alone makes the same draw, so each row's inputs are
+    a function of (seed, samples) only.
+    """
+
+    rotations: RotationBatch
+    state: dict
+
+    def stream(self) -> np.random.Generator:
+        """A new generator at the state right after the draw."""
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.state
+        return rng
+
+
+def _haar_draw(m: Model, c: RunConfig) -> HaarDraw:
+    rng = rng_from(c.seed)
+    q = haar_rotations(rng, c.samples)
+    return HaarDraw(RotationBatch(m.builtin.action, q), rng.bit_generator.state)
+
+
 @dataclass(frozen=True)
 class Check:
     """One verify check; needs_action marks those config-file models cannot run.
 
-    results(m, c, tol) makes the row's verdicts.  A sampled row's results
-    also takes the run's HaarBatch, and draws the same batch itself
-    without one.
+    results(m, c, tol, haar) makes the row's verdicts.  haar is the run's
+    HaarDraw, which only the sampled rows read; given None, a sampled row
+    makes the same draw itself.
     """
 
     needs_action: bool
     tolerance: float
-    results: Callable[..., list[CheckResult]]
+    results: Callable[[Model, RunConfig, float, HaarDraw | None], list[CheckResult]]
     sampled: bool = False
 
 
-class HaarBatch:
-    """A run's c.samples Haar rotations from its seed, drawn on first use.
-
-    rotations holds the draw and its pi and rho stacks, built once for
-    every sampled row; stream() is a new generator at the state right
-    after the draw, for a row that draws further inputs.  A row run alone
-    draws the same batch, so each row's inputs are a function of
-    (seed, samples) only.  run makes one per call and keeps none.
-    """
-
-    def __init__(self, m: Model, c: RunConfig):
-        self._model, self._config = m, c
-
-    @cached_property
-    def _draw(self) -> tuple[RotationBatch, dict]:
-        rng = rng_from(self._config.seed)
-        q = haar_rotations(rng, self._config.samples)
-        return RotationBatch(self._model.builtin.action, q), rng.bit_generator.state
-
-    @property
-    def rotations(self) -> RotationBatch:
-        return self._draw[0]
-
-    def stream(self) -> np.random.Generator:
-        rng = rng_from(self._config.seed)
-        rng.bit_generator.state = self._draw[1]
-        return rng
-
-
-def _check_cpu(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+def _check_cpu(
+    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
+) -> list[CheckResult]:
     # the one verdict on a triple: every defect within this row's tolerance
     deviations = list(m.triple.defects().values())
     return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
 
 
-def _check_cocycle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+def _check_cocycle(
+    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
+) -> list[CheckResult]:
     # each sample is a pair (g, h) of successive draws
     gs = haar_rotations(rng_from(c.seed), 2 * c.samples)
     omega, deviations = cocycle_defects(m.builtin.action.pi, gs[0::2], gs[1::2])
@@ -141,18 +140,18 @@ def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check
     """A row over the run's c.samples Haar rotations.
 
     deviations_of(m, haar) returns one deviation per rotation of the
-    HaarBatch; it may draw further inputs from haar.stream().
+    HaarDraw; it may draw further inputs from haar.stream().
     """
 
-    def results(m: Model, c: RunConfig, tol: float, haar: HaarBatch | None = None):
+    def results(m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None):
         if haar is None:
-            haar = HaarBatch(m, c)
+            haar = _haar_draw(m, c)
         return [check_result(condition, c.samples, c.seed, deviations_of(m, haar), tol)]
 
     return Check(True, tolerance, results, sampled=True)
 
 
-def _sliced_deviations(m: Model, haar: HaarBatch) -> np.ndarray:
+def _sliced_deviations(m: Model, haar: HaarDraw) -> np.ndarray:
     # one random (x, y) site per rotation, drawn right after the rotations
     batch = haar.rotations
     xs, ys = random_words(haar.stream(), m.triple, len(batch.q), 1)
@@ -161,7 +160,9 @@ def _sliced_deviations(m: Model, haar: HaarBatch) -> np.ndarray:
     )
 
 
-def _check_global(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+def _check_global(
+    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
+) -> list[CheckResult]:
     by_volume = check_global_invariance(
         m.triple, m.structure, m.builtin.action, c.n_max, c.global_samples, c.seed
     )
@@ -171,7 +172,9 @@ def _check_global(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
     ]
 
 
-def _check_kolmogorov(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+def _check_kolmogorov(
+    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
+) -> list[CheckResult]:
     deviations = kolmogorov_check(m.triple, m.structure, c.n_max, c.global_samples, c.seed)
     # one word per deviation: 1 + (n_max - 1) * (global_samples + 1) of them
     return [check_result("kolmogorov_consistency", len(deviations), c.seed, deviations, tol)]
@@ -202,7 +205,9 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     return np.abs(folded - referee)
 
 
-def _check_oracle(m: Model, c: RunConfig, tol: float) -> list[CheckResult]:
+def _check_oracle(
+    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
+) -> list[CheckResult]:
     deviations = _oracle_deviations(m, c)
     return [check_result("oracle_agreement", len(deviations), c.seed, deviations, tol)]
 
@@ -331,13 +336,11 @@ def run(config: RunConfig) -> dict:
                 f"check {name!r} needs the builtin model; config-file models support "
                 + ", ".join(allowed)
             )
-    # drawn by the first sampled row, if any, and shared by the rest
-    haar = HaarBatch(m, config)
-    results = []
-    for name in checks:
-        check = CHECKS[name]
-        shared = (haar,) if check.sampled else ()
-        results += check.results(m, config, config.tolerances[name], *shared)
+    # one draw for every sampled row, made only when one is selected
+    haar = _haar_draw(m, config) if any(CHECKS[name].sampled for name in checks) else None
+    results = [
+        r for name in checks for r in CHECKS[name].results(m, config, config.tolerances[name], haar)
+    ]
     return {
         "config": config.to_json_dict(),
         "model": model_info,

@@ -18,8 +18,7 @@ Conventions used throughout the package:
   (a rare nearly degenerate 3 x 3 row falls back to eigvalsh) and from
   one stacked eigvalsh for any other size.  The scaling divides each real
   and imaginary part on its own, so it is exact wherever the quotient is
-  representable, and the closed forms read only the upper triangle of
-  the Gram matrix.
+  representable.
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
     """Largest singular values of a stack b[..., m, n] whose entries are at most 1.
 
     Each is sqrt(lambda_max) of the k x k Gram matrix G on the smaller
-    side, k = min(m, n).  For k = 2 and 3, the upper triangle of G is
-    formed entry by entry over the whole stack (the lower triangle is its
-    conjugate and is never formed) and lambda_max has a closed form:
+    side, k = min(m, n).  For k = 2 and 3, G is formed entry by entry over
+    the whole stack and lambda_max has a closed form:
 
     - k = 2: lambda_max = (a + d) / 2 + hypot((a - d) / 2, |g01|), with a
       and d the diagonal of G.
@@ -105,12 +103,12 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
         # its Gram matrix is the conjugate of b b+, with the same eigenvalues
         b = b.reshape(-1, m, n)
         t = b.transpose(1, 2, 0) if n == k else b.transpose(2, 1, 0)
-        diag, re, im = _gram_parts(t)
+        g, h = _gram_parts(t)
         if k == 2:
-            a, d = diag
-            top = (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(re[0], im[0]))
+            a, d = g[0, 0], g[1, 1]
+            top = (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(g[0, 1], h[0, 1]))
         else:
-            top = _top_eigenvalues_3(diag, re, im)
+            top = _top_eigenvalues_3(g, h)
         top = top.reshape(lead)
     else:
         bh = np.swapaxes(b, -1, -2).conj()
@@ -118,72 +116,55 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(top, 0.0))
 
 
-# the entries (i, j), i < j, above the diagonal of a k x k matrix, row by
-# row: (0, 1) for k = 2, and (0, 1), (0, 2), (1, 2) for k = 3
-_ABOVE = {k: np.triu_indices(k, 1) for k in (2, 3)}
+def _gram_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts g[i, j, N] and h[i, j, N] of Gram matrices.
 
-
-def _gram_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upper triangle of the Gram matrices: diag[i, N], re[e, N] and im[e, N].
-
-    t[r, i, N] is entry (r, i) of matrix N.  Gram entry (i, j) sums
+    t[r, i, N] is entry (r, i) of matrix N, and the Gram entry (i, j) sums
     conj(t[r, i]) t[r, j] over r in order, in real arithmetic: one
     rounding per product and per sum, whatever the size of the stack.
-    diag holds the real diagonal, and re and im the entries (i, j) of
-    _ABOVE; the lower triangle is their conjugate and is not formed.
     """
-    i, j = _ABOVE[t.shape[1]]
-    # contiguous copies, so that every product below runs over rows of N
     x, y = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
-    xi, yi, xj, yj = (np.take(a, e, axis=1) for a, e in ((x, i), (y, i), (x, j), (y, j)))
-    terms = x * x + y * y, xi * xj + yi * yj, xi * yj - yi * xj
-    sums = [part[0] for part in terms]
+    re = x[:, :, None] * x[:, None] + y[:, :, None] * y[:, None]
+    im = x[:, :, None] * y[:, None] - y[:, :, None] * x[:, None]
+    g, h = re[0], im[0]
     for r in range(1, len(t)):
-        sums = [total + part[r] for total, part in zip(sums, terms)]
-    return tuple(sums)
+        g, h = g + re[r], h + im[r]
+    return g, h
 
 
-# entry (i, j) of a 3 x 3 Gram matrix: its real part is row _FULL3[i, j] of
-# the rows of diag and re stacked, and its imaginary part that row of 0 and
-# im stacked, times _IMAG_SIGN3[i, j], as the lower triangle is the conjugate
-_FULL3 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-_IMAG_SIGN3 = np.array([[0.0, 1, 1], [-1, 0, 1], [-1, -1, 0]])[..., None]
+_EYE3 = np.eye(3)[:, :, None]
 
 
-def _top_eigenvalues_3(diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Largest eigenvalues of the 3 x 3 Hermitian matrices with upper triangle diag, re + i im.
+def _top_eigenvalues_3(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalues of the 3 x 3 Hermitian matrices g[:, :, N] + i h[:, :, N].
 
-    The trigonometric form of _unit_scale_norms, from the parts
-    _gram_parts gives, with one eigvalsh for the rows near a degenerate
-    top pair.
+    The trigonometric form of _unit_scale_norms, with one eigvalsh for
+    the rows near a degenerate top pair.
     """
-    q = (diag[0] + diag[1] + diag[2]) / 3
-    shifted = diag - q
-    sq_diag = shifted * shifted
-    sq = re * re + im * im
-    p = np.sqrt((sq_diag[0] + sq_diag[1] + sq_diag[2] + 2 * (sq[0] + sq[1] + sq[2])) / 6)
+    q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
+    shifted = g - q * _EYE3
+    sq = shifted * shifted + h * h
+    p = np.sqrt((sq[0, 0] + sq[1, 1] + sq[2, 2] + 2 * (sq[0, 1] + sq[0, 2] + sq[1, 2])) / 6)
     # B = (G - q) / p entry by entry, so that no p^3 can underflow; p = 0
     # leaves B at G - q, whose entries are then 0 or too small to square
     s = np.where(p > 0, p, 1.0)
-    (b00, b11, b22), (b01, b02, b12), (c01, c02, c12) = shifted / s, re / s, im / s
+    br, bi = shifted / s, h / s
+    sq = br * br + bi * bi
     # det B = b00 b11 b22 + 2 Re(b01 b12 b20) - b00 |b12|^2 - b11 |b02|^2 - b22 |b01|^2
-    xz_re = b01 * b12 - c01 * c12
-    xz_im = b01 * c12 + c01 * b12
+    xz_re = br[0, 1] * br[1, 2] - bi[0, 1] * bi[1, 2]
+    xz_im = br[0, 1] * bi[1, 2] + bi[0, 1] * br[1, 2]
     det = (
-        b00 * b11 * b22
-        + 2 * (xz_re * b02 + xz_im * c02)
-        - b00 * (b12 * b12 + c12 * c12)
-        - b11 * (b02 * b02 + c02 * c02)
-        - b22 * (b01 * b01 + c01 * c01)
+        br[0, 0] * br[1, 1] * br[2, 2]
+        + 2 * (xz_re * br[0, 2] + xz_im * bi[0, 2])
+        - br[0, 0] * sq[1, 2]
+        - br[1, 1] * sq[0, 2]
+        - br[2, 2] * sq[0, 1]
     )
     r = det / 2
     top = q + 2 * p * np.cos(np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3)
     near = ~np.isfinite(r) | ((r < 0) & (1 - r * r < 0.25))
     if near.any():
-        # the whole Hermitian matrices: the lower triangle conjugates the upper
-        real = np.concatenate([diag[:, near], re[:, near]])[_FULL3]
-        imag = np.concatenate([np.zeros_like(diag[:, near]), im[:, near]])[_FULL3]
-        gram = np.moveaxis(real + 1j * (imag * _IMAG_SIGN3), -1, 0)
+        gram = np.moveaxis(g[..., near] + 1j * h[..., near], -1, 0)
         top[near] = np.linalg.eigvalsh(gram)[:, -1]
     return top
 

@@ -136,10 +136,12 @@ class RotationBatch:
 
 
 def rotation_batch(action: SymmetryAction, q: np.ndarray | RotationBatch) -> RotationBatch:
-    """q as a RotationBatch under action: q itself when it is one for action."""
-    if isinstance(q, RotationBatch):
-        return q if q.action is action else RotationBatch(action, q.q)
-    return RotationBatch(action, q)
+    """q as a RotationBatch under action; a RotationBatch must be one for action."""
+    if not isinstance(q, RotationBatch):
+        return RotationBatch(action, q)
+    if q.action is not action:
+        raise ValueError("the RotationBatch was built for another action")
+    return q
 
 
 def check_initial_invariance(

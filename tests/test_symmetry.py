@@ -185,7 +185,6 @@ def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
             assert np.array_equal(row, batch[k : k + 1]), (name, k)
 
 
-
 def test_a_rotation_batch_gives_the_bits_of_its_rotations(model, action):
     # a verify run hands every map-level check one RotationBatch; each check
     # must give the bits it gives on the bare rotations, under its own action
@@ -205,8 +204,8 @@ def test_a_rotation_batch_gives_the_bits_of_its_rotations(model, action):
     shared = RotationBatch(action, q)
     foreign = RotationBatch(other, q)
     for name, check in checks.items():
-        bare = check(action, q)
-        assert np.array_equal(check(action, shared), bare), name
-        # a batch built for another action is not reused: its stacks differ
-        assert np.array_equal(check(action, foreign), bare), name
+        assert np.array_equal(check(action, shared), check(action, q)), name
+        # a batch built for another action holds other stacks: it is refused
+        with pytest.raises(ValueError, match="another action"):
+            check(action, foreign)
     assert np.abs(foreign.rho - shared.rho).max() > 0.1

@@ -12,9 +12,8 @@ The extension-consistency reference folds each word's extension whole,
 through finite_volume_states, rather than sharing the word's transfers,
 and the global-invariance reference draws, rotates and folds one volume
 at a time.
-The norm references take every Gram eigenvalue from LAPACK, with no
-closed form for small matrices, or keep the closed forms over the full
-Gram matrix that the kernel had before it read only the upper triangle.
+The norm reference takes every Gram eigenvalue from LAPACK, with no
+closed form for small matrices.
 """
 
 from __future__ import annotations
@@ -204,55 +203,6 @@ def gram_eigvalsh_norms(b: np.ndarray) -> np.ndarray:
     bh = np.swapaxes(b, -1, -2).conj()
     gram = bh @ b if b.shape[-1] <= b.shape[-2] else b @ bh
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-
-
-def full_gram_closed_form_norms(b: np.ndarray) -> np.ndarray:
-    """opalg._unit_scale_norms as it was when its closed forms read the full Gram matrix.
-
-    The 2 x 2 and 3 x 3 closed forms form every Gram entry, lower
-    triangle included, and the 3 x 3 form shifts and scales the whole
-    matrix; rows near a degenerate top pair take eigvalsh.  The kernel
-    now forms only the upper triangle, and must give these bits.
-    """
-    *lead, m, n = b.shape
-    k = min(m, n)
-    if k not in (2, 3):
-        return gram_eigvalsh_norms(b)
-    b = b.reshape(-1, m, n)
-    t = b.transpose(1, 2, 0) if n == k else b.transpose(2, 1, 0)
-    x, y = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
-    re = x[:, :, None] * x[:, None] + y[:, :, None] * y[:, None]
-    im = x[:, :, None] * y[:, None] - y[:, :, None] * x[:, None]
-    g, h = re[0], im[0]
-    for r in range(1, len(t)):
-        g, h = g + re[r], h + im[r]
-    if k == 2:
-        a, d = g[0, 0], g[1, 1]
-        top = (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(g[0, 1], h[0, 1]))
-        return np.sqrt(np.maximum(top.reshape(lead), 0.0))
-    q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
-    shifted = g - q * np.eye(3)[:, :, None]
-    sq = shifted * shifted + h * h
-    p = np.sqrt((sq[0, 0] + sq[1, 1] + sq[2, 2] + 2 * (sq[0, 1] + sq[0, 2] + sq[1, 2])) / 6)
-    s = np.where(p > 0, p, 1.0)
-    br, bi = shifted / s, h / s
-    sq = br * br + bi * bi
-    xz_re = br[0, 1] * br[1, 2] - bi[0, 1] * bi[1, 2]
-    xz_im = br[0, 1] * bi[1, 2] + bi[0, 1] * br[1, 2]
-    det = (
-        br[0, 0] * br[1, 1] * br[2, 2]
-        + 2 * (xz_re * br[0, 2] + xz_im * bi[0, 2])
-        - br[0, 0] * sq[1, 2]
-        - br[1, 1] * sq[0, 2]
-        - br[2, 2] * sq[0, 1]
-    )
-    r = det / 2
-    top = q + 2 * p * np.cos(np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3)
-    near = ~np.isfinite(r) | ((r < 0) & (1 - r * r < 0.25))
-    if near.any():
-        gram = np.moveaxis(g[..., near] + 1j * h[..., near], -1, 0)
-        top[near] = np.linalg.eigvalsh(gram)[:, -1]
-    return np.sqrt(np.maximum(top.reshape(lead), 0.0))
 
 
 def assert_cpu(defects: dict, tol: float = 1e-10) -> None:
