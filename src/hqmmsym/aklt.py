@@ -33,7 +33,7 @@ from .hqmm import (
     ObservableWord,
     partial_trace_map,
 )
-from .opalg import BipartiteMap, frozen_square_stack, operator_norms
+from .opalg import BipartiteMap, conjugate, frozen_square_stack, operator_norms
 from .symmetry import RotationBatch, SymmetryAction, rotation_batch
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
@@ -115,8 +115,7 @@ def verify_intertwining(
     """
     stack = tensors.tensors
     batch = rotation_batch(action, q)
-    u = batch.pi[:, None]
-    target = u @ stack @ np.conj(np.swapaxes(u, -1, -2))
+    target = conjugate(batch.pi[:, None], stack)
     combo = np.einsum("skm,kab->smab", batch.rho, stack)
     return operator_norms(combo - target).max(axis=1)
 

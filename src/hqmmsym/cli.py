@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -291,11 +291,11 @@ class RunConfig:
         object.__setattr__(self, "tolerances", tolerances)
 
     def to_json_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "checks": list(self.checks),
-            "tolerances": {name: self.tolerances[name] for name in CHECK_NAMES},
-        }
+        """Every field in declaration order; checks as a list, tolerances in check order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["checks"] = list(self.checks)
+        out["tolerances"] = {name: self.tolerances[name] for name in CHECK_NAMES}
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunConfig":
@@ -435,10 +435,11 @@ def _cmd_eval(args) -> int:
         "value": {k: v if math.isfinite(v) else None for k, v in parts.items()},
     }
     sign = "-" if value.imag < 0 else "+"
-    text = (
-        f"value = {value.real:.12g} {sign} {abs(value.imag):.12g}i "
-        f"({len(word)} sites, {structure.value})"
-    )
+    imag = f"{abs(value.imag):.12g}"
+    # "nan" or "inf" glued to the i would read as one word
+    if not math.isfinite(value.imag):
+        imag += " "
+    text = f"value = {value.real:.12g} {sign} {imag}i ({len(word)} sites, {structure.value})"
     _emit(payload, args.format, text)
     # a non-finite value fails, as a nan deviation does in verify
     return 1 if None in payload["value"].values() else 0

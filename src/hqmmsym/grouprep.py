@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubgroupStructureError
-from .opalg import operator_norms
+from .opalg import conjugate, operator_norms
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -275,8 +275,7 @@ def spin_one_rep(basis: str = "cartesian") -> ProjectiveRep:
     if basis == "cartesian":
         return ProjectiveRep(3, lambda q: rotation_matrices(q).astype(complex))
     if basis == "spherical":
-        u = CONDON_SHORTLEY
-        return ProjectiveRep(3, lambda q: u @ rotation_matrices(q) @ u.conj().T)
+        return ProjectiveRep(3, lambda q: conjugate(CONDON_SHORTLEY, rotation_matrices(q)))
     raise ValueError(f"unknown spin-1 basis {basis!r}")
 
 

@@ -10,7 +10,11 @@ sites, so the cost is linear in the word length.
 
 composite_map is the one contraction of the transition with the emission;
 sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
-and _fold is the one loop that folds a batch of words' transfers.
+all of a batch's from one GEMM of the flat site-pair outer products by the
+reordered composite map, and _fold is the one loop that folds a batch of
+words' transfers.  A GEMM row keeps its bits in any batch, and a batch of
+one is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV, which
+rounds differently.
 finite_volume_states and fold_words fold words from vec(1); kolmogorov_check
 folds each length's transfers twice, from vec(1) and from S(1, 1) vec(1), so
 a word and its extension by an identity site share their transfers.
@@ -40,7 +44,6 @@ from .errors import ConfigError, DimensionMismatchError, config_int, load_json
 from .opalg import (
     BipartiteMap,
     ComplexOperator,
-    batched_kron,
     certify_cpu,
     frozen_square_stack,
     operator_norms,
@@ -247,16 +250,22 @@ def sliced_coefficients(
     """Coefficient matrices of the sliced maps of site pairs xs[B, h, h], ys[B, o, o].
 
     Entry [k, p * h + q, i * h + j] is the (p, q) entry of the k-th sliced
-    map applied to the matrix unit e_ij.  Row k is M vec(xs[k] tensor ys[k]),
-    where M holds the composite_map coefficients with rows (p, q, i, j) and
-    columns (a, c, a', c').  The stacked matmul computes each row on its
-    own, so a row does not depend on the rest of the batch.
+    map applied to the matrix unit e_ij.  Row k is M P[k], where P[k] is
+    the flat outer product of xs[k] and ys[k], index (a, a', c, c'), and M
+    holds the composite_map coefficients with rows (p, q, i, j) and
+    columns in that order: all rows come from one GEMM.  A GEMM row's
+    bits do not depend on the other rows, but OpenBLAS sends a one-row
+    GEMM to GEMV, which rounds differently, so a single pair is padded
+    to two rows.
     """
     h, o = triple.hidden_dim, triple.obs_dim
     coeff = composite_map(triple, structure).coeff.reshape(h, h, h, h, o, h, h, o)
-    m = coeff.transpose(0, 1, 3, 6, 2, 4, 5, 7).reshape(h**4, (h * o) ** 2)
-    pairs = batched_kron(xs, ys).reshape(-1, (h * o) ** 2, 1)
-    return (m @ pairs).reshape(-1, h * h, h * h)
+    m = coeff.transpose(0, 1, 3, 6, 2, 5, 4, 7).reshape(h**4, (h * o) ** 2)
+    pairs = (xs.reshape(-1, h * h, 1) * ys.reshape(-1, 1, o * o)).reshape(-1, (h * o) ** 2)
+    count = len(pairs)
+    if count == 1:
+        pairs = np.concatenate([pairs, pairs])
+    return (pairs @ m.T)[:count].reshape(count, h * h, h * h)
 
 
 def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:

@@ -18,7 +18,10 @@ matrix C of E is formed once, and sample k's defect is
 ||W C W+ - C|| with W = V^T kron U+, the Choi defect conjugated by the
 unitary 1 kron U+, which leaves the norm as it is.
 Each check evaluates all of its samples as one batch: stacked unitaries,
-closed-form coefficient contractions and one stacked opalg.operator_norms,
+closed-form coefficient contractions, conjugations through opalg.conjugate
+(site observables and 2 x 2 to 4 x 4 unitaries entry by entry over the
+stack, the Choi matrix with one GEMM for W C) and one stacked
+opalg.operator_norms,
 a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
 for a zero matrix): in closed form for the 2 x 2 and 3 x 3 defects, with
 eigvalsh for a 3 x 3 whose top two eigenvalues nearly coincide, and by
@@ -27,7 +30,8 @@ one stacked eigvalsh for the larger Choi matrices.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +54,7 @@ from .opalg import (  # noqa: F401
     OperatorMap,
     batched_kron,
     choi_matrices,
+    conjugate,
     operator_norm,
     operator_norms,
     worst_deviation,
@@ -78,11 +83,15 @@ class CheckResult:
 
     def to_json_dict(self) -> dict:
         """JSON fields; a non-finite max_deviation is written as null, as JSON has no NaN."""
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        if not np.isfinite(out["max_deviation"]):
-            out["max_deviation"] = None
-        return out
+        deviation = self.max_deviation
+        return {
+            "condition": self.condition,
+            "samples": self.samples,
+            "seed": self.seed,
+            "max_deviation": deviation if math.isfinite(deviation) else None,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+        }
 
 
 def check_result(condition: str, samples: int, seed: int, deviations, tolerance) -> CheckResult:
@@ -95,11 +104,6 @@ def check_result(condition: str, samples: int, seed: int, deviations, tolerance)
     return CheckResult(condition, samples, seed, worst, tolerance, worst <= tolerance)
 
 
-def _conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """u a u+ over stacked (broadcast) leading axes."""
-    return u @ a @ np.conj(np.swapaxes(u, -1, -2))
-
-
 def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:
     """Choi distances between E(V . V+) and U E(.) U+ for stacks V[k] and unitary U[k].
 
@@ -107,12 +111,12 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     (V^T kron 1) C (conj V kron 1) and that of U E(.) U+ is
     (1 kron U) C (1 kron U+).  Conjugating their difference by the
     unitary 1 kron U+ keeps its norm, so the defect is ||W C W+ - C||
-    with W = V^T kron U+: one C for every sample and one conjugation per
-    sample.
+    with W = V^T kron U+: one C for every sample, and opalg.conjugate
+    forms W C for all samples as one GEMM.
     """
     c = choi_matrices(m.coeff)
     w = batched_kron(np.swapaxes(v_in, -1, -2), np.conj(np.swapaxes(u_out, -1, -2)))
-    return operator_norms(_conjugate(w, c) - c)
+    return operator_norms(conjugate(w, c) - c)
 
 
 class RotationBatch:
@@ -149,7 +153,7 @@ def check_initial_invariance(
 ) -> np.ndarray:
     """Per-rotation norm of pi(g) phi0 pi(g)+ - phi0, for the rotations q[k]."""
     u = rotation_batch(action, q).pi
-    return operator_norms(_conjugate(u, phi0) - phi0)
+    return operator_norms(conjugate(u, phi0) - phi0)
 
 
 def check_transition_equivariance(
@@ -179,15 +183,17 @@ def check_sliced_covariance(
     """Per-sample Choi defect of the sliced one-site map under rotated site observables.
 
     Sample k rotates the site (xs[k], ys[k]) by q[k]; the map must be
-    conjugated by pi(q[k]).
+    conjugated by pi(q[k]).  The rotated and the plain sites' maps come
+    from one sliced_coefficients call.
     """
     h = triple.hidden_dim
     batch = rotation_batch(action, q)
     u = batch.pi
-    rotated = sliced_coefficients(triple, structure, _conjugate(u, xs), _conjugate(batch.rho, ys))
-    plain = sliced_coefficients(triple, structure, xs, ys)
+    sites_x = np.concatenate([conjugate(u, xs), xs])
+    sites_y = np.concatenate([conjugate(batch.rho, ys), ys])
+    rotated, plain = np.split(sliced_coefficients(triple, structure, sites_x, sites_y), 2)
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
-    conjugated = _conjugate(batched_kron(u, u.conj()), plain)
+    conjugated = conjugate(batched_kron(u, u.conj()), plain)
     return operator_norms(choi_matrices((rotated - conjugated).reshape(-1, h, h, h, h)))
 
 
@@ -222,8 +228,8 @@ def check_global_invariance(
     xs, ys = unit_sites(triple, np.concatenate(site_draws))
     # the sample, over all volumes, whose word holds each site
     owner = np.repeat(np.arange(len(q)), np.repeat(lengths, samples))
-    rotated_xs = _conjugate(action.pi.stack(q)[owner], xs)
-    rotated_ys = _conjugate(action.rho.stack(q)[owner], ys)
+    rotated_xs = conjugate(action.pi.stack(q)[owner], xs)
+    rotated_ys = conjugate(action.rho.stack(q)[owner], ys)
     transfers = sliced_coefficients(
         triple, structure, np.concatenate([xs, rotated_xs]), np.concatenate([ys, rotated_ys])
     )

@@ -330,6 +330,22 @@ def test_sliced_and_composite_maps_match_single_site_reference(structure):
         assert np.abs(via_composite - _apply_sliced(triple, parsed, x, y, z)).max() < 1e-14, name
 
 
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+def test_small_sliced_stacks_give_the_rows_of_a_large_one(structure):
+    # all transfers come from one GEMM; a one-row GEMM would go to GEMV and
+    # round differently, so a stack of one must give its row's bits too
+    for name, triple in SLICED_INPUTS.items():
+        xs, ys = random_words(rng_from(41), triple, 2800, 1)
+        xs, ys = xs[:, 0], ys[:, 0]
+        large = sliced_coefficients(triple, structure, xs, ys)
+        assert large.shape == (2800, triple.hidden_dim**2, triple.hidden_dim**2)
+        for count in (1, 2, 3):
+            for start in (0, 1397, 2800 - count):
+                rows = slice(start, start + count)
+                small = sliced_coefficients(triple, structure, xs[rows], ys[rows])
+                assert small.tobytes() == large[rows].tobytes(), (name, count, start)
+
+
 def test_random_unital_input_tells_the_structures_apart():
     # otherwise a slot swapped in one structure's closed form could pass
     # the reference test above by symmetry

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -1009,3 +1010,50 @@ def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys)
             code, out, err = _run_cli(capsys, argv)
         assert (code, err) == (1, "")
         assert _strict_json(out)["value"] == {"re": None, "im": None}
+
+
+def test_eval_text_spaces_a_non_finite_imaginary_part_from_the_i(tmp_path, capsys):
+    # the overflowing word of CI's console-script step: "nan + nani" would
+    # read as one word; a finite value keeps its text byte for byte
+    x = {"dim": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4}
+    y = {"dim": 3, "re": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308], "im": [0] * 9}
+    path = tmp_path / "huge-word.json"
+    path.write_text(json.dumps([{"X": x, "Y": y}] * 3))
+    code, out, err = _run_cli(capsys, ["eval", "--word", str(path), "--format", "text"])
+    assert (code, err) == (1, "")
+    assert out == "value = nan + nan i (3 sites, conventional)\n"
+    code, out, _ = _run_cli(capsys, ["eval", "--word", "proj:xyz", "--format", "text"])
+    assert code == 0
+    assert out == "value = 0.037037037037 + 0i (3 sites, conventional)\n"
+
+
+def _asdict_check_form(result) -> dict:
+    """CheckResult.to_json_dict as it was built through dataclasses.asdict."""
+    out = asdict(result)
+    out["pass"] = out.pop("passed")
+    if not np.isfinite(out["max_deviation"]):
+        out["max_deviation"] = None
+    return out
+
+
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
+def test_json_dicts_keep_the_asdict_bytes(variant, structure):
+    config = RunConfig(variant=variant, structure=structure, seed=11)
+    asdict_config = {
+        **asdict(config),
+        "checks": list(config.checks),
+        "tolerances": {name: config.tolerances[name] for name in CHECK_NAMES},
+    }
+    assert json.dumps(config.to_json_dict()) == json.dumps(asdict_config)
+    model = cli.load_model(config.model, config.variant, config.structure)
+    results = [
+        r
+        for name, check in cli.CHECKS.items()
+        for r in check.results(model, config, config.tolerances[name], None)
+    ]
+    assert len(results) == 16
+    # a nan deviation is written as null either way
+    results.append(replace(results[0], max_deviation=float("nan"), passed=False))
+    for result in results:
+        assert json.dumps(result.to_json_dict()) == json.dumps(_asdict_check_form(result))

@@ -10,6 +10,7 @@ from hqmmsym import (
     certify_cpu,
     operator_norm,
 )
+from hqmmsym.opalg import conjugate
 from hqmmsym.sampling import random_operator, rng_from
 
 
@@ -144,3 +145,63 @@ def test_non_finite_maps_get_nan_certificates():
         cert = certify_cpu(OperatorMap(2, 2, coeff))
         assert list(cert) == ["choi_hermiticity", "choi_negativity", "unitality"]
         assert all(np.isnan(value) for value in cert.values()), (bad, cert)
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _haar(rng, count, d):
+    return np.linalg.qr(_gaussian(rng, count, d, d))[0]
+
+
+def _matmul_conjugate(u, a):
+    return u @ a @ np.conj(np.swapaxes(u, -1, -2))
+
+
+def _relative_gaps(got, want):
+    """Per matrix, the largest entry gap over the largest entry of want."""
+    return np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shared", ["none", "a", "u", "broadcast", "real"])
+def test_entrywise_conjugation_agrees_with_matmul(d, shared):
+    rng = rng_from(31)
+    u, a = _haar(rng, 300, d), _gaussian(rng, 300, d, d)
+    if shared == "a":
+        a = a[0]
+    elif shared == "u":
+        u = u[0]
+    elif shared == "broadcast":
+        # each rotation against every one of three matrices, as intertwining does
+        u, a = u[:, None], a[:3]
+    elif shared == "real":
+        # the spherical spin-1 rep conjugates real rotation matrices by a fixed u
+        u, a = u[0], a.real
+    got, want = conjugate(u, a), _matmul_conjugate(u, a)
+    assert got.shape == want.shape
+    assert _relative_gaps(got, want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_gemm_conjugation_agrees_with_matmul(d):
+    # the Choi matrices of the transition (8 x 8) and emission (12 x 12)
+    rng = rng_from(33)
+    w, c = _haar(rng, 200, d), _gaussian(rng, d, d)
+    assert _relative_gaps(conjugate(w, c), _matmul_conjugate(w, c)).max() <= 1e-15
+    # a stack of matrices needs the per-matrix products: it is refused
+    with pytest.raises(DimensionMismatchError):
+        conjugate(w, w)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 12])
+def test_each_conjugation_alone_equals_its_row_of_the_stack(d):
+    # a stack of one takes the same path as its row in a stack of 150
+    rng = rng_from(34)
+    u = _haar(rng, 150, d)
+    a = _gaussian(rng, d, d) if d > 4 else _gaussian(rng, 150, d, d)
+    stack = conjugate(u, a)
+    for k in (0, 1, 77, 149):
+        alone = conjugate(u[k : k + 1], a if d > 4 else a[k : k + 1])
+        assert alone.tobytes() == stack[k : k + 1].tobytes(), k

@@ -34,6 +34,7 @@ from hqmmsym import (
 )
 from hqmmsym.aklt import _site_tensor, _site_terms
 from hqmmsym.grouprep import _compose
+from hqmmsym.opalg import conjugate
 from hqmmsym.sampling import rng_from
 
 
@@ -353,7 +354,8 @@ def per_volume_global_invariance(
 
     Volume by volume: the Haar rotations, the random words, their
     rotations site by site, and one finite_volume_states call on the words
-    followed by their rotations.
+    followed by their rotations.  The sites are rotated by opalg.conjugate,
+    as the check rotates them, on each volume's stack alone.
     """
     rng = rng_from(seed)
     by_volume = []
@@ -365,8 +367,8 @@ def per_volume_global_invariance(
         values = finite_volume_states(
             triple,
             structure,
-            np.concatenate([xs, u @ xs @ np.conj(np.swapaxes(u, -1, -2))]),
-            np.concatenate([ys, v @ ys @ np.conj(np.swapaxes(v, -1, -2))]),
+            np.concatenate([xs, conjugate(u, xs)]),
+            np.concatenate([ys, conjugate(v, ys)]),
         )
         by_volume.append(np.abs(values[samples:] - values[:samples]))
     return by_volume
