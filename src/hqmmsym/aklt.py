@@ -9,6 +9,11 @@ kept as a diagnostic.  The symmetry action pairs the spin-1/2 projective
 rep pi on the bond space with the spin-1 rep rho on the physical space,
 and the tensors are checked against the one intertwining relation
 sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
+
+The dense referee, dense_word_values, sums word values over every index
+chain from the coefficient tensors alone, independently of the fold it
+checks, on float64 arrays and bit for bit as a loop over Python complex
+numbers would.
 """
 
 from __future__ import annotations
@@ -175,127 +180,121 @@ def projector_word(model: AkltModel, labels: str) -> ObservableWord:
     return ObservableWord(np.broadcast_to(np.eye(h), (len(ks), h, h)), ys)
 
 
-def _site_terms(structure: CausalStructure, c_h: list, c_ho: list, h: int, o: int) -> tuple:
-    """The nonzero coefficient terms of _site_tensor's two sums, in its loops' order.
+# The most chain products the referee forms at once, over the words of one
+# length: its memory beyond the site tensors does not grow with the sites.
+_CHAIN_BLOCK = 1 << 14
 
-    The coefficients arrive as nested Python lists (ndarray.tolist()).  A
-    term whose coefficient is exactly 0 adds +-0 to a sum of finite terms,
-    which leaves the sum's bits as they are, so it is left out.  The inner
-    sum is the emitted operator (conventional) or the linked operator
-    (causal); the outer sum gives the site tensor entry from it.
+
+def _parts(a: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of a complex array, stacked on a new first axis."""
+    parts = np.empty((2, *a.shape))
+    parts[0], parts[1] = a.real, a.imag
+    return parts
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parts of the products of parts a and b, broadcast, as CPython forms a complex product.
+
+    re = ar br - ai bi and im = ar bi + ai br, each product and sum rounded
+    on its own; numpy's complex multiply may fuse them, depending on the build.
     """
-    hs, os = range(h), range(o)
-    if structure is CausalStructure.CONVENTIONAL:
-        # emitted[u * h + v]: (coefficient, a, a2, c, c2)
-        inner = [
-            [
-                (coef, a, a2, c, c2)
-                for a in hs
-                for a2 in hs
-                for c in os
-                for c2 in os
-                if (coef := c_ho[u][v][a * o + c][a2 * o + c2])
-            ]
-            for u in hs
-            for v in hs
-        ]
-        # s[p * h + q][i * h + j]: (coefficient, u * h + v)
-        outer = [
-            [
-                [
-                    (coef, u * h + v)
-                    for u in hs
-                    for v in hs
-                    if (coef := c_h[p][q][u * h + i][v * h + j])
-                ]
-                for i in hs
-                for j in hs
-            ]
-            for p in hs
-            for q in hs
-        ]
-        return inner, outer
-    # linked[u * h + v][i * h + j]: (coefficient, a, a2)
-    inner = [
-        [
-            [(coef, a, a2) for a in hs for a2 in hs if (coef := c_h[u][v][a * h + i][a2 * h + j])]
-            for i in hs
-            for j in hs
-        ]
-        for u in hs
-        for v in hs
-    ]
-    # s[p * h + q][i * h + j], for every (i, j): the pairs (u * h + v, group)
-    # whose group of (coefficient, c, c2) terms is not empty
-    outer = []
-    for p in hs:
-        for q in hs:
-            groups = []
-            for u in hs:
-                for v in hs:
-                    group = [
-                        (coef, c, c2)
-                        for c in os
-                        for c2 in os
-                        if (coef := c_ho[p][q][u * o + c][v * o + c2])
-                    ]
-                    if group:
-                        groups.append((u * h + v, group))
-            outer.append(groups)
-    return inner, outer
+    re = a[0] * b[0]
+    out = np.empty((2, *re.shape))
+    np.subtract(re, a[1] * b[1], out=out[0])
+    np.add(a[0] * b[1], a[1] * b[0], out=out[1])
+    return out
 
 
-def _site_tensor(structure: CausalStructure, terms: tuple, x: list, y: list) -> list[list[complex]]:
-    """Sliced site tensor as nested lists, s[p * h + q][i * h + j].
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Parts of the sums along axis 1 of a few terms of many entries, from +0 and in order.
 
-    terms is _site_terms of the coefficients, and the site observables x, y
-    are nested Python lists, so every product is a Python complex product
-    rather than a numpy scalar operation.  Each sum adds its terms one by
-    one in lexicographic order, starting from +0, and skips a term whose
-    inner factor is exactly 0: with finite factors that term is +-0.
+    Adding whole terms gives every entry the additions of np.add.accumulate,
+    whose loop would run along the terms once for each entry.
     """
-    inner, outer = terms
+    total = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for term in terms.swapaxes(0, 1):
+        total = total + term
+    return total
+
+
+def _nonzero_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and parts of the coefficient rows with an entry that is not 0."""
+    keep = np.flatnonzero(rows.any(axis=1))
+    return keep, _parts(rows[keep])
+
+
+def _site_tensors(structure: CausalStructure, triple: GenerativeTriple, xs, ys) -> np.ndarray:
+    """Parts of the sliced site tensors s[pq, ij, site] of stacked sites, pq = p * h + q.
+
+    The inner sum is the emitted operator (conventional) or the linked
+    operator (causal), and the outer sum gives the tensor entry from it.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    c_h, c_ho = triple.transition.coeff, triple.emission.coeff
+    # t_rows[a * h + a2, (p, q, i, j)] = c_h[p, q, a * h + i, a2 * h + j]
+    t_rows = c_h.reshape((h,) * 6).transpose(2, 4, 0, 1, 3, 5).reshape(h * h, -1)
+    # e_rows[(a, a2, c, c2), pq] = c_ho[p, q, a * o + c, a2 * o + c2]
+    e_rows = c_ho.reshape(h, h, h, o, h, o).transpose(2, 4, 3, 5, 0, 1).reshape(-1, h * h)
+    x = _parts(xs.transpose(1, 2, 0).reshape(h * h, -1))  # x[:, a * h + a2, site]
+    y = _parts(ys.transpose(1, 2, 0).reshape(o * o, -1))  # y[:, c * o + c2, site]
     if structure is CausalStructure.CONVENTIONAL:
-        emitted = []
-        for row in inner:
-            acc = 0j
-            for coef, a, a2, c, c2 in row:
-                acc += coef * x[a][a2] * y[c][c2]
-            emitted.append(acc)
-        s = []
-        for row in outer:
-            out = []
-            for entry in row:
-                acc = 0j
-                for coef, uv in entry:
-                    e = emitted[uv]
-                    if e:
-                        acc += coef * e
-                out.append(acc)
-            s.append(out)
-        return s
-    linked = []
-    for row in inner:
-        out = []
-        for entry in row:
-            acc = 0j
-            for coef, a, a2 in entry:
-                acc += coef * x[a][a2]
-            out.append(acc)
-        linked.append(out)
-    s = []
-    for groups in outer:
-        out = []
-        for ij in range(len(linked[0])):
-            acc = 0j
-            for uv, group in groups:
-                l = linked[uv][ij]
-                if l:
-                    for coef, c, c2 in group:
-                        acc += coef * l * y[c][c2]
-            out.append(acc)
-        s.append(out)
-    return s
+        # emitted[uv] adds c_ho[u, v, a * o + c, a2 * o + c2] x[a, a2] y[c, c2]
+        keep, coef = _nonzero_rows(e_rows)
+        terms = _times(coef[..., None], x[:, keep // (o * o), None])
+        emitted = _sum_in_order(_times(terms, y[:, keep % (o * o), None]))
+        # s[pq, ij] adds c_h[p, q, u * h + i, v * h + j] emitted[uv]
+        keep, coef = _nonzero_rows(t_rows)
+        s = _sum_in_order(_times(coef[..., None], emitted[:, keep, None]))
+        return s.reshape(2, h * h, h * h, -1)
+    # linked[uv, ij] adds c_h[u, v, a * h + i, a2 * h + j] x[a, a2]
+    keep, coef = _nonzero_rows(t_rows)
+    linked = _sum_in_order(_times(coef[..., None], x[:, keep, None])).reshape(2, h * h, h * h, -1)
+    # s[pq, ij] adds c_ho[p, q, u * o + c, v * o + c2] linked[uv, ij] y[c, c2]
+    keep, coef = _nonzero_rows(e_rows)
+    terms = _times(coef[..., None, None], linked[:, keep // (o * o), None])
+    return _sum_in_order(_times(terms, y[:, keep % (o * o), None, None]))
+
+
+def _chain_totals(first: np.ndarray, steps: list) -> np.ndarray:
+    """Parts of the chain sums of the words of one length.
+
+    first[:, r_0] holds phi0's entries and steps[k][:, word, r_{k+1}, r_k]
+    the site tensors, at the entries kept at each place.  A word's terms
+    first[r_0] steps[0][r_1, r_0] ... steps[n-1][r_n, r_{n-1}] are formed
+    left to right and added in lexicographic order of the chains, from +0.
+    A block takes the subtrees of consecutive prefixes r_0 .. r_{depth-1},
+    at the shallowest depth whose subtree fits in _CHAIN_BLOCK products, and
+    carries the running sum on.  Its products are formed as [word, r_n, ...,
+    r_0], so that numpy's inner loops run along the chains rather than the
+    few words, and reordered for the sum.
+    """
+    words = steps[0].shape[1]
+    sizes = [first.shape[1]] + [step.shape[2] for step in steps]
+    total = np.zeros((2, words))
+    if 0 in sizes:
+        return total
+    n = len(steps)
+    depth = 1
+    while depth < n and math.prod(sizes[depth:]) * words > _CHAIN_BLOCK:
+        depth += 1
+    per_block = max(1, _CHAIN_BLOCK // (math.prod(sizes[depth:]) * words))
+    prefixes = math.prod(sizes[:depth])
+    # [:, word, r_n, ..., r_depth, prefix] and the axes that make it
+    # [:, prefix, r_depth, ..., r_n, word]
+    shape = (2, words, *sizes[: depth - 1 : -1], -1)
+    axes = (0, *range(len(shape) - 1, 0, -1))
+    for start in range(0, prefixes, per_block):
+        r = np.unravel_index(np.arange(start, min(start + per_block, prefixes)), sizes[:depth])
+        t = first[:, None, r[0]]
+        for k in range(depth - 1):
+            t = _times(t, steps[k][:, :, r[k + 1], r[k]])
+        t = _times(t[:, :, None], steps[depth - 1][..., r[-1]])
+        for step in steps[depth:]:
+            t = _times(t[:, :, None], step[..., None]).reshape(2, words, step.shape[2], -1)
+        # many chains and few words: one accumulate along the chains per word
+        terms = t.reshape(shape).transpose(axes).reshape(2, -1, words)
+        total = np.add.accumulate(np.concatenate([total[:, None], terms], axis=1), axis=1)[:, -1]
+    return total
 
 
 def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:
@@ -310,25 +309,25 @@ def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) 
 def dense_word_values(triple: GenerativeTriple, structure, words) -> list[complex]:
     """Each word's value by brute-force summation over all index chains.
 
-    The referee stays independent of the folded evaluation path: it builds
-    its own sliced site tensors by explicit scalar loops over the map
-    coefficients, held as nested Python lists, and sums the product of
-    chain entries against the initial state over every index chain, with
-    no einsum, matmul or fold.  Work whose result is known is skipped:
-    each site-tensor sum runs over its nonzero coefficients only
-    (_site_terms, listed once for all the words) and past inner factors
-    that are exactly 0, and the chains are walked depth first, sharing the
-    products of common prefixes, without descending through a chain entry
-    or phi0 entry that is exactly 0.  A skipped term is a finite value
-    times 0, so it is +-0, and adding +-0 to a sum that starts at +0 never
-    changes it: the value is bit for bit the full sum's, term by term in
-    lexicographic order of the chains.  That holds while every product is
-    finite, so a word's value is complex(nan, nan) when an entry of phi0,
-    of either coefficient tensor or of the word is not finite, and when
-    their sizes could carry a product past 1e300, near the top of the
-    float range.  Time grows as (hidden_dim^2)^sites, so words beyond 8
-    sites are refused, as is an empty word; memory holds one running
-    product per site.
+    The referee stays independent of the folded evaluation path: it forms
+    its own sliced site tensors from the map coefficients (_site_tensors)
+    and sums the products of chain entries against the initial state over
+    every index chain (_chain_totals), with no einsum, matmul or fold.  It
+    stacks all the call's sites, and the chains of each word length, as
+    float64 arrays of real and imaginary parts, forms every product as
+    CPython forms a complex product and adds every sum's terms one by one
+    in lexicographic order from +0: a word's value has the bits of a loop
+    over Python complex numbers, whatever the call's other words.  Terms
+    that are exact zeros are left out: those of a coefficient row that is
+    0 for every entry it feeds, and the chains through an entry whose phi0
+    entry, or whose column in every site tensor, is 0.  Such a term is a
+    finite value times 0, and adding +-0 to a sum that starts at +0 leaves
+    it as it is.  That needs every product finite, so a word's value is
+    complex(nan, nan) when an entry of phi0, of either coefficient tensor
+    or of the word is not finite, and when their sizes could carry a
+    product past 1e300, near the top of the float range.  Time grows as
+    (hidden_dim^2)^sites, so words beyond 8 sites are refused, as is an
+    empty word; the chains go in blocks of _CHAIN_BLOCK products.
     """
     structure = CausalStructure.parse(structure)
     words = list(words)
@@ -338,57 +337,53 @@ def dense_word_values(triple: GenerativeTriple, structure, words) -> list[comple
         if len(word) > 8:
             raise ValueError(f"dense contraction is limited to 8 sites, got {len(word)}")
         word.check_dims(triple)
+    values = [complex(math.nan, math.nan)] * len(words)
+    if not words:
+        return values
     h = triple.hidden_dim
-    o = triple.obs_dim
+    lengths = np.array([len(word) for word in words])
+    starts = np.cumsum(lengths) - lengths
+    xs = np.concatenate([word.xs for word in words])
+    ys = np.concatenate([word.ys for word in words])
     # every partial sum and product is at most (1 + |phi0|) growth^n, with
-    # the largest entries of phi0 and the word and the coefficient sums;
-    # a non-finite entry makes the bound nan or inf
+    # the largest entries of phi0 and the word and the coefficient sums; a
+    # non-finite entry or a sum past the float range makes the bound nan or
+    # inf, without a warning: numpy's overflow is ignored, Python's is quiet
     top_phi0 = float(np.abs(triple.phi0).max())
-    sum_t, sum_e = (float(np.abs(m.coeff).sum()) for m in (triple.transition, triple.emission))
-    terms = _site_terms(
-        structure, triple.transition.coeff.tolist(), triple.emission.coeff.tolist(), h, o
-    )
-    rho0 = triple.phi0.tolist()
-    # chain entry r is the index pair (p, q) = divmod(r, h)
-    first = [rho0[q][p] for p in range(h) for q in range(h)]
-    values = []
-    for word in words:
-        top_x, top_y = (float(np.abs(a).max()) for a in (word.xs, word.ys))
-        growth = (1.0 + sum_t) * (1.0 + sum_e) * (1.0 + top_x) * (1.0 + top_y)
-        if math.prod([1.0 + top_phi0] + [growth] * len(word)) < 1e300:
-            values.append(_chain_sum(structure, terms, first, word, h))
-        else:
-            values.append(complex(math.nan, math.nan))
+    with np.errstate(over="ignore"):
+        sum_t, sum_e = (float(np.abs(m.coeff).sum()) for m in (triple.transition, triple.emission))
+    top_x, top_y = (np.maximum.reduceat(np.abs(a).max(axis=(1, 2)), starts) for a in (xs, ys))
+    finite = np.array([
+        math.prod([1.0 + top_phi0] + [(1.0 + sum_t) * (1.0 + sum_e) * (1.0 + x) * (1.0 + y)] * n)
+        < 1e300
+        for x, y, n in zip(top_x.tolist(), top_y.tolist(), lengths.tolist())
+    ])
+    if not finite.any():
+        return values
+    # the sites of a word given nan are set to 0, so that no product is
+    # out of range; their tensors, all 0, are not summed
+    on_site = np.repeat(finite, lengths)
+    xs[~on_site], ys[~on_site] = 0, 0
+    # as [:, site, r', r], the layout of _chain_totals' steps
+    sites = _site_tensors(structure, triple, xs, ys).transpose(0, 3, 2, 1)
+    # chain entry r is the index pair (p, q) = divmod(r, h), and phi0 reads
+    # rho0[q, p].  An entry whose factor is 0 wherever it stands (a first
+    # entry 0, a column 0 in every site tensor) leaves only terms +-0, so
+    # the chains through it are left out, as zero coefficient rows are.
+    first = _parts(triple.phi0.T.reshape(-1))
+    heads = np.flatnonzero(first.any(axis=0))
+    links = np.flatnonzero(sites.any(axis=(0, 1, 3)))
+    # a chain ends on the diagonal
+    tails = links[links % (h + 1) == 0]
+    for n in sorted(set(lengths[finite].tolist())):
+        group = np.flatnonzero(finite & (lengths == n))
+        # each step's tensors at the kept entries, from rows[k] to cols[k]
+        rows, cols = [heads] + [links] * (n - 1), [links] * (n - 1) + [tails]
+        steps = [
+            sites[:, (starts[group] + k)[:, None, None], cols[k][:, None], rows[k]]
+            for k in range(n)
+        ]
+        re, im = _chain_totals(first[:, heads], steps).tolist()
+        for i, a, b in zip(group.tolist(), re, im):
+            values[i] = complex(a, b)
     return values
-
-
-def _chain_sum(structure: CausalStructure, terms: tuple, first: list, word, h: int) -> complex:
-    """The sum over the word's index chains, from its site tensors and phi0's entries first."""
-    sites = [
-        _site_tensor(structure, terms, x, y) for x, y in zip(word.xs.tolist(), word.ys.tolist())
-    ]
-    # each row of a site as its (column, entry) pairs that are not exactly
-    # 0; a chain ends on the diagonal, so the last site keeps only the
-    # nonzero diagonal entries of each row
-    rows = [[[(r, s) for r, s in enumerate(row) if s] for row in site] for site in sites[:-1]]
-    rows.append([[row[d] for d in range(0, h * h, h + 1) if row[d]] for row in sites[-1]])
-    last = len(sites) - 1
-
-    def walk(k, t, entries, total):
-        # t is the product along a chain of k + 1 entries, entries the row
-        # of site k at the entry it ends on; the chains through it are
-        # walked depth first, so in lexicographic order
-        if k == last:
-            for s in entries:
-                total += t * s
-            return total
-        after = rows[k + 1]
-        for r, s in entries:
-            total = walk(k + 1, t * s, after[r], total)
-        return total
-
-    total = 0j
-    for t, entries in zip(first, rows[0]):
-        if t:
-            total = walk(0, t, entries, total)
-    return complex(total)

@@ -187,8 +187,9 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     stream exactly as drawing the words one after another would.  One
     sliced_coefficients call gives every site's transfer, and the fold
     takes each length's words, every fifth, as one batch, whose rows equal
-    the words folded alone.  The referee lists its coefficient terms once
-    and takes the words one by one.
+    the words folded alone.  The referee takes all the words in one call,
+    which forms every site's tensor at once and each length's chains as
+    one stack.
     """
     count = min(c.samples, 20)
     lengths = [1 + i % 5 for i in range(count)]

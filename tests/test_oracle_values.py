@@ -12,13 +12,18 @@ entries are raw Gaussian draws, which involve no linear algebra either.
 Regenerate with ``PYTHONPATH=src python tests/test_oracle_values.py`` only
 when the referee is meant to compute a different value.
 
-The referee skips exact zeros; the tests here also hold its site tensors
-and values, by float.hex, to util.full_loop_site_tensor and a full chain
-sum, which skip nothing.
+The referee leaves out terms that are exact zeros and forms its chains in
+blocks; the tests here also hold its site tensors and values, by
+float.hex, to util.full_loop_site_tensor and a full chain sum, which skip
+nothing, and its values to themselves at other block sizes.
 """
 
+import dis
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
+from types import CodeType, FunctionType
 
 import numpy as np
 import pytest
@@ -142,22 +147,44 @@ def _hex(value: complex) -> tuple:
 
 
 @pytest.mark.parametrize("key", sorted(PINNED["values"]))
-def test_many_words_at_once_give_each_word_its_own_bits(key, monkeypatch):
-    # the coefficient terms are listed once for the whole list
+def test_many_words_at_once_give_each_word_its_own_bits(key):
+    # the call stacks every word's sites and each length's chains; a
+    # word's bits depend neither on the other words nor on its place
     triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
     words = list(_words(triple, site_counts))
-    listed = []
-    site_terms = aklt._site_terms
+    alone = [_hex(dense_word_value(triple, structure, w)) for w in words]
+    assert [_hex(v) for v in dense_word_values(triple, structure, words)] == alone
+    mixed = words[::-1] + words
+    assert [_hex(v) for v in dense_word_values(triple, structure, mixed)] == alone[::-1] + alone
 
-    def counted(*args):
-        listed.append(args)
-        return site_terms(*args)
 
-    monkeypatch.setattr(aklt, "_site_terms", counted)
-    got = dense_word_values(triple, structure, words)
-    monkeypatch.undo()
-    assert len(listed) == 1
-    assert [_hex(v) for v in got] == [_hex(dense_word_value(triple, structure, w)) for w in words]
+BLOCKS = (1, 7, aklt._CHAIN_BLOCK)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("key", sorted(PINNED["values"]))
+def test_chain_blocks_of_any_size_give_the_pinned_bits(key, block, monkeypatch):
+    # a block of one product carries the running sum past every chain
+    monkeypatch.setattr(aklt, "_CHAIN_BLOCK", block)
+    triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
+    assert _values(triple, structure, site_counts) == PINNED["values"][key]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize(
+    "key, site_counts",
+    # at a block of one product the dense kraus word of eight sites takes
+    # 4^8 blocks, several seconds; its seven-site word splits the same way
+    [("normalized_cartesian/causal", (7, 8)), ("kraus-config", (7,))],
+)
+def test_chain_blocks_of_any_size_give_the_same_bits_at_the_site_limit(
+    key, site_counts, block, monkeypatch
+):
+    triple, structure, _ = _cases(PINNED["kraus_config"])[key]
+    words = list(_words(triple, site_counts))
+    want = [_hex(v) for v in dense_word_values(triple, structure, words)]
+    monkeypatch.setattr(aklt, "_CHAIN_BLOCK", block)
+    assert [_hex(v) for v in dense_word_values(triple, structure, words)] == want
 
 
 def _assert_zero_skips_keep_the_bits(triple, structure, words):
@@ -187,15 +214,20 @@ def _planted(rng, a: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("structure", STRUCTURES)
-def test_zero_skips_match_the_full_loops_on_planted_signed_zeros(structure):
-    # h = 3 and o = 2, a transition that keeps both hidden factors, and
-    # signed zeros planted in phi0, both coefficient tensors and the words
-    rng = rng_from(31)
-    maps = [
+def _hidden3_maps(rng) -> list:
+    """A transition that keeps both hidden factors and an emission, h = 3 and o = 2."""
+    return [
         BipartiteMap.build_from_kraus(3, 3, 3, util.random_unital_kraus(rng, 9, 3, 3)),
         BipartiteMap.build_from_kraus(3, 2, 3, util.random_unital_kraus(rng, 6, 3, 3)),
     ]
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_zero_skips_match_the_full_loops_on_planted_signed_zeros(structure):
+    # h = 3 and o = 2, and signed zeros planted in phi0, both coefficient
+    # tensors and the words of one to five sites
+    rng = rng_from(31)
+    maps = _hidden3_maps(rng)
     t, e = (
         BipartiteMap(m.dim_in, m.dim_out, _planted(rng, m.coeff), m.dim_in1, m.dim_in2)
         for m in maps
@@ -206,9 +238,33 @@ def test_zero_skips_match_the_full_loops_on_planted_signed_zeros(structure):
             _planted(rng, rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))),
             _planted(rng, rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))),
         )
-        for n in (1, 2, 3, 4)
+        for n in (1, 2, 3, 4, 5)
     ]
     _assert_zero_skips_keep_the_bits(triple, structure, words)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_the_chains_of_a_long_word_are_formed_in_blocks_of_bounded_memory(structure):
+    # every coefficient and phi0 entry nonzero: a six-site word has
+    # 9^6 * 3 = 1.6M chains, 25 MB for each array of their products' parts
+    # if formed at once; the blocks keep the referee's peak far below that
+    rng = rng_from(37)
+    t, e = _hidden3_maps(rng)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho = g @ g.conj().T
+    triple = GenerativeTriple(3, 2, rho / np.trace(rho).real, t, e)
+    word = ObservableWord(
+        rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3)),
+        rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)),
+    )
+    tracemalloc.start()
+    try:
+        value = dense_word_value(triple, structure, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 8e6, peak
 
 
 def _classical4_word(n: int, x01) -> ObservableWord:
@@ -248,6 +304,34 @@ def test_sizes_that_could_overflow_give_nan(structure):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
+def test_sizes_past_the_float_range_give_nan_without_a_warning(structure):
+    # 1e200 in both observables, or coefficients whose sum is past the
+    # float range: the size bound overflows, which numpy would warn of
+    triple = _classical_triple()
+    big = BipartiteMap(16, 4, np.full((4, 4, 16, 16), 1e307), 4, 4)
+    cases = [
+        (triple, ObservableWord(np.full((1, 4, 4), 1e200), np.full((1, 3, 3), 1e200))),
+        (GenerativeTriple(4, 3, triple.phi0, big, triple.emission), _classical4_word(1, 0.5)),
+    ]
+    for model, word in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = dense_word_value(model, structure, word)
+        assert np.isnan(value.real) and np.isnan(value.imag)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_state_of_zeros_leaves_no_chain_and_gives_plus_zero(structure):
+    # phi0 = 0 keeps no first entry, so every word's sum is its start, +0
+    triple = _classical_triple()
+    zero = GenerativeTriple(4, 3, np.zeros((4, 4)), triple.transition, triple.emission)
+    words = [_classical4_word(1, 0.5), _classical4_word(3, -0.25)]
+    got = dense_word_values(zero, structure, words)
+    want = [_hex(util.dense_chain_value(zero, structure, w, full_loops=True)) for w in words]
+    assert [_hex(v) for v in got] == want == [_hex(0j)] * 2
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
 def test_a_nan_word_in_a_list_leaves_the_finite_words_finite(structure):
     # an inf entry gives nan, 1e200 at two sites trips the overflow bound,
     # and the words around them keep their own finite values
@@ -266,6 +350,38 @@ def test_a_nan_word_in_a_list_leaves_the_finite_words_finite(structure):
     ]
     assert all(np.isfinite(got[k]) for k in (0, 2, 4))
 
+
+def _referee_code() -> list:
+    """The code objects of dense_word_values and of every aklt function it names, transitively."""
+    codes, todo = [], [aklt.dense_word_values.__code__]
+    while todo:
+        code = todo.pop()
+        if code in codes:
+            continue
+        codes.append(code)
+        todo.extend(c for c in code.co_consts if isinstance(c, CodeType))
+        for name in code.co_names:
+            f = vars(aklt).get(name)
+            if isinstance(f, FunctionType) and f.__module__ == aklt.__name__:
+                todo.append(f.__code__)
+    return codes
+
+
+def test_the_referee_names_nothing_of_the_fold():
+    # the referee checks the fold, so it must not reach the fold's
+    # contractions or the library's small-matrix kernels
+    codes = _referee_code()
+    assert {"_site_tensors", "_chain_totals", "_times"} <= {c.co_name for c in codes}
+    names = {name for c in codes for name in c.co_names}
+    fold = {"sliced_coefficients", "composite_map", "fold_words", "_fold", "conjugate", "_products"}
+    assert not names & (fold | {"einsum", "matmul"})
+    matmul_ops = [
+        ins.opname
+        for c in codes
+        for ins in dis.get_instructions(c)
+        if ins.opname == "BINARY_MATRIX_MULTIPLY" or ins.argrepr in ("@", "@=")
+    ]
+    assert not matmul_ops
 
 if __name__ == "__main__":
     config = _kraus_config()

@@ -32,7 +32,7 @@ from hqmmsym import (
     haar_rotations,
     random_words,
 )
-from hqmmsym.aklt import _site_tensor, _site_terms
+from hqmmsym.aklt import _site_tensors
 from hqmmsym.grouprep import _compose
 from hqmmsym.opalg import conjugate
 from hqmmsym.sampling import rng_from
@@ -277,7 +277,7 @@ def full_loop_site_tensor(
 
 
 def site_tensors(triple, structure, word, full_loops: bool = False) -> list:
-    """Each site's tensor, from the referee's _site_tensor or from full_loop_site_tensor."""
+    """Each site's tensor, from the referee's _site_tensors or from full_loop_site_tensor."""
     structure = CausalStructure.parse(structure)
     h, o = triple.hidden_dim, triple.obs_dim
     c_h = triple.transition.coeff.tolist()
@@ -285,8 +285,11 @@ def site_tensors(triple, structure, word, full_loops: bool = False) -> list:
     sites = zip(word.xs.tolist(), word.ys.tolist())
     if full_loops:
         return [full_loop_site_tensor(structure, c_h, c_ho, x, y, h, o) for x, y in sites]
-    terms = _site_terms(structure, c_h, c_ho, h, o)
-    return [_site_tensor(structure, terms, x, y) for x, y in sites]
+    parts = _site_tensors(structure, triple, word.xs, word.ys).transpose(0, 3, 1, 2).tolist()
+    return [
+        [[complex(a, b) for a, b in zip(re_row, im_row)] for re_row, im_row in zip(*site)]
+        for site in zip(*parts)
+    ]
 
 
 def dense_chain_value(triple, structure, word, full_loops: bool = False) -> complex:
