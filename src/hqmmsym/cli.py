@@ -185,9 +185,9 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
 
     Word i has 1 + i % 5 sites; one draw of all their sites consumes the
     stream exactly as drawing the words one after another would.  One
-    sliced_coefficients call gives every site's transfer, and the fold
-    takes each length's words, every fifth, as one batch, whose rows equal
-    the words folded alone.  The referee takes all the words in one call,
+    sliced_coefficients call gives every site's transfer and one
+    fold_words call folds the ragged words, each value with the bits of
+    its word folded alone.  The referee takes all the words in one call,
     which forms every site's tensor at once and each length's chains as
     one stack.
     """
@@ -195,12 +195,8 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     lengths = [1 + i % 5 for i in range(count)]
     xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
     transfers = sliced_coefficients(m.triple, m.structure, xs[0], ys[0])
+    folded = fold_words(m.triple, transfers, lengths)
     ends = np.cumsum(lengths)
-    folded = np.empty(count, dtype=complex)
-    for n in range(1, min(count, 5) + 1):
-        # the transfers of words n - 1, n + 4, ...: one row of site indices per word
-        sites = ends[n - 1 :: 5, None] - n + np.arange(n)
-        folded[n - 1 :: 5] = fold_words(m.triple, transfers[sites])
     words = [ObservableWord(xs[0, e - n : e], ys[0, e - n : e]) for n, e in zip(lengths, ends)]
     referee = np.array(aklt.dense_word_values(m.triple, m.structure, words))
     return np.abs(folded - referee)

@@ -11,13 +11,13 @@ sites, so the cost is linear in the word length.
 composite_map is the one contraction of the transition with the emission;
 sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
 all of a batch's from one GEMM of the flat site-pair outer products by the
-reordered composite map, and _fold is the one loop that folds a batch of
-words' transfers.  A GEMM row keeps its bits in any batch, and a batch of
-one is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV, which
-rounds differently.
-finite_volume_states and fold_words fold words from vec(1); kolmogorov_check
-folds each length's transfers twice, from vec(1) and from S(1, 1) vec(1), so
-a word and its extension by an identity site share their transfers.
+reordered composite map, and fold_words is the one function that cuts a
+flat transfer stack into words and folds them, the words of each length
+as one batch.  A GEMM row keeps its bits in any batch, and a batch of one
+is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV, which
+rounds differently.  kolmogorov_check folds its transfers twice, from
+vec(1) and from S(1, 1) vec(1), so a word and its extension by an
+identity site share their transfers.
 finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
@@ -27,15 +27,15 @@ row of Gaussians per site and unit_sites turns rows into unit-norm site
 pairs.  Both work row by row, so a check that needs words of several
 lengths (kolmogorov_check here, the global symmetry check) draws them in
 stream order, maps all of their rows at once, takes every transfer from one
-sliced_coefficients call and folds each length from its word_blocks slice,
-with each value bit for bit that of a batch per length.
+sliced_coefficients call and folds all its words in fold_words, with each
+value bit for bit that of a batch per length.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Sequence
 
 import numpy as np
@@ -291,11 +291,10 @@ def finite_volume_states(
 
     xs has shape (B, n, h, h) and ys (B, n, o, o): word k has the site
     pairs (xs[k, s], ys[k, s]).  One sliced_coefficients call gives all
-    B * n site transfers; the fold multiplies vec(1) by them, last site
-    first, as stacked (B, h^2, h^2) @ (B, h^2, 1) products and closes with
-    vec(rho0^T).  Every step is a per-word product, so word k's value is
-    bit for bit the value of word k folded alone.  Returns complex values
-    of shape (B,), equal to finite_volume_state on each word up to rounding.
+    B * n site transfers and fold_words folds them as B words of n sites,
+    so word k's value is bit for bit the value of word k folded alone.
+    Returns complex values of shape (B,), equal to finite_volume_state on
+    each word up to rounding.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
@@ -310,45 +309,50 @@ def finite_volume_states(
     if n_sites == 0:
         raise ValueError("empty word; finite-volume states need at least one site")
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
-    return fold_words(triple, transfers.reshape(count, n_sites, h * h, h * h))
+    return fold_words(triple, transfers, [n_sites] * count)
 
 
-def fold_words(triple: GenerativeTriple, transfers: np.ndarray) -> np.ndarray:
-    """phi0 of each word's transfers folded from vec(1); transfers[B, n, h^2, h^2]."""
-    h = triple.hidden_dim
-    return _fold(triple, transfers, np.broadcast_to(_unit_vector(h), (len(transfers), h * h, 1)))
+def fold_words(
+    triple: GenerativeTriple, transfers: np.ndarray, lengths, start: np.ndarray | None = None
+) -> np.ndarray:
+    """phi0 of each word's transfers folded from start; word i takes the next lengths[i] sites.
 
-
-def word_blocks(transfers: np.ndarray, count: int, lengths) -> list[np.ndarray]:
-    """A flat transfer stack cut into one (count, n, h^2, h^2) block per length n.
-
-    The stack holds count words of each length in turn, every word's
-    sites in order; each block is a view.
+    transfers[N, h^2, h^2] holds the words' site transfers in turn; the
+    lengths, which add up to N, may be ragged and in any order.  start is
+    one (h^2, 1) vector, vec(1) by default.  The words of one length fold
+    as one batch, last site first, as stacked (B, h^2, h^2) @ (B, h^2, 1)
+    products closed with vec(rho0^T): every step is a per-word product, so
+    each value has the bits of its word folded alone.  Consecutive words
+    of one length fold from a view of the stack.
     """
-    ends = count * np.cumsum(lengths, dtype=int)
-    return [
-        transfers[end - count * n : end].reshape(count, n, *transfers.shape[1:])
-        for n, end in zip(lengths, ends)
-    ]
-
-
-def _unit_vector(h: int) -> np.ndarray:
-    """vec(1) of the hidden identity, shape (1, h^2, 1)."""
-    return np.eye(h, dtype=complex).reshape(1, h * h, 1)
-
-
-def _fold(triple: GenerativeTriple, transfers: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """phi0 of transfers[k, 0] ... transfers[k, n - 1] m[k] for each word k.
-
-    transfers has shape (B, n, h^2, h^2) and m (B, h^2, 1).  The products
-    run last site first as stacked (B, h^2, h^2) @ (B, h^2, 1) matmuls, so
-    every step is a per-word product, and close with vec(rho0^T).
-    """
-    for k in range(transfers.shape[1] - 1, -1, -1):
-        m = transfers[:, k] @ m
+    h2 = triple.hidden_dim**2
+    if start is None:
+        start = np.eye(triple.hidden_dim, dtype=complex).reshape(h2, 1)
+    # length -> its runs of consecutive words: (first word, first site, word count)
+    runs: dict[int, list[tuple[int, int, int]]] = {}
+    word = site = 0
+    for n, run in groupby(lengths):
+        count = len(list(run))
+        runs.setdefault(n, []).append((word, site, count))
+        word += count
+        site += count * n
+    if site != len(transfers):
+        raise DimensionMismatchError("word sites", len(transfers), site)
+    values = np.empty(word, dtype=complex)
     # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
-    h = triple.hidden_dim
-    return (triple.phi0.T.reshape(1, h * h) @ m).reshape(len(m))
+    close = triple.phi0.T.reshape(1, h2)
+    for n, spans in runs.items():
+        blocks = [transfers[s : s + c * n].reshape(c, n, h2, h2) for _, s, c in spans]
+        block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        m = np.broadcast_to(start, (len(block), h2, 1))
+        for k in range(n - 1, -1, -1):
+            m = block[:, k] @ m
+        folded = (close @ m).reshape(-1)
+        offset = 0
+        for w, _, c in spans:
+            values[w : w + c] = folded[offset : offset + c]
+            offset += c
+    return values
 
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
@@ -408,38 +412,38 @@ def kolmogorov_check(
     1..depth-1 the all-identity word followed by samples seeded random
     words.  A word's extension has the word's transfers followed by the
     identity site's transfer S(1, 1), and a sliced_coefficients row does
-    not depend on its batch: so the fold runs each length's transfers
-    twice, from vec(1) for the words and from S(1, 1) vec(1) for their
+    not depend on its batch: so fold_words runs the words' transfers twice,
+    from vec(1) for the words and from S(1, 1) vec(1) for their
     extensions, bit for bit as if the extensions were folded whole.
-    S(1, 1) is computed once and also gives the one-site row.
 
     Every length's words come from one batch: one site_gaussians draw of
     all their sites, which is the stream of one random_words call per
-    length in turn, one unit_sites map and one sliced_coefficients call.
-    Each step is per row, so the deviations are bit for bit those of a
-    batch per length.
+    length in turn, one unit_sites map, and one sliced_coefficients call
+    for the identity site and every random site.  Each step is per row,
+    so the deviations are bit for bit those of a batch per length.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
-    eye_x = np.eye(h, dtype=complex)
-    eye_y = np.eye(o, dtype=complex)
-    base = float(np.trace(triple.phi0).real)
-    identity_site = sliced_coefficients(triple, structure, eye_x[None], eye_y[None])
-    start = _unit_vector(h)
-    appended = identity_site @ start
-    deviations = [np.abs(_fold(triple, identity_site[:, None], start) - base)]
     lengths = range(1, depth)
     xs, ys = unit_sites(triple, site_gaussians(rng, triple, samples * sum(lengths)))
-    transfers = sliced_coefficients(triple, structure, xs, ys)
-    count = samples + 1
-    for n_sites, words in zip(lengths, word_blocks(transfers, samples, lengths)):
-        # the all-identity word, then the samples random words
-        identity_word = np.broadcast_to(identity_site, (1, n_sites, h * h, h * h))
-        block = np.concatenate([identity_word, words])
-        value = _fold(triple, block, np.broadcast_to(start, (count, h * h, 1)))
-        extended = _fold(triple, block, np.broadcast_to(appended, (count, h * h, 1)))
-        deviations.append(np.abs(extended - value))
-    return np.concatenate(deviations)
+    eye_x, eye_y = np.eye(h, dtype=complex), np.eye(o, dtype=complex)
+    transfers = sliced_coefficients(
+        triple, structure, np.concatenate([eye_x[None], xs]), np.concatenate([eye_y[None], ys])
+    )
+    # the one-site identity word, then per length the all-identity word
+    # followed by the samples random words; transfers[0] is S(1, 1)
+    stack, end = [transfers[:1]], 1
+    for n_sites in lengths:
+        identity_word = np.broadcast_to(transfers[:1], (n_sites, h * h, h * h))
+        stack += [identity_word, transfers[end : end + samples * n_sites]]
+        end += samples * n_sites
+    stack = np.concatenate(stack)
+    words = [1] + [n_sites for n_sites in lengths for _ in range(samples + 1)]
+    value = fold_words(triple, stack, words)
+    appended = transfers[0] @ eye_x.reshape(h * h, 1)
+    extended = fold_words(triple, stack, words, appended)
+    base = float(np.trace(triple.phi0).real)
+    return np.concatenate([np.abs(value[:1] - base), np.abs(extended[1:] - value[1:])])
 
 
 def classical_diagonal_triple(

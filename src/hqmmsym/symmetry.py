@@ -47,7 +47,6 @@ from .hqmm import (  # noqa: F401
     site_gaussians,
     sliced_coefficients,
     unit_sites,
-    word_blocks,
 )
 from .opalg import (  # noqa: F401
     BipartiteMap,
@@ -213,10 +212,10 @@ def check_global_invariance(
     words' site Gaussians.  All volumes are then one batch: one
     rotations_from_gaussians, one stack per rep, one unit_sites map, one
     conjugation of every site by its sample's rotation and one
-    sliced_coefficients call for the plain and rotated sites.  Each volume
-    folds its words and their rotations from its own slice of the
-    transfers.  Every step is per row, so each deviation has the bits of
-    a batch per volume.
+    sliced_coefficients call for the plain and rotated sites.  One
+    fold_words call folds every plain word, then every rotated word, and
+    the deviations split by volume.  Every step is per row, so each
+    deviation has the bits of a batch per volume.
     """
     rng = rng_from(seed)
     lengths = range(1, n_max + 2)
@@ -233,9 +232,6 @@ def check_global_invariance(
     transfers = sliced_coefficients(
         triple, structure, np.concatenate([xs, rotated_xs]), np.concatenate([ys, rotated_ys])
     )
-    plain, rotated = (word_blocks(half, samples, lengths) for half in np.split(transfers, 2))
-    by_volume = []
-    for words, turned in zip(plain, rotated):
-        values = fold_words(triple, np.concatenate([words, turned]))
-        by_volume.append(np.abs(values[samples:] - values[:samples]))
-    return by_volume
+    words = [n_sites for n_sites in lengths for _ in range(samples)]
+    plain, rotated = np.split(fold_words(triple, transfers, words * 2), 2)
+    return np.split(np.abs(rotated - plain), samples * np.arange(1, n_max + 1))

@@ -130,7 +130,7 @@ def test_dense_word_value_matches_pinned_bits(key):
 
 
 @pytest.mark.parametrize("key", ["normalized_cartesian/causal", "kraus-config"])
-def test_shared_prefixes_match_one_product_per_chain_at_the_site_limit(key):
+def test_stacked_chains_match_one_product_per_chain_at_the_site_limit(key):
     # the pinned words stop at six sites; the referee accepts up to eight
     triple, structure, _ = _cases(PINNED["kraus_config"])[key]
     for word in _words(triple, (7, 8)):
@@ -199,7 +199,7 @@ def _assert_zero_skips_keep_the_bits(triple, structure, words):
 
 
 @pytest.mark.parametrize("key", sorted(PINNED["values"]))
-def test_zero_skips_match_the_full_loops_bit_for_bit(key):
+def test_stacked_site_tensors_match_the_full_loops_bit_for_bit(key):
     triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
     _assert_zero_skips_keep_the_bits(triple, structure, _words(triple, site_counts))
 
@@ -223,7 +223,7 @@ def _hidden3_maps(rng) -> list:
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
-def test_zero_skips_match_the_full_loops_on_planted_signed_zeros(structure):
+def test_stacked_site_tensors_match_the_full_loops_on_planted_signed_zeros(structure):
     # h = 3 and o = 2, and signed zeros planted in phi0, both coefficient
     # tensors and the words of one to five sites
     rng = rng_from(31)

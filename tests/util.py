@@ -220,7 +220,7 @@ def full_loop_site_tensor(
     h: int,
     o: int,
 ) -> list[list[complex]]:
-    """aklt._site_tensor with every coefficient visited, zeros included.
+    """One site of aklt._site_tensors with every coefficient visited, zeros included.
 
     The same sums as the referee's, over the same nested lists and in the
     same lexicographic order, but no term is skipped: a coefficient or an
