@@ -29,7 +29,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -356,13 +356,36 @@ def _matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+def _kraus_sum(
+    dim_in: int, dim_out: int, kraus: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of W -> sum_s K_s W K_s+, and the K_s stacked, each checked dim_out x dim_in."""
+    coeff = np.zeros((dim_out, dim_out, dim_in, dim_in), dtype=complex)
+    stack = np.empty((len(kraus), dim_out, dim_in), dtype=complex)
+    for s, k in enumerate(kraus):
+        k = np.asarray(k, dtype=complex)
+        if k.shape != (dim_out, dim_in):
+            raise DimensionMismatchError("kraus", (dim_out, dim_in), k.shape)
+        coeff += np.einsum("pi,qj->pqij", k, k.conj())
+        stack[s] = k
+    return coeff, stack
+
+
 @dataclass(frozen=True)
 class OperatorMap:
-    """Linear map from one matrix algebra to another, stored over matrix units."""
+    """Linear map from one matrix algebra to another, stored over matrix units.
+
+    coeff defines the map.  A map built by from_kraus (or
+    BipartiteMap.build_from_kraus) also keeps, read-only, the stack
+    kraus[r, dim_out, dim_in] it was built from, so that a check may use
+    a closed form for a map with one Kraus operator; a map built from its
+    coefficients carries kraus None.
+    """
 
     dim_in: int
     dim_out: int
     coeff: np.ndarray  # coeff[p, q, i, j] = map(e_ij)[p, q]
+    kraus: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         c = np.asarray(self.coeff, dtype=complex)
@@ -372,6 +395,13 @@ class OperatorMap:
         c = np.array(c, copy=True)
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
+        if self.kraus is not None:
+            k = np.array(self.kraus, dtype=complex)
+            if k.ndim != 3 or k.shape[1:] != (self.dim_out, self.dim_in):
+                want = ("r", self.dim_out, self.dim_in)
+                raise DimensionMismatchError("kraus stack", want, k.shape)
+            k.setflags(write=False)
+            object.__setattr__(self, "kraus", k)
 
     # no library caller; kept as the tests' reference, and bench/tests reads it
     @classmethod
@@ -391,13 +421,8 @@ class OperatorMap:
     @classmethod
     def from_kraus(cls, dim_in: int, dim_out: int, kraus: Sequence[np.ndarray]) -> "OperatorMap":
         """Map W -> sum_s K_s W K_s^dagger for rectangular Kraus operators."""
-        coeff = np.zeros((dim_out, dim_out, dim_in, dim_in), dtype=complex)
-        for k in kraus:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != (dim_out, dim_in):
-                raise DimensionMismatchError("kraus", (dim_out, dim_in), k.shape)
-            coeff += np.einsum("pi,qj->pqij", k, k.conj())
-        return cls(dim_in, dim_out, coeff)
+        coeff, stack = _kraus_sum(dim_in, dim_out, kraus)
+        return cls(dim_in, dim_out, coeff, kraus=stack)
 
     def apply_array(self, m: np.ndarray) -> np.ndarray:
         """The map applied to a dim_in x dim_in array."""
@@ -426,8 +451,9 @@ class BipartiteMap(OperatorMap):
     def build_from_kraus(
         cls, dim_in1: int, dim_in2: int, dim_out: int, kraus: Sequence[np.ndarray]
     ) -> "BipartiteMap":
-        base = OperatorMap.from_kraus(dim_in1 * dim_in2, dim_out, kraus)
-        return cls(base.dim_in, base.dim_out, base.coeff, dim_in1, dim_in2)
+        dim_in = dim_in1 * dim_in2
+        coeff, stack = _kraus_sum(dim_in, dim_out, kraus)
+        return cls(dim_in, dim_out, coeff, dim_in1, dim_in2, kraus=stack)
 
 
 def certify_cpu(m: OperatorMap) -> dict[str, float]:

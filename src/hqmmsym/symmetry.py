@@ -16,16 +16,20 @@ difference of Choi matrices, so a small deviation bounds the defect on
 every input.  A map E is covariant when E(V . V+) = U E(.) U+; the Choi
 matrix C of E is formed once, and sample k's defect is
 ||W C W+ - C|| with W = V^T kron U+, the Choi defect conjugated by the
-unitary 1 kron U+, which leaves the norm as it is.
+unitary 1 kron U+, which leaves the norm as it is.  A map built from
+one Kraus operator K (the AKLT emission) has C of rank one, and its
+defect, of rank two, has a closed-form norm in a = U+ K V and K, with
+no W and no C.
 Each check evaluates all of its samples as one batch: stacked unitaries,
 closed-form coefficient contractions, conjugations through opalg.conjugate
 (site observables and 2 x 2 to 4 x 4 unitaries entry by entry over the
-stack, the Choi matrix with one GEMM for W C) and one stacked
+stack, a Choi matrix with one GEMM for W C) and one stacked
 opalg.operator_norms,
 a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
 for a zero matrix): in closed form for the 2 x 2 and 3 x 3 defects, with
 eigvalsh for a 3 x 3 whose top two eigenvalues nearly coincide, and by
-one stacked eigvalsh for the larger Choi matrices.
+one stacked eigvalsh for the larger Choi matrices (the 8 x 8 of the
+transition, whose two Kraus operators keep it on the Choi path).
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ from .hqmm import (  # noqa: F401
 from .opalg import (  # noqa: F401
     BipartiteMap,
     OperatorMap,
+    _parts,
+    _products,
     batched_kron,
     choi_matrices,
     conjugate,
@@ -112,10 +118,68 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     unitary 1 kron U+ keeps its norm, so the defect is ||W C W+ - C||
     with W = V^T kron U+: one C for every sample, and opalg.conjugate
     forms W C for all samples as one GEMM.
+
+    A map built from exactly one Kraus operator K has C = k k+, with k
+    the entries of K, and W k holds the entries of a = U+ K V.  The
+    defect a a+ - k k+ has rank two, and _rank_one_defects takes its norm
+    in closed form, with no W and no C.  Any other map, with several
+    Kraus operators or only coefficients, takes the Choi path.
     """
+    if m.kraus is not None and len(m.kraus) == 1:
+        return _rank_one_defects(m.kraus[0], v_in, u_out)
     c = choi_matrices(m.coeff)
     w = batched_kron(np.swapaxes(v_in, -1, -2), np.conj(np.swapaxes(u_out, -1, -2)))
     return operator_norms(conjugate(w, c) - c)
+
+
+def _rank_one_defects(k: np.ndarray, v_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:
+    """Choi distances of the map X -> K X K+ for stacks V[n] and unitary U[n], in closed form.
+
+    With a = U+ K V, s = a + K and d = a - K, all flattened, the defect
+    is D = a a+ - K K+ = (s d+ + d s+) / 2, Hermitian of rank two.  Write
+    d = (c / ||s||^2) s + r, with c = <s, d> and r orthogonal to s; in an
+    orthonormal basis of span(s, r), D is
+    [[2 Re c, ||s|| ||r||], [||s|| ||r||, 0]] / 2, so
+    ||D|| = (|Re c| + hypot(Re c, ||s|| ||r||)) / 2.  r is formed as a
+    vector, not through ||s||^2 ||d||^2 - |c|^2, which would lose every
+    digit of a defect far below ||s|| ||d||; d = 0 gives exactly 0.
+    K V and a are formed entry by entry with opalg._products, and each
+    sum over the entries adds them in one fixed order, so no sample's
+    bits depend on the rest of its stack.  Norms are square roots taken
+    before their product, so inputs from 1e-150 to 1e150, the range in
+    which the Choi entries |K_ij|^2 are representable, neither overflow
+    nor underflow.  A sample whose defect is not finite gets nan, as
+    operator_norms gives a non-finite matrix.
+    """
+    kr, ki = _parts(k, 1)
+    kv = _products((kr, ki), _parts(v_in, 1))
+    ur, ui = _parts(u_out, 1)
+    # entry (i, j) of U+ is conj(U[j, i])
+    ar, ai = _products((ur.swapaxes(0, 1), -ui.swapaxes(0, 1)), kv)
+    sr, si, dr, di = ar + kr, ai + ki, ar - kr, ai - ki
+    re_c, im_c, s_sq = _entry_sums([sr * dr + si * di, sr * di - si * dr, sr * sr + si * si])
+    # s = 0 leaves c = 0, and then D = 0 whatever r is
+    s_sq_or_1 = np.where(s_sq > 0, s_sq, 1.0)
+    mr, mi = re_c / s_sq_or_1, im_c / s_sq_or_1
+    rr, ri = dr - (mr * sr - mi * si), di - (mr * si + mi * sr)
+    (r_sq,) = _entry_sums([rr * rr + ri * ri])
+    out = (np.abs(re_c) + np.hypot(re_c, np.sqrt(s_sq) * np.sqrt(r_sq))) / 2
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _entry_sums(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of each terms[t][i, j, N] over its entries (i, j), added in row-major order.
+
+    numpy's sum may add a reduced axis pairwise when it is contiguous, as
+    it is for a stack of one, so its bits could depend on the size of the
+    stack; this loop adds the same entries in the same order for any N.
+    """
+    stacked = np.stack(terms)
+    stacked = stacked.reshape(len(terms), -1, stacked.shape[-1])
+    sums = stacked[:, 0].copy()
+    for e in range(1, stacked.shape[1]):
+        sums += stacked[:, e]
+    return sums
 
 
 class RotationBatch:

@@ -8,6 +8,7 @@ it replaces.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from hqmmsym import (
     spin_one_rep,
     worst_deviation,
 )
-from hqmmsym import opalg
+from hqmmsym import opalg, symmetry
 from hqmmsym.aklt import transition_map
 from hqmmsym.opalg import _unit_scale_norms
 from hqmmsym.hqmm import (
@@ -49,7 +50,7 @@ from hqmmsym.hqmm import (
     triple_from_config,
 )
 from hqmmsym.sampling import random_operator, rng_from
-from hqmmsym.symmetry import _conjugation_defects
+from hqmmsym.symmetry import _conjugation_defects, check_result
 
 
 def _classical():
@@ -410,14 +411,7 @@ def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, 
     v = np.stack([np.linalg.qr(random_operator(rng, d1 * d2))[0] for _ in range(count)])
     u = np.stack([np.linalg.qr(random_operator(rng, d_out))[0] for _ in range(count)])
     got = _conjugation_defects(m, v, u)
-    for k in range(count):
-        left = OperatorMap.from_function(
-            m.dim_in, d_out, lambda w: m.apply_array(v[k] @ w @ v[k].conj().T)
-        )
-        right = OperatorMap.from_function(
-            m.dim_in, d_out, lambda w: u[k] @ m.apply_array(w) @ u[k].conj().T
-        )
-        ref = operator_norm(left.choi() - right.choi())
+    for k, ref in enumerate(_from_function_defects(m, v, u)):
         assert ref > 1e-3  # a random map is not covariant
         assert abs(got[k] - ref) < 1e-13
 
@@ -450,16 +444,118 @@ def test_choi_conjugation_matches_from_function_reference(kind, d1, d2, d_out):
     u = _haar_unitaries(rng, 2 * count, d_out)
     got = _conjugation_defects(m, v, u)
     assert got.shape == (2 * count,)
-    for k in range(2 * count):
-        left = OperatorMap.from_function(
-            m.dim_in, d_out, lambda w: m.apply_array(v[k] @ w @ v[k].conj().T)
-        )
-        right = OperatorMap.from_function(
-            m.dim_in, d_out, lambda w: u[k] @ m.apply_array(w) @ u[k].conj().T
-        )
-        ref = operator_norm(left.choi() - right.choi())
+    for k, ref in enumerate(_from_function_defects(m, v, u)):
         assert ref > 1e-3
         assert abs(got[k] - ref) < 1e-13, (k, got[k], ref)
+
+
+def _gaussian_kraus(rng, d_in: int, d_out: int, count: int) -> list[np.ndarray]:
+    """count complex Gaussian d_out x d_in Kraus operators: CP, neither unital nor covariant."""
+    shape = (count, d_out, d_in)
+    return list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _choi_path(m: BipartiteMap) -> BipartiteMap:
+    """m from its coefficients alone: with no Kraus stack its defects take the Choi path."""
+    return BipartiteMap(m.dim_in, m.dim_out, m.coeff, m.dim_in1, m.dim_in2)
+
+
+def _unitary_and_general(rng, count: int, dim: int) -> np.ndarray:
+    """count Haar unitaries, then count general matrices of unit norm, dim x dim."""
+    general = np.stack([random_operator(rng, dim) for _ in range(count)])
+    return np.concatenate([_haar_unitaries(rng, count, dim), general])
+
+
+@pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
+def test_one_kraus_closed_form_matches_from_function_reference(d1, d2, d_out, monkeypatch):
+    # one Kraus operator: the rank-two closed form, which forms no Choi
+    # matrix and takes no stacked norm; V unitary and not
+    rng = rng_from(29)
+    m = BipartiteMap.build_from_kraus(d1, d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, 1))
+    assert m.kraus.shape == (1, d_out, d1 * d2)
+    v = _unitary_and_general(rng, 5, d1 * d2)
+    u = _haar_unitaries(rng, 10, d_out)
+    with monkeypatch.context() as patch:
+        for name in ("choi_matrices", "batched_kron", "operator_norms"):
+            patch.setattr(symmetry, name, None)
+        got = _conjugation_defects(m, v, u)
+    assert got.shape == (10,)
+    for k, ref in enumerate(_from_function_defects(m, v, u)):
+        assert ref > 1e-3
+        assert abs(got[k] - ref) < 1e-13, (k, got[k], ref)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
+def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out, count):
+    rng = rng_from(31)
+    m = BipartiteMap.build_from_kraus(d1, d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, count))
+    assert m.kraus.shape == (count, d_out, d1 * d2)
+    assert _choi_path(m).kraus is None
+    v = _unitary_and_general(rng, 4, d1 * d2)
+    u = _haar_unitaries(rng, 8, d_out)
+    got = _conjugation_defects(m, v, u)
+    assert got.tobytes() == _conjugation_defects(_choi_path(m), v, u).tobytes()
+    assert (got > 1e-3).all() if count else (got == 0).all()
+
+
+# inf - inf warns on its way to nan, on the Choi path as well
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
+    rng = rng_from(37)
+    kraus = _gaussian_kraus(rng, 6, 2, 1)
+    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    v, u = _haar_unitaries(rng, 6, 6), _haar_unitaries(rng, 6, 2)
+    clean = _conjugation_defects(m, v, u)
+    assert np.isfinite(clean).all()
+    kraus[0][1, 4] = bad
+    broken = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    # a bad Kraus entry spoils every sample; a bad rotation entry its own
+    v_bad, u_bad = v.copy(), u.copy()
+    v_bad[1, 2, 3] = bad
+    u_bad[4, 0, 1] = bad
+    rows = {
+        "kraus": _conjugation_defects(broken, v, u),
+        "v": _conjugation_defects(m, v_bad, u),
+        "u": _conjugation_defects(m, v, u_bad),
+    }
+    assert np.isnan(rows["kraus"]).all()
+    for name, k in (("v", 1), ("u", 4)):
+        others = np.arange(6) != k
+        assert np.isnan(rows[name][k]), name
+        assert rows[name][others].tobytes() == clean[others].tobytes(), name
+    for deviations in rows.values():
+        result = check_result("emission_covariance", 6, 0, deviations, 1e-10)
+        assert math.isnan(result.max_deviation) and not result.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_one_kraus_closed_form_keeps_its_digits_from_1e_minus_150_to_1e150(scale):
+    rng = rng_from(41)
+    (kraus,) = _gaussian_kraus(rng, 6, 2, 1)
+    m = BipartiteMap.build_from_kraus(2, 3, 2, [scale * kraus])
+    v = _unitary_and_general(rng, 5, 6)
+    u = _haar_unitaries(rng, 10, 2)
+    got = _conjugation_defects(m, v, u)
+    want = _conjugation_defects(_choi_path(m), v, u)
+    assert (want > 1e-3 * scale**2).all()
+    assert (np.abs(got - want) <= 1e-13 * want).all(), (got, want)
+
+
+def _from_function_defects(m: BipartiteMap, v: np.ndarray, u: np.ndarray) -> list[float]:
+    """Per-sample Choi distance of E(V . V+) and U E(.) U+, each map built from its matrix units."""
+    refs = []
+    for vk, uk in zip(v, u):
+        left = OperatorMap.from_function(
+            m.dim_in, m.dim_out, lambda w: m.apply_array(vk @ w @ vk.conj().T)
+        )
+        right = OperatorMap.from_function(
+            m.dim_in, m.dim_out, lambda w: uk @ m.apply_array(w) @ uk.conj().T
+        )
+        refs.append(operator_norm(left.choi() - right.choi()))
+    return refs
 
 
 def _kolmogorov_cases() -> dict:

@@ -85,6 +85,21 @@ def test_map_from_kraus_matches_sum():
 def test_map_kraus_shape_validation():
     with pytest.raises(DimensionMismatchError):
         OperatorMap.from_kraus(2, 2, [np.zeros((2, 3))])
+    with pytest.raises(DimensionMismatchError):
+        OperatorMap(2, 2, np.zeros((2, 2, 2, 2)), kraus=np.zeros((1, 2, 3)))
+
+
+def test_kraus_maps_keep_their_stack_read_only():
+    rng = rng_from(11)
+    kraus = [rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(2)]
+    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    assert m.kraus.shape == (2, 2, 6) and np.array_equal(m.kraus, kraus)
+    with pytest.raises(ValueError):
+        m.kraus[0, 0, 0] = 1.0
+    kraus[0][0, 0] = 7.0  # the map holds a copy
+    assert m.kraus[0, 0, 0] != 7.0
+    assert BipartiteMap(6, 2, m.coeff, 2, 3).kraus is None
+    assert OperatorMap.from_kraus(6, 2, []).kraus.shape == (0, 2, 6)
 
 
 

@@ -187,7 +187,7 @@ def test_chain_blocks_of_any_size_give_the_same_bits_at_the_site_limit(
     assert [_hex(v) for v in dense_word_values(triple, structure, words)] == want
 
 
-def _assert_zero_skips_keep_the_bits(triple, structure, words):
+def _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words):
     for word in words:
         skipped = util.site_tensors(triple, structure, word)
         full = util.site_tensors(triple, structure, word, full_loops=True)
@@ -201,7 +201,8 @@ def _assert_zero_skips_keep_the_bits(triple, structure, words):
 @pytest.mark.parametrize("key", sorted(PINNED["values"]))
 def test_stacked_site_tensors_match_the_full_loops_bit_for_bit(key):
     triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
-    _assert_zero_skips_keep_the_bits(triple, structure, _words(triple, site_counts))
+    words = _words(triple, site_counts)
+    _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words)
 
 
 def _planted(rng, a: np.ndarray) -> np.ndarray:
@@ -240,7 +241,7 @@ def test_stacked_site_tensors_match_the_full_loops_on_planted_signed_zeros(struc
         )
         for n in (1, 2, 3, 4, 5)
     ]
-    _assert_zero_skips_keep_the_bits(triple, structure, words)
+    _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -298,7 +299,8 @@ def test_sizes_that_could_overflow_give_nan(structure):
     # the 1e300 bound on products and keeps the full loops' bits, two
     # sites could pass it and give nan
     triple = _classical_triple()
-    _assert_zero_skips_keep_the_bits(triple, structure, [_classical4_word(1, 1e200)])
+    words = [_classical4_word(1, 1e200)]
+    _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words)
     value = dense_word_value(triple, structure, _classical4_word(2, 1e200))
     assert np.isnan(value.real) and np.isnan(value.imag)
 
