@@ -72,9 +72,10 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 # A name is in __all__ while the library, the CLI or the bench reads it.
-# No verify row calls finite_volume_states (each folds its words, ragged or
-# not, in one hqmm.fold_words call), so it is not in __all__; it stays
-# importable from here for the README's batch example.
+# No verify row calls finite_volume_states (oracle folds its ragged words
+# in one hqmm.fold_words call, global and kolmogorov every length in one
+# hqmm.fold_suffixes call), so it is not in __all__; it stays importable
+# from here for the README's batch example.
 
 __all__ = [
     "AkltModel",

@@ -11,24 +11,27 @@ sites, so the cost is linear in the word length.
 composite_map is the one contraction of the transition with the emission;
 sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
 all of a batch's from one GEMM of the flat site-pair outer products by the
-reordered composite map, and fold_words is the one function that cuts a
-flat transfer stack into words and folds them, the words of each length
-as one batch.  A GEMM row keeps its bits in any batch, and a batch of one
-is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV, which
-rounds differently.  kolmogorov_check folds its transfers twice, from
-vec(1) and from S(1, 1) vec(1), so a word and its extension by an
-identity site share their transfers.
+reordered composite map, and fold_suffixes is the one fold: it folds an
+equal-length batch of words from the last site to the first and closes
+every vector on its way, so one fold gives the value of every suffix of
+every word.  fold_words cuts a flat transfer stack into ragged words and
+folds the words of each length through it; finite_volume_states folds its
+batch through it directly.  A GEMM row keeps its bits in any batch, and a
+batch of one is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV,
+which rounds differently.
 finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
 
 Random sites come from the stream through one map: site_gaussians draws a
 row of Gaussians per site and unit_sites turns rows into unit-norm site
-pairs.  Both work row by row, so a check that needs words of several
-lengths (kolmogorov_check here, the global symmetry check) draws them in
-stream order, maps all of their rows at once, takes every transfer from one
-sliced_coefficients call and folds all its words in fold_words, with each
-value bit for bit that of a batch per length.
+pairs.  Both work row by row.  kolmogorov_check here, and the global
+symmetry check, draw one word per sample and read every shorter length off
+its suffixes, as the last k sites of a word of independent sites are a
+word of k independent sites.  Their site stream is laid out from the end
+of the words: block j holds every sample's j-th site from the end, so the
+inputs of the words of k sites are the first k blocks whatever the
+longest length, and each value has the bits of folding its suffix alone.
 """
 
 from __future__ import annotations
@@ -291,10 +294,10 @@ def finite_volume_states(
 
     xs has shape (B, n, h, h) and ys (B, n, o, o): word k has the site
     pairs (xs[k, s], ys[k, s]).  One sliced_coefficients call gives all
-    B * n site transfers and fold_words folds them as B words of n sites,
-    so word k's value is bit for bit the value of word k folded alone.
-    Returns complex values of shape (B,), equal to finite_volume_state on
-    each word up to rounding.
+    B * n site transfers and fold_suffixes folds them as B words of n
+    sites, so word k's value is bit for bit the value of word k folded
+    alone.  Returns complex values of shape (B,), equal to
+    finite_volume_state on each word up to rounding.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
@@ -309,7 +312,36 @@ def finite_volume_states(
     if n_sites == 0:
         raise ValueError("empty word; finite-volume states need at least one site")
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
-    return fold_words(triple, transfers, [n_sites] * count)
+    return fold_suffixes(triple, transfers.reshape(count, n_sites, h * h, h * h))[:, -1]
+
+
+def fold_suffixes(
+    triple: GenerativeTriple, transfers: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """phi0 of every suffix of each word, folded from start: values[..., j] has the last j+1 sites.
+
+    transfers[..., n, h^2, h^2] holds each word's n site transfers in
+    order, over any leading word axes; start is one (h^2, 1) vector,
+    vec(1) by default.  The fold runs last site first as stacked
+    (h^2, h^2) @ (h^2, 1) products, m_j = T[n-1-j] ... T[n-1] start, and
+    closes every m_j with vec(rho0^T), so values[..., n - 1] is the whole
+    word.  Every step is a per-word product: each value has the bits of
+    its suffix folded alone as a word of its own.
+    """
+    h2 = triple.hidden_dim**2
+    n_sites = transfers.shape[-3]
+    if n_sites == 0:
+        raise ValueError("empty word; finite-volume states need at least one site")
+    if start is None:
+        start = np.eye(triple.hidden_dim, dtype=complex).reshape(h2, 1)
+    m = np.broadcast_to(start, transfers.shape[:-3] + (h2, 1))
+    suffixes = []
+    for k in range(n_sites - 1, -1, -1):
+        m = transfers[..., k, :, :] @ m
+        suffixes.append(m)
+    # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
+    close = triple.phi0.T.reshape(1, h2)
+    return (close @ np.stack(suffixes, axis=-3)).reshape(transfers.shape[:-2])
 
 
 def fold_words(
@@ -320,14 +352,11 @@ def fold_words(
     transfers[N, h^2, h^2] holds the words' site transfers in turn; the
     lengths, which add up to N, may be ragged and in any order.  start is
     one (h^2, 1) vector, vec(1) by default.  The words of one length fold
-    as one batch, last site first, as stacked (B, h^2, h^2) @ (B, h^2, 1)
-    products closed with vec(rho0^T): every step is a per-word product, so
+    as one fold_suffixes batch, of which each word keeps its whole value:
     each value has the bits of its word folded alone.  Consecutive words
     of one length fold from a view of the stack.
     """
     h2 = triple.hidden_dim**2
-    if start is None:
-        start = np.eye(triple.hidden_dim, dtype=complex).reshape(h2, 1)
     # length -> its runs of consecutive words: (first word, first site, word count)
     runs: dict[int, list[tuple[int, int, int]]] = {}
     word = site = 0
@@ -339,15 +368,10 @@ def fold_words(
     if site != len(transfers):
         raise DimensionMismatchError("word sites", len(transfers), site)
     values = np.empty(word, dtype=complex)
-    # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
-    close = triple.phi0.T.reshape(1, h2)
     for n, spans in runs.items():
         blocks = [transfers[s : s + c * n].reshape(c, n, h2, h2) for _, s, c in spans]
         block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        m = np.broadcast_to(start, (len(block), h2, 1))
-        for k in range(n - 1, -1, -1):
-            m = block[:, k] @ m
-        folded = (close @ m).reshape(-1)
+        folded = fold_suffixes(triple, block, start)[:, -1]
         offset = 0
         for w, _, c in spans:
             values[w : w + c] = folded[offset : offset + c]
@@ -412,38 +436,43 @@ def kolmogorov_check(
     1..depth-1 the all-identity word followed by samples seeded random
     words.  A word's extension has the word's transfers followed by the
     identity site's transfer S(1, 1), and a sliced_coefficients row does
-    not depend on its batch: so fold_words runs the words' transfers twice,
-    from vec(1) for the words and from S(1, 1) vec(1) for their
-    extensions, bit for bit as if the extensions were folded whole.
+    not depend on its batch: so the words' transfers fold twice, from
+    vec(1) for the words and from S(1, 1) vec(1) for their extensions,
+    bit for bit as if the extensions were folded whole.
 
-    Every length's words come from one batch: one site_gaussians draw of
-    all their sites, which is the stream of one random_words call per
-    length in turn, one unit_sites map, and one sliced_coefficients call
-    for the identity site and every random site.  Each step is per row,
-    so the deviations are bit for bit those of a batch per length.
+    Only the all-identity word and the samples random words of depth - 1
+    sites are folded, each twice in one fold_suffixes batch; a length's
+    words are their suffixes of that length.  The stream is one
+    site_gaussians draw in blocks from the end: block j holds every
+    sample's j-th site from the end, so the words of length k depend on
+    (seed, samples, k) alone.  One unit_sites map and one
+    sliced_coefficients call give the identity site's transfer and every
+    random site's, and each deviation has the bits of folding its word
+    and its extension alone.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
-    lengths = range(1, depth)
-    xs, ys = unit_sites(triple, site_gaussians(rng, triple, samples * sum(lengths)))
+    h2 = h * h
+    n_sites = max(depth - 1, 0)
+    xs, ys = unit_sites(triple, site_gaussians(rng, triple, n_sites * samples))
     eye_x, eye_y = np.eye(h, dtype=complex), np.eye(o, dtype=complex)
     transfers = sliced_coefficients(
         triple, structure, np.concatenate([eye_x[None], xs]), np.concatenate([eye_y[None], ys])
     )
-    # the one-site identity word, then per length the all-identity word
-    # followed by the samples random words; transfers[0] is S(1, 1)
-    stack, end = [transfers[:1]], 1
-    for n_sites in lengths:
-        identity_word = np.broadcast_to(transfers[:1], (n_sites, h * h, h * h))
-        stack += [identity_word, transfers[end : end + samples * n_sites]]
-        end += samples * n_sites
-    stack = np.concatenate(stack)
-    words = [1] + [n_sites for n_sites in lengths for _ in range(samples + 1)]
-    value = fold_words(triple, stack, words)
-    appended = transfers[0] @ eye_x.reshape(h * h, 1)
-    extended = fold_words(triple, stack, words, appended)
+    # the all-identity word, at least one site for the one-site identity
+    # word; transfers[0] is S(1, 1)
+    words = np.broadcast_to(transfers[:1], (1, max(n_sites, 1), h2, h2))
+    if n_sites:
+        # block j holds site n_sites - 1 - j of every sample's word
+        blocks = transfers[1:].reshape(n_sites, samples, h2, h2)
+        words = np.concatenate([words, blocks[::-1].swapaxes(0, 1)])
+    value = fold_suffixes(triple, words)
+    appended = transfers[0] @ eye_x.reshape(h2, 1)
+    extended = fold_suffixes(triple, words, appended)
     base = float(np.trace(triple.phi0).real)
-    return np.concatenate([np.abs(value[:1] - base), np.abs(extended[1:] - value[1:])])
+    # length by length, the all-identity word then the random words
+    by_length = np.abs(extended - value)[:, :n_sites].T.reshape(-1)
+    return np.concatenate([np.abs(value[:1, 0] - base), by_length])
 
 
 def classical_diagonal_triple(

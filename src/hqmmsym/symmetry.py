@@ -4,8 +4,9 @@ A symmetry action carries a projective unitary rep pi on the hidden space
 and a linear rep rho on the observable space.  Each local check takes a
 stack of rotations q[N, 4] (and test operators where needed) and returns
 the N per-sample deviations of its defining identity; the global check
-draws its rotations and words from a seed, volume by volume, and then
-evaluates all volumes as one batch, with the bits of a batch per volume.
+draws one rotation and one word per sample from a seed and reads every
+volume off the suffixes of that word, each with the bits of folding its
+volume alone.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
 A local check also takes its rotations as a RotationBatch, which builds
@@ -47,7 +48,7 @@ from .grouprep import ProjectiveRep, rotations_from_gaussians
 from .hqmm import (  # noqa: F401
     GenerativeTriple,
     finite_volume_state,
-    fold_words,
+    fold_suffixes,
     site_gaussians,
     sliced_coefficients,
     unit_sites,
@@ -124,12 +125,17 @@ def _conjugation_defects(m: OperatorMap, v_in: np.ndarray, u_out: np.ndarray) ->
     defect a a+ - k k+ has rank two, and _rank_one_defects takes its norm
     in closed form, with no W and no C.  Any other map, with several
     Kraus operators or only coefficients, takes the Choi path.
+
+    A non-finite map or rotation entry makes its samples' defects nan on
+    either path; numpy's warnings on the way (inf - inf, inf * 0) would
+    only repeat that, and are not raised.
     """
-    if m.kraus is not None and len(m.kraus) == 1:
-        return _rank_one_defects(m.kraus[0], v_in, u_out)
-    c = choi_matrices(m.coeff)
-    w = batched_kron(np.swapaxes(v_in, -1, -2), np.conj(np.swapaxes(u_out, -1, -2)))
-    return operator_norms(conjugate(w, c) - c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if m.kraus is not None and len(m.kraus) == 1:
+            return _rank_one_defects(m.kraus[0], v_in, u_out)
+        c = choi_matrices(m.coeff)
+        w = batched_kron(np.swapaxes(v_in, -1, -2), np.conj(np.swapaxes(u_out, -1, -2)))
+        return operator_norms(conjugate(w, c) - c)
 
 
 def _rank_one_defects(k: np.ndarray, v_in: np.ndarray, u_out: np.ndarray) -> np.ndarray:
@@ -270,32 +276,33 @@ def check_global_invariance(
 ) -> list[np.ndarray]:
     """Per-sample deviation of every finite-volume value under sitewise rotation.
 
-    Entry n holds volume n: sites 0..n, so words of n+1 sites.  Each sample
-    draws a fresh group element and a fresh random word from the seed,
-    volume by volume: the Haar Gaussians of a volume's samples, then its
-    words' site Gaussians.  All volumes are then one batch: one
-    rotations_from_gaussians, one stack per rep, one unit_sites map, one
-    conjugation of every site by its sample's rotation and one
-    sliced_coefficients call for the plain and rotated sites.  One
-    fold_words call folds every plain word, then every rotated word, and
-    the deviations split by volume.  Every step is per row, so each
-    deviation has the bits of a batch per volume.
+    Entry n holds volume n: sites 0..n, so words of n+1 sites.  Each
+    sample draws one group element and one random word of n_max + 1
+    sites from the seed, and volume n reads the word's suffix of n+1
+    sites: the last sites of a word of independent sites are a word of
+    independent sites.  The stream holds the Haar Gaussians of every
+    sample, then the site Gaussians in blocks from the end of the words:
+    block j holds every sample's j-th site from the end, so volume n's
+    inputs depend on (seed, samples, n) alone, not on n_max.  One
+    unit_sites map, one conjugation of every site by its sample's
+    rotation and one sliced_coefficients call for the plain and rotated
+    sites feed one fold_suffixes batch of the plain and the rotated
+    words, which gives every volume's values.  Every step is per row, so
+    each deviation has the bits of folding its volume's plain and rotated
+    words alone.
     """
     rng = rng_from(seed)
-    lengths = range(1, n_max + 2)
-    haar_draws, site_draws = [], []
-    for n_sites in lengths:
-        haar_draws.append(rng.standard_normal((samples, 4)))
-        site_draws.append(site_gaussians(rng, triple, samples * n_sites))
-    q = rotations_from_gaussians(np.concatenate(haar_draws))
-    xs, ys = unit_sites(triple, np.concatenate(site_draws))
-    # the sample, over all volumes, whose word holds each site
-    owner = np.repeat(np.arange(len(q)), np.repeat(lengths, samples))
-    rotated_xs = conjugate(action.pi.stack(q)[owner], xs)
-    rotated_ys = conjugate(action.rho.stack(q)[owner], ys)
-    transfers = sliced_coefficients(
-        triple, structure, np.concatenate([xs, rotated_xs]), np.concatenate([ys, rotated_ys])
-    )
-    words = [n_sites for n_sites in lengths for _ in range(samples)]
-    plain, rotated = np.split(fold_words(triple, transfers, words * 2), 2)
-    return np.split(np.abs(rotated - plain), samples * np.arange(1, n_max + 1))
+    h, o = triple.hidden_dim, triple.obs_dim
+    blocks = n_max + 1
+    q = rotations_from_gaussians(rng.standard_normal((samples, 4)))
+    xs, ys = unit_sites(triple, site_gaussians(rng, triple, blocks * samples))
+    xs, ys = xs.reshape(blocks, samples, h, h), ys.reshape(blocks, samples, o, o)
+    # each block's sites are rotated by their samples' rotations
+    sites_x = np.concatenate([xs, conjugate(action.pi.stack(q), xs)]).reshape(-1, h, h)
+    sites_y = np.concatenate([ys, conjugate(action.rho.stack(q), ys)]).reshape(-1, o, o)
+    transfers = sliced_coefficients(triple, structure, sites_x, sites_y)
+    # (plain or rotated, block, sample) -> (plain or rotated, sample, site):
+    # site n_max - j of each word is in block j
+    words = transfers.reshape(2, blocks, samples, h * h, h * h)[:, ::-1].swapaxes(1, 2)
+    plain, rotated = fold_suffixes(triple, words)
+    return list(np.abs(rotated - plain).T.copy())

@@ -3,8 +3,8 @@
 The batched fold, the batched draws and the closed-form conjugation
 defect replace loops in the symmetry checks, kolmogorov_check shares
 each word's transfers with its extension, and check_global_invariance
-takes all its volumes as one batch; each is compared here with the path
-it replaces.
+and kolmogorov_check read every volume or length off the suffixes of one
+word per sample; each is compared here with the path it replaces.
 """
 
 import json
@@ -45,6 +45,7 @@ from hqmmsym.opalg import _unit_scale_norms
 from hqmmsym.hqmm import (
     CausalStructure,
     _apply_sliced,
+    fold_suffixes,
     fold_words,
     sliced_coefficients,
     triple_from_config,
@@ -102,8 +103,9 @@ def test_batched_fold_matches_single_word_fold(name, structure, count):
 @pytest.mark.parametrize("name", sorted(TRIPLES))
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
-    # global and kolmogorov witnesses are (volume, row) pairs; a row must
-    # replay bit for bit without the rest of its batch
+    # global and kolmogorov witnesses are (volume, sample) pairs, replayed
+    # by folding that sample's suffix: a row must keep its bits without
+    # the rest of its batch
     triple = TRIPLES[name]
     for n_sites in (1, 3, 7):
         xs, ys = random_words(rng_from(20 + n_sites), triple, 32, n_sites)
@@ -111,6 +113,28 @@ def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
         for k in range(32):
             alone = finite_volume_states(triple, structure, xs[k : k + 1], ys[k : k + 1])
             assert np.array_equal(alone, batch[k : k + 1]), (n_sites, k)
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLES))
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, structure):
+    # values[:, j] is each word's last j + 1 sites, as a word of its own
+    triple = TRIPLES[name]
+    h, o = triple.hidden_dim, triple.obs_dim
+    xs, ys = random_words(rng_from(31), triple, 6, 5)
+    transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
+    transfers = transfers.reshape(6, 5, h * h, h * h)
+    values = fold_suffixes(triple, transfers)
+    assert values.shape == (6, 5)
+    for j in range(5):
+        alone = finite_volume_states(triple, structure, xs[:, 4 - j :], ys[:, 4 - j :])
+        assert values[:, j].tobytes() == alone.tobytes(), j
+    # any leading word axes: the batch as 2 x 3 words has the same bits
+    grid = fold_suffixes(triple, transfers.reshape(2, 3, 5, h * h, h * h))
+    assert grid.shape == (2, 3, 5)
+    assert grid.tobytes() == values.tobytes()
+    with pytest.raises(ValueError, match="empty word"):
+        fold_suffixes(triple, transfers[:, :0])
 
 
 def _fold_alone(triple, structure, xs, ys):
@@ -499,35 +523,37 @@ def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out
     assert (got > 1e-3).all() if count else (got == 0).all()
 
 
-# inf - inf warns on its way to nan, on the Choi path as well
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# inf - inf meets nan on both paths, and numpy warns nothing on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
     rng = rng_from(37)
     kraus = _gaussian_kraus(rng, 6, 2, 1)
     m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
     v, u = _haar_unitaries(rng, 6, 6), _haar_unitaries(rng, 6, 2)
-    clean = _conjugation_defects(m, v, u)
-    assert np.isfinite(clean).all()
     kraus[0][1, 4] = bad
     broken = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
     # a bad Kraus entry spoils every sample; a bad rotation entry its own
     v_bad, u_bad = v.copy(), u.copy()
     v_bad[1, 2, 3] = bad
     u_bad[4, 0, 1] = bad
-    rows = {
-        "kraus": _conjugation_defects(broken, v, u),
-        "v": _conjugation_defects(m, v_bad, u),
-        "u": _conjugation_defects(m, v, u_bad),
-    }
-    assert np.isnan(rows["kraus"]).all()
-    for name, k in (("v", 1), ("u", 4)):
-        others = np.arange(6) != k
-        assert np.isnan(rows[name][k]), name
-        assert rows[name][others].tobytes() == clean[others].tobytes(), name
-    for deviations in rows.values():
-        result = check_result("emission_covariance", 6, 0, deviations, 1e-10)
-        assert math.isnan(result.max_deviation) and not result.passed
+    # the closed form, then the Choi path of the same maps
+    for path in (lambda x: x, _choi_path):
+        clean = _conjugation_defects(path(m), v, u)
+        assert np.isfinite(clean).all()
+        rows = {
+            "kraus": _conjugation_defects(path(broken), v, u),
+            "v": _conjugation_defects(path(m), v_bad, u),
+            "u": _conjugation_defects(path(m), v, u_bad),
+        }
+        assert np.isnan(rows["kraus"]).all()
+        for name, k in (("v", 1), ("u", 4)):
+            others = np.arange(6) != k
+            assert np.isnan(rows[name][k]), name
+            assert rows[name][others].tobytes() == clean[others].tobytes(), name
+        for deviations in rows.values():
+            result = check_result("emission_covariance", 6, 0, deviations, 1e-10)
+            assert math.isnan(result.max_deviation) and not result.passed
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -630,3 +656,19 @@ def test_one_batch_of_volumes_gives_the_per_volume_global_bits(name, seed):
                 assert g.tobytes() == w.tobytes(), (n_max, samples, n)
     if name.startswith("broken") or name.startswith("paper_literal"):
         assert worst_deviation(want[0]) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+def test_a_volume_or_a_length_has_the_same_bits_at_any_depth(seed):
+    # volume n and length k read the first n+1 and k blocks of the stream
+    # and fold them alone, whatever the deepest volume or length
+    for name, (triple, structure, action) in GLOBAL_CASES.items():
+        shallow = check_global_invariance(triple, structure, action, 2, 50, seed)
+        deep = check_global_invariance(triple, structure, action, 6, 50, seed)
+        for n in range(3):
+            assert shallow[n].tobytes() == deep[n].tobytes(), (name, n)
+    for name, (triple, structure) in KOLMOGOROV_CASES.items():
+        shallow = kolmogorov_check(triple, structure, 3, 20, seed)
+        deep = kolmogorov_check(triple, structure, 6, 20, seed)
+        assert len(shallow) == 1 + 2 * 21
+        assert shallow.tobytes() == deep[: len(shallow)].tobytes(), name

@@ -973,6 +973,18 @@ def test_each_sampled_row_alone_gives_its_row_of_the_full_run(capsys, variant, s
         assert json.dumps(row) == json.dumps(by_condition[row["condition"]]), name
 
 
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "paper_literal"])
+def test_a_shallower_global_run_prints_the_first_volumes_of_the_full_run(capsys, variant):
+    # volume n's draws depend on (seed, samples, n) alone, so --n-max 2
+    # prints the full run's first three global rows byte for byte
+    argv = ["verify", "--variant", variant.replace("_", "-"), "--format", "json"]
+    _, out, _ = _run_cli(capsys, argv)
+    full = [row for row in json.loads(out)["checks"] if row["condition"].startswith("global")]
+    code, out, _ = _run_cli(capsys, [*argv, "--checks", "global", "--n-max", "2"])
+    assert code == (1 if variant == "paper_literal" else 0)
+    assert json.dumps(json.loads(out)["checks"]) == json.dumps(full[:3])
+
+
 def test_one_haar_draw_serves_every_sampled_row(monkeypatch, tmp_path):
     counts = []
     draw = cli.haar_rotations

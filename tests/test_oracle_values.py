@@ -375,7 +375,10 @@ def test_the_referee_names_nothing_of_the_fold():
     codes = _referee_code()
     assert {"_site_tensors", "_chain_totals", "_times"} <= {c.co_name for c in codes}
     names = {name for c in codes for name in c.co_names}
-    fold = {"sliced_coefficients", "composite_map", "fold_words", "_fold", "conjugate", "_products"}
+    fold = {
+        "sliced_coefficients", "composite_map", "fold_suffixes", "fold_words", "_fold",
+        "conjugate", "_products",
+    }
     assert not names & (fold | {"einsum", "matmul"})
     matmul_ops = [
         ins.opname

@@ -8,10 +8,10 @@ from one product per index chain, over site tensors from loops that
 visit every coefficient.  Spin generators come from the ladder
 operators and the Levi-Civita symbol, and the gauge transform, commutator
 pairing, trivial rep and transposed emission are their textbook formulas.
-The extension-consistency reference folds each word's extension whole,
-through finite_volume_states, rather than sharing the word's transfers,
-and the global-invariance reference draws, rotates and folds one volume
-at a time.
+The extension-consistency reference folds each length's words and their
+extensions whole, through finite_volume_states, rather than sharing the
+words' transfers or reading a length off a longer word's suffixes, and
+the global-invariance reference rotates and folds one volume at a time.
 The norm reference takes every Gram eigenvalue from LAPACK, with no
 closed form for small matrices.
 """
@@ -321,11 +321,15 @@ def dense_chain_value(triple, structure, word, full_loops: bool = False) -> comp
 def two_batch_kolmogorov_check(
     triple, structure, depth: int, samples: int, seed: int
 ) -> np.ndarray:
-    """hqmm.kolmogorov_check with each length's extensions folded whole.
+    """hqmm.kolmogorov_check with each length's words and extensions folded whole.
 
-    The words and their extensions, which end with one more identity site,
-    go through finite_volume_states as two separate batches, so the
-    extensions' transfers are computed again rather than shared.
+    The stream is drawn as the check draws it, in blocks from the end of
+    the words: block j holds every sample's j-th site from the end, so a
+    length's random words are the first blocks, read back to front.  For
+    each length the words and their extensions, which end with one more
+    identity site, go through finite_volume_states as two separate
+    batches, so the extensions' transfers are computed again rather than
+    shared, and no length is read off a longer word.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
@@ -334,8 +338,10 @@ def two_batch_kolmogorov_check(
     base = float(np.trace(triple.phi0).real)
     one_site = finite_volume_states(triple, structure, eye_x[None, None], eye_y[None, None])
     deviations = [np.abs(one_site - base)]
+    blocks_x, blocks_y = random_words(rng, triple, max(depth - 1, 0), samples)
     for n_sites in range(1, depth):
-        xs, ys = random_words(rng, triple, samples, n_sites)
+        xs = blocks_x[:n_sites][::-1].swapaxes(0, 1)
+        ys = blocks_y[:n_sites][::-1].swapaxes(0, 1)
         xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
         ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
         count = samples + 1
@@ -353,20 +359,25 @@ def two_batch_kolmogorov_check(
 def per_volume_global_invariance(
     triple, structure, action, n_max: int, samples: int, seed: int
 ) -> list[np.ndarray]:
-    """symmetry.check_global_invariance with each volume drawn and folded as its own batch.
+    """symmetry.check_global_invariance with each volume rotated and folded as its own batch.
 
-    Volume by volume: the Haar rotations, the random words, their
-    rotations site by site, and one finite_volume_states call on the words
-    followed by their rotations.  The sites are rotated by opalg.conjugate,
-    as the check rotates them, on each volume's stack alone.
+    The stream is drawn as the check draws it: the Haar rotations, then the
+    sites in blocks from the end of the words, block j holding every
+    sample's j-th site from the end.  Volume by volume, the words are the
+    first blocks read back to front, rotated site by site, and one
+    finite_volume_states call folds the words followed by their rotations.
+    The sites are rotated by opalg.conjugate, as the check rotates them,
+    on each volume's stack alone.
     """
     rng = rng_from(seed)
+    q = haar_rotations(rng, samples)
+    u = action.pi.stack(q)[:, None]
+    v = action.rho.stack(q)[:, None]
+    blocks_x, blocks_y = random_words(rng, triple, n_max + 1, samples)
     by_volume = []
     for n in range(n_max + 1):
-        q = haar_rotations(rng, samples)
-        u = action.pi.stack(q)[:, None]
-        v = action.rho.stack(q)[:, None]
-        xs, ys = random_words(rng, triple, samples, n + 1)
+        xs = blocks_x[: n + 1][::-1].swapaxes(0, 1)
+        ys = blocks_y[: n + 1][::-1].swapaxes(0, 1)
         values = finite_volume_states(
             triple,
             structure,
