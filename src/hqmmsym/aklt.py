@@ -10,10 +10,10 @@ rep pi on the bond space with the spin-1 rep rho on the physical space,
 and the tensors are checked against the one intertwining relation
 sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 
-The dense referee, dense_word_values, sums word values over every index
-chain from the coefficient tensors alone, independently of the fold it
-checks, on float64 arrays and bit for bit as a loop over Python complex
-numbers would.
+The dense referee, dense_word_values and dense_suffix_values, sums word
+values over every index chain from the coefficient tensors alone,
+independently of the fold it checks, on float64 arrays and bit for bit
+as a loop over Python complex numbers would.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .grouprep import (
     CONDON_SHORTLEY,
     SIGMA_X,
@@ -217,17 +217,25 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _nonzero_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and parts of the coefficient rows with an entry that is not 0."""
-    keep = np.flatnonzero(rows.any(axis=1))
-    return keep, _parts(rows[keep])
+def _entries(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's coefficient entries that are not 0, in row order: rows[ks[m, j], j].
+
+    Returns ks and the entries' parts.  Shorter columns are padded, last,
+    with rows of their own 0 entries, whose terms are +-0.  ks keeps one
+    column when all columns have the same rows, so the factors broadcast.
+    """
+    zero = rows == 0
+    ks = np.argsort(zero, axis=0, kind="stable")[: len(rows) - zero.sum(axis=0).min()]
+    coef = _parts(rows[ks, np.arange(rows.shape[1])])
+    return (ks[:, :1] if (ks == ks[:, :1]).all() else ks), coef
 
 
 def _site_tensors(structure: CausalStructure, triple: GenerativeTriple, xs, ys) -> np.ndarray:
     """Parts of the sliced site tensors s[pq, ij, site] of stacked sites, pq = p * h + q.
 
     The inner sum is the emitted operator (conventional) or the linked
-    operator (causal), and the outer sum gives the tensor entry from it.
+    operator (causal), and the outer sum gives the tensor entry from it;
+    each sum skips the coefficient entries that are 0 (_entries).
     """
     h, o = triple.hidden_dim, triple.obs_dim
     c_h, c_ho = triple.transition.coeff, triple.emission.coeff
@@ -239,20 +247,20 @@ def _site_tensors(structure: CausalStructure, triple: GenerativeTriple, xs, ys) 
     y = _parts(ys.transpose(1, 2, 0).reshape(o * o, -1))  # y[:, c * o + c2, site]
     if structure is CausalStructure.CONVENTIONAL:
         # emitted[uv] adds c_ho[u, v, a * o + c, a2 * o + c2] x[a, a2] y[c, c2]
-        keep, coef = _nonzero_rows(e_rows)
-        terms = _times(coef[..., None], x[:, keep // (o * o), None])
-        emitted = _sum_in_order(_times(terms, y[:, keep % (o * o), None]))
+        ks, coef = _entries(e_rows)
+        terms = _times(coef[..., None], x[:, ks // (o * o)])
+        emitted = _sum_in_order(_times(terms, y[:, ks % (o * o)]))
         # s[pq, ij] adds c_h[p, q, u * h + i, v * h + j] emitted[uv]
-        keep, coef = _nonzero_rows(t_rows)
-        s = _sum_in_order(_times(coef[..., None], emitted[:, keep, None]))
+        ks, coef = _entries(t_rows)
+        s = _sum_in_order(_times(coef[..., None], emitted[:, ks]))
         return s.reshape(2, h * h, h * h, -1)
     # linked[uv, ij] adds c_h[u, v, a * h + i, a2 * h + j] x[a, a2]
-    keep, coef = _nonzero_rows(t_rows)
-    linked = _sum_in_order(_times(coef[..., None], x[:, keep, None])).reshape(2, h * h, h * h, -1)
+    ks, coef = _entries(t_rows)
+    linked = _sum_in_order(_times(coef[..., None], x[:, ks])).reshape(2, h * h, h * h, -1)
     # s[pq, ij] adds c_ho[p, q, u * o + c, v * o + c2] linked[uv, ij] y[c, c2]
-    keep, coef = _nonzero_rows(e_rows)
-    terms = _times(coef[..., None, None], linked[:, keep // (o * o), None])
-    return _sum_in_order(_times(terms, y[:, keep % (o * o), None, None]))
+    ks, coef = _entries(e_rows)
+    terms = _times(coef[..., None, None], linked[:, ks // (o * o)])
+    return _sum_in_order(_times(terms, y[:, ks % (o * o), None]))
 
 
 def _chain_totals(first: np.ndarray, steps: list) -> np.ndarray:
@@ -318,41 +326,75 @@ def dense_word_values(triple: GenerativeTriple, structure, words) -> list[comple
     CPython forms a complex product and adds every sum's terms one by one
     in lexicographic order from +0: a word's value has the bits of a loop
     over Python complex numbers, whatever the call's other words.  Terms
-    that are exact zeros are left out: those of a coefficient row that is
-    0 for every entry it feeds, and the chains through an entry whose phi0
-    entry, or whose column in every site tensor, is 0.  Such a term is a
-    finite value times 0, and adding +-0 to a sum that starts at +0 leaves
-    it as it is.  That needs every product finite, so a word's value is
+    that are exact zeros are left out: those of a coefficient entry that
+    is 0, and the chains through an entry whose phi0 entry, or whose
+    column in every site tensor, is 0.  Such a term is a finite value
+    times 0, and adding +-0 to a sum that starts at +0 leaves it as it
+    is.  That needs every product finite, so a word's value is
     complex(nan, nan) when an entry of phi0, of either coefficient tensor
     or of the word is not finite, and when their sizes could carry a
     product past 1e300, near the top of the float range.  Time grows as
     (hidden_dim^2)^sites, so words beyond 8 sites are refused, as is an
-    empty word; the chains go in blocks of _CHAIN_BLOCK products.
+    empty word; the chains go in blocks of _CHAIN_BLOCK products.  The
+    words are spans of one stack of sites for _span_values.
     """
     structure = CausalStructure.parse(structure)
     words = list(words)
     for word in words:
-        if len(word) == 0:
-            raise ValueError("empty word; the oracle needs at least one site")
-        if len(word) > 8:
-            raise ValueError(f"dense contraction is limited to 8 sites, got {len(word)}")
         word.check_dims(triple)
-    values = [complex(math.nan, math.nan)] * len(words)
     if not words:
-        return values
-    h = triple.hidden_dim
+        return []
     lengths = np.array([len(word) for word in words])
-    starts = np.cumsum(lengths) - lengths
     xs = np.concatenate([word.xs for word in words])
     ys = np.concatenate([word.ys for word in words])
+    return _span_values(triple, structure, xs, ys, np.cumsum(lengths) - lengths, lengths).tolist()
+
+
+def dense_suffix_values(triple: GenerativeTriple, structure, xs, ys) -> np.ndarray:
+    """Every suffix value of each word by brute-force summation over all index chains.
+
+    xs[W, n, h, h] and ys[W, n, o, o] hold W words of n sites; values[w, j]
+    is the value of word w's last j + 1 sites, as hqmm.fold_suffixes
+    indexes them.  The suffixes are overlapping spans for _span_values,
+    and each value has the bits of dense_word_value on its suffix alone.
+    """
+    structure = CausalStructure.parse(structure)
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    h, o = triple.hidden_dim, triple.obs_dim
+    if xs.ndim != 4 or xs.shape[2:] != (h, h) or ys.shape != xs.shape[:2] + (o, o):
+        raise DimensionMismatchError("word sites", ("W", "n", h, h, o, o), (xs.shape, ys.shape))
+    count, n = xs.shape[:2]
+    if n == 0:
+        raise ValueError("empty word; the oracle needs at least one site")
+    # suffix j of word w ends where the word ends and has j + 1 sites
+    lengths = np.tile(np.arange(1, n + 1), count)
+    starts = np.repeat(np.arange(1, count + 1) * n, n) - lengths
+    sites = (xs.reshape(-1, h, h), ys.reshape(-1, o, o))
+    return _span_values(triple, structure, *sites, starts, lengths).reshape(count, n)
+
+
+def _span_values(triple: GenerativeTriple, structure, xs, ys, starts, lengths) -> np.ndarray:
+    """Values of spans of the stacked sites xs[N, h, h], ys[N, o, o], as dense_word_values.
+
+    Span i has the lengths[i] sites from starts[i]; spans may share sites.
+    """
+    if lengths.min(initial=1) == 0:
+        raise ValueError("empty word; the oracle needs at least one site")
+    if lengths.max(initial=0) > 8:
+        raise ValueError(f"dense contraction is limited to 8 sites, got {lengths.max()}")
+    h = triple.hidden_dim
+    values = np.full(len(starts), complex(math.nan, math.nan))
     # every partial sum and product is at most (1 + |phi0|) growth^n, with
-    # the largest entries of phi0 and the word and the coefficient sums; a
+    # the largest entries of phi0 and the span and the coefficient sums; a
     # non-finite entry or a sum past the float range makes the bound nan or
     # inf, without a warning: numpy's overflow is ignored, Python's is quiet
     top_phi0 = float(np.abs(triple.phi0).max())
     with np.errstate(over="ignore"):
         sum_t, sum_e = (float(np.abs(m.coeff).sum()) for m in (triple.transition, triple.emission))
-    top_x, top_y = (np.maximum.reduceat(np.abs(a).max(axis=(1, 2)), starts) for a in (xs, ys))
+    # span i's sites, its first one again past its end
+    offsets = np.arange(lengths.max(initial=0))
+    cover = starts[:, None] + np.where(offsets < lengths[:, None], offsets, 0)
+    top_x, top_y = (np.abs(a).max(axis=(1, 2))[cover].max(axis=1, initial=0) for a in (xs, ys))
     finite = np.array([
         math.prod([1.0 + top_phi0] + [(1.0 + sum_t) * (1.0 + sum_e) * (1.0 + x) * (1.0 + y)] * n)
         < 1e300
@@ -360,16 +402,17 @@ def dense_word_values(triple: GenerativeTriple, structure, words) -> list[comple
     ])
     if not finite.any():
         return values
-    # the sites of a word given nan are set to 0, so that no product is
-    # out of range; their tensors, all 0, are not summed
-    on_site = np.repeat(finite, lengths)
-    xs[~on_site], ys[~on_site] = 0, 0
+    # a site of no finite span is set to 0, so that no product is out of
+    # range; its tensor, all 0, is not summed
+    on_site = np.zeros(len(xs), dtype=bool)
+    on_site[cover[finite]] = True
+    xs, ys = (np.where(on_site[:, None, None], a, 0) for a in (xs, ys))
     # as [:, site, r', r], the layout of _chain_totals' steps
     sites = _site_tensors(structure, triple, xs, ys).transpose(0, 3, 2, 1)
     # chain entry r is the index pair (p, q) = divmod(r, h), and phi0 reads
     # rho0[q, p].  An entry whose factor is 0 wherever it stands (a first
     # entry 0, a column 0 in every site tensor) leaves only terms +-0, so
-    # the chains through it are left out, as zero coefficient rows are.
+    # the chains through it are left out, as zero coefficient entries are.
     first = _parts(triple.phi0.T.reshape(-1))
     heads = np.flatnonzero(first.any(axis=0))
     links = np.flatnonzero(sites.any(axis=(0, 1, 3)))
@@ -383,7 +426,5 @@ def dense_word_values(triple: GenerativeTriple, structure, words) -> list[comple
             sites[:, (starts[group] + k)[:, None, None], cols[k][:, None], rows[k]]
             for k in range(n)
         ]
-        re, im = _chain_totals(first[:, heads], steps).tolist()
-        for i, a, b in zip(group.tolist(), re, im):
-            values[i] = complex(a, b)
+        values.real[group], values.imag[group] = _chain_totals(first[:, heads], steps)
     return values

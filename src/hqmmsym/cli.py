@@ -31,7 +31,7 @@ from .hqmm import (
     GenerativeTriple,
     ObservableWord,
     finite_volume_state,
-    fold_words,
+    fold_suffixes,
     kolmogorov_check,
     load_model_config,
     load_word,
@@ -181,25 +181,22 @@ def _check_kolmogorov(
 
 
 def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
-    """Deviation i is word i's folded value against the dense referee's.
+    """Deviation i: the last 1 + i % 5 sites of word i // 5, folded against the dense referee.
 
-    Word i has 1 + i % 5 sites; one draw of all their sites consumes the
-    stream exactly as drawing the words one after another would.  One
-    sliced_coefficients call gives every site's transfer and one
-    fold_words call folds the ragged words, each value with the bits of
-    its word folded alone.  The referee takes all the words in one call,
-    which forms every site's tensor at once and each length's chains as
-    one stack.
+    The row draws ceil(count / 5) words of 5 sites, count = min(samples,
+    20).  One sliced_coefficients call gives every site's transfer and one
+    fold_suffixes call folds the words, each suffix's value with the bits
+    of that suffix folded alone; one dense_suffix_values call referees
+    every suffix, forming each site's tensor once.
     """
     count = min(c.samples, 20)
-    lengths = [1 + i % 5 for i in range(count)]
-    xs, ys = random_words(rng_from(c.seed), m.triple, 1, sum(lengths))
-    transfers = sliced_coefficients(m.triple, m.structure, xs[0], ys[0])
-    folded = fold_words(m.triple, transfers, lengths)
-    ends = np.cumsum(lengths)
-    words = [ObservableWord(xs[0, e - n : e], ys[0, e - n : e]) for n, e in zip(lengths, ends)]
-    referee = np.array(aklt.dense_word_values(m.triple, m.structure, words))
-    return np.abs(folded - referee)
+    h, o = m.triple.hidden_dim, m.triple.obs_dim
+    xs, ys = random_words(rng_from(c.seed), m.triple, math.ceil(count / 5), 5)
+    sites = (xs.reshape(-1, h, h), ys.reshape(-1, o, o))
+    transfers = sliced_coefficients(m.triple, m.structure, *sites)
+    folded = fold_suffixes(m.triple, transfers.reshape(len(xs), 5, h * h, h * h))
+    referee = aklt.dense_suffix_values(m.triple, m.structure, xs, ys)
+    return np.abs(folded - referee).reshape(-1)[:count]
 
 
 def _check_oracle(

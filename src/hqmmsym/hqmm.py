@@ -14,11 +14,9 @@ all of a batch's from one GEMM of the flat site-pair outer products by the
 reordered composite map, and fold_suffixes is the one fold: it folds an
 equal-length batch of words from the last site to the first and closes
 every vector on its way, so one fold gives the value of every suffix of
-every word.  fold_words cuts a flat transfer stack into ragged words and
-folds the words of each length through it; finite_volume_states folds its
-batch through it directly.  A GEMM row keeps its bits in any batch, and a
-batch of one is padded to two rows: OpenBLAS sends a one-row GEMM to GEMV,
-which rounds differently.
+every word; finite_volume_states folds its batch through it directly.
+A GEMM row keeps its bits in any batch, and a batch of one is padded to
+two rows: OpenBLAS sends a one-row GEMM to GEMV, which rounds differently.
 finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -342,41 +340,6 @@ def fold_suffixes(
     # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
     close = triple.phi0.T.reshape(1, h2)
     return (close @ np.stack(suffixes, axis=-3)).reshape(transfers.shape[:-2])
-
-
-def fold_words(
-    triple: GenerativeTriple, transfers: np.ndarray, lengths, start: np.ndarray | None = None
-) -> np.ndarray:
-    """phi0 of each word's transfers folded from start; word i takes the next lengths[i] sites.
-
-    transfers[N, h^2, h^2] holds the words' site transfers in turn; the
-    lengths, which add up to N, may be ragged and in any order.  start is
-    one (h^2, 1) vector, vec(1) by default.  The words of one length fold
-    as one fold_suffixes batch, of which each word keeps its whole value:
-    each value has the bits of its word folded alone.  Consecutive words
-    of one length fold from a view of the stack.
-    """
-    h2 = triple.hidden_dim**2
-    # length -> its runs of consecutive words: (first word, first site, word count)
-    runs: dict[int, list[tuple[int, int, int]]] = {}
-    word = site = 0
-    for n, run in groupby(lengths):
-        count = len(list(run))
-        runs.setdefault(n, []).append((word, site, count))
-        word += count
-        site += count * n
-    if site != len(transfers):
-        raise DimensionMismatchError("word sites", len(transfers), site)
-    values = np.empty(word, dtype=complex)
-    for n, spans in runs.items():
-        blocks = [transfers[s : s + c * n].reshape(c, n, h2, h2) for _, s, c in spans]
-        block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        folded = fold_suffixes(triple, block, start)[:, -1]
-        offset = 0
-        for w, _, c in spans:
-            values[w : w + c] = folded[offset : offset + c]
-            offset += c
-    return values
 
 
 def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:

@@ -46,7 +46,6 @@ from hqmmsym.hqmm import (
     CausalStructure,
     _apply_sliced,
     fold_suffixes,
-    fold_words,
     sliced_coefficients,
     triple_from_config,
 )
@@ -135,44 +134,6 @@ def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, 
     assert grid.tobytes() == values.tobytes()
     with pytest.raises(ValueError, match="empty word"):
         fold_suffixes(triple, transfers[:, :0])
-
-
-def _fold_alone(triple, structure, xs, ys):
-    """finite_volume_states on the one word of site stacks xs[n, h, h], ys[n, o, o]."""
-    return finite_volume_states(triple, structure, xs[None], ys[None])
-
-
-@pytest.mark.parametrize("name", sorted(TRIPLES))
-@pytest.mark.parametrize("structure", ["conventional", "causal"])
-def test_ragged_interleaved_words_fold_with_the_bits_of_each_word_alone(name, structure):
-    # word i takes the next lengths[i] transfers; the lengths interleave,
-    # so the words of one length are not consecutive in the stack
-    triple = TRIPLES[name]
-    h, o = triple.hidden_dim, triple.obs_dim
-    lengths = [3, 1, 3, 2, 1, 5]
-    xs, ys = (sites[0] for sites in random_words(rng_from(9), triple, 1, sum(lengths)))
-    transfers = sliced_coefficients(triple, structure, xs, ys)
-    words = [slice(end - n, end) for n, end in zip(lengths, np.cumsum(lengths))]
-    values = fold_words(triple, transfers, lengths)
-    assert values.shape == (len(lengths),)
-    for i, w in enumerate(words):
-        alone = _fold_alone(triple, structure, xs[w], ys[w])
-        assert values[i : i + 1].tobytes() == alone.tobytes(), (i, lengths[i])
-    # a batch of one word, of three sites and of one
-    assert fold_words(triple, transfers[:3], [3]).tobytes() == values[:1].tobytes()
-    assert fold_words(triple, transfers[3:4], [1]).tobytes() == values[1:2].tobytes()
-    # folding from S(1, 1) vec(1) is folding each word with an identity site appended
-    eye_x, eye_y = np.eye(h, dtype=complex)[None], np.eye(o, dtype=complex)[None]
-    identity_site = sliced_coefficients(triple, structure, eye_x, eye_y)[0]
-    start = identity_site @ np.eye(h, dtype=complex).reshape(h * h, 1)
-    extended = fold_words(triple, transfers, lengths, start)
-    for i, w in enumerate(words):
-        alone = _fold_alone(
-            triple, structure, np.concatenate([xs[w], eye_x]), np.concatenate([ys[w], eye_y])
-        )
-        assert extended[i : i + 1].tobytes() == alone.tobytes(), (i, lengths[i])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        fold_words(triple, transfers, lengths[:-1])
 
 
 def test_batched_fold_validates_shapes():

@@ -131,26 +131,29 @@ def test_verify_text_format(capsys):
     assert out.strip().endswith("overall: PASS")
 
 
+@pytest.mark.parametrize("samples", [20, 7, 1])
 @pytest.mark.parametrize("variant, structure", [
     ("normalized_cartesian", "conventional"),
     ("paper_literal", "causal"),
 ])
-def test_oracle_deviation_i_belongs_to_word_i(variant, structure):
-    config = RunConfig(checks=("oracle",), samples=20, seed=7)
+def test_oracle_deviation_i_belongs_to_a_suffix_of_word_i_over_5(variant, structure, samples):
+    # deviation i compares the last 1 + i % 5 sites of the row's word i // 5,
+    # of 5 sites each; at 7 samples the last word has two suffixes in use
+    config = RunConfig(checks=("oracle",), samples=samples, seed=7)
     m = cli.load_model("aklt", variant, structure)
     deviations = cli._oracle_deviations(m, config)
-    lengths = [1 + i % 5 for i in range(20)]
-    xs, ys = random_words(rng_from(7), m.triple, 1, sum(lengths))
-    alone = np.empty(20, dtype=complex)
-    referee = np.empty(20, dtype=complex)
-    start = 0
-    for i, n in enumerate(lengths):
-        x, y = xs[:, start : start + n], ys[:, start : start + n]
-        start += n
-        alone[i] = finite_volume_states(m.triple, m.structure, x, y)[0]
-        referee[i] = dense_word_value(m.triple, m.structure, ObservableWord(x[0], y[0]))
+    count = min(samples, 20)
+    xs, ys = random_words(rng_from(7), m.triple, (count + 4) // 5, 5)
+    alone = np.empty(count, dtype=complex)
+    referee = np.empty(count, dtype=complex)
+    for i in range(count):
+        x, y = xs[i // 5, 4 - i % 5 :], ys[i // 5, 4 - i % 5 :]
+        alone[i] = finite_volume_states(m.triple, m.structure, x[None], y[None])[0]
+        referee[i] = dense_word_value(m.triple, m.structure, ObservableWord(x, y))
     # |value - reference| as an array np.abs, as the global and kolmogorov rows take it
-    np.testing.assert_array_equal(deviations, np.abs(alone - referee))
+    want = np.abs(alone - referee)
+    np.testing.assert_array_equal(deviations, want)
+    assert deviations.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_max, words", [(0, 1), (2, 10), (6, 46)])

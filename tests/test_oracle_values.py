@@ -38,7 +38,7 @@ from hqmmsym import (
     classical_diagonal_triple,
 )
 from hqmmsym import aklt
-from hqmmsym.aklt import dense_word_value, dense_word_values
+from hqmmsym.aklt import dense_suffix_values, dense_word_value, dense_word_values
 from hqmmsym.hqmm import triple_from_config
 from hqmmsym.sampling import rng_from
 
@@ -198,11 +198,25 @@ def _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words):
         assert _hex(value) == _hex(util.dense_chain_value(triple, structure, word, full_loops=True))
 
 
+def _with_signed_zeros(triple) -> GenerativeTriple:
+    """triple with -0.0 in both coefficient tensors: at every 0 entry, and at the first entry."""
+    maps = []
+    for m in (triple.transition, triple.emission):
+        coeff = np.array(m.coeff)
+        coeff[coeff == 0] = complex(-0.0, 0.0)
+        coeff.reshape(-1)[0] = complex(-0.0, -0.0)
+        maps.append(BipartiteMap(m.dim_in, m.dim_out, coeff, m.dim_in1, m.dim_in2))
+    return GenerativeTriple(triple.hidden_dim, triple.obs_dim, triple.phi0, *maps)
+
+
 @pytest.mark.parametrize("key", sorted(PINNED["values"]))
 def test_stacked_site_tensors_match_the_full_loops_bit_for_bit(key):
+    # and with -0.0 coefficients, which the referee skips as it skips +0.0
+    # and the full loops add; the dense kraus config gets one at its first entry
     triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
-    words = _words(triple, site_counts)
-    _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words)
+    for model in (triple, _with_signed_zeros(triple)):
+        words = _words(model, site_counts)
+        _assert_stacked_site_tensors_match_the_full_loops(model, structure, words)
 
 
 def _planted(rng, a: np.ndarray) -> np.ndarray:
@@ -353,9 +367,70 @@ def test_a_nan_word_in_a_list_leaves_the_finite_words_finite(structure):
     assert all(np.isfinite(got[k]) for k in (0, 2, 4))
 
 
+def _suffixes_alone(triple, structure, xs, ys) -> list:
+    """float.hex of dense_word_value on each word's last j + 1 sites alone, as [w][j]."""
+    n = xs.shape[1]
+    words = [
+        [ObservableWord(x[n - 1 - j :], y[n - 1 - j :]) for j in range(n)] for x, y in zip(xs, ys)
+    ]
+    return [[_hex(dense_word_value(triple, structure, w)) for w in row] for row in words]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED["values"]))
+def test_suffix_values_have_the_bits_of_each_suffix_alone(key):
+    # three words of the case's longest pinned length; each site's tensor
+    # is formed once for every suffix that reads it
+    triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
+    n = max(site_counts)
+    words = list(_words(triple, [n] * 3))
+    xs, ys = np.stack([w.xs for w in words]), np.stack([w.ys for w in words])
+    values = dense_suffix_values(triple, structure, xs, ys)
+    assert values.shape == (3, n)
+    assert [[_hex(v) for v in row] for row in values.tolist()] == _suffixes_alone(
+        triple, structure, xs, ys
+    )
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_an_overflowing_first_site_gives_nan_for_its_whole_word_only(structure):
+    # 1e200 entries at the first site of word 0 carry its five-site span
+    # past the overflow bound; its four shorter suffixes, which share the
+    # other four sites, stay finite with the bits of each suffix alone, so
+    # no site of a finite suffix is set to 0
+    triple = build_model("normalized_cartesian", structure).triple
+    rng = rng_from(WORD_SEED)
+    xs = rng.standard_normal((2, 5, 2, 2)) + 1j * rng.standard_normal((2, 5, 2, 2))
+    ys = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+    xs[0, 0] = 1e200
+    values = dense_suffix_values(triple, structure, xs, ys)
+    assert [[_hex(v) for v in row] for row in values.tolist()] == _suffixes_alone(
+        triple, structure, xs, ys
+    )
+    nan = np.isnan(values.real) & np.isnan(values.imag)
+    assert nan.tolist() == [[False] * 4 + [True], [False] * 5]
+    assert np.isfinite(values[~nan]).all()
+
+
+def test_suffix_values_refuse_what_dense_word_values_refuses():
+    triple = build_model().triple
+    xs, ys = np.ones((2, 3, 2, 2)), np.ones((2, 3, 3, 3))
+    for bad_xs, bad_ys in [(xs, ys[:, :2]), (xs, ys[:1]), (ys, ys), (xs, xs), (xs[0], ys[0])]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dense_suffix_values(triple, "conventional", bad_xs, bad_ys)
+    with pytest.raises(ValueError, match="empty word"):
+        dense_suffix_values(triple, "conventional", xs[:, :0], ys[:, :0])
+    with pytest.raises(ValueError, match="limited to 8 sites"):
+        dense_suffix_values(triple, "conventional", np.ones((1, 9, 2, 2)), np.ones((1, 9, 3, 3)))
+    assert dense_suffix_values(triple, "conventional", xs[:0], ys[:0]).shape == (0, 3)
+
+
 def _referee_code() -> list:
-    """The code objects of dense_word_values and of every aklt function it names, transitively."""
-    codes, todo = [], [aklt.dense_word_values.__code__]
+    """The code objects of the referee's entry points and of every aklt function they name.
+
+    The entry points are dense_word_values and dense_suffix_values; the
+    names are followed transitively.
+    """
+    codes, todo = [], [aklt.dense_word_values.__code__, aklt.dense_suffix_values.__code__]
     while todo:
         code = todo.pop()
         if code in codes:
@@ -373,11 +448,12 @@ def test_the_referee_names_nothing_of_the_fold():
     # the referee checks the fold, so it must not reach the fold's
     # contractions or the library's small-matrix kernels
     codes = _referee_code()
-    assert {"_site_tensors", "_chain_totals", "_times"} <= {c.co_name for c in codes}
+    walked = {c.co_name for c in codes}
+    assert {"_span_values", "_site_tensors", "_entries", "_chain_totals", "_times"} <= walked
     names = {name for c in codes for name in c.co_names}
     fold = {
-        "sliced_coefficients", "composite_map", "fold_suffixes", "fold_words", "_fold",
-        "conjugate", "_products",
+        "sliced_coefficients", "composite_map", "fold_suffixes", "_fold", "conjugate",
+        "_products", "finite_volume_state", "finite_volume_states",
     }
     assert not names & (fold | {"einsum", "matmul"})
     matmul_ops = [
