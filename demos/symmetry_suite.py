@@ -30,26 +30,30 @@ from hqmmsym.sampling import rng_from
 model = build_model("normalized_cartesian")
 
 # do the tensors tie the two rotation actions together?
+# each check takes the unitary stacks pi(g_k) and rho(g_k) of its rotations
 print("intertwining residual of sum_k rho(g)_km A_k against pi(g) A_m pi(g)+:")
+q = haar_rotations(rng_from(2), 60)
 for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
     tensors = build_tensors(variant)
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
-    residual = verify_intertwining(tensors, action, haar_rotations(rng_from(2), 60)).max()
+    residual = verify_intertwining(tensors, action.pi.stack(q), action.rho.stack(q)).max()
     print(f"  {variant:22s} {residual:.2e}")
 
 # the three local checks behind global invariance; each returns one
 # deviation per rotation, held here to the verify tolerance
 print()
 tolerance = 1e-10
+pi, rho = model.action.pi.stack, model.action.rho.stack
+q_emission = haar_rotations(rng_from(5), 100)
 checks = {
     "initial_invariance": check_initial_invariance(
-        model.triple.phi0, model.action, haar_rotations(rng_from(3), 100)
+        model.triple.phi0, pi(haar_rotations(rng_from(3), 100))
     ),
     "transition_equivariance": check_transition_equivariance(
-        model.triple.transition, model.action, haar_rotations(rng_from(4), 100)
+        model.triple.transition, pi(haar_rotations(rng_from(4), 100))
     ),
     "emission_covariance": check_emission_covariance(
-        model.triple.emission, model.action, haar_rotations(rng_from(5), 100)
+        model.triple.emission, pi(q_emission), rho(q_emission)
     ),
 }
 for condition, deviations in checks.items():

@@ -60,7 +60,6 @@ from .opalg import (
 )
 from .symmetry import (
     CheckResult,
-    RotationBatch,
     SymmetryAction,
     check_emission_covariance,
     check_global_invariance,
@@ -90,7 +89,6 @@ __all__ = [
     "ObservableWord",
     "OperatorMap",
     "ProjectiveRep",
-    "RotationBatch",
     "RotationElement",
     "SubgroupStructureError",
     "SymmetryAction",

@@ -39,7 +39,7 @@ from .hqmm import (
     partial_trace_map,
 )
 from .opalg import BipartiteMap, conjugate, frozen_square_stack, operator_norms
-from .symmetry import RotationBatch, SymmetryAction, rotation_batch
+from .symmetry import SymmetryAction
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
 
@@ -107,21 +107,19 @@ def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap
     return partial_trace_map(hidden_dim, hidden_dim, normalized)
 
 
-def verify_intertwining(
-    tensors: AkltTensors, action: SymmetryAction, q: np.ndarray | RotationBatch
-) -> np.ndarray:
-    """Per-rotation residual of sum_k rho(g)_km A_k = pi(g) A_m pi(g)+ for g = q[k].
+def verify_intertwining(tensors: AkltTensors, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-sample residual of sum_k R_km A_k = U A_m U+ for u[k] = pi(g_k), r[k] = rho(g_k).
 
-    The tensor label k is contracted with the row index of rho(g).  The
-    residual of a rotation is the largest operator norm of the difference
+    The tensor label k is contracted with the row index of R.  The
+    residual of a sample is the largest operator norm of the difference
     over the labels m: near machine precision for the normalized variants,
-    of order one for paper_literal.  Given a RotationBatch for action, it
-    reuses the batch's stacks.
+    of order one for paper_literal.  The stacks must be equally long.
     """
+    if len(r) != len(u):
+        raise DimensionMismatchError("samples", len(u), len(r))
     stack = tensors.tensors
-    batch = rotation_batch(action, q)
-    target = conjugate(batch.pi[:, None], stack)
-    combo = np.einsum("skm,kab->smab", batch.rho, stack)
+    target = conjugate(u[:, None], stack)
+    combo = np.einsum("skm,kab->smab", r, stack)
     return operator_norms(combo - target).max(axis=1)
 
 

@@ -44,7 +44,6 @@ from .opalg import operator_norm  # noqa: F401
 from .sampling import rng_from
 from .symmetry import (
     CheckResult,
-    RotationBatch,
     check_emission_covariance,
     check_global_invariance,
     check_initial_invariance,
@@ -77,28 +76,27 @@ def load_model(name: str, variant: str, structure: str | None) -> Model:
 
 
 class HaarDraw(NamedTuple):
-    """A run's c.samples Haar rotations from its seed, drawn once for every sampled row.
+    """The inputs of every sampled row: a run's c.samples Haar rotations and one site each.
 
-    rotations holds the draw and its pi and rho stacks; state is the
-    generator's state right after the draw, from which sliced draws its
-    sites.  A row run alone makes the same draw, so each row's inputs are
-    a function of (seed, samples) only.
+    pi[k] = pi(g_k) and rho[k] = rho(g_k) for the rotations g_k of
+    haar_rotations(rng_from(seed), samples), and (xs[k], ys[k]) is the
+    random site drawn from the same generator right after them.  cli.run
+    makes the one draw, so each row's inputs are a function of
+    (seed, samples) only, whichever rows are selected.
     """
 
-    rotations: RotationBatch
-    state: dict
-
-    def stream(self) -> np.random.Generator:
-        """A new generator at the state right after the draw."""
-        rng = np.random.default_rng()
-        rng.bit_generator.state = self.state
-        return rng
+    pi: np.ndarray
+    rho: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
 
 
 def _haar_draw(m: Model, c: RunConfig) -> HaarDraw:
     rng = rng_from(c.seed)
     q = haar_rotations(rng, c.samples)
-    return HaarDraw(RotationBatch(m.builtin.action, q), rng.bit_generator.state)
+    xs, ys = random_words(rng, m.triple, c.samples, 1)
+    action = m.builtin.action
+    return HaarDraw(action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,8 @@ class Check:
     """One verify check; needs_action marks those config-file models cannot run.
 
     results(m, c, tol, haar) makes the row's verdicts.  haar is the run's
-    HaarDraw, which only the sampled rows read; given None, a sampled row
-    makes the same draw itself.
+    HaarDraw, which only the sampled rows read; it is None when no
+    sampled row is selected.
     """
 
     needs_action: bool
@@ -137,27 +135,12 @@ def _check_cocycle(
 
 
 def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check:
-    """A row over the run's c.samples Haar rotations.
+    """A row over the run's HaarDraw: deviations_of(m, haar) gives one deviation per sample."""
 
-    deviations_of(m, haar) returns one deviation per rotation of the
-    HaarDraw; it may draw further inputs from haar.stream().
-    """
-
-    def results(m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None):
-        if haar is None:
-            haar = _haar_draw(m, c)
+    def results(m: Model, c: RunConfig, tol: float, haar: HaarDraw):
         return [check_result(condition, c.samples, c.seed, deviations_of(m, haar), tol)]
 
     return Check(True, tolerance, results, sampled=True)
-
-
-def _sliced_deviations(m: Model, haar: HaarDraw) -> np.ndarray:
-    # one random (x, y) site per rotation, drawn right after the rotations
-    batch = haar.rotations
-    xs, ys = random_words(haar.stream(), m.triple, len(batch.q), 1)
-    return check_sliced_covariance(
-        m.triple, m.structure, m.builtin.action, batch, xs[:, 0], ys[:, 0]
-    )
 
 
 def _check_global(
@@ -213,19 +196,21 @@ CHECKS = {
     "cpu": Check(False, 1e-10, _check_cpu),
     "cocycle": Check(True, 1e-10, _check_cocycle),
     "initial": _sampled(1e-10, "initial_invariance", lambda m, haar: (
-        check_initial_invariance(m.triple.phi0, m.builtin.action, haar.rotations)
+        check_initial_invariance(m.triple.phi0, haar.pi)
     )),
     "transition": _sampled(1e-10, "transition_equivariance", lambda m, haar: (
-        check_transition_equivariance(m.triple.transition, m.builtin.action, haar.rotations)
+        check_transition_equivariance(m.triple.transition, haar.pi)
     )),
     "emission": _sampled(1e-10, "emission_covariance", lambda m, haar: (
-        check_emission_covariance(m.triple.emission, m.builtin.action, haar.rotations)
+        check_emission_covariance(m.triple.emission, haar.pi, haar.rho)
     )),
-    "sliced": _sampled(1e-10, "sliced_covariance", _sliced_deviations),
+    "sliced": _sampled(1e-10, "sliced_covariance", lambda m, haar: (
+        check_sliced_covariance(m.triple, m.structure, haar.pi, haar.rho, haar.xs, haar.ys)
+    )),
     "global": Check(True, 1e-9, _check_global),
     "kolmogorov": Check(False, 1e-10, _check_kolmogorov),
     "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, haar: (
-        aklt.verify_intertwining(m.builtin.tensors, m.builtin.action, haar.rotations)
+        aklt.verify_intertwining(m.builtin.tensors, haar.pi, haar.rho)
     )),
     "oracle": Check(False, 1e-10, _check_oracle),
 }

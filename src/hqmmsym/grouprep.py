@@ -179,20 +179,11 @@ def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
     """Haar-uniform rotations as canonical quaternions of shape (count, 4).
 
     One draw of count 4d Gaussians, the same stream as count draws of
-    four, mapped by rotations_from_gaussians.
+    four.  Normalizing before canonical_quaternions normalizes again makes
+    each row equal RotationElement(g / |g|) bit for bit for its Gaussians
+    g, and every step is per row, so a row's bits do not depend on count.
     """
-    return rotations_from_gaussians(rng.standard_normal((count, 4)))
-
-
-def rotations_from_gaussians(g: np.ndarray) -> np.ndarray:
-    """Canonical quaternions of the normalized 4d Gaussian rows g[N, 4].
-
-    Normalizing before canonical_quaternions normalizes again makes each
-    row equal RotationElement(g[k] / |g[k]|) bit for bit.  Every step is
-    per row, so mapping several draws at once gives each row its bits
-    from its draw alone.
-    """
-    return canonical_quaternions(_unit(g))
+    return canonical_quaternions(_unit(rng.standard_normal((count, 4))))
 
 
 def cocycle_eval(qg, qh) -> np.ndarray:

@@ -21,9 +21,9 @@ finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
 
-Random sites come from the stream through one map: site_gaussians draws a
-row of Gaussians per site and unit_sites turns rows into unit-norm site
-pairs.  Both work row by row.  kolmogorov_check here, and the global
+Random sites come from the stream through one map, random_words, which
+draws a row of Gaussians per site and turns each row into a unit-norm
+site pair, row by row.  kolmogorov_check here, and the global
 symmetry check, draw one word per sample and read every shorter length off
 its suffixes, as the last k sites of a word of independent sites are a
 word of k independent sites.  Their site stream is laid out from the end
@@ -353,39 +353,22 @@ def random_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """count random words as site stacks xs[count, n, h, h], ys[count, n, o, o].
 
-    Each site is a complex Gaussian matrix rescaled to unit operator norm,
-    as sampling.random_operator draws it.  One draw from rng consumes the
-    stream exactly as the per-site random_operator calls (x, then y, site
-    by site, word by word) would, so both give the same words.
+    This is the one map from the stream to random sites.  Each site is a
+    complex Gaussian matrix rescaled to unit operator norm, as
+    sampling.random_operator draws it: one row of 2 h^2 + 2 o^2 Gaussians
+    per site holds the real then imaginary parts of x, then those of y.
+    One draw from rng consumes the stream exactly as the per-site
+    random_operator calls (x, then y, site by site, word by word) would,
+    so both give the same words.  Every step is per row, so a site's bits
+    do not depend on count or n_sites: random_words(rng, triple, blocks,
+    samples) gives block j as row j of the same stream.
     """
     h, o = triple.hidden_dim, triple.obs_dim
-    xs, ys = unit_sites(triple, site_gaussians(rng, triple, count * n_sites))
-    return xs.reshape(count, n_sites, h, h), ys.reshape(count, n_sites, o, o)
-
-
-def site_gaussians(rng: np.random.Generator, triple: GenerativeTriple, count: int) -> np.ndarray:
-    """The Gaussians of count random sites, one row of 2 h^2 + 2 o^2 per site.
-
-    Draws of several counts, one after another, equal one draw of their
-    sum cut into pieces: the stream fills the rows in order.
-    """
-    h, o = triple.hidden_dim, triple.obs_dim
-    return rng.standard_normal((count, 2 * h * h + 2 * o * o))
-
-
-def unit_sites(triple: GenerativeTriple, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Site pairs xs[N, h, h], ys[N, o, o] from the Gaussian rows g[N] of site_gaussians.
-
-    A row holds the real then imaginary parts of x, then those of y; each
-    matrix is divided by its operator norm.  Every step is per row, so a
-    row's site does not depend on the rest of g: mapping the rows of
-    several draws at once gives each site the bits of mapping its draw alone.
-    This is the one map from the stream to random sites.
-    """
-    h, o = triple.hidden_dim, triple.obs_dim
+    g = rng.standard_normal((count * n_sites, 2 * h * h + 2 * o * o))
     xs = (g[:, : h * h] + 1j * g[:, h * h : 2 * h * h]).reshape(-1, h, h)
     ys = (g[:, 2 * h * h : 2 * h * h + o * o] + 1j * g[:, 2 * h * h + o * o :]).reshape(-1, o, o)
-    return xs / operator_norms(xs)[:, None, None], ys / operator_norms(ys)[:, None, None]
+    xs, ys = xs / operator_norms(xs)[:, None, None], ys / operator_norms(ys)[:, None, None]
+    return xs.reshape(count, n_sites, h, h), ys.reshape(count, n_sites, o, o)
 
 
 def kolmogorov_check(
@@ -406,18 +389,18 @@ def kolmogorov_check(
     Only the all-identity word and the samples random words of depth - 1
     sites are folded, each twice in one fold_suffixes batch; a length's
     words are their suffixes of that length.  The stream is one
-    site_gaussians draw in blocks from the end: block j holds every
+    random_words draw in blocks from the end: block j holds every
     sample's j-th site from the end, so the words of length k depend on
-    (seed, samples, k) alone.  One unit_sites map and one
-    sliced_coefficients call give the identity site's transfer and every
-    random site's, and each deviation has the bits of folding its word
-    and its extension alone.
+    (seed, samples, k) alone.  One sliced_coefficients call gives the
+    identity site's transfer and every random site's, and each deviation
+    has the bits of folding its word and its extension alone.
     """
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
     h2 = h * h
     n_sites = max(depth - 1, 0)
-    xs, ys = unit_sites(triple, site_gaussians(rng, triple, n_sites * samples))
+    xs, ys = random_words(rng, triple, n_sites, samples)
+    xs, ys = xs.reshape(-1, h, h), ys.reshape(-1, o, o)
     eye_x, eye_y = np.eye(h, dtype=complex), np.eye(o, dtype=complex)
     transfers = sliced_coefficients(
         triple, structure, np.concatenate([eye_x[None], xs]), np.concatenate([eye_y[None], ys])

@@ -1,17 +1,15 @@
 """Symmetry checks for generative triples under a rotation action.
 
 A symmetry action carries a projective unitary rep pi on the hidden space
-and a linear rep rho on the observable space.  Each local check takes a
-stack of rotations q[N, 4] (and test operators where needed) and returns
-the N per-sample deviations of its defining identity; the global check
-draws one rotation and one word per sample from a seed and reads every
-volume off the suffixes of that word, each with the bits of folding its
-volume alone.
+and a linear rep rho on the observable space.  Each local check is a
+function of unitary stacks, u[k] = pi(g_k) and, where the identity needs
+it, r[k] = rho(g_k) (and test operators where needed), and returns the N
+per-sample deviations of its defining identity; stacks of unequal length
+raise DimensionMismatchError.  The global check draws one rotation and
+one word per sample from a seed and reads every volume off the suffixes
+of that word, each with the bits of folding its volume alone.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
-A local check also takes its rotations as a RotationBatch, which builds
-the stacks pi(q) and rho(q) once for every check it is passed to: a
-verify run draws one batch and hands it to each of its map-level rows.
 Map-level identities are compared through the operator norm of the
 difference of Choi matrices, so a small deviation bounds the defect on
 every input.  A map E is covariant when E(V . V+) = U E(.) U+; the Choi
@@ -37,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grouprep import ProjectiveRep, rotations_from_gaussians
+from .errors import DimensionMismatchError
+from .grouprep import ProjectiveRep, haar_rotations
 # finite_volume_state and operator_norm are unused here but stay bound:
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
 # this module's bindings of both.
@@ -49,9 +47,8 @@ from .hqmm import (  # noqa: F401
     GenerativeTriple,
     finite_volume_state,
     fold_suffixes,
-    site_gaussians,
+    random_words,
     sliced_coefficients,
-    unit_sites,
 )
 from .opalg import (  # noqa: F401
     BipartiteMap,
@@ -188,78 +185,51 @@ def _entry_sums(terms: list[np.ndarray]) -> np.ndarray:
     return sums
 
 
-class RotationBatch:
-    """Rotations q[N, 4] with their stacks pi(q) and rho(q) under one action.
-
-    Each stack is built on first use and kept, so every check handed the
-    batch shares one stack per rep; the batch holds nothing else.
-    """
-
-    def __init__(self, action: SymmetryAction, q: np.ndarray):
-        self.action = action
-        self.q = q
-
-    @cached_property
-    def pi(self) -> np.ndarray:
-        return self.action.pi.stack(self.q)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return self.action.rho.stack(self.q)
+def _same_count(u: np.ndarray, *stacks: np.ndarray) -> None:
+    """Refuse stacks whose sample count differs from u's: sample k reads entry k of each."""
+    for stack in stacks:
+        if len(stack) != len(u):
+            raise DimensionMismatchError("samples", len(u), len(stack))
 
 
-def rotation_batch(action: SymmetryAction, q: np.ndarray | RotationBatch) -> RotationBatch:
-    """q as a RotationBatch under action; a RotationBatch must be one for action."""
-    if not isinstance(q, RotationBatch):
-        return RotationBatch(action, q)
-    if q.action is not action:
-        raise ValueError("the RotationBatch was built for another action")
-    return q
-
-
-def check_initial_invariance(
-    phi0: np.ndarray, action: SymmetryAction, q: np.ndarray | RotationBatch
-) -> np.ndarray:
-    """Per-rotation norm of pi(g) phi0 pi(g)+ - phi0, for the rotations q[k]."""
-    u = rotation_batch(action, q).pi
+def check_initial_invariance(phi0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-sample norm of U phi0 U+ - phi0, for the stack u[k] = pi(g_k)."""
     return operator_norms(conjugate(u, phi0) - phi0)
 
 
-def check_transition_equivariance(
-    transition: BipartiteMap, action: SymmetryAction, q: np.ndarray | RotationBatch
-) -> np.ndarray:
-    """Per-rotation Choi defect of E_H intertwining pi tensor pi with pi."""
-    u = rotation_batch(action, q).pi
+def check_transition_equivariance(transition: BipartiteMap, u: np.ndarray) -> np.ndarray:
+    """Per-sample Choi defect of E_H intertwining U tensor U with U, for u[k] = pi(g_k)."""
     return _conjugation_defects(transition, batched_kron(u, u), u)
 
 
-def check_emission_covariance(
-    emission: BipartiteMap, action: SymmetryAction, q: np.ndarray | RotationBatch
-) -> np.ndarray:
-    """Per-rotation Choi defect of E_HO intertwining pi tensor rho with pi."""
-    batch = rotation_batch(action, q)
-    return _conjugation_defects(emission, batched_kron(batch.pi, batch.rho), batch.pi)
+def check_emission_covariance(emission: BipartiteMap, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-sample Choi defect of E_HO intertwining U tensor R with U.
+
+    u[k] = pi(g_k) and r[k] = rho(g_k); the stacks must be equally long.
+    """
+    _same_count(u, r)
+    return _conjugation_defects(emission, batched_kron(u, r), u)
 
 
 def check_sliced_covariance(
     triple: GenerativeTriple,
     structure,
-    action: SymmetryAction,
-    q: np.ndarray | RotationBatch,
+    u: np.ndarray,
+    r: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> np.ndarray:
     """Per-sample Choi defect of the sliced one-site map under rotated site observables.
 
-    Sample k rotates the site (xs[k], ys[k]) by q[k]; the map must be
-    conjugated by pi(q[k]).  The rotated and the plain sites' maps come
+    Sample k rotates the site (xs[k], ys[k]) by u[k] = pi(g_k) and
+    r[k] = rho(g_k); the map must be conjugated by u[k].  The four stacks
+    must be equally long.  The rotated and the plain sites' maps come
     from one sliced_coefficients call.
     """
+    _same_count(u, r, xs, ys)
     h = triple.hidden_dim
-    batch = rotation_batch(action, q)
-    u = batch.pi
     sites_x = np.concatenate([conjugate(u, xs), xs])
-    sites_y = np.concatenate([conjugate(batch.rho, ys), ys])
+    sites_y = np.concatenate([conjugate(r, ys), ys])
     rotated, plain = np.split(sliced_coefficients(triple, structure, sites_x, sites_y), 2)
     # Z -> U S(U+ Z U) U+ has coefficient matrix K S K+ with K = U kron conj U
     conjugated = conjugate(batched_kron(u, u.conj()), plain)
@@ -284,7 +254,7 @@ def check_global_invariance(
     sample, then the site Gaussians in blocks from the end of the words:
     block j holds every sample's j-th site from the end, so volume n's
     inputs depend on (seed, samples, n) alone, not on n_max.  One
-    unit_sites map, one conjugation of every site by its sample's
+    random_words draw, one conjugation of every site by its sample's
     rotation and one sliced_coefficients call for the plain and rotated
     sites feed one fold_suffixes batch of the plain and the rotated
     words, which gives every volume's values.  Every step is per row, so
@@ -294,9 +264,8 @@ def check_global_invariance(
     rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
     blocks = n_max + 1
-    q = rotations_from_gaussians(rng.standard_normal((samples, 4)))
-    xs, ys = unit_sites(triple, site_gaussians(rng, triple, blocks * samples))
-    xs, ys = xs.reshape(blocks, samples, h, h), ys.reshape(blocks, samples, o, o)
+    q = haar_rotations(rng, samples)
+    xs, ys = random_words(rng, triple, blocks, samples)
     # each block's sites are rotated by their samples' rotations
     sites_x = np.concatenate([xs, conjugate(action.pi.stack(q), xs)]).reshape(-1, h, h)
     sites_y = np.concatenate([ys, conjugate(action.rho.stack(q), ys)]).reshape(-1, o, o)

@@ -124,8 +124,9 @@ def test_criterion_04_intertwining_residuals():
     for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
         tensors = build_tensors(variant)
         action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
+        q = haar_rotations(rng_from(3), 120)
         residuals[variant] = verify_intertwining(
-            tensors, action, haar_rotations(rng_from(3), 120)
+            tensors, action.pi.stack(q), action.rho.stack(q)
         ).max()
     worst = max(residuals["normalized_cartesian"], residuals["normalized_spherical"])
     literal = residuals["paper_literal"]
@@ -139,23 +140,21 @@ def test_criterion_04_intertwining_residuals():
 
 def test_criterion_05_local_symmetry_checks():
     model = build_model("normalized_cartesian")
+    pi, rho = model.action.pi.stack, model.action.rho.stack
+    q_emission = haar_rotations(rng_from(23), 200)
     results = [
-        check_initial_invariance(
-            model.triple.phi0, model.action, haar_rotations(rng_from(21), 200)
-        ),
+        check_initial_invariance(model.triple.phi0, pi(haar_rotations(rng_from(21), 200))),
         check_transition_equivariance(
-            model.triple.transition, model.action, haar_rotations(rng_from(22), 200)
+            model.triple.transition, pi(haar_rotations(rng_from(22), 200))
         ),
-        check_emission_covariance(
-            model.triple.emission, model.action, haar_rotations(rng_from(23), 200)
-        ),
+        check_emission_covariance(model.triple.emission, pi(q_emission), rho(q_emission)),
     ]
     for structure in STRUCTURES:
         rng = rng_from(24)
         q = haar_rotations(rng, 200)
         xs, ys = random_words(rng, model.triple, 200, 1)
         results.append(
-            check_sliced_covariance(model.triple, structure, model.action, q, xs[:, 0], ys[:, 0])
+            check_sliced_covariance(model.triple, structure, pi(q), rho(q), xs[:, 0], ys[:, 0])
         )
     worst = max(r.max() for r in results)
     _verdict(

@@ -153,15 +153,17 @@ def test_unnormalized_transition_is_not_unital():
 def test_intertwining_residual_of_normalized_tensors(variant):
     tensors = build_tensors(variant)
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
-    residuals = verify_intertwining(tensors, action, haar_rotations(rng_from(4), 80))
+    q = haar_rotations(rng_from(4), 80)
+    residuals = verify_intertwining(tensors, action.pi.stack(q), action.rho.stack(q))
     assert residuals.shape == (80,)
     assert residuals.max() < 1e-12
 
 
 def test_intertwining_fails_for_unnormalized_tensors():
     action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
+    q = haar_rotations(rng_from(6), 80)
     residuals = verify_intertwining(
-        build_tensors("paper_literal"), action, haar_rotations(rng_from(6), 80)
+        build_tensors("paper_literal"), action.pi.stack(q), action.rho.stack(q)
     )
     assert residuals.max() > 0.05
 

@@ -13,6 +13,7 @@ from hqmmsym import (
     cli,
     dense_word_value,
     finite_volume_states,
+    haar_rotations,
     load_model_config,
     operator_norm,
     random_words,
@@ -1009,6 +1010,53 @@ def test_one_haar_draw_serves_every_sampled_row(monkeypatch, tmp_path):
     assert counts == []
 
 
+@pytest.mark.parametrize("seed", [11, 42])
+def test_the_draw_is_haar_rotations_then_random_words_on_one_generator(seed):
+    config = RunConfig(seed=seed, samples=30)
+    m = cli.load_model(config.model, config.variant, config.structure)
+    rng = rng_from(seed)
+    q = haar_rotations(rng, 30)
+    xs, ys = random_words(rng, m.triple, 30, 1)
+    action = m.builtin.action
+    expected = (action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
+    for name, got, want in zip(cli.HaarDraw._fields, cli._haar_draw(m, config), expected):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
+def test_each_sampled_deviation_replays_from_its_slice_of_the_draw(
+    monkeypatch, variant, structure, seed
+):
+    # deviation k of a run's sampled row is the row's check on entry k of
+    # cli._haar_draw alone, so a witness index needs nothing else to rerun
+    seen = {}
+
+    def spy(condition, samples, seed, deviations, tolerance):
+        seen[condition] = np.asarray(deviations)
+        return check_result(condition, samples, seed, deviations, tolerance)
+
+    check_result = cli.check_result
+    monkeypatch.setattr(cli, "check_result", spy)
+    config = RunConfig(variant=variant, structure=structure, seed=seed, samples=40,
+                       checks=SAMPLED_ROWS)
+    run(config)
+    full = dict(seen)
+    m = cli.load_model(config.model, config.variant, config.structure)
+    haar = cli._haar_draw(m, config)
+    for name in SAMPLED_ROWS:
+        check = cli.CHECKS[name]
+        for k in range(config.samples):
+            one = cli.HaarDraw(*(stack[k : k + 1] for stack in haar))
+            seen.clear()
+            [result] = check.results(m, config, config.tolerances[name], one)
+            got = seen[result.condition].tobytes()
+            assert got == full[result.condition][k : k + 1].tobytes(), (name, k)
+    assert len(full) == len(SAMPLED_ROWS)
+
+
 def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys):
     # entries of 1e308 overflow the fold's products: the value is not
     # finite, written as null with exit 1, and numpy says nothing on the way
@@ -1062,10 +1110,11 @@ def test_json_dicts_keep_the_asdict_bytes(variant, structure):
     }
     assert json.dumps(config.to_json_dict()) == json.dumps(asdict_config)
     model = cli.load_model(config.model, config.variant, config.structure)
+    haar = cli._haar_draw(model, config)
     results = [
         r
         for name, check in cli.CHECKS.items()
-        for r in check.results(model, config, config.tolerances[name], None)
+        for r in check.results(model, config, config.tolerances[name], haar)
     ]
     assert len(results) == 16
     # a nan deviation is written as null either way

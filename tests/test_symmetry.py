@@ -3,8 +3,8 @@ import pytest
 
 import util
 from hqmmsym import (
+    DimensionMismatchError,
     GenerativeTriple,
-    RotationBatch,
     RotationElement,
     SymmetryAction,
     build_model,
@@ -21,7 +21,7 @@ from hqmmsym import (
     spin_one_rep,
     verify_intertwining,
 )
-from hqmmsym.cli import CHECKS, Model, RunConfig
+from hqmmsym.cli import CHECKS, Model, RunConfig, _haar_draw
 from hqmmsym.sampling import rng_from
 
 
@@ -39,9 +39,19 @@ def _haar(seed, count):
     return haar_rotations(rng_from(seed), count)
 
 
+def _stacks(action, q):
+    """The stacks pi(q) and rho(q) a local check takes."""
+    return action.pi.stack(q), action.rho.stack(q)
+
+
+def _pi(action, seed, count):
+    return action.pi.stack(_haar(seed, count))
+
+
 def test_check_result_serialization(model):
     config = RunConfig(seed=0, samples=10)
-    [result] = CHECKS["initial"].results(Model(model.triple, model.structure, model), config, 1e-10)
+    m = Model(model.triple, model.structure, model)
+    [result] = CHECKS["initial"].results(m, config, 1e-10, _haar_draw(m, config))
     d = result.to_json_dict()
     assert set(d) == {"condition", "samples", "seed", "max_deviation", "tolerance", "pass"}
     assert d["pass"] is True
@@ -50,26 +60,26 @@ def test_check_result_serialization(model):
 
 
 def test_initial_invariance_of_maximally_mixed_state(model, action):
-    deviations = check_initial_invariance(model.triple.phi0, action, _haar(1, 60))
+    deviations = check_initial_invariance(model.triple.phi0, _pi(action, 1, 60))
     assert deviations.max() <= 1e-10
     assert deviations.max() < 1e-12
 
 
 def test_initial_invariance_fails_for_polarized_state(action):
     polarized = np.diag([0.8, 0.2]).astype(complex)
-    deviations = check_initial_invariance(polarized, action, _haar(2, 60))
+    deviations = check_initial_invariance(polarized, _pi(action, 2, 60))
     assert deviations.max() > 1e-10
     assert deviations.max() > 0.1
 
 
 def test_transition_equivariance(model, action):
-    deviations = check_transition_equivariance(model.triple.transition, action, _haar(3, 60))
+    deviations = check_transition_equivariance(model.triple.transition, _pi(action, 3, 60))
     assert deviations.max() <= 1e-10
     assert deviations.max() < 1e-12
 
 
 def test_emission_covariance(model, action):
-    deviations = check_emission_covariance(model.triple.emission, action, _haar(4, 60))
+    deviations = check_emission_covariance(model.triple.emission, *_stacks(action, _haar(4, 60)))
     assert deviations.max() <= 1e-10
     assert deviations.max() < 1e-12
 
@@ -78,10 +88,10 @@ def test_emission_covariance_of_transposed_order_depends_on_basis(action):
     # with a real physical rep the transposed coefficient is just as
     # covariant, so only the complex spherical basis separates the orders
     literal_cart = util.transpose_physical_slot(emission_map(build_tensors("normalized_cartesian")))
-    assert check_emission_covariance(literal_cart, action, _haar(5, 60)).max() <= 1e-10
+    assert check_emission_covariance(literal_cart, *_stacks(action, _haar(5, 60))).max() <= 1e-10
     spherical_action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
     literal_sph = util.transpose_physical_slot(emission_map(build_tensors("normalized_spherical")))
-    deviations = check_emission_covariance(literal_sph, spherical_action, _haar(5, 60))
+    deviations = check_emission_covariance(literal_sph, *_stacks(spherical_action, _haar(5, 60)))
     assert deviations.max() > 1e-10
     assert deviations.max() > 0.1
 
@@ -89,7 +99,7 @@ def test_emission_covariance_of_transposed_order_depends_on_basis(action):
 def test_emission_covariance_fails_with_mismatched_basis(model):
     # cartesian tensors against the spherical physical rep cannot intertwine
     wrong = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    assert check_emission_covariance(model.triple.emission, wrong, _haar(6, 60)).max() > 1e-10
+    assert check_emission_covariance(model.triple.emission, *_stacks(wrong, _haar(6, 60))).max() > 1e-10
 
 
 @pytest.mark.parametrize(
@@ -106,11 +116,12 @@ def test_deviations_on_the_flip_group(variant, bound):
         + [np.asarray(RotationElement.from_axis_angle(axis, np.pi)) for axis in np.eye(3)]
     )
     m = build_model(variant)
+    u, r = _stacks(m.action, flips)
     deviations = {
-        "initial": check_initial_invariance(m.triple.phi0, m.action, flips),
-        "transition": check_transition_equivariance(m.triple.transition, m.action, flips),
-        "emission": check_emission_covariance(m.triple.emission, m.action, flips),
-        "intertwining": verify_intertwining(m.tensors, m.action, flips),
+        "initial": check_initial_invariance(m.triple.phi0, u),
+        "transition": check_transition_equivariance(m.triple.transition, u),
+        "emission": check_emission_covariance(m.triple.emission, u, r),
+        "intertwining": verify_intertwining(m.tensors, u, r),
     }
     for name, d in deviations.items():
         assert d.shape == (4,), name
@@ -119,7 +130,7 @@ def test_deviations_on_the_flip_group(variant, bound):
     # Cartesian, so it gets 1e-15 for every variant
     xs, ys = random_words(rng_from(0), m.triple, 4, 1)
     for structure in ("conventional", "causal"):
-        d = check_sliced_covariance(m.triple, structure, m.action, flips, xs[:, 0], ys[:, 0])
+        d = check_sliced_covariance(m.triple, structure, u, r, xs[:, 0], ys[:, 0])
         assert d.shape == (4,), structure
         assert np.all(d <= 1e-15), (structure, d)
 
@@ -129,7 +140,9 @@ def test_sliced_covariance(model, action, structure):
     rng = rng_from(7)
     q = haar_rotations(rng, 60)
     xs, ys = random_words(rng, model.triple, 60, 1)
-    deviations = check_sliced_covariance(model.triple, structure, action, q, xs[:, 0], ys[:, 0])
+    deviations = check_sliced_covariance(
+        model.triple, structure, *_stacks(action, q), xs[:, 0], ys[:, 0]
+    )
     assert deviations.max() <= 1e-10
     assert deviations.max() < 1e-12
 
@@ -161,51 +174,49 @@ def test_global_invariance_detects_broken_emission(model):
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "paper_literal"])
 def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
-    # a witness row k, rerun alone on q[k:k+1] and its site, gives the same bits
+    # a witness row k, rerun alone on its rotation's stacks and its site,
+    # gives the same bits
     m = build_model(variant, structure)
     rng = rng_from(11)
-    q = haar_rotations(rng, 30)
+    u, r = _stacks(m.action, haar_rotations(rng, 30))
     xs, ys = random_words(rng, m.triple, 30, 1)
     checks = {
-        "initial": lambda q, x, y: check_initial_invariance(m.triple.phi0, m.action, q),
-        "transition": lambda q, x, y: check_transition_equivariance(
-            m.triple.transition, m.action, q
-        ),
-        "emission": lambda q, x, y: check_emission_covariance(m.triple.emission, m.action, q),
-        "sliced": lambda q, x, y: check_sliced_covariance(
-            m.triple, m.structure, m.action, q, x, y
-        ),
-        "intertwining": lambda q, x, y: verify_intertwining(m.tensors, m.action, q),
+        "initial": lambda u, r, x, y: check_initial_invariance(m.triple.phi0, u),
+        "transition": lambda u, r, x, y: check_transition_equivariance(m.triple.transition, u),
+        "emission": lambda u, r, x, y: check_emission_covariance(m.triple.emission, u, r),
+        "sliced": lambda u, r, x, y: check_sliced_covariance(m.triple, m.structure, u, r, x, y),
+        "intertwining": lambda u, r, x, y: verify_intertwining(m.tensors, u, r),
     }
     for name, check in checks.items():
-        batch = check(q, xs[:, 0], ys[:, 0])
+        batch = check(u, r, xs[:, 0], ys[:, 0])
         assert batch.shape == (30,), name
         for k in range(30):
-            row = check(q[k : k + 1], xs[k : k + 1, 0], ys[k : k + 1, 0])
+            row = check(u[k : k + 1], r[k : k + 1], xs[k : k + 1, 0], ys[k : k + 1, 0])
             assert np.array_equal(row, batch[k : k + 1]), (name, k)
 
 
-def test_a_rotation_batch_gives_the_bits_of_its_rotations(model, action):
-    # a verify run hands every map-level check one RotationBatch; each check
-    # must give the bits it gives on the bare rotations, under its own action
+def test_stacks_of_unequal_length_are_refused(model, action):
+    # sample k reads entry k of every stack, so a stack that is shorter or
+    # longer than u pairs no sample with its inputs: refused, not truncated
+    # or broadcast
     rng = rng_from(13)
-    q = haar_rotations(rng, 40)
-    xs, ys = random_words(rng, model.triple, 40, 1)
-    other = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    checks = {
-        "initial": lambda a, q: check_initial_invariance(model.triple.phi0, a, q),
-        "transition": lambda a, q: check_transition_equivariance(model.triple.transition, a, q),
-        "emission": lambda a, q: check_emission_covariance(model.triple.emission, a, q),
-        "sliced": lambda a, q: check_sliced_covariance(
-            model.triple, model.structure, a, q, xs[:, 0], ys[:, 0]
-        ),
-        "intertwining": lambda a, q: verify_intertwining(model.tensors, a, q),
-    }
-    shared = RotationBatch(action, q)
-    foreign = RotationBatch(other, q)
-    for name, check in checks.items():
-        assert np.array_equal(check(action, shared), check(action, q)), name
-        # a batch built for another action holds other stacks: it is refused
-        with pytest.raises(ValueError, match="another action"):
-            check(action, foreign)
-    assert np.abs(foreign.rho - shared.rho).max() > 0.1
+    u, r = _stacks(action, haar_rotations(rng, 30))
+    xs, ys = random_words(rng, model.triple, 30, 1)
+    xs, ys = xs[:, 0], ys[:, 0]
+    sliced = [
+        # one rotation against 30 sites, and 30 rotations against one site
+        (u[:1], r[:1], xs, ys),
+        (u, r, xs[:1], ys[:1]),
+        (u, r, xs, ys[:1]),
+        # u against r
+        (u[:1], r, xs[:1], ys[:1]),
+        (u, r[:1], xs, ys),
+    ]
+    for args in sliced:
+        with pytest.raises(DimensionMismatchError):
+            check_sliced_covariance(model.triple, model.structure, *args)
+    for a, b in ((u[:1], r), (u, r[:1])):
+        with pytest.raises(DimensionMismatchError):
+            check_emission_covariance(model.triple.emission, a, b)
+        with pytest.raises(DimensionMismatchError):
+            verify_intertwining(model.tensors, a, b)
