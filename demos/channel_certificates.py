@@ -14,7 +14,7 @@ failures: the emission with its physical slot transposed stops being
 CP, and the transition without its normalization stops being unital.
 """
 
-from hqmmsym import BipartiteMap, build_model, certify_cpu, transition_map
+from hqmmsym import OperatorMap, build_model, certify_cpu, transition_map
 
 
 def show(title: str, terms: dict) -> None:
@@ -36,7 +36,7 @@ show("emission", certify_cpu(model.triple.emission))
 # E(X tensor Y) into E(X tensor Y^T).
 h, o = model.triple.hidden_dim, model.triple.obs_dim
 coeff = model.triple.emission.coeff.reshape(h, h, h, o, h, o).swapaxes(3, 5)
-transposed = BipartiteMap(h * o, h, coeff.reshape(h, h, h * o, h * o), h, o)
+transposed = OperatorMap(h * o, h, coeff.reshape(h, h, h * o, h * o))
 print()
 show("emission with transposed physical slot", certify_cpu(transposed))
 

@@ -21,7 +21,7 @@ from hqmmsym import (
     dense_word_value,
     finite_volume_state,
     projector_word,
-    random_word,
+    random_words,
 )
 from hqmmsym.hqmm import ObservableWord
 from hqmmsym.sampling import rng_from
@@ -59,7 +59,8 @@ print(f"exact value 1/27 =                 {1.0 / 27.0:.12f}")
 rng = rng_from(8)
 worst = 0.0
 for i in range(20):
-    w = random_word(rng, triple, 1 + i % 4)
+    xs, ys = random_words(rng, triple, 1, 1 + i % 4)
+    w = ObservableWord(xs[0], ys[0])
     conv = finite_volume_state(triple, "conventional", w)
     caus = finite_volume_state(triple, "causal", w)
     worst = max(worst, abs(conv - caus))

@@ -42,15 +42,12 @@ from .hqmm import (
     classical_diagonal_triple,
     composite_map,
     finite_volume_state,
-    finite_volume_states,  # noqa: F401
     kolmogorov_check,
     load_model_config,
     load_word,
-    random_word,
     random_words,
 )
 from .opalg import (
-    BipartiteMap,
     ComplexOperator,
     OperatorMap,
     certify_cpu,
@@ -70,15 +67,11 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
-# A name is in __all__ while the library, the CLI or the bench reads it.
-# No verify row calls finite_volume_states (oracle, global and kolmogorov
-# read every length off one hqmm.fold_suffixes call), so it is not in
-# __all__; it stays importable from here for the README's batch example.
-
+# A name is in __all__, as a module's function or method is public, while
+# the library, the CLI or the bench reads it.
 __all__ = [
     "AkltModel",
     "AkltTensors",
-    "BipartiteMap",
     "CausalStructure",
     "CheckResult",
     "ComplexOperator",
@@ -116,7 +109,6 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "projector_word",
-    "random_word",
     "random_words",
     "rotation_matrices",
     "spin_half_rep",

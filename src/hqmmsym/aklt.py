@@ -10,7 +10,7 @@ rep pi on the bond space with the spin-1 rep rho on the physical space,
 and the tensors are checked against the one intertwining relation
 sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 
-The dense referee, dense_word_values and dense_suffix_values, sums word
+The dense referee, dense_word_value and dense_suffix_values, sums word
 values over every index chain from the coefficient tensors alone,
 independently of the fold it checks, on float64 arrays and bit for bit
 as a loop over Python complex numbers would.
@@ -38,8 +38,8 @@ from .hqmm import (
     ObservableWord,
     partial_trace_map,
 )
-from .opalg import BipartiteMap, conjugate, frozen_square_stack, operator_norms
-from .symmetry import SymmetryAction
+from .opalg import OperatorMap, conjugate, frozen_square_stack, operator_norms
+from .symmetry import SymmetryAction, _check_stacks
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
 
@@ -83,7 +83,7 @@ def build_tensors(variant: str = "normalized_cartesian") -> AkltTensors:
     return AkltTensors(variant, "spherical", ("+", "0", "-"), np.stack(mats))
 
 
-def emission_map(tensors: AkltTensors) -> BipartiteMap:
+def emission_map(tensors: AkltTensors) -> OperatorMap:
     """Emission map on bond tensor physical, E(X tensor Y) built from the tensors.
 
     The coefficient <k|Y|k'> multiplies A_k X A_k'+, which is the action of
@@ -94,10 +94,10 @@ def emission_map(tensors: AkltTensors) -> BipartiteMap:
     o, h, _ = stack.shape
     # kraus[p, a * o + k] = A_k[p, a]
     kraus = np.transpose(stack, (1, 2, 0)).reshape(h, h * o)
-    return BipartiteMap.build_from_kraus(h, o, h, [kraus])
+    return OperatorMap.from_kraus(h * o, h, [kraus])
 
 
-def transition_map(hidden_dim: int = 2, normalized: bool = True) -> BipartiteMap:
+def transition_map(hidden_dim: int = 2, normalized: bool = True) -> OperatorMap:
     """Partial trace over the second bond factor, normalized to be unital.
 
     With normalized=False the map is W -> Z1 trace(Z2) on product inputs,
@@ -113,11 +113,12 @@ def verify_intertwining(tensors: AkltTensors, u: np.ndarray, r: np.ndarray) -> n
     The tensor label k is contracted with the row index of R.  The
     residual of a sample is the largest operator norm of the difference
     over the labels m: near machine precision for the normalized variants,
-    of order one for paper_literal.  The stacks must be equally long.
+    of order one for paper_literal.  The stacks must be equally long, u of
+    h x h and r of o x o matrices.
     """
-    if len(r) != len(u):
-        raise DimensionMismatchError("samples", len(u), len(r))
     stack = tensors.tensors
+    o, h, _ = stack.shape
+    _check_stacks(u, h, ("rho stack", r, o))
     target = conjugate(u[:, None], stack)
     combo = np.einsum("skm,kab->smab", r, stack)
     return operator_norms(combo - target).max(axis=1)
@@ -304,48 +305,32 @@ def _chain_totals(first: np.ndarray, steps: list) -> np.ndarray:
 
 
 def dense_word_value(triple: GenerativeTriple, structure, word: ObservableWord) -> complex:
-    """Word value by brute-force summation over all index chains.
-
-    The one-word case of dense_word_values, which says how the referee
-    computes it.
-    """
-    return dense_word_values(triple, structure, [word])[0]
-
-
-def dense_word_values(triple: GenerativeTriple, structure, words) -> list[complex]:
-    """Each word's value by brute-force summation over all index chains.
+    """The word's value by brute-force summation over all index chains.
 
     The referee stays independent of the folded evaluation path: it forms
     its own sliced site tensors from the map coefficients (_site_tensors)
     and sums the products of chain entries against the initial state over
     every index chain (_chain_totals), with no einsum, matmul or fold.  It
-    stacks all the call's sites, and the chains of each word length, as
-    float64 arrays of real and imaginary parts, forms every product as
-    CPython forms a complex product and adds every sum's terms one by one
-    in lexicographic order from +0: a word's value has the bits of a loop
-    over Python complex numbers, whatever the call's other words.  Terms
-    that are exact zeros are left out: those of a coefficient entry that
-    is 0, and the chains through an entry whose phi0 entry, or whose
-    column in every site tensor, is 0.  Such a term is a finite value
-    times 0, and adding +-0 to a sum that starts at +0 leaves it as it
-    is.  That needs every product finite, so a word's value is
+    holds the sites, and the chains, as float64 arrays of real and
+    imaginary parts, forms every product as CPython forms a complex
+    product and adds every sum's terms one by one in lexicographic order
+    from +0: the value has the bits of a loop over Python complex
+    numbers.  Terms that are exact zeros are left out: those of a
+    coefficient entry that is 0, and the chains through an entry whose
+    phi0 entry, or whose column in every site tensor, is 0.  Such a term
+    is a finite value times 0, and adding +-0 to a sum that starts at +0
+    leaves it as it is.  That needs every product finite, so the value is
     complex(nan, nan) when an entry of phi0, of either coefficient tensor
     or of the word is not finite, and when their sizes could carry a
     product past 1e300, near the top of the float range.  Time grows as
     (hidden_dim^2)^sites, so words beyond 8 sites are refused, as is an
     empty word; the chains go in blocks of _CHAIN_BLOCK products.  The
-    words are spans of one stack of sites for _span_values.
+    word is one span for _span_values.
     """
     structure = CausalStructure.parse(structure)
-    words = list(words)
-    for word in words:
-        word.check_dims(triple)
-    if not words:
-        return []
-    lengths = np.array([len(word) for word in words])
-    xs = np.concatenate([word.xs for word in words])
-    ys = np.concatenate([word.ys for word in words])
-    return _span_values(triple, structure, xs, ys, np.cumsum(lengths) - lengths, lengths).tolist()
+    word.check_dims(triple)
+    span = (np.array([0]), np.array([len(word)]))
+    return complex(_span_values(triple, structure, word.xs, word.ys, *span)[0])
 
 
 def dense_suffix_values(triple: GenerativeTriple, structure, xs, ys) -> np.ndarray:
@@ -372,9 +357,10 @@ def dense_suffix_values(triple: GenerativeTriple, structure, xs, ys) -> np.ndarr
 
 
 def _span_values(triple: GenerativeTriple, structure, xs, ys, starts, lengths) -> np.ndarray:
-    """Values of spans of the stacked sites xs[N, h, h], ys[N, o, o], as dense_word_values.
+    """Values of spans of the stacked sites xs[N, h, h], ys[N, o, o], as dense_word_value.
 
-    Span i has the lengths[i] sites from starts[i]; spans may share sites.
+    Span i has the lengths[i] sites from starts[i]; spans may share sites,
+    and each value has the bits of its span alone.
     """
     if lengths.min(initial=1) == 0:
         raise ValueError("empty word; the oracle needs at least one site")

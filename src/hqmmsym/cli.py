@@ -169,17 +169,23 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     The row draws ceil(count / 5) words of 5 sites, count = min(samples,
     20).  One sliced_coefficients call gives every site's transfer and one
     fold_suffixes call folds the words, each suffix's value with the bits
-    of that suffix folded alone; one dense_suffix_values call referees
-    every suffix, forming each site's tensor once.
+    of that suffix folded alone.  The referee takes every suffix of the
+    whole words and, of a last word in part, the suffixes of its last
+    count % 5 sites, the ones the row keeps: dense_suffix_values gives
+    each value the bits of its suffix alone.
     """
     count = min(c.samples, 20)
+    whole, rest = divmod(count, 5)
     h, o = m.triple.hidden_dim, m.triple.obs_dim
     xs, ys = random_words(rng_from(c.seed), m.triple, math.ceil(count / 5), 5)
     sites = (xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     transfers = sliced_coefficients(m.triple, m.structure, *sites)
     folded = fold_suffixes(m.triple, transfers.reshape(len(xs), 5, h * h, h * h))
-    referee = aklt.dense_suffix_values(m.triple, m.structure, xs, ys)
-    return np.abs(folded - referee).reshape(-1)[:count]
+    spans = [(xs[:whole], ys[:whole]), (xs[whole:, 5 - rest :], ys[whole:, 5 - rest :])]
+    referee = [
+        aklt.dense_suffix_values(m.triple, m.structure, x, y).reshape(-1) for x, y in spans if x.size
+    ]
+    return np.abs(folded.reshape(-1)[:count] - np.concatenate(referee))
 
 
 def _check_oracle(

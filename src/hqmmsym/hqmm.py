@@ -8,15 +8,17 @@ by folding sliced one-site maps from the last site down to the first and
 closing with phi0.  The fold never materializes a tensor product over
 sites, so the cost is linear in the word length.
 
-composite_map is the one contraction of the transition with the emission;
-sliced_coefficients turns site pairs into (h^2, h^2) transfers through it,
-all of a batch's from one GEMM of the flat site-pair outer products by the
-reordered composite map, and fold_suffixes is the one fold: it folds an
-equal-length batch of words from the last site to the first and closes
-every vector on its way, so one fold gives the value of every suffix of
-every word; finite_volume_states folds its batch through it directly.
-A GEMM row keeps its bits in any batch, and a batch of one is padded to
-two rows: OpenBLAS sends a one-row GEMM to GEMV, which rounds differently.
+Both maps are opalg.OperatorMap on the flattened product of their two
+inputs; the triple fixes the factors, h^2 for the transition and h o for
+the emission.  composite_map is the one contraction of the transition
+with the emission; sliced_coefficients turns site pairs into (h^2, h^2)
+transfers through it, all of a batch's from one GEMM of the flat
+site-pair outer products by the reordered composite map, and
+fold_suffixes is the one fold: it folds an equal-length batch of words
+from the last site to the first and closes every vector on its way, so
+one fold gives the value of every suffix of every word.  A GEMM row
+keeps its bits in any batch, and a batch of one is padded to two rows:
+OpenBLAS sends a one-row GEMM to GEMV, which rounds differently.
 finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
@@ -43,8 +45,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, config_int, load_json
 from .opalg import (
-    BipartiteMap,
     ComplexOperator,
+    OperatorMap,
     certify_cpu,
     frozen_square_stack,
     operator_norms,
@@ -78,8 +80,8 @@ class GenerativeTriple:
     hidden_dim: int
     obs_dim: int
     phi0: np.ndarray  # (h, h) initial state, read-only
-    transition: BipartiteMap  # hidden tensor hidden -> hidden
-    emission: BipartiteMap  # hidden tensor observable -> hidden
+    transition: OperatorMap  # hidden tensor hidden -> hidden
+    emission: OperatorMap  # hidden tensor observable -> hidden
 
     def __post_init__(self):
         h, o = self.hidden_dim, self.obs_dim
@@ -87,18 +89,11 @@ class GenerativeTriple:
         if phi0.shape != (h, h):
             raise DimensionMismatchError("phi0", (h, h), phi0.shape)
         object.__setattr__(self, "phi0", phi0)
-        if (self.transition.dim_in1, self.transition.dim_in2, self.transition.dim_out) != (h, h, h):
-            raise DimensionMismatchError(
-                "transition",
-                (h, h, h),
-                (self.transition.dim_in1, self.transition.dim_in2, self.transition.dim_out),
-            )
-        if (self.emission.dim_in1, self.emission.dim_in2, self.emission.dim_out) != (h, o, h):
-            raise DimensionMismatchError(
-                "emission",
-                (h, o, h),
-                (self.emission.dim_in1, self.emission.dim_in2, self.emission.dim_out),
-            )
+        # each map reads the flattened product of its two inputs
+        maps = (("transition", self.transition, h * h), ("emission", self.emission, h * o))
+        for name, m, dim_in in maps:
+            if (m.dim_in, m.dim_out) != (dim_in, h):
+                raise DimensionMismatchError(name, (dim_in, h), (m.dim_in, m.dim_out))
 
     def defects(self) -> dict[str, float]:
         """How far phi0 is from a state and each map from CPU; all 0 for a valid triple.
@@ -165,13 +160,6 @@ class ObservableWord:
         if sites != ((h, h), (o, o)):
             raise DimensionMismatchError("word sites", ((h, h), (o, o)), sites)
 
-    def to_json_list(self) -> list:
-        h, o = self.xs.shape[1], self.ys.shape[1]
-        return [
-            {"X": ComplexOperator(h, x).to_json_dict(), "Y": ComplexOperator(o, y).to_json_dict()}
-            for x, y in zip(self.xs, self.ys)
-        ]
-
     @classmethod
     def from_json_list(cls, items, hidden_dim: int, obs_dim: int) -> "ObservableWord":
         xs, ys = [], []
@@ -217,7 +205,7 @@ def _apply_sliced(
     return triple.emission.apply_array(np.kron(linked, y))
 
 
-def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
+def composite_map(triple: GenerativeTriple, structure) -> OperatorMap:
     """Full one-site map on hidden tensor hidden tensor observable.
 
     Slot order is (X, X', Y): current hidden, next hidden, physical.  The
@@ -242,7 +230,7 @@ def composite_map(triple: GenerativeTriple, structure) -> BipartiteMap:
         coeff = (outer @ t.reshape(h * h, h**4)).reshape(h, h, o, o, h, h, h, h)
         coeff = coeff.transpose(0, 1, 4, 5, 2, 6, 7, 3)
     total = h * h * o
-    return BipartiteMap(total, h, coeff.reshape(h, h, total, total), h * h, o)
+    return OperatorMap(total, h, coeff.reshape(h, h, total, total))
 
 
 def sliced_coefficients(
@@ -285,34 +273,6 @@ def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWor
     return complex(np.trace(triple.phi0 @ m))
 
 
-def finite_volume_states(
-    triple: GenerativeTriple, structure, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Values of a batch of equal-length words, folded one site at a time.
-
-    xs has shape (B, n, h, h) and ys (B, n, o, o): word k has the site
-    pairs (xs[k, s], ys[k, s]).  One sliced_coefficients call gives all
-    B * n site transfers and fold_suffixes folds them as B words of n
-    sites, so word k's value is bit for bit the value of word k folded
-    alone.  Returns complex values of shape (B,), equal to
-    finite_volume_state on each word up to rounding.
-    """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    h, o = triple.hidden_dim, triple.obs_dim
-    if xs.ndim != 4 or xs.shape[2:] != (h, h):
-        raise DimensionMismatchError("hidden sites", ("B", "n", h, h), xs.shape)
-    if ys.ndim != 4 or ys.shape[2:] != (o, o):
-        raise DimensionMismatchError("observable sites", ("B", "n", o, o), ys.shape)
-    if xs.shape[:2] != ys.shape[:2]:
-        raise DimensionMismatchError("word batch", xs.shape[:2], ys.shape[:2])
-    count, n_sites = xs.shape[:2]
-    if n_sites == 0:
-        raise ValueError("empty word; finite-volume states need at least one site")
-    transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
-    return fold_suffixes(triple, transfers.reshape(count, n_sites, h * h, h * h))[:, -1]
-
-
 def fold_suffixes(
     triple: GenerativeTriple, transfers: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
@@ -340,12 +300,6 @@ def fold_suffixes(
     # phi0(m) = trace(rho0 m) = vec(rho0^T) . vec(m)
     close = triple.phi0.T.reshape(1, h2)
     return (close @ np.stack(suffixes, axis=-3)).reshape(transfers.shape[:-2])
-
-
-def random_word(rng: np.random.Generator, triple: GenerativeTriple, n_sites: int) -> ObservableWord:
-    """Word of independent norm-one random site observables."""
-    xs, ys = random_words(rng, triple, 1, n_sites)
-    return ObservableWord(xs[0], ys[0])
 
 
 def random_words(
@@ -457,12 +411,12 @@ def classical_diagonal_triple(
         hidden_dim=d,
         obs_dim=o,
         phi0=np.diag(p),
-        transition=BipartiteMap.build_from_kraus(d, d, d, kraus_t),
-        emission=BipartiteMap.build_from_kraus(d, o, d, kraus_e),
+        transition=OperatorMap.from_kraus(d * d, d, kraus_t),
+        emission=OperatorMap.from_kraus(d * o, d, kraus_e),
     )
 
 
-def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> BipartiteMap:
+def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> OperatorMap:
     """Z1 tensor Z2 -> Z1 trace(Z2), divided by d2 when normalized to make it unital.
 
     The Kraus operators are 1 tensor <j| for each basis vector j of the
@@ -475,7 +429,7 @@ def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> BipartiteMap
         for i in range(d1):
             k[i, i * d2 + j] = scale
         kraus.append(k)
-    return BipartiteMap.build_from_kraus(d1, d2, d1, kraus)
+    return OperatorMap.from_kraus(d1 * d2, d1, kraus)
 
 
 def _kraus_from_json(obj: dict) -> np.ndarray:
@@ -492,7 +446,7 @@ def _kraus_from_json(obj: dict) -> np.ndarray:
     return (re + 1j * im).reshape(rows, cols)
 
 
-def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> BipartiteMap:
+def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> OperatorMap:
     if not isinstance(obj, dict):
         raise ConfigError(f"{name} must be an object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
@@ -508,7 +462,7 @@ def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> Bipa
         if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{name}: kind 'kraus' needs a nonempty 'kraus' list")
         kraus = [_kraus_from_json(entry) for entry in entries]
-        return BipartiteMap.build_from_kraus(d1, d2, d_out, kraus)
+        return OperatorMap.from_kraus(d1 * d2, d_out, kraus)
     raise ConfigError(f"{name}: unknown map kind {kind!r}")
 
 

@@ -356,30 +356,16 @@ def _matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def _kraus_sum(
-    dim_in: int, dim_out: int, kraus: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of W -> sum_s K_s W K_s+, and the K_s stacked, each checked dim_out x dim_in."""
-    coeff = np.zeros((dim_out, dim_out, dim_in, dim_in), dtype=complex)
-    stack = np.empty((len(kraus), dim_out, dim_in), dtype=complex)
-    for s, k in enumerate(kraus):
-        k = np.asarray(k, dtype=complex)
-        if k.shape != (dim_out, dim_in):
-            raise DimensionMismatchError("kraus", (dim_out, dim_in), k.shape)
-        coeff += np.einsum("pi,qj->pqij", k, k.conj())
-        stack[s] = k
-    return coeff, stack
-
-
 @dataclass(frozen=True)
 class OperatorMap:
     """Linear map from one matrix algebra to another, stored over matrix units.
 
-    coeff defines the map.  A map built by from_kraus (or
-    BipartiteMap.build_from_kraus) also keeps, read-only, the stack
-    kraus[r, dim_out, dim_in] it was built from, so that a check may use
-    a closed form for a map with one Kraus operator; a map built from its
-    coefficients carries kraus None.
+    coeff defines the map.  A map built by from_kraus also keeps,
+    read-only, the stack kraus[r, dim_out, dim_in] it was built from, so
+    that a check may use a closed form for a map with one Kraus operator;
+    a map built from its coefficients carries kraus None.  A map whose
+    input is a tensor product, as a triple's transition and emission are,
+    acts on the flattened product space; the triple fixes the factors.
     """
 
     dim_in: int
@@ -420,8 +406,15 @@ class OperatorMap:
 
     @classmethod
     def from_kraus(cls, dim_in: int, dim_out: int, kraus: Sequence[np.ndarray]) -> "OperatorMap":
-        """Map W -> sum_s K_s W K_s^dagger for rectangular Kraus operators."""
-        coeff, stack = _kraus_sum(dim_in, dim_out, kraus)
+        """Map W -> sum_s K_s W K_s+ for rectangular Kraus operators, each dim_out x dim_in."""
+        coeff = np.zeros((dim_out, dim_out, dim_in, dim_in), dtype=complex)
+        stack = np.empty((len(kraus), dim_out, dim_in), dtype=complex)
+        for s, k in enumerate(kraus):
+            k = np.asarray(k, dtype=complex)
+            if k.shape != (dim_out, dim_in):
+                raise DimensionMismatchError("kraus", (dim_out, dim_in), k.shape)
+            coeff += np.einsum("pi,qj->pqij", k, k.conj())
+            stack[s] = k
         return cls(dim_in, dim_out, coeff, kraus=stack)
 
     def apply_array(self, m: np.ndarray) -> np.ndarray:
@@ -431,29 +424,6 @@ class OperatorMap:
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij e_ij tensor E(e_ij), entry [(i, p), (j, q)]."""
         return choi_matrices(self.coeff)
-
-
-@dataclass(frozen=True)
-class BipartiteMap(OperatorMap):
-    """OperatorMap whose input algebra is a tensor product of two factors."""
-
-    dim_in1: int
-    dim_in2: int
-
-    def __post_init__(self):
-        if self.dim_in1 * self.dim_in2 != self.dim_in:
-            raise DimensionMismatchError(
-                "input factors", self.dim_in, (self.dim_in1, self.dim_in2)
-            )
-        super().__post_init__()
-
-    @classmethod
-    def build_from_kraus(
-        cls, dim_in1: int, dim_in2: int, dim_out: int, kraus: Sequence[np.ndarray]
-    ) -> "BipartiteMap":
-        dim_in = dim_in1 * dim_in2
-        coeff, stack = _kraus_sum(dim_in, dim_out, kraus)
-        return cls(dim_in, dim_out, coeff, dim_in1, dim_in2, kraus=stack)
 
 
 def certify_cpu(m: OperatorMap) -> dict[str, float]:

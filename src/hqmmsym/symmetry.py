@@ -4,8 +4,9 @@ A symmetry action carries a projective unitary rep pi on the hidden space
 and a linear rep rho on the observable space.  Each local check is a
 function of unitary stacks, u[k] = pi(g_k) and, where the identity needs
 it, r[k] = rho(g_k) (and test operators where needed), and returns the N
-per-sample deviations of its defining identity; stacks of unequal length
-raise DimensionMismatchError.  The global check draws one rotation and
+per-sample deviations of its defining identity; a stack whose length
+differs from u's, or whose matrices do not fit the space they act on,
+raises DimensionMismatchError.  The global check draws one rotation and
 one word per sample from a seed and reads every volume off the suffixes
 of that word, each with the bits of folding its volume alone.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
@@ -51,7 +52,6 @@ from .hqmm import (  # noqa: F401
     sliced_coefficients,
 )
 from .opalg import (  # noqa: F401
-    BipartiteMap,
     OperatorMap,
     _parts,
     _products,
@@ -185,29 +185,37 @@ def _entry_sums(terms: list[np.ndarray]) -> np.ndarray:
     return sums
 
 
-def _same_count(u: np.ndarray, *stacks: np.ndarray) -> None:
-    """Refuse stacks whose sample count differs from u's: sample k reads entry k of each."""
-    for stack in stacks:
-        if len(stack) != len(u):
-            raise DimensionMismatchError("samples", len(u), len(stack))
+def _check_stacks(u: np.ndarray, dim: int, *stacks: tuple[str, np.ndarray, int]) -> None:
+    """Refuse stacks that do not hold one matrix of their size per sample.
+
+    Sample k reads entry k of each stack: u holds len(u) matrices of
+    dim x dim, and each (name, stack, d) must hold as many of d x d.
+    """
+    count = len(u)
+    for name, stack, d in (("pi stack", u, dim), *stacks):
+        if np.shape(stack) != (count, d, d):
+            raise DimensionMismatchError(name, (count, d, d), np.shape(stack))
 
 
 def check_initial_invariance(phi0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per-sample norm of U phi0 U+ - phi0, for the stack u[k] = pi(g_k)."""
+    _check_stacks(u, len(phi0))
     return operator_norms(conjugate(u, phi0) - phi0)
 
 
-def check_transition_equivariance(transition: BipartiteMap, u: np.ndarray) -> np.ndarray:
+def check_transition_equivariance(transition: OperatorMap, u: np.ndarray) -> np.ndarray:
     """Per-sample Choi defect of E_H intertwining U tensor U with U, for u[k] = pi(g_k)."""
+    _check_stacks(u, transition.dim_out)
     return _conjugation_defects(transition, batched_kron(u, u), u)
 
 
-def check_emission_covariance(emission: BipartiteMap, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+def check_emission_covariance(emission: OperatorMap, u: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-sample Choi defect of E_HO intertwining U tensor R with U.
 
     u[k] = pi(g_k) and r[k] = rho(g_k); the stacks must be equally long.
     """
-    _same_count(u, r)
+    h = emission.dim_out
+    _check_stacks(u, h, ("rho stack", r, emission.dim_in // h))
     return _conjugation_defects(emission, batched_kron(u, r), u)
 
 
@@ -226,8 +234,8 @@ def check_sliced_covariance(
     must be equally long.  The rotated and the plain sites' maps come
     from one sliced_coefficients call.
     """
-    _same_count(u, r, xs, ys)
-    h = triple.hidden_dim
+    h, o = triple.hidden_dim, triple.obs_dim
+    _check_stacks(u, h, ("rho stack", r, o), ("hidden sites", xs, h), ("observable sites", ys, o))
     sites_x = np.concatenate([conjugate(u, xs), xs])
     sites_y = np.concatenate([conjugate(r, ys), ys])
     rotated, plain = np.split(sliced_coefficients(triple, structure, sites_x, sites_y), 2)

@@ -31,7 +31,6 @@ from hqmmsym import (
     haar_rotations,
     kolmogorov_check,
     projector_word,
-    random_word,
     random_words,
     spin_half_rep,
     spin_one_rep,
@@ -229,7 +228,7 @@ def test_criterion_09_contraction_oracle_and_classical_reduction():
     worst = 0.0
     for structure in STRUCTURES:
         for i in range(25):
-            word = random_word(rng, model.triple, 1 + i % 5)
+            word = util.random_word(rng, model.triple, 1 + i % 5)
             direct = finite_volume_state(model.triple, structure, word)
             dense = dense_word_value(model.triple, structure, word)
             worst = max(worst, abs(direct - dense))

@@ -3,10 +3,10 @@ import pytest
 
 import util
 from hqmmsym import (
-    BipartiteMap,
     CausalStructure,
     ConfigError,
     ObservableWord,
+    OperatorMap,
     SymmetryAction,
     build_model,
     build_tensors,
@@ -18,7 +18,6 @@ from hqmmsym import (
     haar_rotations,
     operator_norm,
     projector_word,
-    random_word,
     spin_half_rep,
     spin_one_rep,
     transition_map,
@@ -106,7 +105,7 @@ def test_emission_map_kraus_operator_matches_the_loop_build(variant):
         for p in range(h):
             for a in range(h):
                 kraus[p, a * o + k] = stack[k, p, a]
-    expected = BipartiteMap.build_from_kraus(h, o, h, [kraus])
+    expected = OperatorMap.from_kraus(h * o, h, [kraus])
     got = emission_map(build_tensors(variant))
     assert got.coeff.tobytes() == expected.coeff.tobytes()
 
@@ -241,7 +240,7 @@ def test_oracle_matches_folded_evaluation(variant, structure):
     model = build_model(variant, structure)
     rng = rng_from(9)
     for n in (1, 2, 3, 5):
-        word = random_word(rng, model.triple, n)
+        word = util.random_word(rng, model.triple, n)
         folded = finite_volume_state(model.triple, structure, word)
         dense = dense_word_value(model.triple, model.structure, word)
         assert abs(folded - dense) < 1e-12
@@ -254,7 +253,7 @@ def test_oracle_on_classical_triple():
     b = util.random_stochastic(rng, 2, 3)
     triple = classical_diagonal_triple(p, t, b)
     for structure in ("conventional", "causal"):
-        word = random_word(rng, triple, 3)
+        word = util.random_word(rng, triple, 3)
         folded = finite_volume_state(triple, structure, word)
         dense = dense_word_value(triple, structure, word)
         assert abs(folded - dense) < 1e-12

@@ -16,7 +16,6 @@ import pytest
 
 import util
 from hqmmsym import (
-    BipartiteMap,
     ComplexOperator,
     GenerativeTriple,
     ObservableWord,
@@ -29,11 +28,9 @@ from hqmmsym import (
     composite_map,
     emission_map,
     finite_volume_state,
-    finite_volume_states,
     kolmogorov_check,
     operator_norm,
     operator_norms,
-    random_word,
     random_words,
     spin_half_rep,
     spin_one_rep,
@@ -69,8 +66,8 @@ def _random_unital():
         3,
         2,
         np.eye(3) / 3,
-        BipartiteMap.build_from_kraus(3, 3, 3, util.random_unital_kraus(rng, 9, 3, 3)),
-        BipartiteMap.build_from_kraus(3, 2, 3, util.random_unital_kraus(rng, 6, 3, 3)),
+        OperatorMap.from_kraus(9, 3, util.random_unital_kraus(rng, 9, 3, 3)),
+        OperatorMap.from_kraus(6, 3, util.random_unital_kraus(rng, 6, 3, 3)),
     )
 
 
@@ -92,7 +89,7 @@ def test_batched_fold_matches_single_word_fold(name, structure, count):
     rng = rng_from(count)
     for n_sites in range(1, 13):
         xs, ys = random_words(rng, triple, count, n_sites)
-        batched = finite_volume_states(triple, structure, xs, ys)
+        batched = util.fold_batch(triple, structure, xs, ys)
         assert batched.shape == (count,)
         for k in range(count):
             single = finite_volume_state(triple, structure, _as_word(xs[k], ys[k]))
@@ -108,9 +105,9 @@ def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
     triple = TRIPLES[name]
     for n_sites in (1, 3, 7):
         xs, ys = random_words(rng_from(20 + n_sites), triple, 32, n_sites)
-        batch = finite_volume_states(triple, structure, xs, ys)
+        batch = util.fold_batch(triple, structure, xs, ys)
         for k in range(32):
-            alone = finite_volume_states(triple, structure, xs[k : k + 1], ys[k : k + 1])
+            alone = util.fold_batch(triple, structure, xs[k : k + 1], ys[k : k + 1])
             assert np.array_equal(alone, batch[k : k + 1]), (n_sites, k)
 
 
@@ -126,7 +123,7 @@ def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, 
     values = fold_suffixes(triple, transfers)
     assert values.shape == (6, 5)
     for j in range(5):
-        alone = finite_volume_states(triple, structure, xs[:, 4 - j :], ys[:, 4 - j :])
+        alone = util.fold_batch(triple, structure, xs[:, 4 - j :], ys[:, 4 - j :])
         assert values[:, j].tobytes() == alone.tobytes(), j
     # any leading word axes: the batch as 2 x 3 words has the same bits
     grid = fold_suffixes(triple, transfers.reshape(2, 3, 5, h * h, h * h))
@@ -134,18 +131,6 @@ def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, 
     assert grid.tobytes() == values.tobytes()
     with pytest.raises(ValueError, match="empty word"):
         fold_suffixes(triple, transfers[:, :0])
-
-
-def test_batched_fold_validates_shapes():
-    triple = TRIPLES["chain"]
-    xs = np.ones((2, 3, 2, 2), dtype=complex)
-    ys = np.ones((2, 3, 3, 3), dtype=complex)
-    with pytest.raises(ValueError, match="empty word"):
-        finite_volume_states(triple, "conventional", xs[:, :0], ys[:, :0])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        finite_volume_states(triple, "conventional", ys, ys)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        finite_volume_states(triple, "conventional", xs, ys[:, :2])
 
 
 @pytest.mark.parametrize("name", sorted(TRIPLES))
@@ -161,10 +146,6 @@ def test_batched_draws_reproduce_the_single_draw_streams(name):
             for s in range(n_sites):
                 assert np.array_equal(xs[k, s], random_operator(ref, h))
                 assert np.array_equal(ys[k, s], random_operator(ref, o))
-    words = [random_word(rng_from(9), triple, 3)]
-    xs, ys = random_words(rng_from(9), triple, 1, 3)
-    assert np.array_equal(xs[0], words[0].xs)
-    assert np.array_equal(ys[0], words[0].ys)
 
 
 def test_stacked_norms_equal_single_norms():
@@ -389,9 +370,7 @@ def test_random_unital_input_tells_the_structures_apart():
 @pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
 def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, d_out):
     rng = rng_from(7)
-    m = BipartiteMap.build_from_kraus(
-        d1, d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3)
-    )
+    m = OperatorMap.from_kraus(d1 * d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3))
     count = 6
     v = np.stack([np.linalg.qr(random_operator(rng, d1 * d2))[0] for _ in range(count)])
     u = np.stack([np.linalg.qr(random_operator(rng, d_out))[0] for _ in range(count)])
@@ -401,11 +380,11 @@ def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, 
         assert abs(got[k] - ref) < 1e-13
 
 
-def _random_coefficient_map(rng, d1: int, d2: int, d_out: int) -> BipartiteMap:
+def _random_coefficient_map(rng, d1: int, d2: int, d_out: int) -> OperatorMap:
     """A linear map with Gaussian coefficients: not CP, and not Hermiticity preserving."""
     shape = (d_out, d_out, d1 * d2, d1 * d2)
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return BipartiteMap(d1 * d2, d_out, coeff, d1, d2)
+    return OperatorMap(d1 * d2, d_out, coeff)
 
 
 @pytest.mark.parametrize("kind", ["unital_kraus", "random_coefficients"])
@@ -415,7 +394,7 @@ def test_choi_conjugation_matches_from_function_reference(kind, d1, d2, d_out):
     # linear map; V need not be unitary, U must be
     rng = rng_from(23)
     if kind == "unital_kraus":
-        m = util.random_unital_bipartite(rng, d1, d2, d_out, 3)
+        m = OperatorMap.from_kraus(d1 * d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3))
     else:
         m = _random_coefficient_map(rng, d1, d2, d_out)
     # the image of a Hermitian input is Hermitian only for the Kraus map
@@ -440,9 +419,9 @@ def _gaussian_kraus(rng, d_in: int, d_out: int, count: int) -> list[np.ndarray]:
     return list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _choi_path(m: BipartiteMap) -> BipartiteMap:
+def _choi_path(m: OperatorMap) -> OperatorMap:
     """m from its coefficients alone: with no Kraus stack its defects take the Choi path."""
-    return BipartiteMap(m.dim_in, m.dim_out, m.coeff, m.dim_in1, m.dim_in2)
+    return OperatorMap(m.dim_in, m.dim_out, m.coeff)
 
 
 def _unitary_and_general(rng, count: int, dim: int) -> np.ndarray:
@@ -456,7 +435,7 @@ def test_one_kraus_closed_form_matches_from_function_reference(d1, d2, d_out, mo
     # one Kraus operator: the rank-two closed form, which forms no Choi
     # matrix and takes no stacked norm; V unitary and not
     rng = rng_from(29)
-    m = BipartiteMap.build_from_kraus(d1, d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, 1))
+    m = OperatorMap.from_kraus(d1 * d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, 1))
     assert m.kraus.shape == (1, d_out, d1 * d2)
     v = _unitary_and_general(rng, 5, d1 * d2)
     u = _haar_unitaries(rng, 10, d_out)
@@ -474,7 +453,7 @@ def test_one_kraus_closed_form_matches_from_function_reference(d1, d2, d_out, mo
 @pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
 def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out, count):
     rng = rng_from(31)
-    m = BipartiteMap.build_from_kraus(d1, d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, count))
+    m = OperatorMap.from_kraus(d1 * d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, count))
     assert m.kraus.shape == (count, d_out, d1 * d2)
     assert _choi_path(m).kraus is None
     v = _unitary_and_general(rng, 4, d1 * d2)
@@ -490,10 +469,10 @@ def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out
 def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
     rng = rng_from(37)
     kraus = _gaussian_kraus(rng, 6, 2, 1)
-    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    m = OperatorMap.from_kraus(6, 2, kraus)
     v, u = _haar_unitaries(rng, 6, 6), _haar_unitaries(rng, 6, 2)
     kraus[0][1, 4] = bad
-    broken = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    broken = OperatorMap.from_kraus(6, 2, kraus)
     # a bad Kraus entry spoils every sample; a bad rotation entry its own
     v_bad, u_bad = v.copy(), u.copy()
     v_bad[1, 2, 3] = bad
@@ -522,7 +501,7 @@ def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
 def test_one_kraus_closed_form_keeps_its_digits_from_1e_minus_150_to_1e150(scale):
     rng = rng_from(41)
     (kraus,) = _gaussian_kraus(rng, 6, 2, 1)
-    m = BipartiteMap.build_from_kraus(2, 3, 2, [scale * kraus])
+    m = OperatorMap.from_kraus(6, 2, [scale * kraus])
     v = _unitary_and_general(rng, 5, 6)
     u = _haar_unitaries(rng, 10, 2)
     got = _conjugation_defects(m, v, u)
@@ -531,7 +510,7 @@ def test_one_kraus_closed_form_keeps_its_digits_from_1e_minus_150_to_1e150(scale
     assert (np.abs(got - want) <= 1e-13 * want).all(), (got, want)
 
 
-def _from_function_defects(m: BipartiteMap, v: np.ndarray, u: np.ndarray) -> list[float]:
+def _from_function_defects(m: OperatorMap, v: np.ndarray, u: np.ndarray) -> list[float]:
     """Per-sample Choi distance of E(V . V+) and U E(.) U+, each map built from its matrix units."""
     refs = []
     for vk, uk in zip(v, u):

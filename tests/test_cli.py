@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import util
 from hqmmsym import (
     ComplexOperator,
     ConfigError,
@@ -12,12 +13,12 @@ from hqmmsym import (
     build_model,
     cli,
     dense_word_value,
-    finite_volume_states,
     haar_rotations,
     load_model_config,
     operator_norm,
     random_words,
 )
+from hqmmsym import aklt
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
 from hqmmsym.sampling import rng_from
 
@@ -149,12 +150,34 @@ def test_oracle_deviation_i_belongs_to_a_suffix_of_word_i_over_5(variant, struct
     referee = np.empty(count, dtype=complex)
     for i in range(count):
         x, y = xs[i // 5, 4 - i % 5 :], ys[i // 5, 4 - i % 5 :]
-        alone[i] = finite_volume_states(m.triple, m.structure, x[None], y[None])[0]
+        alone[i] = util.fold_batch(m.triple, m.structure, x[None], y[None])[0]
         referee[i] = dense_word_value(m.triple, m.structure, ObservableWord(x, y))
     # |value - reference| as an array np.abs, as the global and kolmogorov rows take it
     want = np.abs(alone - referee)
     np.testing.assert_array_equal(deviations, want)
     assert deviations.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("samples, lengths", [
+    (20, [1, 2, 3, 4, 5] * 4),
+    (7, [1, 2, 3, 4, 5, 1, 2]),
+    (1, [1]),
+], ids=["20", "7", "1"])
+def test_the_oracle_referees_only_the_suffixes_it_keeps(samples, lengths, monkeypatch):
+    # of a last word in part, only the suffixes the row keeps are refereed:
+    # at 7 samples the second word's 1- and 2-site suffixes, not all five
+    seen = []
+    span_values = aklt._span_values
+
+    def spy(triple, structure, xs, ys, starts, span_lengths):
+        seen.extend(span_lengths.tolist())
+        return span_values(triple, structure, xs, ys, starts, span_lengths)
+
+    monkeypatch.setattr(aklt, "_span_values", spy)
+    m = cli.load_model("aklt", "normalized_cartesian", "conventional")
+    deviations = cli._oracle_deviations(m, RunConfig(checks=("oracle",), samples=samples, seed=7))
+    assert len(deviations) == len(seen) == min(samples, 20)
+    assert seen == lengths
 
 
 @pytest.mark.parametrize("n_max, words", [(0, 1), (2, 10), (6, 46)])
@@ -272,12 +295,10 @@ def test_eval_projector_word(capsys):
 
 
 def test_eval_word_file(tmp_path, capsys):
-    from hqmmsym import build_model, random_word
-
     triple = build_model("normalized_cartesian").triple
-    word = random_word(rng_from(1), triple, 2)
+    word = util.random_word(rng_from(1), triple, 2)
     path = tmp_path / "word.json"
-    path.write_text(json.dumps(word.to_json_list()))
+    util.write_word(path, word)
     code, out, _ = _run_cli(capsys, ["eval", "--word", str(path)])
     assert code == 0
     payload = json.loads(out)
@@ -616,11 +637,9 @@ def test_nan_report_round_trips_through_report(tmp_path, capsys):
 
 
 def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
-    from hqmmsym import build_model, random_word
-
     triple = build_model("normalized_cartesian").triple
-    word = random_word(rng_from(2), triple, 2)
-    x, y = word.to_json_list()
+    word = util.random_word(rng_from(2), triple, 2)
+    x, y = util.word_items(word)
     spelled = [x, _site(), y]
     values = []
     for name, items in (("holes", [x, "I", y]), ("spelled", spelled)):

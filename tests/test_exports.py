@@ -35,11 +35,24 @@ def _traced_names() -> set[str]:
     raise AssertionError("bench/tracing.py defines no TARGETS")
 
 
+def _public_definitions(path: Path) -> set[str]:
+    """Each public module-level function, as module.name, and public method, as module.Class.name."""
+    body = ast.parse(path.read_text()).body
+    found = {f"{path.stem}.{f.name}" for f in body if isinstance(f, ast.FunctionDef)}
+    for c in body:
+        if isinstance(c, ast.ClassDef):
+            found |= {f"{path.stem}.{c.name}.{f.name}" for f in c.body if isinstance(f, ast.FunctionDef)}
+    return {name for name in found if not name.rsplit(".", 1)[-1].startswith("_")}
+
+
 def test_every_exported_name_has_a_consumer():
     # a name stays public only if the library, the CLI or the bench reads it;
-    # tests and demos do not count
+    # tests and demos do not count.  That holds for every name in __all__
+    # and for every public function and method of the package's modules.
     modules = [p for p in (ROOT / "src" / "hqmmsym").glob("*.py") if p.name != "__init__.py"]
     consumed = _traced_names().union(
         *(_loaded_names(p) for p in modules + sorted((ROOT / "bench").glob("*.py")))
     )
     assert sorted(set(hqmmsym.__all__) - consumed) == []
+    public = set().union(*(_public_definitions(p) for p in modules))
+    assert sorted(name for name in public if name.rsplit(".", 1)[-1] not in consumed) == []

@@ -5,13 +5,13 @@ import pytest
 
 import util
 from hqmmsym import (
-    BipartiteMap,
     CausalStructure,
     ComplexOperator,
     ConfigError,
     DimensionMismatchError,
     GenerativeTriple,
     ObservableWord,
+    OperatorMap,
     build_model,
     classical_diagonal_triple,
     composite_map,
@@ -21,7 +21,6 @@ from hqmmsym import (
     load_model_config,
     load_word,
     operator_norm,
-    random_word,
     random_words,
     transition_map,
 )
@@ -38,7 +37,7 @@ def _toy_asymmetric_triple(emission):
     """Transition that traces out the first factor instead of the second."""
     d = 2
     kraus = [np.kron(unit.reshape(1, d), np.eye(d)) / np.sqrt(d) for unit in np.eye(d)]
-    swapped = BipartiteMap.build_from_kraus(d, d, d, kraus)
+    swapped = OperatorMap.from_kraus(d * d, d, kraus)
     phi0 = np.eye(2, dtype=complex) / 2
     return GenerativeTriple(2, 3, phi0, swapped, emission)
 
@@ -59,12 +58,20 @@ def test_triple_shape_validation(aklt_triple):
         GenerativeTriple(
             2, 3, np.eye(3), aklt_triple.transition, aklt_triple.emission
         )
+    # each map's input is the flattened product the triple fixes: h^2 for
+    # the transition, h o for the emission
+    t, e = aklt_triple.transition, aklt_triple.emission
+    for maps, axis, want, got in (((e, e), "transition", (4, 2), (6, 2)),
+                                  ((t, t), "emission", (6, 2), (4, 2))):
+        with pytest.raises(DimensionMismatchError) as err:
+            GenerativeTriple(2, 3, aklt_triple.phi0, *maps)
+        assert (err.value.axis, err.value.expected, err.value.got) == (axis, want, got)
 
 
 def test_word_construction_and_json(aklt_triple):
     word = ObservableWord.all_identity(3, 2, 3)
     assert len(word) == 3
-    items = word.to_json_list()
+    items = util.word_items(word)
     back = ObservableWord.from_json_list(items, 2, 3)
     for x1, y1, x2, y2 in zip(word.xs, word.ys, back.xs, back.ys):
         assert operator_norm(x1 - x2) == 0.0
@@ -130,7 +137,7 @@ def test_all_identity_words_evaluate_to_one(aklt_triple):
 
 def test_value_is_linear_in_each_site(aklt_triple):
     rng = rng_from(0)
-    base = random_word(rng, aklt_triple, 3)
+    base = util.random_word(rng, aklt_triple, 3)
     x1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a, b = 0.8 - 0.3j, 1.1j
@@ -151,7 +158,7 @@ def test_value_is_linear_in_each_site(aklt_triple):
 def test_composite_and_sliced_maps_agree(aklt_triple, structure):
     rng = rng_from(1)
     comp = composite_map(aklt_triple, structure)
-    assert (comp.dim_in1, comp.dim_in2, comp.dim_out) == (4, 3, 2)
+    assert (comp.dim_in, comp.dim_out) == (12, 2)
     for _ in range(5):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -169,7 +176,7 @@ def test_both_structures_coincide_for_partial_trace_transition(aklt_triple):
     assert operator_norm(c1 - c2) < 1e-12
     rng = rng_from(2)
     for n in (1, 2, 4):
-        word = random_word(rng, aklt_triple, n)
+        word = util.random_word(rng, aklt_triple, n)
         v1 = finite_volume_state(aklt_triple, "conventional", word)
         v2 = finite_volume_state(aklt_triple, "causal", word)
         assert abs(v1 - v2) < 1e-12
@@ -187,7 +194,7 @@ def test_structures_differ_for_asymmetric_transition(aklt_triple):
             finite_volume_state(toy, "conventional", w)
             - finite_volume_state(toy, "causal", w)
         )
-        for w in (random_word(rng, toy, 3) for _ in range(10))
+        for w in (util.random_word(rng, toy, 3) for _ in range(10))
     )
     assert gap > 1e-4
 
@@ -328,9 +335,9 @@ def test_model_config_missing_file():
 
 def test_word_file_loading(tmp_path, aklt_triple):
     rng = rng_from(9)
-    word = random_word(rng, aklt_triple, 3)
+    word = util.random_word(rng, aklt_triple, 3)
     path = tmp_path / "word.json"
-    path.write_text(json.dumps(word.to_json_list()))
+    util.write_word(path, word)
     back = load_word(str(path), 2, 3)
     v1 = finite_volume_state(aklt_triple, "conventional", word)
     v2 = finite_volume_state(aklt_triple, "conventional", back)

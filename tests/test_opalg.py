@@ -3,7 +3,6 @@ import pytest
 
 import util
 from hqmmsym import (
-    BipartiteMap,
     ComplexOperator,
     DimensionMismatchError,
     OperatorMap,
@@ -92,13 +91,13 @@ def test_map_kraus_shape_validation():
 def test_kraus_maps_keep_their_stack_read_only():
     rng = rng_from(11)
     kraus = [rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(2)]
-    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
+    m = OperatorMap.from_kraus(6, 2, kraus)
     assert m.kraus.shape == (2, 2, 6) and np.array_equal(m.kraus, kraus)
     with pytest.raises(ValueError):
         m.kraus[0, 0, 0] = 1.0
     kraus[0][0, 0] = 7.0  # the map holds a copy
     assert m.kraus[0, 0, 0] != 7.0
-    assert BipartiteMap(6, 2, m.coeff, 2, 3).kraus is None
+    assert OperatorMap(6, 2, m.coeff).kraus is None
     assert OperatorMap.from_kraus(6, 2, []).kraus.shape == (0, 2, 6)
 
 
@@ -138,18 +137,12 @@ def test_certify_cpu_flags_non_unital():
 def test_bipartite_build_and_apply_pair():
     rng = rng_from(10)
     kraus = util.random_unital_kraus(rng, 6, 2, 3)
-    m = BipartiteMap.build_from_kraus(2, 3, 2, kraus)
-    assert (m.dim_in1, m.dim_in2, m.dim_out) == (2, 3, 2)
+    m = OperatorMap.from_kraus(6, 2, kraus)
     a = random_operator(rng, 2)
     b = random_operator(rng, 3)
     pair = np.kron(a, b)
     via_kraus = sum(k @ pair @ k.conj().T for k in kraus)
     assert operator_norm(m.apply_array(pair) - via_kraus) < 1e-13
-
-
-def test_bipartite_factor_validation():
-    with pytest.raises(DimensionMismatchError):
-        BipartiteMap(5, 2, np.zeros((2, 2, 5, 5)), 2, 3)
 
 
 

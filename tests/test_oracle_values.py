@@ -30,15 +30,16 @@ import pytest
 
 import util
 from hqmmsym import (
-    BipartiteMap,
+    CausalStructure,
     ComplexOperator,
     GenerativeTriple,
     ObservableWord,
+    OperatorMap,
     build_model,
     classical_diagonal_triple,
 )
 from hqmmsym import aklt
-from hqmmsym.aklt import dense_suffix_values, dense_word_value, dense_word_values
+from hqmmsym.aklt import dense_suffix_values, dense_word_value
 from hqmmsym.hqmm import triple_from_config
 from hqmmsym.sampling import rng_from
 
@@ -146,6 +147,14 @@ def _hex(value: complex) -> tuple:
     return value.real.hex(), value.imag.hex()
 
 
+def _ragged_values(triple, structure, words) -> list[complex]:
+    """The words' values from one aklt._span_values call, each word a span of one site stack."""
+    lengths = np.array([len(w) for w in words])
+    xs, ys = np.concatenate([w.xs for w in words]), np.concatenate([w.ys for w in words])
+    structure = CausalStructure.parse(structure)
+    return aklt._span_values(triple, structure, xs, ys, np.cumsum(lengths) - lengths, lengths).tolist()
+
+
 @pytest.mark.parametrize("key", sorted(PINNED["values"]))
 def test_many_words_at_once_give_each_word_its_own_bits(key):
     # the call stacks every word's sites and each length's chains; a
@@ -153,9 +162,9 @@ def test_many_words_at_once_give_each_word_its_own_bits(key):
     triple, structure, site_counts = _cases(PINNED["kraus_config"])[key]
     words = list(_words(triple, site_counts))
     alone = [_hex(dense_word_value(triple, structure, w)) for w in words]
-    assert [_hex(v) for v in dense_word_values(triple, structure, words)] == alone
+    assert [_hex(v) for v in _ragged_values(triple, structure, words)] == alone
     mixed = words[::-1] + words
-    assert [_hex(v) for v in dense_word_values(triple, structure, mixed)] == alone[::-1] + alone
+    assert [_hex(v) for v in _ragged_values(triple, structure, mixed)] == alone[::-1] + alone
 
 
 BLOCKS = (1, 7, aklt._CHAIN_BLOCK)
@@ -182,9 +191,9 @@ def test_chain_blocks_of_any_size_give_the_same_bits_at_the_site_limit(
 ):
     triple, structure, _ = _cases(PINNED["kraus_config"])[key]
     words = list(_words(triple, site_counts))
-    want = [_hex(v) for v in dense_word_values(triple, structure, words)]
+    want = [_hex(v) for v in _ragged_values(triple, structure, words)]
     monkeypatch.setattr(aklt, "_CHAIN_BLOCK", block)
-    assert [_hex(v) for v in dense_word_values(triple, structure, words)] == want
+    assert [_hex(v) for v in _ragged_values(triple, structure, words)] == want
 
 
 def _assert_stacked_site_tensors_match_the_full_loops(triple, structure, words):
@@ -205,7 +214,7 @@ def _with_signed_zeros(triple) -> GenerativeTriple:
         coeff = np.array(m.coeff)
         coeff[coeff == 0] = complex(-0.0, 0.0)
         coeff.reshape(-1)[0] = complex(-0.0, -0.0)
-        maps.append(BipartiteMap(m.dim_in, m.dim_out, coeff, m.dim_in1, m.dim_in2))
+        maps.append(OperatorMap(m.dim_in, m.dim_out, coeff))
     return GenerativeTriple(triple.hidden_dim, triple.obs_dim, triple.phi0, *maps)
 
 
@@ -232,8 +241,8 @@ def _planted(rng, a: np.ndarray) -> np.ndarray:
 def _hidden3_maps(rng) -> list:
     """A transition that keeps both hidden factors and an emission, h = 3 and o = 2."""
     return [
-        BipartiteMap.build_from_kraus(3, 3, 3, util.random_unital_kraus(rng, 9, 3, 3)),
-        BipartiteMap.build_from_kraus(3, 2, 3, util.random_unital_kraus(rng, 6, 3, 3)),
+        OperatorMap.from_kraus(9, 3, util.random_unital_kraus(rng, 9, 3, 3)),
+        OperatorMap.from_kraus(6, 3, util.random_unital_kraus(rng, 6, 3, 3)),
     ]
 
 
@@ -243,10 +252,7 @@ def test_stacked_site_tensors_match_the_full_loops_on_planted_signed_zeros(struc
     # tensors and the words of one to five sites
     rng = rng_from(31)
     maps = _hidden3_maps(rng)
-    t, e = (
-        BipartiteMap(m.dim_in, m.dim_out, _planted(rng, m.coeff), m.dim_in1, m.dim_in2)
-        for m in maps
-    )
+    t, e = (OperatorMap(m.dim_in, m.dim_out, _planted(rng, m.coeff)) for m in maps)
     triple = GenerativeTriple(3, 2, _planted(rng, rng.standard_normal((3, 3))), t, e)
     words = [
         ObservableWord(
@@ -324,7 +330,7 @@ def test_sizes_past_the_float_range_give_nan_without_a_warning(structure):
     # 1e200 in both observables, or coefficients whose sum is past the
     # float range: the size bound overflows, which numpy would warn of
     triple = _classical_triple()
-    big = BipartiteMap(16, 4, np.full((4, 4, 16, 16), 1e307), 4, 4)
+    big = OperatorMap(16, 4, np.full((4, 4, 16, 16), 1e307))
     cases = [
         (triple, ObservableWord(np.full((1, 4, 4), 1e200), np.full((1, 3, 3), 1e200))),
         (GenerativeTriple(4, 3, triple.phi0, big, triple.emission), _classical4_word(1, 0.5)),
@@ -342,7 +348,7 @@ def test_a_state_of_zeros_leaves_no_chain_and_gives_plus_zero(structure):
     triple = _classical_triple()
     zero = GenerativeTriple(4, 3, np.zeros((4, 4)), triple.transition, triple.emission)
     words = [_classical4_word(1, 0.5), _classical4_word(3, -0.25)]
-    got = dense_word_values(zero, structure, words)
+    got = _ragged_values(zero, structure, words)
     want = [_hex(util.dense_chain_value(zero, structure, w, full_loops=True)) for w in words]
     assert [_hex(v) for v in got] == want == [_hex(0j)] * 2
 
@@ -359,7 +365,7 @@ def test_a_nan_word_in_a_list_leaves_the_finite_words_finite(structure):
         _classical4_word(2, 1e200),
         _classical4_word(3, -0.25),
     ]
-    got = dense_word_values(triple, structure, words)
+    got = _ragged_values(triple, structure, words)
     assert [_hex(v) for v in got] == [_hex(dense_word_value(triple, structure, w)) for w in words]
     assert [bool(np.isnan(v.real) and np.isnan(v.imag)) for v in got] == [
         False, True, False, True, False
@@ -411,7 +417,7 @@ def test_an_overflowing_first_site_gives_nan_for_its_whole_word_only(structure):
     assert np.isfinite(values[~nan]).all()
 
 
-def test_suffix_values_refuse_what_dense_word_values_refuses():
+def test_suffix_values_refuse_what_dense_word_value_refuses():
     triple = build_model().triple
     xs, ys = np.ones((2, 3, 2, 2)), np.ones((2, 3, 3, 3))
     for bad_xs, bad_ys in [(xs, ys[:, :2]), (xs, ys[:1]), (ys, ys), (xs, xs), (xs[0], ys[0])]:
@@ -427,10 +433,10 @@ def test_suffix_values_refuse_what_dense_word_values_refuses():
 def _referee_code() -> list:
     """The code objects of the referee's entry points and of every aklt function they name.
 
-    The entry points are dense_word_values and dense_suffix_values; the
+    The entry points are dense_word_value and dense_suffix_values; the
     names are followed transitively.
     """
-    codes, todo = [], [aklt.dense_word_values.__code__, aklt.dense_suffix_values.__code__]
+    codes, todo = [], [aklt.dense_word_value.__code__, aklt.dense_suffix_values.__code__]
     while todo:
         code = todo.pop()
         if code in codes:
@@ -453,7 +459,7 @@ def test_the_referee_names_nothing_of_the_fold():
     names = {name for c in codes for name in c.co_names}
     fold = {
         "sliced_coefficients", "composite_map", "fold_suffixes", "_fold", "conjugate",
-        "_products", "finite_volume_state", "finite_volume_states",
+        "_products", "finite_volume_state",
     }
     assert not names & (fold | {"einsum", "matmul"})
     matmul_ops = [

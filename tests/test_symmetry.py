@@ -220,3 +220,26 @@ def test_stacks_of_unequal_length_are_refused(model, action):
             check_emission_covariance(model.triple.emission, a, b)
         with pytest.raises(DimensionMismatchError):
             verify_intertwining(model.tensors, a, b)
+
+
+def test_swapped_stacks_are_refused(model, action):
+    # each stack must hold matrices of the space it acts on: rho's 3 x 3
+    # matrices where pi's 2 x 2 belong, or observable sites where hidden
+    # ones belong, are refused before any arithmetic
+    rng = rng_from(13)
+    u, r = _stacks(action, haar_rotations(rng, 30))
+    xs, ys = random_words(rng, model.triple, 30, 1)
+    xs, ys = xs[:, 0], ys[:, 0]
+    swapped = {
+        "initial": lambda: check_initial_invariance(model.triple.phi0, r),
+        "transition": lambda: check_transition_equivariance(model.triple.transition, r),
+        "emission": lambda: check_emission_covariance(model.triple.emission, r, u),
+        "sliced": lambda: check_sliced_covariance(model.triple, model.structure, r, u, xs, ys),
+        "intertwining": lambda: verify_intertwining(model.tensors, r, u),
+    }
+    for name, call in swapped.items():
+        with pytest.raises(DimensionMismatchError, match="pi stack") as err:
+            call()
+        assert (err.value.expected, err.value.got) == ((30, 2, 2), (30, 3, 3)), name
+    with pytest.raises(DimensionMismatchError, match="hidden sites"):
+        check_sliced_covariance(model.triple, model.structure, u, r, ys, xs)

@@ -9,33 +9,74 @@ visit every coefficient.  Spin generators come from the ladder
 operators and the Levi-Civita symbol, and the gauge transform, commutator
 pairing, trivial rep and transposed emission are their textbook formulas.
 The extension-consistency reference folds each length's words and their
-extensions whole, through finite_volume_states, rather than sharing the
-words' transfers or reading a length off a longer word's suffixes, and
-the global-invariance reference rotates and folds one volume at a time.
+extensions whole, through fold_batch, rather than sharing the words'
+transfers or reading a length off a longer word's suffixes, and the
+global-invariance reference rotates and folds one volume at a time.
 The norm reference takes every Gram eigenvalue from LAPACK, with no
 closed form for small matrices.
+
+Beside the oracles, fold_batch folds a batch of equal-length words through
+the library's own sliced_coefficients and fold_suffixes, random_word draws
+one word from random_words, and word_items and write_word spell a word
+out as a word file.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
 
 from hqmmsym import (
-    BipartiteMap,
     CausalStructure,
+    ComplexOperator,
+    ObservableWord,
     OperatorMap,
     ProjectiveRep,
     cocycle_eval,
-    finite_volume_states,
     haar_rotations,
     random_words,
 )
 from hqmmsym.aklt import _site_tensors
 from hqmmsym.grouprep import _compose
+from hqmmsym.hqmm import fold_suffixes, sliced_coefficients
 from hqmmsym.opalg import conjugate
 from hqmmsym.sampling import rng_from
+
+
+def fold_batch(triple, structure, xs, ys) -> np.ndarray:
+    """Values of the equal-length words xs[B, n, h, h], ys[B, n, o, o], folded as one batch.
+
+    One sliced_coefficients call gives every site's transfer and one
+    fold_suffixes call folds the words; each value has the bits of its
+    word folded alone.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+    count, n_sites = xs.shape[:2]
+    transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
+    return fold_suffixes(triple, transfers.reshape(count, n_sites, h * h, h * h))[:, -1]
+
+
+def random_word(rng: np.random.Generator, triple, n_sites: int) -> ObservableWord:
+    """One word of n_sites random sites: a random_words draw of one word."""
+    xs, ys = random_words(rng, triple, 1, n_sites)
+    return ObservableWord(xs[0], ys[0])
+
+
+def word_items(word: ObservableWord) -> list:
+    """The word as a word file's list of sites, each an {"X", "Y"} pair of matrix objects."""
+    h, o = word.xs.shape[1], word.ys.shape[1]
+    return [
+        {"X": ComplexOperator(h, x).to_json_dict(), "Y": ComplexOperator(o, y).to_json_dict()}
+        for x, y in zip(word.xs, word.ys)
+    ]
+
+
+def write_word(path, word: ObservableWord) -> None:
+    """Write the word to path as a word file."""
+    path.write_text(json.dumps(word_items(word)))
 
 
 def brute_force_cp(m: OperatorMap, rng: np.random.Generator, trials: int = 200) -> float:
@@ -135,15 +176,17 @@ def trivial_rep(dim: int) -> ProjectiveRep:
     return ProjectiveRep(dim, lambda q: np.broadcast_to(eye, (*np.shape(q)[:-1], dim, dim)))
 
 
-def transpose_physical_slot(m: BipartiteMap) -> BipartiteMap:
-    """The map X tensor Y -> m(X tensor Y^T): m with its second input slot transposed.
+def transpose_physical_slot(m: OperatorMap) -> OperatorMap:
+    """The emission X tensor Y -> m(X tensor Y^T): m with its physical input slot transposed.
 
-    For the emission map this reads the physical coefficient as <k'|Y|k>
-    instead of <k|Y|k'>, and the result is not completely positive.
+    An emission maps hidden tensor physical to hidden, so the hidden
+    dimension is m.dim_out.  This reads the physical coefficient as
+    <k'|Y|k> instead of <k|Y|k'>, and the result is not completely positive.
     """
-    d, h, o = m.dim_out, m.dim_in1, m.dim_in2
+    d = h = m.dim_out
+    o = m.dim_in // h
     coeff = m.coeff.reshape(d, d, h, o, h, o).swapaxes(3, 5)
-    return BipartiteMap(m.dim_in, d, coeff.reshape(d, d, m.dim_in, m.dim_in), h, o)
+    return OperatorMap(m.dim_in, d, coeff.reshape(d, d, m.dim_in, m.dim_in))
 
 
 def wigner_d1(beta: float) -> np.ndarray:
@@ -170,13 +213,6 @@ def random_unital_kraus(
     w, v = np.linalg.eigh(s)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     return [inv_sqrt @ k for k in raw]
-
-
-def random_unital_bipartite(
-    rng: np.random.Generator, dim_in1: int, dim_in2: int, dim_out: int, count: int = 4
-) -> BipartiteMap:
-    kraus = random_unital_kraus(rng, dim_in1 * dim_in2, dim_out, count)
-    return BipartiteMap.build_from_kraus(dim_in1, dim_in2, dim_out, kraus)
 
 
 def partial_trace_second(w: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -327,7 +363,7 @@ def two_batch_kolmogorov_check(
     the words: block j holds every sample's j-th site from the end, so a
     length's random words are the first blocks, read back to front.  For
     each length the words and their extensions, which end with one more
-    identity site, go through finite_volume_states as two separate
+    identity site, go through fold_batch as two separate
     batches, so the extensions' transfers are computed again rather than
     shared, and no length is read off a longer word.
     """
@@ -336,7 +372,7 @@ def two_batch_kolmogorov_check(
     eye_x = np.eye(h, dtype=complex)
     eye_y = np.eye(o, dtype=complex)
     base = float(np.trace(triple.phi0).real)
-    one_site = finite_volume_states(triple, structure, eye_x[None, None], eye_y[None, None])
+    one_site = fold_batch(triple, structure, eye_x[None, None], eye_y[None, None])
     deviations = [np.abs(one_site - base)]
     blocks_x, blocks_y = random_words(rng, triple, max(depth - 1, 0), samples)
     for n_sites in range(1, depth):
@@ -345,8 +381,8 @@ def two_batch_kolmogorov_check(
         xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
         ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
         count = samples + 1
-        value = finite_volume_states(triple, structure, xs, ys)
-        extended = finite_volume_states(
+        value = fold_batch(triple, structure, xs, ys)
+        extended = fold_batch(
             triple,
             structure,
             np.concatenate([xs, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
@@ -365,7 +401,7 @@ def per_volume_global_invariance(
     sites in blocks from the end of the words, block j holding every
     sample's j-th site from the end.  Volume by volume, the words are the
     first blocks read back to front, rotated site by site, and one
-    finite_volume_states call folds the words followed by their rotations.
+    fold_batch call folds the words followed by their rotations.
     The sites are rotated by opalg.conjugate, as the check rotates them,
     on each volume's stack alone.
     """
@@ -378,7 +414,7 @@ def per_volume_global_invariance(
     for n in range(n_max + 1):
         xs = blocks_x[: n + 1][::-1].swapaxes(0, 1)
         ys = blocks_y[: n + 1][::-1].swapaxes(0, 1)
-        values = finite_volume_states(
+        values = fold_batch(
             triple,
             structure,
             np.concatenate([xs, conjugate(u, xs)]),
