@@ -21,7 +21,7 @@ from hqmmsym import (
     dense_word_value,
     finite_volume_state,
     projector_word,
-    random_words,
+    unit_sites,
 )
 from hqmmsym.hqmm import ObservableWord
 from hqmmsym.sampling import rng_from
@@ -55,12 +55,13 @@ print(f"P(x, y, z) by the transfer fold:   {fold.real:.12f}")
 print(f"P(x, y, z) by dense contraction:   {dense.real:.12f}")
 print(f"exact value 1/27 =                 {1.0 / 27.0:.12f}")
 
-# the two causal structures agree on random words for this model
+# the two causal structures agree on random words for this model; each
+# site is a row of 2 h^2 + 2 o^2 Gaussians, decoded to unit-norm matrices
 rng = rng_from(8)
+width = 2 * triple.hidden_dim**2 + 2 * triple.obs_dim**2
 worst = 0.0
 for i in range(20):
-    xs, ys = random_words(rng, triple, 1, 1 + i % 4)
-    w = ObservableWord(xs[0], ys[0])
+    w = ObservableWord(*unit_sites(triple, rng.standard_normal((1 + i % 4, width))))
     conv = finite_volume_state(triple, "conventional", w)
     caus = finite_volume_state(triple, "causal", w)
     worst = max(worst, abs(conv - caus))

@@ -22,6 +22,7 @@ from hqmmsym import (
     haar_rotations,
     spin_half_rep,
     spin_one_rep,
+    unit_sites,
     verify_intertwining,
 )
 from hqmmsym.cli import RunConfig, run
@@ -63,12 +64,18 @@ for condition, deviations in checks.items():
         f"tolerance {tolerance:.0e}  pass={worst <= tolerance}"
     )
 
-# global invariance volume by volume, under both causal structures
+# global invariance volume by volume, under both causal structures: one
+# rotation and one word of 5 sites per sample, read off one generator as
+# a verify run reads them, the words' sites in blocks from the end (block
+# j holds every word's j-th site from the end)
 print()
+rng = rng_from(6)
+q = haar_rotations(rng, 30)
+width = 2 * 2**2 + 2 * 3**2
+xs, ys = unit_sites(model.triple, rng.standard_normal((5 * 30, width)))
+words = xs.reshape(5, 30, 2, 2)[::-1].swapaxes(0, 1), ys.reshape(5, 30, 3, 3)[::-1].swapaxes(0, 1)
 for structure in ("conventional", "causal"):
-    by_volume = check_global_invariance(
-        model.triple, structure, model.action, n_max=4, samples=30, seed=6
-    )
+    by_volume = check_global_invariance(model.triple, structure, pi(q), rho(q), *words)
     worst = max(deviations.max() for deviations in by_volume)
     print(f"global invariance, {structure:12s} worst over n<=4: {worst:.2e}")
 

@@ -29,6 +29,7 @@ from .grouprep import (
     cocycle_defects,
     cocycle_eval,
     detect_nontrivial_class,
+    haar_quaternions,
     haar_rotations,
     rotation_matrices,
     spin_half_rep,
@@ -45,7 +46,7 @@ from .hqmm import (
     kolmogorov_check,
     load_model_config,
     load_word,
-    random_words,
+    unit_sites,
 )
 from .opalg import (
     ComplexOperator,
@@ -102,6 +103,7 @@ __all__ = [
     "detect_nontrivial_class",
     "emission_map",
     "finite_volume_state",
+    "haar_quaternions",
     "haar_rotations",
     "kolmogorov_check",
     "load_model_config",
@@ -109,12 +111,12 @@ __all__ = [
     "operator_norm",
     "operator_norms",
     "projector_word",
-    "random_words",
     "rotation_matrices",
     "spin_half_rep",
     "spin_one_rep",
     "su2_matrices",
     "transition_map",
+    "unit_sites",
     "verify_intertwining",
     "worst_deviation",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: verification suites, word evaluation, cocycle probes.
 
-The verify subcommand assembles a model, runs a configurable list of
-named checks and emits a machine-readable report; running it twice with
-the same configuration produces byte-identical JSON.  The eval subcommand
+The verify subcommand assembles a model, makes one seeded draw of all
+that the selected checks read, runs them and emits a machine-readable
+report; running it twice with the same configuration produces
+byte-identical JSON.  The eval subcommand
 prints a single word value, cocycle analyzes a finite abelian subgroup,
 and report re-renders a stored report file.
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import aklt
 from .errors import ConfigError, SubgroupStructureError, config_float, config_int, load_json
-from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_rotations
+from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_quaternions
 from .hqmm import (
     CausalStructure,
     GenerativeTriple,
@@ -35,8 +36,8 @@ from .hqmm import (
     kolmogorov_check,
     load_model_config,
     load_word,
-    random_words,
     sliced_coefficients,
+    unit_sites,
 )
 # operator_norm is unused here but stays bound: bench/tests checks that the
 # tracer in bench/tracing.py wraps and restores this module's binding.
@@ -75,59 +76,127 @@ def load_model(name: str, variant: str, structure: str | None) -> Model:
     return Model(triple, CausalStructure.parse(own if structure is None else structure), None)
 
 
-class HaarDraw(NamedTuple):
-    """The inputs of every sampled row: a run's c.samples Haar rotations and one site each.
+class Reads(NamedTuple):
+    """A row's slice of the run's one Gaussian stream.
 
-    pi[k] = pi(g_k) and rho[k] = rho(g_k) for the rotations g_k of
-    haar_rotations(rng_from(seed), samples), and (xs[k], ys[k]) is the
-    random site drawn from the same generator right after them.  cli.run
-    makes the one draw, so each row's inputs are a function of
-    (seed, samples) only, whichever rows are selected.
+    The first rotations Haar rotations, four Gaussians each from the
+    start of the stream, with their pi and rho stacks when stacks is set;
+    and sites random sites, 2 h^2 + 2 o^2 Gaussians each, from Gaussian
+    offset on.
     """
 
-    pi: np.ndarray
-    rho: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
+    rotations: int = 0
+    stacks: bool = False
+    offset: int = 0
+    sites: int = 0
 
 
-def _haar_draw(m: Model, c: RunConfig) -> HaarDraw:
-    rng = rng_from(c.seed)
-    q = haar_rotations(rng, c.samples)
-    xs, ys = random_words(rng, m.triple, c.samples, 1)
-    action = m.builtin.action
-    return HaarDraw(action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
+class Draw(NamedTuple):
+    """A verify run's one draw, decoded once for every selected row.
+
+    q holds the longest prefix of Haar rotations any row reads, pi and
+    rho their stacks over the longest prefix a row with stacks reads
+    (None when no row does), and windows maps each Gaussian offset that
+    rows read sites from to the sites (xs, ys) decoded from there, as
+    many as the row reading most of them.  dims is the triple's (h, o).
+    """
+
+    q: np.ndarray
+    pi: np.ndarray | None
+    rho: np.ndarray | None
+    windows: dict[int, tuple[np.ndarray, np.ndarray]]
+    dims: tuple[int, int]
+
+    def stacks(self, r: Reads) -> tuple[np.ndarray, np.ndarray]:
+        """The pi and rho stacks of the rotations r reads."""
+        return self.pi[: r.rotations], self.rho[: r.rotations]
+
+    def sites(self, r: Reads) -> tuple[np.ndarray, np.ndarray]:
+        """The sites r reads, as stacks xs[r.sites, h, h] and ys[r.sites, o, o]."""
+        if r.sites == 0:
+            return tuple(np.empty((0, d, d), dtype=complex) for d in self.dims)
+        xs, ys = self.windows[r.offset]
+        return xs[: r.sites], ys[: r.sites]
+
+
+def draw(m: Model, c: RunConfig, checks) -> Draw:
+    """The one draw of a run of the named checks, the only draw of a verify run.
+
+    One standard_normal buffer from rng_from(c.seed), as long as the
+    furthest Gaussian any row reads, and none when no row reads one.
+    The rotations are decoded once by haar_quaternions, and pi and rho
+    stacked once.  Every window of sites goes through one unit_sites
+    call, so each site size has one operator_norms call.  Every step is
+    per row of Gaussians, so an input's bits do not depend on which rows
+    run.
+    """
+    h, o = m.triple.hidden_dim, m.triple.obs_dim
+    width = 2 * (h * h + o * o)
+    reads = [CHECKS[name].reads(c) for name in checks]
+    rotations = max([r.rotations for r in reads], default=0)
+    stacked = max([r.rotations for r in reads if r.stacks], default=0)
+    windows: dict[int, int] = {}
+    for r in reads:
+        if r.sites:
+            windows[r.offset] = max(windows.get(r.offset, 0), r.sites)
+    size = max([4 * rotations, *(offset + n * width for offset, n in windows.items())])
+    g = rng_from(c.seed).standard_normal(size) if size else np.empty(0)
+    q = np.empty((0, 4))
+    if rotations:
+        q = haar_quaternions(g[: 4 * rotations].reshape(rotations, 4))
+    pi = rho = None
+    if stacked:
+        action = m.builtin.action
+        pi, rho = action.pi.stack(q[:stacked]), action.rho.stack(q[:stacked])
+    decoded = {}
+    if windows:
+        rows = [g[offset : offset + n * width].reshape(n, width) for offset, n in windows.items()]
+        xs, ys = unit_sites(m.triple, np.concatenate(rows))
+        cuts = np.cumsum(list(windows.values()))[:-1]
+        decoded = dict(zip(windows, zip(np.split(xs, cuts), np.split(ys, cuts))))
+    return Draw(q, pi, rho, decoded, (h, o))
+
+
+def _words(xs: np.ndarray, ys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count words from sites laid out in blocks from the end of the words.
+
+    Block j holds every word's j-th site from the end, so the words of a
+    shorter length are the first blocks, whatever the longest length.
+    """
+    h, o = xs.shape[-1], ys.shape[-1]
+    xs, ys = xs.reshape(-1, count, h, h), ys.reshape(-1, count, o, o)
+    return xs[::-1].swapaxes(0, 1), ys[::-1].swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
 class Check:
-    """One verify check; needs_action marks those config-file models cannot run.
+    """One verify row; needs_action marks those config-file models cannot run.
 
-    results(m, c, tol, haar) makes the row's verdicts.  haar is the run's
-    HaarDraw, which only the sampled rows read; it is None when no
-    sampled row is selected.
+    reads(c) is the row's slice of the run's Gaussian stream,
+    from_draw(d, r, c) shapes that slice of the run's Draw d, with
+    r = reads(c), into the row's inputs, and results(m, c, tol, inputs)
+    makes the row's verdicts from them.
     """
 
     needs_action: bool
     tolerance: float
-    results: Callable[[Model, RunConfig, float, HaarDraw | None], list[CheckResult]]
-    sampled: bool = False
+    results: Callable[[Model, RunConfig, float, tuple], list[CheckResult]]
+    reads: Callable[[RunConfig], Reads] = lambda c: Reads()
+    from_draw: Callable[[Draw, Reads, RunConfig], tuple] = lambda d, r, c: ()
+
+    def inputs(self, d: Draw, c: RunConfig) -> tuple:
+        """The row's inputs, read off the run's draw d."""
+        return self.from_draw(d, self.reads(c), c)
 
 
-def _check_cpu(
-    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
-) -> list[CheckResult]:
+def _check_cpu(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
     # the one verdict on a triple: every defect within this row's tolerance
     deviations = list(m.triple.defects().values())
     return [check_result("cpu_certification", 0, c.seed, deviations, tol)]
 
 
-def _check_cocycle(
-    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
-) -> list[CheckResult]:
-    # each sample is a pair (g, h) of successive draws
-    gs = haar_rotations(rng_from(c.seed), 2 * c.samples)
-    omega, deviations = cocycle_defects(m.builtin.action.pi, gs[0::2], gs[1::2])
+def _check_cocycle(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
+    omega, deviations = cocycle_defects(m.builtin.action.pi, *inputs)
     result = check_result("cocycle_identity", c.samples, c.seed, deviations, tol)
     # the section cocycle takes the values +1 and -1 exactly
     exact = bool(np.all((omega == 1.0) | (omega == -1.0)))
@@ -135,49 +204,49 @@ def _check_cocycle(
 
 
 def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check:
-    """A row over the run's HaarDraw: deviations_of(m, haar) gives one deviation per sample."""
+    """A row over the run's first samples rotations and one site each.
 
-    def results(m: Model, c: RunConfig, tol: float, haar: HaarDraw):
-        return [check_result(condition, c.samples, c.seed, deviations_of(m, haar), tol)]
+    deviations_of(m, u, r, xs, ys) gives one deviation per sample from
+    the stacks u[k] = pi(g_k), r[k] = rho(g_k) and the site (xs[k], ys[k]).
+    """
 
-    return Check(True, tolerance, results, sampled=True)
+    def results(m: Model, c: RunConfig, tol: float, inputs: tuple):
+        return [check_result(condition, c.samples, c.seed, deviations_of(m, *inputs), tol)]
 
-
-def _check_global(
-    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
-) -> list[CheckResult]:
-    by_volume = check_global_invariance(
-        m.triple, m.structure, m.builtin.action, c.n_max, c.global_samples, c.seed
+    return Check(
+        True, tolerance, results,
+        reads=lambda c: Reads(c.samples, True, 4 * c.samples, c.samples),
+        from_draw=lambda d, r, c: (*d.stacks(r), *d.sites(r)),
     )
+
+
+def _check_global(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
+    by_volume = check_global_invariance(m.triple, m.structure, *inputs)
     return [
         check_result(f"global_invariance[n={n}]", c.global_samples, c.seed, deviations, tol)
         for n, deviations in enumerate(by_volume)
     ]
 
 
-def _check_kolmogorov(
-    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
-) -> list[CheckResult]:
-    deviations = kolmogorov_check(m.triple, m.structure, c.n_max, c.global_samples, c.seed)
+def _check_kolmogorov(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
+    deviations = kolmogorov_check(m.triple, m.structure, *inputs)
     # one word per deviation: 1 + (n_max - 1) * (global_samples + 1) of them
     return [check_result("kolmogorov_consistency", len(deviations), c.seed, deviations, tol)]
 
 
-def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
+def _oracle_deviations(m: Model, xs: np.ndarray, ys: np.ndarray, count: int) -> np.ndarray:
     """Deviation i: the last 1 + i % 5 sites of word i // 5, folded against the dense referee.
 
-    The row draws ceil(count / 5) words of 5 sites, count = min(samples,
-    20).  One sliced_coefficients call gives every site's transfer and one
-    fold_suffixes call folds the words, each suffix's value with the bits
-    of that suffix folded alone.  The referee takes every suffix of the
-    whole words and, of a last word in part, the suffixes of its last
-    count % 5 sites, the ones the row keeps: dense_suffix_values gives
-    each value the bits of its suffix alone.
+    The words xs[W, 5, h, h], ys[W, 5, o, o] are ceil(count / 5) words
+    of 5 sites.  One sliced_coefficients call gives every site's
+    transfer and one fold_suffixes call folds the words, each suffix's
+    value with the bits of that suffix folded alone.  The referee takes
+    every suffix of the whole words and, of a last word in part, the
+    suffixes of its last count % 5 sites, the ones the row keeps:
+    dense_suffix_values gives each value the bits of its suffix alone.
     """
-    count = min(c.samples, 20)
     whole, rest = divmod(count, 5)
     h, o = m.triple.hidden_dim, m.triple.obs_dim
-    xs, ys = random_words(rng_from(c.seed), m.triple, math.ceil(count / 5), 5)
     sites = (xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     transfers = sliced_coefficients(m.triple, m.structure, *sites)
     folded = fold_suffixes(m.triple, transfers.reshape(len(xs), 5, h * h, h * h))
@@ -188,37 +257,59 @@ def _oracle_deviations(m: Model, c: RunConfig) -> np.ndarray:
     return np.abs(folded.reshape(-1)[:count] - np.concatenate(referee))
 
 
-def _check_oracle(
-    m: Model, c: RunConfig, tol: float, haar: HaarDraw | None = None
-) -> list[CheckResult]:
-    deviations = _oracle_deviations(m, c)
+def _check_oracle(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
+    deviations = _oracle_deviations(m, *inputs, min(c.samples, 20))
     return [check_result("oracle_agreement", len(deviations), c.seed, deviations, tol)]
 
 
 # The verify checks in report order.  Each row is the one place its check's
-# deviations meet a tolerance; rows share only the run's Haar batch, a
-# function of (seed, samples).
+# deviations meet a tolerance.  Rows share only the run's one draw, and
+# their reads are the one table of what each reads of it.  A row's reads
+# depend on the seed and its own counts alone, so its inputs do too,
+# whichever other rows are selected.
 CHECKS = {
     "cpu": Check(False, 1e-10, _check_cpu),
-    "cocycle": Check(True, 1e-10, _check_cocycle),
-    "initial": _sampled(1e-10, "initial_invariance", lambda m, haar: (
-        check_initial_invariance(m.triple.phi0, haar.pi)
+    "cocycle": Check(
+        True, 1e-10, _check_cocycle,
+        # each sample is a pair (g, h) of successive rotations
+        reads=lambda c: Reads(rotations=2 * c.samples),
+        from_draw=lambda d, r, c: (d.q[0 : r.rotations : 2], d.q[1 : r.rotations : 2]),
+    ),
+    "initial": _sampled(1e-10, "initial_invariance", lambda m, u, r, xs, ys: (
+        check_initial_invariance(m.triple.phi0, u)
     )),
-    "transition": _sampled(1e-10, "transition_equivariance", lambda m, haar: (
-        check_transition_equivariance(m.triple.transition, haar.pi)
+    "transition": _sampled(1e-10, "transition_equivariance", lambda m, u, r, xs, ys: (
+        check_transition_equivariance(m.triple.transition, u)
     )),
-    "emission": _sampled(1e-10, "emission_covariance", lambda m, haar: (
-        check_emission_covariance(m.triple.emission, haar.pi, haar.rho)
+    "emission": _sampled(1e-10, "emission_covariance", lambda m, u, r, xs, ys: (
+        check_emission_covariance(m.triple.emission, u, r)
     )),
-    "sliced": _sampled(1e-10, "sliced_covariance", lambda m, haar: (
-        check_sliced_covariance(m.triple, m.structure, haar.pi, haar.rho, haar.xs, haar.ys)
+    "sliced": _sampled(1e-10, "sliced_covariance", lambda m, u, r, xs, ys: (
+        check_sliced_covariance(m.triple, m.structure, u, r, xs, ys)
     )),
-    "global": Check(True, 1e-9, _check_global),
-    "kolmogorov": Check(False, 1e-10, _check_kolmogorov),
-    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, haar: (
-        aklt.verify_intertwining(m.builtin.tensors, haar.pi, haar.rho)
+    "global": Check(
+        True, 1e-9, _check_global,
+        # one word of n_max + 1 sites per sample, in blocks from the end
+        reads=lambda c: Reads(
+            c.global_samples, True, 4 * c.global_samples, (c.n_max + 1) * c.global_samples
+        ),
+        from_draw=lambda d, r, c: (*d.stacks(r), *_words(*d.sites(r), c.global_samples)),
+    ),
+    "kolmogorov": Check(
+        False, 1e-10, _check_kolmogorov,
+        # one word of n_max - 1 sites per sample, in blocks from the end
+        reads=lambda c: Reads(sites=max(c.n_max - 1, 0) * c.global_samples),
+        from_draw=lambda d, r, c: _words(*d.sites(r), c.global_samples),
+    ),
+    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, u, r, xs, ys: (
+        aklt.verify_intertwining(m.builtin.tensors, u, r)
     )),
-    "oracle": Check(False, 1e-10, _check_oracle),
+    "oracle": Check(
+        False, 1e-10, _check_oracle,
+        # words of 5 sites, word by word: a prefix of kolmogorov's sites
+        reads=lambda c: Reads(sites=5 * math.ceil(min(c.samples, 20) / 5)),
+        from_draw=lambda d, r, c: tuple(s.reshape(-1, 5, *s.shape[1:]) for s in d.sites(r)),
+    ),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -321,11 +412,12 @@ def run(config: RunConfig) -> dict:
                 f"check {name!r} needs the builtin model; config-file models support "
                 + ", ".join(allowed)
             )
-    # one draw for every sampled row, made only when one is selected
-    haar = _haar_draw(m, config) if any(CHECKS[name].sampled for name in checks) else None
-    results = [
-        r for name in checks for r in CHECKS[name].results(m, config, config.tolerances[name], haar)
-    ]
+    # the run's one draw, of what the selected rows read
+    d = draw(m, config, checks)
+    results = []
+    for name in checks:
+        check = CHECKS[name]
+        results += check.results(m, config, config.tolerances[name], check.inputs(d, config))
     return {
         "config": config.to_json_dict(),
         "model": model_info,

@@ -175,15 +175,23 @@ class RotationElement:
         return {"quat": [float(c) for c in self.quat]}
 
 
+def haar_quaternions(g: np.ndarray) -> np.ndarray:
+    """Haar-uniform rotations, as canonical quaternions, from Gaussian rows g[N, 4].
+
+    Normalizing before canonical_quaternions normalizes again makes each
+    row equal RotationElement(g / |g|) bit for bit for its Gaussians g,
+    and every step is per row, so a row's bits do not depend on N.
+    """
+    return canonical_quaternions(_unit(g))
+
+
 def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Haar-uniform rotations as canonical quaternions of shape (count, 4).
+    """count Haar-uniform rotations drawn from rng, as canonical quaternions of shape (count, 4).
 
     One draw of count 4d Gaussians, the same stream as count draws of
-    four.  Normalizing before canonical_quaternions normalizes again makes
-    each row equal RotationElement(g / |g|) bit for bit for its Gaussians
-    g, and every step is per row, so a row's bits do not depend on count.
+    four, decoded by haar_quaternions.
     """
-    return canonical_quaternions(_unit(rng.standard_normal((count, 4))))
+    return haar_quaternions(rng.standard_normal((count, 4)))
 
 
 def cocycle_eval(qg, qh) -> np.ndarray:

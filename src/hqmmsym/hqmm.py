@@ -23,15 +23,14 @@ finite_volume_state folds one word with two map applications per site, apart
 from composite_map: it is the tests' per-word reference and the path the
 word-eval benchmark times.
 
-Random sites come from the stream through one map, random_words, which
-draws a row of Gaussians per site and turns each row into a unit-norm
-site pair, row by row.  kolmogorov_check here, and the global
-symmetry check, draw one word per sample and read every shorter length off
-its suffixes, as the last k sites of a word of independent sites are a
-word of k independent sites.  Their site stream is laid out from the end
-of the words: block j holds every sample's j-th site from the end, so the
-inputs of the words of k sites are the first k blocks whatever the
-longest length, and each value has the bits of folding its suffix alone.
+Random sites come from Gaussians through one map, unit_sites, which
+turns each row of Gaussians into a unit-norm site pair, row by row.
+Nothing here draws: cli.run makes a verify run's one draw and hands
+each row its arrays.  kolmogorov_check here, and the global symmetry
+check, take one word per sample and read every shorter length off its
+suffixes, as the last k sites of a word of independent sites are a word
+of k independent sites; each value has the bits of folding its suffix
+alone.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .opalg import (
     operator_norms,
     positivity_defects,
 )
-from .sampling import rng_from
 
 
 class CausalStructure(enum.Enum):
@@ -302,70 +300,62 @@ def fold_suffixes(
     return (close @ np.stack(suffixes, axis=-3)).reshape(transfers.shape[:-2])
 
 
-def random_words(
-    rng: np.random.Generator, triple: GenerativeTriple, count: int, n_sites: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """count random words as site stacks xs[count, n, h, h], ys[count, n, o, o].
+def unit_sites(triple: GenerativeTriple, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Random site pairs xs[N, h, h], ys[N, o, o] from Gaussian rows g[N, 2 h^2 + 2 o^2].
 
-    This is the one map from the stream to random sites.  Each site is a
-    complex Gaussian matrix rescaled to unit operator norm, as
-    sampling.random_operator draws it: one row of 2 h^2 + 2 o^2 Gaussians
-    per site holds the real then imaginary parts of x, then those of y.
-    One draw from rng consumes the stream exactly as the per-site
-    random_operator calls (x, then y, site by site, word by word) would,
-    so both give the same words.  Every step is per row, so a site's bits
-    do not depend on count or n_sites: random_words(rng, triple, blocks,
-    samples) gives block j as row j of the same stream.
+    This is the one map from Gaussians to random sites.  A row holds the
+    real then imaginary parts of x, then those of y, and each matrix is
+    divided by its operator norm, as sampling.random_operator draws it:
+    a row of Gaussians drawn from a generator gives the site that
+    random_operator calls for x and then y would.  Every step is per row,
+    so a site's bits do not depend on N.
     """
     h, o = triple.hidden_dim, triple.obs_dim
-    g = rng.standard_normal((count * n_sites, 2 * h * h + 2 * o * o))
     xs = (g[:, : h * h] + 1j * g[:, h * h : 2 * h * h]).reshape(-1, h, h)
     ys = (g[:, 2 * h * h : 2 * h * h + o * o] + 1j * g[:, 2 * h * h + o * o :]).reshape(-1, o, o)
-    xs, ys = xs / operator_norms(xs)[:, None, None], ys / operator_norms(ys)[:, None, None]
-    return xs.reshape(count, n_sites, h, h), ys.reshape(count, n_sites, o, o)
+    return xs / operator_norms(xs)[:, None, None], ys / operator_norms(ys)[:, None, None]
 
 
 def kolmogorov_check(
-    triple: GenerativeTriple, structure, depth: int, samples: int, seed: int
+    triple: GenerativeTriple, structure, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """Per-word change of a word value under appending an identity site.
 
     For unital maps the appended site acts as the identity, so the value is
     unchanged; a non-unital transition shows up as a per-site inflation.
-    The rows are the one-site identity word, then for each length
-    1..depth-1 the all-identity word followed by samples seeded random
-    words.  A word's extension has the word's transfers followed by the
-    identity site's transfer S(1, 1), and a sliced_coefficients row does
-    not depend on its batch: so the words' transfers fold twice, from
-    vec(1) for the words and from S(1, 1) vec(1) for their extensions,
-    bit for bit as if the extensions were folded whole.
+    xs[samples, n, h, h] and ys[samples, n, o, o] hold samples random
+    words of n sites, and a shorter length's words are their suffixes.
+    The rows are the one-site identity word, then for each length 1..n
+    the all-identity word followed by the samples words of that length.
+    A word's extension has the word's transfers followed by the identity
+    site's transfer S(1, 1), and a sliced_coefficients row does not
+    depend on its batch: so the words' transfers fold twice, from vec(1)
+    for the words and from S(1, 1) vec(1) for their extensions, bit for
+    bit as if the extensions were folded whole.
 
-    Only the all-identity word and the samples random words of depth - 1
-    sites are folded, each twice in one fold_suffixes batch; a length's
-    words are their suffixes of that length.  The stream is one
-    random_words draw in blocks from the end: block j holds every
-    sample's j-th site from the end, so the words of length k depend on
-    (seed, samples, k) alone.  One sliced_coefficients call gives the
-    identity site's transfer and every random site's, and each deviation
-    has the bits of folding its word and its extension alone.
+    Only the all-identity word and the samples random words are folded,
+    each twice in one fold_suffixes batch.  One sliced_coefficients call
+    gives the identity site's transfer and every random site's, and each
+    deviation has the bits of folding its word and its extension alone.
     """
-    rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
     h2 = h * h
-    n_sites = max(depth - 1, 0)
-    xs, ys = random_words(rng, triple, n_sites, samples)
-    xs, ys = xs.reshape(-1, h, h), ys.reshape(-1, o, o)
+    samples, n_sites = xs.shape[:2]
+    for name, stack, d in (("hidden words", xs, h), ("observable words", ys, o)):
+        if np.shape(stack) != (samples, n_sites, d, d):
+            raise DimensionMismatchError(name, (samples, n_sites, d, d), np.shape(stack))
     eye_x, eye_y = np.eye(h, dtype=complex), np.eye(o, dtype=complex)
     transfers = sliced_coefficients(
-        triple, structure, np.concatenate([eye_x[None], xs]), np.concatenate([eye_y[None], ys])
+        triple,
+        structure,
+        np.concatenate([eye_x[None], xs.reshape(-1, h, h)]),
+        np.concatenate([eye_y[None], ys.reshape(-1, o, o)]),
     )
     # the all-identity word, at least one site for the one-site identity
     # word; transfers[0] is S(1, 1)
     words = np.broadcast_to(transfers[:1], (1, max(n_sites, 1), h2, h2))
     if n_sites:
-        # block j holds site n_sites - 1 - j of every sample's word
-        blocks = transfers[1:].reshape(n_sites, samples, h2, h2)
-        words = np.concatenate([words, blocks[::-1].swapaxes(0, 1)])
+        words = np.concatenate([words, transfers[1:].reshape(samples, n_sites, h2, h2)])
     value = fold_suffixes(triple, words)
     appended = transfers[0] @ eye_x.reshape(h2, 1)
     extended = fold_suffixes(triple, words, appended)

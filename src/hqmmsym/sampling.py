@@ -1,7 +1,10 @@
-"""Seeded random inputs for checks and property tests.
+"""Seeded generators and a random matrix sampler.
 
-Every public sampler takes an explicit integer seed or an existing Generator,
-so identical configurations reproduce identical streams.
+rng_from gives the generator of an integer seed, so identical seeds
+reproduce identical streams.  A verify run draws from it once, in
+cli.run, and decodes every row's inputs from that one buffer
+(grouprep.haar_quaternions, hqmm.unit_sites); no check draws.
+random_operator draws one matrix from a given generator, for tests.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     The norm is opalg.operator_norm (a scaled Gram eigenvalue, nan for a
     non-finite matrix, exactly 0 for a zero matrix; in closed form for
     dim 2 and 3, with eigvalsh near a degenerate top pair of a 3 x 3, and
-    from eigvalsh for larger dim), the one that hqmm.random_words divides
-    its stacked draws by.  No norm depends on the rest of its stack, so
+    from eigvalsh for larger dim), the one that hqmm.unit_sites divides
+    its stacked sites by.  No norm depends on the rest of its stack, so
     both give the same matrices bit for bit.
     """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

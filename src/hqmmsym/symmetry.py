@@ -6,9 +6,10 @@ function of unitary stacks, u[k] = pi(g_k) and, where the identity needs
 it, r[k] = rho(g_k) (and test operators where needed), and returns the N
 per-sample deviations of its defining identity; a stack whose length
 differs from u's, or whose matrices do not fit the space they act on,
-raises DimensionMismatchError.  The global check draws one rotation and
-one word per sample from a seed and reads every volume off the suffixes
-of that word, each with the bits of folding its volume alone.
+raises DimensionMismatchError.  The global check takes one rotation and
+one word per sample and reads every volume off the suffixes of that
+word, each with the bits of folding its volume alone.  Nothing here
+draws: cli.run makes a verify run's one draw.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
 Map-level identities are compared through the operator norm of the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grouprep import ProjectiveRep, haar_rotations
+from .grouprep import ProjectiveRep
 # finite_volume_state and operator_norm are unused here but stay bound:
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
 # this module's bindings of both.
@@ -48,7 +49,6 @@ from .hqmm import (  # noqa: F401
     GenerativeTriple,
     finite_volume_state,
     fold_suffixes,
-    random_words,
     sliced_coefficients,
 )
 from .opalg import (  # noqa: F401
@@ -62,7 +62,6 @@ from .opalg import (  # noqa: F401
     operator_norms,
     worst_deviation,
 )
-from .sampling import rng_from
 
 
 @dataclass(frozen=True)
@@ -247,39 +246,34 @@ def check_sliced_covariance(
 def check_global_invariance(
     triple: GenerativeTriple,
     structure,
-    action: SymmetryAction,
-    n_max: int,
-    samples: int,
-    seed: int,
+    u: np.ndarray,
+    r: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
 ) -> list[np.ndarray]:
     """Per-sample deviation of every finite-volume value under sitewise rotation.
 
-    Entry n holds volume n: sites 0..n, so words of n+1 sites.  Each
-    sample draws one group element and one random word of n_max + 1
-    sites from the seed, and volume n reads the word's suffix of n+1
-    sites: the last sites of a word of independent sites are a word of
-    independent sites.  The stream holds the Haar Gaussians of every
-    sample, then the site Gaussians in blocks from the end of the words:
-    block j holds every sample's j-th site from the end, so volume n's
-    inputs depend on (seed, samples, n) alone, not on n_max.  One
-    random_words draw, one conjugation of every site by its sample's
-    rotation and one sliced_coefficients call for the plain and rotated
-    sites feed one fold_suffixes batch of the plain and the rotated
-    words, which gives every volume's values.  Every step is per row, so
-    each deviation has the bits of folding its volume's plain and rotated
-    words alone.
+    Sample k rotates every site of its word (xs[k], ys[k]), of n_max + 1
+    sites, by u[k] = pi(g_k) and r[k] = rho(g_k).  Entry n holds volume
+    n: sites 0..n, so words of n+1 sites, and volume n reads each word's
+    suffix of n+1 sites: the last sites of a word of independent sites
+    are a word of independent sites.  One conjugation of every site by
+    its sample's rotation and one sliced_coefficients call for the plain
+    and rotated sites feed one fold_suffixes batch of the plain and the
+    rotated words, which gives every volume's values.  Every step is per
+    row, so each deviation has the bits of folding its volume's plain and
+    rotated words alone.
     """
-    rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
-    blocks = n_max + 1
-    q = haar_rotations(rng, samples)
-    xs, ys = random_words(rng, triple, blocks, samples)
-    # each block's sites are rotated by their samples' rotations
-    sites_x = np.concatenate([xs, conjugate(action.pi.stack(q), xs)]).reshape(-1, h, h)
-    sites_y = np.concatenate([ys, conjugate(action.rho.stack(q), ys)]).reshape(-1, o, o)
+    samples, n_sites = np.shape(xs)[:2]
+    _check_stacks(u, h, ("rho stack", r, o))
+    for name, stack, d in (("hidden words", xs, h), ("observable words", ys, o)):
+        if np.shape(stack) != (len(u), n_sites, d, d):
+            raise DimensionMismatchError(name, (len(u), n_sites, d, d), np.shape(stack))
+    # each word's sites are rotated by its sample's rotation
+    sites_x = np.concatenate([xs, conjugate(u[:, None], xs)]).reshape(-1, h, h)
+    sites_y = np.concatenate([ys, conjugate(r[:, None], ys)]).reshape(-1, o, o)
     transfers = sliced_coefficients(triple, structure, sites_x, sites_y)
-    # (plain or rotated, block, sample) -> (plain or rotated, sample, site):
-    # site n_max - j of each word is in block j
-    words = transfers.reshape(2, blocks, samples, h * h, h * h)[:, ::-1].swapaxes(1, 2)
+    words = transfers.reshape(2, samples, n_sites, h * h, h * h)
     plain, rotated = fold_suffixes(triple, words)
     return list(np.abs(rotated - plain).T.copy())

@@ -31,7 +31,6 @@ from hqmmsym import (
     haar_rotations,
     kolmogorov_check,
     projector_word,
-    random_words,
     spin_half_rep,
     spin_one_rep,
     su2_matrices,
@@ -151,7 +150,7 @@ def test_criterion_05_local_symmetry_checks():
     for structure in STRUCTURES:
         rng = rng_from(24)
         q = haar_rotations(rng, 200)
-        xs, ys = random_words(rng, model.triple, 200, 1)
+        xs, ys = util.random_words(rng, model.triple, 200, 1)
         results.append(
             check_sliced_covariance(model.triple, structure, pi(q), rho(q), xs[:, 0], ys[:, 0])
         )
@@ -168,9 +167,8 @@ def test_criterion_06_global_invariance_by_volume():
     worst = 0.0
     ok = True
     for structure in STRUCTURES:
-        by_volume = check_global_invariance(
-            model.triple, structure, model.action, n_max=6, samples=50, seed=31
-        )
+        inputs = util.global_draw(31, model.triple, model.action, n_max=6, samples=50)
+        by_volume = check_global_invariance(model.triple, structure, *inputs)
         for deviations in by_volume:
             ok = ok and deviations.max() <= 1e-9
             worst = max(worst, deviations.max())
@@ -184,7 +182,9 @@ def test_criterion_06_global_invariance_by_volume():
 def test_criterion_07_kolmogorov_consistency():
     model = build_model("normalized_cartesian")
     worst = max(
-        kolmogorov_check(model.triple, structure, depth=6, samples=25, seed=0).max()
+        kolmogorov_check(
+            model.triple, structure, *util.kolmogorov_draw(0, model.triple, depth=6, samples=25)
+        ).max()
         for structure in STRUCTURES
     )
     broken = GenerativeTriple(
@@ -194,7 +194,8 @@ def test_criterion_07_kolmogorov_consistency():
         transition_map(normalized=False),
         model.triple.emission,
     )
-    drift = kolmogorov_check(broken, "conventional", depth=4, samples=10, seed=0).max()
+    words = util.kolmogorov_draw(0, broken, depth=4, samples=10)
+    drift = kolmogorov_check(broken, "conventional", *words).max()
     _verdict(
         "extension consistency holds, unnormalized transition breaks it",
         worst < 1e-12 and drift >= 0.5,

@@ -1,6 +1,6 @@
 """The batched contraction core against the per-word and per-sample references.
 
-The batched fold, the batched draws and the closed-form conjugation
+The batched fold, the batched site decoding and the closed-form conjugation
 defect replace loops in the symmetry checks, kolmogorov_check shares
 each word's transfers with its extension, and check_global_invariance
 and kolmogorov_check read every volume or length off the suffixes of one
@@ -31,7 +31,6 @@ from hqmmsym import (
     kolmogorov_check,
     operator_norm,
     operator_norms,
-    random_words,
     spin_half_rep,
     spin_one_rep,
     worst_deviation,
@@ -88,7 +87,7 @@ def test_batched_fold_matches_single_word_fold(name, structure, count):
     triple = TRIPLES[name]
     rng = rng_from(count)
     for n_sites in range(1, 13):
-        xs, ys = random_words(rng, triple, count, n_sites)
+        xs, ys = util.random_words(rng, triple, count, n_sites)
         batched = util.fold_batch(triple, structure, xs, ys)
         assert batched.shape == (count,)
         for k in range(count):
@@ -104,7 +103,7 @@ def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
     # the rest of its batch
     triple = TRIPLES[name]
     for n_sites in (1, 3, 7):
-        xs, ys = random_words(rng_from(20 + n_sites), triple, 32, n_sites)
+        xs, ys = util.random_words(rng_from(20 + n_sites), triple, 32, n_sites)
         batch = util.fold_batch(triple, structure, xs, ys)
         for k in range(32):
             alone = util.fold_batch(triple, structure, xs[k : k + 1], ys[k : k + 1])
@@ -117,7 +116,7 @@ def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, 
     # values[:, j] is each word's last j + 1 sites, as a word of its own
     triple = TRIPLES[name]
     h, o = triple.hidden_dim, triple.obs_dim
-    xs, ys = random_words(rng_from(31), triple, 6, 5)
+    xs, ys = util.random_words(rng_from(31), triple, 6, 5)
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     transfers = transfers.reshape(6, 5, h * h, h * h)
     values = fold_suffixes(triple, transfers)
@@ -140,7 +139,7 @@ def test_batched_draws_reproduce_the_single_draw_streams(name):
     # words of 4 sites, as global and kolmogorov draw them, and words of one
     # site, as the sliced check draws them
     for count, n_sites in ((5, 4), (6, 1)):
-        xs, ys = random_words(rng_from(3), triple, count, n_sites)
+        xs, ys = util.random_words(rng_from(3), triple, count, n_sites)
         ref = rng_from(3)
         for k in range(count):
             for s in range(n_sites):
@@ -346,7 +345,7 @@ def test_small_sliced_stacks_give_the_rows_of_a_large_one(structure):
     # all transfers come from one GEMM; a one-row GEMM would go to GEMV and
     # round differently, so a stack of one must give its row's bits too
     for name, triple in SLICED_INPUTS.items():
-        xs, ys = random_words(rng_from(41), triple, 2800, 1)
+        xs, ys = util.random_words(rng_from(41), triple, 2800, 1)
         xs, ys = xs[:, 0], ys[:, 0]
         large = sliced_coefficients(triple, structure, xs, ys)
         assert large.shape == (2800, triple.hidden_dim**2, triple.hidden_dim**2)
@@ -550,8 +549,9 @@ KOLMOGOROV_CASES = _kolmogorov_cases()
 def test_shared_transfers_give_the_two_batch_kolmogorov_bits(name, seed):
     triple, structure = KOLMOGOROV_CASES[name]
     for depth in (0, 1, 2, 6):
-        got = kolmogorov_check(triple, structure, depth, 20, seed)
-        want = util.two_batch_kolmogorov_check(triple, structure, depth, 20, seed)
+        words = util.kolmogorov_draw(seed, triple, depth, 20)
+        got = kolmogorov_check(triple, structure, *words)
+        want = util.two_batch_kolmogorov_check(triple, structure, *words)
         assert got.shape == want.shape == (1 + max(depth - 1, 0) * 21,)
         assert got.tobytes() == want.tobytes()
     if name.startswith("unnormalized"):
@@ -586,10 +586,9 @@ def test_one_batch_of_volumes_gives_the_per_volume_global_bits(name, seed):
     triple, structure, action = GLOBAL_CASES[name]
     for n_max in (0, 1, 6):
         for samples in (1, 7, 50):
-            got = check_global_invariance(triple, structure, action, n_max, samples, seed)
-            want = util.per_volume_global_invariance(
-                triple, structure, action, n_max, samples, seed
-            )
+            inputs = util.global_draw(seed, triple, action, n_max, samples)
+            got = check_global_invariance(triple, structure, *inputs)
+            want = util.per_volume_global_invariance(triple, structure, *inputs)
             assert len(got) == len(want) == n_max + 1
             for n, (g, w) in enumerate(zip(got, want)):
                 assert g.shape == w.shape == (samples,), (n_max, samples, n)
@@ -600,15 +599,21 @@ def test_one_batch_of_volumes_gives_the_per_volume_global_bits(name, seed):
 
 @pytest.mark.parametrize("seed", [11, 42])
 def test_a_volume_or_a_length_has_the_same_bits_at_any_depth(seed):
-    # volume n and length k read the first n+1 and k blocks of the stream
-    # and fold them alone, whatever the deepest volume or length
+    # volume n and length k read the last n+1 and k sites of each word and
+    # fold them alone, whatever the deepest volume or length; and the
+    # shallow words drawn in blocks are the deep words' suffixes
     for name, (triple, structure, action) in GLOBAL_CASES.items():
-        shallow = check_global_invariance(triple, structure, action, 2, 50, seed)
-        deep = check_global_invariance(triple, structure, action, 6, 50, seed)
+        u, r, xs, ys = util.global_draw(seed, triple, action, 6, 50)
+        shallow_draw = util.global_draw(seed, triple, action, 2, 50)
+        for got, want in zip(shallow_draw, (u, r, xs[:, -3:], ys[:, -3:])):
+            assert got.tobytes() == want.tobytes(), name
+        shallow = check_global_invariance(triple, structure, u, r, xs[:, -3:], ys[:, -3:])
+        deep = check_global_invariance(triple, structure, u, r, xs, ys)
         for n in range(3):
             assert shallow[n].tobytes() == deep[n].tobytes(), (name, n)
     for name, (triple, structure) in KOLMOGOROV_CASES.items():
-        shallow = kolmogorov_check(triple, structure, 3, 20, seed)
-        deep = kolmogorov_check(triple, structure, 6, 20, seed)
+        xs, ys = util.kolmogorov_draw(seed, triple, 6, 20)
+        shallow = kolmogorov_check(triple, structure, xs[:, -2:], ys[:, -2:])
+        deep = kolmogorov_check(triple, structure, xs, ys)
         assert len(shallow) == 1 + 2 * 21
         assert shallow.tobytes() == deep[: len(shallow)].tobytes(), name

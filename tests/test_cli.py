@@ -1,6 +1,7 @@
 import json
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from hqmmsym import (
     build_model,
     cli,
     dense_word_value,
-    haar_rotations,
     load_model_config,
     operator_norm,
-    random_words,
 )
 from hqmmsym import aklt
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
@@ -27,6 +26,11 @@ FAST = [
     "--global-samples", "8",
     "--n-max", "2",
 ]
+
+
+def _row_inputs(m, config, name):
+    """The inputs of one row, read off the one draw of a run of that row alone."""
+    return cli.CHECKS[name].inputs(cli.draw(m, config, (name,)), config)
 
 
 def _run_cli(capsys, argv):
@@ -141,11 +145,10 @@ def test_verify_text_format(capsys):
 def test_oracle_deviation_i_belongs_to_a_suffix_of_word_i_over_5(variant, structure, samples):
     # deviation i compares the last 1 + i % 5 sites of the row's word i // 5,
     # of 5 sites each; at 7 samples the last word has two suffixes in use
-    config = RunConfig(checks=("oracle",), samples=samples, seed=7)
     m = cli.load_model("aklt", variant, structure)
-    deviations = cli._oracle_deviations(m, config)
     count = min(samples, 20)
-    xs, ys = random_words(rng_from(7), m.triple, (count + 4) // 5, 5)
+    xs, ys = util.random_words(rng_from(7), m.triple, (count + 4) // 5, 5)
+    deviations = cli._oracle_deviations(m, xs, ys, count)
     alone = np.empty(count, dtype=complex)
     referee = np.empty(count, dtype=complex)
     for i in range(count):
@@ -175,7 +178,8 @@ def test_the_oracle_referees_only_the_suffixes_it_keeps(samples, lengths, monkey
 
     monkeypatch.setattr(aklt, "_span_values", spy)
     m = cli.load_model("aklt", "normalized_cartesian", "conventional")
-    deviations = cli._oracle_deviations(m, RunConfig(checks=("oracle",), samples=samples, seed=7))
+    inputs = _row_inputs(m, RunConfig(samples=samples, seed=7), "oracle")
+    deviations = cli._oracle_deviations(m, *inputs, min(samples, 20))
     assert len(deviations) == len(seen) == min(samples, 20)
     assert seen == lengths
 
@@ -986,14 +990,31 @@ SAMPLED_ROWS = ("initial", "transition", "emission", "sliced", "intertwining")
 def test_each_sampled_row_alone_gives_its_row_of_the_full_run(capsys, variant, structure, seed):
     # the rows share one Haar batch, a function of (seed, samples) only, so
     # --checks X alone replays X's row of the full run byte for byte
+    _assert_rows_alone_match_the_full_run(capsys, variant, structure, seed, SAMPLED_ROWS)
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", ["normalized_cartesian", "normalized_spherical", "paper_literal"])
+def test_every_other_row_alone_gives_its_rows_of_the_full_run(capsys, variant, structure, seed):
+    # cpu, cocycle, global, kolmogorov and oracle read their own slices of
+    # the run's one draw, functions of the seed and their own counts
+    others = tuple(name for name in CHECK_NAMES if name not in SAMPLED_ROWS)
+    _assert_rows_alone_match_the_full_run(capsys, variant, structure, seed, others)
+
+
+def _assert_rows_alone_match_the_full_run(capsys, variant, structure, seed, names):
+    """--checks X alone prints X's rows of the full run byte for byte, for each X in names."""
     argv = ["verify", "--variant", variant.replace("_", "-"), "--structure", structure,
             "--seed", str(seed), "--format", "json"]
     _, out, _ = _run_cli(capsys, argv)
-    by_condition = {row["condition"]: row for row in json.loads(out)["checks"]}
-    for name in SAMPLED_ROWS:
+    full = json.loads(out)["checks"]
+    conditions = [row["condition"] for row in full]
+    for name in names:
         _, out, _ = _run_cli(capsys, [*argv, "--checks", name])
-        [row] = json.loads(out)["checks"]
-        assert json.dumps(row) == json.dumps(by_condition[row["condition"]]), name
+        rows = json.loads(out)["checks"]
+        start = conditions.index(rows[0]["condition"])
+        assert json.dumps(rows) == json.dumps(full[start : start + len(rows)]), name
 
 
 @pytest.mark.parametrize("variant", ["normalized_cartesian", "paper_literal"])
@@ -1008,39 +1029,99 @@ def test_a_shallower_global_run_prints_the_first_volumes_of_the_full_run(capsys,
     assert json.dumps(json.loads(out)["checks"]) == json.dumps(full[:3])
 
 
-def test_one_haar_draw_serves_every_sampled_row(monkeypatch, tmp_path):
-    counts = []
-    draw = cli.haar_rotations
+class _CountingGenerator:
+    """A Generator that records the size of every standard_normal draw."""
 
-    def spy(rng, count):
-        counts.append(count)
-        return draw(rng, count)
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
 
-    monkeypatch.setattr(cli, "haar_rotations", spy)
-    run(RunConfig(checks=SAMPLED_ROWS, samples=30))
-    assert counts == [30]
-    # cocycle draws its own pairs; the sampled rows still draw once
-    counts.clear()
-    run(RunConfig(samples=30, global_samples=4, n_max=1))
-    assert sorted(counts) == [30, 60]
-    # a run with no sampled row draws nothing for them
-    counts.clear()
-    run(RunConfig(checks=("cpu", "kolmogorov", "oracle"), samples=30))
-    assert counts == []
+    def standard_normal(self, size=None):
+        self._draws.append(int(np.prod(size)))
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
+def _count_draws(monkeypatch) -> tuple[list, list]:
+    """Record every generator that np.random.default_rng makes and every Gaussian draw."""
+    generators, draws = [], []
+    make = np.random.default_rng
+
+    def counting(seed=None):
+        generators.append(seed)
+        return _CountingGenerator(make(seed), draws)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return generators, draws
+
+
+def test_a_run_draws_once_and_nothing_it_does_not_read(monkeypatch, tmp_path):
+    generators, draws = _count_draws(monkeypatch)
+    # one buffer, as long as the furthest Gaussian a row reads: global's
+    # last site, at 4 * 50 + 7 * 50 sites of 2 * 4 + 2 * 9 Gaussians
+    run(RunConfig())
+    assert (generators, draws) == ([42], [4 * 50 + 7 * 50 * 26])
+    # cocycle's 400 rotations reach furthest when they are all it reads
+    generators.clear(), draws.clear()
+    run(RunConfig(checks=("cpu", "cocycle"), seed=3))
+    assert (generators, draws) == ([3], [4 * 400])
+    # the sampled rows alone read 200 rotations, then 200 sites
+    generators.clear(), draws.clear()
+    run(RunConfig(checks=SAMPLED_ROWS))
+    assert draws == [4 * 200 + 200 * 26]
+    # a run that reads no Gaussian makes no generator
+    generators.clear(), draws.clear()
+    code = main(["verify", "--checks", "cpu", "--format", "json"])
+    assert (code, generators, draws) == (0, [], [])
+    # a config-file model: kolmogorov's 5 * 50 sites reach past oracle's 20
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "hidden_dim": 2, "obs_dim": 3, "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "aklt_emission"},
+    }))
+    generators.clear(), draws.clear()
+    run(RunConfig(model=str(path)))
+    assert (generators, draws) == ([42], [5 * 50 * 26])
+
+
+def _replay_models() -> dict:
+    """The six built-in configs and the Kraus model config of the oracle fixture."""
+    models = {
+        f"{v}/{s}": (v, s) for v in aklt.VARIANTS for s in ("conventional", "causal")
+    }
+    models["kraus-config"] = None
+    return models
+
+
+REPLAY_MODELS = _replay_models()
+ORACLE_FIXTURE = Path(__file__).parent / "data" / "oracle_values.json"
+
+
+@pytest.mark.parametrize("counts", [(200, 50, 6), (1, 1, 0), (7, 3, 1)], ids=str)
 @pytest.mark.parametrize("seed", [11, 42])
-def test_the_draw_is_haar_rotations_then_random_words_on_one_generator(seed):
-    config = RunConfig(seed=seed, samples=30)
-    m = cli.load_model(config.model, config.variant, config.structure)
-    rng = rng_from(seed)
-    q = haar_rotations(rng, 30)
-    xs, ys = random_words(rng, m.triple, 30, 1)
-    action = m.builtin.action
-    expected = (action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
-    for name, got, want in zip(cli.HaarDraw._fields, cli._haar_draw(m, config), expected):
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+@pytest.mark.parametrize("name", sorted(REPLAY_MODELS))
+def test_the_run_draw_reproduces_each_row_drawing_alone(name, seed, counts, tmp_path):
+    # every row reads, off the run's one draw, the bits it drew from a
+    # generator of its own: whichever rows run, and at every count
+    samples, global_samples, n_max = counts
+    if REPLAY_MODELS[name] is None:
+        fixture = json.loads(ORACLE_FIXTURE.read_text())["kraus_config"]
+        path = tmp_path / "kraus.json"
+        path.write_text(json.dumps(fixture))
+        m = cli.load_model(str(path), "normalized_cartesian", None)
+    else:
+        m = cli.load_model("aklt", *REPLAY_MODELS[name])
+    config = RunConfig(seed=seed, samples=samples, global_samples=global_samples, n_max=n_max)
+    want = util.replay_row_inputs(m, config)
+    d = cli.draw(m, config, tuple(want))
+    for row, inputs in want.items():
+        for alone in (False, True):
+            got = _row_inputs(m, config, row) if alone else cli.CHECKS[row].inputs(d, config)
+            assert len(got) == len(inputs), row
+            for k, (g, w) in enumerate(zip(got, inputs)):
+                assert g.shape == w.shape, (row, k)
+                assert g.tobytes() == w.tobytes(), (row, k, alone)
 
 
 @pytest.mark.parametrize("seed", [11, 42])
@@ -1050,7 +1131,7 @@ def test_each_sampled_deviation_replays_from_its_slice_of_the_draw(
     monkeypatch, variant, structure, seed
 ):
     # deviation k of a run's sampled row is the row's check on entry k of
-    # cli._haar_draw alone, so a witness index needs nothing else to rerun
+    # its inputs alone, so a witness index needs nothing else to rerun
     seen = {}
 
     def spy(condition, samples, seed, deviations, tolerance):
@@ -1064,11 +1145,12 @@ def test_each_sampled_deviation_replays_from_its_slice_of_the_draw(
     run(config)
     full = dict(seen)
     m = cli.load_model(config.model, config.variant, config.structure)
-    haar = cli._haar_draw(m, config)
+    d = cli.draw(m, config, SAMPLED_ROWS)
     for name in SAMPLED_ROWS:
         check = cli.CHECKS[name]
+        inputs = check.inputs(d, config)
         for k in range(config.samples):
-            one = cli.HaarDraw(*(stack[k : k + 1] for stack in haar))
+            one = tuple(stack[k : k + 1] for stack in inputs)
             seen.clear()
             [result] = check.results(m, config, config.tolerances[name], one)
             got = seen[result.condition].tobytes()
@@ -1129,11 +1211,11 @@ def test_json_dicts_keep_the_asdict_bytes(variant, structure):
     }
     assert json.dumps(config.to_json_dict()) == json.dumps(asdict_config)
     model = cli.load_model(config.model, config.variant, config.structure)
-    haar = cli._haar_draw(model, config)
+    d = cli.draw(model, config, CHECK_NAMES)
     results = [
         r
         for name, check in cli.CHECKS.items()
-        for r in check.results(model, config, config.tolerances[name], haar)
+        for r in check.results(model, config, config.tolerances[name], check.inputs(d, config))
     ]
     assert len(results) == 16
     # a nan deviation is written as null either way

@@ -21,7 +21,6 @@ from hqmmsym import (
     load_model_config,
     load_word,
     operator_norm,
-    random_words,
     transition_map,
 )
 from hqmmsym.hqmm import sliced_coefficients, triple_from_config
@@ -115,7 +114,7 @@ def test_from_pairs_refuses_ragged_and_empty_words(pairs, error, match):
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_operator_pair_words_equal_array_words(aklt_triple, structure):
     """Words built as the benchmark builds them evaluate exactly as array words."""
-    xs, ys = random_words(rng_from(10), aklt_triple, 1, 4)
+    xs, ys = util.random_words(rng_from(10), aklt_triple, 1, 4)
     pairs = [(ComplexOperator(2, x), ComplexOperator(3, y)) for x, y in zip(xs[0], ys[0])]
     eyes = (np.broadcast_to(np.eye(2), (4, 2, 2)), np.broadcast_to(np.eye(3), (4, 3, 3)))
     for bench_word, array_word in (
@@ -202,16 +201,28 @@ def test_structures_differ_for_asymmetric_transition(aklt_triple):
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_kolmogorov_consistency_for_unital_triple(aklt_triple, structure):
-    deviations = kolmogorov_check(aklt_triple, structure, depth=6, samples=15, seed=5)
+    words = util.kolmogorov_draw(5, aklt_triple, depth=6, samples=15)
+    deviations = kolmogorov_check(aklt_triple, structure, *words)
     assert deviations.shape == (1 + 5 * 16,)
     assert deviations.max() < 1e-12
+
+
+def test_kolmogorov_refuses_words_that_do_not_pair_up(aklt_triple):
+    # word k is (xs[k], ys[k]): hidden and observable words of one length,
+    # as many of each, and each of its own slot's size
+    xs, ys = util.kolmogorov_draw(5, aklt_triple, depth=4, samples=5)
+    for args in ((xs, ys[:1]), (xs, ys[:, :2]), (xs[:, :2], ys)):
+        with pytest.raises(DimensionMismatchError, match="observable words"):
+            kolmogorov_check(aklt_triple, "conventional", *args)
+    with pytest.raises(DimensionMismatchError, match="hidden words"):
+        kolmogorov_check(aklt_triple, "conventional", ys, xs)
 
 
 def test_kolmogorov_flags_unnormalized_transition(aklt_triple):
     bad = GenerativeTriple(
         2, 3, aklt_triple.phi0, transition_map(2, normalized=False), aklt_triple.emission
     )
-    dev = kolmogorov_check(bad, "conventional", depth=4, samples=5, seed=5).max()
+    dev = kolmogorov_check(bad, "conventional", *util.kolmogorov_draw(5, bad, 4, 5)).max()
     assert dev >= 0.5
 
 

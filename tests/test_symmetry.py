@@ -16,12 +16,11 @@ from hqmmsym import (
     emission_map,
     build_tensors,
     haar_rotations,
-    random_words,
     spin_half_rep,
     spin_one_rep,
     verify_intertwining,
 )
-from hqmmsym.cli import CHECKS, Model, RunConfig, _haar_draw
+from hqmmsym.cli import CHECKS, Model, RunConfig, draw
 from hqmmsym.sampling import rng_from
 
 
@@ -51,7 +50,8 @@ def _pi(action, seed, count):
 def test_check_result_serialization(model):
     config = RunConfig(seed=0, samples=10)
     m = Model(model.triple, model.structure, model)
-    [result] = CHECKS["initial"].results(m, config, 1e-10, _haar_draw(m, config))
+    inputs = CHECKS["initial"].inputs(draw(m, config, ("initial",)), config)
+    [result] = CHECKS["initial"].results(m, config, 1e-10, inputs)
     d = result.to_json_dict()
     assert set(d) == {"condition", "samples", "seed", "max_deviation", "tolerance", "pass"}
     assert d["pass"] is True
@@ -128,7 +128,7 @@ def test_deviations_on_the_flip_group(variant, bound):
         assert np.all(d <= bound), (name, d)
     # one random site per flip; sliced is not exactly 0 even for normalized
     # Cartesian, so it gets 1e-15 for every variant
-    xs, ys = random_words(rng_from(0), m.triple, 4, 1)
+    xs, ys = util.random_words(rng_from(0), m.triple, 4, 1)
     for structure in ("conventional", "causal"):
         d = check_sliced_covariance(m.triple, structure, u, r, xs[:, 0], ys[:, 0])
         assert d.shape == (4,), structure
@@ -139,7 +139,7 @@ def test_deviations_on_the_flip_group(variant, bound):
 def test_sliced_covariance(model, action, structure):
     rng = rng_from(7)
     q = haar_rotations(rng, 60)
-    xs, ys = random_words(rng, model.triple, 60, 1)
+    xs, ys = util.random_words(rng, model.triple, 60, 1)
     deviations = check_sliced_covariance(
         model.triple, structure, *_stacks(action, q), xs[:, 0], ys[:, 0]
     )
@@ -150,7 +150,7 @@ def test_sliced_covariance(model, action, structure):
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_global_invariance_by_volume(model, action, structure):
     by_volume = check_global_invariance(
-        model.triple, structure, action, n_max=3, samples=15, seed=8
+        model.triple, structure, *util.global_draw(8, model.triple, action, n_max=3, samples=15)
     )
     assert len(by_volume) == 4
     for deviations in by_volume:
@@ -164,9 +164,8 @@ def test_global_invariance_detects_broken_emission(model):
     mismatched = emission_map(build_tensors("paper_literal"))
     broken = GenerativeTriple(2, 3, model.triple.phi0, model.triple.transition, mismatched)
     spherical_action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    by_volume = check_global_invariance(
-        broken, "conventional", spherical_action, n_max=1, samples=15, seed=9
-    )
+    inputs = util.global_draw(9, broken, spherical_action, n_max=1, samples=15)
+    by_volume = check_global_invariance(broken, "conventional", *inputs)
     assert by_volume[0].max() > 1e-9
     assert by_volume[0].max() > 1e-3
 
@@ -179,7 +178,7 @@ def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
     m = build_model(variant, structure)
     rng = rng_from(11)
     u, r = _stacks(m.action, haar_rotations(rng, 30))
-    xs, ys = random_words(rng, m.triple, 30, 1)
+    xs, ys = util.random_words(rng, m.triple, 30, 1)
     checks = {
         "initial": lambda u, r, x, y: check_initial_invariance(m.triple.phi0, u),
         "transition": lambda u, r, x, y: check_transition_equivariance(m.triple.transition, u),
@@ -201,7 +200,7 @@ def test_stacks_of_unequal_length_are_refused(model, action):
     # or broadcast
     rng = rng_from(13)
     u, r = _stacks(action, haar_rotations(rng, 30))
-    xs, ys = random_words(rng, model.triple, 30, 1)
+    xs, ys = util.random_words(rng, model.triple, 30, 1)
     xs, ys = xs[:, 0], ys[:, 0]
     sliced = [
         # one rotation against 30 sites, and 30 rotations against one site
@@ -220,6 +219,11 @@ def test_stacks_of_unequal_length_are_refused(model, action):
             check_emission_covariance(model.triple.emission, a, b)
         with pytest.raises(DimensionMismatchError):
             verify_intertwining(model.tensors, a, b)
+    # global's words: one per sample, hidden and observable of one length
+    wx, wy = util.random_words(rng, model.triple, 30, 3)
+    for args in ((u[:1], r, wx, wy), (u, r[:1], wx, wy), (u, r, wx[:1], wy), (u, r, wx, wy[:, :2])):
+        with pytest.raises(DimensionMismatchError):
+            check_global_invariance(model.triple, model.structure, *args)
 
 
 def test_swapped_stacks_are_refused(model, action):
@@ -228,14 +232,16 @@ def test_swapped_stacks_are_refused(model, action):
     # ones belong, are refused before any arithmetic
     rng = rng_from(13)
     u, r = _stacks(action, haar_rotations(rng, 30))
-    xs, ys = random_words(rng, model.triple, 30, 1)
+    xs, ys = util.random_words(rng, model.triple, 30, 1)
     xs, ys = xs[:, 0], ys[:, 0]
+    wx, wy = util.random_words(rng, model.triple, 30, 3)
     swapped = {
         "initial": lambda: check_initial_invariance(model.triple.phi0, r),
         "transition": lambda: check_transition_equivariance(model.triple.transition, r),
         "emission": lambda: check_emission_covariance(model.triple.emission, r, u),
         "sliced": lambda: check_sliced_covariance(model.triple, model.structure, r, u, xs, ys),
         "intertwining": lambda: verify_intertwining(model.tensors, r, u),
+        "global": lambda: check_global_invariance(model.triple, model.structure, r, u, wx, wy),
     }
     for name, call in swapped.items():
         with pytest.raises(DimensionMismatchError, match="pi stack") as err:
@@ -243,3 +249,5 @@ def test_swapped_stacks_are_refused(model, action):
         assert (err.value.expected, err.value.got) == ((30, 2, 2), (30, 3, 3)), name
     with pytest.raises(DimensionMismatchError, match="hidden sites"):
         check_sliced_covariance(model.triple, model.structure, u, r, ys, xs)
+    with pytest.raises(DimensionMismatchError, match="hidden words"):
+        check_global_invariance(model.triple, model.structure, u, r, wy, wx)

@@ -12,13 +12,16 @@ The extension-consistency reference folds each length's words and their
 extensions whole, through fold_batch, rather than sharing the words'
 transfers or reading a length off a longer word's suffixes, and the
 global-invariance reference rotates and folds one volume at a time.
+replay_row_inputs replays each verify row's draw as the rows made them
+one by one, each from its own generator, for the run's one draw.
 The norm reference takes every Gram eigenvalue from LAPACK, with no
 closed form for small matrices.
 
 Beside the oracles, fold_batch folds a batch of equal-length words through
-the library's own sliced_coefficients and fold_suffixes, random_word draws
-one word from random_words, and word_items and write_word spell a word
-out as a word file.
+the library's own sliced_coefficients and fold_suffixes, random_words
+draws words from a generator through the library's unit_sites (and
+block_words in blocks from the end of the words), random_word draws one
+word, and word_items and write_word spell a word out as a word file.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from hqmmsym import (
     ProjectiveRep,
     cocycle_eval,
     haar_rotations,
-    random_words,
+    unit_sites,
 )
 from hqmmsym.aklt import _site_tensors
 from hqmmsym.grouprep import _compose
@@ -57,6 +60,21 @@ def fold_batch(triple, structure, xs, ys) -> np.ndarray:
     count, n_sites = xs.shape[:2]
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     return fold_suffixes(triple, transfers.reshape(count, n_sites, h * h, h * h))[:, -1]
+
+
+def random_words(
+    rng: np.random.Generator, triple, count: int, n_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count random words as site stacks xs[count, n, h, h], ys[count, n, o, o].
+
+    One draw from rng of a row of 2 h^2 + 2 o^2 Gaussians per site, word
+    by word, decoded by hqmm.unit_sites: the stream that per-site
+    random_operator calls, x then y, would consume.
+    """
+    h, o = triple.hidden_dim, triple.obs_dim
+    g = rng.standard_normal((count * n_sites, 2 * h * h + 2 * o * o))
+    xs, ys = unit_sites(triple, g)
+    return xs.reshape(count, n_sites, h, h), ys.reshape(count, n_sites, o, o)
 
 
 def random_word(rng: np.random.Generator, triple, n_sites: int) -> ObservableWord:
@@ -354,71 +372,116 @@ def dense_chain_value(triple, structure, word, full_loops: bool = False) -> comp
     return complex(total)
 
 
-def two_batch_kolmogorov_check(
-    triple, structure, depth: int, samples: int, seed: int
-) -> np.ndarray:
+def two_batch_kolmogorov_check(triple, structure, xs, ys) -> np.ndarray:
     """hqmm.kolmogorov_check with each length's words and extensions folded whole.
 
-    The stream is drawn as the check draws it, in blocks from the end of
-    the words: block j holds every sample's j-th site from the end, so a
-    length's random words are the first blocks, read back to front.  For
-    each length the words and their extensions, which end with one more
-    identity site, go through fold_batch as two separate
-    batches, so the extensions' transfers are computed again rather than
-    shared, and no length is read off a longer word.
+    xs[samples, n, h, h], ys[samples, n, o, o] are the random words; a
+    length's words are their suffixes of that length.  For each length
+    the words and their extensions, which end with one more identity
+    site, go through fold_batch as two separate batches, so the
+    extensions' transfers are computed again rather than shared, and no
+    length is read off a longer word's fold.
     """
-    rng = rng_from(seed)
     h, o = triple.hidden_dim, triple.obs_dim
+    samples, depth = xs.shape[0], xs.shape[1] + 1
     eye_x = np.eye(h, dtype=complex)
     eye_y = np.eye(o, dtype=complex)
     base = float(np.trace(triple.phi0).real)
     one_site = fold_batch(triple, structure, eye_x[None, None], eye_y[None, None])
     deviations = [np.abs(one_site - base)]
-    blocks_x, blocks_y = random_words(rng, triple, max(depth - 1, 0), samples)
     for n_sites in range(1, depth):
-        xs = blocks_x[:n_sites][::-1].swapaxes(0, 1)
-        ys = blocks_y[:n_sites][::-1].swapaxes(0, 1)
-        xs = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs])
-        ys = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys])
+        words_x = np.concatenate([np.broadcast_to(eye_x, (1, n_sites, h, h)), xs[:, -n_sites:]])
+        words_y = np.concatenate([np.broadcast_to(eye_y, (1, n_sites, o, o)), ys[:, -n_sites:]])
         count = samples + 1
-        value = fold_batch(triple, structure, xs, ys)
+        value = fold_batch(triple, structure, words_x, words_y)
         extended = fold_batch(
             triple,
             structure,
-            np.concatenate([xs, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
-            np.concatenate([ys, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
+            np.concatenate([words_x, np.broadcast_to(eye_x, (count, 1, h, h))], axis=1),
+            np.concatenate([words_y, np.broadcast_to(eye_y, (count, 1, o, o))], axis=1),
         )
         deviations.append(np.abs(extended - value))
     return np.concatenate(deviations)
 
 
-def per_volume_global_invariance(
-    triple, structure, action, n_max: int, samples: int, seed: int
-) -> list[np.ndarray]:
+def per_volume_global_invariance(triple, structure, u, r, xs, ys) -> list[np.ndarray]:
     """symmetry.check_global_invariance with each volume rotated and folded as its own batch.
 
-    The stream is drawn as the check draws it: the Haar rotations, then the
-    sites in blocks from the end of the words, block j holding every
-    sample's j-th site from the end.  Volume by volume, the words are the
-    first blocks read back to front, rotated site by site, and one
-    fold_batch call folds the words followed by their rotations.
-    The sites are rotated by opalg.conjugate, as the check rotates them,
-    on each volume's stack alone.
+    Volume by volume, the words are the suffixes of xs[samples, n_max + 1,
+    h, h] and ys, rotated site by site by u[k] and r[k], and one
+    fold_batch call folds the words followed by their rotations.  The
+    sites are rotated by opalg.conjugate, as the check rotates them, on
+    each volume's stack alone.
     """
-    rng = rng_from(seed)
-    q = haar_rotations(rng, samples)
-    u = action.pi.stack(q)[:, None]
-    v = action.rho.stack(q)[:, None]
-    blocks_x, blocks_y = random_words(rng, triple, n_max + 1, samples)
+    samples = len(u)
     by_volume = []
-    for n in range(n_max + 1):
-        xs = blocks_x[: n + 1][::-1].swapaxes(0, 1)
-        ys = blocks_y[: n + 1][::-1].swapaxes(0, 1)
+    for n in range(xs.shape[1]):
+        words_x, words_y = xs[:, -(n + 1) :], ys[:, -(n + 1) :]
         values = fold_batch(
             triple,
             structure,
-            np.concatenate([xs, conjugate(u, xs)]),
-            np.concatenate([ys, conjugate(v, ys)]),
+            np.concatenate([words_x, conjugate(u[:, None], words_x)]),
+            np.concatenate([words_y, conjugate(r[:, None], words_y)]),
         )
         by_volume.append(np.abs(values[samples:] - values[:samples]))
     return by_volume
+
+
+def block_words(rng: np.random.Generator, triple, n_sites: int, count: int) -> tuple:
+    """count random words of n_sites sites, drawn in blocks from the end of the words.
+
+    Block j holds every word's j-th site from the end, as the global and
+    kolmogorov rows read their words, so a shorter length's words are
+    the first blocks of the same stream.
+    """
+    xs, ys = random_words(rng, triple, n_sites, count)
+    return xs[::-1].swapaxes(0, 1), ys[::-1].swapaxes(0, 1)
+
+
+def global_draw(seed: int, triple, action, n_max: int, samples: int) -> tuple:
+    """The global row's inputs (u, r, xs, ys), drawn from a generator of its own.
+
+    samples Haar rotations and their pi and rho stacks, then one word of
+    n_max + 1 sites per sample in blocks from the end of the words.
+    """
+    rng = rng_from(seed)
+    q = haar_rotations(rng, samples)
+    words = block_words(rng, triple, n_max + 1, samples)
+    return (action.pi.stack(q), action.rho.stack(q), *words)
+
+
+def kolmogorov_draw(seed: int, triple, depth: int, samples: int) -> tuple:
+    """The kolmogorov row's words (xs, ys) of depth - 1 sites, drawn from a generator of its own."""
+    return block_words(rng_from(seed), triple, max(depth - 1, 0), samples)
+
+
+def replay_row_inputs(model, config) -> dict[str, tuple]:
+    """Each verify row's inputs, drawn row by row, each row from its own rng_from(config.seed).
+
+    The reference for cli.draw: every row restarts the generator and
+    draws what it reads with haar_rotations and random_words.  The
+    sampled rows draw samples rotations, then one site each; cocycle
+    draws 2 samples rotations and pairs them off; global draws as
+    global_draw and kolmogorov as kolmogorov_draw, at depth n_max; oracle
+    draws its words of 5 sites word by word.  The rows that need the
+    symmetry action are left out for a config-file model.
+    """
+    triple, c = model.triple, config
+    words = -(-min(c.samples, 20) // 5)
+    inputs = {
+        "cpu": (),
+        "kolmogorov": kolmogorov_draw(c.seed, triple, c.n_max, c.global_samples),
+        "oracle": random_words(rng_from(c.seed), triple, words, 5),
+    }
+    if model.builtin is None:
+        return inputs
+    action = model.builtin.action
+    pairs = haar_rotations(rng_from(c.seed), 2 * c.samples)
+    inputs["cocycle"] = (pairs[0::2], pairs[1::2])
+    rng = rng_from(c.seed)
+    q = haar_rotations(rng, c.samples)
+    xs, ys = random_words(rng, triple, c.samples, 1)
+    for name in ("initial", "transition", "emission", "sliced", "intertwining"):
+        inputs[name] = (action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
+    inputs["global"] = global_draw(c.seed, triple, action, c.n_max, c.global_samples)
+    return inputs
