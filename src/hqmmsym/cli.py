@@ -204,10 +204,10 @@ def _check_cocycle(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[Ch
 
 
 def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check:
-    """A row over the run's first samples rotations and one site each.
+    """A row over the run's first samples rotations.
 
-    deviations_of(m, u, r, xs, ys) gives one deviation per sample from
-    the stacks u[k] = pi(g_k), r[k] = rho(g_k) and the site (xs[k], ys[k]).
+    deviations_of(m, u, r) gives one deviation per sample from the
+    stacks u[k] = pi(g_k) and r[k] = rho(g_k).
     """
 
     def results(m: Model, c: RunConfig, tol: float, inputs: tuple):
@@ -215,9 +215,14 @@ def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check
 
     return Check(
         True, tolerance, results,
-        reads=lambda c: Reads(c.samples, True, 4 * c.samples, c.samples),
-        from_draw=lambda d, r, c: (*d.stacks(r), *d.sites(r)),
+        reads=lambda c: Reads(c.samples, True),
+        from_draw=lambda d, r, c: d.stacks(r),
     )
+
+
+def _check_sliced(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
+    deviations = check_sliced_covariance(m.triple, m.structure, *inputs)
+    return [check_result("sliced_covariance", c.samples, c.seed, deviations, tol)]
 
 
 def _check_global(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
@@ -275,18 +280,21 @@ CHECKS = {
         reads=lambda c: Reads(rotations=2 * c.samples),
         from_draw=lambda d, r, c: (d.q[0 : r.rotations : 2], d.q[1 : r.rotations : 2]),
     ),
-    "initial": _sampled(1e-10, "initial_invariance", lambda m, u, r, xs, ys: (
+    "initial": _sampled(1e-10, "initial_invariance", lambda m, u, r: (
         check_initial_invariance(m.triple.phi0, u)
     )),
-    "transition": _sampled(1e-10, "transition_equivariance", lambda m, u, r, xs, ys: (
+    "transition": _sampled(1e-10, "transition_equivariance", lambda m, u, r: (
         check_transition_equivariance(m.triple.transition, u)
     )),
-    "emission": _sampled(1e-10, "emission_covariance", lambda m, u, r, xs, ys: (
+    "emission": _sampled(1e-10, "emission_covariance", lambda m, u, r: (
         check_emission_covariance(m.triple.emission, u, r)
     )),
-    "sliced": _sampled(1e-10, "sliced_covariance", lambda m, u, r, xs, ys: (
-        check_sliced_covariance(m.triple, m.structure, u, r, xs, ys)
-    )),
+    "sliced": Check(
+        True, 1e-10, _check_sliced,
+        # the sampled rows' rotations, and one site per sample after them
+        reads=lambda c: Reads(c.samples, True, 4 * c.samples, c.samples),
+        from_draw=lambda d, r, c: (*d.stacks(r), *d.sites(r)),
+    ),
     "global": Check(
         True, 1e-9, _check_global,
         # one word of n_max + 1 sites per sample, in blocks from the end
@@ -301,7 +309,7 @@ CHECKS = {
         reads=lambda c: Reads(sites=max(c.n_max - 1, 0) * c.global_samples),
         from_draw=lambda d, r, c: _words(*d.sites(r), c.global_samples),
     ),
-    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, u, r, xs, ys: (
+    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, u, r: (
         aklt.verify_intertwining(m.builtin.tensors, u, r)
     )),
     "oracle": Check(

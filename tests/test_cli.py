@@ -1066,9 +1066,16 @@ def test_a_run_draws_once_and_nothing_it_does_not_read(monkeypatch, tmp_path):
     generators.clear(), draws.clear()
     run(RunConfig(checks=("cpu", "cocycle"), seed=3))
     assert (generators, draws) == ([3], [4 * 400])
-    # the sampled rows alone read 200 rotations, then 200 sites
+    # the sampled rows alone read 200 rotations, then sliced's 200 sites
     generators.clear(), draws.clear()
     run(RunConfig(checks=SAMPLED_ROWS))
+    assert draws == [4 * 200 + 200 * 26]
+    # a sampled row other than sliced reads the rotations alone
+    generators.clear(), draws.clear()
+    run(RunConfig(checks=("transition",)))
+    assert draws == [4 * 200]
+    generators.clear(), draws.clear()
+    run(RunConfig(checks=("sliced",)))
     assert draws == [4 * 200 + 200 * 26]
     # a run that reads no Gaussian makes no generator
     generators.clear(), draws.clear()
@@ -1177,7 +1184,7 @@ def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys)
 
 
 def test_eval_text_spaces_a_non_finite_imaginary_part_from_the_i(tmp_path, capsys):
-    # the overflowing word of CI's console-script step: "nan + nani" would
+    # the overflowing word of tests/test_processes.py: "nan + nani" would
     # read as one word; a finite value keeps its text byte for byte
     x = {"dim": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4}
     y = {"dim": 3, "re": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308], "im": [0] * 9}

@@ -22,12 +22,16 @@ the library's own sliced_coefficients and fold_suffixes, random_words
 draws words from a generator through the library's unit_sites (and
 block_words in blocks from the end of the words), random_word draws one
 word, and word_items and write_word spell a word out as a word file.
+readme_blocks and readme_model_config read the README's fenced code.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +50,20 @@ from hqmmsym.grouprep import _compose
 from hqmmsym.hqmm import fold_suffixes, sliced_coefficients
 from hqmmsym.opalg import conjugate
 from hqmmsym.sampling import rng_from
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language: str) -> list[str]:
+    """The README's fenced blocks of a language, dedented (some sit inside list items)."""
+    fence = re.compile(r"^( *)```" + language + r"\n(.*?)^\1```", re.M | re.S)
+    return [textwrap.dedent(m.group(2)) for m in fence.finditer(README.read_text())]
+
+
+def readme_model_config() -> dict:
+    """The README's one model config, the JSON block that names a hidden_dim."""
+    [config] = [block for block in readme_blocks("json") if '"hidden_dim"' in block]
+    return json.loads(config)
 
 
 def fold_batch(triple, structure, xs, ys) -> np.ndarray:
@@ -460,11 +478,13 @@ def replay_row_inputs(model, config) -> dict[str, tuple]:
 
     The reference for cli.draw: every row restarts the generator and
     draws what it reads with haar_rotations and random_words.  The
-    sampled rows draw samples rotations, then one site each; cocycle
-    draws 2 samples rotations and pairs them off; global draws as
-    global_draw and kolmogorov as kolmogorov_draw, at depth n_max; oracle
-    draws its words of 5 sites word by word.  The rows that need the
-    symmetry action are left out for a config-file model.
+    sampled rows draw samples rotations, which are all that initial,
+    transition, emission and intertwining read; sliced also draws one
+    site per sample after them.  cocycle draws 2 samples rotations and
+    pairs them off; global draws as global_draw and kolmogorov as
+    kolmogorov_draw, at depth n_max; oracle draws its words of 5 sites
+    word by word.  The rows that need the symmetry action are left out
+    for a config-file model.
     """
     triple, c = model.triple, config
     words = -(-min(c.samples, 20) // 5)
@@ -481,7 +501,9 @@ def replay_row_inputs(model, config) -> dict[str, tuple]:
     rng = rng_from(c.seed)
     q = haar_rotations(rng, c.samples)
     xs, ys = random_words(rng, triple, c.samples, 1)
-    for name in ("initial", "transition", "emission", "sliced", "intertwining"):
-        inputs[name] = (action.pi.stack(q), action.rho.stack(q), xs[:, 0], ys[:, 0])
+    u, r = action.pi.stack(q), action.rho.stack(q)
+    for name in ("initial", "transition", "emission", "intertwining"):
+        inputs[name] = (u, r)
+    inputs["sliced"] = (u, r, xs[:, 0], ys[:, 0])
     inputs["global"] = global_draw(c.seed, triple, action, c.n_max, c.global_samples)
     return inputs
