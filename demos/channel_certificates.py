@@ -14,7 +14,8 @@ failures: the emission with its physical slot transposed stops being
 CP, and the transition without its normalization stops being unital.
 """
 
-from hqmmsym import OperatorMap, build_model, certify_cpu, transition_map
+from hqmmsym import OperatorMap, build_model, certify_cpu
+from hqmmsym.hqmm import partial_trace_map
 
 
 def show(title: str, terms: dict) -> None:
@@ -44,4 +45,4 @@ show("emission with transposed physical slot", certify_cpu(transposed))
 # but breaks unitality, which later surfaces as a failure of extension
 # consistency for the finite-volume states
 print()
-show("transition without normalization", certify_cpu(transition_map(normalized=False)))
+show("transition without normalization", certify_cpu(partial_trace_map(2, 2, normalized=False)))

@@ -18,15 +18,14 @@ from hqmmsym import (
     cocycle_defects,
     cocycle_eval,
     detect_nontrivial_class,
-    haar_rotations,
+    haar_quaternions,
     spin_half_rep,
 )
 from hqmmsym.grouprep import _compose
-from hqmmsym.sampling import rng_from
 
 # sample the cocycle on Haar random pairs: rotations are quaternion rows,
 # and every function below takes a whole stack of them
-quats = haar_rotations(rng_from(1), 400)
+quats = haar_quaternions(np.random.default_rng(1).standard_normal((400, 4)))
 gs, hs = quats[::2], quats[1::2]
 values = cocycle_eval(gs, hs)
 plus = int(np.sum(values == 1.0))

@@ -24,7 +24,6 @@ from hqmmsym import (
     unit_sites,
 )
 from hqmmsym.hqmm import ObservableWord
-from hqmmsym.sampling import rng_from
 
 model = build_model("normalized_cartesian")
 triple = model.triple
@@ -57,7 +56,7 @@ print(f"exact value 1/27 =                 {1.0 / 27.0:.12f}")
 
 # the two causal structures agree on random words for this model; each
 # site is a row of 2 h^2 + 2 o^2 Gaussians, decoded to unit-norm matrices
-rng = rng_from(8)
+rng = np.random.default_rng(8)
 width = 2 * triple.hidden_dim**2 + 2 * triple.obs_dim**2
 worst = 0.0
 for i in range(20):

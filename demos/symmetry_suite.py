@@ -11,6 +11,8 @@ rotations at every volume.  It also runs the same checks on the
 unnormalized tensor variant, where they fail by a wide margin.
 """
 
+import numpy as np
+
 from hqmmsym import (
     SymmetryAction,
     build_model,
@@ -19,21 +21,26 @@ from hqmmsym import (
     check_global_invariance,
     check_initial_invariance,
     check_transition_equivariance,
-    haar_rotations,
+    haar_quaternions,
     spin_half_rep,
     spin_one_rep,
     unit_sites,
     verify_intertwining,
 )
 from hqmmsym.cli import RunConfig, run
-from hqmmsym.sampling import rng_from
 
 model = build_model("normalized_cartesian")
+
+
+def haar(seed: int, count: int):
+    """count Haar rotations, decoded from count rows of 4 Gaussians of a seeded generator."""
+    return haar_quaternions(np.random.default_rng(seed).standard_normal((count, 4)))
+
 
 # do the tensors tie the two rotation actions together?
 # each check takes the unitary stacks pi(g_k) and rho(g_k) of its rotations
 print("intertwining residual of sum_k rho(g)_km A_k against pi(g) A_m pi(g)+:")
-q = haar_rotations(rng_from(2), 60)
+q = haar(2, 60)
 for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
     tensors = build_tensors(variant)
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
@@ -45,13 +52,13 @@ for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal")
 print()
 tolerance = 1e-10
 pi, rho = model.action.pi.stack, model.action.rho.stack
-q_emission = haar_rotations(rng_from(5), 100)
+q_emission = haar(5, 100)
 checks = {
     "initial_invariance": check_initial_invariance(
-        model.triple.phi0, pi(haar_rotations(rng_from(3), 100))
+        model.triple.phi0, pi(haar(3, 100))
     ),
     "transition_equivariance": check_transition_equivariance(
-        model.triple.transition, pi(haar_rotations(rng_from(4), 100))
+        model.triple.transition, pi(haar(4, 100))
     ),
     "emission_covariance": check_emission_covariance(
         model.triple.emission, pi(q_emission), rho(q_emission)
@@ -69,8 +76,8 @@ for condition, deviations in checks.items():
 # a verify run reads them, the words' sites in blocks from the end (block
 # j holds every word's j-th site from the end)
 print()
-rng = rng_from(6)
-q = haar_rotations(rng, 30)
+rng = np.random.default_rng(6)
+q = haar_quaternions(rng.standard_normal((30, 4)))
 width = 2 * 2**2 + 2 * 3**2
 xs, ys = unit_sites(model.triple, rng.standard_normal((5 * 30, width)))
 words = xs.reshape(5, 30, 2, 2)[::-1].swapaxes(0, 1), ys.reshape(5, 30, 3, 3)[::-1].swapaxes(0, 1)

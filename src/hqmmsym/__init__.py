@@ -13,7 +13,6 @@ from .aklt import (
     dense_word_value,
     emission_map,
     projector_word,
-    transition_map,
     verify_intertwining,
 )
 from .errors import (
@@ -30,7 +29,6 @@ from .grouprep import (
     cocycle_eval,
     detect_nontrivial_class,
     haar_quaternions,
-    haar_rotations,
     rotation_matrices,
     spin_half_rep,
     spin_one_rep,
@@ -104,7 +102,6 @@ __all__ = [
     "emission_map",
     "finite_volume_state",
     "haar_quaternions",
-    "haar_rotations",
     "kolmogorov_check",
     "load_model_config",
     "load_word",
@@ -115,7 +112,6 @@ __all__ = [
     "spin_half_rep",
     "spin_one_rep",
     "su2_matrices",
-    "transition_map",
     "unit_sites",
     "verify_intertwining",
     "worst_deviation",

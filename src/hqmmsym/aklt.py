@@ -97,16 +97,6 @@ def emission_map(tensors: AkltTensors) -> OperatorMap:
     return OperatorMap.from_kraus(h * o, h, [kraus])
 
 
-def transition_map(hidden_dim: int = 2, normalized: bool = True) -> OperatorMap:
-    """Partial trace over the second bond factor, normalized to be unital.
-
-    With normalized=False the map is W -> Z1 trace(Z2) on product inputs,
-    which is completely positive but not unital; it is kept as a
-    diagnostic for the consistency check.
-    """
-    return partial_trace_map(hidden_dim, hidden_dim, normalized)
-
-
 def verify_intertwining(tensors: AkltTensors, u: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-sample residual of sum_k R_km A_k = U A_m U+ for u[k] = pi(g_k), r[k] = rho(g_k).
 
@@ -138,8 +128,10 @@ class AkltModel:
 def build_model(variant: str = "normalized_cartesian", structure="conventional") -> AkltModel:
     """Assemble the model for a tensor variant and causal structure.
 
-    The tensors are used exactly as build_tensors gives them and nothing
-    is checked here: whether the triple is CPU is for the cpu check to
+    The transition is hqmm.partial_trace_map(h, h), the normalized partial
+    trace over the second bond factor, phi0 is maximally mixed, and the
+    tensors are used exactly as build_tensors gives them.  Nothing is
+    checked here: whether the triple is CPU is for the cpu check to
     report from GenerativeTriple.defects, and whether a variant satisfies
     the intertwining relation and the symmetry conditions is for
     verify_intertwining and the symmetry checks.
@@ -151,7 +143,7 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         hidden_dim=h,
         obs_dim=o,
         phi0=np.eye(h, dtype=complex) / h,
-        transition=transition_map(h, normalized=True),
+        transition=partial_trace_map(h, h),
         emission=emission_map(tensors),
     )
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))

@@ -7,6 +7,33 @@ byte-identical JSON.  The eval subcommand
 prints a single word value, cocycle analyzes a finite abelian subgroup,
 and report re-renders a stored report file.
 
+run is the only place that draws, once per run, through draw: one
+standard_normal buffer from np.random.default_rng(seed), as long as the
+furthest Gaussian any selected row reads (none for --checks cpu).  Each
+row of CHECKS declares its slice of that stream as its Reads: Haar
+rotations of 4 Gaussians each from Gaussian 0, the reps it stacks over
+them, and random sites of 2 h^2 + 2 o^2 Gaussians each (26 for the
+built-in model) from right after its rotations, Gaussian 4 * rotations:
+
+    cocycle                 2 samples rotations, paired (g0, g1), (g2, g3), ...
+    initial, transition     samples rotations, with pi
+    emission, intertwining  samples rotations, with pi and rho
+    sliced                  samples rotations, with pi and rho; one site per sample
+    global                  global_samples rotations, with pi and rho; (n_max + 1)
+                            global_samples sites, in blocks from the end of the words
+    kolmogorov              (n_max - 1) global_samples sites (none for n_max <= 1),
+                            in blocks from the end of the words
+    oracle                  5 ceil(min(samples, 20) / 5) sites, word by word
+
+Block j holds every word's j-th site from the end, so the words of a
+shorter length are the first blocks of the same stream.  The oracle
+sites are a prefix of the kolmogorov ones whenever those are as many.
+A row's slice, and so its inputs, depend on the seed and its own counts
+alone: --checks X alone prints X's rows of the full run byte for byte,
+--n-max 2 prints the first three global rows of a deeper run, and
+deviation k of a sampled row is its check on entry k of its inputs
+alone.
+
 Exit codes: 0 when everything passed, 1 when a check failed, 2 for
 configuration or usage errors.
 """
@@ -42,7 +69,6 @@ from .hqmm import (
 # operator_norm is unused here but stays bound: bench/tests checks that the
 # tracer in bench/tracing.py wraps and restores this module's binding.
 from .opalg import operator_norm  # noqa: F401
-from .sampling import rng_from
 from .symmetry import (
     CheckResult,
     check_emission_covariance,
@@ -80,81 +106,83 @@ class Reads(NamedTuple):
     """A row's slice of the run's one Gaussian stream.
 
     The first rotations Haar rotations, four Gaussians each from the
-    start of the stream, with their pi and rho stacks when stacks is set;
-    and sites random sites, 2 h^2 + 2 o^2 Gaussians each, from Gaussian
-    offset on.
+    start of the stream, with the stacks of the reps named in reps
+    ("pi" for pi(g_k), "rho" for rho(g_k)); and sites random sites,
+    2 h^2 + 2 o^2 Gaussians each, from right after those rotations, at
+    Gaussian 4 * rotations.
     """
 
     rotations: int = 0
-    stacks: bool = False
-    offset: int = 0
+    reps: tuple[str, ...] = ()
     sites: int = 0
 
 
 class Draw(NamedTuple):
     """A verify run's one draw, decoded once for every selected row.
 
-    q holds the longest prefix of Haar rotations any row reads, pi and
-    rho their stacks over the longest prefix a row with stacks reads
-    (None when no row does), and windows maps each Gaussian offset that
-    rows read sites from to the sites (xs, ys) decoded from there, as
-    many as the row reading most of them.  dims is the triple's (h, o).
+    q holds the longest prefix of Haar rotations any row reads, and reps
+    maps "pi" and "rho" to their stacks, each over the longest prefix a
+    row naming that rep reads (absent when no row names it).  windows
+    maps the rotation count of each row that reads sites to the sites
+    (xs, ys) decoded from right after those rotations, as many as the
+    row reading most of them.  dims is the triple's (h, o).
     """
 
     q: np.ndarray
-    pi: np.ndarray | None
-    rho: np.ndarray | None
+    reps: dict[str, np.ndarray]
     windows: dict[int, tuple[np.ndarray, np.ndarray]]
     dims: tuple[int, int]
 
-    def stacks(self, r: Reads) -> tuple[np.ndarray, np.ndarray]:
-        """The pi and rho stacks of the rotations r reads."""
-        return self.pi[: r.rotations], self.rho[: r.rotations]
+    def stacks(self, r: Reads) -> tuple[np.ndarray, ...]:
+        """The stacks of the reps r names, over the rotations r reads, in r's order."""
+        return tuple(self.reps[name][: r.rotations] for name in r.reps)
 
     def sites(self, r: Reads) -> tuple[np.ndarray, np.ndarray]:
         """The sites r reads, as stacks xs[r.sites, h, h] and ys[r.sites, o, o]."""
         if r.sites == 0:
             return tuple(np.empty((0, d, d), dtype=complex) for d in self.dims)
-        xs, ys = self.windows[r.offset]
+        xs, ys = self.windows[r.rotations]
         return xs[: r.sites], ys[: r.sites]
 
 
 def draw(m: Model, c: RunConfig, checks) -> Draw:
     """The one draw of a run of the named checks, the only draw of a verify run.
 
-    One standard_normal buffer from rng_from(c.seed), as long as the
-    furthest Gaussian any row reads, and none when no row reads one.
-    The rotations are decoded once by haar_quaternions, and pi and rho
-    stacked once.  Every window of sites goes through one unit_sites
-    call, so each site size has one operator_norms call.  Every step is
-    per row of Gaussians, so an input's bits do not depend on which rows
+    One standard_normal buffer from np.random.default_rng(c.seed), as
+    long as the furthest Gaussian any row reads, and none when no row
+    reads one.  The rotations are decoded once by haar_quaternions, and
+    pi and rho each stacked once, over the longest prefix a row naming
+    it reads.  Every window of sites goes through one unit_sites call,
+    so each site size has one operator_norms call.  Every step is per
+    row of Gaussians, so an input's bits do not depend on which rows
     run.
     """
     h, o = m.triple.hidden_dim, m.triple.obs_dim
     width = 2 * (h * h + o * o)
     reads = [CHECKS[name].reads(c) for name in checks]
     rotations = max([r.rotations for r in reads], default=0)
-    stacked = max([r.rotations for r in reads if r.stacks], default=0)
+    # each window of sites starts right after its row's rotations
     windows: dict[int, int] = {}
     for r in reads:
         if r.sites:
-            windows[r.offset] = max(windows.get(r.offset, 0), r.sites)
-    size = max([4 * rotations, *(offset + n * width for offset, n in windows.items())])
-    g = rng_from(c.seed).standard_normal(size) if size else np.empty(0)
+            windows[r.rotations] = max(windows.get(r.rotations, 0), r.sites)
+    size = max([4 * rotations, *(4 * k + n * width for k, n in windows.items())])
+    g = np.random.default_rng(c.seed).standard_normal(size) if size else np.empty(0)
     q = np.empty((0, 4))
     if rotations:
         q = haar_quaternions(g[: 4 * rotations].reshape(rotations, 4))
-    pi = rho = None
-    if stacked:
-        action = m.builtin.action
-        pi, rho = action.pi.stack(q[:stacked]), action.rho.stack(q[:stacked])
+    reps = {}
+    for name in ("pi", "rho"):
+        count = max([r.rotations for r in reads if name in r.reps], default=0)
+        if count:
+            reps[name] = getattr(m.builtin.action, name).stack(q[:count])
     decoded = {}
     if windows:
-        rows = [g[offset : offset + n * width].reshape(n, width) for offset, n in windows.items()]
+        rows = [g[4 * k : 4 * k + n * width].reshape(n, width) for k, n in windows.items()]
         xs, ys = unit_sites(m.triple, np.concatenate(rows))
         cuts = np.cumsum(list(windows.values()))[:-1]
         decoded = dict(zip(windows, zip(np.split(xs, cuts), np.split(ys, cuts))))
-    return Draw(q, pi, rho, decoded, (h, o))
+    return Draw(q, reps, decoded, (h, o))
 
 
 def _words(xs: np.ndarray, ys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,11 +231,12 @@ def _check_cocycle(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[Ch
     return [replace(result, passed=result.passed and exact)]
 
 
-def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check:
+def _sampled(tolerance: float, condition: str, reps: tuple, deviations_of: Callable) -> Check:
     """A row over the run's first samples rotations.
 
-    deviations_of(m, u, r) gives one deviation per sample from the
-    stacks u[k] = pi(g_k) and r[k] = rho(g_k).
+    deviations_of(m, *stacks) gives one deviation per sample from the
+    stacks of the reps named, u[k] = pi(g_k) for "pi" and r[k] = rho(g_k)
+    for "rho", in that order.
     """
 
     def results(m: Model, c: RunConfig, tol: float, inputs: tuple):
@@ -215,7 +244,7 @@ def _sampled(tolerance: float, condition: str, deviations_of: Callable) -> Check
 
     return Check(
         True, tolerance, results,
-        reads=lambda c: Reads(c.samples, True),
+        reads=lambda c: Reads(c.samples, reps),
         from_draw=lambda d, r, c: d.stacks(r),
     )
 
@@ -280,27 +309,25 @@ CHECKS = {
         reads=lambda c: Reads(rotations=2 * c.samples),
         from_draw=lambda d, r, c: (d.q[0 : r.rotations : 2], d.q[1 : r.rotations : 2]),
     ),
-    "initial": _sampled(1e-10, "initial_invariance", lambda m, u, r: (
+    "initial": _sampled(1e-10, "initial_invariance", ("pi",), lambda m, u: (
         check_initial_invariance(m.triple.phi0, u)
     )),
-    "transition": _sampled(1e-10, "transition_equivariance", lambda m, u, r: (
+    "transition": _sampled(1e-10, "transition_equivariance", ("pi",), lambda m, u: (
         check_transition_equivariance(m.triple.transition, u)
     )),
-    "emission": _sampled(1e-10, "emission_covariance", lambda m, u, r: (
+    "emission": _sampled(1e-10, "emission_covariance", ("pi", "rho"), lambda m, u, r: (
         check_emission_covariance(m.triple.emission, u, r)
     )),
     "sliced": Check(
         True, 1e-10, _check_sliced,
         # the sampled rows' rotations, and one site per sample after them
-        reads=lambda c: Reads(c.samples, True, 4 * c.samples, c.samples),
+        reads=lambda c: Reads(c.samples, ("pi", "rho"), c.samples),
         from_draw=lambda d, r, c: (*d.stacks(r), *d.sites(r)),
     ),
     "global": Check(
         True, 1e-9, _check_global,
         # one word of n_max + 1 sites per sample, in blocks from the end
-        reads=lambda c: Reads(
-            c.global_samples, True, 4 * c.global_samples, (c.n_max + 1) * c.global_samples
-        ),
+        reads=lambda c: Reads(c.global_samples, ("pi", "rho"), (c.n_max + 1) * c.global_samples),
         from_draw=lambda d, r, c: (*d.stacks(r), *_words(*d.sites(r), c.global_samples)),
     ),
     "kolmogorov": Check(
@@ -309,7 +336,7 @@ CHECKS = {
         reads=lambda c: Reads(sites=max(c.n_max - 1, 0) * c.global_samples),
         from_draw=lambda d, r, c: _words(*d.sites(r), c.global_samples),
     ),
-    "intertwining": _sampled(1e-10, "tensor_intertwining", lambda m, u, r: (
+    "intertwining": _sampled(1e-10, "tensor_intertwining", ("pi", "rho"), lambda m, u, r: (
         aklt.verify_intertwining(m.builtin.tensors, u, r)
     )),
     "oracle": Check(

@@ -185,15 +185,6 @@ def haar_quaternions(g: np.ndarray) -> np.ndarray:
     return canonical_quaternions(_unit(g))
 
 
-def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count Haar-uniform rotations drawn from rng, as canonical quaternions of shape (count, 4).
-
-    One draw of count 4d Gaussians, the same stream as count draws of
-    four, decoded by haar_quaternions.
-    """
-    return haar_quaternions(rng.standard_normal((count, 4)))
-
-
 def cocycle_eval(qg, qh) -> np.ndarray:
     """The section cocycle omega(g, h) on quaternion stacks qg, qh.
 

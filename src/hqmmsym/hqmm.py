@@ -73,7 +73,7 @@ class CausalStructure(enum.Enum):
 
 @dataclass(frozen=True)
 class GenerativeTriple:
-    """Initial state plus transition and emission maps of a hidden model."""
+    """Initial state and maps of a hidden model; the maps must take h^2 -> h and h o -> h."""
 
     hidden_dim: int
     obs_dim: int
@@ -147,6 +147,7 @@ class ObservableWord:
 
     @classmethod
     def all_identity(cls, n_sites: int, hidden_dim: int, obs_dim: int) -> "ObservableWord":
+        """The word of n_sites sites, each the identity on both slots."""
         return cls(
             np.broadcast_to(np.eye(hidden_dim), (n_sites, hidden_dim, hidden_dim)),
             np.broadcast_to(np.eye(obs_dim), (n_sites, obs_dim, obs_dim)),
@@ -305,10 +306,10 @@ def unit_sites(triple: GenerativeTriple, g: np.ndarray) -> tuple[np.ndarray, np.
 
     This is the one map from Gaussians to random sites.  A row holds the
     real then imaginary parts of x, then those of y, and each matrix is
-    divided by its operator norm, as sampling.random_operator draws it:
-    a row of Gaussians drawn from a generator gives the site that
-    random_operator calls for x and then y would.  Every step is per row,
-    so a site's bits do not depend on N.
+    divided by its operator norm.  A row of Gaussians drawn from a
+    generator gives, bit for bit, the site that the per-matrix reference
+    random_operator in tests/util.py draws for x and then y.  Every step
+    is per row, so a site's bits do not depend on N.
     """
     h, o = triple.hidden_dim, triple.obs_dim
     xs = (g[:, : h * h] + 1j * g[:, h * h : 2 * h * h]).reshape(-1, h, h)
@@ -410,7 +411,8 @@ def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> OperatorMap:
     """Z1 tensor Z2 -> Z1 trace(Z2), divided by d2 when normalized to make it unital.
 
     The Kraus operators are 1 tensor <j| for each basis vector j of the
-    second factor, scaled by 1/sqrt(d2) when normalized.
+    second factor, scaled by 1/sqrt(d2) when normalized.  Unnormalized,
+    it is CP but not unital, a diagnostic for the consistency check.
     """
     scale = 1.0 / np.sqrt(d2) if normalized else 1.0
     kraus = []
@@ -431,6 +433,9 @@ def _kraus_from_json(obj: dict) -> np.ndarray:
         raise ConfigError(
             "kraus entries need integer 'rows' and 'cols' and numeric 're' and 'im'"
         ) from None
+    # two negative counts pass the size test below, and reshape refuses them
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"kraus 'rows' and 'cols' must be at least 1, got {rows} and {cols}")
     if re.size != rows * cols or im.size != rows * cols:
         raise ConfigError(f"kraus entry arrays must have {rows * cols} values")
     return (re + 1j * im).reshape(rows, cols)

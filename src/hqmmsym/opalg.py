@@ -360,12 +360,14 @@ def _matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
 class OperatorMap:
     """Linear map from one matrix algebra to another, stored over matrix units.
 
-    coeff defines the map.  A map built by from_kraus also keeps,
-    read-only, the stack kraus[r, dim_out, dim_in] it was built from, so
-    that a check may use a closed form for a map with one Kraus operator;
-    a map built from its coefficients carries kraus None.  A map whose
-    input is a tensor product, as a triple's transition and emission are,
-    acts on the flattened product space; the triple fixes the factors.
+    Every map in the package is an OperatorMap, and from_kraus is its one
+    Kraus constructor.  coeff defines the map.  A map built by from_kraus
+    also keeps, read-only, the stack kraus[r, dim_out, dim_in] it was
+    built from, so that a check may use a closed form for a map with one
+    Kraus operator; a map built from its coefficients carries kraus None.
+    A map whose input is a tensor product, as a triple's transition and
+    emission are, acts on the flattened product space; the triple fixes
+    the factors.
     """
 
     dim_in: int

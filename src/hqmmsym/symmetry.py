@@ -4,11 +4,13 @@ A symmetry action carries a projective unitary rep pi on the hidden space
 and a linear rep rho on the observable space.  Each local check is a
 function of unitary stacks, u[k] = pi(g_k) and, where the identity needs
 it, r[k] = rho(g_k) (and test operators where needed), and returns the N
-per-sample deviations of its defining identity; a stack whose length
-differs from u's, or whose matrices do not fit the space they act on,
-raises DimensionMismatchError.  The global check takes one rotation and
-one word per sample and reads every volume off the suffixes of that
-word, each with the bits of folding its volume alone.  Nothing here
+per-sample deviations of its defining identity: sample k alone, on
+u[k:k+1], r[k:k+1] and its site, gives the same number bit for bit.  A
+stack whose length differs from u's, or whose matrices do not fit the
+space they act on, raises DimensionMismatchError.  The global check
+takes one rotation and one word per sample and reads every volume off
+the suffixes of that word, each with the bits of folding its volume
+alone.  Nothing here
 draws: cli.run makes a verify run's one draw.
 The verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
@@ -260,9 +262,9 @@ def check_global_invariance(
     are a word of independent sites.  One conjugation of every site by
     its sample's rotation and one sliced_coefficients call for the plain
     and rotated sites feed one fold_suffixes batch of the plain and the
-    rotated words, which gives every volume's values.  Every step is per
-    row, so each deviation has the bits of folding its volume's plain and
-    rotated words alone.
+    rotated words, which gives every volume's values, at a cost linear in
+    n_max.  Every step is per row, so each deviation has the bits of
+    folding its volume's plain and rotated words alone.
     """
     h, o = triple.hidden_dim, triple.obs_dim
     samples, n_sites = np.shape(xs)[:2]

@@ -28,19 +28,16 @@ from hqmmsym import (
     detect_nontrivial_class,
     emission_map,
     finite_volume_state,
-    haar_rotations,
     kolmogorov_check,
     projector_word,
     spin_half_rep,
     spin_one_rep,
     su2_matrices,
-    transition_map,
     verify_intertwining,
 )
 from hqmmsym.cli import _z2z2_elements
 from hqmmsym.grouprep import PAULI, _compose
-from hqmmsym.hqmm import ObservableWord
-from hqmmsym.sampling import rng_from
+from hqmmsym.hqmm import ObservableWord, partial_trace_map
 
 STRUCTURES = ("conventional", "causal")
 
@@ -52,7 +49,7 @@ def _verdict(name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_cocycle_signs_identity_and_section():
-    q = haar_rotations(rng_from(2026), 3000)
+    q = util.haar_rotations(np.random.default_rng(2026), 3000)
     g, h, k = q[0::3], q[1::3], q[2::3]
     w = cocycle_eval(g, h)
     exact = bool(np.isin(w, (1.0, -1.0)).all())
@@ -122,7 +119,7 @@ def test_criterion_04_intertwining_residuals():
     for variant in ("normalized_cartesian", "normalized_spherical", "paper_literal"):
         tensors = build_tensors(variant)
         action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
-        q = haar_rotations(rng_from(3), 120)
+        q = util.haar_rotations(np.random.default_rng(3), 120)
         residuals[variant] = verify_intertwining(
             tensors, action.pi.stack(q), action.rho.stack(q)
         ).max()
@@ -139,17 +136,19 @@ def test_criterion_04_intertwining_residuals():
 def test_criterion_05_local_symmetry_checks():
     model = build_model("normalized_cartesian")
     pi, rho = model.action.pi.stack, model.action.rho.stack
-    q_emission = haar_rotations(rng_from(23), 200)
+    q_emission = util.haar_rotations(np.random.default_rng(23), 200)
     results = [
-        check_initial_invariance(model.triple.phi0, pi(haar_rotations(rng_from(21), 200))),
+        check_initial_invariance(
+            model.triple.phi0, pi(util.haar_rotations(np.random.default_rng(21), 200))
+        ),
         check_transition_equivariance(
-            model.triple.transition, pi(haar_rotations(rng_from(22), 200))
+            model.triple.transition, pi(util.haar_rotations(np.random.default_rng(22), 200))
         ),
         check_emission_covariance(model.triple.emission, pi(q_emission), rho(q_emission)),
     ]
     for structure in STRUCTURES:
-        rng = rng_from(24)
-        q = haar_rotations(rng, 200)
+        rng = np.random.default_rng(24)
+        q = util.haar_rotations(rng, 200)
         xs, ys = util.random_words(rng, model.triple, 200, 1)
         results.append(
             check_sliced_covariance(model.triple, structure, pi(q), rho(q), xs[:, 0], ys[:, 0])
@@ -191,7 +190,7 @@ def test_criterion_07_kolmogorov_consistency():
         model.triple.hidden_dim,
         model.triple.obs_dim,
         model.triple.phi0,
-        transition_map(normalized=False),
+        partial_trace_map(2, 2, normalized=False),
         model.triple.emission,
     )
     words = util.kolmogorov_draw(0, broken, depth=4, samples=10)
@@ -225,7 +224,7 @@ def test_criterion_08_invariant_state_is_maximally_mixed():
 
 def test_criterion_09_contraction_oracle_and_classical_reduction():
     model = build_model("normalized_cartesian")
-    rng = rng_from(17)
+    rng = np.random.default_rng(17)
     worst = 0.0
     for structure in STRUCTURES:
         for i in range(25):

@@ -15,16 +15,14 @@ from hqmmsym import (
     dense_word_value,
     emission_map,
     finite_volume_state,
-    haar_rotations,
     operator_norm,
     projector_word,
     spin_half_rep,
     spin_one_rep,
-    transition_map,
     verify_intertwining,
 )
 from hqmmsym.grouprep import SIGMA_X, SIGMA_Y, SIGMA_Z
-from hqmmsym.sampling import rng_from
+from hqmmsym.hqmm import partial_trace_map
 
 
 def test_variant_names_and_labels():
@@ -84,7 +82,7 @@ def test_emission_map_cp_order_is_cpu(variant):
 def test_emission_map_matches_tensor_sandwich():
     tensors = build_tensors("normalized_cartesian")
     emission = emission_map(tensors)
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     stack = tensors.tensors
     for _ in range(5):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -114,7 +112,7 @@ def test_literal_emission_order_transposes_the_physical_slot():
     tensors = build_tensors("normalized_spherical")
     cp_map = emission_map(tensors)
     literal = util.transpose_physical_slot(cp_map)
-    rng = rng_from(1)
+    rng = np.random.default_rng(1)
     for _ in range(5):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -128,13 +126,13 @@ def test_literal_emission_order_is_not_cp():
     cert = certify_cpu(literal)
     assert cert["choi_negativity"] > 0.1
     assert cert["unitality"] <= 1e-10
-    rng = rng_from(2)
+    rng = np.random.default_rng(2)
     assert util.brute_force_cp(literal, rng, trials=150) < -0.1
 
 
 def test_transition_map_is_normalized_partial_trace():
-    trans = transition_map(2, normalized=True)
-    rng = rng_from(3)
+    trans = build_model().triple.transition
+    rng = np.random.default_rng(3)
     for _ in range(5):
         w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         expected = util.partial_trace_second(w, 2, 2) / 2.0
@@ -143,7 +141,7 @@ def test_transition_map_is_normalized_partial_trace():
 
 
 def test_unnormalized_transition_is_not_unital():
-    cert = certify_cpu(transition_map(2, normalized=False))
+    cert = certify_cpu(partial_trace_map(2, 2, normalized=False))
     assert cert["choi_hermiticity"] <= 1e-10 and cert["choi_negativity"] <= 1e-10
     assert cert["unitality"] == pytest.approx(1.0)
 
@@ -152,7 +150,7 @@ def test_unnormalized_transition_is_not_unital():
 def test_intertwining_residual_of_normalized_tensors(variant):
     tensors = build_tensors(variant)
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
-    q = haar_rotations(rng_from(4), 80)
+    q = util.haar_rotations(np.random.default_rng(4), 80)
     residuals = verify_intertwining(tensors, action.pi.stack(q), action.rho.stack(q))
     assert residuals.shape == (80,)
     assert residuals.max() < 1e-12
@@ -160,7 +158,7 @@ def test_intertwining_residual_of_normalized_tensors(variant):
 
 def test_intertwining_fails_for_unnormalized_tensors():
     action = SymmetryAction(spin_half_rep(), spin_one_rep("spherical"))
-    q = haar_rotations(rng_from(6), 80)
+    q = util.haar_rotations(np.random.default_rng(6), 80)
     residuals = verify_intertwining(
         build_tensors("paper_literal"), action.pi.stack(q), action.rho.stack(q)
     )
@@ -238,7 +236,7 @@ def test_projector_word_validation():
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_oracle_matches_folded_evaluation(variant, structure):
     model = build_model(variant, structure)
-    rng = rng_from(9)
+    rng = np.random.default_rng(9)
     for n in (1, 2, 3, 5):
         word = util.random_word(rng, model.triple, n)
         folded = finite_volume_state(model.triple, structure, word)
@@ -247,7 +245,7 @@ def test_oracle_matches_folded_evaluation(variant, structure):
 
 
 def test_oracle_on_classical_triple():
-    rng = rng_from(10)
+    rng = np.random.default_rng(10)
     p = np.array([0.6, 0.4])
     t = util.random_stochastic(rng, 2, 2)
     b = util.random_stochastic(rng, 2, 3)

@@ -36,21 +36,20 @@ from hqmmsym import (
     worst_deviation,
 )
 from hqmmsym import opalg, symmetry
-from hqmmsym.aklt import transition_map
 from hqmmsym.opalg import _unit_scale_norms
 from hqmmsym.hqmm import (
     CausalStructure,
     _apply_sliced,
     fold_suffixes,
+    partial_trace_map,
     sliced_coefficients,
     triple_from_config,
 )
-from hqmmsym.sampling import random_operator, rng_from
 from hqmmsym.symmetry import _conjugation_defects, check_result
 
 
 def _classical():
-    rng = rng_from(4)
+    rng = np.random.default_rng(4)
     initial = util.random_stochastic(rng, 1, 4)[0]
     return classical_diagonal_triple(
         initial, util.random_stochastic(rng, 4, 4), util.random_stochastic(rng, 4, 3)
@@ -60,7 +59,7 @@ def _classical():
 def _random_unital():
     # h = 3 and o = 2, with a transition that keeps both hidden factors, so
     # the two structures give different composite maps
-    rng = rng_from(12)
+    rng = np.random.default_rng(12)
     return GenerativeTriple(
         3,
         2,
@@ -85,7 +84,7 @@ def _as_word(xs, ys):
 @pytest.mark.parametrize("count", [1, 7])
 def test_batched_fold_matches_single_word_fold(name, structure, count):
     triple = TRIPLES[name]
-    rng = rng_from(count)
+    rng = np.random.default_rng(count)
     for n_sites in range(1, 13):
         xs, ys = util.random_words(rng, triple, count, n_sites)
         batched = util.fold_batch(triple, structure, xs, ys)
@@ -103,7 +102,7 @@ def test_each_word_folded_alone_equals_its_row_of_the_batch(name, structure):
     # the rest of its batch
     triple = TRIPLES[name]
     for n_sites in (1, 3, 7):
-        xs, ys = util.random_words(rng_from(20 + n_sites), triple, 32, n_sites)
+        xs, ys = util.random_words(np.random.default_rng(20 + n_sites), triple, 32, n_sites)
         batch = util.fold_batch(triple, structure, xs, ys)
         for k in range(32):
             alone = util.fold_batch(triple, structure, xs[k : k + 1], ys[k : k + 1])
@@ -116,7 +115,7 @@ def test_every_suffix_of_the_fold_has_the_bits_of_the_suffix_folded_alone(name, 
     # values[:, j] is each word's last j + 1 sites, as a word of its own
     triple = TRIPLES[name]
     h, o = triple.hidden_dim, triple.obs_dim
-    xs, ys = util.random_words(rng_from(31), triple, 6, 5)
+    xs, ys = util.random_words(np.random.default_rng(31), triple, 6, 5)
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     transfers = transfers.reshape(6, 5, h * h, h * h)
     values = fold_suffixes(triple, transfers)
@@ -139,16 +138,16 @@ def test_batched_draws_reproduce_the_single_draw_streams(name):
     # words of 4 sites, as global and kolmogorov draw them, and words of one
     # site, as the sliced check draws them
     for count, n_sites in ((5, 4), (6, 1)):
-        xs, ys = util.random_words(rng_from(3), triple, count, n_sites)
-        ref = rng_from(3)
+        xs, ys = util.random_words(np.random.default_rng(3), triple, count, n_sites)
+        ref = np.random.default_rng(3)
         for k in range(count):
             for s in range(n_sites):
-                assert np.array_equal(xs[k, s], random_operator(ref, h))
-                assert np.array_equal(ys[k, s], random_operator(ref, o))
+                assert np.array_equal(xs[k, s], util.random_operator(ref, h))
+                assert np.array_equal(ys[k, s], util.random_operator(ref, o))
 
 
 def test_stacked_norms_equal_single_norms():
-    rng = rng_from(5)
+    rng = np.random.default_rng(5)
     for shape in [(2, 2), (6, 6), (12, 12), (4, 16)]:
         a = rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape))
         assert np.array_equal(operator_norms(a), [operator_norm(m) for m in a])
@@ -158,10 +157,10 @@ def test_stacked_norms_equal_single_norms():
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 3), (4, 4), (8, 8), (12, 12), (4, 16), (16, 4)])
 def test_norms_match_the_svd_at_every_scale(m, n, scale):
     # an unscaled Gram matrix overflows or underflows from 1e+-160 on
-    rng = rng_from(m * 100 + n)
+    rng = np.random.default_rng(m * 100 + n)
     gaussian = rng.standard_normal((20, m, n)) + 1j * rng.standard_normal((20, m, n))
     # an isometry of the longer side: every singular value is 1
-    equal, _ = np.linalg.qr(random_operator(rng, max(m, n))[:, : min(m, n)])
+    equal, _ = np.linalg.qr(util.random_operator(rng, max(m, n))[:, : min(m, n)])
     if m < n:
         equal = equal.T
     rank_one = np.einsum("ki,kj->kij", gaussian[:, :, 0], gaussian[:, 0, :].conj())
@@ -192,7 +191,7 @@ def _haar_unitaries(rng, count: int, dim: int) -> np.ndarray:
 
 def _norm_stacks() -> dict:
     """Stacks for each branch of the norm kernel: both closed forms and the fallback."""
-    rng = rng_from(18)
+    rng = np.random.default_rng(18)
 
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -281,7 +280,7 @@ def test_one_matrix_near_a_degenerate_top_pair_takes_eigvalsh():
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 2), (2, 5), (4, 3), (3, 4)])
 def test_stacked_norms_equal_single_norms_on_every_path(shape):
     stack = np.concatenate([a[:60] for a in NORM_STACKS.values() if a.shape[1:] == shape])
-    stack = stack[rng_from(6).permutation(len(stack))]
+    stack = stack[np.random.default_rng(6).permutation(len(stack))]
     single = [operator_norm(m) for m in stack]
     assert np.array_equal(operator_norms(stack), single)
     assert np.array_equal(operator_norms(stack.reshape(-1, 3, *shape)).ravel(), single)
@@ -328,13 +327,13 @@ def test_sliced_and_composite_maps_match_single_site_reference(structure):
     parsed = CausalStructure.parse(structure)
     for name, triple in SLICED_INPUTS.items():
         h, o = triple.hidden_dim, triple.obs_dim
-        rng = rng_from(2)
-        x = random_operator(rng, h)
-        y = random_operator(rng, o)
+        rng = np.random.default_rng(2)
+        x = util.random_operator(rng, h)
+        y = util.random_operator(rng, o)
         ref = OperatorMap.from_function(h, h, lambda z: _apply_sliced(triple, parsed, x, y, z))
         got = sliced_coefficients(triple, structure, x[None], y[None])[0]
         assert np.abs(got - ref.coeff.reshape(h * h, h * h)).max() < 1e-14, name
-        z = random_operator(rng, h)
+        z = util.random_operator(rng, h)
         comp = composite_map(triple, structure)
         via_composite = comp.apply_array(np.kron(np.kron(x, z), y))
         assert np.abs(via_composite - _apply_sliced(triple, parsed, x, y, z)).max() < 1e-14, name
@@ -345,7 +344,7 @@ def test_small_sliced_stacks_give_the_rows_of_a_large_one(structure):
     # all transfers come from one GEMM; a one-row GEMM would go to GEMV and
     # round differently, so a stack of one must give its row's bits too
     for name, triple in SLICED_INPUTS.items():
-        xs, ys = util.random_words(rng_from(41), triple, 2800, 1)
+        xs, ys = util.random_words(np.random.default_rng(41), triple, 2800, 1)
         xs, ys = xs[:, 0], ys[:, 0]
         large = sliced_coefficients(triple, structure, xs, ys)
         assert large.shape == (2800, triple.hidden_dim**2, triple.hidden_dim**2)
@@ -368,11 +367,11 @@ def test_random_unital_input_tells_the_structures_apart():
 # d_out != d1 exercises the coefficient reshape on the output side
 @pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
 def test_closed_form_conjugation_defect_matches_from_function_reference(d1, d2, d_out):
-    rng = rng_from(7)
+    rng = np.random.default_rng(7)
     m = OperatorMap.from_kraus(d1 * d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3))
     count = 6
-    v = np.stack([np.linalg.qr(random_operator(rng, d1 * d2))[0] for _ in range(count)])
-    u = np.stack([np.linalg.qr(random_operator(rng, d_out))[0] for _ in range(count)])
+    v = np.stack([np.linalg.qr(util.random_operator(rng, d1 * d2))[0] for _ in range(count)])
+    u = np.stack([np.linalg.qr(util.random_operator(rng, d_out))[0] for _ in range(count)])
     got = _conjugation_defects(m, v, u)
     for k, ref in enumerate(_from_function_defects(m, v, u)):
         assert ref > 1e-3  # a random map is not covariant
@@ -391,7 +390,7 @@ def _random_coefficient_map(rng, d1: int, d2: int, d_out: int) -> OperatorMap:
 def test_choi_conjugation_matches_from_function_reference(kind, d1, d2, d_out):
     # ||W C W+ - C|| with W = V^T kron U+ is the Choi distance for any
     # linear map; V need not be unitary, U must be
-    rng = rng_from(23)
+    rng = np.random.default_rng(23)
     if kind == "unital_kraus":
         m = OperatorMap.from_kraus(d1 * d2, d_out, util.random_unital_kraus(rng, d1 * d2, d_out, 3))
     else:
@@ -401,8 +400,8 @@ def test_choi_conjugation_matches_from_function_reference(kind, d1, d2, d_out):
     assert (np.abs(image - image.conj().T).max() > 1e-3) == (kind == "random_coefficients")
     count = 5
     v = np.stack(
-        [np.linalg.qr(random_operator(rng, d1 * d2))[0] for _ in range(count)]
-        + [random_operator(rng, d1 * d2) for _ in range(count)]
+        [np.linalg.qr(util.random_operator(rng, d1 * d2))[0] for _ in range(count)]
+        + [util.random_operator(rng, d1 * d2) for _ in range(count)]
     )
     u = _haar_unitaries(rng, 2 * count, d_out)
     got = _conjugation_defects(m, v, u)
@@ -425,7 +424,7 @@ def _choi_path(m: OperatorMap) -> OperatorMap:
 
 def _unitary_and_general(rng, count: int, dim: int) -> np.ndarray:
     """count Haar unitaries, then count general matrices of unit norm, dim x dim."""
-    general = np.stack([random_operator(rng, dim) for _ in range(count)])
+    general = np.stack([util.random_operator(rng, dim) for _ in range(count)])
     return np.concatenate([_haar_unitaries(rng, count, dim), general])
 
 
@@ -433,7 +432,7 @@ def _unitary_and_general(rng, count: int, dim: int) -> np.ndarray:
 def test_one_kraus_closed_form_matches_from_function_reference(d1, d2, d_out, monkeypatch):
     # one Kraus operator: the rank-two closed form, which forms no Choi
     # matrix and takes no stacked norm; V unitary and not
-    rng = rng_from(29)
+    rng = np.random.default_rng(29)
     m = OperatorMap.from_kraus(d1 * d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, 1))
     assert m.kraus.shape == (1, d_out, d1 * d2)
     v = _unitary_and_general(rng, 5, d1 * d2)
@@ -451,7 +450,7 @@ def test_one_kraus_closed_form_matches_from_function_reference(d1, d2, d_out, mo
 @pytest.mark.parametrize("count", [0, 3])
 @pytest.mark.parametrize("d1, d2, d_out", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
 def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out, count):
-    rng = rng_from(31)
+    rng = np.random.default_rng(31)
     m = OperatorMap.from_kraus(d1 * d2, d_out, _gaussian_kraus(rng, d1 * d2, d_out, count))
     assert m.kraus.shape == (count, d_out, d1 * d2)
     assert _choi_path(m).kraus is None
@@ -466,7 +465,7 @@ def test_maps_of_other_kraus_counts_keep_the_bits_of_the_choi_path(d1, d2, d_out
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
-    rng = rng_from(37)
+    rng = np.random.default_rng(37)
     kraus = _gaussian_kraus(rng, 6, 2, 1)
     m = OperatorMap.from_kraus(6, 2, kraus)
     v, u = _haar_unitaries(rng, 6, 6), _haar_unitaries(rng, 6, 2)
@@ -498,7 +497,7 @@ def test_one_kraus_defects_of_non_finite_input_are_nan(bad):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
 def test_one_kraus_closed_form_keeps_its_digits_from_1e_minus_150_to_1e150(scale):
-    rng = rng_from(41)
+    rng = np.random.default_rng(41)
     (kraus,) = _gaussian_kraus(rng, 6, 2, 1)
     m = OperatorMap.from_kraus(6, 2, [scale * kraus])
     v = _unitary_and_general(rng, 5, 6)
@@ -532,7 +531,7 @@ def _kolmogorov_cases() -> dict:
     }
     chain = cases["normalized_cartesian/conventional"][0]
     unnormalized = GenerativeTriple(
-        2, 3, chain.phi0, transition_map(2, normalized=False), chain.emission
+        2, 3, chain.phi0, partial_trace_map(2, 2, normalized=False), chain.emission
     )
     for s in ("conventional", "causal"):
         cases[f"unnormalized/{s}"] = (unnormalized, s)

@@ -17,9 +17,8 @@ from hqmmsym import (
     load_model_config,
     operator_norm,
 )
-from hqmmsym import aklt
+from hqmmsym import aklt, grouprep
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
-from hqmmsym.sampling import rng_from
 
 FAST = [
     "--samples", "25",
@@ -147,7 +146,7 @@ def test_oracle_deviation_i_belongs_to_a_suffix_of_word_i_over_5(variant, struct
     # of 5 sites each; at 7 samples the last word has two suffixes in use
     m = cli.load_model("aklt", variant, structure)
     count = min(samples, 20)
-    xs, ys = util.random_words(rng_from(7), m.triple, (count + 4) // 5, 5)
+    xs, ys = util.random_words(np.random.default_rng(7), m.triple, (count + 4) // 5, 5)
     deviations = cli._oracle_deviations(m, xs, ys, count)
     alone = np.empty(count, dtype=complex)
     referee = np.empty(count, dtype=complex)
@@ -234,7 +233,7 @@ def test_verify_rejects_unknown_check(capsys):
 
 
 def test_verify_config_file_model(tmp_path, capsys):
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     config = {
         "hidden_dim": 2,
         "obs_dim": 3,
@@ -300,7 +299,7 @@ def test_eval_projector_word(capsys):
 
 def test_eval_word_file(tmp_path, capsys):
     triple = build_model("normalized_cartesian").triple
-    word = util.random_word(rng_from(1), triple, 2)
+    word = util.random_word(np.random.default_rng(1), triple, 2)
     path = tmp_path / "word.json"
     util.write_word(path, word)
     code, out, _ = _run_cli(capsys, ["eval", "--word", str(path)])
@@ -544,7 +543,7 @@ def test_run_config_rejects_non_numeric_fields(override):
 
 
 def test_cocycle_cli_finds_the_class_in_random_frames(capsys):
-    rng = rng_from(21)
+    rng = np.random.default_rng(21)
     for _ in range(20):
         frame, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         argv = ["cocycle", "--element=1,0,0:0"]
@@ -642,7 +641,7 @@ def test_nan_report_round_trips_through_report(tmp_path, capsys):
 
 def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
     triple = build_model("normalized_cartesian").triple
-    word = util.random_word(rng_from(2), triple, 2)
+    word = util.random_word(np.random.default_rng(2), triple, 2)
     x, y = util.word_items(word)
     spelled = [x, _site(), y]
     values = []
@@ -700,10 +699,13 @@ def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
         {"E_H": {"kind": "kraus", "kraus": [{"rows": 2.5, "cols": 4, "re": [0.5] * 8, "im": [0] * 8}]}},
         {"E_H": "x"},
         {"E_HO": {"kind": "kraus", "kraus": 5}},
+        # -2 x -2 passes the count of 4 values, and the reshape then raised
+        {"E_H": {"kind": "kraus", "kraus": [{"rows": -2, "cols": -2, "re": [1, 0, 0, 1],
+                                             "im": [0] * 4}]}},
     ],
     ids=["phi0-without-re-im", "kraus-wrong-shape", "fractional-hidden-dim", "boolean-obs-dim",
          "string-hidden-dim", "zero-hidden-dim", "fractional-phi0-dim", "fractional-kraus-rows",
-         "map-not-an-object", "kraus-not-a-list"],
+         "map-not-an-object", "kraus-not-a-list", "negative-kraus-shape"],
 )
 def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
     config = {
@@ -1074,6 +1076,22 @@ def test_a_run_draws_once_and_nothing_it_does_not_read(monkeypatch, tmp_path):
     generators.clear(), draws.clear()
     run(RunConfig(checks=("transition",)))
     assert draws == [4 * 200]
+    # and stacks only the reps it names: transition and initial read pi
+    # alone, so no rho stack is built; a run stacks rho once, over the
+    # longest prefix a row naming it reads
+    stacked = []
+    rotation_matrices = grouprep.rotation_matrices
+    monkeypatch.setattr(
+        grouprep, "rotation_matrices", lambda q: stacked.append(len(q)) or rotation_matrices(q)
+    )
+    run(RunConfig(checks=("initial", "transition")))
+    assert stacked == []
+    run(RunConfig(checks=("transition", "global")))
+    assert stacked == [50]
+    stacked.clear()
+    run(RunConfig())
+    assert stacked == [200]
+    monkeypatch.setattr(grouprep, "rotation_matrices", rotation_matrices)
     generators.clear(), draws.clear()
     run(RunConfig(checks=("sliced",)))
     assert draws == [4 * 200 + 200 * 26]

@@ -14,6 +14,7 @@ from hqmmsym import (
     cocycle_defects,
     cocycle_eval,
     detect_nontrivial_class,
+    haar_quaternions,
     operator_norm,
     operator_norms,
     rotation_matrices,
@@ -27,11 +28,9 @@ from hqmmsym.grouprep import (
     _compose,
     _distances,
     _hamilton,
-    haar_rotations,
     trivial_cocycle,
 )
 from hqmmsym.opalg import batched_kron
-from hqmmsym.sampling import rng_from
 
 
 def test_canonical_sign_first_nonzero_positive():
@@ -50,8 +49,8 @@ def test_pi_rotations_have_exact_components():
 
 
 def test_haar_rows_are_the_elements_of_the_normalized_draws():
-    draws = rng_from(3).standard_normal((50, 4))
-    rows = haar_rotations(rng_from(3), 50)
+    draws = np.random.default_rng(3).standard_normal((50, 4))
+    rows = haar_quaternions(draws)
     assert rows.shape == (50, 4)
     assert [tuple(r) for r in rows.tolist()] == [
         RotationElement(tuple(d / np.linalg.norm(d))).quat for d in draws
@@ -65,7 +64,7 @@ def test_haar_rows_are_the_elements_of_the_normalized_draws():
 )
 def test_canonical_quaternions_refuse_a_row_without_a_sign(bad):
     # a bare argmax over the kept components would pick component 0 here
-    stack = haar_rotations(rng_from(4), 5)
+    stack = util.haar_rotations(np.random.default_rng(4), 5)
     stack[2] = bad
     with pytest.raises(ValueError, match="canonical sign"):
         canonical_quaternions(stack)
@@ -119,8 +118,8 @@ def test_axis_angle_takes_any_finite_direction(scale):
 
 
 def test_group_laws():
-    rng = rng_from(0)
-    g, h, k = (haar_rotations(rng, 20) for _ in range(3))
+    rng = np.random.default_rng(0)
+    g, h, k = (util.haar_rotations(rng, 20) for _ in range(3))
     identity = np.asarray(RotationElement.identity())
     assert _distances(_compose(g, identity), g).max() < 1e-12
     lhs = _compose(_compose(g, h), k)
@@ -129,15 +128,15 @@ def test_group_laws():
 
 
 def test_rotation_matrix_is_special_orthogonal():
-    q = haar_rotations(rng_from(1), 25)
+    q = util.haar_rotations(np.random.default_rng(1), 25)
     r = rotation_matrices(q)
     assert operator_norms(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() < 1e-12
     assert np.linalg.det(r) == pytest.approx(np.ones(25), abs=1e-12)
 
 
 def test_rotation_matrix_multiplicative():
-    rng = rng_from(2)
-    g, h = haar_rotations(rng, 15), haar_rotations(rng, 15)
+    rng = np.random.default_rng(2)
+    g, h = util.haar_rotations(rng, 15), util.haar_rotations(rng, 15)
     product = rotation_matrices(g) @ rotation_matrices(h)
     assert operator_norms(rotation_matrices(_compose(g, h)) - product).max() < 1e-12
 
@@ -172,16 +171,19 @@ def test_same_axis_angles_add(alpha, beta):
 
 
 def test_haar_sampling_is_deterministic():
-    a = haar_rotations(rng_from(42), 10)
-    assert np.array_equal(a, haar_rotations(rng_from(42), 10))
-    assert not np.array_equal(haar_rotations(rng_from(43), 10)[0], a[0])
+    g = np.random.default_rng(42).standard_normal((10, 4))
+    a = haar_quaternions(g)
+    assert np.array_equal(a, haar_quaternions(g.copy()))
+    # a row's bits are its own Gaussians', whatever the rest of the stack
+    assert all(haar_quaternions(g[k : k + 1]).tobytes() == a[k].tobytes() for k in range(10))
+    assert not np.array_equal(util.haar_rotations(np.random.default_rng(43), 10)[0], a[0])
 
 
 def test_canonicalization_versus_raw_sample():
-    raw = rng_from(5).standard_normal((400, 4))
+    raw = np.random.default_rng(5).standard_normal((400, 4))
     # raw quaternions hit both sheets of the double cover
     assert (raw[:, 0] < 0).sum() > 100
-    for g in haar_rotations(rng_from(5), 50):
+    for g in util.haar_rotations(np.random.default_rng(5), 50):
         first_nonzero = next(c for c in g if c != 0.0)
         assert first_nonzero > 0
 
@@ -193,8 +195,8 @@ def _cocycle_by_dot(g, h):
 
 
 def test_cocycle_values_are_exact_signs():
-    rng = rng_from(7)
-    gs, hs = haar_rotations(rng, 300), haar_rotations(rng, 300)
+    rng = np.random.default_rng(7)
+    gs, hs = util.haar_rotations(rng, 300), util.haar_rotations(rng, 300)
     seen = set()
     for g, h in zip(gs, hs):
         omega = cocycle_eval(g, h)
@@ -205,8 +207,8 @@ def test_cocycle_values_are_exact_signs():
 
 
 def test_section_property_of_su2_lift():
-    rng = rng_from(8)
-    g, h = haar_rotations(rng, 100), haar_rotations(rng, 100)
+    rng = np.random.default_rng(8)
+    g, h = util.haar_rotations(rng, 100), util.haar_rotations(rng, 100)
     omega = cocycle_eval(g, h)[:, None, None]
     lift = su2_matrices(g) @ su2_matrices(h)
     assert operator_norms(lift - omega * su2_matrices(_compose(g, h))).max() < 1e-12
@@ -237,7 +239,7 @@ def test_section_property_when_the_product_is_a_pi_rotation(ax, ay, az, theta):
 
 
 def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
-    rng = rng_from(20)
+    rng = np.random.default_rng(20)
     for _ in range(300):
         frame, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         flips = [RotationElement.from_axis_angle(axis, np.pi) for axis in frame.T]
@@ -245,8 +247,8 @@ def test_detect_nontrivial_class_on_flip_groups_in_random_frames():
 
 
 def test_cocycle_identity_is_exact():
-    rng = rng_from(9)
-    g, h, k = (haar_rotations(rng, 200) for _ in range(3))
+    rng = np.random.default_rng(9)
+    g, h, k = (util.haar_rotations(rng, 200) for _ in range(3))
     lhs = cocycle_eval(g, h) * cocycle_eval(_compose(g, h), k)
     rhs = cocycle_eval(h, k) * cocycle_eval(g, _compose(h, k))
     assert np.array_equal(lhs, rhs)
@@ -254,8 +256,8 @@ def test_cocycle_identity_is_exact():
 
 def test_gauge_transform_by_trivial_lambda():
     gauged = util.gauge_transform(cocycle_eval, lambda q: 1.0)
-    rng = rng_from(10)
-    qg, qh = haar_rotations(rng, 30), haar_rotations(rng, 30)
+    rng = np.random.default_rng(10)
+    qg, qh = util.haar_rotations(rng, 30), util.haar_rotations(rng, 30)
     assert np.array_equal(gauged(qg, qh), cocycle_eval(qg, qh))
 
 
@@ -264,7 +266,7 @@ def test_commutator_pairing_gauge_invariant():
     y = RotationElement.from_axis_angle((0, 1, 0), np.pi)
     assert util.commutator_pairing(x, y) == pytest.approx(-1.0)
     # a generic unimodular gauge leaves the pairing untouched
-    rng = rng_from(12)
+    rng = np.random.default_rng(12)
     phases = {}
 
     def lam(q):
@@ -350,17 +352,17 @@ def test_detect_nontrivial_class_rejects_non_abelian_set():
 
 
 def test_spin_half_is_the_canonical_lift():
-    for g in haar_rotations(rng_from(13), 10):
+    for g in util.haar_rotations(np.random.default_rng(13), 10):
         assert operator_norm(spin_half_rep().stack(g) - su2_matrices(g)) == 0.0
 
 
 def test_spin_one_cartesian_is_the_rotation_matrix():
-    for g in haar_rotations(rng_from(14), 10):
+    for g in util.haar_rotations(np.random.default_rng(14), 10):
         assert operator_norm(spin_one_rep("cartesian").stack(g) - rotation_matrices(g)) < 1e-14
 
 
 def test_spin_one_spherical_is_conjugated():
-    for g in haar_rotations(rng_from(15), 10):
+    for g in util.haar_rotations(np.random.default_rng(15), 10):
         u = CONDON_SHORTLEY
         expected = u @ rotation_matrices(g) @ u.conj().T
         assert operator_norm(spin_one_rep("spherical").stack(g) - expected) < 1e-13
@@ -401,21 +403,21 @@ PI_ROTATIONS = np.stack(
 )
 def test_reps_are_the_exponentials_of_their_generators(stack, generators):
     # U(g) = exp(-i theta n.J) for g the rotation by theta about n
-    for q in (haar_rotations(rng_from(16), 50), PI_ROTATIONS):
+    for q in (util.haar_rotations(np.random.default_rng(16), 50), PI_ROTATIONS):
         assert operator_norms(stack(q) - util.rotation_exponentials(q, generators)).max() <= 1e-14
 
 
 def test_integer_spin_is_multiplicative():
-    rng = rng_from(17)
-    g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
+    rng = np.random.default_rng(17)
+    g, h = util.haar_rotations(rng, 20), util.haar_rotations(rng, 20)
     omega, defects = cocycle_defects(spin_one_rep("spherical"), g, h)
     assert np.array_equal(omega, np.ones(20))
     assert defects.max() < 1e-12
 
 
 def test_half_integer_spin_is_projective_with_the_section_cocycle():
-    rng = rng_from(18)
-    g, h = haar_rotations(rng, 20), haar_rotations(rng, 20)
+    rng = np.random.default_rng(18)
+    g, h = util.haar_rotations(rng, 20), util.haar_rotations(rng, 20)
     omega, defects = cocycle_defects(spin_half_rep(), g, h)
     assert np.array_equal(omega, cocycle_eval(g, h))
     assert defects.max() < 1e-12
@@ -424,14 +426,14 @@ def test_half_integer_spin_is_projective_with_the_section_cocycle():
 @pytest.mark.parametrize("j, bound", [(0.5, 0.0), (1, 0.0)])
 def test_spin_rep_of_a_stack_is_the_rows(j, bound):
     stacks = {0.5: [su2_matrices], 1: [spin_one_rep(b).stack for b in ("cartesian", "spherical")]}
-    q = haar_rotations(rng_from(22), 50)
+    q = util.haar_rotations(np.random.default_rng(22), 50)
     for stack in stacks[j]:
         rows = np.stack([stack(g) for g in q])
         assert np.abs(stack(q) - rows).max() <= bound
 
 
 def test_commutator_pairing_of_a_stack_is_the_pairing_table():
-    frame, _ = np.linalg.qr(rng_from(23).standard_normal((3, 3)))
+    frame, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((3, 3)))
     groups = [
         _z2z2(),
         [RotationElement.identity(), *(RotationElement.from_axis_angle(a, np.pi) for a in frame.T)],
@@ -450,7 +452,7 @@ def test_rep_wrappers():
     assert (half.dim, one.dim, triv.dim) == (2, 3, 2)
     assert half.cocycle is cocycle_eval
     assert one.cocycle is trivial_cocycle
-    q = haar_rotations(rng_from(19), 1)
+    q = util.haar_rotations(np.random.default_rng(19), 1)
     assert half.stack(q).shape == (1, 2, 2)
     assert operator_norm(triv.stack(q)[0] - np.eye(2)) == 0.0
 
@@ -464,7 +466,7 @@ def test_tensor_of_two_projective_reps_is_linear():
             lambda q, other=other: batched_kron(half.stack(q), other.stack(q)),
             lambda qg, qh, other=other: half.cocycle(qg, qh) * other.cocycle(qg, qh),
         )
-        q = haar_rotations(rng_from(seed), 2 * 50)
+        q = util.haar_rotations(np.random.default_rng(seed), 2 * 50)
         _, deviations = cocycle_defects(product, q[0::2], q[1::2])
         assert deviations.shape == (50,)
         assert deviations.max() < 1e-12

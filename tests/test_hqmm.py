@@ -21,10 +21,8 @@ from hqmmsym import (
     load_model_config,
     load_word,
     operator_norm,
-    transition_map,
 )
-from hqmmsym.hqmm import sliced_coefficients, triple_from_config
-from hqmmsym.sampling import rng_from
+from hqmmsym.hqmm import partial_trace_map, sliced_coefficients, triple_from_config
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +112,7 @@ def test_from_pairs_refuses_ragged_and_empty_words(pairs, error, match):
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_operator_pair_words_equal_array_words(aklt_triple, structure):
     """Words built as the benchmark builds them evaluate exactly as array words."""
-    xs, ys = util.random_words(rng_from(10), aklt_triple, 1, 4)
+    xs, ys = util.random_words(np.random.default_rng(10), aklt_triple, 1, 4)
     pairs = [(ComplexOperator(2, x), ComplexOperator(3, y)) for x, y in zip(xs[0], ys[0])]
     eyes = (np.broadcast_to(np.eye(2), (4, 2, 2)), np.broadcast_to(np.eye(3), (4, 3, 3)))
     for bench_word, array_word in (
@@ -135,7 +133,7 @@ def test_all_identity_words_evaluate_to_one(aklt_triple):
 
 
 def test_value_is_linear_in_each_site(aklt_triple):
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     base = util.random_word(rng, aklt_triple, 3)
     x1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -155,7 +153,7 @@ def test_value_is_linear_in_each_site(aklt_triple):
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_composite_and_sliced_maps_agree(aklt_triple, structure):
-    rng = rng_from(1)
+    rng = np.random.default_rng(1)
     comp = composite_map(aklt_triple, structure)
     assert (comp.dim_in, comp.dim_out) == (12, 2)
     for _ in range(5):
@@ -173,7 +171,7 @@ def test_both_structures_coincide_for_partial_trace_transition(aklt_triple):
     c1 = composite_map(aklt_triple, "conventional").choi()
     c2 = composite_map(aklt_triple, "causal").choi()
     assert operator_norm(c1 - c2) < 1e-12
-    rng = rng_from(2)
+    rng = np.random.default_rng(2)
     for n in (1, 2, 4):
         word = util.random_word(rng, aklt_triple, n)
         v1 = finite_volume_state(aklt_triple, "conventional", word)
@@ -187,7 +185,7 @@ def test_structures_differ_for_asymmetric_transition(aklt_triple):
     c1 = composite_map(toy, "conventional").choi()
     c2 = composite_map(toy, "causal").choi()
     assert operator_norm(c1 - c2) > 0.5
-    rng = rng_from(3)
+    rng = np.random.default_rng(3)
     gap = max(
         abs(
             finite_volume_state(toy, "conventional", w)
@@ -220,7 +218,7 @@ def test_kolmogorov_refuses_words_that_do_not_pair_up(aklt_triple):
 
 def test_kolmogorov_flags_unnormalized_transition(aklt_triple):
     bad = GenerativeTriple(
-        2, 3, aklt_triple.phi0, transition_map(2, normalized=False), aklt_triple.emission
+        2, 3, aklt_triple.phi0, partial_trace_map(2, 2, normalized=False), aklt_triple.emission
     )
     dev = kolmogorov_check(bad, "conventional", *util.kolmogorov_draw(5, bad, 4, 5)).max()
     assert dev >= 0.5
@@ -239,7 +237,7 @@ def test_classical_triple_requires_stochastic_inputs():
 
 
 def test_classical_triple_is_cpu():
-    rng = rng_from(6)
+    rng = np.random.default_rng(6)
     p = np.array([0.3, 0.7])
     t = util.random_stochastic(rng, 2, 2)
     b = util.random_stochastic(rng, 2, 3)
@@ -249,7 +247,7 @@ def test_classical_triple_is_cpu():
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_classical_words_reproduce_forward_likelihood(structure):
-    rng = rng_from(7)
+    rng = np.random.default_rng(7)
     p = np.array([0.25, 0.45, 0.30])
     t = util.random_stochastic(rng, 3, 3)
     b = util.random_stochastic(rng, 3, 4)
@@ -303,7 +301,7 @@ def test_config_emission_is_the_builtin_emission(variant):
 
 
 def test_model_config_with_explicit_kraus(tmp_path):
-    rng = rng_from(8)
+    rng = np.random.default_rng(8)
     kraus = util.random_unital_kraus(rng, 4, 2, 3)
     entries = [
         {"rows": 2, "cols": 4, "re": k.real.reshape(-1).tolist(), "im": k.imag.reshape(-1).tolist()}
@@ -345,7 +343,7 @@ def test_model_config_missing_file():
 
 
 def test_word_file_loading(tmp_path, aklt_triple):
-    rng = rng_from(9)
+    rng = np.random.default_rng(9)
     word = util.random_word(rng, aklt_triple, 3)
     path = tmp_path / "word.json"
     util.write_word(path, word)

@@ -10,7 +10,6 @@ from hqmmsym import (
     operator_norm,
 )
 from hqmmsym.opalg import conjugate
-from hqmmsym.sampling import random_operator, rng_from
 
 
 def test_operator_construction_and_validation():
@@ -29,15 +28,15 @@ def test_operator_entries_are_frozen():
 
 
 def test_operator_basic_algebra():
-    rng = rng_from(0)
-    x = ComplexOperator(3, random_operator(rng, 3))
+    rng = np.random.default_rng(0)
+    x = ComplexOperator(3, util.random_operator(rng, 3))
     assert abs(np.trace(np.asarray(x)) - np.trace(x.entries)) == 0.0
 
 
 
 def test_operator_json_round_trip():
-    rng = rng_from(2)
-    a = ComplexOperator(3, random_operator(rng, 3))
+    rng = np.random.default_rng(2)
+    a = ComplexOperator(3, util.random_operator(rng, 3))
     b = ComplexOperator.from_json_dict(a.to_json_dict())
     assert b.dim == 3
     assert operator_norm(a.entries - b.entries) == 0.0
@@ -52,18 +51,18 @@ def test_operator_json_validation():
 
 
 def test_map_from_function_matches_direct_action():
-    rng = rng_from(4)
-    k = random_operator(rng, 3)
+    rng = np.random.default_rng(4)
+    k = util.random_operator(rng, 3)
     m = OperatorMap.from_function(3, 3, lambda w: k @ w @ k.conj().T)
     for _ in range(10):
-        w = random_operator(rng, 3)
+        w = util.random_operator(rng, 3)
         assert operator_norm(m.apply_array(w) - k @ w @ k.conj().T) < 1e-13
 
 
 def test_map_linearity():
-    rng = rng_from(5)
-    m = OperatorMap.from_kraus(2, 3, [random_operator(rng, 3)[:, :2] for _ in range(3)])
-    x, y = random_operator(rng, 2), random_operator(rng, 2)
+    rng = np.random.default_rng(5)
+    m = OperatorMap.from_kraus(2, 3, [util.random_operator(rng, 3)[:, :2] for _ in range(3)])
+    x, y = util.random_operator(rng, 2), util.random_operator(rng, 2)
     a, b = 1.3 - 0.2j, -0.7j
     lhs = m.apply_array(a * x + b * y)
     rhs = a * m.apply_array(x) + b * m.apply_array(y)
@@ -71,12 +70,12 @@ def test_map_linearity():
 
 
 def test_map_from_kraus_matches_sum():
-    rng = rng_from(6)
+    rng = np.random.default_rng(6)
     kraus = [
         rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(3)
     ]
     m = OperatorMap.from_kraus(4, 2, kraus)
-    w = random_operator(rng, 4)
+    w = util.random_operator(rng, 4)
     direct = sum(k @ w @ k.conj().T for k in kraus)
     assert operator_norm(m.apply_array(w) - direct) < 1e-12
 
@@ -89,7 +88,7 @@ def test_map_kraus_shape_validation():
 
 
 def test_kraus_maps_keep_their_stack_read_only():
-    rng = rng_from(11)
+    rng = np.random.default_rng(11)
     kraus = [rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(2)]
     m = OperatorMap.from_kraus(6, 2, kraus)
     assert m.kraus.shape == (2, 2, 6) and np.array_equal(m.kraus, kraus)
@@ -103,8 +102,8 @@ def test_kraus_maps_keep_their_stack_read_only():
 
 
 def test_choi_of_kraus_map_is_positive():
-    rng = rng_from(7)
-    m = OperatorMap.from_kraus(3, 2, [random_operator(rng, 3)[:2, :] for _ in range(2)])
+    rng = np.random.default_rng(7)
+    m = OperatorMap.from_kraus(3, 2, [util.random_operator(rng, 3)[:2, :] for _ in range(2)])
     choi = m.choi()
     assert operator_norm(choi - choi.conj().T) < 1e-14
     assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] > -1e-12
@@ -114,12 +113,12 @@ def test_transpose_map_is_not_cp_and_brute_force_agrees():
     m = OperatorMap.from_function(2, 2, lambda w: w.T)
     assert certify_cpu(m)["choi_negativity"] > 0.5
     # an entangled input shows the negativity without any Choi machinery
-    rng = rng_from(8)
+    rng = np.random.default_rng(8)
     assert util.brute_force_cp(m, rng, trials=200) < -0.1
 
 
 def test_brute_force_cp_agrees_on_positive_map():
-    rng = rng_from(9)
+    rng = np.random.default_rng(9)
     kraus = util.random_unital_kraus(rng, 3, 3, 4)
     m = OperatorMap.from_kraus(3, 3, kraus)
     util.assert_cpu(certify_cpu(m))
@@ -135,11 +134,11 @@ def test_certify_cpu_flags_non_unital():
 
 
 def test_bipartite_build_and_apply_pair():
-    rng = rng_from(10)
+    rng = np.random.default_rng(10)
     kraus = util.random_unital_kraus(rng, 6, 2, 3)
     m = OperatorMap.from_kraus(6, 2, kraus)
-    a = random_operator(rng, 2)
-    b = random_operator(rng, 3)
+    a = util.random_operator(rng, 2)
+    b = util.random_operator(rng, 3)
     pair = np.kron(a, b)
     via_kraus = sum(k @ pair @ k.conj().T for k in kraus)
     assert operator_norm(m.apply_array(pair) - via_kraus) < 1e-13
@@ -175,7 +174,7 @@ def _relative_gaps(got, want):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("shared", ["none", "a", "u", "broadcast", "real"])
 def test_entrywise_conjugation_agrees_with_matmul(d, shared):
-    rng = rng_from(31)
+    rng = np.random.default_rng(31)
     u, a = _haar(rng, 300, d), _gaussian(rng, 300, d, d)
     if shared == "a":
         a = a[0]
@@ -195,7 +194,7 @@ def test_entrywise_conjugation_agrees_with_matmul(d, shared):
 @pytest.mark.parametrize("d", [8, 12])
 def test_gemm_conjugation_agrees_with_matmul(d):
     # the Choi matrices of the transition (8 x 8) and emission (12 x 12)
-    rng = rng_from(33)
+    rng = np.random.default_rng(33)
     w, c = _haar(rng, 200, d), _gaussian(rng, d, d)
     assert _relative_gaps(conjugate(w, c), _matmul_conjugate(w, c)).max() <= 1e-15
     # a stack of matrices needs the per-matrix products: it is refused
@@ -206,7 +205,7 @@ def test_gemm_conjugation_agrees_with_matmul(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 12])
 def test_each_conjugation_alone_equals_its_row_of_the_stack(d):
     # a stack of one takes the same path as its row in a stack of 150
-    rng = rng_from(34)
+    rng = np.random.default_rng(34)
     u = _haar(rng, 150, d)
     a = _gaussian(rng, d, d) if d > 4 else _gaussian(rng, 150, d, d)
     stack = conjugate(u, a)

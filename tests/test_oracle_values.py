@@ -41,7 +41,6 @@ from hqmmsym import (
 from hqmmsym import aklt
 from hqmmsym.aklt import dense_suffix_values, dense_word_value
 from hqmmsym.hqmm import triple_from_config
-from hqmmsym.sampling import rng_from
 
 DATA = Path(__file__).parent / "data" / "oracle_values.json"
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
@@ -50,7 +49,7 @@ WORD_SEED = 2718
 
 
 def _classical_triple():
-    rng = rng_from(4)
+    rng = np.random.default_rng(4)
     initial = util.random_stochastic(rng, 1, 4)[0]
     return classical_diagonal_triple(
         initial, util.random_stochastic(rng, 4, 4), util.random_stochastic(rng, 4, 3)
@@ -59,7 +58,7 @@ def _classical_triple():
 
 def _kraus_config() -> dict:
     """A kraus model config with two hidden and two observable levels."""
-    rng = rng_from(12)
+    rng = np.random.default_rng(12)
 
     def entries(kraus):
         return [
@@ -96,7 +95,7 @@ def _cases(kraus_config: dict) -> dict:
 
 def _words(triple, site_counts):
     """One seeded word per site count, with Gaussian complex site entries."""
-    rng = rng_from(WORD_SEED)
+    rng = np.random.default_rng(WORD_SEED)
     h, o = triple.hidden_dim, triple.obs_dim
     for n in site_counts:
         pairs = []
@@ -250,7 +249,7 @@ def _hidden3_maps(rng) -> list:
 def test_stacked_site_tensors_match_the_full_loops_on_planted_signed_zeros(structure):
     # h = 3 and o = 2, and signed zeros planted in phi0, both coefficient
     # tensors and the words of one to five sites
-    rng = rng_from(31)
+    rng = np.random.default_rng(31)
     maps = _hidden3_maps(rng)
     t, e = (OperatorMap(m.dim_in, m.dim_out, _planted(rng, m.coeff)) for m in maps)
     triple = GenerativeTriple(3, 2, _planted(rng, rng.standard_normal((3, 3))), t, e)
@@ -269,7 +268,7 @@ def test_the_chains_of_a_long_word_are_formed_in_blocks_of_bounded_memory(struct
     # every coefficient and phi0 entry nonzero: a six-site word has
     # 9^6 * 3 = 1.6M chains, 25 MB for each array of their products' parts
     # if formed at once; the blocks keep the referee's peak far below that
-    rng = rng_from(37)
+    rng = np.random.default_rng(37)
     t, e = _hidden3_maps(rng)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = g @ g.conj().T
@@ -290,7 +289,7 @@ def test_the_chains_of_a_long_word_are_formed_in_blocks_of_bounded_memory(struct
 
 def _classical4_word(n: int, x01) -> ObservableWord:
     """A seeded classical4 word whose first hidden site has x01 at entry (0, 1)."""
-    rng = rng_from(WORD_SEED)
+    rng = np.random.default_rng(WORD_SEED)
     xs = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
     ys = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
     xs[0, 0, 1] = x01
@@ -404,7 +403,7 @@ def test_an_overflowing_first_site_gives_nan_for_its_whole_word_only(structure):
     # other four sites, stay finite with the bits of each suffix alone, so
     # no site of a finite suffix is set to 0
     triple = build_model("normalized_cartesian", structure).triple
-    rng = rng_from(WORD_SEED)
+    rng = np.random.default_rng(WORD_SEED)
     xs = rng.standard_normal((2, 5, 2, 2)) + 1j * rng.standard_normal((2, 5, 2, 2))
     ys = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
     xs[0, 0] = 1e200

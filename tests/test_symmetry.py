@@ -15,13 +15,11 @@ from hqmmsym import (
     check_transition_equivariance,
     emission_map,
     build_tensors,
-    haar_rotations,
     spin_half_rep,
     spin_one_rep,
     verify_intertwining,
 )
 from hqmmsym.cli import CHECKS, Model, RunConfig, draw
-from hqmmsym.sampling import rng_from
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +33,7 @@ def action(model):
 
 
 def _haar(seed, count):
-    return haar_rotations(rng_from(seed), count)
+    return util.haar_rotations(np.random.default_rng(seed), count)
 
 
 def _stacks(action, q):
@@ -128,7 +126,7 @@ def test_deviations_on_the_flip_group(variant, bound):
         assert np.all(d <= bound), (name, d)
     # one random site per flip; sliced is not exactly 0 even for normalized
     # Cartesian, so it gets 1e-15 for every variant
-    xs, ys = util.random_words(rng_from(0), m.triple, 4, 1)
+    xs, ys = util.random_words(np.random.default_rng(0), m.triple, 4, 1)
     for structure in ("conventional", "causal"):
         d = check_sliced_covariance(m.triple, structure, u, r, xs[:, 0], ys[:, 0])
         assert d.shape == (4,), structure
@@ -137,8 +135,8 @@ def test_deviations_on_the_flip_group(variant, bound):
 
 @pytest.mark.parametrize("structure", ["conventional", "causal"])
 def test_sliced_covariance(model, action, structure):
-    rng = rng_from(7)
-    q = haar_rotations(rng, 60)
+    rng = np.random.default_rng(7)
+    q = util.haar_rotations(rng, 60)
     xs, ys = util.random_words(rng, model.triple, 60, 1)
     deviations = check_sliced_covariance(
         model.triple, structure, *_stacks(action, q), xs[:, 0], ys[:, 0]
@@ -176,8 +174,8 @@ def test_one_rotation_replays_its_row_of_the_batch(variant, structure):
     # a witness row k, rerun alone on its rotation's stacks and its site,
     # gives the same bits
     m = build_model(variant, structure)
-    rng = rng_from(11)
-    u, r = _stacks(m.action, haar_rotations(rng, 30))
+    rng = np.random.default_rng(11)
+    u, r = _stacks(m.action, util.haar_rotations(rng, 30))
     xs, ys = util.random_words(rng, m.triple, 30, 1)
     checks = {
         "initial": lambda u, r, x, y: check_initial_invariance(m.triple.phi0, u),
@@ -198,8 +196,8 @@ def test_stacks_of_unequal_length_are_refused(model, action):
     # sample k reads entry k of every stack, so a stack that is shorter or
     # longer than u pairs no sample with its inputs: refused, not truncated
     # or broadcast
-    rng = rng_from(13)
-    u, r = _stacks(action, haar_rotations(rng, 30))
+    rng = np.random.default_rng(13)
+    u, r = _stacks(action, util.haar_rotations(rng, 30))
     xs, ys = util.random_words(rng, model.triple, 30, 1)
     xs, ys = xs[:, 0], ys[:, 0]
     sliced = [
@@ -230,8 +228,8 @@ def test_swapped_stacks_are_refused(model, action):
     # each stack must hold matrices of the space it acts on: rho's 3 x 3
     # matrices where pi's 2 x 2 belong, or observable sites where hidden
     # ones belong, are refused before any arithmetic
-    rng = rng_from(13)
-    u, r = _stacks(action, haar_rotations(rng, 30))
+    rng = np.random.default_rng(13)
+    u, r = _stacks(action, util.haar_rotations(rng, 30))
     xs, ys = util.random_words(rng, model.triple, 30, 1)
     xs, ys = xs[:, 0], ys[:, 0]
     wx, wy = util.random_words(rng, model.triple, 30, 3)

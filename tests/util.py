@@ -14,6 +14,8 @@ transfers or reading a length off a longer word's suffixes, and the
 global-invariance reference rotates and folds one volume at a time.
 replay_row_inputs replays each verify row's draw as the rows made them
 one by one, each from its own generator, for the run's one draw.
+random_operator draws one unit-norm matrix at a time, the reference for
+hqmm.unit_sites, and haar_rotations draws rotations from a generator.
 The norm reference takes every Gram eigenvalue from LAPACK, with no
 closed form for small matrices.
 
@@ -42,14 +44,14 @@ from hqmmsym import (
     OperatorMap,
     ProjectiveRep,
     cocycle_eval,
-    haar_rotations,
+    haar_quaternions,
+    operator_norm,
     unit_sites,
 )
 from hqmmsym.aklt import _site_tensors
 from hqmmsym.grouprep import _compose
 from hqmmsym.hqmm import fold_suffixes, sliced_coefficients
 from hqmmsym.opalg import conjugate
-from hqmmsym.sampling import rng_from
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -78,6 +80,22 @@ def fold_batch(triple, structure, xs, ys) -> np.ndarray:
     count, n_sites = xs.shape[:2]
     transfers = sliced_coefficients(triple, structure, xs.reshape(-1, h, h), ys.reshape(-1, o, o))
     return fold_suffixes(triple, transfers.reshape(count, n_sites, h * h, h * h))[:, -1]
+
+
+def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One complex Gaussian matrix from rng, divided by its opalg.operator_norm.
+
+    The per-matrix reference for hqmm.unit_sites, which divides its
+    stacked sites by opalg.operator_norms: no norm depends on the rest of
+    its stack, so both give the same matrices bit for bit.
+    """
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g / operator_norm(g)
+
+
+def haar_rotations(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count Haar rotations: one draw of count rows of 4 Gaussians, decoded by haar_quaternions."""
+    return haar_quaternions(rng.standard_normal((count, 4)))
 
 
 def random_words(
@@ -462,7 +480,7 @@ def global_draw(seed: int, triple, action, n_max: int, samples: int) -> tuple:
     samples Haar rotations and their pi and rho stacks, then one word of
     n_max + 1 sites per sample in blocks from the end of the words.
     """
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     q = haar_rotations(rng, samples)
     words = block_words(rng, triple, n_max + 1, samples)
     return (action.pi.stack(q), action.rho.stack(q), *words)
@@ -470,39 +488,41 @@ def global_draw(seed: int, triple, action, n_max: int, samples: int) -> tuple:
 
 def kolmogorov_draw(seed: int, triple, depth: int, samples: int) -> tuple:
     """The kolmogorov row's words (xs, ys) of depth - 1 sites, drawn from a generator of its own."""
-    return block_words(rng_from(seed), triple, max(depth - 1, 0), samples)
+    return block_words(np.random.default_rng(seed), triple, max(depth - 1, 0), samples)
 
 
 def replay_row_inputs(model, config) -> dict[str, tuple]:
-    """Each verify row's inputs, drawn row by row, each row from its own rng_from(config.seed).
+    """Each verify row's inputs, drawn row by row, each row from its own default_rng(config.seed).
 
     The reference for cli.draw: every row restarts the generator and
     draws what it reads with haar_rotations and random_words.  The
-    sampled rows draw samples rotations, which are all that initial,
-    transition, emission and intertwining read; sliced also draws one
-    site per sample after them.  cocycle draws 2 samples rotations and
-    pairs them off; global draws as global_draw and kolmogorov as
-    kolmogorov_draw, at depth n_max; oracle draws its words of 5 sites
-    word by word.  The rows that need the symmetry action are left out
-    for a config-file model.
+    sampled rows draw samples rotations: initial and transition read
+    their pi stack alone, emission and intertwining their pi and rho
+    stacks, and sliced those and one site per sample drawn after them.
+    cocycle draws 2 samples rotations and pairs them off; global draws
+    as global_draw and kolmogorov as kolmogorov_draw, at depth n_max;
+    oracle draws its words of 5 sites word by word.  The rows that need
+    the symmetry action are left out for a config-file model.
     """
     triple, c = model.triple, config
     words = -(-min(c.samples, 20) // 5)
     inputs = {
         "cpu": (),
         "kolmogorov": kolmogorov_draw(c.seed, triple, c.n_max, c.global_samples),
-        "oracle": random_words(rng_from(c.seed), triple, words, 5),
+        "oracle": random_words(np.random.default_rng(c.seed), triple, words, 5),
     }
     if model.builtin is None:
         return inputs
     action = model.builtin.action
-    pairs = haar_rotations(rng_from(c.seed), 2 * c.samples)
+    pairs = haar_rotations(np.random.default_rng(c.seed), 2 * c.samples)
     inputs["cocycle"] = (pairs[0::2], pairs[1::2])
-    rng = rng_from(c.seed)
+    rng = np.random.default_rng(c.seed)
     q = haar_rotations(rng, c.samples)
     xs, ys = random_words(rng, triple, c.samples, 1)
     u, r = action.pi.stack(q), action.rho.stack(q)
-    for name in ("initial", "transition", "emission", "intertwining"):
+    for name in ("initial", "transition"):
+        inputs[name] = (u,)
+    for name in ("emission", "intertwining"):
         inputs[name] = (u, r)
     inputs["sliced"] = (u, r, xs[:, 0], ys[:, 0])
     inputs["global"] = global_draw(c.seed, triple, action, c.n_max, c.global_samples)
