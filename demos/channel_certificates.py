@@ -14,8 +14,9 @@ failures: the emission with its physical slot transposed stops being
 CP, and the transition without its normalization stops being unital.
 """
 
+import numpy as np
+
 from hqmmsym import OperatorMap, build_model, certify_cpu
-from hqmmsym.hqmm import partial_trace_map
 
 
 def show(title: str, terms: dict) -> None:
@@ -41,8 +42,10 @@ transposed = OperatorMap(h * o, h, coeff.reshape(h, h, h * o, h * o))
 print()
 show("emission with transposed physical slot", certify_cpu(transposed))
 
-# dropping the 1/d normalization of the partial trace keeps the map CP
-# but breaks unitality, which later surfaces as a failure of extension
-# consistency for the finite-volume states
+# the partial trace's Kraus operators are 1 tensor <j| / sqrt(h).
+# Dropping the 1 / sqrt(h) keeps the map CP but breaks unitality, which
+# later surfaces as a failure of extension consistency for the
+# finite-volume states
+kraus = [np.kron(np.eye(h), np.eye(h)[j][None, :]) for j in range(h)]
 print()
-show("transition without normalization", certify_cpu(partial_trace_map(2, 2, normalized=False)))
+show("transition without normalization", certify_cpu(OperatorMap.from_kraus(h * h, h, kraus)))

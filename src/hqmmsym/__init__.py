@@ -6,7 +6,6 @@ numerical symmetry verification for a concrete spin-1 chain model.
 """
 
 from .aklt import (
-    AkltModel,
     AkltTensors,
     build_model,
     build_tensors,
@@ -37,6 +36,7 @@ from .grouprep import (
 from .hqmm import (
     CausalStructure,
     GenerativeTriple,
+    Model,
     ObservableWord,
     classical_diagonal_triple,
     composite_map,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 # A name is in __all__, as a module's function or method is public, while
 # the library, the CLI or the bench reads it.
 __all__ = [
-    "AkltModel",
     "AkltTensors",
     "CausalStructure",
     "CheckResult",
@@ -77,6 +76,7 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "GenerativeTriple",
+    "Model",
     "NontrivialClassReport",
     "ObservableWord",
     "OperatorMap",

@@ -35,11 +35,12 @@ from .grouprep import (
 from .hqmm import (
     CausalStructure,
     GenerativeTriple,
+    Model,
     ObservableWord,
     partial_trace_map,
 )
-from .opalg import OperatorMap, conjugate, frozen_square_stack, operator_norms
-from .symmetry import SymmetryAction, _check_stacks
+from .opalg import OperatorMap, check_stacks, conjugate, frozen_square_stack, operator_norms
+from .symmetry import SymmetryAction
 
 VARIANTS = ("normalized_cartesian", "normalized_spherical", "paper_literal")
 
@@ -108,25 +109,14 @@ def verify_intertwining(tensors: AkltTensors, u: np.ndarray, r: np.ndarray) -> n
     """
     stack = tensors.tensors
     o, h, _ = stack.shape
-    _check_stacks(u, h, ("rho stack", r, o))
+    check_stacks((len(u),), ("pi stack", u, h), ("rho stack", r, o))
     target = conjugate(u[:, None], stack)
     combo = np.einsum("skm,kab->smab", r, stack)
     return operator_norms(combo - target).max(axis=1)
 
 
-@dataclass(frozen=True)
-class AkltModel:
-    """Generative triple together with its symmetry action and metadata."""
-
-    tensors: AkltTensors
-    triple: GenerativeTriple
-    action: SymmetryAction
-    structure: CausalStructure
-    metadata: dict
-
-
-def build_model(variant: str = "normalized_cartesian", structure="conventional") -> AkltModel:
-    """Assemble the model for a tensor variant and causal structure.
+def build_model(variant: str = "normalized_cartesian", structure="conventional") -> Model:
+    """Assemble the built-in model for a tensor variant and causal structure.
 
     The transition is hqmm.partial_trace_map(h, h), the normalized partial
     trace over the second bond factor, phi0 is maximally mixed, and the
@@ -147,15 +137,17 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         emission=emission_map(tensors),
     )
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
-    metadata = {
+    info = {
+        "name": "aklt",
+        "structure": structure.value,
         "variant": tensors.variant,
         "basis": tensors.basis,
         "labels": list(tensors.labels),
     }
-    return AkltModel(tensors, triple, action, structure, metadata)
+    return Model(triple, structure, info, action, tensors)
 
 
-def projector_word(model: AkltModel, labels: str) -> ObservableWord:
+def projector_word(model: Model, labels: str) -> ObservableWord:
     """Word of per-site label projectors with identity on the hidden slots."""
     if not labels:
         raise ConfigError("projector word needs at least one label")

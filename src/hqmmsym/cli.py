@@ -44,9 +44,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +57,7 @@ from .errors import ConfigError, SubgroupStructureError, config_float, config_in
 from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_quaternions
 from .hqmm import (
     CausalStructure,
-    GenerativeTriple,
+    Model,
     ObservableWord,
     finite_volume_state,
     fold_suffixes,
@@ -82,24 +83,23 @@ from .symmetry import (
 VARIANT_CHOICES = tuple(v.replace("_", "-") for v in aklt.VARIANTS)
 
 
-class Model(NamedTuple):
-    """A model to check; builtin (tensors and symmetry action) is None for config files."""
-
-    triple: GenerativeTriple
-    structure: CausalStructure
-    builtin: aklt.AkltModel | None
-
-
 def load_model(name: str, variant: str, structure: str | None) -> Model:
     """The built-in model when name is 'aklt', else the model config file at name.
 
     A structure given here replaces the file's own, or the built-in conventional.
     """
     if name == "aklt":
-        model = aklt.build_model(variant, structure or "conventional")
-        return Model(model.triple, model.structure, model)
+        return aklt.build_model(variant, structure or "conventional")
     triple, own = load_model_config(name)
-    return Model(triple, CausalStructure.parse(own if structure is None else structure), None)
+    structure = CausalStructure.parse(own if structure is None else structure)
+    info = {
+        "name": "config",
+        "path": name,
+        "structure": structure.value,
+        "hidden_dim": triple.hidden_dim,
+        "obs_dim": triple.obs_dim,
+    }
+    return Model(triple, structure, info)
 
 
 class Reads(NamedTuple):
@@ -175,7 +175,7 @@ def draw(m: Model, c: RunConfig, checks) -> Draw:
     for name in ("pi", "rho"):
         count = max([r.rotations for r in reads if name in r.reps], default=0)
         if count:
-            reps[name] = getattr(m.builtin.action, name).stack(q[:count])
+            reps[name] = getattr(m.action, name).stack(q[:count])
     decoded = {}
     if windows:
         rows = [g[4 * k : 4 * k + n * width].reshape(n, width) for k, n in windows.items()]
@@ -224,11 +224,11 @@ def _check_cpu(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckR
 
 
 def _check_cocycle(m: Model, c: RunConfig, tol: float, inputs: tuple) -> list[CheckResult]:
-    omega, deviations = cocycle_defects(m.builtin.action.pi, *inputs)
-    result = check_result("cocycle_identity", c.samples, c.seed, deviations, tol)
-    # the section cocycle takes the values +1 and -1 exactly
-    exact = bool(np.all((omega == 1.0) | (omega == -1.0)))
-    return [replace(result, passed=result.passed and exact)]
+    omega, deviations = cocycle_defects(m.action.pi, *inputs)
+    # the section cocycle takes the values +1 and -1 exactly; a pair whose
+    # omega is any other value has no finite deviation, and fails
+    deviations = np.where((omega == 1.0) | (omega == -1.0), deviations, np.nan)
+    return [check_result("cocycle_identity", c.samples, c.seed, deviations, tol)]
 
 
 def _sampled(tolerance: float, condition: str, reps: tuple, deviations_of: Callable) -> Check:
@@ -337,7 +337,7 @@ CHECKS = {
         from_draw=lambda d, r, c: _words(*d.sites(r), c.global_samples),
     ),
     "intertwining": _sampled(1e-10, "tensor_intertwining", ("pi", "rho"), lambda m, u, r: (
-        aklt.verify_intertwining(m.builtin.tensors, u, r)
+        aklt.verify_intertwining(m.tensors, u, r)
     )),
     "oracle": Check(
         False, 1e-10, _check_oracle,
@@ -427,18 +427,8 @@ class RunConfig:
 def run(config: RunConfig) -> dict:
     """Execute the configured checks and return the full report dict."""
     m = load_model(config.model, config.variant, config.structure)
-    if m.builtin is not None:
-        model_info = {"name": "aklt", "structure": m.structure.value, **m.builtin.metadata}
-    else:
-        model_info = {
-            "name": "config",
-            "path": config.model,
-            "structure": m.structure.value,
-            "hidden_dim": m.triple.hidden_dim,
-            "obs_dim": m.triple.obs_dim,
-        }
     allowed = tuple(
-        name for name, check in CHECKS.items() if m.builtin is not None or not check.needs_action
+        name for name, check in CHECKS.items() if m.action is not None or not check.needs_action
     )
     checks = _ordered_checks(config.checks) if config.checks else allowed
     for name in checks:
@@ -455,7 +445,7 @@ def run(config: RunConfig) -> dict:
         results += check.results(m, config, config.tolerances[name], check.inputs(d, config))
     return {
         "config": config.to_json_dict(),
-        "model": model_info,
+        "model": m.info,
         "checks": [r.to_json_dict() for r in results],
         "pass": all(r.passed for r in results),
     }
@@ -484,11 +474,20 @@ def render_report_text(report: dict) -> str:
 
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
-    if fmt == "json":
-        # JSON has no NaN or Infinity; a non-finite number here is a bug
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(text)
+    """Print the payload as JSON, or the text; a reader that has closed the pipe is let go.
+
+    On a closed pipe stdout is pointed at os.devnull, so that the flush
+    at exit cannot raise again, and the command still returns its code.
+    """
+    # JSON has no NaN or Infinity; a non-finite number here is a bug
+    out = json.dumps(payload, indent=2, allow_nan=False) if fmt == "json" else text
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -514,7 +513,8 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _parse_word_spec(spec: str, triple: GenerativeTriple, model) -> ObservableWord:
+def _parse_word_spec(spec: str, m: Model) -> ObservableWord:
+    h, o = m.triple.hidden_dim, m.triple.obs_dim
     if spec.startswith("allidentity:"):
         try:
             n = int(spec.split(":", 1)[1])
@@ -522,25 +522,25 @@ def _parse_word_spec(spec: str, triple: GenerativeTriple, model) -> ObservableWo
             raise ConfigError(f"bad word spec {spec!r}; expected allidentity:<sites>") from None
         if n < 1:
             raise ConfigError("allidentity words need at least one site")
-        return ObservableWord.all_identity(n, triple.hidden_dim, triple.obs_dim)
+        return ObservableWord.all_identity(n, h, o)
     if spec.startswith("proj:"):
-        if model is None:
+        if m.tensors is None:
             raise ConfigError("projector words are defined by the builtin model's labels")
-        return aklt.projector_word(model, spec.split(":", 1)[1])
-    return load_word(spec, triple.hidden_dim, triple.obs_dim)
+        return aklt.projector_word(m, spec.split(":", 1)[1])
+    return load_word(spec, h, o)
 
 
 def _cmd_eval(args) -> int:
-    triple, structure, model = load_model(args.model, args.variant, args.structure)
-    word = _parse_word_spec(args.word, triple, model)
+    m = load_model(args.model, args.variant, args.structure)
+    word = _parse_word_spec(args.word, m)
     # a word whose products overflow folds to inf or nan, reported below as
     # null with exit 1; numpy's warnings on the way would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        value = finite_volume_state(triple, structure, word)
+        value = finite_volume_state(m.triple, m.structure, word)
     parts = {"re": value.real, "im": value.imag}
     payload = {
         "model": args.model,
-        "structure": structure.value,
+        "structure": m.structure.value,
         "word": args.word,
         "sites": len(word),
         # as in verify reports, a non-finite number is written as null
@@ -551,7 +551,7 @@ def _cmd_eval(args) -> int:
     # "nan" or "inf" glued to the i would read as one word
     if not math.isfinite(value.imag):
         imag += " "
-    text = f"value = {value.real:.12g} {sign} {imag}i ({len(word)} sites, {structure.value})"
+    text = f"value = {value.real:.12g} {sign} {imag}i ({len(word)} sites, {m.structure.value})"
     _emit(payload, args.format, text)
     # a non-finite value fails, as a nan deviation does in verify
     return 1 if None in payload["value"].values() else 0
@@ -628,8 +628,9 @@ def _check_report_shape(report, path: str) -> None:
             )
             and type(c.get("tolerance")) in (int, float)
             and isinstance(c.get("pass"), bool)
-            # check_result passes exactly at max_deviation <= tolerance, and
-            # cocycle can only turn a pass into a fail
+            # check_result passes exactly at max_deviation <= tolerance; a
+            # stored fail within its tolerance is still read, as earlier
+            # versions failed an inexact cocycle pair that way
             and (c["pass"] is False or c["max_deviation"] <= c["tolerance"])
             for c in checks
         )

@@ -26,7 +26,6 @@ from .opalg import conjugate, operator_norms
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # Basis change from Cartesian (x, y, z) components to the (+, 0, -) basis of
 # angular momentum eigenvectors with Condon-Shortley phases:

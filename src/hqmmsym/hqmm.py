@@ -11,17 +11,9 @@ sites, so the cost is linear in the word length.
 Both maps are opalg.OperatorMap on the flattened product of their two
 inputs; the triple fixes the factors, h^2 for the transition and h o for
 the emission.  composite_map is the one contraction of the transition
-with the emission; sliced_coefficients turns site pairs into (h^2, h^2)
-transfers through it, all of a batch's from one GEMM of the flat
-site-pair outer products by the reordered composite map, and
-fold_suffixes is the one fold: it folds an equal-length batch of words
-from the last site to the first and closes every vector on its way, so
-one fold gives the value of every suffix of every word.  A GEMM row
-keeps its bits in any batch, and a batch of one is padded to two rows:
-OpenBLAS sends a one-row GEMM to GEMV, which rounds differently.
-finite_volume_state folds one word with two map applications per site, apart
-from composite_map: it is the tests' per-word reference and the path the
-word-eval benchmark times.
+with the emission, sliced_coefficients the one way from site pairs to
+transfers, and fold_suffixes the one fold.  finite_volume_state folds a
+word apart from all three.
 
 Random sites come from Gaussians through one map, unit_sites, which
 turns each row of Gaussians into a unit-norm site pair, row by row.
@@ -38,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -47,10 +39,15 @@ from .opalg import (
     ComplexOperator,
     OperatorMap,
     certify_cpu,
+    check_stacks,
     frozen_square_stack,
     operator_norms,
     positivity_defects,
 )
+
+if TYPE_CHECKING:
+    from .aklt import AkltTensors
+    from .symmetry import SymmetryAction
 
 
 class CausalStructure(enum.Enum):
@@ -110,6 +107,22 @@ class GenerativeTriple:
         for name, m in (("transition", self.transition), ("emission", self.emission)):
             out.update({f"{name}_{term}": value for term, value in certify_cpu(m).items()})
         return out
+
+
+@dataclass(frozen=True)
+class Model:
+    """A triple to check, with its causal structure and its report's "model" object.
+
+    info holds the report's model keys in report order.  The built-in
+    model also carries its symmetry action and tensors; a config-file
+    model has neither, and the checks that need an action refuse it.
+    """
+
+    triple: GenerativeTriple
+    structure: CausalStructure
+    info: dict
+    action: SymmetryAction | None = None
+    tensors: AkltTensors | None = None
 
 
 @dataclass(frozen=True)
@@ -260,7 +273,9 @@ def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWor
     """Value of the word under the folded one-site maps and phi0.
 
     The fold runs from the last site to the first, starting from the
-    identity, and closes with phi0(.) = trace(rho0 .).
+    identity, with two map applications per site and no composite_map,
+    and closes with phi0(.) = trace(rho0 .).  It is the tests' per-word
+    reference and the path the word-eval benchmark times.
     """
     structure = CausalStructure.parse(structure)
     if len(word) == 0:
@@ -342,9 +357,7 @@ def kolmogorov_check(
     h, o = triple.hidden_dim, triple.obs_dim
     h2 = h * h
     samples, n_sites = xs.shape[:2]
-    for name, stack, d in (("hidden words", xs, h), ("observable words", ys, o)):
-        if np.shape(stack) != (samples, n_sites, d, d):
-            raise DimensionMismatchError(name, (samples, n_sites, d, d), np.shape(stack))
+    check_stacks((samples, n_sites), ("hidden words", xs, h), ("observable words", ys, o))
     eye_x, eye_y = np.eye(h, dtype=complex), np.eye(o, dtype=complex)
     transfers = sliced_coefficients(
         triple,
@@ -407,14 +420,13 @@ def classical_diagonal_triple(
     )
 
 
-def partial_trace_map(d1: int, d2: int, normalized: bool = True) -> OperatorMap:
-    """Z1 tensor Z2 -> Z1 trace(Z2), divided by d2 when normalized to make it unital.
+def partial_trace_map(d1: int, d2: int) -> OperatorMap:
+    """Z1 tensor Z2 -> Z1 trace(Z2) / d2, the unital normalized partial trace.
 
-    The Kraus operators are 1 tensor <j| for each basis vector j of the
-    second factor, scaled by 1/sqrt(d2) when normalized.  Unnormalized,
-    it is CP but not unital, a diagnostic for the consistency check.
+    The Kraus operators are 1 tensor <j| / sqrt(d2) for each basis vector
+    j of the second factor.
     """
-    scale = 1.0 / np.sqrt(d2) if normalized else 1.0
+    scale = 1.0 / np.sqrt(d2)
     kraus = []
     for j in range(d2):
         k = np.zeros((d1, d1 * d2), dtype=complex)

@@ -19,9 +19,11 @@ Conventions used throughout the package:
   one stacked eigvalsh for any other size.  The scaling divides each real
   and imaginary part on its own, so it is exact wherever the quotient is
   representable.
-- Every stacked conjugation u a u+ is conjugate, the one small-matrix
-  product kernel.  Up to 4 x 4 it multiplies entry by entry over the
-  whole stack in real arithmetic, with no BLAS call per matrix; a larger
+- _products is the one ordered-product kernel: it multiplies stacks of
+  small matrices entry by entry over the whole stack in real arithmetic,
+  with no BLAS call per matrix, and adds each entry's terms in order.
+  conjugate (u a u+ up to 4 x 4), the Gram matrices of operator_norms
+  and symmetry._rank_one_defects all go through it.  A larger conjugated
   matrix (a Choi matrix) is one matrix conjugated by a stack, with u a as
   one GEMM.  No matrix's result depends on the rest of its stack, a stack
   of one included.
@@ -94,7 +96,7 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
 
     Each is sqrt(lambda_max) of the k x k Gram matrix G on the smaller
     side, k = min(m, n).  For k = 2 and 3, G is formed entry by entry over
-    the whole stack and lambda_max has a closed form:
+    the whole stack by _products and lambda_max has a closed form:
 
     - k = 2: lambda_max = (a + d) / 2 + hypot((a - d) / 2, |g01|), with a
       and d the diagonal of G.
@@ -113,11 +115,12 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
     *lead, m, n = b.shape
     k = min(m, n)
     if k in (2, 3):
-        # t[r, i, N] runs r along the longer side of matrix N; for a wide b
-        # its Gram matrix is the conjugate of b b+, with the same eigenvalues
+        # x + i y is b as [r, i, N], r along the longer side: for a wide b
+        # its transpose, whose Gram matrix is the conjugate of b b+, with
+        # the same eigenvalues.  G is (x + i y)+ (x + i y).
         b = b.reshape(-1, m, n)
-        t = b.transpose(1, 2, 0) if n == k else b.transpose(2, 1, 0)
-        g, h = _gram_parts(t)
+        x, y = _parts(b if n == k else b.swapaxes(1, 2), 1)
+        g, h = _products((x.swapaxes(0, 1), -y.swapaxes(0, 1)), (x, y))
         if k == 2:
             a, d = g[0, 0], g[1, 1]
             top = (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(g[0, 1], h[0, 1]))
@@ -128,22 +131,6 @@ def _unit_scale_norms(b: np.ndarray) -> np.ndarray:
         bh = np.swapaxes(b, -1, -2).conj()
         top = np.linalg.eigvalsh(bh @ b if n <= m else b @ bh)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
-
-
-def _gram_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts g[i, j, N] and h[i, j, N] of Gram matrices.
-
-    t[r, i, N] is entry (r, i) of matrix N, and the Gram entry (i, j) sums
-    conj(t[r, i]) t[r, j] over r in order, in real arithmetic: one
-    rounding per product and per sum, whatever the size of the stack.
-    """
-    x, y = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
-    re = x[:, :, None] * x[:, None] + y[:, :, None] * y[:, None]
-    im = x[:, :, None] * y[:, None] - y[:, :, None] * x[:, None]
-    g, h = re[0], im[0]
-    for r in range(1, len(t)):
-        g, h = g + re[r], h + im[r]
-    return g, h
 
 
 _EYE3 = np.eye(3)[:, :, None]
@@ -312,13 +299,25 @@ def frozen_square_stack(a, ndim: int, what: str) -> np.ndarray:
     return a
 
 
+def check_stacks(lead: tuple[int, ...], *stacks: tuple[str, np.ndarray, int]) -> None:
+    """Refuse stacks that do not hold one matrix of their size per leading index.
+
+    Each (name, stack, d) must have shape lead + (d, d); the first that
+    does not raises DimensionMismatchError under its name.
+    """
+    for name, stack, d in stacks:
+        want = (*lead, d, d)
+        if np.shape(stack) != want:
+            raise DimensionMismatchError(name, want, np.shape(stack))
+
+
 @dataclass(frozen=True)
 class ComplexOperator:
     """Validated square complex matrix with a declared dimension.
 
     The library holds operators as plain arrays.  This class is the
     boundary: it checks a matrix against its declared dimension and reads
-    and writes the files' matrix objects; np.asarray turns it into an array.
+    the files' matrix objects; np.asarray turns it into an array.
     """
 
     dim: int
@@ -332,11 +331,6 @@ class ComplexOperator:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.entries, dtype=dtype)
-
-    def to_json_dict(self) -> dict:
-        re = [float(x) for x in self.entries.real.ravel()]
-        im = [float(x) for x in self.entries.imag.ravel()]
-        return {"dim": self.dim, "re": re, "im": im}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ComplexOperator":

@@ -7,32 +7,15 @@ it, r[k] = rho(g_k) (and test operators where needed), and returns the N
 per-sample deviations of its defining identity: sample k alone, on
 u[k:k+1], r[k:k+1] and its site, gives the same number bit for bit.  A
 stack whose length differs from u's, or whose matrices do not fit the
-space they act on, raises DimensionMismatchError.  The global check
+space they act on, is refused by opalg.check_stacks.  The global check
 takes one rotation and one word per sample and reads every volume off
 the suffixes of that word, each with the bits of folding its volume
-alone.  Nothing here
-draws: cli.run makes a verify run's one draw.
-The verdict against a tolerance is made by check_result, in the cli.CHECKS
+alone.  Nothing here draws: cli.run makes a verify run's one draw.  The
+verdict against a tolerance is made by check_result, in the cli.CHECKS
 table.
 Map-level identities are compared through the operator norm of the
 difference of Choi matrices, so a small deviation bounds the defect on
-every input.  A map E is covariant when E(V . V+) = U E(.) U+; the Choi
-matrix C of E is formed once, and sample k's defect is
-||W C W+ - C|| with W = V^T kron U+, the Choi defect conjugated by the
-unitary 1 kron U+, which leaves the norm as it is.  A map built from
-one Kraus operator K (the AKLT emission) has C of rank one, and its
-defect, of rank two, has a closed-form norm in a = U+ K V and K, with
-no W and no C.
-Each check evaluates all of its samples as one batch: stacked unitaries,
-closed-form coefficient contractions, conjugations through opalg.conjugate
-(site observables and 2 x 2 to 4 x 4 unitaries entry by entry over the
-stack, a Choi matrix with one GEMM for W C) and one stacked
-opalg.operator_norms,
-a scaled Gram eigenvalue per matrix (nan for a non-finite matrix, exactly 0
-for a zero matrix): in closed form for the 2 x 2 and 3 x 3 defects, with
-eigvalsh for a 3 x 3 whose top two eigenvalues nearly coincide, and by
-one stacked eigvalsh for the larger Choi matrices (the 8 x 8 of the
-transition, whose two Kraus operators keep it on the Choi path).
+every input; _conjugation_defects takes those norms.
 """
 
 from __future__ import annotations
@@ -42,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .grouprep import ProjectiveRep
 # finite_volume_state and operator_norm are unused here but stay bound:
 # bench/tests checks that the tracer in bench/tracing.py wraps and restores
@@ -58,6 +40,7 @@ from .opalg import (  # noqa: F401
     _parts,
     _products,
     batched_kron,
+    check_stacks,
     choi_matrices,
     conjugate,
     operator_norm,
@@ -101,8 +84,10 @@ class CheckResult:
 def check_result(condition: str, samples: int, seed: int, deviations, tolerance) -> CheckResult:
     """The verdict on a condition: its worst per-sample deviation against the tolerance.
 
-    The rows of cli.CHECKS are the only callers; the check functions here
-    return deviations and make no verdict.
+    This is the one place a verdict is made: a condition passes exactly
+    when its worst deviation is at most the tolerance, and a nan deviation
+    fails.  The rows of cli.CHECKS are the only callers; the check
+    functions here return deviations and make no verdict.
     """
     worst = worst_deviation(deviations)
     return CheckResult(condition, samples, seed, worst, tolerance, worst <= tolerance)
@@ -186,27 +171,15 @@ def _entry_sums(terms: list[np.ndarray]) -> np.ndarray:
     return sums
 
 
-def _check_stacks(u: np.ndarray, dim: int, *stacks: tuple[str, np.ndarray, int]) -> None:
-    """Refuse stacks that do not hold one matrix of their size per sample.
-
-    Sample k reads entry k of each stack: u holds len(u) matrices of
-    dim x dim, and each (name, stack, d) must hold as many of d x d.
-    """
-    count = len(u)
-    for name, stack, d in (("pi stack", u, dim), *stacks):
-        if np.shape(stack) != (count, d, d):
-            raise DimensionMismatchError(name, (count, d, d), np.shape(stack))
-
-
 def check_initial_invariance(phi0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per-sample norm of U phi0 U+ - phi0, for the stack u[k] = pi(g_k)."""
-    _check_stacks(u, len(phi0))
+    check_stacks((len(u),), ("pi stack", u, len(phi0)))
     return operator_norms(conjugate(u, phi0) - phi0)
 
 
 def check_transition_equivariance(transition: OperatorMap, u: np.ndarray) -> np.ndarray:
     """Per-sample Choi defect of E_H intertwining U tensor U with U, for u[k] = pi(g_k)."""
-    _check_stacks(u, transition.dim_out)
+    check_stacks((len(u),), ("pi stack", u, transition.dim_out))
     return _conjugation_defects(transition, batched_kron(u, u), u)
 
 
@@ -216,7 +189,7 @@ def check_emission_covariance(emission: OperatorMap, u: np.ndarray, r: np.ndarra
     u[k] = pi(g_k) and r[k] = rho(g_k); the stacks must be equally long.
     """
     h = emission.dim_out
-    _check_stacks(u, h, ("rho stack", r, emission.dim_in // h))
+    check_stacks((len(u),), ("pi stack", u, h), ("rho stack", r, emission.dim_in // h))
     return _conjugation_defects(emission, batched_kron(u, r), u)
 
 
@@ -236,7 +209,13 @@ def check_sliced_covariance(
     from one sliced_coefficients call.
     """
     h, o = triple.hidden_dim, triple.obs_dim
-    _check_stacks(u, h, ("rho stack", r, o), ("hidden sites", xs, h), ("observable sites", ys, o))
+    check_stacks(
+        (len(u),),
+        ("pi stack", u, h),
+        ("rho stack", r, o),
+        ("hidden sites", xs, h),
+        ("observable sites", ys, o),
+    )
     sites_x = np.concatenate([conjugate(u, xs), xs])
     sites_y = np.concatenate([conjugate(r, ys), ys])
     rotated, plain = np.split(sliced_coefficients(triple, structure, sites_x, sites_y), 2)
@@ -268,10 +247,8 @@ def check_global_invariance(
     """
     h, o = triple.hidden_dim, triple.obs_dim
     samples, n_sites = np.shape(xs)[:2]
-    _check_stacks(u, h, ("rho stack", r, o))
-    for name, stack, d in (("hidden words", xs, h), ("observable words", ys, o)):
-        if np.shape(stack) != (len(u), n_sites, d, d):
-            raise DimensionMismatchError(name, (len(u), n_sites, d, d), np.shape(stack))
+    check_stacks((len(u),), ("pi stack", u, h), ("rho stack", r, o))
+    check_stacks((len(u), n_sites), ("hidden words", xs, h), ("observable words", ys, o))
     # each word's sites are rotated by its sample's rotation
     sites_x = np.concatenate([xs, conjugate(u[:, None], xs)]).reshape(-1, h, h)
     sites_y = np.concatenate([ys, conjugate(r[:, None], ys)]).reshape(-1, o, o)

@@ -36,8 +36,8 @@ from hqmmsym import (
     verify_intertwining,
 )
 from hqmmsym.cli import _z2z2_elements
-from hqmmsym.grouprep import PAULI, _compose
-from hqmmsym.hqmm import ObservableWord, partial_trace_map
+from hqmmsym.grouprep import SIGMA_X, SIGMA_Y, SIGMA_Z, _compose
+from hqmmsym.hqmm import ObservableWord
 
 STRUCTURES = ("conventional", "causal")
 
@@ -190,7 +190,7 @@ def test_criterion_07_kolmogorov_consistency():
         model.triple.hidden_dim,
         model.triple.obs_dim,
         model.triple.phi0,
-        partial_trace_map(2, 2, normalized=False),
+        util.unnormalized_partial_trace(2, 2),
         model.triple.emission,
     )
     words = util.kolmogorov_draw(0, broken, depth=4, samples=10)
@@ -210,7 +210,8 @@ def test_criterion_08_invariant_state_is_maximally_mixed():
     # sigma_a kron 1 - 1 kron sigma_a^T, since row-major vec(sigma X - X sigma)
     # is that matrix times vec(X).  No rotation is sampled.
     eye = np.eye(2)
-    stacked = np.concatenate([np.kron(s, eye) - np.kron(eye, s.T) for s in PAULI])
+    pauli = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    stacked = np.concatenate([np.kron(s, eye) - np.kron(eye, s.T) for s in pauli])
     _, singular, vh = np.linalg.svd(stacked)
     nullity = int(np.sum(singular <= 1e-10 * singular[0]))
     null = vh[-1].reshape(2, 2)

@@ -22,7 +22,6 @@ from hqmmsym import (
     verify_intertwining,
 )
 from hqmmsym.grouprep import SIGMA_X, SIGMA_Y, SIGMA_Z
-from hqmmsym.hqmm import partial_trace_map
 
 
 def test_variant_names_and_labels():
@@ -141,7 +140,7 @@ def test_transition_map_is_normalized_partial_trace():
 
 
 def test_unnormalized_transition_is_not_unital():
-    cert = certify_cpu(partial_trace_map(2, 2, normalized=False))
+    cert = certify_cpu(util.unnormalized_partial_trace(2, 2))
     assert cert["choi_hermiticity"] <= 1e-10 and cert["choi_negativity"] <= 1e-10
     assert cert["unitality"] == pytest.approx(1.0)
 
@@ -173,7 +172,9 @@ def test_build_model_normalized_variants(variant, structure):
     assert model.structure is CausalStructure.parse(structure)
     assert operator_norm(model.triple.phi0 - np.eye(2) / 2) == 0.0
     tensors = build_tensors(variant)
-    assert model.metadata == {
+    assert model.info == {
+        "name": "aklt",
+        "structure": structure,
         "variant": variant,
         "basis": tensors.basis,
         "labels": list(tensors.labels),
@@ -186,7 +187,9 @@ def test_build_model_literal_variant_keeps_the_paper_tensors():
     paper = build_tensors("paper_literal")
     assert np.array_equal(model.tensors.tensors, paper.tensors)
     assert np.array_equal(model.triple.emission.coeff, emission_map(paper).coeff)
-    assert model.metadata == {
+    assert model.info == {
+        "name": "aklt",
+        "structure": "conventional",
         "variant": "paper_literal",
         "basis": "spherical",
         "labels": ["+", "0", "-"],

@@ -41,7 +41,6 @@ from hqmmsym.hqmm import (
     CausalStructure,
     _apply_sliced,
     fold_suffixes,
-    partial_trace_map,
     sliced_coefficients,
     triple_from_config,
 )
@@ -531,7 +530,7 @@ def _kolmogorov_cases() -> dict:
     }
     chain = cases["normalized_cartesian/conventional"][0]
     unnormalized = GenerativeTriple(
-        2, 3, chain.phi0, partial_trace_map(2, 2, normalized=False), chain.emission
+        2, 3, chain.phi0, util.unnormalized_partial_trace(2, 2), chain.emission
     )
     for s in ("conventional", "causal"):
         cases[f"unnormalized/{s}"] = (unnormalized, s)

@@ -8,7 +8,6 @@ import pytest
 
 import util
 from hqmmsym import (
-    ComplexOperator,
     ConfigError,
     ObservableWord,
     build_model,
@@ -208,6 +207,42 @@ def test_verify_fails_on_literal_variant(capsys):
     report = json.loads(out)
     assert report["pass"] is False
     assert all(not c["pass"] for c in report["checks"])
+
+
+def test_an_inexact_cocycle_fails_although_its_defects_are_within_tolerance(
+    monkeypatch, capsys
+):
+    # omega scaled by 1 + 1e-12 keeps every defect near 1e-12, below the
+    # tolerance; a section cocycle is +1 or -1 exactly, so the row fails,
+    # its deviation null, and verify exits 1 with every other row passing
+    def inexact_spin_half_rep():
+        rep = grouprep.spin_half_rep()
+        return replace(rep, cocycle=lambda qg, qh: rep.cocycle(qg, qh) * (1 + 1e-12))
+
+    monkeypatch.setattr(aklt, "spin_half_rep", inexact_spin_half_rep)
+    m = cli.load_model("aklt", "normalized_cartesian", None)
+    config = RunConfig(checks=("cocycle",))
+    omega, defects = grouprep.cocycle_defects(m.action.pi, *_row_inputs(m, config, "cocycle"))
+    assert not np.isin(omega, (1.0, -1.0)).any()
+    assert defects.max() <= default_tolerances()["cocycle"]
+    for argv in (["verify", "--checks", "cocycle"], ["verify"]):
+        code, out, _ = _run_cli(capsys, argv)
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        failures = [(c["condition"], c["max_deviation"]) for c in failed]
+        assert failures == [("cocycle_identity", None)]
+
+
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("variant", aklt.VARIANTS)
+def test_every_condition_passes_exactly_when_its_deviation_is_within_tolerance(
+    variant, structure
+):
+    # one pass rule for every row: a null deviation fails
+    report = run(RunConfig(variant=variant, structure=structure))
+    for c in report["checks"]:
+        deviation = c["max_deviation"]
+        assert c["pass"] is (deviation is not None and deviation <= c["tolerance"]), c
 
 
 def test_verify_tolerance_flags_are_plumbed(capsys):
@@ -660,8 +695,8 @@ def test_eval_word_file_with_whole_site_identity(tmp_path, capsys):
 def _site(x_dim=2, y_dim=3):
     """A word-file site spelling the identity on both slots."""
     return {
-        "X": ComplexOperator(x_dim, np.eye(x_dim)).to_json_dict(),
-        "Y": ComplexOperator(y_dim, np.eye(y_dim)).to_json_dict(),
+        "X": util.matrix_json(np.eye(x_dim)),
+        "Y": util.matrix_json(np.eye(y_dim)),
     }
 
 
@@ -1187,8 +1222,8 @@ def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys)
     # entries of 1e308 overflow the fold's products: the value is not
     # finite, written as null with exit 1, and numpy says nothing on the way
     huge = {
-        "X": ComplexOperator(2, 1e308 * np.eye(2)).to_json_dict(),
-        "Y": ComplexOperator(3, 1e308 * np.eye(3)).to_json_dict(),
+        "X": util.matrix_json(1e308 * np.eye(2)),
+        "Y": util.matrix_json(1e308 * np.eye(3)),
     }
     path = tmp_path / "word.json"
     path.write_text(json.dumps([huge] * 3))

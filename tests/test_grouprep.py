@@ -24,7 +24,9 @@ from hqmmsym import (
 )
 from hqmmsym.grouprep import (
     CONDON_SHORTLEY,
-    PAULI,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     _compose,
     _distances,
     _hamilton,
@@ -154,9 +156,10 @@ def test_su2_adjoint_reproduces_rotation(ax, ay, angle):
     g = RotationElement.from_axis_angle(axis, angle)
     u = su2_matrices(g)
     r = rotation_matrices(g)
+    pauli = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     for a in range(3):
-        rotated = u @ PAULI[a] @ u.conj().T
-        recombined = sum(r[b, a] * PAULI[b] for b in range(3))
+        rotated = u @ pauli[a] @ u.conj().T
+        recombined = sum(r[b, a] * pauli[b] for b in range(3))
         assert operator_norm(rotated - recombined) < 1e-12
 
 

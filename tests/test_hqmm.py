@@ -22,7 +22,7 @@ from hqmmsym import (
     load_word,
     operator_norm,
 )
-from hqmmsym.hqmm import partial_trace_map, sliced_coefficients, triple_from_config
+from hqmmsym.hqmm import sliced_coefficients, triple_from_config
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +218,7 @@ def test_kolmogorov_refuses_words_that_do_not_pair_up(aklt_triple):
 
 def test_kolmogorov_flags_unnormalized_transition(aklt_triple):
     bad = GenerativeTriple(
-        2, 3, aklt_triple.phi0, partial_trace_map(2, 2, normalized=False), aklt_triple.emission
+        2, 3, aklt_triple.phi0, util.unnormalized_partial_trace(2, 2), aklt_triple.emission
     )
     dev = kolmogorov_check(bad, "conventional", *util.kolmogorov_draw(5, bad, 4, 5)).max()
     assert dev >= 0.5

@@ -37,7 +37,7 @@ def test_operator_basic_algebra():
 def test_operator_json_round_trip():
     rng = np.random.default_rng(2)
     a = ComplexOperator(3, util.random_operator(rng, 3))
-    b = ComplexOperator.from_json_dict(a.to_json_dict())
+    b = ComplexOperator.from_json_dict(util.matrix_json(a.entries))
     assert b.dim == 3
     assert operator_norm(a.entries - b.entries) == 0.0
 

@@ -71,7 +71,7 @@ def _kraus_config() -> dict:
     return {
         "hidden_dim": 2,
         "obs_dim": 2,
-        "phi0": ComplexOperator(2, rho / np.trace(rho).real).to_json_dict(),
+        "phi0": util.matrix_json(rho / np.trace(rho).real),
         "E_H": {"kind": "kraus", "kraus": entries(util.random_unital_kraus(rng, 4, 2, 3))},
         "E_HO": {"kind": "kraus", "kraus": entries(util.random_unital_kraus(rng, 4, 2, 2))},
         "structure": "causal",

@@ -20,6 +20,9 @@ content checks then read the first child alone: a row run alone or a
 subset of rows prints its rows of the full run, a shallow global run the
 first volumes of the deep one, the config models PASS, and the eval
 values are right.
+
+A closed pipe is run on its own: a child whose reader closes its stdout
+at once exits with its own code and writes nothing to stderr.
 """
 
 import json
@@ -248,3 +251,23 @@ def test_eval_values(first):
     assert _report(first, "huge-word")["value"] == {"re": None, "im": None}
     value = _report(first, "projector-word")["value"]
     assert abs(value["re"] - 1 / 27) <= 1e-12 and abs(value["im"]) <= 1e-12, value
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--checks", "cpu"], 0),
+    (["--variant", "paper-literal"], 1),
+], ids=["cpu", "literal"])
+def test_a_closed_pipe_keeps_the_exit_code_and_an_empty_stderr(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hqmmsym.cli", "verify", *argv, "--format", "text"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == code
+    finally:
+        child.kill()
+    assert stderr == b""

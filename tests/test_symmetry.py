@@ -19,7 +19,7 @@ from hqmmsym import (
     spin_one_rep,
     verify_intertwining,
 )
-from hqmmsym.cli import CHECKS, Model, RunConfig, draw
+from hqmmsym.cli import CHECKS, RunConfig, draw
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +47,8 @@ def _pi(action, seed, count):
 
 def test_check_result_serialization(model):
     config = RunConfig(seed=0, samples=10)
-    m = Model(model.triple, model.structure, model)
-    inputs = CHECKS["initial"].inputs(draw(m, config, ("initial",)), config)
-    [result] = CHECKS["initial"].results(m, config, 1e-10, inputs)
+    inputs = CHECKS["initial"].inputs(draw(model, config, ("initial",)), config)
+    [result] = CHECKS["initial"].results(model, config, 1e-10, inputs)
     d = result.to_json_dict()
     assert set(d) == {"condition", "samples", "seed", "max_deviation", "tolerance", "pass"}
     assert d["pass"] is True

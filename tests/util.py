@@ -23,7 +23,10 @@ Beside the oracles, fold_batch folds a batch of equal-length words through
 the library's own sliced_coefficients and fold_suffixes, random_words
 draws words from a generator through the library's unit_sites (and
 block_words in blocks from the end of the words), random_word draws one
-word, and word_items and write_word spell a word out as a word file.
+word, and word_items and write_word spell a word out as a word file,
+through matrix_json, which spells out one matrix object.
+unnormalized_partial_trace is the partial trace without its 1/d2, CP
+but not unital.
 readme_blocks and readme_model_config read the README's fenced code.
 """
 
@@ -39,7 +42,6 @@ import numpy as np
 
 from hqmmsym import (
     CausalStructure,
-    ComplexOperator,
     ObservableWord,
     OperatorMap,
     ProjectiveRep,
@@ -123,9 +125,17 @@ def word_items(word: ObservableWord) -> list:
     """The word as a word file's list of sites, each an {"X", "Y"} pair of matrix objects."""
     h, o = word.xs.shape[1], word.ys.shape[1]
     return [
-        {"X": ComplexOperator(h, x).to_json_dict(), "Y": ComplexOperator(o, y).to_json_dict()}
+        {"X": matrix_json(x), "Y": matrix_json(y)}
         for x, y in zip(word.xs, word.ys)
     ]
+
+
+def matrix_json(a) -> dict:
+    """The files' matrix object of a square matrix: its dimension and parts, row by row."""
+    a = np.asarray(a, dtype=complex)
+    re = [float(x) for x in a.real.ravel()]
+    im = [float(x) for x in a.imag.ravel()]
+    return {"dim": len(a), "re": re, "im": im}
 
 
 def write_word(path, word: ObservableWord) -> None:
@@ -277,6 +287,17 @@ def partial_trace_second(w: np.ndarray, d1: int, d2: int) -> np.ndarray:
             for j in range(d2):
                 out[a, b] += w[a * d2 + j, b * d2 + j]
     return out
+
+
+def unnormalized_partial_trace(d1: int, d2: int) -> OperatorMap:
+    """Z1 tensor Z2 -> Z1 trace(Z2), from the Kraus operators 1 tensor <j|: CP, not unital."""
+    kraus = []
+    for j in range(d2):
+        k = np.zeros((d1, d1 * d2), dtype=complex)
+        for i in range(d1):
+            k[i, i * d2 + j] = 1.0
+        kraus.append(k)
+    return OperatorMap.from_kraus(d1 * d2, d1, kraus)
 
 
 def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -511,9 +532,9 @@ def replay_row_inputs(model, config) -> dict[str, tuple]:
         "kolmogorov": kolmogorov_draw(c.seed, triple, c.n_max, c.global_samples),
         "oracle": random_words(np.random.default_rng(c.seed), triple, words, 5),
     }
-    if model.builtin is None:
+    if model.action is None:
         return inputs
-    action = model.builtin.action
+    action = model.action
     pairs = haar_rotations(np.random.default_rng(c.seed), 2 * c.samples)
     inputs["cocycle"] = (pairs[0::2], pairs[1::2])
     rng = np.random.default_rng(c.seed)
