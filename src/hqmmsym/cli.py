@@ -4,8 +4,10 @@ The verify subcommand assembles a model, makes one seeded draw of all
 that the selected checks read, runs them and emits a machine-readable
 report; running it twice with the same configuration produces
 byte-identical JSON.  The eval subcommand
-prints a single word value, cocycle analyzes a finite abelian subgroup,
-and report re-renders a stored report file.
+prints a single word value, folded as verify folds its words: one
+sliced_coefficients call gives every site's transfer and fold_suffixes
+folds them, the whole word being the last suffix.  cocycle analyzes a
+finite abelian subgroup, and report re-renders a stored report file.
 
 run is the only place that draws, once per run, through draw: one
 standard_normal buffer from np.random.default_rng(seed), as long as the
@@ -59,7 +61,6 @@ from .hqmm import (
     CausalStructure,
     Model,
     ObservableWord,
-    finite_volume_state,
     fold_suffixes,
     kolmogorov_check,
     load_model_config,
@@ -533,10 +534,12 @@ def _parse_word_spec(spec: str, m: Model) -> ObservableWord:
 def _cmd_eval(args) -> int:
     m = load_model(args.model, args.variant, args.structure)
     word = _parse_word_spec(args.word, m)
+    word.check_dims(m.triple)
     # a word whose products overflow folds to inf or nan, reported below as
     # null with exit 1; numpy's warnings on the way would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        value = finite_volume_state(m.triple, m.structure, word)
+        transfers = sliced_coefficients(m.triple, m.structure, word.xs, word.ys)
+        value = complex(fold_suffixes(m.triple, transfers)[-1])
     parts = {"re": value.real, "im": value.imag}
     payload = {
         "model": args.model,

@@ -12,8 +12,10 @@ Both maps are opalg.OperatorMap on the flattened product of their two
 inputs; the triple fixes the factors, h^2 for the transition and h o for
 the emission.  composite_map is the one contraction of the transition
 with the emission, sliced_coefficients the one way from site pairs to
-transfers, and fold_suffixes the one fold.  finite_volume_state folds a
-word apart from all three.
+transfers, and fold_suffixes the one fold, which verify's rows and the
+eval command both use.  finite_volume_state folds a word apart from all
+three; no CLI command calls it, and it stays only as the tests' per-word
+reference and the path the word-eval benchmark times.
 
 Random sites come from Gaussians through one map, unit_sites, which
 turns each row of Gaussians into a unit-norm site pair, row by row.
@@ -274,8 +276,9 @@ def finite_volume_state(triple: GenerativeTriple, structure, word: ObservableWor
 
     The fold runs from the last site to the first, starting from the
     identity, with two map applications per site and no composite_map,
-    and closes with phi0(.) = trace(rho0 .).  It is the tests' per-word
-    reference and the path the word-eval benchmark times.
+    and closes with phi0(.) = trace(rho0 .).  It is only the tests'
+    per-word reference and the path the word-eval benchmark times: eval
+    folds through sliced_coefficients and fold_suffixes, as verify does.
     """
     structure = CausalStructure.parse(structure)
     if len(word) == 0:

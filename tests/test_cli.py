@@ -13,6 +13,7 @@ from hqmmsym import (
     build_model,
     cli,
     dense_word_value,
+    finite_volume_state,
     load_model_config,
     operator_norm,
 )
@@ -1234,6 +1235,71 @@ def test_eval_of_an_overflowing_word_is_null_without_a_warning(tmp_path, capsys)
             code, out, err = _run_cli(capsys, argv)
         assert (code, err) == (1, "")
         assert _strict_json(out)["value"] == {"re": None, "im": None}
+
+
+def _eval_value(capsys, argv) -> complex:
+    code, out, err = _run_cli(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    value = _strict_json(out)["value"]
+    return complex(value["re"], value["im"])
+
+
+def _kraus_fixture_config(tmp_path) -> str:
+    path = tmp_path / "kraus.json"
+    fixture = json.loads((Path(__file__).parent / "data" / "oracle_values.json").read_text())
+    path.write_text(json.dumps(fixture["kraus_config"]))
+    return str(path)
+
+
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+@pytest.mark.parametrize("model", [*cli.VARIANT_CHOICES, "kraus-config"])
+def test_eval_agrees_with_the_per_site_fold_and_the_dense_referee(tmp_path, capsys, model, structure):
+    # eval folds through sliced_coefficients and fold_suffixes; the per-site
+    # fold finite_volume_state and the dense referee are independent of both
+    if model == "kraus-config":
+        path = _kraus_fixture_config(tmp_path)
+        m = cli.load_model(path, "", structure)
+        argv = ["eval", "--model", path, "--structure", structure]
+    else:
+        m = build_model(model.replace("-", "_"), structure)
+        argv = ["eval", "--variant", model, "--structure", structure]
+    rng = np.random.default_rng(2034)
+    words = {}
+    # one site is the one-row GEMM that sliced_coefficients pads to two
+    for n in (1, 2, 5, 8):
+        word = util.random_word(rng, m.triple, n)
+        path = tmp_path / f"word{n}.json"
+        util.write_word(path, word)
+        words[str(path)] = word
+    h, o = m.triple.hidden_dim, m.triple.obs_dim
+    for n in (1, 8, 64):
+        words[f"allidentity:{n}"] = ObservableWord.all_identity(n, h, o)
+    if m.tensors is not None:
+        labels = "".join(m.tensors.labels)
+        for spec in (labels[0], labels, labels[::-1] + labels[1]):
+            words[f"proj:{spec}"] = aklt.projector_word(m, spec)
+    values = {spec: _eval_value(capsys, [*argv, "--word", spec]) for spec in words}
+    for spec, word in words.items():
+        got = values[spec]
+        assert abs(got - finite_volume_state(m.triple, m.structure, word)) <= 1e-13, spec
+        # the dense referee contracts at most 8 sites
+        if len(word) <= 8:
+            assert abs(got - dense_word_value(m.triple, m.structure, word)) <= 1e-12, spec
+    assert abs(values["allidentity:64"] - 1) <= 1e-13
+
+
+def test_eval_is_the_last_suffix_of_the_verify_fold(tmp_path, capsys):
+    # the value eval prints is, bit for bit, the whole word's entry of the
+    # fold that verify's rows take, with the word in a batch of others
+    m = build_model("normalized_spherical", "causal")
+    xs, ys = util.random_words(np.random.default_rng(34), m.triple, 3, 4)
+    batch = util.fold_batch(m.triple, m.structure, xs, ys)
+    for k in range(3):
+        path = tmp_path / f"word{k}.json"
+        util.write_word(path, ObservableWord(xs[k], ys[k]))
+        argv = ["eval", "--word", str(path), "--variant", "normalized-spherical"]
+        got = _eval_value(capsys, [*argv, "--structure", "causal"])
+        assert got == complex(batch[k])
 
 
 def test_eval_text_spaces_a_non_finite_imaginary_part_from_the_i(tmp_path, capsys):

@@ -31,9 +31,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import util
+from hqmmsym import build_model, dense_word_value, load_model_config, load_word
 from hqmmsym.cli import CHECK_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +90,13 @@ def _calls(files: dict[str, str]) -> dict[str, tuple[list[str], int]]:
         for row in CONFIG_ROWS:
             calls[f"{config}-alone-{row}"] = (verify + ["--checks", row], 0)
     calls["projector-word"] = (["eval", "--word", "proj:xyz", "--format", "json"], 0)
+    calls["identity-64"] = (["eval", "--word", "allidentity:64", "--format", "json"], 0)
+    # one site is the one-row GEMM that sliced_coefficients pads to two
+    calls["one-site-word"] = (["eval", "--word", files["one-site-word"], "--format", "json"], 0)
+    # the README config's own structure is causal
+    calls["config-eval"] = (
+        ["eval", "--model", files["readme"], "--word", files["word"], "--format", "json"], 0
+    )
     return calls
 
 
@@ -123,15 +132,20 @@ CONTROLLED = {name for env, _ in CHILDREN.values() for name in env}
 @pytest.fixture(scope="module")
 def table(tmp_path_factory) -> dict[str, tuple[list[str], int]]:
     out = tmp_path_factory.mktemp("processes")
-    files = {name: str(out / f"{name}.json") for name in ("huge-word", "kraus", "readme")}
+    names = ("huge-word", "kraus", "readme", "one-site-word", "word")
+    files = {name: str(out / f"{name}.json") for name in names}
     # entries of 1e308 overflow the fold's products
     x = {"dim": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4}
     y = {"dim": 3, "re": [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308], "im": [0] * 9}
     # the Kraus model config of the referee's fixture, and the README's, whose
     # normalized_partial_trace and aklt_emission kinds build the other maps
     kraus = json.loads((ROOT / "tests" / "data" / "oracle_values.json").read_text())
+    rng = np.random.default_rng(2034)
+    triple = build_model().triple
     contents = {
         "huge-word": [{"X": x, "Y": y}] * 3,
+        "one-site-word": util.word_items(util.random_word(rng, triple, 1)),
+        "word": util.word_items(util.random_word(rng, triple, 3)),
         "kraus": kraus["kraus_config"],
         "readme": util.readme_model_config(),
     }
@@ -246,11 +260,26 @@ def test_config_models_pass_and_their_rows_alone_match(first, config):
         _assert_rows_of_full_run(full[alone["model"]["structure"]], alone, first[call][0])
 
 
-def test_eval_values(first):
+def _value(first, call: str) -> complex:
+    value = _report(first, call)["value"]
+    return complex(value["re"], value["im"])
+
+
+def test_eval_values(table, first):
     # a word whose products overflow is null; P(x, y, z) is 1/27
     assert _report(first, "huge-word")["value"] == {"re": None, "im": None}
     value = _report(first, "projector-word")["value"]
     assert abs(value["re"] - 1 / 27) <= 1e-12 and abs(value["im"]) <= 1e-12, value
+    assert abs(_value(first, "identity-64") - 1) <= 1e-13
+    # the word files' values against the dense referee
+    model = build_model()
+    one_site = load_word(table["one-site-word"][0][2], 2, 3)
+    want = dense_word_value(model.triple, model.structure, one_site)
+    assert abs(_value(first, "one-site-word") - want) <= 1e-12
+    assert _report(first, "config-eval")["structure"] == "causal"
+    triple, structure = load_model_config(table["config-eval"][0][2])
+    want = dense_word_value(triple, structure, load_word(table["config-eval"][0][4], 2, 3))
+    assert abs(_value(first, "config-eval") - want) <= 1e-12
 
 
 @pytest.mark.parametrize("argv, code", [
