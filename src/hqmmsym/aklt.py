@@ -10,6 +10,10 @@ rep pi on the bond space with the spin-1 rep rho on the physical space,
 and the tensors are checked against the one intertwining relation
 sum_k rho(g)_km A_k = pi(g) A_m pi(g)+.
 
+A variant's tensors and triple are built once per process (_variant,
+one entry per variant) and shared: both are frozen over read-only arrays.
+build_model makes a new action and info dict on every call.
+
 The dense referee, dense_word_value and dense_suffix_values, sums word
 values over every index chain from the coefficient tensors alone,
 independently of the fold it checks, on float64 arrays and bit for bit
@@ -18,6 +22,7 @@ as a loop over Python complex numbers would.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,18 +120,9 @@ def verify_intertwining(tensors: AkltTensors, u: np.ndarray, r: np.ndarray) -> n
     return operator_norms(combo - target).max(axis=1)
 
 
-def build_model(variant: str = "normalized_cartesian", structure="conventional") -> Model:
-    """Assemble the built-in model for a tensor variant and causal structure.
-
-    The transition is hqmm.partial_trace_map(h, h), the normalized partial
-    trace over the second bond factor, phi0 is maximally mixed, and the
-    tensors are used exactly as build_tensors gives them.  Nothing is
-    checked here: whether the triple is CPU is for the cpu check to
-    report from GenerativeTriple.defects, and whether a variant satisfies
-    the intertwining relation and the symmetry conditions is for
-    verify_intertwining and the symmetry checks.
-    """
-    structure = CausalStructure.parse(structure)
+@functools.cache
+def _variant(variant: str) -> tuple[AkltTensors, GenerativeTriple]:
+    """The tensors and triple of a normalized variant name, built on its first call."""
     tensors = build_tensors(variant)
     o, h, _ = tensors.tensors.shape
     triple = GenerativeTriple(
@@ -136,6 +132,23 @@ def build_model(variant: str = "normalized_cartesian", structure="conventional")
         transition=partial_trace_map(h, h),
         emission=emission_map(tensors),
     )
+    return tensors, triple
+
+
+def build_model(variant: str = "normalized_cartesian", structure="conventional") -> Model:
+    """Assemble the built-in model for a tensor variant and causal structure.
+
+    The transition is hqmm.partial_trace_map(h, h), the normalized partial
+    trace over the second bond factor, phi0 is maximally mixed, and the
+    tensors are used exactly as build_tensors gives them; the tensors and
+    triple are the variant's one pair (_variant).  Nothing is checked
+    here: whether the triple is CPU is for the cpu check to report from
+    GenerativeTriple.defects, and whether a variant satisfies the
+    intertwining relation and the symmetry conditions is for
+    verify_intertwining and the symmetry checks.
+    """
+    structure = CausalStructure.parse(structure)
+    tensors, triple = _variant(_normalize_variant(variant))
     action = SymmetryAction(spin_half_rep(), spin_one_rep(tensors.basis))
     info = {
         "name": "aklt",

@@ -474,14 +474,16 @@ def render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
-    """Print the payload as JSON, or the text; a reader that has closed the pipe is let go.
+def _emit(payload: dict, fmt: str, text: Callable[[], str]) -> None:
+    """Print the payload as JSON, or the text that text() renders; a closed pipe is let go.
+
+    The text form is rendered only when it is printed.
 
     On a closed pipe stdout is pointed at os.devnull, so that the flush
     at exit cannot raise again, and the command still returns its code.
     """
     # JSON has no NaN or Infinity; a non-finite number here is a bug
-    out = json.dumps(payload, indent=2, allow_nan=False) if fmt == "json" else text
+    out = json.dumps(payload, indent=2, allow_nan=False) if fmt == "json" else text()
     try:
         print(out)
         sys.stdout.flush()
@@ -510,7 +512,7 @@ def _config_from_args(args) -> RunConfig:
 def _cmd_verify(args) -> int:
     config = _config_from_args(args)
     report = run(config)
-    _emit(report, args.format, render_report_text(report))
+    _emit(report, args.format, lambda: render_report_text(report))
     return 0 if report["pass"] else 1
 
 
@@ -555,7 +557,7 @@ def _cmd_eval(args) -> int:
     if not math.isfinite(value.imag):
         imag += " "
     text = f"value = {value.real:.12g} {sign} {imag}i ({len(word)} sites, {m.structure.value})"
-    _emit(payload, args.format, text)
+    _emit(payload, args.format, lambda: text)
     # a non-finite value fails, as a nan deviation does in verify
     return 1 if None in payload["value"].values() else 0
 
@@ -605,11 +607,15 @@ def _cmd_cocycle(args) -> int:
         else [report.witness[0].to_json_dict(), report.witness[1].to_json_dict()],
         "pairing_table": table,
     }
-    lines = [f"elements: {len(elements)}", f"nontrivial class: {report.nontrivial}"]
-    for row in np.asarray(report.pairing_table):
-        # omega is the section's sign, so every entry is +1 or -1 exactly
-        lines.append("  ".join(f"{v.real:+.0f}" for v in row))
-    _emit(payload, args.format, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"elements: {len(elements)}", f"nontrivial class: {report.nontrivial}"]
+        for row in np.asarray(report.pairing_table):
+            # omega is the section's sign, so every entry is +1 or -1 exactly
+            lines.append("  ".join(f"{v.real:+.0f}" for v in row))
+        return "\n".join(lines)
+
+    _emit(payload, args.format, text)
     return 0
 
 
@@ -657,7 +663,7 @@ def _check_report_shape(report, path: str) -> None:
 def _cmd_report(args) -> int:
     report = load_json(args.path, "report")
     _check_report_shape(report, args.path)
-    _emit(report, args.format, render_report_text(report))
+    _emit(report, args.format, lambda: render_report_text(report))
     return 0 if report["pass"] else 1
 
 

@@ -58,10 +58,13 @@ def config_float(name: str, value) -> float:
 
 def load_json(path: str, what: str):
     """The JSON document in the file at path, or ConfigError naming it as what."""
+    # JSON exchanged between systems is UTF-8 (RFC 8259), whatever the locale
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{what} {path} is not valid JSON: {err}") from None

@@ -17,6 +17,10 @@ eval command both use.  finite_volume_state folds a word apart from all
 three; no CLI command calls it, and it stays only as the tests' per-word
 reference and the path the word-eval benchmark times.
 
+A triple keeps its defects and, per structure, sliced_coefficients'
+matrix from their first use: it is frozen over read-only arrays, so they
+cannot go stale.  partial_trace_map builds each (d1, d2) map once.
+
 Random sites come from Gaussians through one map, unit_sites, which
 turns each row of Gaussians into a unit-norm site pair, row by row.
 Nothing here draws: cli.run makes a verify run's one draw and hands
@@ -30,6 +34,7 @@ alone.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
@@ -38,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, config_int, load_json
 from .opalg import (
-    ComplexOperator,
     OperatorMap,
     certify_cpu,
     check_stacks,
@@ -98,8 +102,12 @@ class GenerativeTriple:
         phi0 has its positivity_defects (hermiticity and negativity) and a
         trace deviation; each map has the three certify_cpu terms, prefixed
         with its name.  A non-finite phi0 or map gives nan for its
-        positivity terms.
+        positivity terms.  Each call returns a new dict of the first call's terms.
         """
+        return dict(self._defects)
+
+    @functools.cached_property
+    def _defects(self) -> dict[str, float]:
         hermiticity, negativity = positivity_defects(self.phi0)
         out = {
             "phi0_hermiticity": hermiticity,
@@ -109,6 +117,11 @@ class GenerativeTriple:
         for name, m in (("transition", self.transition), ("emission", self.emission)):
             out.update({f"{name}_{term}": value for term, value in certify_cpu(m).items()})
         return out
+
+    @functools.cached_property
+    def _fold_matrices(self) -> dict[CausalStructure, np.ndarray]:
+        """sliced_coefficients' read-only matrix for each structure it has been asked for."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -176,33 +189,39 @@ class ObservableWord:
 
     @classmethod
     def from_json_list(cls, items, hidden_dim: int, obs_dim: int) -> "ObservableWord":
-        xs, ys = [], []
+        """The word of a file's sites; every entry is checked, then each slot is one array."""
+        # per slot: its size, its key, the identity's parts, and each site's parts
+        slots = [(d, key, (np.eye(d), np.zeros((d, d))), [], []) for d, key in
+                 ((hidden_dim, "X"), (obs_dim, "Y"))]
         for k, item in enumerate(items):
             if item == "I":
                 item = {"X": "I", "Y": "I"}
             try:
-                x = item["X"]
-                y = item["Y"]
+                pair = item["X"], item["Y"]
             except (TypeError, KeyError):
                 raise ConfigError(f"word entry {k} needs keys 'X' and 'Y'") from None
-            xs.append(np.eye(hidden_dim) if x == "I" else _operator_from_json(
-                x, hidden_dim, f"word entry {k} X"
-            ))
-            ys.append(np.eye(obs_dim) if y == "I" else _operator_from_json(
-                y, obs_dim, f"word entry {k} Y"
-            ))
-        return cls(np.asarray(xs), np.asarray(ys))
+            for (d, key, identity, res, ims), obj in zip(slots, pair):
+                re, im = identity if obj == "I" else _matrix_parts(obj, d, f"word entry {k} {key}")
+                res.append(re)
+                ims.append(im)
+        return cls(*(np.asarray(res) + 1j * np.asarray(ims) for *_, res, ims in slots))
 
 
-def _operator_from_json(obj, dim: int, what: str) -> np.ndarray:
-    """A dim x dim operator read from a file's matrix object, or ConfigError."""
+def _matrix_parts(obj, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of a file's dim x dim matrix object, or ConfigError."""
     try:
-        op = ComplexOperator.from_json_dict(obj)
+        n = config_int("dim", obj["dim"])
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+        for name, part in (("re", re), ("im", im)):
+            if part.size != n * n:
+                raise DimensionMismatchError(name, n * n, part.size)
+        re, im = re.reshape(n, n), im.reshape(n, n)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{what} is not a complex matrix object: {err!r}") from None
-    if op.dim != dim:
-        raise ConfigError(f"{what} has dimension {op.dim}, expected {dim}")
-    return op.entries
+    if n != dim:
+        raise ConfigError(f"{what} has dimension {n}, expected {dim}")
+    return re, im
 
 
 def _apply_sliced(
@@ -259,11 +278,17 @@ def sliced_coefficients(
     columns in that order: all rows come from one GEMM.  A GEMM row's
     bits do not depend on the other rows, but OpenBLAS sends a one-row
     GEMM to GEMV, which rounds differently, so a single pair is padded
-    to two rows.
+    to two rows.  M is formed on the triple's first call for a structure
+    and kept on the triple.
     """
     h, o = triple.hidden_dim, triple.obs_dim
-    coeff = composite_map(triple, structure).coeff.reshape(h, h, h, h, o, h, h, o)
-    m = coeff.transpose(0, 1, 3, 6, 2, 5, 4, 7).reshape(h**4, (h * o) ** 2)
+    structure = CausalStructure.parse(structure)
+    m = triple._fold_matrices.get(structure)
+    if m is None:
+        coeff = composite_map(triple, structure).coeff.reshape(h, h, h, h, o, h, h, o)
+        m = coeff.transpose(0, 1, 3, 6, 2, 5, 4, 7).reshape(h**4, (h * o) ** 2)
+        m.setflags(write=False)
+        triple._fold_matrices[structure] = m
     pairs = (xs.reshape(-1, h * h, 1) * ys.reshape(-1, 1, o * o)).reshape(-1, (h * o) ** 2)
     count = len(pairs)
     if count == 1:
@@ -423,11 +448,12 @@ def classical_diagonal_triple(
     )
 
 
+@functools.cache
 def partial_trace_map(d1: int, d2: int) -> OperatorMap:
     """Z1 tensor Z2 -> Z1 trace(Z2) / d2, the unital normalized partial trace.
 
     The Kraus operators are 1 tensor <j| / sqrt(d2) for each basis vector
-    j of the second factor.
+    j of the second factor.  Each map is built once per process and shared.
     """
     scale = 1.0 / np.sqrt(d2)
     kraus = []
@@ -465,8 +491,9 @@ def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> Oper
     if kind == "aklt_emission":
         from . import aklt
 
-        tensors = aklt.build_tensors(obj.get("variant", "normalized_cartesian"))
-        return aklt.emission_map(tensors)
+        # the built-in variant's own map, built once per process
+        variant = aklt._normalize_variant(obj.get("variant", "normalized_cartesian"))
+        return aklt._variant(variant)[1].emission
     if kind == "kraus":
         entries = obj.get("kraus")
         if not isinstance(entries, list) or not entries:
@@ -489,7 +516,8 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
     if phi0_obj == "maximally_mixed":
         phi0 = np.eye(h, dtype=complex) / h
     else:
-        phi0 = _operator_from_json(phi0_obj, h, "phi0")
+        re, im = _matrix_parts(phi0_obj, h, "phi0")
+        phi0 = re + 1j * im
     if "E_H" not in obj or "E_HO" not in obj:
         raise ConfigError("model config needs 'E_H' and 'E_HO' map entries")
     structure = CausalStructure.parse(obj.get("structure", "conventional"))

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, config_int
+from .errors import DimensionMismatchError
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of one matrix, as operator_norms computes it.
@@ -316,8 +316,8 @@ class ComplexOperator:
     """Validated square complex matrix with a declared dimension.
 
     The library holds operators as plain arrays.  This class is the
-    boundary: it checks a matrix against its declared dimension and reads
-    the files' matrix objects; np.asarray turns it into an array.
+    boundary: it checks a matrix against its declared dimension, and
+    np.asarray turns it into an array.
     """
 
     dim: int
@@ -331,17 +331,6 @@ class ComplexOperator:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.entries, dtype=dtype)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ComplexOperator":
-        dim = config_int("dim", obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        if re.size != dim * dim:
-            raise DimensionMismatchError("re", dim * dim, re.size)
-        if im.size != dim * dim:
-            raise DimensionMismatchError("im", dim * dim, im.size)
-        return cls(dim, (re + 1j * im).reshape(dim, dim))
 
 
 def _matrix_unit(dim: int, i: int, j: int) -> np.ndarray:

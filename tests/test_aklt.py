@@ -21,7 +21,9 @@ from hqmmsym import (
     spin_one_rep,
     verify_intertwining,
 )
+from hqmmsym import aklt
 from hqmmsym.grouprep import SIGMA_X, SIGMA_Y, SIGMA_Z
+from hqmmsym.hqmm import partial_trace_map, sliced_coefficients, triple_from_config
 
 
 def test_variant_names_and_labels():
@@ -179,6 +181,65 @@ def test_build_model_normalized_variants(variant, structure):
         "basis": tensors.basis,
         "labels": list(tensors.labels),
     }
+
+
+@pytest.mark.parametrize("variant", aklt.VARIANTS)
+def test_a_variant_is_built_once_and_each_model_has_its_own_info(variant):
+    a = build_model(variant, "conventional")
+    b = build_model(variant.replace("_", "-"), "causal")
+    assert a.triple is b.triple and a.tensors is b.tensors
+    assert a.info is not b.info and a.info["labels"] is not b.info["labels"]
+    assert a.action is not b.action
+    assert aklt._variant.cache_info().currsize <= len(aklt.VARIANTS)
+
+
+def test_every_array_a_built_model_shares_is_read_only():
+    m = build_model("normalized_spherical")
+    t = m.triple
+    xs, ys = np.eye(2)[None], np.eye(3)[None]
+    for structure in CausalStructure:
+        sliced_coefficients(t, structure, xs, ys)
+    assert len(t._fold_matrices) == 2
+    assert partial_trace_map(2, 2) is t.transition
+    arrays = [m.tensors.tensors, t.phi0, *t._fold_matrices.values()]
+    arrays += [a for op in (t.transition, t.emission) for a in (op.coeff, op.kraus)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_defects_give_a_new_dict_of_the_same_terms_on_every_call():
+    t = build_model("paper_literal").triple
+    first = t.defects()
+    want = dict(first)
+    first["emission_choi_negativity"] = 0.0
+    first.clear()
+    assert t.defects() == want and t.defects() is not t.defects()
+    assert aklt._variant.__wrapped__("paper_literal")[1].defects() == want
+
+
+@pytest.mark.parametrize("variant", aklt.VARIANTS)
+@pytest.mark.parametrize("structure", ["conventional", "causal"])
+def test_the_kept_fold_matrix_gives_the_bits_of_a_fresh_triple(variant, structure):
+    kept = build_model(variant).triple
+    fresh = aklt._variant.__wrapped__(variant)[1]
+    assert fresh is not kept and not fresh._fold_matrices
+    rng = np.random.default_rng(3)
+    for count in (1, 6):
+        xs, ys = util.random_words(rng, kept, count, 1)
+        sliced_coefficients(kept, structure, xs[:, 0], ys[:, 0])
+        want = sliced_coefficients(fresh, structure, xs[:, 0], ys[:, 0])
+        assert sliced_coefficients(kept, structure, xs[:, 0], ys[:, 0]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", aklt.VARIANTS)
+def test_a_config_aklt_emission_is_the_variant_map(variant):
+    triple, _ = triple_from_config({
+        "hidden_dim": 2, "obs_dim": 3, "E_H": {"kind": "normalized_partial_trace"},
+        "E_HO": {"kind": "aklt_emission", "variant": variant.replace("_", "-")},
+    })
+    want = emission_map(build_tensors(variant)).coeff
+    assert triple.emission.coeff.tobytes() == want.tobytes()
 
 
 def test_build_model_literal_variant_keeps_the_paper_tensors():

@@ -303,6 +303,29 @@ def test_verify_config_file_model_rejects_symmetry_checks(tmp_path, capsys):
     assert "builtin model" in err
 
 
+def test_a_reports_model_entry_is_its_own():
+    first = run(RunConfig(checks=("cpu",)))
+    want = json.dumps(first)
+    first["model"]["variant"] = "spoiled"
+    first["model"]["labels"].append("w")
+    assert json.dumps(run(RunConfig(checks=("cpu",)))) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--word", "{}"],
+    ["verify", "{}"],
+    ["report", "{}"],
+], ids=["eval", "verify", "report"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv):
+    # JSON is UTF-8 (RFC 8259); a byte that is not UTF-8 is a bad input
+    # file, exit 2, and not a failed check
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff[1]")
+    code, out, err = _run_cli(capsys, [arg.format(path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{path} is not UTF-8 text" in err, err
+
+
 def test_verify_missing_config_file(capsys):
     code, _, err = _run_cli(capsys, ["verify", "/nonexistent/model.json"])
     assert code == 2

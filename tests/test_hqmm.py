@@ -79,6 +79,75 @@ def test_word_construction_and_json(aklt_triple):
         ObservableWord.from_json_list([{"X": "I"}], 2, 3)
 
 
+def _word_files() -> dict[str, list]:
+    """Word files with whole-site "I" entries, slot "I" entries and matrices."""
+    rng = np.random.default_rng(35)
+
+    def site():
+        x, y = util.random_operator(rng, 2), util.random_operator(rng, 3)
+        return {"X": util.matrix_json(x), "Y": util.matrix_json(y)}
+
+    signed_zeros = {"dim": 2, "re": [-0.0, 1, 0, -0.0], "im": [-0.0, 0, -0.0, 2]}
+    nested = {"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, -1], [0.5, 0]]}
+    return {
+        "matrices": [site() for _ in range(5)],
+        "whole-site": ["I", site(), "I", site()],
+        "slots": [{"X": "I", "Y": site()["Y"]}, {"X": site()["X"], "Y": "I"}, {"X": "I", "Y": "I"}],
+        "identity": ["I", {"X": "I", "Y": "I"}],
+        "real-and-nested": [{"X": signed_zeros, "Y": "I"}, {"X": nested, "Y": site()["Y"]}],
+    }
+
+
+@pytest.mark.parametrize("name", list(_word_files()))
+def test_the_one_pass_word_reader_gives_the_per_entry_readers_bytes(name):
+    items = json.loads(json.dumps(_word_files()[name]))
+    got = ObservableWord.from_json_list(items, 2, 3)
+    want = util.per_entry_word(items, 2, 3)
+    assert got.xs.tobytes() == want.xs.tobytes()
+    assert got.ys.tobytes() == want.ys.tobytes()
+
+
+def _matrix(n: int, **entries) -> dict:
+    """A zero n x n matrix object, with the given entries replaced."""
+    return {"dim": n, "re": [0.0] * n * n, "im": [0.0] * n * n, **entries}
+
+
+@pytest.mark.parametrize("items, message", [
+    ([{"X": "I"}], "word entry 0 needs keys 'X' and 'Y'"),
+    (["I", 5], "word entry 1 needs keys 'X' and 'Y'"),
+    ([{"X": {"re": [0] * 4, "im": [0] * 4}, "Y": "I"}],
+     "word entry 0 X is not a complex matrix object: KeyError('dim')"),
+    ([{"X": "I", "Y": {"dim": 3, "im": [0] * 9}}],
+     "word entry 0 Y is not a complex matrix object: KeyError('re')"),
+    ([{"X": _matrix(3), "Y": "I"}], "word entry 0 X has dimension 3, expected 2"),
+    ([{"X": "I", "Y": _matrix(2)}], "word entry 0 Y has dimension 2, expected 3"),
+    ([{"X": _matrix(0), "Y": "I"}], "word entry 0 X has dimension 0, expected 2"),
+    ([{"X": _matrix(2, dim=2.5), "Y": "I"}],
+     "word entry 0 X is not a complex matrix object: ConfigError('dim must be an integer, got 2.5')"),
+    ([{"X": _matrix(2, dim=-2), "Y": "I"}],
+     "word entry 0 X is not a complex matrix object: "
+     "ValueError('can only specify one unknown dimension')"),
+    ([{"X": _matrix(2, re=[1, 0]), "Y": "I"}],
+     "word entry 0 X is not a complex matrix object: DimensionMismatchError(\"dimension "
+     "mismatch on axis 're': expected 4, got 2\")"),
+    (["I", {"X": "I", "Y": _matrix(3, im=[0])}],
+     "word entry 1 Y is not a complex matrix object: DimensionMismatchError(\"dimension "
+     "mismatch on axis 'im': expected 9, got 1\")"),
+    ([{"X": _matrix(2, re=[1, "a", 0, 1]), "Y": "I"}],
+     "word entry 0 X is not a complex matrix object: "
+     "ValueError(\"could not convert string to float: 'a'\")"),
+    # the first bad entry is named, its X before its Y
+    ([{"X": _matrix(3), "Y": _matrix(2)}, {"X": "I"}], "word entry 0 X has dimension 3, expected 2"),
+    ([{"X": "I", "Y": _matrix(2)}, {"X": "I"}], "word entry 0 Y has dimension 2, expected 3"),
+], ids=["missing-key", "not-an-object", "no-dim", "no-re", "wrong-dim-x", "wrong-dim-y", "dim-0",
+        "fractional-dim", "negative-dim", "re-size", "im-size", "non-numeric", "x-first",
+        "entry-order"])
+def test_malformed_word_entries_keep_their_messages(items, message):
+    with pytest.raises(ConfigError) as err:
+        ObservableWord.from_json_list(items, 2, 3)
+    assert str(err.value) == message
+
+
 
 def test_empty_word_rejected(aklt_triple):
     with pytest.raises(ValueError, match="empty"):

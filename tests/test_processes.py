@@ -97,6 +97,19 @@ def _calls(files: dict[str, str]) -> dict[str, tuple[list[str], int]]:
     calls["config-eval"] = (
         ["eval", "--model", files["readme"], "--word", files["word"], "--format", "json"], 0
     )
+    # one variant's shared triple under both structures, eval then verify,
+    # and a config whose maps are that variant's, evaluated after them
+    spherical = ["--variant", "normalized-spherical", "--format", "json"]
+    for structure in ("conventional", "causal"):
+        calls[f"spherical-{structure}-eval"] = (
+            ["eval", "--word", files["word"], "--structure", structure, *spherical], 0
+        )
+        calls[f"spherical-{structure}-verify"] = (
+            ["verify", "--structure", structure, "--checks", "cpu,sliced,oracle", *spherical], 0
+        )
+    calls["spherical-config-eval"] = (
+        ["eval", "--model", files["spherical"], "--word", files["word"], "--format", "json"], 0
+    )
     return calls
 
 
@@ -132,7 +145,7 @@ CONTROLLED = {name for env, _ in CHILDREN.values() for name in env}
 @pytest.fixture(scope="module")
 def table(tmp_path_factory) -> dict[str, tuple[list[str], int]]:
     out = tmp_path_factory.mktemp("processes")
-    names = ("huge-word", "kraus", "readme", "one-site-word", "word")
+    names = ("huge-word", "kraus", "readme", "one-site-word", "word", "spherical")
     files = {name: str(out / f"{name}.json") for name in names}
     # entries of 1e308 overflow the fold's products
     x = {"dim": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4}
@@ -148,6 +161,11 @@ def table(tmp_path_factory) -> dict[str, tuple[list[str], int]]:
         "word": util.word_items(util.random_word(rng, triple, 3)),
         "kraus": kraus["kraus_config"],
         "readme": util.readme_model_config(),
+        "spherical": {
+            "hidden_dim": 2, "obs_dim": 3, "structure": "causal",
+            "E_H": {"kind": "normalized_partial_trace"},
+            "E_HO": {"kind": "aklt_emission", "variant": "normalized_spherical"},
+        },
     }
     for name, content in contents.items():
         Path(files[name]).write_text(json.dumps(content))
@@ -278,8 +296,17 @@ def test_eval_values(table, first):
     assert abs(_value(first, "one-site-word") - want) <= 1e-12
     assert _report(first, "config-eval")["structure"] == "causal"
     triple, structure = load_model_config(table["config-eval"][0][2])
-    want = dense_word_value(triple, structure, load_word(table["config-eval"][0][4], 2, 3))
+    word = load_word(table["config-eval"][0][4], 2, 3)
+    want = dense_word_value(triple, structure, word)
     assert abs(_value(first, "config-eval") - want) <= 1e-12
+    spherical = build_model("normalized_spherical")
+    for structure in ("conventional", "causal"):
+        want = dense_word_value(spherical.triple, structure, word)
+        assert abs(_value(first, f"spherical-{structure}-eval") - want) <= 1e-12
+    # the config's triple has the built-in causal model's maps and phi0
+    assert _report(first, "spherical-config-eval")["value"] == (
+        _report(first, "spherical-causal-eval")["value"]
+    )
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -25,6 +25,8 @@ draws words from a generator through the library's unit_sites (and
 block_words in blocks from the end of the words), random_word draws one
 word, and word_items and write_word spell a word out as a word file,
 through matrix_json, which spells out one matrix object.
+per_entry_word reads a valid word file one matrix at a time, the
+reference for the one-pass ObservableWord.from_json_list.
 unnormalized_partial_trace is the partial trace without its 1/d2, CP
 but not unital.
 readme_blocks and readme_model_config read the README's fenced code.
@@ -136,6 +138,26 @@ def matrix_json(a) -> dict:
     re = [float(x) for x in a.real.ravel()]
     im = [float(x) for x in a.imag.ravel()]
     return {"dim": len(a), "re": re, "im": im}
+
+
+def per_entry_word(items, hidden_dim: int, obs_dim: int) -> ObservableWord:
+    """The word of a valid word file's sites, each matrix object read on its own.
+
+    Each object becomes its own complex matrix, (re + i im) reshaped to
+    dim x dim, an "I" slot np.eye, and each slot one np.asarray of them.
+    """
+    xs, ys = [], []
+    for item in items:
+        if item == "I":
+            item = {"X": "I", "Y": "I"}
+        for mats, obj, dim in ((xs, item["X"], hidden_dim), (ys, item["Y"], obs_dim)):
+            if obj == "I":
+                mats.append(np.eye(dim))
+            else:
+                re = np.asarray(obj["re"], dtype=float)
+                im = np.asarray(obj["im"], dtype=float)
+                mats.append((re + 1j * im).reshape(obj["dim"], obj["dim"]))
+    return ObservableWord(np.asarray(xs), np.asarray(ys))
 
 
 def write_word(path, word: ObservableWord) -> None:
