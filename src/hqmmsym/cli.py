@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import aklt
-from .errors import ConfigError, SubgroupStructureError, config_float, config_int, load_json
+from .errors import ConfigError, SubgroupStructureError, config_int, is_number, load_json
 from .grouprep import RotationElement, cocycle_defects, detect_nontrivial_class, haar_quaternions
 from .hqmm import (
     CausalStructure,
@@ -394,12 +394,9 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise ConfigError(f"unknown tolerance key {name!r}")
-            value = config_float(f"tolerance {name!r}", value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(
-                    f"tolerance for {name!r} must be finite and nonnegative, got {value}"
-                )
-            tolerances[name] = value
+            if not (is_number(value) and math.isfinite(value) and value >= 0):
+                raise ConfigError(f"tolerance {name!r} is not a finite number >= 0: {value!r}")
+            tolerances[name] = float(value)
         object.__setattr__(self, "tolerances", tolerances)
 
     def to_json_dict(self) -> dict:
@@ -619,8 +616,8 @@ def _cmd_cocycle(args) -> int:
     return 0
 
 
-def _check_report_shape(report, path: str) -> None:
-    """Refuse a stored report that render_report_text or the exit code would misread."""
+def _check_report_shape(report) -> dict:
+    """The stored report, or ConfigError if render_report_text or the exit code would misread it."""
     checks = report.get("checks") if isinstance(report, dict) else None
     # verify never writes an empty check list, and one would pass vacuously
     if not (
@@ -631,11 +628,11 @@ def _check_report_shape(report, path: str) -> None:
             isinstance(c, dict)
             and isinstance(c.get("condition"), str)
             and (
-                type(c.get("max_deviation")) in (int, float)
+                is_number(c.get("max_deviation"))
                 # null stands for a non-finite deviation, which fails its check
                 or ("max_deviation" in c and c["max_deviation"] is None and c["pass"] is False)
             )
-            and type(c.get("tolerance")) in (int, float)
+            and is_number(c.get("tolerance"))
             and isinstance(c.get("pass"), bool)
             # check_result passes exactly at max_deviation <= tolerance; a
             # stored fail within its tolerance is still read, as earlier
@@ -646,23 +643,16 @@ def _check_report_shape(report, path: str) -> None:
         and report.get("pass") is all(c["pass"] for c in checks)
     ):
         raise ConfigError(
-            f"report {path} is not a verification report: it needs a 'model' object, a "
-            "nonempty 'checks' list whose entries have a string 'condition', numbers "
-            "'max_deviation' (or null on a failed check) and 'tolerance' and a boolean 'pass' "
-            "that is false when max_deviation exceeds tolerance, and an overall 'pass' that "
-            "is true exactly when every check passed"
+            "not a verification report: it needs a 'model' object, a nonempty 'checks' list "
+            "whose entries have a string 'condition', numbers 'max_deviation' (or null on a "
+            "failed check) and 'tolerance' and a boolean 'pass', false when max_deviation "
+            "exceeds tolerance, and an overall 'pass' true exactly when every check passed"
         )
-    # verify never writes NaN or Infinity, so a report holding one, say a nan
-    # max_deviation beside "pass": true, has been edited
-    try:
-        json.dumps(report, allow_nan=False)
-    except ValueError:
-        raise ConfigError(f"report {path} holds a non-finite number") from None
+    return report
 
 
 def _cmd_report(args) -> int:
-    report = load_json(args.path, "report")
-    _check_report_shape(report, args.path)
+    report = load_json(args.path, "report", _check_report_shape)
     _emit(report, args.format, lambda: render_report_text(report))
     return 0 if report["pass"] else 1
 

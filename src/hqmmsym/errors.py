@@ -7,7 +7,9 @@ and tests can inspect how badly a precondition failed.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import sys
 
 
 class DimensionMismatchError(ValueError):
@@ -35,6 +37,11 @@ class ConfigError(ValueError):
     """A run configuration, model file or word file is malformed."""
 
 
+def is_number(value) -> bool:
+    """Whether value is a JSON number: a float, or an int (not a bool) that a double holds."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def config_int(name: str, value) -> int:
     """A count read from a run config, model config or matrix object, or ConfigError.
 
@@ -48,23 +55,36 @@ def config_int(name: str, value) -> int:
     return int(value)
 
 
-def config_float(name: str, value) -> float:
-    """A number read from a run config, or ConfigError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+def _finite(text: str) -> float:
+    # json passes NaN and the Infinities here, and each fraction or exponent, as 1e999
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
-def load_json(path: str, what: str):
-    """The JSON document in the file at path, or ConfigError naming it as what."""
+def _unique_names(pairs: list) -> dict:
+    # RFC 8259 leaves an object with a repeated name undefined
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"an object repeats a name: {[name for name, _ in pairs]}")
+    return obj
+
+
+def load_json(path: str, what: str, read=lambda doc: doc):
+    """What read makes of the strict JSON in the file at path; each ConfigError names the file."""
     # JSON exchanged between systems is UTF-8 (RFC 8259), whatever the locale
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            object_pairs_hook=_unique_names)
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{what} {path} is not UTF-8 text: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from None
+    except ValueError as err:  # a syntax error, or a number or a name the hooks refuse
+        raise ConfigError(f"{what} {path} is not strict JSON: {err}") from None
+    try:
+        return read(doc)
+    except ConfigError as err:
+        raise ConfigError(f"{what} {path}: {err}") from None

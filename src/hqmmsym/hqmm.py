@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, config_int, load_json
+from .errors import ConfigError, DimensionMismatchError, config_int, is_number, load_json
 from .opalg import (
     OperatorMap,
     certify_cpu,
@@ -190,38 +190,47 @@ class ObservableWord:
     @classmethod
     def from_json_list(cls, items, hidden_dim: int, obs_dim: int) -> "ObservableWord":
         """The word of a file's sites; every entry is checked, then each slot is one array."""
-        # per slot: its size, its key, the identity's parts, and each site's parts
-        slots = [(d, key, (np.eye(d), np.zeros((d, d))), [], []) for d, key in
+        if not isinstance(items, list) or not items:
+            raise ConfigError("a word is a nonempty JSON list of sites")
+        # per slot: its size, its key, the identity's parts and each site's parts
+        slots = [(d, key, (np.eye(d).ravel().tolist(), [0.0] * d * d), []) for d, key in
                  ((hidden_dim, "X"), (obs_dim, "Y"))]
         for k, item in enumerate(items):
-            if item == "I":
-                item = {"X": "I", "Y": "I"}
             try:
-                pair = item["X"], item["Y"]
+                pair = ("I", "I") if item == "I" else (item["X"], item["Y"])
             except (TypeError, KeyError):
                 raise ConfigError(f"word entry {k} needs keys 'X' and 'Y'") from None
-            for (d, key, identity, res, ims), obj in zip(slots, pair):
-                re, im = identity if obj == "I" else _matrix_parts(obj, d, f"word entry {k} {key}")
-                res.append(re)
-                ims.append(im)
-        return cls(*(np.asarray(res) + 1j * np.asarray(ims) for *_, res, ims in slots))
+            for (d, key, eye, parts), obj in zip(slots, pair):
+                parts.append(eye if obj == "I" else
+                             _matrix_parts(obj, f"word entry {k} {key}", (d, d)))
+        return cls(*(_complex(parts, (d, d)) for d, _, _, parts in slots))
 
 
-def _matrix_parts(obj, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of a file's dim x dim matrix object, or ConfigError."""
+def _complex(parts: list, shape: tuple[int, int]) -> np.ndarray:
+    """The stack of matrices re + i im, one per pair (re, im) of flat lists, of the given shape."""
+    re, im = np.array(parts, dtype=float).reshape(len(parts), 2, *shape).swapaxes(0, 1)
+    return re + 1j * im
+
+
+def _matrix_parts(obj, what: str, shape: tuple[int, int], keys=("dim", "dim")) -> tuple:
+    """The flat lists (re, im) of a file's matrix object of the given shape, keys its counts."""
     try:
-        n = config_int("dim", obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        for name, part in (("re", re), ("im", im)):
-            if part.size != n * n:
-                raise DimensionMismatchError(name, n * n, part.size)
-        re, im = re.reshape(n, n), im.reshape(n, n)
-    except (KeyError, TypeError, ValueError) as err:
+        counts = tuple(config_int(key, obj[key]) for key in keys)
+        parts = obj["re"], obj["im"]
+    except (KeyError, TypeError, ConfigError) as err:
         raise ConfigError(f"{what} is not a complex matrix object: {err!r}") from None
-    if n != dim:
-        raise ConfigError(f"{what} has dimension {n}, expected {dim}")
-    return re, im
+    # every count of shape is at least 1; a square matrix object names its one "dim"
+    if counts != shape:
+        got, want = (counts[0], shape[0]) if keys[0] == keys[1] else (counts, shape)
+        raise ConfigError(f"{what} has dimension {got}, expected {want}")
+    size = shape[0] * shape[1]
+    for key, part in zip(("re", "im"), parts):
+        if not (isinstance(part, list) and len(part) == size):
+            raise ConfigError(f"{what} {key} must be a flat list of {size} numbers, got {part!r}")
+        for value in part:
+            if not is_number(value):
+                raise ConfigError(f"{what} {key} entry must be a number, got {value!r}")
+    return parts
 
 
 def _apply_sliced(
@@ -465,23 +474,6 @@ def partial_trace_map(d1: int, d2: int) -> OperatorMap:
     return OperatorMap.from_kraus(d1 * d2, d1, kraus)
 
 
-def _kraus_from_json(obj: dict) -> np.ndarray:
-    try:
-        rows, cols = config_int("rows", obj["rows"]), config_int("cols", obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, KeyError, ValueError):
-        raise ConfigError(
-            "kraus entries need integer 'rows' and 'cols' and numeric 're' and 'im'"
-        ) from None
-    # two negative counts pass the size test below, and reshape refuses them
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"kraus 'rows' and 'cols' must be at least 1, got {rows} and {cols}")
-    if re.size != rows * cols or im.size != rows * cols:
-        raise ConfigError(f"kraus entry arrays must have {rows * cols} values")
-    return (re + 1j * im).reshape(rows, cols)
-
-
 def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> OperatorMap:
     if not isinstance(obj, dict):
         raise ConfigError(f"{name} must be an object with a 'kind', got {obj!r}")
@@ -498,7 +490,9 @@ def _bipartite_from_config(obj, d1: int, d2: int, d_out: int, name: str) -> Oper
         entries = obj.get("kraus")
         if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{name}: kind 'kraus' needs a nonempty 'kraus' list")
-        kraus = [_kraus_from_json(entry) for entry in entries]
+        shape = (d_out, d1 * d2)
+        kraus = _complex([_matrix_parts(entry, f"{name} kraus entry {k}", shape, ("rows", "cols"))
+                          for k, entry in enumerate(entries)], shape)
         return OperatorMap.from_kraus(d1 * d2, d_out, kraus)
     raise ConfigError(f"{name}: unknown map kind {kind!r}")
 
@@ -512,12 +506,9 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
         raise ConfigError("model config needs integer 'hidden_dim' and 'obs_dim'") from None
     if h < 1 or o < 1:
         raise ConfigError(f"model config dimensions must be at least 1, got {h} and {o}")
-    phi0_obj = obj.get("phi0", "maximally_mixed")
-    if phi0_obj == "maximally_mixed":
-        phi0 = np.eye(h, dtype=complex) / h
-    else:
-        re, im = _matrix_parts(phi0_obj, h, "phi0")
-        phi0 = re + 1j * im
+    phi0 = np.eye(h, dtype=complex) / h
+    if obj.get("phi0", "maximally_mixed") != "maximally_mixed":
+        phi0 = _complex([_matrix_parts(obj["phi0"], "phi0", (h, h))], (h, h))[0]
     if "E_H" not in obj or "E_HO" not in obj:
         raise ConfigError("model config needs 'E_H' and 'E_HO' map entries")
     structure = CausalStructure.parse(obj.get("structure", "conventional"))
@@ -531,11 +522,9 @@ def triple_from_config(obj: dict) -> tuple[GenerativeTriple, CausalStructure]:
 
 
 def load_model_config(path: str) -> tuple[GenerativeTriple, CausalStructure]:
-    return triple_from_config(load_json(path, "model config"))
+    return load_json(path, "model config", triple_from_config)
 
 
 def load_word(path: str, hidden_dim: int, obs_dim: int) -> ObservableWord:
-    items = load_json(path, "word file")
-    if not isinstance(items, list) or not items:
-        raise ConfigError("word file must hold a nonempty JSON list of sites")
-    return ObservableWord.from_json_list(items, hidden_dim, obs_dim)
+    read = functools.partial(ObservableWord.from_json_list, hidden_dim=hidden_dim, obs_dim=obs_dim)
+    return load_json(path, "word file", read)

@@ -14,11 +14,11 @@ from hqmmsym import (
     cli,
     dense_word_value,
     finite_volume_state,
-    load_model_config,
     operator_norm,
 )
 from hqmmsym import aklt, grouprep
 from hqmmsym.cli import CHECK_NAMES, RunConfig, default_tolerances, main, run
+from hqmmsym.hqmm import triple_from_config
 
 FAST = [
     "--samples", "25",
@@ -45,6 +45,50 @@ def _refuse_constant(name):
 def _strict_json(text: str):
     """json.loads that refuses NaN and Infinity, as RFC 8259 does."""
     return json.loads(text, parse_constant=_refuse_constant)
+
+
+def _in_process(monkeypatch, path: str) -> str:
+    """path, whose model cli.main now builds in process from the file's dict.
+
+    The file loader refuses the NaN or Infinity such a model file holds;
+    triple_from_config takes the same dict from a library caller, so a
+    non-finite model still reaches every check and the exit code.
+    """
+    built = triple_from_config(json.loads(Path(path).read_text()))
+    monkeypatch.setattr(cli, "load_model_config", lambda name: built)
+    return path
+
+
+# Each probe is the "re" of a 2 x 2 matrix object that is not a flat list of
+# JSON numbers: a word file, a phi0 or a Kraus entry holding one exits 2.
+PROBES = {
+    "null": "[null, 0, 0, 0.5]",
+    "strings-and-bool": '["1", true, 0, "1e0"]',
+    "nan": "[NaN, 0, 0, 0.5]",
+    # the second "re" would win in a plain json.load
+    "re-twice": '[0.5, 0, 0, 0.5], "re": [Infinity, 0, 0, 0.5]',
+    "huge-int": f"[{10**400}, 0, 0, 0.5]",
+    # past the digits Python converts by default: the loader refuses it where the limit holds
+    "long-int": "[1" + "0" * 5000 + ", 0, 0, 0.5]",
+    "1e999": "[1e999, 0, 0, 0.5]",
+    "nested": "[[0.5, 0], [0, 0.5]]",
+}
+# a word site or phi0 reads its size from dim, a Kraus entry from rows and cols
+PROBE_MATRIX = '{{"dim": 2, "rows": 2, "cols": 2, "re": {}, "im": [0, 0, 0, 0]}}'
+PROBE_WORDS = {f"probe-{name}": f'[{{"X": {PROBE_MATRIX.format(re)}, "Y": "I"}}]'
+               for name, re in PROBES.items()}
+# phi0, and the one Kraus operator of an emission from hidden_dim 2 and obs_dim 1
+PROBE_CONFIGS = {
+    **{f"phi0-{name}": '{"hidden_dim": 2, "obs_dim": 3, "phi0": %s, "E_H": {"kind": '
+       '"normalized_partial_trace"}, "E_HO": {"kind": "aklt_emission"}}' % PROBE_MATRIX.format(re)
+       for name, re in PROBES.items()},
+    **{f"kraus-{name}": '{"hidden_dim": 2, "obs_dim": 1, "E_H": {"kind": "normalized_partial_'
+       'trace"}, "E_HO": {"kind": "kraus", "kraus": [%s]}}' % PROBE_MATRIX.format(re)
+       for name, re in PROBES.items()},
+}
+# the emission Kraus operator of the nan-kraus model, its first entry NaN
+NAN_KRAUS = np.kron(np.eye(2), np.ones((1, 3)) / np.sqrt(3.0))
+NAN_KRAUS[0, 0] = np.nan
 
 
 def test_check_names_are_stable():
@@ -594,6 +638,9 @@ def test_run_config_rejects_empty_or_invalid_runs(override):
         {"n_max": float("inf")},
         {"tolerances": {"emission": "tight"}},
         {"tolerances": [1e-9]},
+        # a string or a boolean is not a number, though float() reads either
+        {"tolerances": {"cpu": "1e-3"}},
+        {"tolerances": {"cpu": True}},
     ],
 )
 def test_run_config_rejects_non_numeric_fields(override):
@@ -613,7 +660,7 @@ def test_cocycle_cli_finds_the_class_in_random_frames(capsys):
         assert json.loads(out)["nontrivial"] is True
 
 
-def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys):
+def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys, monkeypatch):
     kraus = np.zeros((2, 6))
     for a in range(2):
         kraus[a, a * 3 : a * 3 + 3] = 1.0 / np.sqrt(3.0)
@@ -627,6 +674,7 @@ def test_nan_model_fails_every_check_with_nan_deviation(tmp_path, capsys):
     }
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(config))
+    _in_process(monkeypatch, str(path))
     code, out, _ = _run_cli(capsys, ["verify", str(path), *FAST])
     assert code == 1
     report = _strict_json(out)
@@ -674,16 +722,16 @@ def test_phi0_that_is_not_a_state_fails_cpu(tmp_path, capsys, re, deviation):
     assert cpu["max_deviation"] == pytest.approx(deviation, rel=0, abs=1e-12)
 
 
-def test_nan_phi0_fails_cpu_with_nan(tmp_path, capsys):
-    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+def test_nan_phi0_fails_cpu_with_nan(tmp_path, capsys, monkeypatch):
+    path = _in_process(monkeypatch, _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5)))
     code, out, _ = _run_cli(capsys, ["verify", path, "--checks", "cpu", "--format", "text"])
     assert code == 1
     assert "[FAIL] cpu_certification" in out
     assert "max_deviation=nan" in out
 
 
-def test_nan_report_round_trips_through_report(tmp_path, capsys):
-    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+def test_nan_report_round_trips_through_report(tmp_path, capsys, monkeypatch):
+    path = _in_process(monkeypatch, _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5)))
     code, out, _ = _run_cli(capsys, ["verify", path, "--checks", "cpu,kolmogorov"])
     assert code == 1
     stored = _strict_json(out)
@@ -732,15 +780,18 @@ def _site(x_dim=2, y_dim=3):
         [_site(x_dim=3)],  # hidden slot of the wrong dimension
         [],
         [{"X": {**_site()["X"], "dim": 2.9}, "Y": _site()["Y"]}],  # int() would read 2
+        *PROBE_WORDS.values(),
     ],
-    ids=["missing-re-im", "non-numeric", "wrong-dimension", "empty", "fractional-dim"],
+    ids=["missing-re-im", "non-numeric", "wrong-dimension", "empty", "fractional-dim",
+         *PROBE_WORDS],
 )
 def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
+    # a string is the file's text as it stands
     path = tmp_path / "word.json"
-    path.write_text(json.dumps(items))
+    path.write_text(items if isinstance(items, str) else json.dumps(items))
     code, out, err = _run_cli(capsys, ["eval", "--word", str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and str(path) in err, err
 
 
 @pytest.mark.parametrize(
@@ -761,10 +812,23 @@ def test_eval_refuses_malformed_word_files(tmp_path, capsys, items):
         # -2 x -2 passes the count of 4 values, and the reshape then raised
         {"E_H": {"kind": "kraus", "kraus": [{"rows": -2, "cols": -2, "re": [1, 0, 0, 1],
                                              "im": [0] * 4}]}},
+        # the models that reach the checks only when built in process: json.dumps
+        # writes their NaN and Infinity, which are not JSON
+        {"phi0": {"dim": 2, "re": [float("nan"), 0.0, 0.0, 0.5], "im": [0.0] * 4}},
+        {"E_HO": {"kind": "kraus", "kraus": [{"rows": 2, "cols": 6, "re": NAN_KRAUS.ravel().tolist(),
+                                              "im": [0.0] * 12}]}},
+        {"phi0": {"dim": 2, "re": [float("inf"), 0.0, 0.0, 0.5], "im": [0.0] * 4}},
+        {"phi0": {"dim": 2, "re": [0.5, float("inf"), float("-inf"), 0.5], "im": [0.0] * 4}},
+        *PROBE_CONFIGS.values(),
+        # a plain json.load keeps the last: a causal model
+        '{"hidden_dim": 2, "obs_dim": 3, "E_H": {"kind": "normalized_partial_trace"}, '
+        '"E_HO": {"kind": "aklt_emission"}, "structure": "conventional", "structure": "causal"}',
     ],
     ids=["phi0-without-re-im", "kraus-wrong-shape", "fractional-hidden-dim", "boolean-obs-dim",
          "string-hidden-dim", "zero-hidden-dim", "fractional-phi0-dim", "fractional-kraus-rows",
-         "map-not-an-object", "kraus-not-a-list", "negative-kraus-shape"],
+         "map-not-an-object", "kraus-not-a-list", "negative-kraus-shape", "nan-phi0",
+         "nan-kraus", "inf-diagonal-phi0", "inf-off-diagonal-phi0", *PROBE_CONFIGS,
+         "structure-twice"],
 )
 def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
     config = {
@@ -772,14 +836,14 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "obs_dim": 3,
         "E_H": {"kind": "normalized_partial_trace"},
         "E_HO": {"kind": "aklt_emission"},
-        **override,
     }
+    # a string is the file's text as it stands
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(config))
+    path.write_text(override if isinstance(override, str) else json.dumps({**config, **override}))
     for argv in (["verify", str(path)], ["eval", "--model", str(path), "--word", "allidentity:2"]):
         code, out, err = _run_cli(capsys, argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and str(path) in err, err
 
 
 @pytest.mark.parametrize(
@@ -797,6 +861,11 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         lambda r: r["config"]["tolerances"].update({"cpu": float("nan")}),
         lambda r: r.update({"checks": []}),  # overall pass stays true
         lambda r: r["checks"][0].update({"max_deviation": 5.0}),  # pass stays true
+        # a returned string is the file's text
+        lambda r: json.dumps(r)[:-1] + ', "pass": true}',
+        lambda r: json.dumps(r).replace('"tolerance": 1e-10', '"tolerance": 1e999'),
+        lambda r: r["checks"][0].update({"tolerance": 10**400}),
+        lambda r: r["checks"][0].update({"tolerance": True}),
     ],
     ids=[
         "no-model",
@@ -811,19 +880,23 @@ def test_verify_refuses_malformed_model_configs(tmp_path, capsys, override):
         "nan-in-config",
         "empty-checks",
         "pass-over-tolerance",
+        "pass-twice",
+        "overflowing-tolerance",
+        "huge-int-tolerance",
+        "boolean-tolerance",
     ],
 )
 def test_report_refuses_malformed_reports(tmp_path, capsys, spoil):
     code, out, _ = _run_cli(capsys, ["verify", *FAST, "--checks", "cpu"])
     assert code == 0
     report = json.loads(out)
-    spoil(report)
+    text = spoil(report)
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(report))
+    path.write_text(text if isinstance(text, str) else json.dumps(report))
     for fmt in ("text", "json"):
         code, out, err = _run_cli(capsys, ["report", str(path), "--format", fmt])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and str(path) in err, err
 
 
 def test_cocycle_element_accepts_a_leading_minus(capsys):
@@ -885,8 +958,8 @@ def test_run_config_rejects_an_unknown_tolerance():
         RunConfig(tolerances={"bogus": 1e-3})
 
 
-def test_eval_writes_a_nan_value_as_null_and_exits_1(tmp_path, capsys):
-    path = _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))
+def test_eval_writes_a_nan_value_as_null_and_exits_1(tmp_path, capsys, monkeypatch):
+    path = _in_process(monkeypatch, _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5)))
     code, out, err = _run_cli(capsys, ["eval", "--model", path, "--word", "allidentity:2"])
     assert (code, err) == (1, "")
     assert _strict_json(out)["value"] == {"re": None, "im": None}
@@ -941,9 +1014,7 @@ def test_integral_float_counts_read_as_integers(tmp_path, capsys):
 
 
 def _nan_kraus_model(tmp_path) -> str:
-    k = np.kron(np.eye(2), np.ones((1, 3)) / np.sqrt(3.0))
-    k[0, 0] = np.nan
-    return _partial_trace_model(tmp_path, E_HO={"kind": "kraus", "kraus": [_kraus_entry(k)]})
+    return _partial_trace_model(tmp_path, E_HO={"kind": "kraus", "kraus": [_kraus_entry(NAN_KRAUS)]})
 
 
 def _unnormalized_transition_model(tmp_path) -> str:
@@ -979,12 +1050,12 @@ def _bits(defects: dict) -> dict:
 @pytest.mark.parametrize(
     "make, failing",
     [
-        (lambda tmp_path: "normalized-cartesian", set()),
-        (lambda tmp_path: "normalized-spherical", set()),
-        (lambda tmp_path: "paper-literal", set()),
+        (lambda tmp_path, mp: "normalized-cartesian", set()),
+        (lambda tmp_path, mp: "normalized-spherical", set()),
+        (lambda tmp_path, mp: "paper-literal", set()),
         # the model config of the README's file-format section
         (
-            lambda tmp_path: _partial_trace_model(
+            lambda tmp_path, mp: _partial_trace_model(
                 tmp_path,
                 phi0="maximally_mixed",
                 E_HO={"kind": "aklt_emission", "variant": "normalized_spherical"},
@@ -992,44 +1063,47 @@ def _bits(defects: dict) -> dict:
             ),
             set(),
         ),
-        (lambda tmp_path: _phi0_model(tmp_path, (1.3, 0.0, 0.0, -0.3)), {"phi0_negativity"}),
-        (lambda tmp_path: _phi0_model(tmp_path, (1.5, 0.0, 0.0, 0.5)), {"phi0_trace"}),
-        (lambda tmp_path: _phi0_model(tmp_path, (0.5, 0.2, 0.0, 0.5)), {"phi0_hermiticity"}),
+        (lambda tmp_path, mp: _phi0_model(tmp_path, (1.3, 0.0, 0.0, -0.3)), {"phi0_negativity"}),
+        (lambda tmp_path, mp: _phi0_model(tmp_path, (1.5, 0.0, 0.0, 0.5)), {"phi0_trace"}),
+        (lambda tmp_path, mp: _phi0_model(tmp_path, (0.5, 0.2, 0.0, 0.5)), {"phi0_hermiticity"}),
         (
-            lambda tmp_path: _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5)),
+            lambda tmp_path, mp: _in_process(mp, _phi0_model(tmp_path, (float("nan"), 0.0, 0.0, 0.5))),
             {"phi0_hermiticity", "phi0_negativity", "phi0_trace"},
         ),
         (
-            _nan_kraus_model,
+            lambda tmp_path, mp: _in_process(mp, _nan_kraus_model(tmp_path)),
             {"emission_choi_hermiticity", "emission_choi_negativity", "emission_unitality"},
         ),
         (
-            lambda tmp_path: _phi0_model(tmp_path, (float("inf"), 0.0, 0.0, 0.5)),
+            lambda tmp_path, mp: _in_process(mp, _phi0_model(tmp_path, (float("inf"), 0.0, 0.0, 0.5))),
             {"phi0_hermiticity", "phi0_negativity", "phi0_trace"},
         ),
         # trace 1: only the positivity terms see the non-finite entries
         (
-            lambda tmp_path: _phi0_model(tmp_path, (0.5, float("inf"), float("-inf"), 0.5)),
+            lambda tmp_path, mp: _in_process(
+                mp, _phi0_model(tmp_path, (0.5, float("inf"), float("-inf"), 0.5))
+            ),
             {"phi0_hermiticity", "phi0_negativity"},
         ),
-        (_unnormalized_transition_model, {"transition_unitality"}),
+        (lambda tmp_path, mp: _unnormalized_transition_model(tmp_path), {"transition_unitality"}),
         # trace off by 5e-11 and by 2e-10: either side of the cpu tolerance
-        (lambda tmp_path: _phi0_model(tmp_path, (0.5 + 5e-11, 0.0, 0.0, 0.5)), set()),
-        (lambda tmp_path: _phi0_model(tmp_path, (0.5 + 2e-10, 0.0, 0.0, 0.5)), {"phi0_trace"}),
+        (lambda tmp_path, mp: _phi0_model(tmp_path, (0.5 + 5e-11, 0.0, 0.0, 0.5)), set()),
+        (lambda tmp_path, mp: _phi0_model(tmp_path, (0.5 + 2e-10, 0.0, 0.0, 0.5)), {"phi0_trace"}),
     ],
     ids=["cartesian", "spherical", "literal", "readme-config", "negative-phi0",
          "trace-two-phi0", "non-hermitian-phi0", "nan-phi0", "nan-kraus", "inf-diagonal-phi0",
          "inf-off-diagonal-phi0", "unnormalized-transition", "trace-within-tol-phi0",
          "trace-over-tol-phi0"],
 )
-def test_validate_and_the_cpu_check_agree(tmp_path, capsys, make, failing):
-    model = make(tmp_path)
+def test_validate_and_the_cpu_check_agree(tmp_path, capsys, monkeypatch, make, failing):
+    # a non-finite row's model is built in process, through cli's load_model_config
+    model = make(tmp_path, monkeypatch)
     if model in cli.VARIANT_CHOICES:
         variant = model.replace("-", "_")
         triples = [build_model(variant, s).triple for s in ("conventional", "causal")]
         argv = ["verify", "--variant", model, "--checks", "cpu"]
     else:
-        triples = [load_model_config(model)[0]]
+        triples = [cli.load_model_config(model)[0]]
         argv = ["verify", model, "--checks", "cpu"]
     for one in triples:
         got, want = one.defects(), _defects_by_hand(one)

@@ -66,13 +66,14 @@ def test_triple_shape_validation(aklt_triple):
 
 
 def test_word_construction_and_json(aklt_triple):
-    word = ObservableWord.all_identity(3, 2, 3)
-    assert len(word) == 3
-    items = util.word_items(word)
-    back = ObservableWord.from_json_list(items, 2, 3)
-    for x1, y1, x2, y2 in zip(word.xs, word.ys, back.xs, back.ys):
-        assert operator_norm(x1 - x2) == 0.0
-        assert operator_norm(y1 - y2) == 0.0
+    # a word spelled out as matrix objects reads back to its own matrices
+    random = util.random_word(np.random.default_rng(2), aklt_triple, 3)
+    for word in (ObservableWord.all_identity(3, 2, 3), random):
+        assert len(word) == 3
+        back = ObservableWord.from_json_list(util.word_items(word), 2, 3)
+        for x1, y1, x2, y2 in zip(word.xs, word.ys, back.xs, back.ys):
+            assert operator_norm(x1 - x2) == 0.0
+            assert operator_norm(y1 - y2) == 0.0
     shorthand = ObservableWord.from_json_list([{"X": "I", "Y": "I"}], 2, 3)
     assert operator_norm(shorthand.xs[0] - np.eye(2)) == 0.0
     with pytest.raises(ConfigError):
@@ -88,13 +89,12 @@ def _word_files() -> dict[str, list]:
         return {"X": util.matrix_json(x), "Y": util.matrix_json(y)}
 
     signed_zeros = {"dim": 2, "re": [-0.0, 1, 0, -0.0], "im": [-0.0, 0, -0.0, 2]}
-    nested = {"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, -1], [0.5, 0]]}
     return {
         "matrices": [site() for _ in range(5)],
         "whole-site": ["I", site(), "I", site()],
         "slots": [{"X": "I", "Y": site()["Y"]}, {"X": site()["X"], "Y": "I"}, {"X": "I", "Y": "I"}],
         "identity": ["I", {"X": "I", "Y": "I"}],
-        "real-and-nested": [{"X": signed_zeros, "Y": "I"}, {"X": nested, "Y": site()["Y"]}],
+        "signed-zeros": [{"X": signed_zeros, "Y": "I"}, {"X": "I", "Y": site()["Y"]}],
     }
 
 
@@ -124,24 +124,39 @@ def _matrix(n: int, **entries) -> dict:
     ([{"X": _matrix(0), "Y": "I"}], "word entry 0 X has dimension 0, expected 2"),
     ([{"X": _matrix(2, dim=2.5), "Y": "I"}],
      "word entry 0 X is not a complex matrix object: ConfigError('dim must be an integer, got 2.5')"),
-    ([{"X": _matrix(2, dim=-2), "Y": "I"}],
-     "word entry 0 X is not a complex matrix object: "
-     "ValueError('can only specify one unknown dimension')"),
+    ([{"X": _matrix(2, dim=-2), "Y": "I"}], "word entry 0 X has dimension -2, expected 2"),
     ([{"X": _matrix(2, re=[1, 0]), "Y": "I"}],
-     "word entry 0 X is not a complex matrix object: DimensionMismatchError(\"dimension "
-     "mismatch on axis 're': expected 4, got 2\")"),
+     "word entry 0 X re must be a flat list of 4 numbers, got [1, 0]"),
     (["I", {"X": "I", "Y": _matrix(3, im=[0])}],
-     "word entry 1 Y is not a complex matrix object: DimensionMismatchError(\"dimension "
-     "mismatch on axis 'im': expected 9, got 1\")"),
+     "word entry 1 Y im must be a flat list of 9 numbers, got [0]"),
     ([{"X": _matrix(2, re=[1, "a", 0, 1]), "Y": "I"}],
-     "word entry 0 X is not a complex matrix object: "
-     "ValueError(\"could not convert string to float: 'a'\")"),
+     "word entry 0 X re entry must be a number, got 'a'"),
     # the first bad entry is named, its X before its Y
     ([{"X": _matrix(3), "Y": _matrix(2)}, {"X": "I"}], "word entry 0 X has dimension 3, expected 2"),
     ([{"X": "I", "Y": _matrix(2)}, {"X": "I"}], "word entry 0 Y has dimension 2, expected 3"),
+    # JSON's null, a string, a boolean: none is a number, though numpy reads each as one
+    ([{"X": _matrix(2, re=[None, 0, 0, 1]), "Y": "I"}],
+     "word entry 0 X re entry must be a number, got None"),
+    ([{"X": _matrix(2, re=["1", True, 0, "1e0"]), "Y": "I"}],
+     "word entry 0 X re entry must be a number, got '1'"),
+    ([{"X": _matrix(2, re=[1, True, 0, 1]), "Y": "I"}],
+     "word entry 0 X re entry must be a number, got True"),
+    ([{"X": "I", "Y": _matrix(3, im=[0] * 8 + [10**400])}],
+     f"word entry 0 Y im entry must be a number, got {10**400}"),
+    # re and im are flat lists, row by row
+    ([{"X": {"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, -1], [0.5, 0]]}, "Y": "I"}],
+     "word entry 0 X re must be a flat list of 4 numbers, got [[1, 2], [3, 4]]"),
+    ([{"X": _matrix(2, re=[[1], [0], [0], [1]]), "Y": "I"}],
+     "word entry 0 X re entry must be a number, got [1]"),
+    ([{"X": _matrix(2, im=5), "Y": "I"}], "word entry 0 X im must be a flat list of 4 numbers, got 5"),
+    # the word the one-pass reader once read, nested lists and all
+    ([{"X": {"dim": 2, "re": [-0.0, 1, 0, -0.0], "im": [-0.0, 0, -0.0, 2]}, "Y": "I"},
+      {"X": {"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, -1], [0.5, 0]]}, "Y": _matrix(3)}],
+     "word entry 1 X re must be a flat list of 4 numbers, got [[1, 2], [3, 4]]"),
 ], ids=["missing-key", "not-an-object", "no-dim", "no-re", "wrong-dim-x", "wrong-dim-y", "dim-0",
         "fractional-dim", "negative-dim", "re-size", "im-size", "non-numeric", "x-first",
-        "entry-order"])
+        "entry-order", "null", "strings-and-bool", "bool", "huge-int", "nested-re",
+        "nested-entries", "im-not-a-list", "real-and-nested"])
 def test_malformed_word_entries_keep_their_messages(items, message):
     with pytest.raises(ConfigError) as err:
         ObservableWord.from_json_list(items, 2, 3)

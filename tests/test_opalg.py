@@ -4,13 +4,11 @@ import pytest
 import util
 from hqmmsym import (
     ComplexOperator,
-    ConfigError,
     DimensionMismatchError,
     OperatorMap,
     certify_cpu,
     operator_norm,
 )
-from hqmmsym.hqmm import _matrix_parts
 from hqmmsym.opalg import conjugate
 
 
@@ -33,23 +31,6 @@ def test_operator_basic_algebra():
     rng = np.random.default_rng(0)
     x = ComplexOperator(3, util.random_operator(rng, 3))
     assert abs(np.trace(np.asarray(x)) - np.trace(x.entries)) == 0.0
-
-
-
-def test_operator_json_round_trip():
-    # the files' matrix objects are read by hqmm._matrix_parts
-    rng = np.random.default_rng(2)
-    a = util.random_operator(rng, 3)
-    re, im = _matrix_parts(util.matrix_json(a), 3, "operator")
-    assert re.shape == im.shape == (3, 3)
-    assert operator_norm(a - (re + 1j * im)) == 0.0
-
-
-def test_operator_json_validation():
-    with pytest.raises(ConfigError, match="dimension mismatch on axis 're'"):
-        _matrix_parts({"dim": 2, "re": [1.0, 0.0], "im": [0.0] * 4}, 2, "operator")
-    with pytest.raises(ConfigError, match="dimension mismatch on axis 'im'"):
-        _matrix_parts({"dim": 2, "re": [0.0] * 4, "im": [0.0]}, 2, "operator")
 
 
 

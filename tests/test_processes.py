@@ -110,6 +110,10 @@ def _calls(files: dict[str, str]) -> dict[str, tuple[list[str], int]]:
     calls["spherical-config-eval"] = (
         ["eval", "--model", files["spherical"], "--word", files["word"], "--format", "json"], 0
     )
+    # input files that are not strict JSON: a usage error, exit 2, never a verdict
+    calls["nan-word"] = (["eval", "--word", files["nan-word"]], 2)
+    calls["repeated-name-config"] = (["verify", files["repeated-name-config"]], 2)
+    calls["overflowing-report"] = (["report", files["overflowing-report"]], 2)
     return calls
 
 
@@ -145,7 +149,15 @@ CONTROLLED = {name for env, _ in CHILDREN.values() for name in env}
 @pytest.fixture(scope="module")
 def table(tmp_path_factory) -> dict[str, tuple[list[str], int]]:
     out = tmp_path_factory.mktemp("processes")
-    names = ("huge-word", "kraus", "readme", "one-site-word", "word", "spherical")
+    # each file's text as it stands: NaN, a repeated name and 1e999 are not strict JSON
+    texts = {
+        "nan-word": '[{"X": {"dim": 2, "re": [NaN, 0, 0, 1], "im": [0, 0, 0, 0]}, "Y": "I"}]',
+        "repeated-name-config": '{"hidden_dim": 2, "obs_dim": 3, "E_H": {"kind": '
+        '"normalized_partial_trace"}, "E_HO": {"kind": "aklt_emission"}, "obs_dim": 3}',
+        "overflowing-report": '{"model": {}, "checks": [{"condition": "cpu_certification", '
+        '"max_deviation": 0.0, "tolerance": 1e999, "pass": true}], "pass": true}',
+    }
+    names = ("huge-word", "kraus", "readme", "one-site-word", "word", "spherical", *texts)
     files = {name: str(out / f"{name}.json") for name in names}
     # entries of 1e308 overflow the fold's products
     x = {"dim": 2, "re": [1e308, 0, 0, 1e308], "im": [0] * 4}
@@ -169,6 +181,8 @@ def table(tmp_path_factory) -> dict[str, tuple[list[str], int]]:
     }
     for name, content in contents.items():
         Path(files[name]).write_text(json.dumps(content))
+    for name, text in texts.items():
+        Path(files[name]).write_text(text)
     return _calls(files)
 
 
